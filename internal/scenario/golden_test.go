@@ -6,6 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"pds/internal/core"
+	"pds/internal/metrics"
+	"pds/internal/wire"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -14,7 +19,10 @@ var updateGolden = flag.Bool("update-golden", false,
 // goldenFigureRows renders the pinned figures — Fig 8, Fig 11, chaos and
 // disk — as one deterministic text blob. Single run per point, base
 // seed 1: exactly the rows `pds-bench -seed 1 -runs 1` prints for these
-// figures.
+// figures. The rows after the disk figure pin the PDD paths those four
+// never run: the ablations (one-shot interests, per-query responses, no
+// Bloom rewriting), MDR (small-data relay carrying chunks) and a
+// multi-consumer small-data collection (blob mixedcast).
 func goldenFigureRows(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -22,7 +30,49 @@ func goldenFigureRows(t *testing.T) string {
 	b.WriteString(Fig11DataItemSize(1, 1).String())
 	b.WriteString(ChaosSeries(1, 1).String())
 	b.WriteString(DiskSeries(1, 1, t.TempDir()).String())
+	for _, s := range Ablation(1, 1) {
+		b.WriteString(s.String())
+	}
+	for _, s := range Fig1314Redundancy(1, 1, 1) {
+		b.WriteString(s.String())
+	}
+	b.WriteString(smallDataCollect(1).String())
 	return b.String()
+}
+
+// smallDataCollect is one row of small-data collection on the 10×10
+// grid: 120 owned 400-byte items spread uniformly, three center-subgrid
+// consumers collecting them all at once, so served and relayed responses
+// carry blobs for several lingering queries.
+func smallDataCollect(seed int64) *metrics.Series {
+	const items, consumers = 120, 3
+	d := Grid(10, 10, GridSpacing, Options{Seed: seed})
+	ids := d.sortedPeerIDs()
+	rng := newRand(seed + 7)
+	for i := 0; i < items; i++ {
+		payload := make([]byte, 400)
+		for j := range payload {
+			payload[j] = byte(i + j)
+		}
+		d.Peers[ids[rng.Intn(len(ids))]].Node.PublishSmall(EntryDescriptor(i), payload)
+	}
+	before := d.Medium.Stats().TxBytes
+	var sample metrics.Sample
+	done := 0
+	for _, c := range consumerIDs(d, consumers, seed) {
+		d.Peers[c].Node.Discover(EntrySelector(), core.DiscoverOptions{Kind: wire.KindData, CollectPayloads: true},
+			func(res core.DiscoveryResult) {
+				sample.Recall += float64(len(res.Payloads)) / (items * consumers)
+				sample.Latency = max(sample.Latency, res.Latency)
+				sample.Rounds += float64(res.Rounds) / consumers
+				done++
+			})
+	}
+	d.Eng.RunUntil(180*time.Second, func() bool { return done == consumers })
+	sample.OverheadBytes = d.Medium.Stats().TxBytes - before
+	s := &metrics.Series{Name: "small-data collection"}
+	s.Add(consumers, "3 collectors", sample)
+	return s
 }
 
 // TestFigureRowsGolden pins the metric rows of the Fig8 / Fig11 / chaos
