@@ -2,7 +2,7 @@ GO ?= go
 BENCH_RUNS ?= 3
 BENCH_SIZE ?= 2
 
-.PHONY: build test lint verify fuzz bench benchdiff baseline compare
+.PHONY: build test lint verify loc fuzz bench benchdiff baseline compare
 
 build:
 	$(GO) build ./...
@@ -32,12 +32,24 @@ lint:
 # fast), then vet, a full build, the whole test suite, and the race
 # detector across every package — shared immutable messages and
 # parallel sweep runs mean concurrency is no longer confined to the
-# socket code.
+# socket code — and last the nested benchmarks/ module, which `./...`
+# does not reach.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
+	$(GO) vet -C benchmarks ./...
+	$(GO) test -C benchmarks ./...
+
+# loc prints the tracked size metric (ROADMAP: "non-test line count is a
+# tracked metric"): lines of non-test Go per package of this module, and
+# the total. `go list` leaves out _test.go files, testdata and the nested
+# benchmarks/ module by itself.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	while read pkg files; do echo "$$(cat $$files | wc -l) $$pkg"; done | \
+	awk '{printf "%7d  %s\n", $$1, $$2; total += $$1} END {printf "%7d  total\n", total}'
 
 # fuzz runs short bursts of the fuzzers: the codec, the datagram
 # framing above it, the tracker wire protocol, the persistent store's

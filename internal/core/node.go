@@ -336,9 +336,6 @@ func (n *Node) CDI() *store.CDITable { return n.cdi }
 // LQTLen reports the lingering-query table size (tests/diagnostics).
 func (n *Node) LQTLen() int { return n.lqt.Len() }
 
-// SetDebugPrune installs a hook observing relay prunes (tests only).
-func SetDebugPrune(fn func(*Node, *wire.Response, attr.Descriptor)) { debugPrune = fn }
-
 // Stop halts housekeeping; the node still responds to HandleMessage but
 // schedules no further timers of its own.
 func (n *Node) Stop() { n.stopped = true }
@@ -536,33 +533,38 @@ func (n *Node) newID() uint64 {
 	}
 }
 
-// traceServe records a generated response's steering: one RespServe
-// per serve binding, plus a MixedcastMerge when one message answers
-// several queries at once (§III-B.1).
-func (n *Node) traceServe(r *wire.Response, units int) {
-	if !n.tr.Enabled() {
-		return
+// emit is the one way out for a response this node builds: it stamps
+// the response with a fresh id and this node as sender, counts it,
+// traces it and sends it. With src nil the response was generated from
+// local state and leaves after response jitter, spreading the answer
+// burst a flooded query triggers; otherwise it relays the received
+// response src and leaves at once. The trace records the hop edge back
+// to src, one RespServe per query binding, and a MixedcastMerge when one
+// message answers several queries at once (§III-B.1). units is how many
+// entries, blobs or CDI pairs the response carries.
+func (n *Node) emit(r wire.Response, src *wire.Response, units int) {
+	r.ID, r.Sender = n.newID(), n.id
+	if src == nil {
+		n.stats.ResponsesSent++
+	} else {
+		n.stats.ResponsesRelayed++
 	}
-	for _, sv := range r.Serves {
-		n.tr.RespServe(r.ID, sv.QueryID, units)
+	if n.tr.Enabled() {
+		if src != nil {
+			n.tr.RespRelay(r.ID, src.ID, units)
+		}
+		for _, sv := range r.Serves {
+			n.tr.RespServe(r.ID, sv.QueryID, units)
+		}
+		if len(r.Serves) > 1 {
+			n.tr.MixedcastMerge(r.ID, len(r.Serves), units)
+		}
 	}
-	if len(r.Serves) > 1 {
-		n.tr.MixedcastMerge(r.ID, len(r.Serves), units)
-	}
-}
-
-// traceRelay records a relayed response: the hop edge back to the
-// received response it was derived from, plus its query bindings.
-func (n *Node) traceRelay(fwd *wire.Response, srcRespID uint64, units int) {
-	if !n.tr.Enabled() {
-		return
-	}
-	n.tr.RespRelay(fwd.ID, srcRespID, units)
-	for _, sv := range fwd.Serves {
-		n.tr.RespServe(fwd.ID, sv.QueryID, units)
-	}
-	if len(fwd.Serves) > 1 {
-		n.tr.MixedcastMerge(fwd.ID, len(fwd.Serves), units)
+	msg := &wire.Message{Type: wire.TypeResponse, Response: &r}
+	if src == nil {
+		n.sendJittered(msg, n.cfg.ResponseJitterMax)
+	} else {
+		n.transmit(msg)
 	}
 }
 

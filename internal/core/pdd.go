@@ -9,18 +9,15 @@ import (
 )
 
 // handleQuery implements Algorithm 1 (PDD Query Processing) for
-// metadata, small-data and CDI queries, and dispatches chunk queries to
-// the PDR path. Steps: LQT lookup, DS lookup (respond), receiver check,
+// metadata, small-data and CDI queries and for flooded content
+// advertisements (strategy plane), and dispatches chunk queries to the
+// PDR path. Steps: LQT lookup, DS lookup (respond), receiver check,
 // forwarding.
 func (n *Node) handleQuery(q *wire.Query) {
 	n.stats.QueriesReceived++
 	n.health.recordSuccess(q.Sender)
 	if q.Kind == wire.KindChunk {
 		n.handleChunkQuery(q)
-		return
-	}
-	if q.Kind == wire.KindAdvert {
-		n.handleAdvert(q)
 		return
 	}
 	now := n.clk.Now()
@@ -42,8 +39,19 @@ func (n *Node) handleQuery(q *wire.Query) {
 	case wire.KindCDI:
 		n.routing.ObserveQuery(q.Item.Key(), q.Sender, now)
 		n.respondCDI(q)
+	case wire.KindAdvert:
+		// Nothing to answer: the frozen advert goes to the routing
+		// strategy. Nodes running a non-advertising strategy still relay
+		// it below — strategies are per-node and a mixed network must
+		// stay connected.
+		n.routing.ObserveAdvert(q, now)
 	}
+	n.reflood(q, lq)
+}
 
+// reflood is the receiver check and forwarding step of Algorithm 1 for
+// every flooded kind.
+func (n *Node) reflood(q *wire.Query, lq *store.LingeringQuery) {
 	// Receiver Check: forward only if we are an intended receiver (an
 	// empty list means all neighbors).
 	if len(q.Receivers) > 0 && !containsID(q.Receivers, n.id) {
@@ -60,54 +68,25 @@ func (n *Node) handleQuery(q *wire.Query) {
 	// forwarded variant is a fresh Query struct sharing the immutable
 	// sections (Sel, Item, ChunkIDs) with only the rewritten fields
 	// replaced: sender, receiver list (flooded planes keep it empty),
-	// hop budget, and a snapshot of this node's rewritten Bloom filter
-	// so downstream nodes skip entries we just served (§III-B.2
-	// en-route query rewriting). The filter is copied; the payload and
-	// selector never are.
+	// hop budget, and the per-kind rewrite below. The payload and
+	// selector are never copied.
 	fwd := *q
 	fwd.Sender = n.id
 	fwd.Receivers = nil
 	if fwd.HopsLeft > 1 {
 		fwd.HopsLeft--
 	}
-	if lq.Bloom != nil {
-		// Snapshot, not alias: the lingering copy keeps mutating after
-		// this frame is queued, and an in-flight frame must not change.
+	if q.Kind == wire.KindAdvert {
+		// An advert's filter travels frozen; Round carries the hops
+		// traveled so downstream nodes learn their distance to the origin.
+		fwd.Round = q.Round + 1
+	} else if lq.Bloom != nil {
+		// A snapshot of this node's rewritten Bloom filter, so downstream
+		// nodes skip entries we just served (§III-B.2 en-route query
+		// rewriting). Snapshot, not alias: the lingering copy keeps
+		// mutating after this frame is queued, and an in-flight frame
+		// must not change.
 		fwd.Bloom = lq.Bloom.Clone()
-	}
-	n.stats.QueriesForwarded++
-	n.tr.QueryForward(q.ID, q.Sender, int(fwd.HopsLeft))
-	n.sendJittered(&wire.Message{Type: wire.TypeQuery, Query: &fwd}, n.cfg.ForwardJitterMax)
-}
-
-// handleAdvert processes a content advertisement (strategy plane):
-// deduplicate via the LQT like any flooded query, hand the frozen
-// advert to the routing strategy, then re-flood with the hop-traveled
-// counter (Round) incremented so downstream nodes learn their distance
-// to the origin. Nodes running a non-advertising strategy still relay —
-// strategies are per-node and a mixed network must stay connected.
-func (n *Node) handleAdvert(q *wire.Query) {
-	now := n.clk.Now()
-	if n.lqt.Exists(q.ID, now) {
-		n.stats.QueriesDuplicate++
-		return
-	}
-	n.lqt.Insert(q, now+q.TTL)
-	n.routing.ObserveAdvert(q, now)
-	if len(q.Receivers) > 0 && !containsID(q.Receivers, n.id) {
-		return
-	}
-	if q.HopsLeft == 1 {
-		return
-	}
-	// Copy-on-write forward: fresh struct, shared immutable sections
-	// (the Bloom filter travels frozen; distance is carried in Round).
-	fwd := *q
-	fwd.Sender = n.id
-	fwd.Receivers = nil
-	fwd.Round = q.Round + 1
-	if fwd.HopsLeft > 1 {
-		fwd.HopsLeft--
 	}
 	n.stats.QueriesForwarded++
 	n.tr.QueryForward(q.ID, q.Sender, int(fwd.HopsLeft))
@@ -156,19 +135,17 @@ func (n *Node) serveQueries(kind wire.QueryKind) {
 	routes := all[:0]
 	for _, lq := range all {
 		if !lq.Served && !lq.Exhausted {
+			lq.Served = true
 			routes = append(routes, lq)
 		}
 	}
 	if len(routes) == 0 {
 		return
 	}
-	for _, lq := range routes {
-		lq.Served = true
-	}
 	// Candidate set: union of per-query matches, deduplicated, sorted
 	// (store matches are key-sorted; merge preserves determinism).
 	seen := make(map[string]bool)
-	var candidates []attr.Descriptor
+	var candidates content
 	for _, lq := range routes {
 		var matches []attr.Descriptor
 		if kind == wire.KindData {
@@ -180,68 +157,147 @@ func (n *Node) serveQueries(kind wire.QueryKind) {
 			key := d.Key()
 			if !seen[key] {
 				seen[key] = true
-				candidates = append(candidates, d)
+				candidates.entries = append(candidates.entries, d)
 			}
 		}
 	}
+	n.answer(routes, candidates, nil)
+}
 
-	var (
-		entries []attr.Descriptor
-		blobs   []wire.Blob
-	)
-	recv := make(map[wire.NodeID]bool)
-	serves := make(map[wire.Serve]bool)
-	for _, d := range candidates {
-		key := d.Key()
-		forward := false
-		for _, lq := range routes {
-			if !lq.Query.Sel.Match(d) {
-				continue
-			}
-			if lq.AlreadyForwarded(key) {
-				continue
-			}
-			if lq.Bloom != nil && !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
-				n.stats.EntriesPruned++
-				n.tr.BloomSuppress(lq.Query.ID, key)
-				continue
-			}
-			if lq.Bloom != nil {
-				lq.Bloom.Add(key)
-			}
-			lq.MarkForwarded(key)
-			if lq.Query.Origin != n.id {
-				recv[lq.Query.Sender] = true
-				serves[wire.Serve{Node: lq.Query.Sender, QueryID: lq.Query.ID}] = true
-				forward = true
-			}
-			n.afterServing(lq)
-		}
-		if !forward {
+// relayUnits is the LQT lookup of Algorithm 2 for a metadata or
+// small-data response: the node forwards each unit only for the queries
+// it was addressed under (the response's Serves bindings), so every
+// response copy stays on one query's reverse tree; forwarding toward
+// every lingering query would flood each unit across the whole mesh
+// once per consumer.
+func (n *Node) relayUnits(r *wire.Response, now time.Duration) {
+	var routes []*store.LingeringQuery
+	for _, sv := range r.Serves {
+		if sv.Node != n.id {
 			continue
 		}
-		if kind == wire.KindData {
-			if payload, ok := n.ds.Payload(d); ok {
-				blobs = append(blobs, wire.Blob{Desc: d, Payload: payload})
+		lq, ok := n.lqt.Get(sv.QueryID, now)
+		if !ok || lq.Query.Kind != r.Kind || lq.Exhausted {
+			continue
+		}
+		n.tr.LQMatch(r.ID, sv.QueryID)
+		routes = append(routes, lq)
+	}
+	// By kind, not by what the frame happens to carry: a malformed
+	// response must not put both lists behind one index.
+	units := content{entries: r.Entries}
+	if r.Kind == wire.KindData {
+		units = content{blobs: r.Blobs}
+	}
+	n.answer(routes, units, r)
+}
+
+// content is the unit list of a PDD response: metadata entries or
+// payload blobs (small data, or chunks under MDR), never both. Serving,
+// relaying and packing treat the two alike through it.
+type content struct {
+	entries []attr.Descriptor
+	blobs   []wire.Blob
+}
+
+func (c content) len() int { return len(c.entries) + len(c.blobs) }
+
+func (c content) desc(i int) attr.Descriptor {
+	if c.blobs != nil {
+		return c.blobs[i].Desc
+	}
+	return c.entries[i]
+}
+
+// size is unit i's share of a response's byte budget.
+func (c content) size(i int) int {
+	if c.blobs != nil {
+		return c.blobs[i].Desc.EncodedSize() + len(c.blobs[i].Payload)
+	}
+	return c.entries[i].EncodedSize()
+}
+
+// take appends unit i of from, sizing the first allocation for the
+// units from still has to offer.
+func (c *content) take(from content, i int) {
+	if from.blobs != nil {
+		if c.blobs == nil {
+			c.blobs = make([]wire.Blob, 0, len(from.blobs)-i)
+		}
+		c.blobs = append(c.blobs, from.blobs[i])
+		return
+	}
+	if c.entries == nil {
+		c.entries = make([]attr.Descriptor, 0, len(from.entries)-i)
+	}
+	c.entries = append(c.entries, from.entries[i])
+}
+
+// slice returns units [lo, hi) as a content that cannot grow into its
+// neighbors.
+func (c content) slice(lo, hi int) content {
+	if c.blobs != nil {
+		return content{blobs: c.blobs[lo:hi:hi]}
+	}
+	return content{entries: c.entries[lo:hi:hi]}
+}
+
+// cast is the outcome of one mixedcast pass.
+type cast struct {
+	// kept are the units at least one route still wants, one copy each.
+	kept content
+	// receivers and serves are the upstream senders of the routes that
+	// want them and the (receiver, query) bindings, sorted.
+	receivers []wire.NodeID
+	serves    []wire.Serve
+	// suppressed counts (unit, route) pairs a Bloom filter turned down;
+	// unwanted counts units that no route takes or has taken before.
+	suppressed, unwanted uint64
+}
+
+// mixedcast is the paper's serve/relay rule (§III-B.1, §III-B.2),
+// written once: offer every unit to every route — a lingering query
+// this node answers or was addressed under — and keep what at least one
+// route still wants, one copy per unit, addressed to the union of those
+// routes' upstream senders with one Serves binding per (receiver,
+// query). The per-pair verdict, and the Bloom rewriting that goes with
+// it, is LingeringQuery.Offer.
+func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
+	var c cast
+	recv := make(map[wire.NodeID]bool)
+	serves := make(map[wire.Serve]bool)
+	for i := 0; i < units.len(); i++ {
+		d := units.desc(i)
+		key := d.Key()
+		forward, wanted := false, false
+		for _, lq := range routes {
+			switch lq.Offer(d, key) {
+			case store.Suppressed:
+				c.suppressed++
+				n.tr.BloomSuppress(lq.Query.ID, key)
+			case store.AlreadySent:
+				wanted = true
+			case store.Fresh:
+				wanted = true
+				// A query this node originated is a sink: the unit is
+				// recorded against it but travels no further.
+				if lq.Query.Origin != n.id {
+					recv[lq.Query.Sender] = true
+					serves[wire.Serve{Node: lq.Query.Sender, QueryID: lq.Query.ID}] = true
+					forward = true
+				}
+				n.afterServing(lq)
 			}
-		} else {
-			entries = append(entries, d)
+		}
+		if forward {
+			c.kept.take(units, i)
+		} else if !wanted {
+			c.unwanted++
 		}
 	}
-	if len(recv) == 0 {
-		return
-	}
-	receivers := sortedIDs(recv)
-	sv := sortedServes(serves)
-	if kind == wire.KindData {
-		if len(blobs) > 0 {
-			n.sendBlobResponses(kind, attr.Descriptor{}, blobs, receivers, sv)
-		}
-		return
-	}
-	if len(entries) > 0 {
-		n.sendEntryResponses(kind, entries, receivers, sv)
-	}
+	c.receivers = sortedIDs(recv)
+	c.serves = sortedServes(serves)
+	return c
 }
 
 // afterServing implements the one-shot Interest ablation: with lingering
@@ -254,82 +310,69 @@ func (n *Node) afterServing(lq *store.LingeringQuery) {
 	}
 }
 
-// sendEntryResponses packs entries into response messages bounded by
-// MaxResponseBytes each (mirroring the prototype's 1.5 KB packets) and
-// sends them to the receivers.
-func (n *Node) sendEntryResponses(kind wire.QueryKind, entries []attr.Descriptor, receivers []wire.NodeID, serves []wire.Serve) {
-	budget := n.cfg.MaxResponseBytes
-	if budget <= 0 {
-		budget = 1400
+// answer runs the mixedcast pass over the routes and sends what it
+// keeps: served from the local store when src is nil, else relayed from
+// the received response src. With MixedcastEnabled off the same pass
+// runs once per route — one response per query, the multicast-style
+// ablation.
+func (n *Node) answer(routes []*store.LingeringQuery, units content, src *wire.Response) {
+	step := len(routes)
+	if !n.cfg.MixedcastEnabled {
+		step = 1
 	}
-	var batch []attr.Descriptor
-	used := 0
-	flush := func() {
-		if len(batch) == 0 {
-			return
+	for i := 0; i < len(routes); i += step {
+		c := n.mixedcast(routes[i:i+step], units)
+		kind := routes[i].Query.Kind
+		if src != nil {
+			// The upstream node chose the units, so a prune is a unit
+			// nobody downstream of here wants.
+			n.stats.EntriesPruned += c.unwanted
+		} else {
+			// The store matched every unit for some route, so a prune
+			// is a Bloom hit.
+			n.stats.EntriesPruned += c.suppressed
+			if kind == wire.KindData {
+				// Payloads are loaded only for the units that travel.
+				descs := c.kept.entries
+				c.kept = content{}
+				for _, d := range descs {
+					if payload, ok := n.ds.Payload(d); ok {
+						c.kept.blobs = append(c.kept.blobs, wire.Blob{Desc: d, Payload: payload})
+					}
+				}
+			}
 		}
-		r := &wire.Response{
-			ID:        n.newID(),
-			Kind:      kind,
-			Sender:    n.id,
-			Receivers: append([]wire.NodeID(nil), receivers...),
-			Serves:    append([]wire.Serve(nil), serves...),
-			Entries:   batch,
+		if c.kept.len() > 0 && len(c.receivers) > 0 {
+			n.sendResponses(kind, c, src)
 		}
-		n.stats.ResponsesSent++
-		n.traceServe(r, len(batch))
-		n.sendJittered(&wire.Message{Type: wire.TypeResponse, Response: r}, n.cfg.ResponseJitterMax)
-		batch = nil
-		used = 0
 	}
-	for _, d := range entries {
-		sz := d.EncodedSize()
-		if used+sz > budget && len(batch) > 0 {
-			flush()
-		}
-		batch = append(batch, d)
-		used += sz
-	}
-	flush()
 }
 
-// sendBlobResponses packs blobs into response messages; a blob larger
-// than the budget (a 256 KB chunk) travels alone, as a unit (§VI-A).
-func (n *Node) sendBlobResponses(kind wire.QueryKind, item attr.Descriptor, blobs []wire.Blob, receivers []wire.NodeID, serves []wire.Serve) {
+// sendResponses packs the kept units into response messages bounded by
+// MaxResponseBytes each (mirroring the prototype's 1.5 KB packets) and
+// sends them to the receivers. A unit larger than the budget (a 256 KB
+// chunk) travels alone, as a unit (§VI-A). Messages share the unit,
+// receiver and serve arrays: sent messages are frozen.
+func (n *Node) sendResponses(kind wire.QueryKind, c cast, src *wire.Response) {
 	budget := n.cfg.MaxResponseBytes
 	if budget <= 0 {
 		budget = 1400
 	}
-	var batch []wire.Blob
-	used := 0
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		r := &wire.Response{
-			ID:        n.newID(),
-			Kind:      kind,
-			Sender:    n.id,
-			Receivers: append([]wire.NodeID(nil), receivers...),
-			Serves:    append([]wire.Serve(nil), serves...),
-			Item:      item,
-			Blobs:     batch,
-		}
-		n.stats.ResponsesSent++
-		n.traceServe(r, len(batch))
-		n.sendJittered(&wire.Message{Type: wire.TypeResponse, Response: r}, n.cfg.ResponseJitterMax)
-		batch = nil
-		used = 0
+	lo, used := 0, 0
+	flush := func(hi int) {
+		batch := c.kept.slice(lo, hi)
+		n.emit(wire.Response{Kind: kind, Receivers: c.receivers, Serves: c.serves,
+			Entries: batch.entries, Blobs: batch.blobs}, src, hi-lo)
+		lo, used = hi, 0
 	}
-	for _, b := range blobs {
-		sz := b.Desc.EncodedSize() + len(b.Payload)
-		if used+sz > budget && len(batch) > 0 {
-			flush()
+	for i := 0; i < c.kept.len(); i++ {
+		sz := c.kept.size(i)
+		if used+sz > budget && i > lo {
+			flush(i)
 		}
-		batch = append(batch, b)
 		used += sz
 	}
-	flush()
+	flush(c.kept.len())
 }
 
 // handleResponse implements Algorithm 2 (PDD Response Processing) and
@@ -359,10 +402,8 @@ func (n *Node) handleResponse(r *wire.Response) {
 
 	// LQT Lookup + Forwarding.
 	switch r.Kind {
-	case wire.KindMetadata:
-		n.relayEntries(r, now)
-	case wire.KindData:
-		n.relayBlobs(r, now)
+	case wire.KindMetadata, wire.KindData:
+		n.relayUnits(r, now)
 	case wire.KindCDI:
 		n.relayCDI(r, now)
 	case wire.KindChunk:
@@ -442,211 +483,6 @@ func (n *Node) cacheResponse(r *wire.Response, now time.Duration) {
 		}
 	}
 }
-
-// myRoles returns the query ids this node is asked to relay for, from
-// the response's receiver-query bindings.
-func (n *Node) myRoles(r *wire.Response) []uint64 {
-	var out []uint64
-	for _, sv := range r.Serves {
-		if sv.Node == n.id {
-			out = append(out, sv.QueryID)
-		}
-	}
-	return out
-}
-
-// relayEntries performs the mixedcast relay of a metadata response.
-// The node forwards each entry only for the queries it was addressed
-// under (the response's Serves bindings), so every response copy stays
-// on one query's reverse tree; forwarding toward every lingering query
-// would flood each entry across the whole mesh once per consumer.
-// Entries nobody downstream still wants are pruned via the queries'
-// Bloom filters (§III-B.1, §III-B.2); one message carries the union of
-// what remains, addressed to the union of upstream senders.
-func (n *Node) relayEntries(r *wire.Response, now time.Duration) {
-	roles := n.myRoles(r)
-	if len(roles) == 0 {
-		return
-	}
-	type route struct {
-		lq  *store.LingeringQuery
-		qid uint64
-	}
-	var routes []route
-	for _, qid := range roles {
-		lq, ok := n.lqt.Get(qid, now)
-		if !ok || lq.Query.Kind != r.Kind || lq.Exhausted {
-			continue
-		}
-		routes = append(routes, route{lq: lq, qid: qid})
-	}
-	if len(routes) == 0 {
-		return
-	}
-	if n.tr.Enabled() {
-		for _, rt := range routes {
-			n.tr.LQMatch(r.ID, rt.qid)
-		}
-	}
-
-	if n.cfg.MixedcastEnabled {
-		kept := make([]attr.Descriptor, 0, len(r.Entries))
-		recv := make(map[wire.NodeID]bool)
-		serves := make(map[wire.Serve]bool)
-		for _, d := range r.Entries {
-			key := d.Key()
-			forward := false
-			matched := false
-			for _, rt := range routes {
-				lq := rt.lq
-				if !lq.Query.Sel.Match(d) {
-					continue
-				}
-				if lq.AlreadyForwarded(key) {
-					matched = true
-					continue
-				}
-				if lq.Bloom != nil && !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
-					n.tr.BloomSuppress(rt.qid, key)
-					continue
-				}
-				matched = true
-				if lq.Bloom != nil {
-					lq.Bloom.Add(key)
-				}
-				lq.MarkForwarded(key)
-				if lq.Query.Origin != n.id {
-					recv[lq.Query.Sender] = true
-					serves[wire.Serve{Node: lq.Query.Sender, QueryID: rt.qid}] = true
-					forward = true
-				}
-				n.afterServing(lq)
-			}
-			if forward {
-				kept = append(kept, d)
-			} else if !matched {
-				n.stats.EntriesPruned++
-				if debugPrune != nil {
-					debugPrune(n, r, d)
-				}
-			}
-		}
-		if len(kept) == 0 || len(recv) == 0 {
-			return
-		}
-		fwd := &wire.Response{
-			ID:        n.newID(),
-			Kind:      r.Kind,
-			Sender:    n.id,
-			Receivers: sortedIDs(recv),
-			Serves:    sortedServes(serves),
-			Entries:   kept,
-		}
-		n.stats.ResponsesRelayed++
-		n.traceRelay(fwd, r.ID, len(kept))
-		n.transmit(&wire.Message{Type: wire.TypeResponse, Response: fwd})
-		return
-	}
-
-	// Mixedcast ablation: one response message per served query, each
-	// carrying only that query's entries (multicast-style).
-	for _, rt := range routes {
-		lq := rt.lq
-		var kept []attr.Descriptor
-		for _, d := range r.Entries {
-			key := d.Key()
-			if !lq.Query.Sel.Match(d) || lq.AlreadyForwarded(key) {
-				continue
-			}
-			if lq.Bloom != nil && !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
-				n.tr.BloomSuppress(rt.qid, key)
-				continue
-			}
-			if lq.Bloom != nil {
-				lq.Bloom.Add(key)
-			}
-			lq.MarkForwarded(key)
-			if lq.Query.Origin != n.id {
-				kept = append(kept, d)
-			}
-			n.afterServing(lq)
-		}
-		if len(kept) == 0 {
-			continue
-		}
-		fwd := &wire.Response{
-			ID:        n.newID(),
-			Kind:      r.Kind,
-			Sender:    n.id,
-			Receivers: []wire.NodeID{lq.Query.Sender},
-			Serves:    []wire.Serve{{Node: lq.Query.Sender, QueryID: rt.qid}},
-			Entries:   kept,
-		}
-		n.stats.ResponsesRelayed++
-		n.traceRelay(fwd, r.ID, len(kept))
-		n.transmit(&wire.Message{Type: wire.TypeResponse, Response: fwd})
-	}
-}
-
-// relayBlobs relays a small-data response exactly as relayEntries does,
-// keyed by payload descriptors.
-func (n *Node) relayBlobs(r *wire.Response, now time.Duration) {
-	roles := n.myRoles(r)
-	if len(roles) == 0 {
-		return
-	}
-	kept := make([]wire.Blob, 0, len(r.Blobs))
-	recv := make(map[wire.NodeID]bool)
-	serves := make(map[wire.Serve]bool)
-	for _, b := range r.Blobs {
-		key := b.Desc.Key()
-		forward := false
-		for _, qid := range roles {
-			lq, ok := n.lqt.Get(qid, now)
-			if !ok || lq.Query.Kind != r.Kind || lq.Exhausted || !lq.Query.Sel.Match(b.Desc) {
-				continue
-			}
-			if lq.AlreadyForwarded(key) {
-				continue
-			}
-			if lq.Bloom != nil && !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
-				n.tr.BloomSuppress(qid, key)
-				continue
-			}
-			if lq.Bloom != nil {
-				lq.Bloom.Add(key)
-			}
-			lq.MarkForwarded(key)
-			if lq.Query.Origin != n.id {
-				recv[lq.Query.Sender] = true
-				serves[wire.Serve{Node: lq.Query.Sender, QueryID: qid}] = true
-				forward = true
-			}
-			n.afterServing(lq)
-		}
-		if forward {
-			kept = append(kept, b)
-		}
-	}
-	if len(kept) == 0 || len(recv) == 0 {
-		return
-	}
-	fwd := &wire.Response{
-		ID:        n.newID(),
-		Kind:      r.Kind,
-		Sender:    n.id,
-		Receivers: sortedIDs(recv),
-		Serves:    sortedServes(serves),
-		Blobs:     kept,
-	}
-	n.stats.ResponsesRelayed++
-	n.traceRelay(fwd, r.ID, len(kept))
-	n.transmit(&wire.Message{Type: wire.TypeResponse, Response: fwd})
-}
-
-// debugPrune, when set by tests, observes relay prunes with no
-// matching lingering query.
-var debugPrune func(n *Node, r *wire.Response, d attr.Descriptor)
 
 func containsID(ids []wire.NodeID, id wire.NodeID) bool {
 	for _, x := range ids {

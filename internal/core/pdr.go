@@ -490,18 +490,13 @@ func (n *Node) respondCDI(q *wire.Query) {
 	if len(pairs) == 0 {
 		return
 	}
-	r := &wire.Response{
-		ID:        n.newID(),
+	n.emit(wire.Response{
 		Kind:      wire.KindCDI,
-		Sender:    n.id,
 		Receivers: []wire.NodeID{q.Sender},
 		Serves:    []wire.Serve{{Node: q.Sender, QueryID: q.ID}},
 		Item:      q.Item,
 		CDI:       pairs,
-	}
-	n.stats.ResponsesSent++
-	n.traceServe(r, len(pairs))
-	n.sendJittered(&wire.Message{Type: wire.TypeResponse, Response: r}, n.cfg.ResponseJitterMax)
+	}, nil, len(pairs))
 }
 
 // relayCDI forwards a CDI response along the reverse paths of the CDI
@@ -511,17 +506,20 @@ func (n *Node) relayCDI(r *wire.Response, now time.Duration) {
 	itemKey := r.Item.Key()
 	recv := make(map[wire.NodeID]bool)
 	serves := make(map[wire.Serve]bool)
-	for _, qid := range n.myRoles(r) {
-		lq, ok := n.lqt.Get(qid, now)
+	for _, sv := range r.Serves {
+		if sv.Node != n.id {
+			continue
+		}
+		lq, ok := n.lqt.Get(sv.QueryID, now)
 		if !ok || lq.Query.Kind != wire.KindCDI || lq.Query.Item.Key() != itemKey {
 			continue
 		}
 		if lq.Query.Origin == n.id {
 			continue
 		}
-		n.tr.LQMatch(r.ID, qid)
+		n.tr.LQMatch(r.ID, sv.QueryID)
 		recv[lq.Query.Sender] = true
-		serves[wire.Serve{Node: lq.Query.Sender, QueryID: qid}] = true
+		serves[wire.Serve{Node: lq.Query.Sender, QueryID: sv.QueryID}] = true
 	}
 	if len(recv) == 0 {
 		return
@@ -530,18 +528,13 @@ func (n *Node) relayCDI(r *wire.Response, now time.Duration) {
 	if len(pairs) == 0 {
 		return
 	}
-	fwd := &wire.Response{
-		ID:        n.newID(),
+	n.emit(wire.Response{
 		Kind:      wire.KindCDI,
-		Sender:    n.id,
 		Receivers: sortedIDs(recv),
 		Serves:    sortedServes(serves),
 		Item:      r.Item,
 		CDI:       pairs,
-	}
-	n.stats.ResponsesRelayed++
-	n.traceRelay(fwd, r.ID, len(pairs))
-	n.transmit(&wire.Message{Type: wire.TypeResponse, Response: fwd})
+	}, r, len(pairs))
 }
 
 // --- Chunk plane -----------------------------------------------------
@@ -727,17 +720,12 @@ func (n *Node) relayChunks(r *wire.Response, now time.Duration) {
 		if len(recv) == 0 {
 			continue
 		}
-		fwd := &wire.Response{
-			ID:        n.newID(),
+		n.emit(wire.Response{
 			Kind:      wire.KindChunk,
-			Sender:    n.id,
 			Receivers: sortedIDs(recv),
 			Item:      r.Item,
 			Blobs:     []wire.Blob{b},
-		}
-		n.stats.ResponsesRelayed++
-		n.tr.RespRelay(fwd.ID, r.ID, 1)
-		n.transmit(&wire.Message{Type: wire.TypeResponse, Response: fwd})
+		}, r, 1)
 	}
 }
 

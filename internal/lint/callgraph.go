@@ -73,9 +73,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	return g
 }
 
-// Callees returns the sorted package paths the given package calls.
-func (g *CallGraph) Callees(path string) []string { return g.edges[path] }
-
 // Reachable returns the set of package paths reachable (inclusive) from
 // every loaded package whose path ends in one of rootSuffixes. The
 // result is memoized per suffix set.

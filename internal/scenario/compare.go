@@ -267,21 +267,3 @@ func CompareOne(scen string, cfg CompareConfig) (*metrics.Series, error) {
 	}
 	return s, nil
 }
-
-// CompareSeries runs the configured strategy matrix over every selected
-// scenario, one ranked series per scenario.
-func CompareSeries(cfg CompareConfig) ([]*metrics.Series, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]*metrics.Series, 0, len(cfg.Scenarios))
-	for _, scen := range cfg.Scenarios {
-		s, err := CompareOne(scen, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}

@@ -1,8 +1,7 @@
 // Package scenario wires the substrates into runnable experiments: it
 // builds simulated deployments (grids, mobile areas), seeds data, runs
 // consumers and reports the §VI-A metrics. Every figure of the paper's
-// evaluation has a constructor here, used by cmd/pds-bench and the
-// bench_test.go targets.
+// evaluation has a constructor here, used by cmd/pds-bench.
 package scenario
 
 import (

@@ -13,7 +13,7 @@ import (
 
 // This file holds one constructor per figure of the paper's evaluation
 // (§V-4, §VI-B). Each returns metrics.Series ready for printing by
-// cmd/pds-bench or asserting in bench_test.go. Runs are averaged over
+// cmd/pds-bench or asserting in tests. Runs are averaged over
 // `runs` seeds, as the paper averages over 5 runs; independent runs
 // execute concurrently via parMap (see parallel.go) with per-run seeds
 // and output order unchanged, so every metric row is identical to the

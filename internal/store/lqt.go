@@ -45,19 +45,51 @@ type LingeringQuery struct {
 	forwarded map[string]bool
 }
 
-// AlreadyForwarded reports whether this node previously forwarded the
-// entry key toward the query.
-func (lq *LingeringQuery) AlreadyForwarded(key string) bool {
-	return lq.forwarded[key]
-}
+// Verdict is the outcome of offering one unit (a metadata entry or a
+// payload descriptor) to one lingering query.
+type Verdict uint8
 
-// MarkForwarded records that the entry key has been sent toward the
-// query from this node.
-func (lq *LingeringQuery) MarkForwarded(key string) {
+const (
+	// Unmatched: the query's selector does not cover the unit.
+	Unmatched Verdict = iota
+	// AlreadySent: this node forwarded the unit toward the query before;
+	// the query wanted it, but nothing travels again.
+	AlreadySent
+	// Suppressed: the query's Bloom filter says downstream already holds
+	// the unit (§III-B.2).
+	Suppressed
+	// Fresh: the unit is new to the query and has just been recorded as
+	// sent toward it.
+	Fresh
+)
+
+// Offer is the per-(unit, lingering query) rule of mixedcast with
+// en-route rewriting (§III-B.1, §III-B.2), decided in this order:
+// selector match, the exact already-forwarded set, then the Bloom
+// filter. A Fresh verdict has rewritten the query's state — the key is
+// in the private Bloom clone (never the frozen Query.Bloom) and in the
+// forwarded set — so a filter entry is only ever added, never lost, and
+// the same unit is never Fresh twice. A saturated filter fails open
+// (see forwarded above): it is then not consulted at all. key is
+// d.Key(), passed in because callers offer one unit to many queries.
+func (lq *LingeringQuery) Offer(d attr.Descriptor, key string) Verdict {
+	if !lq.Query.Sel.Match(d) {
+		return Unmatched
+	}
+	if lq.forwarded[key] {
+		return AlreadySent
+	}
+	if lq.Bloom != nil {
+		if !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
+			return Suppressed
+		}
+		lq.Bloom.Add(key)
+	}
 	if lq.forwarded == nil {
 		lq.forwarded = make(map[string]bool)
 	}
 	lq.forwarded[key] = true
+	return Fresh
 }
 
 // LQT is the Lingering Query Table. Queries are keyed by their globally
@@ -110,30 +142,6 @@ func (t *LQT) Get(id uint64, now time.Duration) (*LingeringQuery, bool) {
 		return nil, false
 	}
 	return lq, true
-}
-
-// MatchEntry returns the unexpired lingering queries of the given kind
-// whose selector matches the descriptor and whose Bloom filter does not
-// already contain it. This is the per-entry mixedcast test of §III-B.1:
-// an entry is forwarded iff at least one downstream consumer still wants
-// it. Results are sorted by query id for determinism.
-func (t *LQT) MatchEntry(kind wire.QueryKind, d attr.Descriptor, now time.Duration) []*LingeringQuery {
-	key := d.Key()
-	var out []*LingeringQuery
-	for _, lq := range t.queries {
-		if lq.ExpireAt <= now || lq.Query.Kind != kind {
-			continue
-		}
-		if !lq.Query.Sel.Match(d) {
-			continue
-		}
-		if lq.Bloom != nil && !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
-			continue
-		}
-		out = append(out, lq)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Query.ID < out[j].Query.ID })
-	return out
 }
 
 // AllOfKind returns the unexpired lingering queries of the kind,

@@ -53,40 +53,51 @@ func TestLQTGetAndRemove(t *testing.T) {
 	}
 }
 
-func TestLQTMatchEntryFilters(t *testing.T) {
+func TestLQTOfferFilters(t *testing.T) {
 	lqt := NewLQT()
 	selA := attr.NewQuery(attr.Eq("ns", attr.String("a")))
 	selB := attr.NewQuery(attr.Eq("ns", attr.String("b")))
-	lqt.Insert(metaQuery(1, 10, selA), time.Minute)
-	lqt.Insert(metaQuery(2, 11, selB), time.Minute)
+	lqA := lqt.Insert(metaQuery(1, 10, selA), time.Minute)
+	lqB := lqt.Insert(metaQuery(2, 11, selB), time.Minute)
 	lqt.Insert(&wire.Query{ID: 3, Kind: wire.KindData, Sender: 12, Sel: selA}, time.Minute)
 
 	dA := attr.NewDescriptor().Set("ns", attr.String("a"))
-	got := lqt.MatchEntry(wire.KindMetadata, dA, 0)
-	if len(got) != 1 || got[0].Query.ID != 1 {
-		t.Fatalf("MatchEntry = %d matches", len(got))
+	if v := lqB.Offer(dA, dA.Key()); v != Unmatched {
+		t.Fatalf("selector mismatch: verdict %d", v)
 	}
-	// Kind filter: the data query with the same selector matches only
-	// on its own plane.
-	if got := lqt.MatchEntry(wire.KindData, dA, 0); len(got) != 1 || got[0].Query.ID != 3 {
+	if v := lqA.Offer(dA, dA.Key()); v != Fresh {
+		t.Fatalf("first offer: verdict %d", v)
+	}
+	// The exact forwarded set answers before the (absent) Bloom filter.
+	if v := lqA.Offer(dA, dA.Key()); v != AlreadySent {
+		t.Fatalf("second offer: verdict %d", v)
+	}
+	// Kind filter: the data query with the same selector is a route
+	// only on its own plane.
+	if got := lqt.AllOfKind(wire.KindData, 0); len(got) != 1 || got[0].Query.ID != 3 {
 		t.Fatalf("kind filtering broken: %d", len(got))
 	}
 }
 
-func TestLQTMatchEntryBloomPruning(t *testing.T) {
+func TestLQTOfferBloomPruning(t *testing.T) {
 	lqt := NewLQT()
 	d := attr.NewDescriptor().Set("ns", attr.String("a"))
 	f := bloom.NewForCapacity(16, 0.01, 1)
 	f.Add(d.Key())
 	q := metaQuery(1, 10, attr.NewQuery())
 	q.Bloom = f
-	lqt.Insert(q, time.Minute)
-	if got := lqt.MatchEntry(wire.KindMetadata, d, 0); len(got) != 0 {
-		t.Fatal("entry in bloom still matched")
+	lq := lqt.Insert(q, time.Minute)
+	if v := lq.Offer(d, d.Key()); v != Suppressed {
+		t.Fatalf("entry in bloom: verdict %d", v)
 	}
 	other := attr.NewDescriptor().Set("ns", attr.String("b"))
-	if got := lqt.MatchEntry(wire.KindMetadata, other, 0); len(got) != 1 {
-		t.Fatal("entry outside bloom pruned")
+	if v := lq.Offer(other, other.Key()); v != Fresh {
+		t.Fatalf("entry outside bloom: verdict %d", v)
+	}
+	// Rewriting lands in the table's private clone, never in the filter
+	// of the shared, frozen query.
+	if !lq.Bloom.Contains(other.Key()) || f.Contains(other.Key()) {
+		t.Fatal("Fresh verdict must rewrite the private filter only")
 	}
 }
 

@@ -443,8 +443,24 @@ func (n *Node) RetrieveWithOptions(ctx context.Context, item Descriptor, opts Re
 		}
 		return payload, nil
 	case <-ctx.Done():
+		n.abandonRetrieve(item, done)
 		return nil, fmt.Errorf("pds: retrieve: %w", ctx.Err())
 	}
+}
+
+// abandonRetrieve stops the core session behind a retrieve whose caller
+// gave up; left alone it would keep issuing CDI rounds and chunk
+// requests until its own round budget ran out. A session that has
+// already reported into done is gone — the item's table slot may belong
+// to a newer retrieve — so only a silent one is cancelled. The cancel
+// reports through the session's callback, which done (capacity 1)
+// absorbs.
+func (n *Node) abandonRetrieve(item Descriptor, done chan RetrievalResult) {
+	n.clk.Locked(func() {
+		if len(done) == 0 {
+			n.core.CancelRetrieve(item)
+		}
+	})
 }
 
 // Stats returns protocol counters.

@@ -2,9 +2,12 @@ package pds
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
+
+	"pds/internal/wire"
 )
 
 func sensorDesc(name string) Descriptor {
@@ -347,5 +350,69 @@ func TestNodeStatsExposed(t *testing.T) {
 	}
 	if a.Stats().QueriesReceived == 0 {
 		t.Fatal("producer saw no queries")
+	}
+}
+
+// chunkDeaf drops every inbound chunk payload (and link fragments of
+// one), so a retrieval behind it learns routes but never completes.
+type chunkDeaf struct{ Transport }
+
+func (d chunkDeaf) SetReceiver(fn func(*Message)) {
+	d.Transport.SetReceiver(func(m *Message) {
+		if m.Type == wire.TypeFragment || (m.Type == wire.TypeResponse && m.Response.Kind == wire.KindChunk) {
+			return
+		}
+		fn(m)
+	})
+}
+
+// TestCancelledRetrieveStopsCoreSession: a Retrieve whose context is
+// cancelled must take its core session down with it. Left running, the
+// session keeps re-requesting chunks for RetrievalRounds × ChunkRetry
+// after the caller has gone.
+func TestCancelledRetrieveStopsCoreSession(t *testing.T) {
+	hub := NewChanHub()
+	cfg := DefaultConfig()
+	cfg.ChunkRetry = 200 * time.Millisecond // re-request quickly
+	cfg.RetrievalRounds = 1000              // and for the whole test
+	a, err := NewNode(hub.Attach(), WithNodeID(1), WithSeed(1), WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewNode(chunkDeaf{hub.Attach()}, WithNodeID(2), WithSeed(2), WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	item := NewDescriptor().Set(AttrNamespace, String("media")).Set(AttrName, String("clip"))
+	item = a.PublishItem(item, make([]byte, 3000), 1000)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := b.Retrieve(ctx, item)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(30 * time.Second); b.Stats().SubQueriesSent < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("retrieval never reached the chunk-request phase")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Retrieve = %v, want context.Canceled", err)
+	}
+	var active bool
+	b.clk.Locked(func() { active = b.core.CancelRetrieve(item) })
+	if active {
+		t.Fatal("core session still in the retrieval table after cancellation")
+	}
+	sent := b.Stats().SubQueriesSent
+	time.Sleep(5 * cfg.ChunkRetry)
+	if now := b.Stats().SubQueriesSent; now != sent {
+		t.Fatalf("SubQueriesSent grew %d -> %d after cancellation", sent, now)
 	}
 }

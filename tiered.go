@@ -264,9 +264,7 @@ func (n *Node) runTierPass(ctx context.Context, item Descriptor, res *TieredResu
 	select {
 	case r = <-done:
 	case <-ctx.Done():
-		// The core session self-terminates at its own deadline; drain
-		// it in the background so the callback never blocks.
-		go func() { <-done }()
+		n.abandonRetrieve(item, done)
 		return
 	}
 	for c, p := range r.Chunks {
