@@ -286,7 +286,14 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 					serves[wire.Serve{Node: lq.Query.Sender, QueryID: lq.Query.ID}] = true
 					forward = true
 				}
-				n.afterServing(lq)
+				// The one-shot Interest ablation: with lingering disabled
+				// a query is exhausted by the first response it steers,
+				// as CCN/NDN Interests are (§VIII). It stays in the table
+				// purely for flood deduplication, and routes are resolved
+				// before the pass, so that one response goes out whole.
+				if !n.cfg.LingeringEnabled {
+					lq.Exhausted = true
+				}
 			}
 		}
 		if forward {
@@ -298,16 +305,6 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 	c.receivers = sortedIDs(recv)
 	c.serves = sortedServes(serves)
 	return c
-}
-
-// afterServing implements the one-shot Interest ablation: with lingering
-// disabled, a query is exhausted as soon as it has steered one
-// response, as CCN/NDN Interests are (§VIII). The entry stays in the
-// table purely for flood deduplication.
-func (n *Node) afterServing(lq *store.LingeringQuery) {
-	if !n.cfg.LingeringEnabled {
-		lq.Exhausted = true
-	}
 }
 
 // answer runs the mixedcast pass over the routes and sends what it
