@@ -10,7 +10,9 @@ import (
 
 	"pds/internal/core"
 	"pds/internal/metrics"
+	"pds/internal/mobility"
 	"pds/internal/wire"
+	"pds/internal/workload"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -37,7 +39,84 @@ func goldenFigureRows(t *testing.T) string {
 		b.WriteString(s.String())
 	}
 	b.WriteString(smallDataCollect(1).String())
+	b.WriteString(trialGoldenRows(t))
 	return b.String()
+}
+
+// trialGoldenRows pins the runners that drive and reduce a deployment
+// by themselves and that no row above covers: the sequential-consumer
+// figures, Fig 16, the balance and cache ablations, one mobility point,
+// the workload runners on the grid and on a small city, one quick
+// compare cell per scenario, and the traced Fig 8 cell.
+func trialGoldenRows(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(Fig07SequentialConsumers(1, 1).String())
+	b.WriteString(Fig15PDRSequential(1, 1, 1).String())
+	b.WriteString(Fig16PDRSimultaneous(1, 1, 1).String())
+	for _, s := range AblationNearestOnly(1, 1, 1) {
+		b.WriteString(s.String())
+	}
+	for _, s := range CachePolicyAblation(1, 1, 1) {
+		b.WriteString(s.String())
+	}
+	b.WriteString(mobilityPDDPoint(1).String())
+
+	stream := workload.StreamSpec{Segments: 3, SegmentBytes: 128 << 10, SegmentDuration: 2 * time.Second}
+	crowd := workload.CrowdSpec{
+		Items: 2, Layers: 2, LayerBytes: 96 << 10, Clients: 4,
+		Arrival: workload.ArrivalSpec{Kind: workload.Step, At: time.Second, Count: 4},
+	}
+	city := CityConfig{Nodes: 300}
+	gridStream, _ := StreamingRun(1, StreamRunConfig{Spec: stream})
+	gridCrowd, _ := FlashCrowdRun(1, CrowdRunConfig{Spec: crowd})
+	for _, row := range []string{
+		gridStream.Row, gridCrowd.Row,
+		CityStreamingRun(city, stream, 1).Row, CityCrowdRun(city, crowd, 1).Row,
+	} {
+		b.WriteString(row + "\n")
+	}
+
+	for _, scen := range []string{"fig8", "fig11"} {
+		s, err := CompareOne(scen, CompareConfig{
+			Routings: []string{"qfreq"}, Cachings: []string{"opportunistic"}, Seed: 1, Quick: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(s.String())
+	}
+
+	traced, _ := TracedFig08(1, 2, 500, true, 0)
+	plain, _ := TracedFig08(1, 2, 500, false, 0)
+	if traced != plain {
+		t.Errorf("tracing moved the Fig 8 cell:\n  traced = %+v\n  plain  = %+v", traced, plain)
+	}
+	s := &metrics.Series{Name: "traced fig8 cell"}
+	s.Add(2, "2 consumers", traced)
+	b.WriteString(s.String())
+	return b.String()
+}
+
+// mobilityPDDPoint is the ×1.0 point of Fig0910MobilityPDD on the
+// Student Center profile, one run.
+func mobilityPDDPoint(seed int64) *metrics.Series {
+	const entries = 5000
+	d, ids := MobileArea(mobility.StudentCenter(), 10*time.Minute, Options{Seed: seed})
+	distributeOn(d, ids, entries)
+	consumer := ids[len(ids)/2]
+	d.Pin(consumer)
+	d.Eng.Run(30 * time.Second)
+	before := d.Medium.Stats().TxBytes
+	res, _ := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, discoveryDeadline)
+	s := &metrics.Series{Name: "PDD under mobility"}
+	s.Add(1, "x1.0 rates", metrics.Sample{
+		Recall:        float64(len(res.Entries)) / entries,
+		Latency:       res.Latency,
+		OverheadBytes: d.Medium.Stats().TxBytes - before,
+		Rounds:        float64(res.Rounds),
+	})
+	return s
 }
 
 // smallDataCollect is one row of small-data collection on the 10×10
