@@ -2,7 +2,7 @@ GO ?= go
 BENCH_RUNS ?= 3
 BENCH_SIZE ?= 2
 
-.PHONY: build test lint verify loc fuzz bench benchdiff baseline compare
+.PHONY: build test lint verify loc golden fuzz bench benchdiff baseline compare
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,15 @@ loc:
 	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
 	while read pkg files; do echo "$$(cat $$files | wc -l) $$pkg"; done | \
 	awk '{printf "%7d  %s\n", $$1, $$2; total += $$1} END {printf "%7d  total\n", total}'
+
+# golden rewrites internal/scenario/testdata/figure_rows.golden from the
+# current runners. Re-pin protocol (DESIGN.md §11): the golden moves only
+# in a commit that touches no other file, and whose message carries the
+# before/after row diff (`git diff` of the golden) and why each cell
+# moved. A code change that moves a row is two commits: the code, then
+# `make golden`.
+golden:
+	$(GO) test ./internal/scenario -run TestFigureRowsGolden -update-golden
 
 # fuzz runs short bursts of the fuzzers: the codec, the datagram
 # framing above it, the tracker wire protocol, the persistent store's

@@ -18,13 +18,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"pds/internal/core"
 	"pds/internal/fault"
 	"pds/internal/link"
-	"pds/internal/metrics"
 	"pds/internal/mobility"
 	"pds/internal/scenario"
 	"pds/internal/strategy"
@@ -74,10 +74,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *routing != "" && !containsName(strategy.RoutingNames(), *routing) {
+	if *routing != "" && !slices.Contains(strategy.RoutingNames(), *routing) {
 		return fmt.Errorf("unknown routing strategy %q (have %v)", *routing, strategy.RoutingNames())
 	}
-	if *caching != "" && !containsName(strategy.CachingNames(), *caching) {
+	if *caching != "" && !slices.Contains(strategy.CachingNames(), *caching) {
 		return fmt.Errorf("unknown caching strategy %q (have %v)", *caching, strategy.CachingNames())
 	}
 	strategySelected := *routing != "" || *caching != ""
@@ -94,34 +94,25 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		var pp *fault.Plan
+		var t scenario.Topology
+		if *nodes > 0 {
+			t = scenario.CityTopology(scenario.CityConfig{Nodes: *nodes}, *seed)
+		} else {
+			t = scenario.GridTopology(*seed, *routing, *caching)
+		}
 		if len(plan.Events) > 0 {
-			pp = &plan
+			t.D.InstallFaults(plan)
 		}
-		switch {
-		case *nodes > 0 && wspec.Kind == workload.Stream:
-			rep := scenario.CityStreamingRun(scenario.CityConfig{Nodes: *nodes}, wspec.Stream, *seed)
-			fmt.Println(rep.Row)
-			return nil
-		case *nodes > 0:
-			rep := scenario.CityCrowdRun(scenario.CityConfig{Nodes: *nodes}, wspec.Crowd, *seed)
-			fmt.Println(rep.Row)
-			return nil
-		case wspec.Kind == workload.Stream:
-			rep, tracer := scenario.StreamingRun(*seed, scenario.StreamRunConfig{
-				Spec: wspec.Stream, Plan: pp, Trace: *traceOut != "", TraceCap: *traceCap,
-				Routing: *routing, Caching: *caching,
-			})
-			fmt.Println(rep.Row)
-			return writeTrace(tracer, *traceOut)
-		default:
-			rep, tracer := scenario.FlashCrowdRun(*seed, scenario.CrowdRunConfig{
-				Spec: wspec.Crowd, Plan: pp, Trace: *traceOut != "", TraceCap: *traceCap,
-				Routing: *routing, Caching: *caching,
-			})
-			fmt.Println(rep.Row)
-			return writeTrace(tracer, *traceOut)
+		var tracer *trace.Tracer
+		if *traceOut != "" {
+			tracer = t.D.EnableTracing(*traceCap)
 		}
+		if wspec.Kind == workload.Stream {
+			fmt.Println(scenario.StreamingRun(t, wspec.Stream).Row)
+		} else {
+			fmt.Println(scenario.FlashCrowdRun(t, wspec.Crowd).Row)
+		}
+		return writeTrace(tracer, *traceOut)
 	}
 
 	if *nodes > 0 {
@@ -213,6 +204,7 @@ func run(args []string) error {
 	}
 
 	start := time.Now()
+	consumers := []wire.NodeID{consumer}
 	switch *mode {
 	case "pdd":
 		if *mob != "" {
@@ -225,22 +217,16 @@ func run(args []string) error {
 		} else {
 			d.DistributeEntries(*entries, *redundancy)
 		}
-		res, done := d.RunDiscovery(consumer, scenario.EntrySelector(), core.DiscoverOptions{}, *deadline)
+		results, done := d.Discover(consumers, scenario.EntrySelector(), core.DiscoverOptions{}, *deadline)
+		res := results[0]
 		fmt.Printf("mode=pdd done=%v recall=%.3f latency=%.1fs rounds=%d overhead=%.2fMB wall=%v\n",
 			done, float64(len(res.Entries))/float64(*entries), res.Latency.Seconds(), res.Rounds,
 			float64(d.Medium.Stats().TxBytes)/1e6, time.Since(start).Round(time.Millisecond))
 	case "pdr", "mdr":
 		item := scenario.ItemDescriptor("clip", *sizeMB<<20, scenario.DefaultChunkSize)
 		item = d.DistributeChunks(item, scenario.DefaultChunkSize, *redundancy, consumer)
-		var (
-			res  core.RetrievalResult
-			done bool
-		)
-		if *mode == "pdr" {
-			res, done = d.RunRetrieval(consumer, item, *deadline)
-		} else {
-			res, done = d.RunMDR(consumer, item, *deadline)
-		}
+		results, done := d.Retrieve(consumers, item, *mode == "mdr", *deadline)
+		res := results[0]
 		fmt.Printf("mode=%s done=%v complete=%v chunks=%d/%d latency=%.1fs cdi=%.1fs rounds=%d overhead=%.2fMB wall=%v\n",
 			*mode, done, res.Complete, len(res.Chunks), item.TotalChunks(),
 			res.Latency.Seconds(), res.CDILatency.Seconds(), res.Rounds,
@@ -253,27 +239,11 @@ func run(args []string) error {
 	}
 	if inj != nil {
 		fsStats := inj.Stats()
-		rs := d.Medium.Stats()
-		fc := metrics.FaultCounters{
-			BurstsEntered: fsStats.BurstsEntered,
-			Crashes:       fsStats.Crashes,
-			CorruptFrames: rs.CorruptFrames,
-			BlacklistHits: d.Peers[consumer].Node.Stats().BlacklistSkips,
-		}
 		fmt.Printf("faults: %s restarts=%d departures=%d burst-losses=%d dup-frames=%d\n",
-			fc, fsStats.Restarts, fsStats.Departures, fsStats.BurstLosses, rs.DupFrames)
+			d.FaultCounters(inj, consumer), fsStats.Restarts, fsStats.Departures, fsStats.BurstLosses,
+			d.Medium.Stats().DupFrames)
 	}
 	return writeTrace(tracer, *traceOut)
-}
-
-// containsName reports whether names contains n.
-func containsName(names []string, n string) bool {
-	for _, v := range names {
-		if v == n {
-			return true
-		}
-	}
-	return false
 }
 
 // assemblePlan combines the -fault-plan spec, the -crash shorthand and

@@ -16,6 +16,7 @@ import (
 
 	"pds/internal/attr"
 	"pds/internal/clock"
+	"pds/internal/metrics"
 	"pds/internal/store"
 	"pds/internal/strategy"
 	"pds/internal/trace"
@@ -82,14 +83,10 @@ type Config struct {
 	// CacheCap bounds cached (non-owned) payload bytes per node;
 	// 0 = unlimited. Metadata entries are always cached (§VII).
 	CacheCap int
-	// CachePolicy selects the eviction strategy for the bounded cache
-	// (FIFO default; LRU/LFU implement §VII's popularity-based
-	// caching sketch).
-	CachePolicy store.CachePolicy
-	// Caching, when non-empty, selects the cache strategy by registry
-	// name (internal/strategy: "fifo", "lru", "lfu", "opportunistic",
-	// ...) and overrides CachePolicy. Empty keeps the CachePolicy enum —
-	// the seed's behavior.
+	// Caching selects the cache strategy for the bounded cache by
+	// registry name (internal/strategy: "fifo", "lru", "lfu" — §VII's
+	// popularity-based caching sketch — "opportunistic", ...). Empty
+	// means "fifo".
 	Caching string
 
 	// Routing, when non-empty, selects the routing strategy by registry
@@ -250,15 +247,11 @@ func NewNode(id wire.NodeID, clk clock.Clock, rng *rand.Rand, send Sender, cfg C
 		retrievals: make(map[string]*retrieval),
 		health:     newHealthTracker(),
 	}
-	if cfg.Caching != "" {
-		cs, err := strategy.NewCaching(cfg.Caching, id)
-		if err != nil {
-			panic("core: " + err.Error()) // CLIs validate names up front
-		}
-		n.ds.SetCacheStrategy(cs)
-	} else {
-		n.ds.SetCachePolicy(cfg.CachePolicy)
+	cs, err := strategy.NewCaching(cfg.Caching, id)
+	if err != nil {
+		panic("core: " + err.Error()) // CLIs validate names up front
 	}
+	n.ds.SetCacheStrategy(cs)
 	rt, err := strategy.NewRouting(cfg.Routing, &strategy.RoutingEnv{
 		Self:          id,
 		CDIRoutes:     n.cdiRoutes,
@@ -300,17 +293,21 @@ func (n *Node) floodStrategyQuery(q *wire.Query) {
 	n.sendJittered(&wire.Message{Type: wire.TypeQuery, Query: q}, n.cfg.ForwardJitterMax)
 }
 
-// RoutingName returns the active routing strategy's registry name.
-func (n *Node) RoutingName() string { return n.routing.Name() }
-
-// RoutingCounters returns the routing strategy's bookkeeping snapshot.
-func (n *Node) RoutingCounters() strategy.RoutingCounters { return n.routing.Counters() }
-
-// CachingName returns the store's cache strategy registry name.
-func (n *Node) CachingName() string { return n.ds.CacheStrategyName() }
-
-// CacheCounters returns the cache strategy's bookkeeping snapshot.
-func (n *Node) CacheCounters() strategy.CacheCounters { return n.ds.CacheCounters() }
+// StrategyCounters returns the active routing/caching strategy names
+// and a snapshot of their bookkeeping.
+func (n *Node) StrategyCounters() metrics.StrategyCounters {
+	rc := n.routing.Counters()
+	return metrics.StrategyCounters{
+		Routing:         n.routing.Name(),
+		Caching:         n.ds.CacheStrategyName(),
+		AdvertFloods:    rc.AdvertFloods,
+		AdvertsHeld:     rc.AdvertsHeld,
+		FreqEntries:     rc.FreqEntries,
+		RouteOverrides:  rc.RouteOverrides,
+		FallbackRoutes:  rc.FallbackRoutes,
+		CacheAdmitSkips: n.ds.CacheCounters().AdmitSkips,
+	}
+}
 
 // ID returns the node id.
 func (n *Node) ID() wire.NodeID { return n.id }

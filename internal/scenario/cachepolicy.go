@@ -2,10 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
+	"pds/internal/attr"
 	"pds/internal/core"
 	"pds/internal/metrics"
-	"pds/internal/store"
 )
 
 // CachePolicyAblation compares cache-eviction policies under a bounded
@@ -16,15 +17,15 @@ import (
 // retrieves A again. A popularity-aware policy preserves more of A's
 // chunks through the pollution, so the third retrieval stays cheap.
 func CachePolicyAblation(sizeMB int, seed int64, runs int) []*metrics.Series {
-	policies := []store.CachePolicy{store.EvictFIFO, store.EvictLRU, store.EvictLFU}
+	policies := []string{"fifo", "lru", "lfu"}
 	out := make([]*metrics.Series, 0, len(policies))
 	for _, policy := range policies {
-		s := &metrics.Series{Name: policy.String()}
-		samples := make([]metrics.Sample, 0, runs)
-		for r := 0; r < runs; r++ {
+		// A run whose warm-up retrievals fall short is degenerate and
+		// contributes no sample to the average.
+		perRun := parMap(runs, func(r int) []metrics.Sample {
 			c := core.DefaultConfig()
 			c.CacheCap = sizeMB << 20 // cache holds ~one item
-			c.CachePolicy = policy
+			c.Caching = policy
 			d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101, Core: c})
 
 			itemA := ItemDescriptor("popular", sizeMB<<20, DefaultChunkSize)
@@ -33,24 +34,20 @@ func CachePolicyAblation(sizeMB int, seed int64, runs int) []*metrics.Series {
 			itemA = d.DistributeChunks(itemA, DefaultChunkSize, 1, consumers[0])
 			itemB = d.DistributeChunks(itemB, DefaultChunkSize, 1, consumers[1])
 
-			if res, done := d.RunRetrieval(consumers[0], itemA, retrievalDeadline); !done || !res.Complete {
-				continue // degenerate run; skip from the average
+			for i, item := range []attr.Descriptor{itemA, itemB} {
+				if res, _ := d.Retrieve(consumers[i:i+1], item, false, retrievalDeadline); !res[0].Complete {
+					return nil
+				}
 			}
-			if res, done := d.RunRetrieval(consumers[1], itemB, retrievalDeadline); !done || !res.Complete {
-				continue
-			}
-			before := d.Medium.Stats().TxBytes
-			res, done := d.RunRetrieval(consumers[2], itemA, retrievalDeadline)
+			mark := d.Medium.Stats().TxBytes
+			res, done := d.Retrieve(consumers[2:], itemA, false, retrievalDeadline)
 			if !done {
-				continue
+				return nil
 			}
-			samples = append(samples, metrics.Sample{
-				Recall:        float64(len(res.Chunks)) / float64(itemA.TotalChunks()),
-				Latency:       res.Latency,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-			})
-		}
-		s.Add(1, fmt.Sprintf("%dMB item, %dMB cache", sizeMB, sizeMB), metrics.Mean(samples))
+			return []metrics.Sample{d.pdrSample(res, itemA, mark)}
+		})
+		s := &metrics.Series{Name: policy}
+		s.Add(1, fmt.Sprintf("%dMB item, %dMB cache", sizeMB, sizeMB), metrics.Mean(slices.Concat(perRun...)))
 		out = append(out, s)
 	}
 	return out

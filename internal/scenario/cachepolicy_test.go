@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"pds/internal/core"
-	"pds/internal/store"
+	"pds/internal/wire"
 )
 
 // TestCachePolicyAblationRuns smoke-tests the §VII cache-policy
@@ -35,12 +35,13 @@ func TestCachePolicyAblationRuns(t *testing.T) {
 func TestBoundedCacheRetrievalCompletes(t *testing.T) {
 	c := core.DefaultConfig()
 	c.CacheCap = 300 << 10 // roughly one chunk
-	c.CachePolicy = store.EvictLRU
+	c.Caching = "lru"
 	d := Grid(5, 5, GridSpacing, Options{Seed: 61, Core: c})
 	consumer := CenterID(5, 5)
 	item := ItemDescriptor("clip", 2<<20, DefaultChunkSize)
 	item = d.DistributeChunks(item, DefaultChunkSize, 1, consumer)
-	res, done := d.RunRetrieval(consumer, item, 300*time.Second)
+	results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 300*time.Second)
+	res := results[0]
 	if !done || !res.Complete {
 		t.Fatalf("done=%v complete=%v chunks=%d/%d", done, res.Complete, len(res.Chunks), item.TotalChunks())
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"pds/internal/attr"
 	"pds/internal/core"
 	"pds/internal/fault"
 	"pds/internal/metrics"
@@ -44,26 +45,27 @@ func chaosConfig(retrievalDeadline time.Duration) core.Config {
 	return cfg
 }
 
-// report reduces a finished chaos run to a ChaosReport.
-func (d *Deployment) report(in *fault.Injector, consumer wire.NodeID, kind string, recall float64, latency time.Duration, rounds int, done bool, detail string) ChaosReport {
+// FaultCounters reads the fault row of a run under injector in: what
+// the plan injected and how the medium and the consumer's routing
+// reacted.
+func (d *Deployment) FaultCounters(in *fault.Injector, consumer wire.NodeID) metrics.FaultCounters {
 	fs := in.Stats()
-	cs := d.Peers[consumer].Node.Stats()
-	rs := d.Medium.Stats()
-	sample := metrics.Sample{
-		Recall:        recall,
-		Latency:       latency,
-		OverheadBytes: rs.TxBytes,
-		Rounds:        float64(rounds),
-		Faults: metrics.FaultCounters{
-			BurstsEntered: fs.BurstsEntered,
-			Crashes:       fs.Crashes,
-			CorruptFrames: rs.CorruptFrames,
-			BlacklistHits: cs.BlacklistSkips,
-		},
+	return metrics.FaultCounters{
+		BurstsEntered: fs.BurstsEntered,
+		Crashes:       fs.Crashes,
+		CorruptFrames: d.Medium.Stats().CorruptFrames,
+		BlacklistHits: d.Peers[consumer].Node.Stats().BlacklistSkips,
 	}
-	row := fmt.Sprintf("%s seed=%d recall=%.4f latency=%s overhead=%s rounds=%d done=%v %s %s",
-		kind, d.seed, recall, metrics.Seconds(latency), metrics.MB(rs.TxBytes), rounds, done,
-		sample.Faults.String(), detail)
+}
+
+// report attaches the fault, disk and strategy counters to a finished
+// chaos run's sample (reduced from the run's start, mark 0) and renders
+// its deterministic row.
+func (d *Deployment) report(in *fault.Injector, consumer wire.NodeID, kind string, sample metrics.Sample, done bool, detail string) ChaosReport {
+	sample.Faults = d.FaultCounters(in, consumer)
+	row := fmt.Sprintf("%s seed=%d recall=%.4f latency=%s overhead=%s rounds=%.0f done=%v %s %s",
+		kind, d.seed, sample.Recall, metrics.Seconds(sample.Latency), metrics.MB(sample.OverheadBytes),
+		sample.Rounds, done, sample.Faults.String(), detail)
 	if dc := d.DiskCounters(); dc != nil {
 		sample.Disk = dc
 		row += " " + dc.String()
@@ -74,12 +76,21 @@ func (d *Deployment) report(in *fault.Injector, consumer wire.NodeID, kind strin
 	}
 	return ChaosReport{
 		Done:     done,
-		Recall:   recall,
-		Faults:   fs,
-		Consumer: cs,
+		Recall:   sample.Recall,
+		Faults:   in.Stats(),
+		Consumer: d.Peers[consumer].Node.Stats(),
 		Sample:   sample,
 		Row:      row,
 	}
+}
+
+// retrievalReport is report for a one-consumer PDR scenario.
+func (d *Deployment) retrievalReport(in *fault.Injector, consumer wire.NodeID, kind string, item attr.Descriptor, results []core.RetrievalResult, done bool) ChaosReport {
+	res := results[0]
+	rep := d.report(in, consumer, kind, d.pdrSample(results, item, 0), done,
+		fmt.Sprintf("chunks=%d/%d missing=%v deadline=%v", len(res.Chunks), item.TotalChunks(), res.Missing, res.Deadline))
+	rep.Retrieval = res
+	return rep
 }
 
 // CrashTheHub is the headline chaos scenario: a PDR retrieval of
@@ -115,14 +126,8 @@ func crashTheHub(seed int64, itemBytes int, routing, caching string) ChaosReport
 
 	item := ItemDescriptor("video", itemBytes, DefaultChunkSize)
 	item = d.DistributeChunks(item, DefaultChunkSize, 2, consumer)
-	res, done := d.RunRetrieval(consumer, item, deadline+time.Minute)
-
-	total := item.TotalChunks()
-	recall := float64(len(res.Chunks)) / float64(total)
-	rep := d.report(in, consumer, "crash-the-hub", recall, res.Latency, res.Rounds, done,
-		fmt.Sprintf("chunks=%d/%d missing=%v deadline=%v", len(res.Chunks), total, res.Missing, res.Deadline))
-	rep.Retrieval = res
-	return rep
+	res, done := d.Retrieve([]wire.NodeID{consumer}, item, false, deadline+time.Minute)
+	return d.retrievalReport(in, consumer, "crash-the-hub", item, res, done)
 }
 
 // DiskCrashRecovery is CrashTheHub on a disk-backed deployment: every
@@ -149,17 +154,11 @@ func DiskCrashRecovery(seed int64, itemBytes int, dataDir string) ChaosReport {
 	// a non-empty log (chunk placement is random and may skip the hub).
 	hubItem := ItemDescriptor("hub-notes", DefaultChunkSize, DefaultChunkSize)
 	d.Peers[hub].Node.PublishItem(hubItem, make([]byte, DefaultChunkSize), DefaultChunkSize)
-	res, done := d.RunRetrieval(consumer, item, deadline+time.Minute)
+	res, done := d.Retrieve([]wire.NodeID{consumer}, item, false, deadline+time.Minute)
 	// Let the scheduled restart fire before snapshotting the disk
 	// counters — short retrievals can finish while the hub is down.
 	d.Eng.Run(d.Eng.Now() + 15*time.Second)
-
-	total := item.TotalChunks()
-	recall := float64(len(res.Chunks)) / float64(total)
-	rep := d.report(in, consumer, "disk-crash-recovery", recall, res.Latency, res.Rounds, done,
-		fmt.Sprintf("chunks=%d/%d missing=%v deadline=%v", len(res.Chunks), total, res.Missing, res.Deadline))
-	rep.Retrieval = res
-	return rep
+	return d.retrievalReport(in, consumer, "disk-crash-recovery", item, res, done)
 }
 
 // FlashCrowdChurn models a flash crowd hitting a suddenly unstable
@@ -184,33 +183,18 @@ func FlashCrowdChurn(seed int64, entries int) ChaosReport {
 		{At: 3 * time.Second, Kind: fault.Crash, Node: center - 9}, // never returns
 	}})
 
-	results := make([]core.DiscoveryResult, len(consumers))
-	finished := 0
-	for i, c := range consumers {
-		i := i
-		d.Peers[c].Node.Discover(EntrySelector(), core.DiscoverOptions{}, func(r core.DiscoveryResult) {
-			results[i] = r
-			finished++
-		})
-	}
-	d.Eng.RunUntil(deadline, func() bool { return finished == len(consumers) })
-	done := finished == len(consumers)
+	results, done := d.Discover(consumers, EntrySelector(), core.DiscoverOptions{}, deadline)
 	// Let the scheduled restarts fire before snapshotting fault stats —
 	// the crowd often finishes before the churned nodes come back.
 	d.Eng.Run(d.Eng.Now() + 30*time.Second)
 
-	sum := 0.0
-	rounds := 0
-	var latency time.Duration
+	// This scenario's rounds cell is the crowd's total, not its mean.
+	sample := d.pddSample(results, entries, 0)
+	sample.Rounds = 0
 	for _, r := range results {
-		sum += float64(len(r.Entries)) / float64(entries)
-		rounds += r.Rounds
-		if r.Latency > latency {
-			latency = r.Latency
-		}
+		sample.Rounds += float64(r.Rounds)
 	}
-	recall := sum / float64(len(consumers))
-	rep := d.report(in, center, "flash-crowd-churn", recall, latency, rounds, done,
+	rep := d.report(in, center, "flash-crowd-churn", sample, done,
 		fmt.Sprintf("consumers=%d entries=%d", len(consumers), entries))
 	rep.Discovery = results[len(results)-1]
 	return rep
@@ -266,10 +250,9 @@ func CorruptTenPercent(seed int64, entries int) ChaosReport {
 		{At: 0, Kind: fault.Duplicate, Rate: 0.02},
 	}})
 
-	res, done := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, deadline)
-	recall := float64(len(res.Entries)) / float64(entries)
-	rep := d.report(in, consumer, "corrupt-10pct", recall, res.Latency, res.Rounds, done,
-		fmt.Sprintf("entries=%d/%d", len(res.Entries), entries))
-	rep.Discovery = res
+	res, done := d.Discover([]wire.NodeID{consumer}, EntrySelector(), core.DiscoverOptions{}, deadline)
+	rep := d.report(in, consumer, "corrupt-10pct", d.pddSample(res, entries, 0), done,
+		fmt.Sprintf("entries=%d/%d", len(res[0].Entries), entries))
+	rep.Discovery = res[0]
 	return rep
 }

@@ -157,7 +157,9 @@ func TestCrashMidPDDRejoin(t *testing.T) {
 			{At: 500 * time.Millisecond, Kind: fault.Crash, Node: victim, Downtime: 4 * time.Second},
 		}})
 
-		res, done := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, 2*time.Minute)
+		results, done := d.Discover([]wire.NodeID{consumer}, EntrySelector(), core.DiscoverOptions{}, 2*time.Minute)
+
+		res := results[0]
 		if !done {
 			t.Fatalf("seed %d: discovery hung", seed)
 		}
@@ -169,7 +171,8 @@ func TestCrashMidPDDRejoin(t *testing.T) {
 		}
 
 		// The rejoined node must function as a consumer itself.
-		res2, done2 := d.RunDiscovery(victim, EntrySelector(), core.DiscoverOptions{}, 2*time.Minute)
+		results2, done2 := d.Discover([]wire.NodeID{victim}, EntrySelector(), core.DiscoverOptions{}, 2*time.Minute)
+		res2 := results2[0]
 		if !done2 {
 			t.Fatalf("seed %d: rejoined node's discovery hung", seed)
 		}
@@ -209,7 +212,9 @@ func TestProducerDepartureMidPDR(t *testing.T) {
 		{At: 2 * time.Second, Kind: fault.Depart, Node: holder},
 	}})
 
-	res, done := d.RunRetrieval(consumer, item, 3*time.Minute)
+	results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 3*time.Minute)
+
+	res := results[0]
 	if !done {
 		t.Fatal("retrieval hung after producer departure")
 	}

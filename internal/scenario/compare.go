@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -73,115 +74,61 @@ func (c CompareConfig) WithDefaults() CompareConfig {
 // registered alternatives.
 func (c CompareConfig) Validate() error {
 	for _, r := range c.Routings {
-		if !containsName(strategy.RoutingNames(), r) {
+		if !slices.Contains(strategy.RoutingNames(), r) {
 			return fmt.Errorf("unknown routing strategy %q (have %v)", r, strategy.RoutingNames())
 		}
 	}
 	for _, ca := range c.Cachings {
-		if !containsName(strategy.CachingNames(), ca) {
+		if !slices.Contains(strategy.CachingNames(), ca) {
 			return fmt.Errorf("unknown caching strategy %q (have %v)", ca, strategy.CachingNames())
 		}
 	}
 	for _, s := range c.Scenarios {
-		if !containsName(CompareScenarios, s) {
+		if !slices.Contains(CompareScenarios, s) {
 			return fmt.Errorf("unknown compare scenario %q (have %v)", s, CompareScenarios)
 		}
 	}
 	return nil
 }
 
-func containsName(names []string, n string) bool {
-	for _, v := range names {
-		if v == n {
-			return true
-		}
-	}
-	return false
-}
+// matrixCell runs one scenario under one routing × caching pair.
+type matrixCell func(seed int64, routing, caching string) metrics.Sample
 
-// compareOptions builds the deployment options of one matrix cell: the
-// paper defaults with the cell's strategy pair selected explicitly, so
-// every cell's rows carry self-describing strategy counters.
-func compareOptions(seed int64, routing, caching string) Options {
-	c := core.DefaultConfig()
-	c.Routing = routing
-	c.Caching = caching
-	return Options{Seed: seed, Core: c}
-}
-
-// compareFig8Cell is the discovery cell: three simultaneous consumers
-// in the grid core (the Figure 8 shape at its middle point).
-func compareFig8Cell(seed int64, entries int, routing, caching string) metrics.Sample {
-	const consumers = 3
-	d := Grid(10, 10, GridSpacing, compareOptions(seed, routing, caching))
-	d.DistributeEntries(entries, 1)
-	ids := consumerIDs(d, consumers, seed)
-	before := d.Medium.Stats().TxBytes
-	results := make([]core.DiscoveryResult, len(ids))
-	done := 0
-	for i, c := range ids {
-		i := i
-		d.Peers[c].Node.Discover(EntrySelector(), core.DiscoverOptions{}, func(res core.DiscoveryResult) {
-			results[i] = res
-			done++
-		})
-	}
-	d.Eng.RunUntil(discoveryDeadline, func() bool { return done == len(ids) })
-	var recall, rounds float64
-	var worst time.Duration
-	for _, res := range results {
-		recall += float64(len(res.Entries)) / float64(entries)
-		if res.Latency > worst {
-			worst = res.Latency
-		}
-		rounds += float64(res.Rounds)
-	}
-	return metrics.Sample{
-		Recall:        recall / consumers,
-		Latency:       worst,
-		OverheadBytes: d.Medium.Stats().TxBytes - before,
-		Rounds:        rounds / consumers,
-		Strategy:      d.StrategyCounters(),
-	}
-}
-
-// compareFig11Cell is the retrieval cell: one PDR pull of a sizeMB item
-// seeded at redundancy 2, so routing strategies have real route choices.
-func compareFig11Cell(seed int64, sizeMB int, routing, caching string) metrics.Sample {
-	d := Grid(10, 10, GridSpacing, compareOptions(seed, routing, caching))
-	consumer := CenterID(10, 10)
-	item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
-	item = d.DistributeChunks(item, DefaultChunkSize, 2, consumer)
-	before := d.Medium.Stats().TxBytes
-	res, _ := d.RunRetrieval(consumer, item, retrievalDeadline)
-	return metrics.Sample{
-		Recall:        float64(len(res.Chunks)) / float64(item.TotalChunks()),
-		Latency:       res.Latency,
-		OverheadBytes: d.Medium.Stats().TxBytes - before,
-		Rounds:        float64(res.Rounds),
-		Strategy:      d.StrategyCounters(),
+// gridCell lifts a figure cell — a function of a prepared 10×10 grid —
+// into a matrix cell: the paper defaults with the strategy pair selected
+// explicitly, so every row carries self-describing strategy counters. A
+// new compare cell is options + seeding + one call.
+func gridCell(cell func(d *Deployment) metrics.Sample) matrixCell {
+	return func(seed int64, routing, caching string) metrics.Sample {
+		c := core.DefaultConfig()
+		c.Routing = routing
+		c.Caching = caching
+		d := Grid(10, 10, GridSpacing, Options{Seed: seed, Core: c})
+		s := cell(d)
+		s.Strategy = d.StrategyCounters()
+		return s
 	}
 }
 
 // compareCell resolves a scenario name to its cell runner.
-func compareCell(scen string, cfg CompareConfig) (func(seed int64, routing, caching string) metrics.Sample, error) {
+func compareCell(scen string, cfg CompareConfig) (matrixCell, error) {
 	switch scen {
 	case "fig8":
 		entries := 5000
 		if cfg.Quick {
 			entries = 1200
 		}
-		return func(seed int64, routing, caching string) metrics.Sample {
-			return compareFig8Cell(seed, entries, routing, caching)
-		}, nil
+		// The Figure 8 shape at its middle point: three simultaneous
+		// consumers in the grid core.
+		return gridCell(func(d *Deployment) metrics.Sample { return fig8Cell(d, d.seed, 3, entries) }), nil
 	case "fig11":
 		sizeMB := cfg.SizeMB
 		if cfg.Quick {
 			sizeMB = 1
 		}
-		return func(seed int64, routing, caching string) metrics.Sample {
-			return compareFig11Cell(seed, sizeMB, routing, caching)
-		}, nil
+		// The Figure 11 pull seeded at redundancy 2, so routing
+		// strategies have real route choices.
+		return gridCell(func(d *Deployment) metrics.Sample { return fig11Cell(d, sizeMB, 2, false) }), nil
 	case "chaos":
 		itemBytes := 2 << 20
 		if cfg.Quick {
@@ -196,8 +143,7 @@ func compareCell(scen string, cfg CompareConfig) (func(seed int64, routing, cach
 			spec.Segments = 4
 		}
 		return func(seed int64, routing, caching string) metrics.Sample {
-			rep, _ := StreamingRun(seed, StreamRunConfig{Spec: spec, Routing: routing, Caching: caching})
-			return rep.Sample
+			return StreamingRun(GridTopology(seed, routing, caching), spec).Sample
 		}, nil
 	case "crowd":
 		var spec workload.CrowdSpec
@@ -206,8 +152,7 @@ func compareCell(scen string, cfg CompareConfig) (func(seed int64, routing, cach
 			spec.Arrival = workload.ArrivalSpec{Kind: workload.Step, At: 5 * time.Second, Count: 6}
 		}
 		return func(seed int64, routing, caching string) metrics.Sample {
-			rep, _ := FlashCrowdRun(seed, CrowdRunConfig{Spec: spec, Routing: routing, Caching: caching})
-			return rep.Sample
+			return FlashCrowdRun(GridTopology(seed, routing, caching), spec).Sample
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown compare scenario %q (have %v)", scen, CompareScenarios)
@@ -247,7 +192,6 @@ func CompareOne(scen string, cfg CompareConfig) (*metrics.Series, error) {
 	rows := make([]row, 0, len(cfg.Routings)*len(cfg.Cachings))
 	for _, rt := range cfg.Routings {
 		for _, ca := range cfg.Cachings {
-			rt, ca := rt, ca
 			samples := parMap(cfg.Runs, func(r int) metrics.Sample {
 				return cell(cfg.Seed+int64(r)*101, rt, ca)
 			})

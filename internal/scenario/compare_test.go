@@ -16,8 +16,9 @@ import (
 // they exist exactly when a strategy was named.
 func TestExplicitDefaultStrategiesMatchImplicit(t *testing.T) {
 	const seed, entries = 1, 400
-	implicit := compareFig8Cell(seed, entries, "", "")
-	explicit := compareFig8Cell(seed, entries, strategy.DefaultRouting, strategy.DefaultCaching)
+	cell := gridCell(func(d *Deployment) metrics.Sample { return fig8Cell(d, d.seed, 3, entries) })
+	implicit := cell(seed, "", "")
+	explicit := cell(seed, strategy.DefaultRouting, strategy.DefaultCaching)
 
 	if implicit.Recall != explicit.Recall ||
 		implicit.Latency != explicit.Latency ||

@@ -85,7 +85,7 @@ type Deployment struct {
 	Medium *radio.Medium
 	Peers  map[wire.NodeID]*Peer
 	// peerIDs mirrors the keys of Peers in ascending order, maintained
-	// incrementally by AddPeer/RemovePeer so city-scale loops never pay
+	// incrementally by AddPeer/Depart so city-scale loops never pay
 	// a collect-and-sort over the whole population per call.
 	peerIDs []wire.NodeID
 	opts    Options
@@ -143,11 +143,7 @@ func New(opts Options) *Deployment {
 func (d *Deployment) AddPeer(id wire.NodeID, pos radio.Pos) *Peer {
 	p := &Peer{ID: id}
 	rng := rand.New(rand.NewSource(d.seed ^ (int64(id)+1)*0x5851f42d4c957f2d))
-	p.Radio = d.Medium.Attach(id, pos, func(msg *wire.Message) {
-		if up := p.Link.HandleIncoming(msg); up != nil {
-			p.Node.HandleMessage(up)
-		}
-	})
+	d.attachRadio(p, pos)
 	p.Link = link.New(d.Eng, id, p.Radio.Send, d.opts.Link)
 	p.Link.EnableTransmitNotify()
 	p.Radio.OnTransmitted = p.Link.NotifyTransmitted
@@ -163,6 +159,16 @@ func (d *Deployment) AddPeer(id wire.NodeID, pos radio.Pos) *Peer {
 	copy(d.peerIDs[i+1:], d.peerIDs[i:])
 	d.peerIDs[i] = id
 	return p
+}
+
+// attachRadio puts the peer's radio on the medium at pos: delivered
+// frames feed the link layer, surviving ones the protocol engine.
+func (d *Deployment) attachRadio(p *Peer, pos radio.Pos) {
+	p.Radio = d.Medium.Attach(p.ID, pos, func(msg *wire.Message) {
+		if up := p.Link.HandleIncoming(msg); up != nil {
+			p.Node.HandleMessage(up)
+		}
+	})
 }
 
 // nodeDataDir is the per-peer store root under Options.DataDir.
@@ -192,9 +198,10 @@ func (d *Deployment) Pin(id wire.NodeID) {
 	d.pinned[id] = true
 }
 
-// RemovePeer detaches a node (a person leaving with their device).
-// Pinned nodes stay.
-func (d *Deployment) RemovePeer(id wire.NodeID) {
+// Depart detaches a node for good (a person leaving with their device,
+// a producer walking away mid-retrieval). Pinned nodes stay. Crash,
+// Restart and Depart implement fault.Target.
+func (d *Deployment) Depart(id wire.NodeID) {
 	if d.pinned[id] {
 		return
 	}
@@ -210,12 +217,12 @@ func (d *Deployment) RemovePeer(id wire.NodeID) {
 	}
 }
 
-// CrashPeer powers a node off in place: its radio detaches (in-flight
+// Crash powers a node off in place: its radio detaches (in-flight
 // frames toward it are lost), its link layer cancels all ARQ state and
 // its protocol engine wipes everything volatile. The peer stays in the
-// deployment, marked Down, until RestartPeer. Pinned peers (the
-// measurement consumer) cannot crash.
-func (d *Deployment) CrashPeer(id wire.NodeID) {
+// deployment, marked Down, until Restart. Pinned peers (the measurement
+// consumer) cannot crash.
+func (d *Deployment) Crash(id wire.NodeID) {
 	p, ok := d.Peers[id]
 	if !ok || p.Down || d.pinned[id] {
 		return
@@ -235,22 +242,18 @@ func (d *Deployment) CrashPeer(id wire.NodeID) {
 	}
 }
 
-// RestartPeer powers a crashed peer back on at its crash position with
-// a fresh radio; only owned data survived in its store. With a data
-// dir, the peer's diskstore is reopened and its log replayed — the
-// owned data comes back from disk through the recovery scan, not from
-// the scenario's seeding config.
-func (d *Deployment) RestartPeer(id wire.NodeID) {
+// Restart powers a crashed peer back on at its crash position with a
+// fresh radio; only owned data survived in its store. With a data dir,
+// the peer's diskstore is reopened and its log replayed — the owned
+// data comes back from disk through the recovery scan, not from the
+// scenario's seeding config.
+func (d *Deployment) Restart(id wire.NodeID) {
 	p, ok := d.Peers[id]
 	if !ok || !p.Down {
 		return
 	}
 	p.Down = false
-	p.Radio = d.Medium.Attach(id, p.lastPos, func(msg *wire.Message) {
-		if up := p.Link.HandleIncoming(msg); up != nil {
-			p.Node.HandleMessage(up)
-		}
-	})
+	d.attachRadio(p, p.lastPos)
 	p.Radio.OnTransmitted = p.Link.NotifyTransmitted
 	p.Link.SetRawSender(p.Radio.Send)
 	if d.opts.DataDir != "" {
@@ -305,18 +308,7 @@ func (d *Deployment) StrategyCounters() *metrics.StrategyCounters {
 		if p.Down {
 			continue
 		}
-		rc := p.Node.RoutingCounters()
-		cc := p.Node.CacheCounters()
-		out.Add(metrics.StrategyCounters{
-			Routing:         p.Node.RoutingName(),
-			Caching:         p.Node.CachingName(),
-			AdvertFloods:    rc.AdvertFloods,
-			AdvertsHeld:     rc.AdvertsHeld,
-			FreqEntries:     rc.FreqEntries,
-			RouteOverrides:  rc.RouteOverrides,
-			FallbackRoutes:  rc.FallbackRoutes,
-			CacheAdmitSkips: cc.AdmitSkips,
-		})
+		out.Add(p.Node.StrategyCounters())
 	}
 	return &out
 }
@@ -331,16 +323,6 @@ func (d *Deployment) Close() {
 		}
 	}
 }
-
-// Crash implements fault.Target.
-func (d *Deployment) Crash(id wire.NodeID) { d.CrashPeer(id) }
-
-// Restart implements fault.Target.
-func (d *Deployment) Restart(id wire.NodeID) { d.RestartPeer(id) }
-
-// Depart implements fault.Target: a permanent leave (producer walking
-// away mid-retrieval).
-func (d *Deployment) Depart(id wire.NodeID) { d.RemovePeer(id) }
 
 // InstallFaults wires a fault plan into the deployment: the injector
 // takes over the medium's loss channel (preserving the configured
@@ -482,50 +464,6 @@ func pickDistinct(rng *rand.Rand, n, k int) []int {
 	return out
 }
 
-// RunDiscovery runs one consumer discovery to completion (or deadline)
-// and returns the result and whether it completed.
-func (d *Deployment) RunDiscovery(consumer wire.NodeID, sel attr.Query, opts core.DiscoverOptions, deadline time.Duration) (core.DiscoveryResult, bool) {
-	var (
-		res  core.DiscoveryResult
-		done bool
-	)
-	d.Peers[consumer].Node.Discover(sel, opts, func(r core.DiscoveryResult) {
-		res = r
-		done = true
-	})
-	d.Eng.RunUntil(deadline, func() bool { return done })
-	return res, done
-}
-
-// RunRetrieval runs one consumer PDR retrieval to completion (or
-// deadline).
-func (d *Deployment) RunRetrieval(consumer wire.NodeID, item attr.Descriptor, deadline time.Duration) (core.RetrievalResult, bool) {
-	var (
-		res  core.RetrievalResult
-		done bool
-	)
-	d.Peers[consumer].Node.Retrieve(item, func(r core.RetrievalResult) {
-		res = r
-		done = true
-	})
-	d.Eng.RunUntil(deadline, func() bool { return done })
-	return res, done
-}
-
-// RunMDR runs one consumer MDR retrieval to completion (or deadline).
-func (d *Deployment) RunMDR(consumer wire.NodeID, item attr.Descriptor, deadline time.Duration) (core.RetrievalResult, bool) {
-	var (
-		res  core.RetrievalResult
-		done bool
-	)
-	d.Peers[consumer].Node.RetrieveMDR(item, func(r core.RetrievalResult) {
-		res = r
-		done = true
-	})
-	d.Eng.RunUntil(deadline, func() bool { return done })
-	return res, done
-}
-
 // ApplyTrace schedules a mobility trace onto the deployment: initial
 // nodes must already exist (ids 1..len(Initial)); joins create fresh
 // peers, leaves remove them, position events move them.
@@ -540,7 +478,7 @@ func (d *Deployment) ApplyTrace(tr mobility.Trace) {
 					d.AddPeer(id, ev.Pos)
 				}
 			case mobility.Leave:
-				d.RemovePeer(id)
+				d.Depart(id)
 			case mobility.Position:
 				d.Medium.SetPosition(id, ev.Pos)
 			}

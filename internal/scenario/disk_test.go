@@ -46,13 +46,13 @@ func TestRestartRecoversOwnedFromDisk(t *testing.T) {
 		want[c] = append([]byte(nil), payload...)
 	}
 
-	d.CrashPeer(p.ID)
+	d.Crash(p.ID)
 	// The crash must empty RAM: owned data now lives only on disk.
 	if got := p.Node.Store().ChunksHeld(itemKey); len(got) != 0 {
 		t.Fatalf("crashed node still holds %v in RAM", got)
 	}
 
-	d.RestartPeer(p.ID)
+	d.Restart(p.ID)
 	if p.Disk == nil {
 		t.Fatal("restart did not reopen the diskstore")
 	}
@@ -94,10 +94,12 @@ func TestDiskBackedRetrievalSurvivesCrashRestart(t *testing.T) {
 	if p == nil {
 		t.Fatal("no chunk holder")
 	}
-	d.Eng.Schedule(2*time.Second, func() { d.CrashPeer(p.ID) })
-	d.Eng.Schedule(20*time.Second, func() { d.RestartPeer(p.ID) })
+	d.Eng.Schedule(2*time.Second, func() { d.Crash(p.ID) })
+	d.Eng.Schedule(20*time.Second, func() { d.Restart(p.ID) })
 
-	res, done := d.RunRetrieval(consumer, item, 900*time.Second)
+	results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 900*time.Second)
+
+	res := results[0]
 	if !done {
 		t.Fatal("retrieval hung")
 	}
@@ -151,7 +153,8 @@ func TestDiskBackedDeterminism(t *testing.T) {
 		consumer := CenterID(3, 3)
 		item := ItemDescriptor("det", 2*DefaultChunkSize, DefaultChunkSize)
 		d.DistributeChunks(item, DefaultChunkSize, 2, consumer)
-		res, done := d.RunRetrieval(consumer, item, 900*time.Second)
+		results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 900*time.Second)
+		res := results[0]
 		if !done || !res.Complete {
 			t.Fatalf("retrieval failed: done=%v complete=%v", done, res.Complete)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"pds/internal/attr"
 	"pds/internal/core"
 	"pds/internal/link"
 	"pds/internal/metrics"
@@ -19,32 +20,19 @@ import (
 // and output order unchanged, so every metric row is identical to the
 // sequential sweep for the same base seed.
 
-// discoveryDeadline bounds any one simulated discovery.
-const discoveryDeadline = 180 * time.Second
-
-// retrievalDeadline bounds any one simulated retrieval.
-const retrievalDeadline = 900 * time.Second
-
 // runPDD runs one PDD experiment on a fresh grid and returns the sample.
-func runPDD(rows, cols, entries, redundancy int, opts Options, deadline time.Duration) metrics.Sample {
+func runPDD(rows, cols, entries, redundancy int, opts Options) metrics.Sample {
 	d := Grid(rows, cols, GridSpacing, opts)
 	d.DistributeEntries(entries, redundancy)
-	before := d.Medium.Stats().TxBytes
-	res, _ := d.RunDiscovery(CenterID(rows, cols), EntrySelector(), core.DiscoverOptions{}, deadline)
-	return metrics.Sample{
-		Recall:        float64(len(res.Entries)) / float64(entries),
-		Latency:       res.Latency,
-		OverheadBytes: d.Medium.Stats().TxBytes - before,
-		Rounds:        float64(res.Rounds),
-	}
+	return d.pddTrial(entries, CenterID(rows, cols))
 }
 
 // averagePDD repeats runPDD over seeds, one engine per run in parallel.
-func averagePDD(rows, cols, entries, redundancy int, opts Options, runs int, deadline time.Duration) metrics.Sample {
+func averagePDD(rows, cols, entries, redundancy int, opts Options, runs int) metrics.Sample {
 	samples := parMap(runs, func(r int) metrics.Sample {
 		o := opts
 		o.Seed = opts.Seed + int64(r)*101
-		return runPDD(rows, cols, entries, redundancy, o, deadline)
+		return runPDD(rows, cols, entries, redundancy, o)
 	})
 	return metrics.Mean(samples)
 }
@@ -147,7 +135,7 @@ func SaturationSweep(seed int64, runs int) []*metrics.Series {
 		s := &metrics.Series{Name: fmt.Sprintf("recall @ redundancy %d", redundancy)}
 		for _, amount := range []int{1000, 2500, 5000, 10000, 20000} {
 			sample := averagePDD(10, 10, amount, redundancy,
-				singleRoundOptions(seed, false), runs, discoveryDeadline)
+				singleRoundOptions(seed, false), runs)
 			s.Add(float64(amount), fmt.Sprintf("%d entries", amount), sample)
 		}
 		out = append(out, s)
@@ -163,7 +151,7 @@ func Fig04HopCount(seed int64, runs int) *metrics.Series {
 	for _, rows := range []int{3, 5, 7, 9, 11} {
 		entries := 50 * rows * rows
 		sample := averagePDD(rows, rows, entries, 1,
-			singleRoundOptions(seed, true), runs, discoveryDeadline)
+			singleRoundOptions(seed, true), runs)
 		s.Add(float64(rows/2), fmt.Sprintf("%d hops (%dx%d)", rows/2, rows, rows), sample)
 	}
 	return s
@@ -181,7 +169,7 @@ func Fig05MultiRound(seed int64, runs int) []*metrics.Series {
 			c.NewRoundRatio = td
 			c.StopRatio = 0
 			sample := averagePDD(10, 10, 5000, 1,
-				Options{Seed: seed, Core: c}, runs, discoveryDeadline)
+				Options{Seed: seed, Core: c}, runs)
 			s.Add(tSec, fmt.Sprintf("T=%.1fs", tSec), sample)
 		}
 		out = append(out, s)
@@ -194,7 +182,7 @@ func Fig05MultiRound(seed int64, runs int) []*metrics.Series {
 func Fig06MetadataAmount(seed int64, runs int) *metrics.Series {
 	s := &metrics.Series{Name: "multi-round PDD vs metadata amount"}
 	for _, amount := range []int{5000, 10000, 15000, 20000} {
-		sample := averagePDD(10, 10, amount, 1, Options{Seed: seed}, runs, discoveryDeadline)
+		sample := averagePDD(10, 10, amount, 1, Options{Seed: seed}, runs)
 		s.Add(float64(amount), fmt.Sprintf("%d entries", amount), sample)
 	}
 	return s
@@ -204,27 +192,24 @@ func Fig06MetadataAmount(seed int64, runs int) *metrics.Series {
 // center 5×5 subgrid discover one after another; caching makes later
 // consumers faster.
 func Fig07SequentialConsumers(seed int64, runs int) *metrics.Series {
-	s := &metrics.Series{Name: "sequential consumers"}
 	const entries = 5000
 	// Consumers within a run are sequential by design (caching builds
 	// up); the runs themselves are independent and run in parallel.
-	byRun := parMap(runs, func(r int) [5]metrics.Sample {
+	return sequentialSeries("sequential consumers", runs, func(r int) (out [5]metrics.Sample) {
 		d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101})
 		d.DistributeEntries(entries, 1)
-		consumers := consumerIDs(d, 5, seed+int64(r))
-		var out [5]metrics.Sample
-		for i, c := range consumers {
-			before := d.Medium.Stats().TxBytes
-			res, _ := d.RunDiscovery(c, EntrySelector(), core.DiscoverOptions{}, discoveryDeadline)
-			out[i] = metrics.Sample{
-				Recall:        float64(len(res.Entries)) / entries,
-				Latency:       res.Latency,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-				Rounds:        float64(res.Rounds),
-			}
+		for i, c := range consumerIDs(d, 5, seed+int64(r)) {
+			out[i] = d.pddTrial(entries, c)
 		}
 		return out
 	})
+}
+
+// sequentialSeries runs `run` once per seed and adds one point per
+// consumer position, averaged over the runs.
+func sequentialSeries(name string, runs int, run func(r int) [5]metrics.Sample) *metrics.Series {
+	s := &metrics.Series{Name: name}
+	byRun := parMap(runs, run)
 	for i := 0; i < 5; i++ {
 		per := make([]metrics.Sample, 0, runs)
 		for _, run := range byRun {
@@ -235,43 +220,22 @@ func Fig07SequentialConsumers(seed int64, runs int) *metrics.Series {
 	return s
 }
 
+// fig8Cell is one point of Figure 8 on a prepared 10×10 grid: `entries`
+// entries at redundancy 1, and n consumers drawn from the center
+// subgrid by pick all discovering at once.
+func fig8Cell(d *Deployment, pick int64, n, entries int) metrics.Sample {
+	d.DistributeEntries(entries, 1)
+	return d.pddTrial(entries, consumerIDs(d, n, pick)...)
+}
+
 // Fig08SimultaneousConsumers regenerates Figure 8: 1–5 consumers in the
 // center subgrid all discover at once; mixedcast serves them jointly.
 func Fig08SimultaneousConsumers(seed int64, runs int) *metrics.Series {
 	s := &metrics.Series{Name: "simultaneous consumers"}
-	const entries = 5000
 	for _, n := range []int{1, 2, 3, 4, 5} {
 		samples := parMap(runs, func(r int) metrics.Sample {
 			d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101})
-			d.DistributeEntries(entries, 1)
-			consumers := consumerIDs(d, n, seed+int64(r))
-			before := d.Medium.Stats().TxBytes
-			results := make([]core.DiscoveryResult, n)
-			done := 0
-			for i, c := range consumers {
-				i := i
-				d.Peers[c].Node.Discover(EntrySelector(), core.DiscoverOptions{}, func(res core.DiscoveryResult) {
-					results[i] = res
-					done++
-				})
-			}
-			d.Eng.RunUntil(discoveryDeadline, func() bool { return done == n })
-			var recall float64
-			var worst time.Duration
-			var rounds float64
-			for _, res := range results {
-				recall += float64(len(res.Entries)) / entries
-				if res.Latency > worst {
-					worst = res.Latency
-				}
-				rounds += float64(res.Rounds)
-			}
-			return metrics.Sample{
-				Recall:        recall / float64(n),
-				Latency:       worst,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-				Rounds:        rounds / float64(n),
-			}
+			return fig8Cell(d, seed+int64(r), n, 5000)
 		})
 		s.Add(float64(n), fmt.Sprintf("%d consumers", n), metrics.Mean(samples))
 	}
@@ -302,27 +266,27 @@ func consumerIDs(d *Deployment, n int, seed int64) []wire.NodeID {
 // under the given mobility profile scaled ×0.5–×2.
 func Fig0910MobilityPDD(p mobility.Profile, seed int64, runs int) *metrics.Series {
 	s := &metrics.Series{Name: "PDD under mobility"}
-	const entries = 5000
 	for _, scale := range []float64{0.5, 1.0, 1.5, 2.0} {
 		samples := parMap(runs, func(r int) metrics.Sample {
-			d, ids := MobileArea(p.Scale(scale), 10*time.Minute, Options{Seed: seed + int64(r)*101})
-			distributeOn(d, ids, entries)
-			consumer := ids[len(ids)/2]
-			d.Pin(consumer)
-			// Let some churn happen before the consumer asks.
-			d.Eng.Run(30 * time.Second)
-			before := d.Medium.Stats().TxBytes
-			res, _ := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, discoveryDeadline)
-			return metrics.Sample{
-				Recall:        float64(len(res.Entries)) / entries,
-				Latency:       res.Latency,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-				Rounds:        float64(res.Rounds),
-			}
+			return fig0910Cell(p.Scale(scale), seed+int64(r)*101)
 		})
 		s.Add(scale, fmt.Sprintf("x%.1f rates", scale), metrics.Mean(samples))
 	}
 	return s
+}
+
+// fig0910Cell is one run of Figures 9/10: 5000 entries on the initial
+// population of the profile's area, and the middle node discovering
+// after 30 s of churn.
+func fig0910Cell(p mobility.Profile, seed int64) metrics.Sample {
+	const entries = 5000
+	d, ids := MobileArea(p, 10*time.Minute, Options{Seed: seed})
+	distributeOn(d, ids, entries)
+	consumer := ids[len(ids)/2]
+	d.Pin(consumer)
+	// Let some churn happen before the consumer asks.
+	d.Eng.Run(30 * time.Second)
+	return d.pddTrial(entries, consumer)
 }
 
 // distributeOn seeds entries uniformly on the given (initial) nodes.
@@ -336,24 +300,28 @@ func distributeOn(d *Deployment, ids []wire.NodeID, entries int) {
 	}
 }
 
+// seedClip places a sizeMB item in 256 KB chunks on `redundancy` random
+// nodes per chunk, never on exclude, and returns its descriptor.
+func (d *Deployment) seedClip(sizeMB, redundancy int, exclude wire.NodeID) attr.Descriptor {
+	item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
+	return d.DistributeChunks(item, DefaultChunkSize, redundancy, exclude)
+}
+
+// fig11Cell is one point of Figure 11 on a prepared 10×10 grid: the
+// center consumer retrieves a sizeMB item seeded at the given
+// redundancy, by PDR or by the MDR baseline.
+func fig11Cell(d *Deployment, sizeMB, redundancy int, mdr bool) metrics.Sample {
+	consumer := CenterID(10, 10)
+	return d.pdrTrial(d.seedClip(sizeMB, redundancy, consumer), mdr, consumer)
+}
+
 // Fig11DataItemSize regenerates Figure 11: PDR latency and overhead
 // versus data item size 1–20 MB, redundancy 1.
 func Fig11DataItemSize(seed int64, runs int) *metrics.Series {
 	s := &metrics.Series{Name: "PDR vs item size"}
 	for _, mb := range []int{1, 5, 10, 15, 20} {
 		samples := parMap(runs, func(r int) metrics.Sample {
-			d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101})
-			consumer := CenterID(10, 10)
-			item := ItemDescriptor("clip", mb<<20, DefaultChunkSize)
-			item = d.DistributeChunks(item, DefaultChunkSize, 1, consumer)
-			before := d.Medium.Stats().TxBytes
-			res, _ := d.RunRetrieval(consumer, item, retrievalDeadline)
-			return metrics.Sample{
-				Recall:        float64(len(res.Chunks)) / float64(item.TotalChunks()),
-				Latency:       res.Latency,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-				Rounds:        float64(res.Rounds),
-			}
+			return fig11Cell(Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101}), mb, 1, false)
 		})
 		s.Add(float64(mb), fmt.Sprintf("%dMB", mb), metrics.Mean(samples))
 	}
@@ -367,26 +335,10 @@ func Fig1314Redundancy(sizeMB int, seed int64, runs int) []*metrics.Series {
 	pdr := &metrics.Series{Name: "PDR"}
 	mdr := &metrics.Series{Name: "MDR"}
 	for _, red := range []int{1, 2, 3, 4, 5} {
-		pairs := parMap(runs, func(r int) [2]metrics.Sample {
-			var pair [2]metrics.Sample
-			for mi, method := range []string{"pdr", "mdr"} {
+		pairs := parMap(runs, func(r int) (pair [2]metrics.Sample) {
+			for mi, isMDR := range []bool{false, true} {
 				d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101})
-				consumer := CenterID(10, 10)
-				item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
-				item = d.DistributeChunks(item, DefaultChunkSize, red, consumer)
-				before := d.Medium.Stats().TxBytes
-				var res core.RetrievalResult
-				if method == "pdr" {
-					res, _ = d.RunRetrieval(consumer, item, retrievalDeadline)
-				} else {
-					res, _ = d.RunMDR(consumer, item, retrievalDeadline)
-				}
-				pair[mi] = metrics.Sample{
-					Recall:        float64(len(res.Chunks)) / float64(item.TotalChunks()),
-					Latency:       res.Latency,
-					OverheadBytes: d.Medium.Stats().TxBytes - before,
-					Rounds:        float64(res.Rounds),
-				}
+				pair[mi] = fig11Cell(d, sizeMB, red, isMDR)
 			}
 			return pair
 		})
@@ -415,17 +367,9 @@ func Fig12MobilityPDR(p mobility.Profile, sizeMB int, seed int64, runs int) *met
 			d, ids := MobileArea(p.Scale(scale), 30*time.Minute, Options{Seed: seed + int64(r)*101})
 			consumer := ids[len(ids)/2]
 			d.Pin(consumer)
-			item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
-			item = d.DistributeChunks(item, DefaultChunkSize, 3, consumer)
+			item := d.seedClip(sizeMB, 3, consumer)
 			d.Eng.Run(10 * time.Second)
-			before := d.Medium.Stats().TxBytes
-			res, _ := d.RunRetrieval(consumer, item, retrievalDeadline)
-			return metrics.Sample{
-				Recall:        float64(len(res.Chunks)) / float64(item.TotalChunks()),
-				Latency:       res.Latency,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-				Rounds:        float64(res.Rounds),
-			}
+			return d.pdrTrial(item, false, consumer)
 		})
 		s.Add(scale, fmt.Sprintf("x%.1f rates", scale), metrics.Mean(samples))
 	}
@@ -435,33 +379,15 @@ func Fig12MobilityPDR(p mobility.Profile, sizeMB int, seed int64, runs int) *met
 // Fig15PDRSequential regenerates Figure 15: five consumers retrieve the
 // same sizeMB item one after another; caching shortens later paths.
 func Fig15PDRSequential(sizeMB int, seed int64, runs int) *metrics.Series {
-	s := &metrics.Series{Name: "PDR sequential consumers"}
-	byRun := parMap(runs, func(r int) [5]metrics.Sample {
+	return sequentialSeries("PDR sequential consumers", runs, func(r int) (out [5]metrics.Sample) {
 		d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101})
 		consumers := consumerIDs(d, 5, seed+int64(r))
-		item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
-		item = d.DistributeChunks(item, DefaultChunkSize, 1, consumers[0])
-		var out [5]metrics.Sample
+		item := d.seedClip(sizeMB, 1, consumers[0])
 		for i, c := range consumers {
-			before := d.Medium.Stats().TxBytes
-			res, _ := d.RunRetrieval(c, item, retrievalDeadline)
-			out[i] = metrics.Sample{
-				Recall:        float64(len(res.Chunks)) / float64(item.TotalChunks()),
-				Latency:       res.Latency,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-				Rounds:        float64(res.Rounds),
-			}
+			out[i] = d.pdrTrial(item, false, c)
 		}
 		return out
 	})
-	for i := 0; i < 5; i++ {
-		per := make([]metrics.Sample, 0, runs)
-		for _, run := range byRun {
-			per = append(per, run[i])
-		}
-		s.Add(float64(i+1), fmt.Sprintf("consumer %d", i+1), metrics.Mean(per))
-	}
-	return s
 }
 
 // Fig16PDRSimultaneous regenerates Figure 16: 1–5 consumers retrieve
@@ -472,28 +398,7 @@ func Fig16PDRSimultaneous(sizeMB int, seed int64, runs int) *metrics.Series {
 		samples := parMap(runs, func(r int) metrics.Sample {
 			d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101})
 			consumers := consumerIDs(d, n, seed+int64(r))
-			item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
-			item = d.DistributeChunks(item, DefaultChunkSize, 1, consumers[0])
-			before := d.Medium.Stats().TxBytes
-			done := 0
-			var recall float64
-			var worst time.Duration
-			for _, c := range consumers {
-				d.Peers[c].Node.Retrieve(item, func(res core.RetrievalResult) {
-					recall += float64(len(res.Chunks)) / float64(item.TotalChunks())
-					if res.Latency > worst {
-						worst = res.Latency
-					}
-					done++
-				})
-			}
-			nn := n
-			d.Eng.RunUntil(retrievalDeadline, func() bool { return done == nn })
-			return metrics.Sample{
-				Recall:        recall / float64(n),
-				Latency:       worst,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-			}
+			return d.pdrTrial(d.seedClip(sizeMB, 1, consumers[0]), false, consumers...)
 		})
 		s.Add(float64(n), fmt.Sprintf("%d consumers", n), metrics.Mean(samples))
 	}
@@ -516,7 +421,7 @@ func AblationOne(variant string, entries int, seed int64, runs int) *metrics.Ser
 		c.BloomEnabled = false
 	}
 	s := &metrics.Series{Name: variant}
-	sample := averagePDD(10, 10, entries, 1, Options{Seed: seed, Core: c}, runs, discoveryDeadline)
+	sample := averagePDD(10, 10, entries, 1, Options{Seed: seed, Core: c}, runs)
 	s.Add(1, fmt.Sprintf("%d entries", entries), sample)
 	return s
 }
@@ -545,17 +450,7 @@ func AblationNearestOnly(sizeMB int, seed int64, runs int) []*metrics.Series {
 		samples := parMap(runs, func(r int) metrics.Sample {
 			c := core.DefaultConfig()
 			c.LoadBalanceEnabled = balanced
-			d := Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101, Core: c})
-			consumer := CenterID(10, 10)
-			item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
-			item = d.DistributeChunks(item, DefaultChunkSize, 3, consumer)
-			before := d.Medium.Stats().TxBytes
-			res, _ := d.RunRetrieval(consumer, item, retrievalDeadline)
-			return metrics.Sample{
-				Recall:        float64(len(res.Chunks)) / float64(item.TotalChunks()),
-				Latency:       res.Latency,
-				OverheadBytes: d.Medium.Stats().TxBytes - before,
-			}
+			return fig11Cell(Grid(10, 10, GridSpacing, Options{Seed: seed + int64(r)*101, Core: c}), sizeMB, 3, false)
 		})
 		s.Add(1, fmt.Sprintf("%dMB", sizeMB), metrics.Mean(samples))
 		out = append(out, s)

@@ -6,6 +6,7 @@ import (
 
 	"pds/internal/core"
 	"pds/internal/fault"
+	"pds/internal/wire"
 )
 
 // TestFacePlaneFaultsInertInSim: one fault.Plan string can describe
@@ -27,7 +28,8 @@ func TestFacePlaneFaultsInertInSim(t *testing.T) {
 		}
 		plan.Seed = seed
 		d.InstallFaults(plan)
-		res, done := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, 2*time.Minute)
+		results, done := d.Discover([]wire.NodeID{consumer}, EntrySelector(), core.DiscoverOptions{}, 2*time.Minute)
+		res := results[0]
 		if !done {
 			t.Fatalf("discovery hung under plan %q", planStr)
 		}

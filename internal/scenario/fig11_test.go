@@ -3,6 +3,8 @@ package scenario
 import (
 	"testing"
 	"time"
+
+	"pds/internal/wire"
 )
 
 // TestPDR20MBStubbornSeeds retrieves the paper's largest item on the
@@ -17,7 +19,8 @@ func TestPDR20MBStubbornSeeds(t *testing.T) {
 		consumer := CenterID(10, 10)
 		item := ItemDescriptor("clip", 20<<20, DefaultChunkSize)
 		item = d.DistributeChunks(item, DefaultChunkSize, 1, consumer)
-		res, done := d.RunRetrieval(consumer, item, 900*time.Second)
+		results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 900*time.Second)
+		res := results[0]
 		t.Logf("seed=%d latency=%.0fs rounds=%d overheadMB=%.1f",
 			seed, res.Latency.Seconds(), res.Rounds, float64(d.Medium.Stats().TxBytes)/1e6)
 		if !done || !res.Complete {

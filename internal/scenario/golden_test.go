@@ -38,7 +38,7 @@ func goldenFigureRows(t *testing.T) string {
 	for _, s := range Fig1314Redundancy(1, 1, 1) {
 		b.WriteString(s.String())
 	}
-	b.WriteString(smallDataCollect(1).String())
+	b.WriteString(smallDataCollect(t, 1).String())
 	b.WriteString(trialGoldenRows(t))
 	return b.String()
 }
@@ -60,7 +60,9 @@ func trialGoldenRows(t *testing.T) string {
 	for _, s := range CachePolicyAblation(1, 1, 1) {
 		b.WriteString(s.String())
 	}
-	b.WriteString(mobilityPDDPoint(1).String())
+	mob := &metrics.Series{Name: "PDD under mobility"}
+	mob.Add(1, "x1.0 rates", fig0910Cell(mobility.StudentCenter(), 1))
+	b.WriteString(mob.String())
 
 	stream := workload.StreamSpec{Segments: 3, SegmentBytes: 128 << 10, SegmentDuration: 2 * time.Second}
 	crowd := workload.CrowdSpec{
@@ -68,11 +70,9 @@ func trialGoldenRows(t *testing.T) string {
 		Arrival: workload.ArrivalSpec{Kind: workload.Step, At: time.Second, Count: 4},
 	}
 	city := CityConfig{Nodes: 300}
-	gridStream, _ := StreamingRun(1, StreamRunConfig{Spec: stream})
-	gridCrowd, _ := FlashCrowdRun(1, CrowdRunConfig{Spec: crowd})
 	for _, row := range []string{
-		gridStream.Row, gridCrowd.Row,
-		CityStreamingRun(city, stream, 1).Row, CityCrowdRun(city, crowd, 1).Row,
+		StreamingRun(GridTopology(1, "", ""), stream).Row, FlashCrowdRun(GridTopology(1, "", ""), crowd).Row,
+		StreamingRun(CityTopology(city, 1), stream).Row, FlashCrowdRun(CityTopology(city, 1), crowd).Row,
 	} {
 		b.WriteString(row + "\n")
 	}
@@ -98,32 +98,11 @@ func trialGoldenRows(t *testing.T) string {
 	return b.String()
 }
 
-// mobilityPDDPoint is the ×1.0 point of Fig0910MobilityPDD on the
-// Student Center profile, one run.
-func mobilityPDDPoint(seed int64) *metrics.Series {
-	const entries = 5000
-	d, ids := MobileArea(mobility.StudentCenter(), 10*time.Minute, Options{Seed: seed})
-	distributeOn(d, ids, entries)
-	consumer := ids[len(ids)/2]
-	d.Pin(consumer)
-	d.Eng.Run(30 * time.Second)
-	before := d.Medium.Stats().TxBytes
-	res, _ := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, discoveryDeadline)
-	s := &metrics.Series{Name: "PDD under mobility"}
-	s.Add(1, "x1.0 rates", metrics.Sample{
-		Recall:        float64(len(res.Entries)) / entries,
-		Latency:       res.Latency,
-		OverheadBytes: d.Medium.Stats().TxBytes - before,
-		Rounds:        float64(res.Rounds),
-	})
-	return s
-}
-
 // smallDataCollect is one row of small-data collection on the 10×10
 // grid: 120 owned 400-byte items spread uniformly, three center-subgrid
 // consumers collecting them all at once, so served and relayed responses
 // carry blobs for several lingering queries.
-func smallDataCollect(seed int64) *metrics.Series {
+func smallDataCollect(t *testing.T, seed int64) *metrics.Series {
 	const items, consumers = 120, 3
 	d := Grid(10, 10, GridSpacing, Options{Seed: seed})
 	ids := d.sortedPeerIDs()
@@ -135,22 +114,16 @@ func smallDataCollect(seed int64) *metrics.Series {
 		}
 		d.Peers[ids[rng.Intn(len(ids))]].Node.PublishSmall(EntryDescriptor(i), payload)
 	}
-	before := d.Medium.Stats().TxBytes
-	var sample metrics.Sample
-	done := 0
-	for _, c := range consumerIDs(d, consumers, seed) {
-		d.Peers[c].Node.Discover(EntrySelector(), core.DiscoverOptions{Kind: wire.KindData, CollectPayloads: true},
-			func(res core.DiscoveryResult) {
-				sample.Recall += float64(len(res.Payloads)) / (items * consumers)
-				sample.Latency = max(sample.Latency, res.Latency)
-				sample.Rounds += float64(res.Rounds) / consumers
-				done++
-			})
+	mark := d.Medium.Stats().TxBytes
+	res, _ := d.Discover(consumerIDs(d, consumers, seed), EntrySelector(),
+		core.DiscoverOptions{Kind: wire.KindData, CollectPayloads: true}, discoveryDeadline)
+	for _, r := range res {
+		if len(r.Payloads) != len(r.Entries) {
+			t.Errorf("collected %d payloads for %d descriptors", len(r.Payloads), len(r.Entries))
+		}
 	}
-	d.Eng.RunUntil(180*time.Second, func() bool { return done == consumers })
-	sample.OverheadBytes = d.Medium.Stats().TxBytes - before
 	s := &metrics.Series{Name: "small-data collection"}
-	s.Add(consumers, "3 collectors", sample)
+	s.Add(consumers, "3 collectors", d.pddSample(res, items, mark))
 	return s
 }
 

@@ -17,7 +17,8 @@ func TestScalePDD(t *testing.T) {
 	}
 	d := Grid(10, 10, GridSpacing, Options{Seed: 42})
 	d.DistributeEntries(5000, 1)
-	res, done := d.RunDiscovery(CenterID(10, 10), EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+	results, done := d.Discover([]wire.NodeID{CenterID(10, 10)}, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+	res := results[0]
 	if !done {
 		t.Fatal("discovery did not finish")
 	}
@@ -42,7 +43,8 @@ func TestScalePDR5MB(t *testing.T) {
 	consumer := CenterID(10, 10)
 	item := ItemDescriptor("video", 5<<20, DefaultChunkSize)
 	item = d.DistributeChunks(item, DefaultChunkSize, 1, consumer)
-	res, done := d.RunRetrieval(consumer, item, 600*time.Second)
+	results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 600*time.Second)
+	res := results[0]
 	if !done || !res.Complete {
 		t.Fatalf("done=%v complete=%v chunks=%d/%d", done, res.Complete, len(res.Chunks), item.TotalChunks())
 	}
@@ -67,7 +69,8 @@ func TestScaleMDR(t *testing.T) {
 	consumer := CenterID(10, 10)
 	item := ItemDescriptor("video", 2<<20, DefaultChunkSize)
 	item = d.DistributeChunks(item, DefaultChunkSize, 1, consumer)
-	res, done := d.RunMDR(consumer, item, 600*time.Second)
+	results, done := d.Retrieve([]wire.NodeID{consumer}, item, true, 600*time.Second)
+	res := results[0]
 	if !done || !res.Complete {
 		t.Fatalf("done=%v complete=%v chunks=%d/%d", done, res.Complete, len(res.Chunks), item.TotalChunks())
 	}
@@ -84,7 +87,8 @@ func TestMobilityPDD(t *testing.T) {
 	distributeOn(d, ids, 1000)
 	d.Eng.Run(20 * time.Second)
 	consumer := ids[len(ids)/2]
-	res, done := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+	results, done := d.Discover([]wire.NodeID{consumer}, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+	res := results[0]
 	if !done {
 		t.Fatal("discovery did not finish")
 	}
@@ -109,7 +113,8 @@ func TestSequentialConsumersCachingEffect(t *testing.T) {
 	}
 	var latencies []time.Duration
 	for _, c := range ids {
-		res, done := d.RunDiscovery(c, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+		results, done := d.Discover([]wire.NodeID{c}, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+		res := results[0]
 		if !done {
 			t.Fatal("discovery did not finish")
 		}

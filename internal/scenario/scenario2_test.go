@@ -17,7 +17,8 @@ func TestDeterminism(t *testing.T) {
 	run := func(seed int64) (int, time.Duration, uint64) {
 		d := Grid(5, 5, GridSpacing, Options{Seed: seed})
 		d.DistributeEntries(300, 1)
-		res, _ := d.RunDiscovery(CenterID(5, 5), EntrySelector(), core.DiscoverOptions{}, 60*time.Second)
+		results, _ := d.Discover([]wire.NodeID{CenterID(5, 5)}, EntrySelector(), core.DiscoverOptions{}, 60*time.Second)
+		res := results[0]
 		return len(res.Entries), res.Latency, d.Medium.Stats().TxBytes
 	}
 	e1, l1, o1 := run(7)
@@ -98,10 +99,10 @@ func TestAblationsHurt(t *testing.T) {
 		t.Skip("long")
 	}
 	const entries = 800
-	base := averagePDD(8, 8, entries, 1, Options{Seed: 3}, 1, discoveryDeadline)
+	base := averagePDD(8, 8, entries, 1, Options{Seed: 3}, 1)
 	c := core.DefaultConfig()
 	c.BloomEnabled = false
-	noBloom := averagePDD(8, 8, entries, 1, Options{Seed: 3, Core: c}, 1, discoveryDeadline)
+	noBloom := averagePDD(8, 8, entries, 1, Options{Seed: 3, Core: c}, 1)
 	t.Logf("baseline: recall=%.3f ovh=%dB; no-bloom: recall=%.3f ovh=%dB",
 		base.Recall, base.OverheadBytes, noBloom.Recall, noBloom.OverheadBytes)
 	if base.Recall < 0.99 {
@@ -125,17 +126,9 @@ func TestPDRBeatsMDRAtRedundancy(t *testing.T) {
 		consumer := CenterID(10, 10)
 		item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
 		item = d.DistributeChunks(item, DefaultChunkSize, 3, consumer)
-		var (
-			res  core.RetrievalResult
-			done bool
-		)
-		if method == "pdr" {
-			res, done = d.RunRetrieval(consumer, item, 600*time.Second)
-		} else {
-			res, done = d.RunMDR(consumer, item, 600*time.Second)
-		}
-		if !done || !res.Complete {
-			t.Fatalf("%s failed: done=%v complete=%v", method, done, res.Complete)
+		res, done := d.Retrieve([]wire.NodeID{consumer}, item, method == "mdr", 600*time.Second)
+		if !done || !res[0].Complete {
+			t.Fatalf("%s failed: done=%v complete=%v", method, done, res[0].Complete)
 		}
 		return d.Medium.Stats().TxBytes
 	}
@@ -157,10 +150,11 @@ func TestNodeChurnDuringDiscovery(t *testing.T) {
 	for i, id := range []wire.NodeID{2, 9, 30} {
 		id := id
 		d.Eng.Schedule(time.Duration(i+1)*300*time.Millisecond, func() {
-			d.RemovePeer(id)
+			d.Depart(id)
 		})
 	}
-	res, done := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+	results, done := d.Discover([]wire.NodeID{consumer}, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
+	res := results[0]
 	if !done {
 		t.Fatal("discovery did not finish under churn")
 	}
@@ -188,7 +182,8 @@ func TestConsumerMovesDuringRetrieval(t *testing.T) {
 			d.Medium.SetPosition(consumer, radioPos(pos.X+float64(i)*5, pos.Y))
 		})
 	}
-	res, done := d.RunRetrieval(consumer, item, 600*time.Second)
+	results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 600*time.Second)
+	res := results[0]
 	if !done || !res.Complete {
 		t.Fatalf("moving consumer: done=%v complete=%v chunks=%d", done, res.Complete, len(res.Chunks))
 	}

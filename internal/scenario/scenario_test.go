@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pds/internal/core"
+	"pds/internal/wire"
 )
 
 // TestPDDSmallGrid runs one consumer discovery on a 5x5 grid with 200
@@ -13,7 +14,8 @@ func TestPDDSmallGrid(t *testing.T) {
 	d := Grid(5, 5, GridSpacing, Options{Seed: 1})
 	d.DistributeEntries(200, 1)
 	consumer := CenterID(5, 5)
-	res, done := d.RunDiscovery(consumer, EntrySelector(), core.DiscoverOptions{}, 60*time.Second)
+	results, done := d.Discover([]wire.NodeID{consumer}, EntrySelector(), core.DiscoverOptions{}, 60*time.Second)
+	res := results[0]
 	if !done {
 		t.Fatalf("discovery did not complete; entries=%d", len(res.Entries))
 	}
@@ -30,7 +32,8 @@ func TestPDRSmallGrid(t *testing.T) {
 	consumer := CenterID(5, 5)
 	item := ItemDescriptor("clip", 1<<20, DefaultChunkSize)
 	item = d.DistributeChunks(item, DefaultChunkSize, 1, consumer)
-	res, done := d.RunRetrieval(consumer, item, 120*time.Second)
+	results, done := d.Retrieve([]wire.NodeID{consumer}, item, false, 120*time.Second)
+	res := results[0]
 	if !done {
 		t.Fatalf("retrieval did not complete; chunks=%d/%d", len(res.Chunks), item.TotalChunks())
 	}

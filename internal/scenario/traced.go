@@ -1,17 +1,14 @@
 package scenario
 
 import (
-	"time"
-
-	"pds/internal/core"
 	"pds/internal/metrics"
 	"pds/internal/trace"
 )
 
-// TracedFig08 runs one Figure-8-style discovery — `consumers`
-// simultaneous consumers in the center subgrid of the 10×10 grid over
-// `entries` metadata entries — on a dedicated deployment, optionally
-// with hop-level tracing. Traced runs always get their own deployment
+// TracedFig08 runs the Figure 8 cell — `consumers` simultaneous
+// consumers in the center subgrid of the 10×10 grid over `entries`
+// metadata entries — on a dedicated deployment, optionally with
+// hop-level tracing. Traced runs always get their own deployment
 // (never the concurrent parMap sweeps) so event order, and therefore
 // the JSONL export, is deterministic per seed. The tracer reads only
 // the sim clock, so the returned sample is identical for the same seed
@@ -22,33 +19,5 @@ func TracedFig08(seed int64, consumers, entries int, traced bool, perNodeCap int
 	if traced {
 		t = d.EnableTracing(perNodeCap)
 	}
-	d.DistributeEntries(entries, 1)
-	ids := consumerIDs(d, consumers, seed)
-	before := d.Medium.Stats().TxBytes
-	results := make([]core.DiscoveryResult, len(ids))
-	done := 0
-	for i, c := range ids {
-		i := i
-		d.Peers[c].Node.Discover(EntrySelector(), core.DiscoverOptions{}, func(res core.DiscoveryResult) {
-			results[i] = res
-			done++
-		})
-	}
-	d.Eng.RunUntil(discoveryDeadline, func() bool { return done == len(ids) })
-	var recall, rounds float64
-	var worst time.Duration
-	for _, res := range results {
-		recall += float64(len(res.Entries)) / float64(entries)
-		if res.Latency > worst {
-			worst = res.Latency
-		}
-		rounds += float64(res.Rounds)
-	}
-	n := float64(len(ids))
-	return metrics.Sample{
-		Recall:        recall / n,
-		Latency:       worst,
-		OverheadBytes: d.Medium.Stats().TxBytes - before,
-		Rounds:        rounds / n,
-	}, t
+	return fig8Cell(d, seed, consumers, entries), t
 }

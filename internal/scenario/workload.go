@@ -8,31 +8,57 @@ import (
 	"pds/internal/fault"
 	"pds/internal/metrics"
 	"pds/internal/radio"
-	"pds/internal/trace"
 	"pds/internal/wire"
 	"pds/internal/workload"
 )
 
 // This file wires the workload engine (internal/workload) onto the
-// simulated deployments: streaming and flash-crowd runs on the paper's
-// 10×10 grid, a streaming run on the city-scale core, and the series
-// behind `pds-bench stream` / `pds-bench crowd`. Same-seed runs emit
-// byte-identical rows, QoE counters included.
+// simulated deployments: one streaming runner and one flash-crowd
+// runner, each taking the Topology it runs on (the paper's 10×10 grid
+// or the city-scale core), and the series behind `pds-bench stream` /
+// `pds-bench crowd`. Same-seed runs emit byte-identical rows, QoE
+// counters included.
 
-// StreamRunConfig configures one StreamingRun.
-type StreamRunConfig struct {
-	// Spec is the streaming workload; zero fields take the grammar's
-	// defaults (8 × 6s × 512KB segments, prefetch 2, live timeline).
-	Spec workload.StreamSpec
-	// Plan, when set, installs a fault plan before the session starts.
-	Plan *fault.Plan
-	// Trace attaches an event tracer (TraceCap bounds per-node rings).
-	Trace    bool
-	TraceCap int
-	// Routing / Caching select registered strategies for every peer;
-	// empty keeps the node defaults (and byte-identical rows).
-	Routing string
-	Caching string
+// Topology is where a workload runs: a built deployment, how the
+// producer side publishes a chunk into it, and who watches a stream.
+// Install a fault plan (D.InstallFaults) or tracing (D.EnableTracing)
+// on D before handing the topology to a runner.
+type Topology struct {
+	D *Deployment
+	// Publish stores one chunk at the topology's producer(s).
+	Publish workload.PublishFunc
+	// Viewer is the streaming consumer.
+	Viewer wire.NodeID
+	// prefix marks rows and item names of non-grid runs ("city-").
+	prefix string
+}
+
+// GridTopology is the paper's 10×10 grid under the chaos recovery
+// config and the named routing/caching strategies (empty keeps the node
+// defaults, and byte-identical rows): the corner node (id 1) produces,
+// the center node views.
+func GridTopology(seed int64, routing, caching string) Topology {
+	cc := chaosConfig(0)
+	cc.Routing = routing
+	cc.Caching = caching
+	d := Grid(10, 10, GridSpacing, Options{Seed: seed, Core: cc})
+	return Topology{D: d, Viewer: CenterID(10, 10), Publish: func(item attr.Descriptor, c int, payload []byte) {
+		d.Peers[1].Node.PublishChunk(item, c, payload)
+	}}
+}
+
+// CityTopology is the city-scale core, everyone moving under the
+// waypoint model: node 1 views, and each chunk is published at the
+// three nodes currently nearest node 1 (an edge producer following its
+// audience).
+func CityTopology(cfg CityConfig, seed int64) Topology {
+	d, wp := CityScale(cfg, Options{Seed: seed})
+	pos := wp.Positions()
+	return Topology{D: d, Viewer: wp.ID(0), prefix: "city-", Publish: func(item attr.Descriptor, c int, payload []byte) {
+		for _, idx := range nearestIndices(pos, 0, 3) {
+			d.Peers[wp.ID(idx)].Node.PublishChunk(item, c, payload)
+		}
+	}}
 }
 
 // StreamReport is one finished streaming run.
@@ -75,76 +101,38 @@ func crowdBudget(spec workload.CrowdSpec) time.Duration {
 	return horizon + 4*time.Minute
 }
 
-// streamReport reduces a finished streaming session to a StreamReport.
-func (d *Deployment) streamReport(kind string, spec workload.StreamSpec, res workload.StreamResult, done bool) StreamReport {
-	recall := safeDiv(float64(res.SegmentsComplete), float64(spec.Segments))
+// workloadRow reduces a finished workload session to the standard
+// sample (QoE and, when selected, strategy counters attached) and its
+// deterministic one-line summary; detail sits between the common head
+// and the QoE tail.
+func (d *Deployment) workloadRow(kind string, recall float64, latency time.Duration, rounds float64, done bool, detail string, q metrics.QoECounters) (metrics.Sample, string) {
 	tx := d.Medium.Stats().TxBytes
-	q := res.QoE
-	sample := metrics.Sample{
-		Recall:        recall,
-		Latency:       res.MeanLatency,
-		OverheadBytes: tx,
-		Rounds:        res.Rounds,
-		QoE:           &q,
-	}
-	row := fmt.Sprintf("%s seed=%d recall=%.4f latency=%s overhead=%s rounds=%.1f done=%v  %s",
-		kind, d.seed, recall, metrics.Seconds(res.MeanLatency), metrics.MB(tx),
-		res.Rounds, done, q.String())
+	sample := metrics.Sample{Recall: recall, Latency: latency, OverheadBytes: tx, Rounds: rounds, QoE: &q}
+	row := fmt.Sprintf("%s seed=%d recall=%.4f latency=%s overhead=%s rounds=%.1f done=%v%s  %s",
+		kind, d.seed, recall, metrics.Seconds(latency), metrics.MB(tx), rounds, done, detail, q.String())
 	if sc := d.StrategyCounters(); sc != nil {
 		sample.Strategy = sc
 		row += "  " + sc.String()
 	}
-	return StreamReport{Result: res, Done: done, Sample: sample, Row: row}
+	return sample, row
 }
 
-// StreamingRun plays one HLS-style session on the paper's 10×10 grid:
-// the corner node (id 1) produces segments on its live timeline (or all
-// at once for VOD), the center node consumes them through the workload
-// driver's prefetch pipeline, and the playback model charges startup
-// delay and stalls. The returned tracer is non-nil iff cfg.Trace.
-func StreamingRun(seed int64, cfg StreamRunConfig) (StreamReport, *trace.Tracer) {
-	spec := streamDefaults(cfg.Spec)
+// StreamingRun plays one HLS-style session on the topology: its
+// producer publishes segments on the live timeline (or all at once for
+// VOD), its viewer consumes them through the workload driver's prefetch
+// pipeline, and the playback model charges startup delay and stalls.
+func StreamingRun(t Topology, spec workload.StreamSpec) StreamReport {
+	spec = streamDefaults(spec)
 	budget := streamBudget(spec)
-	cc := chaosConfig(0)
-	cc.Routing = cfg.Routing
-	cc.Caching = cfg.Caching
-	d := Grid(10, 10, GridSpacing, Options{Seed: seed, Core: cc})
-	consumer := CenterID(10, 10)
-	d.Pin(consumer)
-	producer := wire.NodeID(1)
-	if cfg.Plan != nil {
-		d.InstallFaults(*cfg.Plan)
-	}
-	var (
-		tr *trace.Tracer
-		nt *trace.NodeTracer
-	)
-	if cfg.Trace {
-		tr = d.EnableTracing(cfg.TraceCap)
-		nt = tr.ForNode(consumer)
-	}
-	pub := func(item attr.Descriptor, c int, payload []byte) {
-		d.Peers[producer].Node.PublishChunk(item, c, payload)
-	}
-	sess := workload.StartStream(d.Eng, spec, pub, d.Peers[consumer].Node, nt, "stream", budget)
+	d := t.D
+	d.Pin(t.Viewer)
+	sess := workload.StartStream(d.Eng, spec, t.Publish, d.Peers[t.Viewer].Node,
+		d.tracer.ForNode(t.Viewer), t.prefix+"stream", budget)
 	d.Eng.RunUntil(budget+time.Second, sess.Done)
-	return d.streamReport("streaming", spec, sess.Result(), sess.Done()), tr
-}
-
-// CrowdRunConfig configures one FlashCrowdRun.
-type CrowdRunConfig struct {
-	// Spec is the crowd workload; zero fields take the grammar's
-	// defaults (3 artifacts × 3 layers × 768KB, 12 clients, Poisson).
-	Spec workload.CrowdSpec
-	// Plan, when set, installs a fault plan before clients arrive.
-	Plan *fault.Plan
-	// Trace attaches an event tracer (TraceCap bounds per-node rings).
-	Trace    bool
-	TraceCap int
-	// Routing / Caching select registered strategies for every peer;
-	// empty keeps the node defaults (and byte-identical rows).
-	Routing string
-	Caching string
+	res, done := sess.Result(), sess.Done()
+	recall := safeDiv(float64(res.SegmentsComplete), float64(spec.Segments))
+	sample, row := d.workloadRow(t.prefix+"streaming", recall, res.MeanLatency, res.Rounds, done, "", res.QoE)
+	return StreamReport{Result: res, Done: done, Sample: sample, Row: row}
 }
 
 // CrowdReport is one finished flash-crowd run.
@@ -159,127 +147,41 @@ type CrowdReport struct {
 	Row string
 }
 
-// FlashCrowdRun distributes a layered-artifact catalog on the paper's
-// 10×10 grid: the corner node (id 1) holds the catalog, and the spec's
-// clients — spread evenly over the remaining grid — arrive per the
-// arrival process, each pulling a Zipf-popular artifact's layers. The
-// returned tracer is non-nil iff cfg.Trace.
-func FlashCrowdRun(seed int64, cfg CrowdRunConfig) (CrowdReport, *trace.Tracer) {
-	spec := crowdDefaults(cfg.Spec)
-	cc := chaosConfig(0)
-	cc.Routing = cfg.Routing
-	cc.Caching = cfg.Caching
-	d := Grid(10, 10, GridSpacing, Options{Seed: seed, Core: cc})
-	producer := wire.NodeID(1)
+// FlashCrowdRun distributes a layered-artifact catalog on the topology:
+// its producer holds the catalog, and the spec's clients — spread evenly
+// over the rest of the population — arrive per the arrival process, each
+// pulling a Zipf-popular artifact's layers.
+func FlashCrowdRun(t Topology, spec workload.CrowdSpec) CrowdReport {
+	spec = crowdDefaults(spec)
+	d := t.D
 	// One retrieval session per (node, item) key: duplicate client nodes
-	// would collide on the shared base layer, so the grid caps clients.
-	if spec.Clients > len(d.Peers)-1 {
-		spec.Clients = len(d.Peers) - 1
-		if spec.Arrival.Count > spec.Clients {
-			spec.Arrival.Count = spec.Clients
-		}
+	// would collide on the shared base layer, so the population caps
+	// clients.
+	n := len(d.Peers)
+	if spec.Clients > n-1 {
+		spec.Clients = n - 1
+		spec.Arrival.Count = min(spec.Arrival.Count, spec.Clients)
 	}
 	budget := crowdBudget(spec)
-	if cfg.Plan != nil {
-		d.InstallFaults(*cfg.Plan)
-	}
-	var tr *trace.Tracer
-	if cfg.Trace {
-		tr = d.EnableTracing(cfg.TraceCap)
-	}
-	cat := workload.BuildCatalog("crowd", spec)
-	workload.PublishCatalog(cat, spec, func(item attr.Descriptor, c int, payload []byte) {
-		d.Peers[producer].Node.PublishChunk(item, c, payload)
-	})
+	cat := workload.BuildCatalog(t.prefix+"crowd", spec)
+	workload.PublishCatalog(cat, spec, t.Publish)
 	clients := make([]workload.CrowdClient, spec.Clients)
-	n := len(d.Peers)
 	for i := range clients {
 		id := wire.NodeID(2 + i*(n-1)/spec.Clients)
 		d.Pin(id)
-		clients[i] = workload.CrowdClient{R: d.Peers[id].Node}
-		if tr != nil {
-			clients[i].Tracer = tr.ForNode(id)
-		}
+		clients[i] = workload.CrowdClient{R: d.Peers[id].Node, Tracer: d.tracer.ForNode(id)}
 	}
-	sess := workload.StartCrowd(d.Eng, spec, cat, clients, newRand(seed+33), budget)
+	sess := workload.StartCrowd(d.Eng, spec, cat, clients, newRand(d.seed+33), budget)
 	d.Eng.RunUntil(budget+time.Second, sess.Done)
-	return d.crowdReport("flash-crowd", spec.Clients, sess.Result(), sess.Done()), tr
-}
-
-// crowdReport reduces a finished crowd session to a CrowdReport.
-func (d *Deployment) crowdReport(kind string, clients int, res workload.CrowdResult, done bool) CrowdReport {
+	res, done := sess.Result(), sess.Done()
+	kind := t.prefix + "crowd"
+	if t.prefix == "" {
+		kind = "flash-crowd"
+	}
 	recall := safeDiv(float64(res.LayersComplete), float64(res.LayersTotal))
-	tx := d.Medium.Stats().TxBytes
-	q := res.QoE
-	sample := metrics.Sample{
-		Recall:        recall,
-		Latency:       res.MeanCompletion,
-		OverheadBytes: tx,
-		Rounds:        res.Rounds,
-		QoE:           &q,
-	}
-	row := fmt.Sprintf("%s seed=%d recall=%.4f latency=%s overhead=%s rounds=%.1f done=%v clients=%d/%d  %s",
-		kind, d.seed, recall, metrics.Seconds(res.MeanCompletion), metrics.MB(tx),
-		res.Rounds, done, res.ClientsComplete, clients, q.String())
-	if sc := d.StrategyCounters(); sc != nil {
-		sample.Strategy = sc
-		row += "  " + sc.String()
-	}
+	sample, row := d.workloadRow(kind, recall, res.MeanCompletion, res.Rounds, done,
+		fmt.Sprintf(" clients=%d/%d", res.ClientsComplete, spec.Clients), res.QoE)
 	return CrowdReport{Result: res, Done: done, Sample: sample, Row: row}
-}
-
-// CityStreamingRun plays one streaming session on the city-scale core:
-// node 1 consumes, and each segment is published at the three nodes
-// currently nearest the consumer (an edge producer following its
-// audience), while the whole population keeps moving under the waypoint
-// model.
-func CityStreamingRun(cfg CityConfig, spec workload.StreamSpec, seed int64) StreamReport {
-	spec = streamDefaults(spec)
-	budget := streamBudget(spec)
-	d, wp := CityScale(cfg, Options{Seed: seed})
-	consumer := wp.ID(0)
-	pos := wp.Positions()
-	pub := func(item attr.Descriptor, c int, payload []byte) {
-		for _, idx := range nearestIndices(pos, 0, 3) {
-			d.Peers[wp.ID(idx)].Node.PublishChunk(item, c, payload)
-		}
-	}
-	sess := workload.StartStream(d.Eng, spec, pub, d.Peers[consumer].Node, nil, "city-stream", budget)
-	d.Eng.RunUntil(budget+time.Second, sess.Done)
-	return d.streamReport("city-streaming", spec, sess.Result(), sess.Done())
-}
-
-// CityCrowdRun distributes a layered-artifact catalog on the city-scale
-// core: the catalog is seeded at the three nodes nearest node 0's
-// starting position (an edge cache), and the spec's clients — spread
-// evenly over the rest of the population — arrive per the arrival
-// process while everyone keeps moving under the waypoint model.
-func CityCrowdRun(cfg CityConfig, spec workload.CrowdSpec, seed int64) CrowdReport {
-	spec = crowdDefaults(spec)
-	d, wp := CityScale(cfg, Options{Seed: seed})
-	n := cfg.Nodes
-	if spec.Clients > n-1 {
-		spec.Clients = n - 1
-		if spec.Arrival.Count > spec.Clients {
-			spec.Arrival.Count = spec.Clients
-		}
-	}
-	budget := crowdBudget(spec)
-	pos := wp.Positions()
-	cat := workload.BuildCatalog("city-crowd", spec)
-	workload.PublishCatalog(cat, spec, func(item attr.Descriptor, c int, payload []byte) {
-		for _, idx := range nearestIndices(pos, 0, 3) {
-			d.Peers[wp.ID(idx)].Node.PublishChunk(item, c, payload)
-		}
-	})
-	clients := make([]workload.CrowdClient, spec.Clients)
-	for i := range clients {
-		idx := 1 + i*(n-1)/spec.Clients
-		clients[i] = workload.CrowdClient{R: d.Peers[wp.ID(idx)].Node}
-	}
-	sess := workload.StartCrowd(d.Eng, spec, cat, clients, newRand(seed+33), budget)
-	d.Eng.RunUntil(budget+time.Second, sess.Done)
-	return d.crowdReport("city-crowd", spec.Clients, sess.Result(), sess.Done())
 }
 
 // nearestIndices returns the k position indices closest to index to
@@ -318,8 +220,8 @@ func nearestIndices(pos []radio.Pos, to, k int) []int {
 
 // lossyStreamPlan is the burst channel the lossy streaming variants run
 // under: Gilbert–Elliott with p_bad = 0.3 from t = 2s on.
-func lossyStreamPlan(seed int64) *fault.Plan {
-	return &fault.Plan{Seed: seed, Events: []fault.Event{
+func lossyStreamPlan(seed int64) fault.Plan {
+	return fault.Plan{Seed: seed, Events: []fault.Event{
 		{At: 2 * time.Second, Kind: fault.Burst, GE: fault.DefaultGE(0.3)},
 	}}
 }
@@ -342,15 +244,13 @@ func StreamSeries(seed int64, runs int) *metrics.Series {
 		{"lossy-k4", 4, true},
 	}
 	for _, v := range variants {
-		v := v
 		samples := parMap(runs, func(r int) metrics.Sample {
 			sd := seed + int64(r)*101
-			cfg := StreamRunConfig{Spec: workload.StreamSpec{Prefetch: v.prefetch}}
+			t := GridTopology(sd, "", "")
 			if v.lossy {
-				cfg.Plan = lossyStreamPlan(sd)
+				t.D.InstallFaults(lossyStreamPlan(sd))
 			}
-			rep, _ := StreamingRun(sd, cfg)
-			return rep.Sample
+			return StreamingRun(t, workload.StreamSpec{Prefetch: v.prefetch}).Sample
 		})
 		s.Add(float64(v.prefetch), v.label, metrics.Mean(samples))
 	}
@@ -370,11 +270,9 @@ func CrowdSeries(seed int64, runs int) *metrics.Series {
 		{"step", workload.ArrivalSpec{Kind: workload.Step, At: 10 * time.Second, Count: 8}},
 	}
 	for i, v := range variants {
-		v := v
 		samples := parMap(runs, func(r int) metrics.Sample {
-			sd := seed + int64(r)*101
-			rep, _ := FlashCrowdRun(sd, CrowdRunConfig{Spec: workload.CrowdSpec{Arrival: v.arrival}})
-			return rep.Sample
+			t := GridTopology(seed+int64(r)*101, "", "")
+			return FlashCrowdRun(t, workload.CrowdSpec{Arrival: v.arrival}).Sample
 		})
 		s.Add(float64(i+1), v.label, metrics.Mean(samples))
 	}

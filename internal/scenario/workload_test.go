@@ -17,8 +17,8 @@ func quickStream() workload.StreamSpec {
 }
 
 func TestStreamingRunDeterministic(t *testing.T) {
-	a, _ := StreamingRun(7, StreamRunConfig{Spec: quickStream()})
-	b, _ := StreamingRun(7, StreamRunConfig{Spec: quickStream()})
+	a := StreamingRun(GridTopology(7, "", ""), quickStream())
+	b := StreamingRun(GridTopology(7, "", ""), quickStream())
 	if a.Row != b.Row {
 		t.Fatalf("same-seed rows differ:\n  %s\n  %s", a.Row, b.Row)
 	}
@@ -32,8 +32,8 @@ func TestStreamingRunDeterministic(t *testing.T) {
 
 func TestFlashCrowdRunDeterministic(t *testing.T) {
 	spec := workload.CrowdSpec{Clients: 6, Layers: 2, LayerBytes: 256 << 10}
-	a, _ := FlashCrowdRun(7, CrowdRunConfig{Spec: spec})
-	b, _ := FlashCrowdRun(7, CrowdRunConfig{Spec: spec})
+	a := FlashCrowdRun(GridTopology(7, "", ""), spec)
+	b := FlashCrowdRun(GridTopology(7, "", ""), spec)
 	if a.Row != b.Row {
 		t.Fatalf("same-seed rows differ:\n  %s\n  %s", a.Row, b.Row)
 	}
@@ -49,8 +49,10 @@ func TestFlashCrowdRunDeterministic(t *testing.T) {
 // existing burst fault plan on the same seed strictly degrades the
 // rebuffer ratio (and startup delay) versus a clean channel.
 func TestLossyChannelDegradesRebuffer(t *testing.T) {
-	clean, _ := StreamingRun(7, StreamRunConfig{})
-	lossy, _ := StreamingRun(7, StreamRunConfig{Plan: lossyStreamPlan(7)})
+	clean := StreamingRun(GridTopology(7, "", ""), workload.StreamSpec{})
+	lossyGrid := GridTopology(7, "", "")
+	lossyGrid.D.InstallFaults(lossyStreamPlan(7))
+	lossy := StreamingRun(lossyGrid, workload.StreamSpec{})
 	cq, lq := clean.Sample.QoE, lossy.Sample.QoE
 	if cq == nil || lq == nil {
 		t.Fatal("missing QoE counters")
@@ -69,7 +71,9 @@ func TestLossyChannelDegradesRebuffer(t *testing.T) {
 // reconstructed: every segment's prefetch is on record and the playback
 // summary agrees with the QoE counters.
 func TestStreamingTracePlayback(t *testing.T) {
-	rep, tr := StreamingRun(7, StreamRunConfig{Spec: quickStream(), Trace: true})
+	grid := GridTopology(7, "", "")
+	tr := grid.D.EnableTracing(0)
+	rep := StreamingRun(grid, quickStream())
 	if tr == nil {
 		t.Fatal("no tracer returned")
 	}
@@ -126,14 +130,14 @@ func TestCityStreamingSmoke(t *testing.T) {
 		t.Skip("city smoke; skipped in -short")
 	}
 	cfg := CityConfig{Nodes: 300, Items: 100}
-	a := CityStreamingRun(cfg, quickStream(), 7)
+	a := StreamingRun(CityTopology(cfg, 7), quickStream())
 	if !a.Done {
 		t.Fatalf("city streaming did not resolve: %s", a.Row)
 	}
 	if a.Result.SegmentsComplete == 0 {
 		t.Fatalf("no segment completed: %s", a.Row)
 	}
-	b := CityStreamingRun(cfg, quickStream(), 7)
+	b := StreamingRun(CityTopology(cfg, 7), quickStream())
 	if a.Row != b.Row {
 		t.Fatalf("same-seed city rows differ:\n  %s\n  %s", a.Row, b.Row)
 	}
@@ -147,14 +151,14 @@ func TestCityCrowdSmoke(t *testing.T) {
 	}
 	cfg := CityConfig{Nodes: 300, Items: 100}
 	spec := workload.CrowdSpec{Clients: 4, Layers: 2, LayerBytes: 256 << 10}
-	a := CityCrowdRun(cfg, spec, 7)
+	a := FlashCrowdRun(CityTopology(cfg, 7), spec)
 	if !a.Done {
 		t.Fatalf("city crowd did not resolve: %s", a.Row)
 	}
 	if a.Result.LayersComplete == 0 {
 		t.Fatalf("no layer completed: %s", a.Row)
 	}
-	b := CityCrowdRun(cfg, spec, 7)
+	b := FlashCrowdRun(CityTopology(cfg, 7), spec)
 	if a.Row != b.Row {
 		t.Fatalf("same-seed city rows differ:\n  %s\n  %s", a.Row, b.Row)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // PayloadBackend is the optional durable tier under a DataStore. The
-// DataStore keeps deciding *what* lives in the cache (the CachePolicy
+// DataStore keeps deciding *what* lives in the cache (the cache strategy
 // picks eviction victims, expiries bound leases); the backend decides
 // *where* the bytes survive: owned records are written through and
 // outlive a crash, cached payloads evicted from RAM can keep serving

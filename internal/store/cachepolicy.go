@@ -6,60 +6,26 @@ import (
 	"pds/internal/strategy"
 )
 
-// CachePolicy selects the eviction strategy for cached (non-owned)
-// payloads when the cache budget is exceeded. The paper leaves chunk
-// caching strategy as future work (§VII: "we plan to study proper data
-// chunk caching strategies based on their popularity and devices'
-// resource availability"); the obvious candidates are implemented as
-// cache strategies in internal/strategy and this enum remains as the
-// legacy selector for them (the strategy registry accepts more, e.g.
-// "opportunistic" — install those with SetCacheStrategy).
-type CachePolicy uint8
+// The paper leaves chunk caching strategy as future work (§VII: "we
+// plan to study proper data chunk caching strategies based on their
+// popularity and devices' resource availability"); the candidates are
+// the cache strategies registered in internal/strategy, and the store
+// only asks the installed one what to admit, touch and evict.
 
-const (
-	// EvictFIFO removes the oldest cached payload first (default).
-	EvictFIFO CachePolicy = iota
-	// EvictLRU removes the least recently accessed payload first.
-	EvictLRU
-	// EvictLFU removes the least frequently accessed payload first
-	// (the popularity-based strategy §VII sketches).
-	EvictLFU
-)
-
-// String returns the policy name, which doubles as the strategy
-// registry name.
-func (p CachePolicy) String() string {
-	switch p {
-	case EvictLRU:
-		return "lru"
-	case EvictLFU:
-		return "lfu"
-	default:
-		return "fifo"
-	}
-}
-
-// SetCachePolicy selects the eviction strategy by the legacy enum; it
-// only affects future evictions. Access state already accumulated is
-// dropped (policies never shared it meaningfully anyway).
-func (s *DataStore) SetCachePolicy(p CachePolicy) {
-	cs, err := strategy.NewCaching(p.String(), 0)
+// defaultCacheStrategy builds the registry default (FIFO, always admit).
+func defaultCacheStrategy() strategy.CacheStrategy {
+	cs, err := strategy.NewCaching("", 0)
 	if err != nil {
-		panic(fmt.Sprintf("store: builtin cache policy missing from registry: %v", err))
+		panic(fmt.Sprintf("store: default cache strategy missing from registry: %v", err))
 	}
-	s.cache = cs
+	return cs
 }
 
 // SetCacheStrategy installs a cache strategy instance (admission +
 // eviction; see strategy.CacheStrategy). It only affects future
-// insertions and evictions.
-func (s *DataStore) SetCacheStrategy(cs strategy.CacheStrategy) {
-	if cs == nil {
-		s.SetCachePolicy(EvictFIFO)
-		return
-	}
-	s.cache = cs
-}
+// insertions and evictions: access state the previous strategy
+// accumulated is dropped.
+func (s *DataStore) SetCacheStrategy(cs strategy.CacheStrategy) { s.cache = cs }
 
 // CacheStrategyName returns the name of the installed cache strategy.
 func (s *DataStore) CacheStrategyName() string { return s.cache.Name() }

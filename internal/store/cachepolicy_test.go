@@ -3,14 +3,28 @@ package store
 import (
 	"testing"
 	"time"
+
+	"pds/internal/strategy"
 )
+
+// withPolicy returns a store with the given cache budget evicting by
+// the named registry strategy.
+func withPolicy(t *testing.T, cacheCap int, policy string) *DataStore {
+	t.Helper()
+	cs, err := strategy.NewCaching(policy, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewDataStore(cacheCap)
+	s.SetCacheStrategy(cs)
+	return s
+}
 
 // fillCache inserts three cached 4-byte payloads a, b, c in order into
 // a 12-byte cache.
-func fillCache(t *testing.T, policy CachePolicy) *DataStore {
+func fillCache(t *testing.T, policy string) *DataStore {
 	t.Helper()
-	s := NewDataStore(12)
-	s.SetCachePolicy(policy)
+	s := withPolicy(t, 12, policy)
 	for i := 0; i < 3; i++ {
 		if !s.PutPayloadCached(entry(i), []byte{byte(i), 0, 0, 0}, 0, time.Hour) {
 			t.Fatalf("insert %d refused", i)
@@ -20,7 +34,7 @@ func fillCache(t *testing.T, policy CachePolicy) *DataStore {
 }
 
 func TestPolicyFIFO(t *testing.T) {
-	s := fillCache(t, EvictFIFO)
+	s := fillCache(t, "fifo")
 	// Access patterns are irrelevant to FIFO.
 	s.Payload(entry(0))
 	s.Payload(entry(0))
@@ -34,7 +48,7 @@ func TestPolicyFIFO(t *testing.T) {
 }
 
 func TestPolicyLRU(t *testing.T) {
-	s := fillCache(t, EvictLRU)
+	s := fillCache(t, "lru")
 	// Touch 0 and 2; 1 becomes least recently used.
 	s.Payload(entry(0))
 	s.Payload(entry(2))
@@ -48,7 +62,7 @@ func TestPolicyLRU(t *testing.T) {
 }
 
 func TestPolicyLFU(t *testing.T) {
-	s := fillCache(t, EvictLFU)
+	s := fillCache(t, "lfu")
 	// 0 accessed twice, 1 once, 2 never: 2 is least popular.
 	s.Payload(entry(0))
 	s.Payload(entry(0))
@@ -63,8 +77,7 @@ func TestPolicyLFU(t *testing.T) {
 }
 
 func TestChunkAccessCountsForLFU(t *testing.T) {
-	s := NewDataStore(12)
-	s.SetCachePolicy(EvictLFU)
+	s := withPolicy(t, 12, "lfu")
 	item := entry(1)
 	for c := 0; c < 3; c++ {
 		s.PutPayloadCached(item.WithChunk(c), []byte{byte(c), 0, 0, 0}, 0, time.Hour)
@@ -79,11 +92,12 @@ func TestChunkAccessCountsForLFU(t *testing.T) {
 }
 
 func TestPolicyString(t *testing.T) {
-	for p, want := range map[CachePolicy]string{
-		EvictFIFO: "fifo", EvictLRU: "lru", EvictLFU: "lfu",
-	} {
-		if got := p.String(); got != want {
-			t.Fatalf("%d.String() = %q", p, got)
+	if got := NewDataStore(0).CacheStrategyName(); got != strategy.DefaultCaching {
+		t.Fatalf("default store evicts by %q, want %q", got, strategy.DefaultCaching)
+	}
+	for _, want := range []string{"fifo", "lru", "lfu"} {
+		if got := withPolicy(t, 0, want).CacheStrategyName(); got != want {
+			t.Fatalf("installed %q, store reports %q", want, got)
 		}
 	}
 }

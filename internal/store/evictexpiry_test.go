@@ -10,10 +10,9 @@ import (
 // and their capacity slot freed — before the policy evicts anything
 // that is still live. The expired chunk is arranged to NOT be the
 // policy's victim, so a surviving "keeper" proves the purge ran.
-func testExpiredChunkFreedBeforeEviction(t *testing.T, policy CachePolicy) {
+func testExpiredChunkFreedBeforeEviction(t *testing.T, policy string) {
 	t.Helper()
-	s := NewDataStore(8)
-	s.SetCachePolicy(policy)
+	s := withPolicy(t, 8, policy)
 	item := entry(1)
 	expiring := item.WithChunk(0)
 	keeper := entry(2)
@@ -50,15 +49,15 @@ func testExpiredChunkFreedBeforeEviction(t *testing.T, policy CachePolicy) {
 }
 
 func TestExpiredChunkFreedBeforeEvictionFIFO(t *testing.T) {
-	testExpiredChunkFreedBeforeEviction(t, EvictFIFO)
+	testExpiredChunkFreedBeforeEviction(t, "fifo")
 }
 
 func TestExpiredChunkFreedBeforeEvictionLRU(t *testing.T) {
-	testExpiredChunkFreedBeforeEviction(t, EvictLRU)
+	testExpiredChunkFreedBeforeEviction(t, "lru")
 }
 
 func TestExpiredChunkFreedBeforeEvictionLFU(t *testing.T) {
-	testExpiredChunkFreedBeforeEviction(t, EvictLFU)
+	testExpiredChunkFreedBeforeEviction(t, "lfu")
 }
 
 // A still-live payload must never be purged by the expiry sweep.

@@ -73,16 +73,15 @@ func (s *DataStore) SetTracer(tr *trace.NodeTracer) {
 // NewDataStore returns an empty store. cacheCap bounds cached payload
 // bytes (0 = unlimited).
 func NewDataStore(cacheCap int) *DataStore {
-	s := &DataStore{
+	return &DataStore{
 		entries:    make(map[string]Entry),
 		payloads:   make(map[string][]byte),
 		ownedKeys:  make(map[string]bool),
 		spilled:    make(map[string]bool),
 		cacheCap:   cacheCap,
 		chunkIndex: make(map[string]map[int]string),
+		cache:      defaultCacheStrategy(),
 	}
-	s.SetCachePolicy(EvictFIFO)
-	return s
 }
 
 // PutOwned inserts an entry for data this node produced; it never

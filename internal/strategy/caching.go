@@ -19,8 +19,7 @@ func init() {
 }
 
 // fifoCache is the seed's default: admit everything, evict the oldest
-// insertion. It keeps no per-key state at all, exactly like the
-// pre-strategy EvictFIFO path (whose touch was an early return).
+// insertion. It keeps no per-key state at all.
 type fifoCache struct{}
 
 func (fifoCache) Name() string            { return "fifo" }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"pds/internal/clock"
@@ -215,13 +216,13 @@ func NewNode(trans Transport, opts ...NodeOption) (*Node, error) {
 		o.cfg.CacheCap = o.cacheCap
 	}
 	if o.routing != "" {
-		if !containsName(strategy.RoutingNames(), o.routing) {
+		if !slices.Contains(strategy.RoutingNames(), o.routing) {
 			return nil, fmt.Errorf("pds: unknown routing strategy %q (have %v)", o.routing, strategy.RoutingNames())
 		}
 		o.cfg.Routing = o.routing
 	}
 	if o.caching != "" {
-		if !containsName(strategy.CachingNames(), o.caching) {
+		if !slices.Contains(strategy.CachingNames(), o.caching) {
 			return nil, fmt.Errorf("pds: unknown caching strategy %q (have %v)", o.caching, strategy.CachingNames())
 		}
 		o.cfg.Caching = o.caching
@@ -475,31 +476,8 @@ func (n *Node) Stats() core.Stats {
 // defaults report "cdi"/"fifo" with zero counters.
 func (n *Node) StrategyStats() metrics.StrategyCounters {
 	var out metrics.StrategyCounters
-	n.clk.Locked(func() {
-		rc := n.core.RoutingCounters()
-		cc := n.core.CacheCounters()
-		out = metrics.StrategyCounters{
-			Routing:         n.core.RoutingName(),
-			Caching:         n.core.CachingName(),
-			AdvertFloods:    rc.AdvertFloods,
-			AdvertsHeld:     rc.AdvertsHeld,
-			FreqEntries:     rc.FreqEntries,
-			RouteOverrides:  rc.RouteOverrides,
-			FallbackRoutes:  rc.FallbackRoutes,
-			CacheAdmitSkips: cc.AdmitSkips,
-		}
-	})
+	n.clk.Locked(func() { out = n.core.StrategyCounters() })
 	return out
-}
-
-// containsName reports whether names contains n.
-func containsName(names []string, n string) bool {
-	for _, v := range names {
-		if v == n {
-			return true
-		}
-	}
-	return false
 }
 
 // LocalEntries lists the metadata entries currently in this node's

@@ -78,7 +78,7 @@ func (s *Sim) Node(id NodeID) *SimNode {
 }
 
 // RemoveNode detaches a node (a device leaving with its data).
-func (s *Sim) RemoveNode(id NodeID) { s.d.RemovePeer(id) }
+func (s *Sim) RemoveNode(id NodeID) { s.d.Depart(id) }
 
 // MoveNode repositions a node.
 func (s *Sim) MoveNode(id NodeID, x, y float64) {
