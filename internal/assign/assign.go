@@ -177,13 +177,9 @@ func maxLoad(load map[wire.NodeID]int) (wire.NodeID, int) {
 // whose loads are changing.
 func otherMax(load map[wire.NodeID]int, a, b wire.NodeID) int {
 	best := 0
-	//lint:allow determinism pure max reduction over ints is commutative; no tie state escapes the loop
 	for nb, l := range load {
-		if nb == a || nb == b {
-			continue
-		}
-		if l > best {
-			best = l
+		if nb != a && nb != b {
+			best = max(best, l)
 		}
 	}
 	return best

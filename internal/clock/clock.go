@@ -6,9 +6,14 @@
 package clock
 
 import (
+	"math"
 	"sync"
 	"time"
 )
+
+// Never is the deadline of something that has none: it is later than
+// every instant a Clock reports, so deadlines compose with min.
+const Never = time.Duration(math.MaxInt64)
 
 // Clock provides the current time and timer scheduling. sim.Engine
 // satisfies it; Real implements it over the runtime timers.

@@ -24,6 +24,7 @@ func (n *Node) InjectChunk(item attr.Descriptor, chunkID int, payload []byte) bo
 	item = item.ItemDescriptor()
 	cd := item.WithChunk(chunkID)
 	now := n.clk.Now()
+	n.arm(now + n.cfg.EntryTTL)
 	if !n.ds.PutPayloadCached(cd, payload, now, now+n.cfg.EntryTTL) {
 		if !n.ds.HasPayload(cd) {
 			return false

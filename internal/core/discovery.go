@@ -210,7 +210,8 @@ func (s *session) startRound() {
 		}
 		q.Bloom = f
 	}
-	n.lqt.Insert(q, n.clk.Now()+q.TTL)
+	n.lqt.Insert(q, s.roundStart+q.TTL)
+	n.arm(s.roundStart + q.TTL)
 	n.tr.QueryStart(q.ID, s.round, q.Kind.String())
 	n.transmit(&wire.Message{Type: wire.TypeQuery, Query: q})
 }

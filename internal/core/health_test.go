@@ -188,8 +188,15 @@ func TestCrashWipesVolatileStateRestartRecovers(t *testing.T) {
 	if n.LQTLen() != 1 {
 		t.Fatal("restarted node did not process a query")
 	}
-	// Housekeeping must run exactly one chain (epoch-guarded).
-	eng.Run(eng.Now() + 5*time.Second)
+	// Once the forward and serve jitters have fired, the restarted node
+	// holds exactly one timer: the sweep armed for the query's expiry, on
+	// the grid of whole seconds since the restart.
+	restartedAt := eng.Now()
+	eng.Run(restartedAt + 5*time.Second)
+	if eng.Pending() != 1 || n.cancelSweep == nil || n.sweepAt != restartedAt+time.Minute {
+		t.Fatalf("%d timers pending, sweep armed for %v; want one sweep at %v",
+			eng.Pending(), n.sweepAt, restartedAt+time.Minute)
+	}
 }
 
 // TestRetrievalDeadlinePartialResult: with no routes to any chunk and a

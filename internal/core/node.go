@@ -227,6 +227,12 @@ type Node struct {
 	// before it — a jittered send scheduled pre-crash must not fire into
 	// the restarted node's fresh state.
 	epoch uint64
+
+	// The soft-state sweep (see arm): next bounds the earliest expiry
+	// held from below, the timer is armed for sweepAt while cancelSweep is
+	// set, grid is the birth or Restart instant, sweepFn n.sweep bound once.
+	next, sweepAt, grid  time.Duration
+	cancelSweep, sweepFn func()
 }
 
 // NewNode creates a protocol node. rng must be dedicated to this node
@@ -246,7 +252,10 @@ func NewNode(id wire.NodeID, clk clock.Clock, rng *rand.Rand, send Sender, cfg C
 		rr:         store.NewRecentResponses(cfg.RecentRespRetention),
 		retrievals: make(map[string]*retrieval),
 		health:     newHealthTracker(),
+		next:       clock.Never,
+		grid:       clk.Now(),
 	}
+	n.sweepFn = n.sweep
 	cs, err := strategy.NewCaching(cfg.Caching, id)
 	if err != nil {
 		panic("core: " + err.Error()) // CLIs validate names up front
@@ -258,12 +267,12 @@ func NewNode(id wire.NodeID, clk clock.Clock, rng *rand.Rand, send Sender, cfg C
 		OwnedItemKeys: func() []string { return n.ds.OwnedItemKeys() },
 		Flood:         n.floodStrategyQuery,
 		NewID:         n.newID,
+		TickAt:        n.arm,
 	})
 	if err != nil {
 		panic("core: " + err.Error()) // CLIs validate names up front
 	}
 	n.routing = rt
-	n.scheduleHousekeeping()
 	return n
 }
 
@@ -289,6 +298,7 @@ func (n *Node) cdiRoutes(itemKey string, chunkID int, now time.Duration) []strat
 func (n *Node) floodStrategyQuery(q *wire.Query) {
 	now := n.clk.Now()
 	n.lqt.Insert(q, now+q.TTL)
+	n.arm(now + q.TTL)
 	n.tr.QueryStart(q.ID, int(q.Round), q.Kind.String())
 	n.sendJittered(&wire.Message{Type: wire.TypeQuery, Query: q}, n.cfg.ForwardJitterMax)
 }
@@ -333,9 +343,12 @@ func (n *Node) CDI() *store.CDITable { return n.cdi }
 // LQTLen reports the lingering-query table size (tests/diagnostics).
 func (n *Node) LQTLen() int { return n.lqt.Len() }
 
-// Stop halts housekeeping; the node still responds to HandleMessage but
+// Stop cancels the sweep; the node still responds to HandleMessage but
 // schedules no further timers of its own.
-func (n *Node) Stop() { n.stopped = true }
+func (n *Node) Stop() {
+	n.stopped = true
+	n.arm(clock.Never)
+}
 
 // Crash powers the node off mid-protocol: it stops sending and
 // processing, aborts every active session without callbacks, and wipes
@@ -374,7 +387,9 @@ func (n *Node) Crash() {
 	n.lqt.SetTracer(n.tr)
 	n.rr = store.NewRecentResponses(n.cfg.RecentRespRetention)
 	n.health.reset()
+	n.next = clock.Never // before Reset: a strategy may ask for its first Tick after Restart
 	n.routing.Reset()
+	n.arm(clock.Never)
 }
 
 // Restart powers a crashed node back on with only its owned data. With
@@ -390,7 +405,8 @@ func (n *Node) Restart() {
 		n.ds.Recover(n.clk.Now(), n.cfg.EntryTTL)
 	}
 	n.crashed = false
-	n.scheduleHousekeeping()
+	n.grid = n.clk.Now()
+	n.arm(clock.Never)
 }
 
 // AttachBackend installs a durable payload tier under the node's store
@@ -405,23 +421,40 @@ func (n *Node) AttachBackend(b store.PayloadBackend) {
 // Crashed reports whether the node is currently powered off.
 func (n *Node) Crashed() bool { return n.crashed }
 
-func (n *Node) scheduleHousekeeping() {
+// arm notes soft state expiring at `at` (clock.Never: nothing new) and
+// keeps the one sweep timer armed for the earliest expiry held, rounded up
+// onto the whole seconds since birth or Restart (DESIGN.md §5). A node
+// that holds nothing, or is stopped or crashed, has no timer.
+//
+//pds:hotpath
+func (n *Node) arm(at time.Duration) {
+	n.next = min(n.next, at)
+	at, now := clock.Never, n.clk.Now()
+	if !n.stopped && !n.crashed && n.next != clock.Never {
+		at = n.grid + (max(n.next, now+1)-n.grid+time.Second-1)/time.Second*time.Second
+	}
+	if n.cancelSweep != nil {
+		if n.sweepAt <= at && at != clock.Never {
+			return
+		}
+		n.cancelSweep()
+		n.cancelSweep = nil
+	}
+	if at != clock.Never {
+		n.sweepAt, n.cancelSweep = at, n.clk.Schedule(at-now, n.sweepFn)
+	}
+}
+
+// sweep runs every expiry scan and the routing strategy's Tick; each
+// returns the next instant it has work.
+func (n *Node) sweep() {
+	n.cancelSweep = nil
 	if n.stopped || n.crashed {
 		return
 	}
-	epoch := n.epoch
-	n.clk.Schedule(time.Second, func() {
-		if n.stopped || n.crashed || n.epoch != epoch {
-			return
-		}
-		now := n.clk.Now()
-		n.ds.Expire(now)
-		n.cdi.Expire(now)
-		n.lqt.Expire(now)
-		n.rr.Prune(now)
-		n.routing.Tick(now)
-		n.scheduleHousekeeping()
-	})
+	now := n.clk.Now()
+	n.next = min(n.ds.Expire(now), n.cdi.Expire(now), n.lqt.Expire(now), n.rr.Prune(now))
+	n.arm(n.routing.Tick(now))
 }
 
 // PublishEntry registers a metadata-only fact this node produced (used

@@ -28,6 +28,7 @@ func (n *Node) handleQuery(q *wire.Query) {
 		return
 	}
 	lq := n.lqt.Insert(q, now+q.TTL)
+	n.arm(now + q.TTL)
 
 	// DS Lookup: answer from the local store toward the query sender.
 	// Per Algorithm 1 this happens before the receiver check, so even
@@ -383,6 +384,7 @@ func (n *Node) handleResponse(r *wire.Response) {
 
 	// RR Lookup: drop redundant copies (e.g. the same response heard
 	// from several relaying neighbors).
+	n.arm(now + min(n.cfg.RecentRespRetention, n.cfg.EntryTTL, n.cfg.CDITTL))
 	if n.rr.Seen(r.ID, now) {
 		n.stats.ResponsesDuplicate++
 		return

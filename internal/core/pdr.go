@@ -216,6 +216,7 @@ func (r *retrieval) startCDIRound() {
 		Item:   r.item,
 	}
 	n.lqt.Insert(q, now+q.TTL)
+	n.arm(now + q.TTL)
 	n.tr.QueryStart(q.ID, r.rounds, q.Kind.String())
 	n.transmit(&wire.Message{Type: wire.TypeQuery, Query: q})
 }
@@ -661,6 +662,7 @@ func (n *Node) handleChunkQuery(q *wire.Query) {
 		chunkLinger = n.cfg.ChunkRetry / 2
 	}
 	lq := n.lqt.Insert(q, now+chunkLinger)
+	n.arm(now + chunkLinger)
 	lq.Wanted = append([]int(nil), missing...)
 
 	// Recurse first (sub-queries are small; chunk payloads would delay

@@ -243,7 +243,7 @@ func TestQueryTTLExpiresLingering(t *testing.T) {
 	h.line(1, 2)
 	done := false
 	h.nodes[1].Discover(testSel(), DiscoverOptions{}, func(DiscoveryResult) { done = true })
-	h.run(30 * time.Second) // housekeeping runs each second
+	h.run(30 * time.Second) // the sweep armed for the query's expiry has run
 	if !done {
 		t.Fatal("discovery never finished")
 	}

@@ -177,8 +177,8 @@ func checkDeterminismCall(p *Pass, call *ast.CallExpr) {
 // sensitive. Safe shapes:
 //
 //  1. commutative accumulation — counters (x++), commutative compound
-//     assignments (+= -= *= |= &= ^=), inserts into other maps,
-//     deletes, and ifs wrapping only such statements;
+//     assignments (+= -= *= |= &= ^=, x = min(x, ...)), inserts into
+//     other maps, deletes, and ifs wrapping only such statements;
 //  2. per-entry rewrites — plain assignments whose target is rooted in
 //     the range key/value variable or a local declared inside the loop
 //     body (each entry only touches its own state), including nested
@@ -323,17 +323,20 @@ func (sc *mapRangeScope) safeStmt(s ast.Stmt, depth int) bool {
 
 // safePlainAssign accepts writes that cannot leak iteration order:
 // inserts into maps, writes rooted in per-entry state (the range
-// variables or body-locals), and s = append(s, x) collection into an
-// outer slice, recorded for the later sort check.
+// variables or body-locals), x = min(x, ...) / max folds, and s =
+// append(s, x) collection into an outer slice, recorded for the sort check.
 func (sc *mapRangeScope) safePlainAssign(s *ast.AssignStmt) bool {
 	info := sc.p.Pkg.Info
 	// The append-collect shape first: s = append(s, x).
 	if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
 		if lhs, ok := s.Lhs[0].(*ast.Ident); ok {
 			if call, ok := s.Rhs[0].(*ast.CallExpr); ok && len(call.Args) > 0 {
-				if fn, ok := call.Fun.(*ast.Ident); ok && fn.Name == "append" {
+				if fn, ok := call.Fun.(*ast.Ident); ok && (fn.Name == "append" || fn.Name == "min" || fn.Name == "max") {
 					if _, isBuiltin := info.Uses[fn].(*types.Builtin); isBuiltin {
 						if dst, ok := call.Args[0].(*ast.Ident); ok && dst.Name == lhs.Name {
+							if fn.Name != "append" {
+								return true // x = min(x, ...) folds in any order
+							}
 							obj := info.Uses[lhs]
 							if obj == nil {
 								obj = info.Defs[lhs]

@@ -51,6 +51,23 @@ func mapCount(m map[int]string) (n int, total int) {
 	return n, total
 }
 
+// A min/max fold reaches the same value in any order; picking the
+// extreme some other way, or keeping which entry held it, does not.
+func mapEarliest(m map[string]int) (lo, hi int) {
+	for _, v := range m {
+		lo = min(lo, v)
+		hi = max(hi, v, 0)
+	}
+	return lo, hi
+}
+
+func mapLastSmaller(m map[string]int, lo int) int {
+	for _, v := range m { // want "map iteration order is random"
+		lo = min(v, 10)
+	}
+	return lo
+}
+
 // Inserting into another map and deleting are order-insensitive.
 func mapTransfer(src map[int]int, dst map[int]int) {
 	for k, v := range src {

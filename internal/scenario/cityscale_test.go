@@ -23,9 +23,9 @@ func TestCityDeterministic(t *testing.T) {
 
 // TestCityScaleSmoke10k exercises the full 10 000-node population for a
 // sim-minute — enough to touch every layer (grid index under batched
-// mobility, wheel under tens of thousands of housekeeping timers,
-// dense-slot attach of the whole population) without the bench's
-// sim-hour cost. Gated behind -short.
+// mobility, dense-slot attach of the whole population, the consumers'
+// floods and the soft state they leave) without the bench's sim-hour
+// cost. Gated behind -short.
 func TestCityScaleSmoke10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node smoke test skipped in -short mode")
@@ -38,9 +38,11 @@ func TestCityScaleSmoke10k(t *testing.T) {
 	if res.Events == 0 {
 		t.Fatal("no events executed")
 	}
-	// 10k housekeeping timers/sec alone puts the floor far above this.
-	if res.Events < uint64(cfg.Nodes) {
-		t.Fatalf("implausibly few events for 10k nodes: %d", res.Events)
+	// A city of this size is mostly idle, and idle nodes cost nothing: the
+	// events are the 32 consumers' floods and what they leave behind. Any
+	// per-node periodic timer — a 1 Hz poll is 1.0 here — breaks this.
+	if perNodeSecond := float64(res.Events) / (float64(cfg.Nodes) * time.Minute.Seconds()); perNodeSecond > 0.25 {
+		t.Fatalf("%.3f events per node-second (%d events): something ticks on idle nodes", perNodeSecond, res.Events)
 	}
 	if res.Queries == 0 {
 		t.Fatal("no discoveries issued")

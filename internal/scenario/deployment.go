@@ -142,7 +142,7 @@ func New(opts Options) *Deployment {
 // link give-ups feed route invalidation.
 func (d *Deployment) AddPeer(id wire.NodeID, pos radio.Pos) *Peer {
 	p := &Peer{ID: id}
-	rng := rand.New(rand.NewSource(d.seed ^ (int64(id)+1)*0x5851f42d4c957f2d))
+	rng := rand.New(&lazySource{seed: d.seed ^ (int64(id)+1)*0x5851f42d4c957f2d})
 	d.attachRadio(p, pos)
 	p.Link = link.New(d.Eng, id, p.Radio.Send, d.opts.Link)
 	p.Link.EnableTransmitNotify()
@@ -160,6 +160,22 @@ func (d *Deployment) AddPeer(id wire.NodeID, pos radio.Pos) *Peer {
 	d.peerIDs[i] = id
 	return p
 }
+
+// lazySource is rand.NewSource(seed), bit for bit, built at the first
+// draw: the 4.9 KB table is wasted on peers that never draw.
+type lazySource struct {
+	seed          int64
+	rand.Source64 // nil until then
+}
+
+func (l *lazySource) src() rand.Source64 {
+	if l.Source64 == nil {
+		l.Source64 = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.Source64
+}
+func (l *lazySource) Int63() int64   { return l.src().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.src().Uint64() }
 
 // attachRadio puts the peer's radio on the medium at pos: delivered
 // frames feed the link layer, surviving ones the protocol engine.

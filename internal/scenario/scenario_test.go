@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -44,4 +45,31 @@ func TestPDRSmallGrid(t *testing.T) {
 		t.Fatal("assemble failed")
 	}
 	t.Logf("latency=%v cdi=%v rounds=%d overhead=%d", res.Latency, res.CDILatency, res.Rounds, d.Medium.Stats().TxBytes)
+}
+
+// TestSilentDeploymentExecutesNoEvents: a thousand attached nodes that
+// say nothing and hold no soft state cost the engine nothing, however
+// long they sit there — no layer keeps a periodic timer.
+func TestSilentDeploymentExecutesNoEvents(t *testing.T) {
+	d := Grid(25, 40, GridSpacing, Options{Seed: 1})
+	d.DistributeEntries(500, 1) // owned data is not soft state
+	d.Eng.Run(10 * time.Minute)
+	if d.Eng.Processed() != 0 || d.Eng.Pending() != 0 {
+		t.Fatalf("%d silent nodes ran %d events in 10 simulated minutes and hold %d timers",
+			len(d.Peers), d.Eng.Processed(), d.Eng.Pending())
+	}
+}
+
+// TestLazySourceIsTheEagerStream: deferring a peer's generator to its
+// first draw changes no draw, whichever way the stream is consumed.
+func TestLazySourceIsTheEagerStream(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 0x5851f42d4c957f2d} {
+		eager, lazy := rand.New(rand.NewSource(seed)), rand.New(&lazySource{seed: seed})
+		for i := 0; i < 1000; i++ {
+			if eager.Uint64() != lazy.Uint64() || eager.Int63n(1e9) != lazy.Int63n(1e9) ||
+				eager.Intn(97) != lazy.Intn(97) || eager.Float64() != lazy.Float64() {
+				t.Fatalf("seed %d: streams diverge at draw %d", seed, i)
+			}
+		}
+	}
 }

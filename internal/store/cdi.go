@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
@@ -101,37 +102,17 @@ func (t *CDITable) Pairs(itemKey string, now time.Duration) []wire.CDIPair {
 	return out
 }
 
-// Chunks returns the chunk ids with unexpired entries, sorted.
-func (t *CDITable) Chunks(itemKey string, now time.Duration) []int {
-	chunks, ok := t.items[itemKey]
-	if !ok {
-		return nil
-	}
-	var out []int
-	for cid, entries := range chunks {
-		for _, e := range entries {
-			if e.ExpireAt > now {
-				out = append(out, cid)
-				break
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// DropNeighbor removes all entries via the given neighbor (used when a
-// retrieval via that neighbor times out, so the next attempt re-routes).
-func (t *CDITable) DropNeighbor(itemKey string, neighbor wire.NodeID) {
-	chunks, ok := t.items[itemKey]
-	if !ok {
-		return
-	}
+// prune drops the entries keep rejects from one item's rows, and the
+// item once nothing is left; it returns the number dropped.
+func (t *CDITable) prune(itemKey string, keep func(CDIEntry) bool) int {
+	chunks, n := t.items[itemKey], 0
 	for cid, entries := range chunks {
 		kept := entries[:0]
 		for _, e := range entries {
-			if e.Neighbor != neighbor {
+			if keep(e) {
 				kept = append(kept, e)
+			} else {
+				n++
 			}
 		}
 		if len(kept) == 0 {
@@ -140,59 +121,45 @@ func (t *CDITable) DropNeighbor(itemKey string, neighbor wire.NodeID) {
 			chunks[cid] = kept
 		}
 	}
+	if len(chunks) == 0 {
+		delete(t.items, itemKey)
+	}
+	return n
+}
+
+// DropNeighbor removes all entries via the given neighbor (used when a
+// retrieval via that neighbor times out, so the next attempt re-routes).
+func (t *CDITable) DropNeighbor(itemKey string, neighbor wire.NodeID) {
+	t.prune(itemKey, func(e CDIEntry) bool { return e.Neighbor != neighbor })
+}
+
+// pruneAll is prune over every item.
+func (t *CDITable) pruneAll(keep func(CDIEntry) bool) int {
+	n := 0
+	for itemKey := range t.items {
+		n += t.prune(itemKey, keep)
+	}
+	return n
 }
 
 // DropNeighborAll removes every entry via the given neighbor across all
 // items — the neighbor has been declared dead by the health tracker and
 // no chunk should be routed through it. It returns the number removed.
 func (t *CDITable) DropNeighborAll(neighbor wire.NodeID) int {
-	n := 0
-	for itemKey, chunks := range t.items {
-		for cid, entries := range chunks {
-			kept := entries[:0]
-			for _, e := range entries {
-				if e.Neighbor != neighbor {
-					kept = append(kept, e)
-				} else {
-					n++
-				}
-			}
-			if len(kept) == 0 {
-				delete(chunks, cid)
-			} else {
-				chunks[cid] = kept
-			}
-		}
-		if len(chunks) == 0 {
-			delete(t.items, itemKey)
-		}
-	}
-	return n
+	return t.pruneAll(func(e CDIEntry) bool { return e.Neighbor != neighbor })
 }
 
 // Expire removes expired entries; obsolete CDI does not live forever
-// (§IV-A). It returns the number removed.
-func (t *CDITable) Expire(now time.Duration) int {
-	n := 0
-	for itemKey, chunks := range t.items {
-		for cid, entries := range chunks {
-			kept := entries[:0]
-			for _, e := range entries {
-				if e.ExpireAt > now {
-					kept = append(kept, e)
-				} else {
-					n++
-				}
-			}
-			if len(kept) == 0 {
-				delete(chunks, cid)
-			} else {
-				chunks[cid] = kept
-			}
+// (§IV-A). It returns the earliest expiry still held, clock.Never when
+// none.
+func (t *CDITable) Expire(now time.Duration) time.Duration {
+	next := clock.Never
+	t.pruneAll(func(e CDIEntry) bool {
+		if e.ExpireAt <= now {
+			return false
 		}
-		if len(chunks) == 0 {
-			delete(t.items, itemKey)
-		}
-	}
-	return n
+		next = min(next, e.ExpireAt)
+		return true
+	})
+	return next
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
@@ -55,11 +56,18 @@ func TestCDIExpiry(t *testing.T) {
 	if got := tbl.Lookup("item", 0, 11*time.Second); len(got) != 0 {
 		t.Fatalf("expired entry returned: %+v", got)
 	}
-	if n := tbl.Expire(11 * time.Second); n != 1 {
-		t.Fatalf("Expire removed %d", n)
+	tbl.Update("item", CDIEntry{ChunkID: 1, HopCount: 1, Neighbor: 1, ExpireAt: 20 * time.Second})
+	if next := tbl.Expire(11 * time.Second); next != 20*time.Second {
+		t.Fatalf("Expire: next %v, want the surviving entry's 20s", next)
 	}
-	if got := tbl.Chunks("item", 0); len(got) != 0 {
-		t.Fatalf("Chunks after expire = %v", got)
+	if got := tbl.Pairs("item", 0); len(got) != 1 || got[0].ChunkID != 1 {
+		t.Fatalf("Pairs after first expire = %v", got)
+	}
+	if next := tbl.Expire(20 * time.Second); next != clock.Never {
+		t.Fatalf("Expire left a deadline at %v", next)
+	}
+	if got := tbl.Pairs("item", 0); len(got) != 0 {
+		t.Fatalf("Pairs after expire = %v", got)
 	}
 }
 

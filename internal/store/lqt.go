@@ -6,6 +6,7 @@ import (
 
 	"pds/internal/attr"
 	"pds/internal/bloom"
+	"pds/internal/clock"
 	"pds/internal/trace"
 	"pds/internal/wire"
 )
@@ -175,20 +176,19 @@ func (t *LQT) MatchItem(kind wire.QueryKind, itemKey string, now time.Duration) 
 	return out
 }
 
-// Remove deletes a query by id (used by the one-shot Interest ablation
-// and when a chunk query has been fully served).
-func (t *LQT) Remove(id uint64) { delete(t.queries, id) }
-
-// Expire removes expired queries and returns the number removed
-// (§III-A: "a lingering query stays in the LQT until its expiration,
-// upon which it is removed").
-func (t *LQT) Expire(now time.Duration) int {
+// Expire removes expired queries (§III-A: "a lingering query stays in
+// the LQT until its expiration, upon which it is removed") and returns
+// the earliest expiry still held, clock.Never when none.
+func (t *LQT) Expire(now time.Duration) time.Duration {
 	// Collect and sort before emitting: LQTExpire events land in the
 	// trace export, which must not inherit map iteration order.
+	next := clock.Never
 	var expired []uint64
 	for id, lq := range t.queries {
 		if lq.ExpireAt <= now {
 			expired = append(expired, id)
+		} else {
+			next = min(next, lq.ExpireAt)
 		}
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
@@ -196,7 +196,7 @@ func (t *LQT) Expire(now time.Duration) int {
 		delete(t.queries, id)
 		t.tr.LQTExpire(id)
 	}
-	return len(expired)
+	return next
 }
 
 // Len returns the number of queries currently held, expired or not.
@@ -223,13 +223,18 @@ func (r *RecentResponses) Seen(id uint64, now time.Duration) bool {
 	return ok && now-at < r.retention
 }
 
-// Prune removes entries older than the retention window.
-func (r *RecentResponses) Prune(now time.Duration) {
+// Prune removes entries older than the retention window and returns
+// the instant the oldest one left ages out, clock.Never when none.
+func (r *RecentResponses) Prune(now time.Duration) time.Duration {
+	next := clock.Never
 	for id, at := range r.seen {
 		if now-at >= r.retention {
 			delete(r.seen, id)
+		} else {
+			next = min(next, at+r.retention)
 		}
 	}
+	return next
 }
 
 // Len returns the number of tracked ids.

@@ -7,6 +7,7 @@ import (
 
 	"pds/internal/attr"
 	"pds/internal/bloom"
+	"pds/internal/clock"
 	"pds/internal/trace"
 	"pds/internal/wire"
 )
@@ -28,8 +29,11 @@ func TestLQTInsertExistsExpire(t *testing.T) {
 	if lqt.Exists(2, 0) {
 		t.Fatal("unknown id reported present")
 	}
-	if n := lqt.Expire(11 * time.Second); n != 1 {
-		t.Fatalf("Expire removed %d", n)
+	if next := lqt.Expire(5 * time.Second); next != 10*time.Second || lqt.Len() != 1 {
+		t.Fatalf("Expire before expiry: next %v, Len %d", next, lqt.Len())
+	}
+	if next := lqt.Expire(11 * time.Second); next != clock.Never {
+		t.Fatalf("Expire left a deadline at %v", next)
 	}
 	if lqt.Len() != 0 {
 		t.Fatalf("Len = %d", lqt.Len())
@@ -47,9 +51,9 @@ func TestLQTGetAndRemove(t *testing.T) {
 	if _, ok := lqt.Get(1, 11*time.Second); ok {
 		t.Fatal("Get returned expired query")
 	}
-	lqt.Remove(1)
+	lqt.Expire(11 * time.Second)
 	if _, ok := lqt.Get(1, 0); ok {
-		t.Fatal("Get after Remove")
+		t.Fatal("Get after the query expired out of the table")
 	}
 }
 
@@ -147,9 +151,11 @@ func TestRecentResponses(t *testing.T) {
 		t.Fatal("sighting after retention reported seen")
 	}
 	rr.Seen(2, 21*time.Second)
-	rr.Prune(40 * time.Second)
-	if rr.Len() != 0 {
-		t.Fatalf("Len after prune = %d", rr.Len())
+	if next := rr.Prune(30 * time.Second); next != 31*time.Second || rr.Len() != 1 {
+		t.Fatalf("Prune at 30s: next %v, Len %d; want id 2 to age out at 31s", next, rr.Len())
+	}
+	if next := rr.Prune(40 * time.Second); next != clock.Never || rr.Len() != 0 {
+		t.Fatalf("Prune at 40s: next %v, Len %d", next, rr.Len())
 	}
 }
 
@@ -183,8 +189,9 @@ func TestLQTExpireEmitsSortedIDs(t *testing.T) {
 	for _, id := range ids {
 		lqt.Insert(&wire.Query{ID: id, Kind: wire.KindMetadata}, time.Second)
 	}
-	if n := lqt.Expire(2 * time.Second); n != len(ids) {
-		t.Fatalf("Expire = %d, want %d", n, len(ids))
+	lqt.Expire(2 * time.Second)
+	if lqt.Len() != 0 {
+		t.Fatalf("Len after Expire = %d", lqt.Len())
 	}
 	var got []uint64
 	for _, e := range tr.Events() {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pds/internal/attr"
+	"pds/internal/clock"
 	"pds/internal/strategy"
 	"pds/internal/trace"
 )
@@ -141,17 +142,6 @@ func (s *DataStore) Match(q attr.Query, now time.Duration) []attr.Descriptor {
 		out[i] = s.entries[k].Desc
 	}
 	return out
-}
-
-// EntryCount returns the number of unexpired entries.
-func (s *DataStore) EntryCount(now time.Duration) int {
-	n := 0
-	for _, e := range s.entries {
-		if s.live(e, now) {
-			n++
-		}
-	}
-	return n
 }
 
 // PutPayloadOwned stores a payload this node produced, with its metadata
@@ -474,18 +464,23 @@ func (s *DataStore) PowerOff() {
 
 // Expire removes entries whose expiry has passed and whose payload is
 // absent (§II-C: "upon expiration, the node removes the entry if it does
-// not yet have the payload"). It returns the number removed.
-func (s *DataStore) Expire(now time.Duration) int {
-	n := 0
+// not yet have the payload"). It returns the earliest expiry still ahead
+// among cached entries, clock.Never when none; payload-bearing ones count
+// until they lapse, for an evicted payload leaves its entry to expire.
+func (s *DataStore) Expire(now time.Duration) time.Duration {
+	next := clock.Never
 	for k, e := range s.entries {
-		if e.Owned || e.ExpireAt > now {
+		if e.Owned {
+			continue
+		}
+		if e.ExpireAt > now {
+			next = min(next, e.ExpireAt)
 			continue
 		}
 		if _, hasPayload := s.payloads[k]; hasPayload || s.spilled[k] {
 			continue
 		}
 		delete(s.entries, k)
-		n++
 	}
-	return n
+	return next
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pds/internal/attr"
+	"pds/internal/clock"
 )
 
 func entry(i int) attr.Descriptor {
@@ -23,8 +24,8 @@ func selAll() attr.Query {
 func TestOwnedEntriesNeverExpire(t *testing.T) {
 	s := NewDataStore(0)
 	s.PutOwned(entry(1))
-	if s.Expire(time.Hour) != 0 {
-		t.Fatal("owned entry expired")
+	if s.Expire(time.Hour) != clock.Never {
+		t.Fatal("owned entry carries a deadline")
 	}
 	if !s.HasEntry(entry(1), time.Hour) {
 		t.Fatal("owned entry missing")
@@ -40,8 +41,11 @@ func TestCachedEntryExpiry(t *testing.T) {
 	if s.HasEntry(entry(1), 11*time.Second) {
 		t.Fatal("entry visible after expiry")
 	}
-	if n := s.Expire(11 * time.Second); n != 1 {
-		t.Fatalf("Expire removed %d", n)
+	if next := s.Expire(5 * time.Second); next != 10*time.Second {
+		t.Fatalf("Expire before expiry: next %v", next)
+	}
+	if next := s.Expire(11 * time.Second); next != clock.Never {
+		t.Fatalf("Expire left a deadline at %v", next)
 	}
 	// An expired-then-removed entry never resurfaces.
 	if s.HasEntry(entry(1), time.Second) {
@@ -79,11 +83,17 @@ func TestExpireKeepsEntriesWithPayload(t *testing.T) {
 	s.PutPayloadCached(entry(1), []byte("x"), 0, 10*time.Second)
 	// §II-C: upon expiration the entry is removed only when the payload
 	// is absent.
-	if n := s.Expire(time.Hour); n != 0 {
-		t.Fatalf("Expire removed %d entries with payload", n)
+	// While the lease runs its deadline counts (the payload may yet be
+	// evicted); once lapsed the entry is no longer Expire's to remove and
+	// must not keep a sweep armed.
+	if next := s.Expire(5 * time.Second); next != 10*time.Second {
+		t.Fatalf("Expire during lease: next %v", next)
 	}
-	if !s.HasPayload(entry(1)) {
-		t.Fatal("payload missing")
+	if next := s.Expire(time.Hour); next != clock.Never {
+		t.Fatalf("lapsed payload-bearing entry still reports a deadline %v", next)
+	}
+	if !s.HasPayload(entry(1)) || !s.HasEntry(entry(1), 0) {
+		t.Fatal("entry with payload removed")
 	}
 }
 
@@ -225,17 +235,5 @@ func TestQuickExpiryMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEntryCount(t *testing.T) {
-	s := NewDataStore(0)
-	s.PutOwned(entry(1))
-	s.PutCached(entry(2), 10*time.Second)
-	if got := s.EntryCount(5 * time.Second); got != 2 {
-		t.Fatalf("EntryCount = %d", got)
-	}
-	if got := s.EntryCount(15 * time.Second); got != 1 {
-		t.Fatalf("EntryCount after expiry = %d", got)
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"time"
 
 	"pds/internal/bloom"
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
 func init() {
 	RegisterRouting("bfr", func(env *RoutingEnv) RoutingStrategy {
-		return &bfrRouting{env: env}
+		return &bfrRouting{env: env, nextAdvert: clock.Never}
 	})
 }
 
@@ -52,32 +53,41 @@ type bfrAdvert struct {
 // crash wiped the distance vector.
 type bfrRouting struct {
 	env        *RoutingEnv
-	adverts    []bfrAdvert // sorted by origin
-	dirty      bool        // content changed since last advert
-	advertised bool        // at least one advert flooded
-	lastAdvert time.Duration
+	adverts    []bfrAdvert   // sorted by origin
+	dirty      bool          // content changed since last advert
+	nextAdvert time.Duration // re-advertisement due; clock.Never before the first advert
 	floods     uint64
 	fallbacks  uint64
 }
 
 func (r *bfrRouting) Name() string { return "bfr" }
 
-func (r *bfrRouting) OnPublish(string, time.Duration) { r.dirty = true }
+func (r *bfrRouting) OnPublish(string, time.Duration) {
+	r.dirty = true
+	r.env.TickAt(0) // the advert goes out at the next housekeeping instant
+}
 
-// Tick floods a fresh advertisement when content changed or the
-// re-advertisement period lapsed, and expires stale advert rows.
-func (r *bfrRouting) Tick(now time.Duration) {
+// Tick expires stale advert rows and floods a fresh advertisement when
+// content changed or the re-advertisement period lapsed.
+func (r *bfrRouting) Tick(now time.Duration) time.Duration {
+	next := clock.Never
 	kept := r.adverts[:0]
 	for _, a := range r.adverts {
 		if a.expireAt > now {
 			kept = append(kept, a)
+			next = min(next, a.expireAt)
 		}
 	}
 	r.adverts = kept
 
-	if !r.dirty && (!r.advertised || now-r.lastAdvert < bfrAdvertInterval) {
-		return
+	if r.dirty || now >= r.nextAdvert {
+		r.advertise(now)
 	}
+	return min(next, r.nextAdvert)
+}
+
+// advertise floods a filter of the item keys this node owns, if any.
+func (r *bfrRouting) advertise(now time.Duration) {
 	keys := r.env.OwnedItemKeys()
 	if len(keys) == 0 {
 		r.dirty = false
@@ -100,7 +110,7 @@ func (r *bfrRouting) Tick(now time.Duration) {
 		Bloom:    f,
 	})
 	r.floods++
-	r.dirty, r.advertised, r.lastAdvert = false, true, now
+	r.dirty, r.nextAdvert = false, now+bfrAdvertInterval
 }
 
 func (r *bfrRouting) findOrigin(origin wire.NodeID) (int, bool) {
@@ -119,6 +129,7 @@ func (r *bfrRouting) ObserveAdvert(q *wire.Query, now time.Duration) {
 		expireAt: now + bfrAdvertLifetime,
 		filter:   q.Bloom,
 	}
+	r.env.TickAt(row.expireAt)
 	i, ok := r.findOrigin(q.Origin)
 	if !ok {
 		r.adverts = append(r.adverts, bfrAdvert{})
@@ -174,7 +185,7 @@ func (r *bfrRouting) OnNeighborDown(nb wire.NodeID) {
 
 func (r *bfrRouting) Reset() {
 	r.adverts = nil
-	r.dirty, r.advertised, r.lastAdvert = false, false, 0
+	r.dirty, r.nextAdvert = false, clock.Never
 }
 
 func (r *bfrRouting) Counters() RoutingCounters {

@@ -3,6 +3,7 @@ package strategy
 import (
 	"time"
 
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
@@ -32,6 +33,6 @@ func (r *cdiRouting) ObserveCDI(string, int, int, wire.NodeID)        {}
 func (r *cdiRouting) ObserveAdvert(*wire.Query, time.Duration)        {}
 func (r *cdiRouting) OnPublish(string, time.Duration)                 {}
 func (r *cdiRouting) OnNeighborDown(wire.NodeID)                      {}
-func (r *cdiRouting) Tick(time.Duration)                              {}
+func (r *cdiRouting) Tick(time.Duration) time.Duration                { return clock.Never }
 func (r *cdiRouting) Reset()                                          {}
 func (r *cdiRouting) Counters() RoutingCounters                       { return RoutingCounters{} }

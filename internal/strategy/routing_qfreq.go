@@ -9,6 +9,7 @@ import (
 
 func init() {
 	RegisterRouting("qfreq", func(env *RoutingEnv) RoutingStrategy {
+		env.TickAt(qfreqDecayInterval)
 		return &qfreqRouting{env: env}
 	})
 }
@@ -84,9 +85,10 @@ func (r *qfreqRouting) SelectRoutes(itemKey string, chunkID int, now time.Durati
 	return kept
 }
 
-func (r *qfreqRouting) Tick(now time.Duration) {
+// Tick halves the counters once per decay interval, counted or not.
+func (r *qfreqRouting) Tick(now time.Duration) time.Duration {
 	if now-r.lastDecay < qfreqDecayInterval {
-		return
+		return r.lastDecay + qfreqDecayInterval
 	}
 	r.lastDecay = now
 	keptKeys, keptCounts := r.keys[:0], r.counts[:0]
@@ -97,11 +99,13 @@ func (r *qfreqRouting) Tick(now time.Duration) {
 		}
 	}
 	r.keys, r.counts = keptKeys, keptCounts
+	return now + qfreqDecayInterval
 }
 
 func (r *qfreqRouting) Reset() {
 	r.keys, r.counts = nil, nil
 	r.lastDecay = 0
+	r.env.TickAt(qfreqDecayInterval)
 }
 
 func (r *qfreqRouting) Counters() RoutingCounters {

@@ -59,6 +59,9 @@ type RoutingEnv struct {
 	// NewID draws a fresh globally-unique message ID from the node's
 	// seeded RNG.
 	NewID func() uint64
+	// TickAt asks the node to call Tick at its first housekeeping instant
+	// at or after at, for a need that arises between ticks.
+	TickAt func(at time.Duration)
 }
 
 // RoutingCounters exposes per-strategy bookkeeping for traces, expvar
@@ -113,9 +116,11 @@ type RoutingStrategy interface {
 	// OnNeighborDown drops state learned via a neighbor the node has
 	// declared dead (mirrors the CDI table's DropNeighborAll).
 	OnNeighborDown(neighbor wire.NodeID)
-	// Tick runs periodic maintenance from the node's housekeeping timer
-	// (decay, re-advertisement, expiry).
-	Tick(now time.Duration)
+	// Tick runs the maintenance due at now (decay, re-advertisement,
+	// expiry) and returns the next instant it wants to run, clock.Never
+	// for none. The node calls it only at housekeeping instants — whole
+	// seconds since its birth or restart — that something asked for.
+	Tick(now time.Duration) time.Duration
 	// Reset drops all volatile state (node crash/restart).
 	Reset()
 	// Counters returns a snapshot of the strategy's bookkeeping.

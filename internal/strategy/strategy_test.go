@@ -7,19 +7,22 @@ import (
 	"time"
 
 	"pds/internal/bloom"
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
 // scriptedEnv is a deterministic stand-in for the node-side closures:
 // a synthetic CDI table keyed on the item key prefix, a fixed owned-key
-// list, a flood recorder and a counting ID source.
+// list, a flood recorder, a counting ID source and the earliest Tick the
+// strategy has asked for through TickAt (clock.Never: none).
 type scriptedEnv struct {
 	env    *RoutingEnv
 	floods []*wire.Query
+	tickAt time.Duration
 }
 
 func newScriptedEnv(self wire.NodeID) *scriptedEnv {
-	se := &scriptedEnv{}
+	se := &scriptedEnv{tickAt: clock.Never}
 	nextID := uint64(100)
 	se.env = &RoutingEnv{
 		Self: self,
@@ -37,6 +40,7 @@ func newScriptedEnv(self wire.NodeID) *scriptedEnv {
 		OwnedItemKeys: func() []string { return []string{"item/a", "item/b"} },
 		Flood:         func(q *wire.Query) { se.floods = append(se.floods, q) },
 		NewID:         func() uint64 { nextID++; return nextID },
+		TickAt:        func(at time.Duration) { se.tickAt = min(se.tickAt, at) },
 	}
 	return se
 }
@@ -180,10 +184,14 @@ func TestCDIRoutingIsPassThrough(t *testing.T) {
 	// The pass-through must not flood, count, or react to anything:
 	// that is the byte-identity contract behind the golden rows.
 	s.OnPublish("item/a", 0)
-	s.Tick(time.Minute)
+	next := s.Tick(time.Minute)
 	s.ObserveAdvert(advert(11, 2, 1, "nohit"), time.Second)
 	if len(se.floods) != 0 {
 		t.Fatalf("cdi flooded %d queries", len(se.floods))
+	}
+	// ... nor ever ask for a tick: an idle cdi node holds no timer.
+	if next != clock.Never || se.tickAt != clock.Never {
+		t.Fatalf("cdi asked for a tick: Tick returned %v, TickAt %v", next, se.tickAt)
 	}
 	if c := s.Counters(); c != (RoutingCounters{}) {
 		t.Fatalf("cdi counters = %+v, want zero", c)
@@ -215,8 +223,18 @@ func TestQfreqHotPruningAndDecay(t *testing.T) {
 		t.Fatalf("unrelated item pruned to %v", got)
 	}
 
-	// Decay halves the count each interval: 4 -> 2 -> 1 -> dropped.
-	s.Tick(1 * qfreqDecayInterval)
+	// Decay halves the count each interval: 4 -> 2 -> 1 -> dropped. The
+	// first decay was asked for at construction, each Tick asks for the
+	// next, and a Tick that is not due changes nothing.
+	if se.tickAt != qfreqDecayInterval {
+		t.Fatalf("qfreq asked for its first tick at %v", se.tickAt)
+	}
+	if next := s.Tick(qfreqDecayInterval - time.Second); next != qfreqDecayInterval {
+		t.Fatalf("early Tick returned %v", next)
+	}
+	if next := s.Tick(1 * qfreqDecayInterval); next != 2*qfreqDecayInterval {
+		t.Fatalf("Tick at the first decay returned %v", next)
+	}
 	if got := s.SelectRoutes("multi/x", 0, time.Second); len(got) != 3 {
 		t.Fatalf("decayed-below-threshold item still pruned: %v", got)
 	}
@@ -231,14 +249,22 @@ func TestBfrAdvertFlooding(t *testing.T) {
 	se := newScriptedEnv(7)
 	s, _ := NewRouting("bfr", se.env)
 
-	// Nothing published yet: housekeeping stays silent.
-	s.Tick(1 * time.Second)
+	// Nothing published yet: housekeeping stays silent and unasked for.
+	if next := s.Tick(1 * time.Second); next != clock.Never || se.tickAt != clock.Never {
+		t.Fatalf("idle bfr asked for a tick: Tick returned %v, TickAt %v", next, se.tickAt)
+	}
 	if len(se.floods) != 0 {
 		t.Fatalf("unpublished node flooded %d adverts", len(se.floods))
 	}
-	// A publish marks the content dirty; the next tick floods.
+	// A publish marks the content dirty and asks for the next tick, which
+	// floods and asks for the re-advertisement.
 	s.OnPublish("item/a", 2*time.Second)
-	s.Tick(3 * time.Second)
+	if se.tickAt > 2*time.Second {
+		t.Fatalf("publish asked for a tick at %v, want the next one", se.tickAt)
+	}
+	if next := s.Tick(3 * time.Second); next != 3*time.Second+bfrAdvertInterval {
+		t.Fatalf("Tick after the flood returned %v", next)
+	}
 	if len(se.floods) != 1 {
 		t.Fatalf("floods after publish+tick = %d, want 1", len(se.floods))
 	}
@@ -322,13 +348,23 @@ func TestBfrAdvertExpiry(t *testing.T) {
 	se.env.OwnedItemKeys = func() []string { return nil }
 	s, _ := NewRouting("bfr", se.env)
 	s.ObserveAdvert(advert(11, 2, 0, "nohit"), 0)
+	// The row's expiry is asked for on arrival and again by every Tick
+	// that keeps it; once it is gone nothing is.
+	if se.tickAt != bfrAdvertLifetime {
+		t.Fatalf("advert row asked for a tick at %v, want its expiry", se.tickAt)
+	}
+	if next := s.Tick(time.Second); next != bfrAdvertLifetime {
+		t.Fatalf("Tick holding the row returned %v", next)
+	}
 	if got := s.SelectRoutes("nohit", 0, bfrAdvertLifetime-time.Second); len(got) != 1 {
 		t.Fatalf("fresh advert unusable: %v", got)
 	}
 	if got := s.SelectRoutes("nohit", 0, bfrAdvertLifetime+time.Second); len(got) != 0 {
 		t.Fatalf("expired advert still routing: %v", got)
 	}
-	s.Tick(bfrAdvertLifetime + time.Second)
+	if next := s.Tick(bfrAdvertLifetime + time.Second); next != clock.Never {
+		t.Fatalf("Tick after the last row expired returned %v", next)
+	}
 	if c := s.Counters(); c.AdvertsHeld != 0 {
 		t.Fatalf("tick kept expired advert: %+v", c)
 	}

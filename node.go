@@ -201,6 +201,15 @@ func WithP2PShare(percent int) NodeOption {
 
 // NewNode creates a real-time node on the transport.
 func NewNode(trans Transport, opts ...NodeOption) (*Node, error) {
+	clk := clock.NewReal()
+	return newNode(clk, clk, trans, opts...)
+}
+
+// newNode builds the node on clk; its link and core schedule their timers
+// through timers — clk itself, or a test's counting wrapper of it. clk
+// stays concrete: behind an interface every closure handed to Locked
+// escapes, one allocation per received frame.
+func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeOption) (*Node, error) {
 	if trans == nil {
 		return nil, errors.New("pds: nil transport")
 	}
@@ -227,7 +236,6 @@ func NewNode(trans Transport, opts ...NodeOption) (*Node, error) {
 		}
 		o.cfg.Caching = o.caching
 	}
-	clk := clock.NewReal()
 	n := &Node{id: o.id, clk: clk, trans: trans}
 
 	lcfg := link.DefaultConfig(func(max time.Duration) time.Duration {
@@ -243,8 +251,8 @@ func NewNode(trans Transport, opts ...NodeOption) (*Node, error) {
 			lcfg.Jitter = jitter
 		}
 	}
-	n.link = link.New(clk, o.id, func(m *wire.Message) bool { return trans.Send(m) }, lcfg)
-	n.core = core.NewNode(o.id, clk, rng, func(m *wire.Message) { n.link.Send(m) }, o.cfg)
+	n.link = link.New(timers, o.id, func(m *wire.Message) bool { return trans.Send(m) }, lcfg)
+	n.core = core.NewNode(o.id, timers, rng, func(m *wire.Message) { n.link.Send(m) }, o.cfg)
 	n.link.OnGiveUp = n.core.OnSendFailure
 	if o.tracing {
 		n.tracer = trace.New(clk.Now, o.traceCap)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
@@ -414,5 +416,64 @@ func TestCancelledRetrieveStopsCoreSession(t *testing.T) {
 	time.Sleep(5 * cfg.ChunkRetry)
 	if now := b.Stats().SubQueriesSent; now != sent {
 		t.Fatalf("SubQueriesSent grew %d -> %d after cancellation", sent, now)
+	}
+}
+
+// countingClock is the wall clock with a count of the timers scheduled
+// through it that have neither fired nor been cancelled.
+type countingClock struct {
+	*clock.Real
+	pending atomic.Int64
+}
+
+func (c *countingClock) Schedule(d time.Duration, fn func()) func() {
+	c.pending.Add(1)
+	var once sync.Once
+	done := func() { once.Do(func() { c.pending.Add(-1) }) }
+	cancel := c.Real.Schedule(d, func() { done(); fn() })
+	return func() { cancel(); done() }
+}
+
+// TestCloseLeavesNoTimerPending: a node that has taken in soft state has
+// a sweep armed for its earliest expiry, tens of seconds to minutes out;
+// Close must cancel it rather than leave a timer pinning the closed
+// node's stores until then.
+func TestCloseLeavesNoTimerPending(t *testing.T) {
+	hub := NewChanHub()
+	clk := &countingClock{Real: clock.NewReal()}
+	a, err := newNode(clk.Real, clk, hub.Attach(), WithNodeID(1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewNode(hub.Attach(), WithNodeID(2), WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Publish(sensorDesc("s1"), []byte("42ppb"))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if entries, err := a.Discover(ctx, sensorSel()); err != nil || len(entries) != 1 {
+		t.Fatalf("Discover = %d entries, %v", len(entries), err)
+	}
+	// The session is over and the link's ack and retry timers drain in
+	// well under a second; what stays is the sweep for the lingering
+	// query, the response id and the cached entry.
+	settle := func(want int64) int64 {
+		deadline := time.Now().Add(3 * time.Second)
+		for clk.pending.Load() != want && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return clk.pending.Load()
+	}
+	if got := settle(1); got != 1 {
+		t.Fatalf("%d timers pending on an idle node holding soft state, want the one sweep", got)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.pending.Load(); got != 0 {
+		t.Fatalf("%d timers pending after Close", got)
 	}
 }
