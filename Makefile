@@ -32,13 +32,16 @@ lint:
 # fast), then vet, a full build, the whole test suite, and the race
 # detector across every package — shared immutable messages and
 # parallel sweep runs mean concurrency is no longer confined to the
-# socket code — and last the nested benchmarks/ module, which `./...`
-# does not reach.
+# socket code — then the link layer's receive micro-benchmark for a
+# hundred frames per window size, so it cannot rot (its scaling guard is
+# a plain test and already ran), and last the nested benchmarks/ module,
+# which `./...` does not reach.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
+	$(GO) test ./internal/link -run '^$$' -bench HandleIncoming -benchtime 100x -benchmem
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
 

@@ -2,6 +2,9 @@ package face
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +98,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := appendMsgFrame(nil, payload)
+	frame, err := encodeMsgFrame(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bytes on the wire: length, type, CRC of the payload, payload —
+	// built here the long way, in one exactly sized buffer by the mesh.
+	want := binary.BigEndian.AppendUint32(nil, uint32(1+crcSize+len(payload)))
+	want = append(want, frameMsg)
+	want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+	want = append(want, payload...)
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("frame bytes differ:\n got %x\nwant %x", frame, want)
+	}
+	if cap(frame) != len(frame) {
+		t.Fatalf("frame buffer cap %d for %d bytes: sized wrong or grown", cap(frame), len(frame))
+	}
+	if _, err := encodeMsgFrame(&wire.Message{Type: 99}); err == nil {
+		t.Fatal("unencodable message framed")
+	}
 	typ, body, _, err := readFrame(bytes.NewReader(frame), nil, 1<<20)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
@@ -445,5 +466,93 @@ func TestCloseIdempotentAndRemovePeer(t *testing.T) {
 	}
 	if b.AddPeer(addr) {
 		t.Fatal("AddPeer on closed mesh accepted")
+	}
+}
+
+// TestDialedFacesStayInAddressOrder pins what Send's fan-out order rests
+// on: AddPeer and RemovePeer keep m.dialed sorted by dial address, and a
+// configured address is refused a second time wherever it sits.
+func TestDialedFacesStayInAddressOrder(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.ListenAddr = ""
+	m, err := NewMesh(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	addrs := func() (out []string) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, f := range m.dialed {
+			out = append(out, f.addr)
+		}
+		return out
+	}
+	// Nothing listens on these: the faces stay in dial backoff.
+	for _, a := range []string{"127.0.0.1:3", "127.0.0.1:1", "127.0.0.1:4", "127.0.0.1:2"} {
+		if !m.AddPeer(a) {
+			t.Fatalf("AddPeer(%s) refused", a)
+		}
+	}
+	if m.AddPeer("127.0.0.1:4") || m.AddPeer("127.0.0.1:1") {
+		t.Fatal("duplicate address accepted")
+	}
+	m.RemovePeer("127.0.0.1:2")
+	m.RemovePeer("127.0.0.1:9") // not configured: a no-op
+	if got, want := addrs(), []string{"127.0.0.1:1", "127.0.0.1:3", "127.0.0.1:4"}; !slices.Equal(got, want) {
+		t.Fatalf("dialed faces %v, want %v", got, want)
+	}
+	if !m.AddPeer("127.0.0.1:2") {
+		t.Fatal("removed address refused")
+	}
+	if got := addrs(); !slices.IsSorted(got) || len(got) != 4 || m.Stats().PeersKnown != 4 {
+		t.Fatalf("dialed faces %v", got)
+	}
+}
+
+// TestSendFanOut checks the fan-out rule on hand-made up faces (no
+// sockets, so nothing else runs): dialed faces in address order, then
+// accepted ones, one frame per distinct peer with the dialed face
+// winning, faces whose peer announced no id all served — and that a
+// Send allocates the frame and nothing else.
+func TestSendFanOut(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.ListenAddr = ""
+	m, err := NewMesh(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	up := func(addr string, peer wire.NodeID) *Face {
+		return &Face{m: m, addr: addr, outbox: make(chan []byte, 4096), stopCh: make(chan struct{}), up: true, peer: peer}
+	}
+	a, b, c := up("10.0.0.1:1", 2), up("10.0.0.2:1", 3), up("10.0.0.3:1", 2) // c reaches a's peer again
+	down := up("10.0.0.4:1", 4)
+	down.up = false
+	anon1, anon2 := up("10.0.0.5:1", 0), up("10.0.0.6:1", 0)
+	accDup, accNew := up("x", 3), up("y", 5)
+	m.dialed = []*Face{a, b, c, down, anon1, anon2}
+	m.accepted[accDup] = struct{}{}
+	m.accepted[accNew] = struct{}{}
+
+	msg := testQuery(1)
+	if !m.Send(msg) {
+		t.Fatal("Send failed")
+	}
+	for _, tc := range []struct {
+		name string
+		f    *Face
+		want int
+	}{{"a", a, 1}, {"b", b, 1}, {"c (same peer as a)", c, 0}, {"down", down, 0},
+		{"anon1", anon1, 1}, {"anon2", anon2, 1}, {"accepted, peer already dialed", accDup, 0}, {"accepted, new peer", accNew, 1}} {
+		if got := len(tc.f.outbox); got != tc.want {
+			t.Errorf("face %s got %d frames, want %d", tc.name, got, tc.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(500, func() { m.Send(msg) }); allocs != 1 {
+		t.Errorf("Send costs %v allocations, want 1 (the frame)", allocs)
+	}
+	if st := m.Stats(); st.MsgsSent != 502 || st.OutboxDrops != 0 {
+		t.Errorf("stats after 502 sends: %+v", st)
 	}
 }

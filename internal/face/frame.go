@@ -22,8 +22,9 @@ const (
 	framePong  = 3 // empty body
 	frameMsg   = 4 // body: 4-byte BE CRC32(payload) + wire-encoded payload
 
-	lenSize = 4
-	crcSize = 4
+	lenSize   = 4
+	crcSize   = 4
+	msgHeader = lenSize + 1 + crcSize // what a frameMsg puts in front of its payload
 )
 
 // Preframed keepalive frames, shared read-only across all faces.
@@ -46,13 +47,21 @@ func helloFrame(id wire.NodeID) []byte {
 	return out
 }
 
-// appendMsgFrame frames an already wire-encoded payload into dst:
-// length, type, CRC, payload.
-func appendMsgFrame(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(1+crcSize+len(payload)))
-	dst = append(dst, frameMsg)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+// encodeMsgFrame wire-encodes msg straight into its frame — length,
+// type, CRC, payload — in one buffer sized up front (msg carries the
+// body of its type, as everything link.Send has sized does): header
+// reserved, payload encoded behind it, then length and CRC filled in.
+func encodeMsgFrame(msg *wire.Message) ([]byte, error) {
+	frame := make([]byte, msgHeader, msgHeader+wire.EncodedSize(msg))
+	frame, err := wire.AppendEncode(frame, msg)
+	if err != nil {
+		return nil, err
+	}
+	payload := frame[msgHeader:]
+	binary.BigEndian.PutUint32(frame, uint32(1+crcSize+len(payload)))
+	frame[lenSize] = frameMsg
+	binary.BigEndian.PutUint32(frame[lenSize+1:], crc32.ChecksumIEEE(payload))
+	return frame, nil
 }
 
 // readFrame reads one frame from r into buf (grown as needed) and

@@ -21,7 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -191,7 +192,7 @@ type Mesh struct {
 	recv     func(*wire.Message)
 	onDown   func(wire.NodeID)
 	tr       *trace.NodeTracer
-	dialed   map[string]*Face // by dial address
+	dialed   []*Face // in dial-address order, which is Send's fan-out order
 	accepted map[*Face]struct{}
 	closed   bool
 	stats    Stats
@@ -211,7 +212,6 @@ func NewMesh(cfg Config) (*Mesh, error) {
 	m := &Mesh{
 		cfg:      cfg,
 		self:     cfg.Self,
-		dialed:   make(map[string]*Face),
 		accepted: make(map[*Face]struct{}),
 		encCache: make(map[uint64][]byte),
 	}
@@ -269,12 +269,13 @@ func (m *Mesh) AddPeer(addr string) bool {
 		m.mu.Unlock()
 		return false
 	}
-	if _, dup := m.dialed[addr]; dup {
+	i, dup := m.findDialed(addr)
+	if dup {
 		m.mu.Unlock()
 		return false
 	}
 	f := newDialedFace(m, addr)
-	m.dialed[addr] = f
+	m.dialed = slices.Insert(m.dialed, i, f)
 	m.mu.Unlock()
 	m.wg.Add(1)
 	go f.supervise()
@@ -284,12 +285,21 @@ func (m *Mesh) AddPeer(addr string) bool {
 // RemovePeer stops and removes a dialed face.
 func (m *Mesh) RemovePeer(addr string) {
 	m.mu.Lock()
-	f := m.dialed[addr]
-	delete(m.dialed, addr)
+	var f *Face
+	if i, ok := m.findDialed(addr); ok {
+		f = m.dialed[i]
+		m.dialed = slices.Delete(m.dialed, i, i+1)
+	}
 	m.mu.Unlock()
 	if f != nil {
 		f.stop()
 	}
+}
+
+// findDialed returns where addr's face sits in m.dialed, or where it
+// would be inserted. Callers hold m.mu.
+func (m *Mesh) findDialed(addr string) (int, bool) {
+	return slices.BinarySearchFunc(m.dialed, addr, func(f *Face, a string) int { return strings.Compare(f.addr, a) })
 }
 
 // SetReceiver registers the frame sink.
@@ -357,37 +367,23 @@ func (m *Mesh) Send(msg *wire.Message) bool {
 	}
 
 	// Snapshot the target faces under the lock, enqueue after
-	// releasing it (outbox sends must not happen under mu).
-	m.mu.Lock()
-	targets := make([]*Face, 0, len(m.dialed)+len(m.accepted))
-	seen := make(map[wire.NodeID]bool, len(m.dialed))
-	addrs := make([]string, 0, len(m.dialed))
-	for a := range m.dialed {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	for _, a := range addrs {
-		f := m.dialed[a]
-		if up, peer := f.upPeer(); up {
-			if peer != 0 {
-				if seen[peer] {
-					continue
-				}
-				seen[peer] = true
-			}
-			targets = append(targets, f)
+	// releasing it (outbox sends must not happen under mu). Up to 16
+	// faces the snapshot and the peers it already reaches stay on the
+	// stack; peers that announced no id (0) all count as distinct.
+	var faceBuf [16]*Face
+	var peerBuf [16]wire.NodeID
+	targets, peers := faceBuf[:0], peerBuf[:0]
+	add := func(f *Face) {
+		if up, peer := f.upPeer(); up && (peer == 0 || !slices.Contains(peers, peer)) {
+			targets, peers = append(targets, f), append(peers, peer)
 		}
+	}
+	m.mu.Lock()
+	for _, f := range m.dialed {
+		add(f)
 	}
 	for f := range m.accepted {
-		if up, peer := f.upPeer(); up {
-			if peer != 0 {
-				if seen[peer] {
-					continue
-				}
-				seen[peer] = true
-			}
-			targets = append(targets, f)
-		}
+		add(f)
 	}
 	tr := m.tr
 	m.mu.Unlock()
@@ -452,17 +448,9 @@ func (m *Mesh) encodeFrame(msg *wire.Message) ([]byte, error) {
 		fcopy.Data = whole[lo:hi]
 		fcopy.Size = hi - lo
 		real.Fragment = &fcopy
-		payload, err := wire.Encode(&real)
-		if err != nil {
-			return nil, err
-		}
-		return appendMsgFrame(nil, payload), nil
+		return encodeMsgFrame(&real)
 	}
-	payload, err := wire.Encode(msg)
-	if err != nil {
-		return nil, err
-	}
-	return appendMsgFrame(nil, payload), nil
+	return encodeMsgFrame(msg)
 }
 
 // deliver hands a decoded message to the receiver.

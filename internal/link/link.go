@@ -150,8 +150,10 @@ type Link struct {
 	drainArmed bool
 
 	pend map[uint64]*pending
-	// seen dedups received TransmitIDs.
-	seen map[uint64]time.Duration
+	// seen and seenOld are the dedup window (see duplicate): TransmitIDs
+	// accepted since seenSince, and those of the generation before.
+	seen, seenOld map[uint64]time.Duration
+	seenSince     time.Duration
 	// reasms tracks in-progress fragment reassemblies by OrigID.
 	reasms map[uint64]*reasm
 	// fragJobs queues fragmented messages; one streams at a time.
@@ -188,7 +190,6 @@ func New(clk clock.Clock, self wire.NodeID, raw RawSender, cfg Config) *Link {
 		cfg:    cfg,
 		tokens: float64(cfg.BucketBytes),
 		pend:   make(map[uint64]*pending),
-		seen:   make(map[uint64]time.Duration),
 		reasms: make(map[uint64]*reasm),
 	}
 }
@@ -566,23 +567,46 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		}
 	}
 
-	if at, dup := l.seen[msg.TransmitID]; dup && now-at < l.cfg.DedupRetention {
+	if l.duplicate(msg.TransmitID, now) {
 		l.stats.DupDropped++
 		return nil
-	}
-	l.seen[msg.TransmitID] = now
-	if len(l.seen) > 8192 {
-		for id, at := range l.seen {
-			if now-at >= l.cfg.DedupRetention {
-				delete(l.seen, id)
-			}
-		}
 	}
 
 	if msg.Type == wire.TypeFragment {
 		return l.reassemble(msg.Fragment, now)
 	}
 	return msg
+}
+
+// duplicate reports whether id was accepted less than DedupRetention
+// ago, and records it as accepted now when it was not. The window ages
+// here, on arrival, and nowhere else (no timer): once the current
+// generation is a retention old, the one before it holds only ids
+// accepted more than a retention ago; it is emptied and the two swap.
+// A frame costs two lookups and an insert however many ids are held.
+// Lookups compare timestamps, so a generation's age decides no verdict.
+func (l *Link) duplicate(id uint64, now time.Duration) bool {
+	keep := l.cfg.DedupRetention
+	if age := now - l.seenSince; age >= keep {
+		clear(l.seenOld)
+		if age < 2*keep && len(l.seen) > 0 {
+			l.seen, l.seenOld = l.seenOld, l.seen
+		} else {
+			clear(l.seen) // two retentions on, this one is all stale too
+		}
+		l.seenSince = now
+	}
+	if at, ok := l.seen[id]; ok && now-at < keep {
+		return true
+	}
+	if at, ok := l.seenOld[id]; ok && now-at < keep {
+		return true
+	}
+	if l.seen == nil { // made on first use: an idle link holds no map
+		l.seen = make(map[uint64]time.Duration)
+	}
+	l.seen[id] = now
+	return false
 }
 
 // reasm tracks one in-progress message reassembly.
@@ -618,6 +642,9 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 		}
 	}
 	r.at = now
+	if r.delivered {
+		return nil
+	}
 	r.have[f.Index] = true
 	if f.Whole != nil {
 		r.whole = f.Whole
@@ -625,25 +652,29 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 	if f.Data != nil && r.parts != nil {
 		r.parts[f.Index] = f.Data
 	}
-	if r.delivered || len(r.have) < r.count {
+	if len(r.have) < r.count {
 		return nil
 	}
-	r.delivered = true
+	// Complete: the entry stays only as a tombstone against a second
+	// delivery and lets go of the fragments now, not when the table is
+	// next swept, or a node holds a second copy of every chunk it heard.
+	whole, parts := r.whole, r.parts
+	r.delivered, r.have, r.whole, r.parts = true, nil, nil, nil
 	l.stats.Reassembled++
-	if r.whole != nil {
-		l.tr.Reassembled(r.whole, f.OrigID, r.count)
+	if whole != nil {
+		l.tr.Reassembled(whole, f.OrigID, r.count)
 		// Virtual path: hand up the shared original. Every receiver's
 		// fragments reference the same published message, and published
 		// messages are read-only end to end (wire.Message ownership
 		// rules), so no private clone is needed.
-		return r.whole
+		return whole
 	}
 	// Real-transport path: concatenate into a pooled scratch buffer and
 	// decode. Decode fully materializes the message (payloads and
 	// fragment data are copied out), so the buffer can go straight back
 	// to the pool.
 	total := 0
-	for _, part := range r.parts {
+	for _, part := range parts {
 		total += len(part)
 	}
 	buf := reasmBufPool.Get().(*[]byte)
@@ -651,7 +682,7 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 	if cap(*buf) < total {
 		*buf = make([]byte, 0, total)
 	}
-	for _, part := range r.parts {
+	for _, part := range parts {
 		*buf = append(*buf, part...)
 	}
 	decoded, err := wire.Decode(*buf)
@@ -686,7 +717,7 @@ func (l *Link) Reset() {
 	l.queue = nil
 	l.fragJobs = nil
 	l.activeJob = nil
-	l.seen = make(map[uint64]time.Duration)
+	l.seen, l.seenOld = nil, nil
 	l.reasms = make(map[uint64]*reasm)
 	l.tokens = float64(l.cfg.BucketBytes)
 	l.lastRefill = l.clk.Now()

@@ -343,3 +343,78 @@ func TestGiveUpReportsSortedUnacked(t *testing.T) {
 		}
 	}
 }
+
+// TestCompletedReassemblyKeepsOnlyTombstone drives the real-transport
+// path (fragments carrying bytes, as a face or UDP socket delivers
+// them): once the message is handed up — or its bytes fail to decode —
+// the table entry must let go of every fragment buffer, and a fragment
+// of the same message arriving after that must neither deliver it again
+// nor start a second reassembly.
+func TestCompletedReassemblyKeepsOnlyTombstone(t *testing.T) {
+	payload := make([]byte, 5000)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	whole := &wire.Message{
+		Type: wire.TypeResponse, TransmitID: 1, From: 2,
+		Response: &wire.Response{
+			ID: 7, Kind: wire.KindChunk, Receivers: []wire.NodeID{1},
+			Blobs: []wire.Blob{{Desc: attr.NewDescriptor().Set("c", attr.Int(0)), Payload: payload}},
+		},
+	}
+	enc, err := wire.Encode(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		bytes   []byte
+		decodes bool
+	}{
+		{"delivered", enc, true},
+		{"undecodable", make([]byte, len(enc)), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			clk := &manualClock{}
+			lk := New(clk, 1, func(*wire.Message) bool { return true }, cfg)
+			count := (len(tc.bytes) + cfg.FragmentBytes - 1) / cfg.FragmentBytes
+			var tid uint64
+			frag := func(i int) *wire.Message {
+				tid++
+				data := tc.bytes[i*cfg.FragmentBytes : min((i+1)*cfg.FragmentBytes, len(tc.bytes))]
+				return &wire.Message{
+					Type: wire.TypeFragment, TransmitID: 100 + tid, From: 2,
+					Fragment: &wire.Fragment{OrigID: 55, Index: i, Count: count, Receivers: []wire.NodeID{1}, Size: len(data), Data: data},
+				}
+			}
+			var up []*wire.Message
+			for i := 0; i < count; i++ {
+				if i == count-1 && lk.reasms[55].parts[0] == nil {
+					t.Fatal("an in-progress reassembly must hold its fragments")
+				}
+				if m := lk.HandleIncoming(frag(i)); m != nil {
+					up = append(up, m)
+				}
+			}
+			// The sender's ack was lost: the last fragment comes again
+			// under a TransmitID the dedup window has since forgotten.
+			clk.now += cfg.DedupRetention
+			if m := lk.HandleIncoming(frag(count - 1)); m != nil {
+				up = append(up, m)
+			}
+			st := lk.Stats()
+			if tc.decodes {
+				if len(up) != 1 || len(up[0].Response.Blobs[0].Payload) != len(payload) || st.ReasmErrors != 0 {
+					t.Fatalf("handed up %d messages, %d decode errors, want the one message", len(up), st.ReasmErrors)
+				}
+			} else if len(up) != 0 || st.ReasmErrors != 1 {
+				t.Fatalf("handed up %d messages, %d decode errors, want 0 and 1", len(up), st.ReasmErrors)
+			}
+			r := lk.reasms[55]
+			if st.Reassembled != 1 || len(lk.reasms) != 1 || !r.delivered || r.parts != nil || r.have != nil || r.whole != nil {
+				t.Fatalf("finished reassembly still holds state: reassembled=%d entries=%d %+v", st.Reassembled, len(lk.reasms), r)
+			}
+		})
+	}
+}

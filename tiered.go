@@ -92,13 +92,17 @@ type TieredResult struct {
 // chunk is missing.
 func (r *TieredResult) Assemble() ([]byte, bool) {
 	total := r.Item.TotalChunks()
-	var out []byte
+	size := 0
 	for c := 0; c < total; c++ {
 		p, ok := r.Chunks[c]
 		if !ok {
 			return nil, false
 		}
-		out = append(out, p...)
+		size += len(p)
+	}
+	out := make([]byte, 0, size)
+	for c := 0; c < total; c++ {
+		out = append(out, r.Chunks[c]...)
 	}
 	return out, true
 }

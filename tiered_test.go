@@ -455,3 +455,44 @@ func TestTieredChaosAcceptance(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestTieredAssemble pins Assemble's contract: chunks concatenated in id
+// order into one buffer of exactly the item's size (no doubling growth:
+// the item is the largest thing a retrieval allocates), and nothing at
+// all when a chunk is missing.
+func TestTieredAssemble(t *testing.T) {
+	item := NewDescriptor().Set("name", String("clip")).Set(AttrTotalChunks, Int(3))
+	res := &TieredResult{Item: item, Chunks: map[int][]byte{
+		2: []byte("ccccc"), 0: []byte("a"), 1: make([]byte, 70000),
+	}}
+	got, ok := res.Assemble()
+	if !ok || len(got) != 70006 || got[0] != 'a' || string(got[70001:]) != "ccccc" {
+		t.Fatalf("Assemble: ok=%v len=%d", ok, len(got))
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("assembled into a buffer of cap %d for %d bytes", cap(got), len(got))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { res.Assemble() }); allocs != 1 {
+		t.Fatalf("Assemble costs %v allocations, want 1", allocs)
+	}
+
+	for _, missing := range []int{0, 1, 2} {
+		part := &TieredResult{Item: item, Chunks: map[int][]byte{}}
+		for c, p := range res.Chunks {
+			if c != missing {
+				part.Chunks[c] = p
+			}
+		}
+		if got, ok := part.Assemble(); ok || got != nil {
+			t.Fatalf("chunk %d missing: Assemble returned ok=%v, %d bytes", missing, ok, len(got))
+		}
+	}
+	// An id beyond totalchunks is not part of the item.
+	res.Chunks[3] = []byte("stray")
+	if got, ok := res.Assemble(); !ok || len(got) != 70006 || cap(got) != 70006 {
+		t.Fatalf("with a stray chunk: ok=%v len=%d cap=%d", ok, len(got), cap(got))
+	}
+	if got, ok := (&TieredResult{Item: NewDescriptor()}).Assemble(); !ok || len(got) != 0 {
+		t.Fatalf("no chunks expected: ok=%v len=%d", ok, len(got))
+	}
+}
