@@ -34,14 +34,16 @@ lint:
 # parallel sweep runs mean concurrency is no longer confined to the
 # socket code — then the link layer's receive micro-benchmark for a
 # hundred frames per window size, so it cannot rot (its scaling guard is
-# a plain test and already ran), and last the nested benchmarks/ module,
-# which `./...` does not reach.
+# a plain test and already ran), the serve pass's micro-benchmarks (index
+# walk, sorted insert, one pass, one Bloom test) likewise, and last the
+# nested benchmarks/ module, which `./...` does not reach.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/link -run '^$$' -bench HandleIncoming -benchtime 100x -benchmem
+	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains' -benchtime 100x -benchmem
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
 
@@ -63,11 +65,12 @@ loc:
 golden:
 	$(GO) test ./internal/scenario -run TestFigureRowsGolden -update-golden
 
-# fuzz runs short bursts of the fuzzers: the codec, the datagram
-# framing above it, the tracker wire protocol, the persistent store's
-# record framing below it, and the two CLI spec grammars (fault plans
-# and workload specs).
+# fuzz runs short bursts of the fuzzers: the Bloom filter's one-loop
+# hash pair against hash/fnv, the codec, the datagram framing above it,
+# the tracker wire protocol, the persistent store's record framing below
+# it, and the two CLI spec grammars (fault plans and workload specs).
 fuzz:
+	$(GO) test ./internal/bloom -fuzz FuzzHashPair -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/udptransport -fuzz FuzzDecodeDatagram -fuzztime 30s
 	$(GO) test ./internal/tracker -fuzz FuzzDecode -fuzztime 30s

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -29,6 +28,10 @@ type Filter struct {
 	nhashes uint32
 	salt    uint64
 	count   uint64 // inserted elements, approximate occupancy signal
+	// over remembers Overloaded's answer for the current count: +1 yes,
+	// -1 no, 0 not asked since the count last moved (or since the filter
+	// was built, cloned or decoded).
+	over int8
 }
 
 // Default sizing targets used when the caller does not specify them.
@@ -87,28 +90,42 @@ func NewForCapacity(n uint64, fpr float64, salt uint64) *Filter {
 	return New(m, k, salt)
 }
 
-// hashPair returns the two independent base hashes for double hashing.
+// FNV-1a, 64 bit (hash/fnv's New64a, unrolled so both lanes run in one
+// loop and nothing is boxed behind a hash.Hash).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashPair returns the two independent base hashes for double hashing:
+// h1 is FNV-1a over the big-endian salt then the key; h2 is the same
+// stream behind a distinct prefix byte, so it is independent of h1 for
+// the scheme g_i = h1 + i*h2, and forced odd so strides cover the table.
+//
+//pds:hotpath
 func (f *Filter) hashPair(key string) (uint64, uint64) {
-	h := fnv.New64a()
-	var saltBuf [8]byte
-	binary.BigEndian.PutUint64(saltBuf[:], f.salt)
-	h.Write(saltBuf[:])
-	h.Write([]byte(key))
-	h1 := h.Sum64()
-	// Second hash: re-mix with a distinct prefix byte so h2 is
-	// independent of h1 for the double-hashing scheme g_i = h1 + i*h2.
-	h.Reset()
-	h.Write([]byte{0xd6})
-	h.Write(saltBuf[:])
-	h.Write([]byte(key))
-	h2 := h.Sum64() | 1 // force odd so strides cover the table
-	return h1, h2
+	h1 := uint64(fnvOffset)
+	h2 := uint64(fnvOffset) ^ 0xd6
+	h2 *= fnvPrime
+	for shift := 56; shift >= 0; shift -= 8 {
+		b := uint64(byte(f.salt >> shift))
+		h1 = (h1 ^ b) * fnvPrime
+		h2 = (h2 ^ b) * fnvPrime
+	}
+	for i := 0; i < len(key); i++ {
+		b := uint64(key[i])
+		h1 = (h1 ^ b) * fnvPrime
+		h2 = (h2 ^ b) * fnvPrime
+	}
+	return h1, h2 | 1
 }
 
 // Add inserts the key. The distinct-element counter only advances when
 // at least one bit was newly set, so repeated insertions of the same
 // keys (which en-route rewriting does constantly) do not inflate the
 // occupancy estimate.
+//
+//pds:hotpath
 func (f *Filter) Add(key string) {
 	h1, h2 := f.hashPair(key)
 	changed := false
@@ -122,11 +139,14 @@ func (f *Filter) Add(key string) {
 	}
 	if changed {
 		f.count++
+		f.over = 0
 	}
 }
 
 // Contains reports whether the key may have been inserted. False
 // positives are possible; false negatives are not.
+//
+//pds:hotpath
 func (f *Filter) Contains(key string) bool {
 	h1, h2 := f.hashPair(key)
 	for i := uint32(0); i < f.nhashes; i++ {
@@ -172,7 +192,21 @@ func (f *Filter) EstimatedFPR() float64 {
 // salting re-randomizes them, exactly the §V-3 argument (the paper
 // quotes ~14% per-round FPR converging to 0.02 joint FPR in 2 rounds
 // for 10,000 entries on a bounded filter).
-func (f *Filter) Overloaded() bool { return f.EstimatedFPR() > 0.25 }
+//
+// The answer depends only on the geometry and the count, so it is
+// remembered until the count moves: a serve pass asks once per (entry,
+// query) and most of those add nothing. The memo is written here, so
+// like Add this is for a filter the caller owns — the LQT's private
+// clone — not one inside a frozen message.
+func (f *Filter) Overloaded() bool {
+	if f.over == 0 {
+		f.over = -1
+		if f.EstimatedFPR() > 0.25 {
+			f.over = 1
+		}
+	}
+	return f.over > 0
+}
 
 // Clone returns a deep copy of the filter.
 func (f *Filter) Clone() *Filter {

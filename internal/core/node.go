@@ -10,8 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"pds/internal/attr"
@@ -205,6 +206,12 @@ type Node struct {
 
 	// servePending coalesces response generation per query kind.
 	servePending map[wire.QueryKind]bool
+	// units and keep are the serve pass's scratch, reused across passes:
+	// the store's live entries in key order, and the indices of the units
+	// a mixedcast pass keeps. What is kept is copied out before anything
+	// is sent, so no message ever aliases either.
+	units []attr.Descriptor
+	keep  []int
 	// discSessions are this node's active discovery/collection
 	// sessions; responses are delivered to them by selector match.
 	discSessions []*session
@@ -598,27 +605,18 @@ func (n *Node) emit(r wire.Response, src *wire.Response, units int) {
 	}
 }
 
-// sortedServes returns the serve bindings sorted by (node, query id).
-func sortedServes(set map[wire.Serve]bool) []wire.Serve {
-	out := make([]wire.Serve, 0, len(set))
-	for sv := range set {
-		out = append(out, sv)
+// insertSorted adds v to the sorted set s. The sets it keeps — the
+// receivers and serve bindings of one response — hold a handful of
+// elements, so a slice beats a map and needs no sorting afterwards.
+func insertSorted[T any](s []T, v T, compare func(T, T) int) []T {
+	i, found := slices.BinarySearchFunc(s, v, compare)
+	if found {
+		return s
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].QueryID < out[j].QueryID
-	})
-	return out
+	return slices.Insert(s, i, v)
 }
 
-// sortedIDs returns the ids sorted, deduplicated.
-func sortedIDs(set map[wire.NodeID]bool) []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// compareServes orders serve bindings by (node, query id).
+func compareServes(a, b wire.Serve) int {
+	return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.QueryID, b.QueryID))
 }

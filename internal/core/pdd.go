@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"time"
 
 	"pds/internal/attr"
@@ -27,7 +28,7 @@ func (n *Node) handleQuery(q *wire.Query) {
 		n.stats.QueriesDuplicate++
 		return
 	}
-	lq := n.lqt.Insert(q, now+q.TTL)
+	n.lqt.Insert(q, now+q.TTL)
 	n.arm(now + q.TTL)
 
 	// DS Lookup: answer from the local store toward the query sender.
@@ -47,12 +48,12 @@ func (n *Node) handleQuery(q *wire.Query) {
 		// stay connected.
 		n.routing.ObserveAdvert(q, now)
 	}
-	n.reflood(q, lq)
+	n.reflood(q)
 }
 
 // reflood is the receiver check and forwarding step of Algorithm 1 for
 // every flooded kind.
-func (n *Node) reflood(q *wire.Query, lq *store.LingeringQuery) {
+func (n *Node) reflood(q *wire.Query) {
 	// Receiver Check: forward only if we are an intended receiver (an
 	// empty list means all neighbors).
 	if len(q.Receivers) > 0 && !containsID(q.Receivers, n.id) {
@@ -69,8 +70,12 @@ func (n *Node) reflood(q *wire.Query, lq *store.LingeringQuery) {
 	// forwarded variant is a fresh Query struct sharing the immutable
 	// sections (Sel, Item, ChunkIDs) with only the rewritten fields
 	// replaced: sender, receiver list (flooded planes keep it empty),
-	// hop budget, and the per-kind rewrite below. The payload and
-	// selector are never copied.
+	// hop budget, and an advert's hop count. The selector is never
+	// copied, and neither is the Bloom filter: the forwarded filter is the
+	// received one. Rewriting (§III-B.2) happens in this node's private
+	// LQT copy — nothing has been served yet, serving is always deferred
+	// — and shows downstream as entries missing from this node's
+	// responses, not as bits in the queries it forwards.
 	fwd := *q
 	fwd.Sender = n.id
 	fwd.Receivers = nil
@@ -81,13 +86,6 @@ func (n *Node) reflood(q *wire.Query, lq *store.LingeringQuery) {
 		// An advert's filter travels frozen; Round carries the hops
 		// traveled so downstream nodes learn their distance to the origin.
 		fwd.Round = q.Round + 1
-	} else if lq.Bloom != nil {
-		// A snapshot of this node's rewritten Bloom filter, so downstream
-		// nodes skip entries we just served (§III-B.2 en-route query
-		// rewriting). Snapshot, not alias: the lingering copy keeps
-		// mutating after this frame is queued, and an in-flight frame
-		// must not change.
-		fwd.Bloom = lq.Bloom.Clone()
 	}
 	n.stats.QueriesForwarded++
 	n.tr.QueryForward(q.ID, q.Sender, int(fwd.HopsLeft))
@@ -143,26 +141,17 @@ func (n *Node) serveQueries(kind wire.QueryKind) {
 	if len(routes) == 0 {
 		return
 	}
-	// Candidate set: union of per-query matches, deduplicated, sorted
-	// (store matches are key-sorted; merge preserves determinism).
-	seen := make(map[string]bool)
-	var candidates content
-	for _, lq := range routes {
-		var matches []attr.Descriptor
-		if kind == wire.KindData {
-			matches = n.ds.MatchPayloads(lq.Query.Sel, now)
-		} else {
-			matches = n.ds.Match(lq.Query.Sel, now)
-		}
-		for _, d := range matches {
-			key := d.Key()
-			if !seen[key] {
-				seen[key] = true
-				candidates.entries = append(candidates.entries, d)
-			}
-		}
+	// Candidates: every live entry (every held payload for small data) in
+	// key order, walked out of the store's index into the node's scratch.
+	// No selector is applied here — mixedcast offers each candidate to
+	// each route and Offer tests that route's selector — so what leaves is
+	// the union of the routes' matches, each once, sorted by key.
+	if kind == wire.KindData {
+		n.units = n.ds.AppendMatchPayloads(n.units[:0], attr.Query{}, now)
+	} else {
+		n.units = n.ds.AppendMatch(n.units[:0], attr.Query{}, now)
 	}
-	n.answer(routes, candidates, nil)
+	n.answer(routes, content{entries: n.units}, nil)
 }
 
 // relayUnits is the LQT lookup of Algorithm 2 for a metadata or
@@ -218,20 +207,21 @@ func (c content) size(i int) int {
 	return c.entries[i].EncodedSize()
 }
 
-// take appends unit i of from, sizing the first allocation for the
-// units from still has to offer.
-func (c *content) take(from content, i int) {
-	if from.blobs != nil {
-		if c.blobs == nil {
-			c.blobs = make([]wire.Blob, 0, len(from.blobs)-i)
+// pick returns the units at the indices, copied into a content of
+// exactly that size: it shares nothing with c, which may be scratch.
+func (c content) pick(idx []int) content {
+	if c.blobs != nil {
+		out := make([]wire.Blob, len(idx))
+		for j, i := range idx {
+			out[j] = c.blobs[i]
 		}
-		c.blobs = append(c.blobs, from.blobs[i])
-		return
+		return content{blobs: out}
 	}
-	if c.entries == nil {
-		c.entries = make([]attr.Descriptor, 0, len(from.entries)-i)
+	out := make([]attr.Descriptor, len(idx))
+	for j, i := range idx {
+		out[j] = c.entries[i]
 	}
-	c.entries = append(c.entries, from.entries[i])
+	return content{entries: out}
 }
 
 // slice returns units [lo, hi) as a content that cannot grow into its
@@ -265,8 +255,7 @@ type cast struct {
 // it, is LingeringQuery.Offer.
 func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 	var c cast
-	recv := make(map[wire.NodeID]bool)
-	serves := make(map[wire.Serve]bool)
+	n.keep = n.keep[:0]
 	for i := 0; i < units.len(); i++ {
 		d := units.desc(i)
 		key := d.Key()
@@ -283,8 +272,8 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 				// A query this node originated is a sink: the unit is
 				// recorded against it but travels no further.
 				if lq.Query.Origin != n.id {
-					recv[lq.Query.Sender] = true
-					serves[wire.Serve{Node: lq.Query.Sender, QueryID: lq.Query.ID}] = true
+					c.receivers = insertSorted(c.receivers, lq.Query.Sender, cmp.Compare)
+					c.serves = insertSorted(c.serves, wire.Serve{Node: lq.Query.Sender, QueryID: lq.Query.ID}, compareServes)
 					forward = true
 				}
 				// The one-shot Interest ablation: with lingering disabled
@@ -298,13 +287,12 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 			}
 		}
 		if forward {
-			c.kept.take(units, i)
+			n.keep = append(n.keep, i)
 		} else if !wanted {
 			c.unwanted++
 		}
 	}
-	c.receivers = sortedIDs(recv)
-	c.serves = sortedServes(serves)
+	c.kept = units.pick(n.keep)
 	return c
 }
 
@@ -332,7 +320,7 @@ func (n *Node) answer(routes []*store.LingeringQuery, units content, src *wire.R
 			if kind == wire.KindData {
 				// Payloads are loaded only for the units that travel.
 				descs := c.kept.entries
-				c.kept = content{}
+				c.kept = content{blobs: make([]wire.Blob, 0, len(descs))}
 				for _, d := range descs {
 					if payload, ok := n.ds.Payload(d); ok {
 						c.kept.blobs = append(c.kept.blobs, wire.Blob{Desc: d, Payload: payload})

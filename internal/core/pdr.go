@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"sort"
 	"time"
 
@@ -505,8 +506,8 @@ func (n *Node) respondCDI(q *wire.Query) {
 // own (just updated) distances — the distance-vector step of §IV-A.
 func (n *Node) relayCDI(r *wire.Response, now time.Duration) {
 	itemKey := r.Item.Key()
-	recv := make(map[wire.NodeID]bool)
-	serves := make(map[wire.Serve]bool)
+	var recv []wire.NodeID
+	var serves []wire.Serve
 	for _, sv := range r.Serves {
 		if sv.Node != n.id {
 			continue
@@ -519,8 +520,8 @@ func (n *Node) relayCDI(r *wire.Response, now time.Duration) {
 			continue
 		}
 		n.tr.LQMatch(r.ID, sv.QueryID)
-		recv[lq.Query.Sender] = true
-		serves[wire.Serve{Node: lq.Query.Sender, QueryID: sv.QueryID}] = true
+		recv = insertSorted(recv, lq.Query.Sender, cmp.Compare)
+		serves = insertSorted(serves, wire.Serve{Node: lq.Query.Sender, QueryID: sv.QueryID}, compareServes)
 	}
 	if len(recv) == 0 {
 		return
@@ -531,8 +532,8 @@ func (n *Node) relayCDI(r *wire.Response, now time.Duration) {
 	}
 	n.emit(wire.Response{
 		Kind:      wire.KindCDI,
-		Receivers: sortedIDs(recv),
-		Serves:    sortedServes(serves),
+		Receivers: recv,
+		Serves:    serves,
 		Item:      r.Item,
 		CDI:       pairs,
 	}, r, len(pairs))
@@ -704,7 +705,7 @@ func (n *Node) relayChunks(r *wire.Response, now time.Duration) {
 		if !ok {
 			continue
 		}
-		recv := make(map[wire.NodeID]bool)
+		var recv []wire.NodeID
 		for _, lq := range matching {
 			idx := indexOf(lq.Wanted, cid)
 			if idx < 0 {
@@ -716,7 +717,7 @@ func (n *Node) relayChunks(r *wire.Response, now time.Duration) {
 			lq.Wanted = append(lq.Wanted[:idx], lq.Wanted[idx+1:]...)
 			if lq.Query.Origin != n.id {
 				n.tr.LQMatch(r.ID, lq.Query.ID)
-				recv[lq.Query.Sender] = true
+				recv = insertSorted(recv, lq.Query.Sender, cmp.Compare)
 			}
 		}
 		if len(recv) == 0 {
@@ -724,7 +725,7 @@ func (n *Node) relayChunks(r *wire.Response, now time.Duration) {
 		}
 		n.emit(wire.Response{
 			Kind:      wire.KindChunk,
-			Receivers: sortedIDs(recv),
+			Receivers: recv,
 			Item:      r.Item,
 			Blobs:     []wire.Blob{b},
 		}, r, 1)

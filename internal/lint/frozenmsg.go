@@ -27,8 +27,9 @@ import (
 //     copy or a range variable;
 //   - append/copy whose destination aliases a frozen slice (append may
 //     write into the shared backing array when capacity allows);
-//   - Bloom.Add on the shared filter, even via an alias; rewriting
-//     goes through LQT's private clone and Message.WithBloom;
+//   - Bloom.Add on the shared filter (and Overloaded, which memoizes
+//     into it), even via an alias; rewriting goes through LQT's
+//     private clone and Message.WithBloom;
 //   - calls passing frozen data to a same-package function whose body
 //     (transitively, within the package) writes through that parameter.
 //
@@ -238,7 +239,8 @@ func checkFrozenCall(p *Pass, fl *funcFlow, call *ast.CallExpr, sums paramMutati
 		}
 	}
 	// q.Bloom.Add(...): the filter is shared even across value copies.
-	if fun, ok := call.Fun.(*ast.SelectorExpr); ok && fun.Sel.Name == "Add" {
+	// Overloaded writes too — it remembers its answer in the filter.
+	if fun, ok := call.Fun.(*ast.SelectorExpr); ok && (fun.Sel.Name == "Add" || fun.Sel.Name == "Overloaded") {
 		if bloomSel, ok := fun.X.(*ast.SelectorExpr); ok && bloomSel.Sel.Name == "Bloom" {
 			if name, ok := namedWireType(p.Pkg.Info.TypeOf(bloomSel.X)); ok && !fl.exprOwned(bloomSel.X) {
 				p.Reportf(call.Pos(), "mutation of the shared wire.%s Bloom filter: clone it (LQT does at insert) and attach a snapshot via WithBloom", name)
@@ -246,7 +248,7 @@ func checkFrozenCall(p *Pass, fl *funcFlow, call *ast.CallExpr, sums paramMutati
 			}
 		}
 		// Alias form: b := q.Bloom; b.Add(h).
-		if recv, name, ok := methodCall(p.Pkg.Info, call); ok && name == "Add" {
+		if recv, _, ok := methodCall(p.Pkg.Info, call); ok {
 			if pkg, tn, ok := receiverNamed(recv); ok && tn == "Filter" && pkg != nil &&
 				strings.HasSuffix(pkg.Path(), "/internal/bloom") && fl.exprTainted(fun.X) {
 				p.Reportf(call.Pos(), "mutation of a Bloom filter aliased from a frozen wire message: clone it and attach a snapshot via WithBloom")

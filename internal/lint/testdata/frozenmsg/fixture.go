@@ -43,6 +43,11 @@ func mutateBloom(m *wire.Message, key string) {
 	fwd.Bloom.Add(key) // want "mutation of the shared wire.Query Bloom filter"
 }
 
+// Overloaded remembers its answer inside the filter: a write as well.
+func askSharedBloom(m *wire.Message) bool {
+	return m.Query.Bloom.Overloaded() // want "mutation of the shared wire.Query Bloom filter"
+}
+
 // --- v2: aliases, ranges, embedding, one call level ------------------
 
 // A slice pulled out of a frozen message still aliases its backing

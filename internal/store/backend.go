@@ -66,7 +66,7 @@ func (s *DataStore) HasBackend() bool { return s.backend != nil }
 // entry lease of entryTTL. Without a backend it simply empties the
 // store.
 func (s *DataStore) Recover(now, entryTTL time.Duration) {
-	s.entries = make(map[string]Entry)
+	s.resetEntries()
 	s.payloads = make(map[string][]byte)
 	s.ownedKeys = make(map[string]bool)
 	s.spilled = make(map[string]bool)
@@ -81,14 +81,14 @@ func (s *DataStore) Recover(now, entryTTL time.Duration) {
 		key := d.Key()
 		switch {
 		case owned:
-			s.entries[key] = Entry{Desc: d, Owned: true}
+			s.setEntry(Entry{Desc: d, Owned: true})
 			if hasPayload {
 				s.payloads[key] = payload
 				s.ownedKeys[key] = true
 				s.indexChunk(d, key)
 			}
 		case hasPayload:
-			s.entries[key] = Entry{Desc: d, ExpireAt: now + entryTTL}
+			s.setEntry(Entry{Desc: d, ExpireAt: now + entryTTL})
 			s.spilled[key] = true
 			s.indexChunk(d, key)
 		}

@@ -1,7 +1,8 @@
 package store
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"pds/internal/attr"
@@ -73,6 +74,9 @@ const (
 // the same unit is never Fresh twice. A saturated filter fails open
 // (see forwarded above): it is then not consulted at all. key is
 // d.Key(), passed in because callers offer one unit to many queries.
+// Every verdict but Fresh allocates nothing.
+//
+//pds:hotpath
 func (lq *LingeringQuery) Offer(d attr.Descriptor, key string) Verdict {
 	if !lq.Query.Sel.Match(d) {
 		return Unmatched
@@ -86,11 +90,16 @@ func (lq *LingeringQuery) Offer(d attr.Descriptor, key string) Verdict {
 		}
 		lq.Bloom.Add(key)
 	}
+	lq.markForwarded(key)
+	return Fresh
+}
+
+// markForwarded records key in the exact already-forwarded set.
+func (lq *LingeringQuery) markForwarded(key string) {
 	if lq.forwarded == nil {
 		lq.forwarded = make(map[string]bool)
 	}
 	lq.forwarded[key] = true
-	return Fresh
 }
 
 // LQT is the Lingering Query Table. Queries are keyed by their globally
@@ -154,9 +163,11 @@ func (t *LQT) AllOfKind(kind wire.QueryKind, now time.Duration) []*LingeringQuer
 			out = append(out, lq)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Query.ID < out[j].Query.ID })
+	slices.SortFunc(out, byQueryID)
 	return out
 }
+
+func byQueryID(a, b *LingeringQuery) int { return cmp.Compare(a.Query.ID, b.Query.ID) }
 
 // MatchItem returns unexpired lingering queries of the kind whose Item
 // descriptor equals the given item (CDI and chunk planes match on the
@@ -172,7 +183,7 @@ func (t *LQT) MatchItem(kind wire.QueryKind, itemKey string, now time.Duration) 
 		}
 		out = append(out, lq)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Query.ID < out[j].Query.ID })
+	slices.SortFunc(out, byQueryID)
 	return out
 }
 
@@ -191,7 +202,7 @@ func (t *LQT) Expire(now time.Duration) time.Duration {
 			next = min(next, lq.ExpireAt)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	slices.Sort(expired)
 	for _, id := range expired {
 		delete(t.queries, id)
 		t.tr.LQTExpire(id)

@@ -8,6 +8,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -31,7 +32,12 @@ type Entry struct {
 // DataStore holds metadata entries and data payloads (small items and
 // chunks), keyed by canonical descriptor key.
 type DataStore struct {
-	entries map[string]Entry
+	entries map[string]*Entry
+	// index holds the records of entries ordered by key, so a serve pass
+	// is one walk with nothing to collect or sort. Its one invariant:
+	// index is exactly the values of entries, ascending by Desc.Key().
+	// Only setEntry, dropEntry, dropEntries and resetEntries write either.
+	index []*Entry
 	// payloads maps descriptor key to payload bytes for data this node
 	// holds (small items, or individual chunks keyed by the chunk
 	// descriptor).
@@ -75,7 +81,7 @@ func (s *DataStore) SetTracer(tr *trace.NodeTracer) {
 // bytes (0 = unlimited).
 func NewDataStore(cacheCap int) *DataStore {
 	return &DataStore{
-		entries:    make(map[string]Entry),
+		entries:    make(map[string]*Entry),
 		payloads:   make(map[string][]byte),
 		ownedKeys:  make(map[string]bool),
 		spilled:    make(map[string]bool),
@@ -89,7 +95,7 @@ func NewDataStore(cacheCap int) *DataStore {
 // expires.
 func (s *DataStore) PutOwned(d attr.Descriptor) {
 	key := d.Key()
-	s.entries[key] = Entry{Desc: d, Owned: true}
+	s.setEntry(Entry{Desc: d, Owned: true})
 	if s.backend != nil && !s.ownedKeys[key] {
 		if _, hasPayload := s.payloads[key]; !hasPayload && !s.spilled[key] {
 			// Entry-only owned fact: persist it so a restart still
@@ -108,13 +114,64 @@ func (s *DataStore) PutCached(d attr.Descriptor, expireAt time.Duration) bool {
 	if old, ok := s.entries[key]; ok {
 		if !old.Owned && expireAt > old.ExpireAt {
 			old.ExpireAt = expireAt
-			s.entries[key] = old
 		}
 		return false
 	}
-	s.entries[key] = Entry{Desc: d, ExpireAt: expireAt}
+	s.setEntry(Entry{Desc: d, ExpireAt: expireAt})
 	s.tr.CacheInsert(key, 0)
 	return true
+}
+
+// setEntry stores e under its key: in place when the key is held, else
+// as a new record (the one allocation an entry costs) at its place in
+// the index. Keys that arrive ascending — a producer's series, a
+// backend's Restore — append without a search.
+func (s *DataStore) setEntry(e Entry) {
+	key := e.Desc.Key()
+	if old, ok := s.entries[key]; ok {
+		*old = e
+		return
+	}
+	rec := &e
+	s.entries[key] = rec
+	i := len(s.index)
+	if i > 0 && s.index[i-1].Desc.Key() > key {
+		i = s.indexOf(key)
+	}
+	s.index = slices.Insert(s.index, i, rec)
+}
+
+// dropEntry removes the entry under key, if held.
+func (s *DataStore) dropEntry(key string) {
+	if _, ok := s.entries[key]; !ok {
+		return
+	}
+	delete(s.entries, key)
+	i := s.indexOf(key)
+	s.index = slices.Delete(s.index, i, i+1)
+}
+
+// dropEntries removes every entry drop picks, compacting the index in
+// one ordered pass; drop sees the entries in key order.
+func (s *DataStore) dropEntries(drop func(*Entry) bool) {
+	s.index = slices.DeleteFunc(s.index, func(e *Entry) bool {
+		if !drop(e) {
+			return false
+		}
+		delete(s.entries, e.Desc.Key())
+		return true
+	})
+}
+
+// resetEntries empties the store's entries.
+func (s *DataStore) resetEntries() {
+	s.entries = make(map[string]*Entry)
+	s.index = nil
+}
+
+// indexOf returns where key sits, or would be inserted, in the index.
+func (s *DataStore) indexOf(key string) int {
+	return sort.Search(len(s.index), func(i int) bool { return s.index[i].Desc.Key() >= key })
 }
 
 // HasEntry reports whether an unexpired entry exists for the descriptor.
@@ -123,25 +180,29 @@ func (s *DataStore) HasEntry(d attr.Descriptor, now time.Duration) bool {
 	return ok && s.live(e, now)
 }
 
-func (s *DataStore) live(e Entry, now time.Duration) bool {
+func (s *DataStore) live(e *Entry, now time.Duration) bool {
 	return e.Owned || e.ExpireAt > now
 }
 
 // Match returns all unexpired entries whose descriptors satisfy q, in
 // deterministic (key-sorted) order.
 func (s *DataStore) Match(q attr.Query, now time.Duration) []attr.Descriptor {
-	keys := make([]string, 0, len(s.entries))
-	for k, e := range s.entries {
+	return s.AppendMatch(nil, q, now)
+}
+
+// AppendMatch appends to dst what Match returns: one walk of the index,
+// which allocates nothing when dst has the room. A serve pass reuses one
+// buffer across passes and passes the empty query, leaving the selectors
+// to the per-route test it runs anyway.
+//
+//pds:hotpath
+func (s *DataStore) AppendMatch(dst []attr.Descriptor, q attr.Query, now time.Duration) []attr.Descriptor {
+	for _, e := range s.index {
 		if s.live(e, now) && q.Match(e.Desc) {
-			keys = append(keys, k)
+			dst = append(dst, e.Desc)
 		}
 	}
-	sort.Strings(keys)
-	out := make([]attr.Descriptor, len(keys))
-	for i, k := range keys {
-		out[i] = s.entries[k].Desc
-	}
-	return out
+	return dst
 }
 
 // PutPayloadOwned stores a payload this node produced, with its metadata
@@ -290,45 +351,34 @@ func (s *DataStore) PutPayloadCached(d attr.Descriptor, payload []byte, now, exp
 // never asked to sacrifice a live payload while an expired one squats
 // on the budget.
 func (s *DataStore) purgeExpired(now time.Duration) {
-	kept := s.cacheOrder[:0]
-	for _, key := range s.cacheOrder {
-		e, ok := s.entries[key]
-		if ok && s.live(e, now) {
-			kept = append(kept, key)
-			continue
+	s.dropEntries(func(e *Entry) bool {
+		if s.live(e, now) {
+			return false
 		}
-		if p, held := s.payloads[key]; held {
+		key := e.Desc.Key()
+		p, inRAM := s.payloads[key]
+		if !inRAM && !s.spilled[key] {
+			return false // no payload to reclaim: Expire's business
+		}
+		if inRAM {
 			s.cachedBytes -= len(p)
 			s.tr.CacheEvict(key, len(p))
 			delete(s.payloads, key)
 		}
-		if ok {
-			s.unindexChunk(e.Desc)
-			delete(s.entries, key)
-		}
+		s.unindexChunk(e.Desc)
 		s.cache.Forget(key)
 		if s.backend != nil {
 			s.backend.DeletePayload(key)
 		}
+		// A spilled payload left cacheOrder when it was evicted from RAM;
+		// its disk record was reclaimed just above.
 		delete(s.spilled, key)
-	}
-	s.cacheOrder = kept
-	// Spilled payloads left cacheOrder when they were evicted from RAM;
-	// reclaim their disk records too once their lease lapses.
-	//lint:allow determinism per-entry removal; unindexChunk only deletes that entry's own index records
-	for key := range s.spilled {
-		e, ok := s.entries[key]
-		if ok && s.live(e, now) {
-			continue
-		}
-		if ok {
-			s.unindexChunk(e.Desc)
-			delete(s.entries, key)
-		}
-		s.backend.DeletePayload(key)
-		delete(s.spilled, key)
-		s.cache.Forget(key)
-	}
+		return true
+	})
+	s.cacheOrder = slices.DeleteFunc(s.cacheOrder, func(key string) bool {
+		_, inRAM := s.payloads[key]
+		return !inRAM
+	})
 }
 
 // Payload returns the stored payload for the descriptor, if present.
@@ -349,30 +399,22 @@ func (s *DataStore) HasPayload(d attr.Descriptor) bool {
 
 // MatchPayloads returns descriptors of held payloads (RAM or spilled)
 // whose metadata entries are unexpired and satisfy q, in deterministic
-// order.
+// (key-sorted) order.
 func (s *DataStore) MatchPayloads(q attr.Query, now time.Duration) []attr.Descriptor {
-	keys := make([]string, 0)
-	for k := range s.payloads {
-		e, ok := s.entries[k]
-		if ok && s.live(e, now) && q.Match(e.Desc) {
-			keys = append(keys, k)
+	return s.AppendMatchPayloads(nil, q, now)
+}
+
+// AppendMatchPayloads is AppendMatch over the entries whose payload is
+// held.
+//
+//pds:hotpath
+func (s *DataStore) AppendMatchPayloads(dst []attr.Descriptor, q attr.Query, now time.Duration) []attr.Descriptor {
+	for _, e := range s.index {
+		if s.live(e, now) && q.Match(e.Desc) && s.HasPayload(e.Desc) {
+			dst = append(dst, e.Desc)
 		}
 	}
-	for k := range s.spilled {
-		if _, inRAM := s.payloads[k]; inRAM {
-			continue
-		}
-		e, ok := s.entries[k]
-		if ok && s.live(e, now) && q.Match(e.Desc) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]attr.Descriptor, len(keys))
-	for i, k := range keys {
-		out[i] = s.entries[k].Desc
-	}
-	return out
+	return dst
 }
 
 // OwnedItemKeys returns the sorted item-level keys of the data this
@@ -403,7 +445,7 @@ func (s *DataStore) DeleteOwned(d attr.Descriptor) {
 	key := d.Key()
 	delete(s.payloads, key)
 	delete(s.ownedKeys, key)
-	delete(s.entries, key)
+	s.dropEntry(key)
 	delete(s.spilled, key)
 	s.unindexChunk(d)
 	if s.backend != nil {
@@ -418,11 +460,7 @@ func (s *DataStore) DeleteOwned(d attr.Descriptor) {
 // its cached records follow the same crash semantics unless it was
 // opened with a persistent cache tier.
 func (s *DataStore) WipeCached() {
-	for k := range s.entries {
-		if !s.entries[k].Owned {
-			delete(s.entries, k)
-		}
-	}
+	s.dropEntries(func(e *Entry) bool { return !e.Owned })
 	for k := range s.payloads {
 		if !s.ownedKeys[k] {
 			delete(s.payloads, k)
@@ -437,10 +475,10 @@ func (s *DataStore) WipeCached() {
 	}
 	// Rebuild the chunk index from the surviving (owned) payloads.
 	s.chunkIndex = make(map[string]map[int]string)
-	//lint:allow determinism per-entry rebuild; indexChunk only inserts that entry's own index records
-	for k := range s.payloads {
-		if e, ok := s.entries[k]; ok {
-			s.indexChunk(e.Desc, k)
+	for _, e := range s.index {
+		key := e.Desc.Key()
+		if _, held := s.payloads[key]; held {
+			s.indexChunk(e.Desc, key)
 		}
 	}
 }
@@ -456,7 +494,7 @@ func (s *DataStore) PowerOff() {
 	if s.backend == nil {
 		return
 	}
-	s.entries = make(map[string]Entry)
+	s.resetEntries()
 	s.payloads = make(map[string][]byte)
 	s.ownedKeys = make(map[string]bool)
 	s.chunkIndex = make(map[string]map[int]string)
@@ -469,18 +507,15 @@ func (s *DataStore) PowerOff() {
 // until they lapse, for an evicted payload leaves its entry to expire.
 func (s *DataStore) Expire(now time.Duration) time.Duration {
 	next := clock.Never
-	for k, e := range s.entries {
+	s.dropEntries(func(e *Entry) bool {
 		if e.Owned {
-			continue
+			return false
 		}
 		if e.ExpireAt > now {
 			next = min(next, e.ExpireAt)
-			continue
+			return false
 		}
-		if _, hasPayload := s.payloads[k]; hasPayload || s.spilled[k] {
-			continue
-		}
-		delete(s.entries, k)
-	}
+		return !s.HasPayload(e.Desc)
+	})
 	return next
 }

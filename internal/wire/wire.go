@@ -254,8 +254,9 @@ type Ack struct {
 //     the message; rewriting goes through a CoW helper.
 //   - Query.Bloom is frozen with the message. A node that rewrites the
 //     filter en route (§III-B.2) must work on its own copy — the LQT
-//     clones the filter at insert — and attach a fresh snapshot to the
-//     forwarded copy via WithBloom.
+//     clones the filter at insert. The query it forwards carries the
+//     received filter, shared; a caller that needs a different filter
+//     on a copy attaches it via WithBloom.
 type Message struct {
 	// Type discriminates the body.
 	Type MessageType
@@ -357,9 +358,7 @@ func (m *Message) WithReceivers(rs []NodeID) *Message {
 
 // WithBloom returns a copy of a query message carrying the given Bloom
 // filter, sharing everything else. The caller transfers ownership of f
-// to the new message; per-hop en-route rewriting (§III-B.2) snapshots
-// its lingering filter and attaches it here — the filter is copied, the
-// payload never is.
+// to the new message.
 func (m *Message) WithBloom(f *bloom.Filter) *Message {
 	out := *m
 	if m.Query != nil {

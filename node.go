@@ -331,6 +331,13 @@ func (n *Node) Close() error {
 	}
 	n.clk.Locked(func() { n.core.Stop() })
 	err := n.trans.Close()
+	// Frames still waiting for an ack would be retried into the closed
+	// transport until they give up, some twenty seconds on, and each
+	// armed retry timer pins its frame and, through the link, the node's
+	// stores. The transport delivers nothing more and a stopped core
+	// sends nothing more, so what is left armed after this is jitter
+	// delays of at most 100 ms.
+	n.clk.Locked(func() { n.link.Reset() })
 	if n.disk != nil {
 		if derr := n.disk.Store().Close(); err == nil {
 			err = derr

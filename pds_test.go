@@ -477,3 +477,68 @@ func TestCloseLeavesNoTimerPending(t *testing.T) {
 		t.Fatalf("%d timers pending after Close", got)
 	}
 }
+
+// deafToAcks is a transport whose node never hears an acknowledgement:
+// every frame it addresses to a receiver stays pending in its link,
+// retried until the link gives up.
+type deafToAcks struct{ Transport }
+
+func (d deafToAcks) SetReceiver(fn func(*Message)) {
+	if fn == nil {
+		d.Transport.SetReceiver(nil)
+		return
+	}
+	d.Transport.SetReceiver(func(m *Message) {
+		if m.Type != wire.TypeAck {
+			fn(m)
+		}
+	})
+}
+
+// TestCloseCancelsRetransmissions: a frame still unacknowledged at Close
+// is retried with doubling timeouts for some twenty seconds, and every
+// armed retry pins the frame and, through the link, the closed node's
+// stores. Close must drop it rather than retry into a closed transport.
+func TestCloseCancelsRetransmissions(t *testing.T) {
+	hub := NewChanHub()
+	clk := &countingClock{Real: clock.NewReal()}
+	a, err := newNode(clk.Real, clk, deafToAcks{hub.Attach()}, WithNodeID(1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewNode(hub.Attach(), WithNodeID(2), WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.Publish(sensorDesc("s1"), []byte("42ppb"))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if entries, err := b.Discover(ctx, sensorSel()); err != nil || len(entries) != 1 {
+		t.Fatalf("Discover = %d entries, %v", len(entries), err)
+	}
+	// a answered b and will never hear b's ack.
+	unacked := func() (pending int) {
+		a.clk.Locked(func() { pending = a.link.PendingAcks() })
+		return pending
+	}
+	if got := unacked(); got == 0 {
+		t.Fatal("no frame of a awaits an ack; the test exercises nothing")
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := unacked(); got != 0 {
+		t.Fatalf("%d frames still await acks after Close", got)
+	}
+	// Jitter delays (≤ 100 ms) may still be armed; a retry would be re-armed
+	// for seconds.
+	deadline := time.Now().Add(time.Second)
+	for clk.pending.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := clk.pending.Load(); got != 0 {
+		t.Fatalf("%d timers pending a second after Close", got)
+	}
+}
