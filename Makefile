@@ -35,8 +35,10 @@ lint:
 # socket code — then the link layer's receive micro-benchmark for a
 # hundred frames per window size, so it cannot rot (its scaling guard is
 # a plain test and already ran), the serve pass's micro-benchmarks (index
-# walk, sorted insert, one pass, one Bloom test) likewise, and last the
-# nested benchmarks/ module, which `./...` does not reach.
+# walk, sorted insert, one pass, one Bloom test) and the simulator's (a
+# fired event by Schedule and by Timer, a frame through the medium)
+# likewise, and last the nested benchmarks/ module, which `./...` does
+# not reach.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -44,6 +46,7 @@ verify: lint
 	$(GO) test -race ./...
 	$(GO) test ./internal/link -run '^$$' -bench HandleIncoming -benchtime 100x -benchmem
 	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains' -benchtime 100x -benchmem
+	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 	"time"
 
 	"pds/internal/assign"
@@ -481,7 +481,8 @@ func (n *Node) cdiPairsFor(itemKey string, now time.Duration) []wire.CDIPair {
 	for c, h := range merged {
 		out = append(out, wire.CDIPair{ChunkID: c, HopCount: h})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ChunkID < out[j].ChunkID })
+	// One pair per key of merged: chunk ids cannot tie.
+	slices.SortFunc(out, func(a, b wire.CDIPair) int { return cmp.Compare(a.ChunkID, b.ChunkID) })
 	return out
 }
 
@@ -583,7 +584,7 @@ func (n *Node) sendChunkQueries(item attr.Descriptor, chunks []int, origin wire.
 	for nb := range res.ByNeighbor {
 		neighbors = append(neighbors, nb)
 	}
-	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
+	slices.Sort(neighbors)
 	var sent []int
 	for _, nb := range neighbors {
 		q := &wire.Query{
@@ -606,7 +607,7 @@ func (n *Node) sendChunkQueries(item attr.Descriptor, chunks []int, origin wire.
 		sent = append(sent, res.ByNeighbor[nb]...)
 		n.transmit(&wire.Message{Type: wire.TypeQuery, Query: q})
 	}
-	sort.Ints(sent)
+	slices.Sort(sent)
 	return sent
 }
 

@@ -12,11 +12,12 @@
 package link
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"pds/internal/clock"
+	"pds/internal/ring"
 	"pds/internal/trace"
 	"pds/internal/wire"
 )
@@ -144,10 +145,11 @@ type Link struct {
 
 	nextTransmit uint64
 	// Leaky bucket state.
-	tokens     float64
-	lastRefill time.Duration
-	queue      []outItem
-	drainArmed bool
+	tokens      float64
+	lastRefill  time.Duration
+	queue       ring.Queue[outItem]
+	queuedBytes int // sum of queue's sizes, kept by enqueue/drain/Reset
+	drainArmed  bool
 
 	pend map[uint64]*pending
 	// seen and seenOld are the dedup window (see duplicate): TransmitIDs
@@ -157,7 +159,7 @@ type Link struct {
 	// reasms tracks in-progress fragment reassemblies by OrigID.
 	reasms map[uint64]*reasm
 	// fragJobs queues fragmented messages; one streams at a time.
-	fragJobs  []*fragJob
+	fragJobs  ring.Queue[*fragJob]
 	activeJob *fragJob
 	// txNotify records that the transport reports transmission
 	// completions via NotifyTransmitted, which arms retransmission
@@ -232,7 +234,7 @@ func (l *Link) sendFragmented(msg *wire.Message, size int) {
 	}
 	l.stats.Fragmented++
 	l.tr.Fragment(msg, job.origID, job.count, size)
-	l.fragJobs = append(l.fragJobs, job)
+	l.fragJobs.PushBack(job)
 	l.pumpJobs()
 }
 
@@ -240,11 +242,10 @@ func (l *Link) sendFragmented(msg *wire.Message, size int) {
 // window-permitted fragments of the active one.
 func (l *Link) pumpJobs() {
 	if l.activeJob == nil {
-		if len(l.fragJobs) == 0 {
+		if l.fragJobs.Len() == 0 {
 			return
 		}
-		l.activeJob = l.fragJobs[0]
-		l.fragJobs = l.fragJobs[1:]
+		l.activeJob = l.fragJobs.PopFront()
 	}
 	job := l.activeJob
 	window := l.cfg.FragWindow
@@ -298,7 +299,7 @@ func (l *Link) finishJob(job *fragJob) {
 			}
 			// Sorted so health-tracker strikes land in the same order
 			// every run (the second strike kills a neighbor).
-			sort.Slice(unacked, func(i, j int) bool { return unacked[i] < unacked[j] })
+			slices.Sort(unacked)
 			l.OnGiveUp(job.whole, unacked)
 		}
 	}
@@ -362,7 +363,8 @@ func (l *Link) enqueue(msg *wire.Message) {
 		l.transmit(msg)
 		return
 	}
-	l.queue = append(l.queue, outItem{msg: msg, size: size})
+	l.queue.PushBack(outItem{msg: msg, size: size})
+	l.queuedBytes += size
 	l.drain()
 }
 
@@ -382,19 +384,20 @@ func (l *Link) refill() {
 // when the next frame's tokens will have accumulated.
 func (l *Link) drain() {
 	l.refill()
-	for len(l.queue) > 0 {
-		head := l.queue[0]
+	for l.queue.Len() > 0 {
+		head := l.queue.Front()
 		if float64(head.size) > l.tokens {
 			break
 		}
 		l.tokens -= float64(head.size)
-		l.queue = l.queue[1:]
+		l.queue.PopFront()
+		l.queuedBytes -= head.size
 		l.transmit(head.msg)
 	}
-	if len(l.queue) == 0 || l.drainArmed {
+	if l.queue.Len() == 0 || l.drainArmed {
 		return
 	}
-	need := float64(l.queue[0].size) - l.tokens
+	need := float64(l.queue.Front().size) - l.tokens
 	wait := time.Duration(need / l.cfg.LeakRate * float64(time.Second))
 	if wait < time.Millisecond {
 		wait = time.Millisecond
@@ -491,7 +494,7 @@ func (l *Link) retry(p *pending) {
 			}
 			// Sorted for the same reason as in finishJob: neighbor
 			// strike order must not inherit map iteration order.
-			sort.Slice(unacked, func(i, j int) bool { return unacked[i] < unacked[j] })
+			slices.Sort(unacked)
 			l.OnGiveUp(p.msg, unacked)
 		}
 		return
@@ -714,8 +717,9 @@ func (l *Link) Reset() {
 		}
 		delete(l.pend, id)
 	}
-	l.queue = nil
-	l.fragJobs = nil
+	l.queue.Reset()
+	l.queuedBytes = 0
+	l.fragJobs.Reset()
 	l.activeJob = nil
 	l.seen, l.seenOld = nil, nil
 	l.reasms = make(map[uint64]*reasm)
@@ -729,14 +733,8 @@ func (l *Link) Reset() {
 // to the medium with a fresh radio.
 func (l *Link) SetRawSender(raw RawSender) { l.raw = raw }
 
-// QueuedBytes reports bytes waiting in the pacing queue (for tests).
-func (l *Link) QueuedBytes() int {
-	n := 0
-	for _, it := range l.queue {
-		n += it.size
-	}
-	return n
-}
+// QueuedBytes reports bytes waiting in the pacing queue.
+func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // PendingAcks reports in-flight transmissions awaiting acks (for tests).
 func (l *Link) PendingAcks() int { return len(l.pend) }

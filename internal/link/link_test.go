@@ -198,6 +198,72 @@ func TestPacingLimitsRate(t *testing.T) {
 	}
 }
 
+// TestPacingQueueKeepsOrderAndCount drives the pacing queue through
+// random sends, drains and resets: frames leave in the order they were
+// sent, and QueuedBytes — a counter, not a walk — says at every step,
+// from inside the raw sender too (armRetry reads it there), what an
+// independent account of bytes in and out says.
+func TestPacingQueueKeepsOrderAndCount(t *testing.T) {
+	cfg := testConfig()
+	cfg.BucketBytes = 3000
+	cfg.LeakRate = 50000
+	cfg.AckEnabled = false
+	cfg.FragmentBytes = 0 // keep each message one frame
+	eng := sim.NewEngine(1)
+	rng := eng.Rand()
+	var l *Link
+	var queued []uint64 // response ids in the queue, oldest first
+	backlog := 0        // their encoded sizes, summed
+	var sending *wire.Message
+	l = New(eng, 1, func(m *wire.Message) bool {
+		if len(queued) == 0 || queued[0] != m.Response.ID {
+			t.Fatalf("%v: frame %d left the queue, want the head of %v", eng.Now(), m.Response.ID, queued)
+		}
+		queued = queued[1:]
+		if m == sending {
+			sending = nil // straight through, inside Send: never counted in
+		} else {
+			backlog -= wire.EncodedSize(m)
+		}
+		if l.QueuedBytes() != backlog {
+			t.Fatalf("%v: QueuedBytes = %d inside the raw sender, account says %d", eng.Now(), l.QueuedBytes(), backlog)
+		}
+		return true
+	}, cfg)
+	deepest := 0
+	for op := 0; op < 4000; op++ {
+		switch k := rng.Intn(100); {
+		case k == 0:
+			l.Reset()
+			queued, backlog = nil, 0
+		case k < 45:
+			msg := smallResponse(uint64(op), 2)
+			msg.Response.Blobs = []wire.Blob{{Payload: make([]byte, rng.Intn(1400))}}
+			queued = append(queued, msg.Response.ID)
+			sending = msg
+			l.Send(msg)
+			if sending != nil { // still queued; sized as stamped, as enqueue did
+				backlog += wire.EncodedSize(msg)
+				sending = nil
+			}
+		default:
+			eng.Step()
+		}
+		if l.QueuedBytes() != backlog || l.queue.Len() != len(queued) {
+			t.Fatalf("op %d: %d frames, QueuedBytes = %d; account says %d frames, %d B",
+				op, l.queue.Len(), l.QueuedBytes(), len(queued), backlog)
+		}
+		deepest = max(deepest, len(queued))
+	}
+	if deepest < 8 {
+		t.Fatalf("degenerate run: the queue never held more than %d frames", deepest)
+	}
+	eng.Run(eng.Now() + time.Hour)
+	if l.QueuedBytes() != 0 || len(queued) != 0 {
+		t.Fatalf("after draining: QueuedBytes = %d, %d frames unaccounted", l.QueuedBytes(), len(queued))
+	}
+}
+
 func TestFragmentationRoundTrip(t *testing.T) {
 	p := newPipe(t, testConfig(), testConfig())
 	payload := make([]byte, 10000)

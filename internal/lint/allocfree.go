@@ -60,6 +60,11 @@ var hotpathSeeds = []hotSeed{
 	{"/internal/radio", "Medium", "finishTransmission"},
 	{"/internal/radio", "Medium", "candidates"},
 	{"/internal/radio", "Medium", "collided"},
+	{"/internal/radio", "Medium", "collectOverlap"},
+	{"/internal/radio", "Medium", "busyFor"},
+	{"/internal/radio", "Medium", "busyUntil"},
+	{"/internal/radio", "Radio", "macStep"},
+	{"/internal/sim", "Timer", "Reset"},
 	{"/internal/spatial", "Grid", "VisitNeighborhood"},
 	{"/internal/spatial", "Grid", "AppendNeighborhood"},
 	{"/internal/trace", "Tracer", "FrameTx"},

@@ -23,12 +23,16 @@
 // package mobility.
 //
 // Scale: nodes live in a uniform-grid spatial index (package spatial)
-// whose cell edge equals the carrier-sense range, so every geometric
-// query — neighbor lists, carrier sensing, collision checks, delivery
-// fan-out — scans only the 3×3 cell block around the point of interest
-// instead of the whole population. Per-node hot state is held in dense
-// slices indexed by a small int handle; the id → handle map is touched
-// only on attach/detach and API lookups, never in per-frame loops.
+// whose cell edge equals the carrier-sense range, so a query for the
+// nodes around a point — neighbor lists, delivery fan-out — scans only
+// the 3×3 cell block around it instead of the whole population. Carrier
+// sensing and collision checks ask the other question, which
+// transmissions reach this node, and read it off the few live
+// transmission records. Per-node hot state is held in dense slices
+// indexed by a small int handle; the id → handle map is touched only on
+// attach/detach and API lookups, never in per-frame loops. A radio's
+// MAC is one reusable engine timer and a phase, its transmit queue a
+// ring: a frame in steady state allocates nothing here.
 package radio
 
 import (
@@ -39,6 +43,7 @@ import (
 	"sort"
 	"time"
 
+	"pds/internal/ring"
 	"pds/internal/sim"
 	"pds/internal/spatial"
 	"pds/internal/trace"
@@ -169,14 +174,24 @@ type queuedFrame struct {
 	size int
 }
 
-// txRecord is one transmission's occupancy of the channel. Records hang
-// off their transmitting Radio (found through the spatial index by the
-// carrier-sense and collision queries) and are pooled: the medium
-// recycles them once they can no longer overlap anything.
+// txRecord is one transmission's occupancy of the channel. The live
+// ones sit in Medium.txOrder, where the carrier-sense and collision
+// queries read them, and they are pooled: the medium recycles a record
+// once it can no longer overlap anything.
 type txRecord struct {
 	owner      *Radio
 	start, end time.Duration
 }
+
+// macPhase says what a radio's one MAC event will do when it fires.
+type macPhase uint8
+
+const (
+	macIdle    macPhase = iota // no event pending
+	macArmed                   // contention requested: fires into attempt
+	macBackoff                 // backoff running: fires into transmitIfClear
+	macOnAir                   // frame on the air: fires into endAirtime
+)
 
 // Radio is one node's attachment to the medium.
 type Radio struct {
@@ -187,15 +202,18 @@ type Radio struct {
 	// deliver is invoked for every frame that survives to this node.
 	deliver func(*wire.Message)
 
-	// recs are this radio's transmissions that may still overlap a live
-	// one, oldest first (retired by Medium.prune).
-	recs []*txRecord
+	queue       ring.Queue[queuedFrame]
+	queuedBytes int
+	gone        bool
 
-	queue        []queuedFrame
-	queuedBytes  int
-	transmitting bool
-	attemptArmed bool
-	gone         bool
+	// mac is the radio's only engine event. A radio contends for one
+	// frame at a time and sends one frame at a time, so at most one MAC
+	// step is ever pending; phase says which, and airMsg/airRec hold the
+	// frame and its record while that step is the end of an airtime.
+	mac    *sim.Timer
+	phase  macPhase
+	airMsg *wire.Message
+	airRec *txRecord
 
 	// OnTransmitted, when set, is called as each frame's airtime ends —
 	// the moment an ack round-trip can meaningfully start. The link
@@ -237,11 +255,14 @@ type Medium struct {
 	allPairs bool
 
 	// scratch buffers, reused across queries to keep hot paths
-	// allocation-free. cand serves the short-lived sense/collision
-	// queries; rxCand is held across the delivery callbacks of one
-	// finishTransmission, which may themselves issue cand queries.
+	// allocation-free. cand is valid only until the next candidates
+	// call; rxCand and overlap — the receivers of the frame being
+	// delivered and the records that share its airtime — are held across
+	// the delivery callbacks of one finishTransmission, which may call
+	// Neighbors and with it candidates.
 	cand    []*Radio
 	rxCand  []*Radio
+	overlap []*txRecord
 	slotBuf []int32
 
 	// OnTransmit, when set, observes every transmission start (tracing).
@@ -294,6 +315,7 @@ func (m *Medium) Attach(id wire.NodeID, pos Pos, deliver func(*wire.Message)) *R
 		m.radios = append(m.radios, nil)
 	}
 	r := &Radio{m: m, id: id, slot: slot, pos: pos, deliver: deliver}
+	r.mac = m.eng.NewTimer(r.macStep)
 	m.index[id] = slot
 	m.radios[slot] = r
 	m.grid.Insert(slot, pos.X, pos.Y)
@@ -306,7 +328,9 @@ func (m *Medium) Attach(id wire.NodeID, pos Pos, deliver func(*wire.Message)) *R
 
 // Detach removes a node (mobility leave). In-flight frames are not
 // delivered to it, its queued frames are discarded. Frames it had in
-// the air stop being sensed or interfering immediately.
+// the air stop being sensed or interfering immediately. Its pending MAC
+// step, if any, still fires (the engine's timers have no stop) and
+// finds nothing to do beyond ending the airtime it may stand for.
 func (m *Medium) Detach(id wire.NodeID) {
 	slot, ok := m.index[id]
 	if !ok {
@@ -314,6 +338,8 @@ func (m *Medium) Detach(id wire.NodeID) {
 	}
 	r := m.radios[slot]
 	r.gone = true
+	r.queue.Reset()
+	r.queuedBytes = 0
 	m.grid.Remove(slot)
 	m.radios[slot] = nil
 	m.free = append(m.free, slot)
@@ -404,7 +430,7 @@ func (m *Medium) Neighbors(id wire.NodeID) []wire.NodeID {
 			out = append(out, r.id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -433,10 +459,22 @@ func (m *Medium) senseRange() float64 {
 	return m.cfg.Range * f
 }
 
+// audible reports whether a transmission by tx reaches r: tx is still
+// attached and within sense range sr of r, by current positions.
+func audible(tx, r *Radio, sr float64) bool {
+	return !tx.gone && tx.pos.Dist(r.pos) <= sr
+}
+
 // busyUntil returns the latest end time of transmissions currently
 // audible at r (zero when the channel is idle). Unlike busyFor it
 // counts transmissions regardless of SenseLag: it estimates how long to
-// defer, not whether a collision occurs.
+// defer, not whether a collision occurs. Like busyFor and collided it
+// walks the live records rather than r's neighborhood: there are a few
+// dozen of them at most (every one still on the air, plus what prune
+// has not retired yet), where a 3×3 block holds up to 81 radios, almost
+// none of them transmitting.
+//
+//pds:hotpath
 func (m *Medium) busyUntil(r *Radio) time.Duration {
 	if m.active == 0 {
 		return 0
@@ -444,14 +482,9 @@ func (m *Medium) busyUntil(r *Radio) time.Duration {
 	now := m.eng.Now()
 	sr := m.senseRange()
 	var until time.Duration
-	for _, tx := range m.candidates(r.pos) {
-		if len(tx.recs) == 0 || tx.pos.Dist(r.pos) > sr {
-			continue
-		}
-		for _, rec := range tx.recs {
-			if rec.end > now && rec.end > until {
-				until = rec.end
-			}
+	for _, rec := range m.txOrder {
+		if rec.end > now && rec.end > until && audible(rec.owner, r, sr) {
+			until = rec.end
 		}
 	}
 	return until
@@ -461,20 +494,17 @@ func (m *Medium) busyUntil(r *Radio) time.Duration {
 // Transmissions younger than SenseLag are not yet sensed — that is the
 // vulnerable window in which two backoffs expiring in the same slot
 // collide.
+//
+//pds:hotpath
 func (m *Medium) busyFor(r *Radio) bool {
 	if m.active == 0 {
 		return false
 	}
 	now := m.eng.Now()
 	sr := m.senseRange()
-	for _, tx := range m.candidates(r.pos) {
-		if len(tx.recs) == 0 || tx.pos.Dist(r.pos) > sr {
-			continue
-		}
-		for _, rec := range tx.recs {
-			if rec.end > now && now-rec.start >= m.cfg.SenseLag {
-				return true
-			}
+	for _, rec := range m.txOrder {
+		if rec.end > now && now-rec.start >= m.cfg.SenseLag && audible(rec.owner, r, sr) {
+			return true
 		}
 	}
 	return false
@@ -503,6 +533,8 @@ func (m *Medium) backoff(ack bool) time.Duration {
 // Send enqueues a message for broadcast. It reports false when the OS
 // buffer is full and the frame was dropped — the failure mode the leaky
 // bucket in package link exists to avoid.
+//
+//pds:hotpath
 func (r *Radio) Send(msg *wire.Message) bool {
 	if r.gone {
 		return false
@@ -520,13 +552,13 @@ func (r *Radio) Send(msg *wire.Message) bool {
 		// real MAC gives acknowledgements; without this they starve
 		// behind queued 256 KB chunks and trigger spurious
 		// retransmissions.
-		r.queue = append([]queuedFrame{fr}, r.queue...)
+		r.queue.PushFront(fr)
 	} else {
-		r.queue = append(r.queue, fr)
+		r.queue.PushBack(fr)
 	}
 	r.queuedBytes += size
 	r.SentOK++
-	r.armAttempt(0)
+	r.armAttempt()
 	return true
 }
 
@@ -540,15 +572,34 @@ func (r *Radio) ID() wire.NodeID { return r.id }
 // Pos returns the node's current position.
 func (r *Radio) Pos() Pos { return r.pos }
 
-func (r *Radio) armAttempt(delay time.Duration) {
-	if r.attemptArmed || r.transmitting || len(r.queue) == 0 || r.gone {
+// macStep is the MAC timer's callback: it runs the step the phase names.
+// The phase is idle again before the step runs, as the timer is, so the
+// step — or Send, called from a callback under it — can arm the next.
+//
+//pds:hotpath
+func (r *Radio) macStep() {
+	phase := r.phase
+	r.phase = macIdle
+	switch phase {
+	case macArmed:
+		r.attempt()
+	case macBackoff:
+		r.transmitIfClear()
+	case macOnAir:
+		r.endAirtime()
+	}
+}
+
+// armAttempt asks for a contention step unless one is already under way.
+// A detached radio never asks: Detach emptied its queue.
+//
+//pds:hotpath
+func (r *Radio) armAttempt() {
+	if r.phase != macIdle || r.queue.Len() == 0 {
 		return
 	}
-	r.attemptArmed = true
-	r.m.eng.Schedule(delay, func() {
-		r.attemptArmed = false
-		r.attempt()
-	})
+	r.phase = macArmed
+	r.mac.Reset(0)
 }
 
 // attempt runs the CSMA contention step. A node never transmits the
@@ -557,64 +608,67 @@ func (r *Radio) armAttempt(delay time.Duration) {
 // when the backoff expires, and only then transmits. Two nodes whose
 // backoffs land within SenseLag of each other both transmit and
 // collide — the standard slotted-contention vulnerability.
+//
+//pds:hotpath
 func (r *Radio) attempt() {
-	if r.transmitting || len(r.queue) == 0 || r.gone {
-		return
+	if r.queue.Len() == 0 {
+		return // detached since the step was armed
 	}
 	m := r.m
-	wait := m.backoff(len(r.queue) > 0 && r.queue[0].msg.Type == wire.TypeAck)
+	wait := m.backoff(r.queue.Front().msg.Type == wire.TypeAck)
 	if until := m.busyUntil(r); until > m.eng.Now() {
 		wait += until - m.eng.Now()
 	}
-	r.attemptArmed = true
-	m.eng.Schedule(wait, func() {
-		r.attemptArmed = false
-		r.transmitIfClear()
-	})
+	r.phase = macBackoff
+	r.mac.Reset(wait)
 }
 
 // transmitIfClear transmits the head-of-line frame unless the channel
 // became busy during the backoff, in which case it re-contends.
+//
+//pds:hotpath
 func (r *Radio) transmitIfClear() {
-	if r.transmitting || len(r.queue) == 0 || r.gone {
-		return
+	if r.queue.Len() == 0 {
+		return // detached during the backoff
 	}
-	if r.m.busyFor(r) {
+	m := r.m
+	if m.busyFor(r) {
 		r.attempt()
 		return
 	}
-	fr := r.queue[0]
-	r.queue = r.queue[1:]
+	fr := r.queue.PopFront()
 	r.queuedBytes -= fr.size
-	r.transmitting = true
 	r.TxCount++
 
-	m := r.m
 	now := m.eng.Now()
 	dur := m.airtime(fr.size)
-	rec := m.newRecord(r, now, now+dur)
-	r.recs = append(r.recs, rec)
-	m.txOrder = append(m.txOrder, rec)
-	m.active++
+	rec := m.openRecord(r, now, now+dur)
 	m.stats.Transmissions++
 	m.stats.TxBytes += uint64(fr.size)
+	r.phase, r.airMsg, r.airRec = macOnAir, fr.msg, rec
 	if m.OnTransmit != nil {
 		m.OnTransmit(r.id, fr.msg, fr.size)
 	}
 	m.Tracer.FrameTx(r.id, fr.msg, fr.size, dur)
+	r.mac.Reset(dur)
+}
 
-	m.eng.Schedule(dur, func() {
-		r.transmitting = false
-		r.LastTxEnd = m.eng.Now()
-		if r.OnTransmitted != nil {
-			r.OnTransmitted(fr.msg)
-		}
-		m.finishTransmission(rec, fr.msg)
-		// Re-contend for the next frame; attempt draws a fresh backoff,
-		// so contending nodes interleave instead of one starving the
-		// rest.
-		r.armAttempt(0)
-	})
+// endAirtime runs as the frame's airtime ends: the link layer hears of
+// it, the medium delivers it, and the radio contends for the next.
+//
+//pds:hotpath
+func (r *Radio) endAirtime() {
+	m := r.m
+	msg, rec := r.airMsg, r.airRec
+	r.airMsg, r.airRec = nil, nil
+	r.LastTxEnd = m.eng.Now()
+	if r.OnTransmitted != nil {
+		r.OnTransmitted(msg)
+	}
+	m.finishTransmission(rec, msg)
+	// Re-contend for the next frame; attempt draws a fresh backoff, so
+	// contending nodes interleave instead of one starving the rest.
+	r.armAttempt()
 }
 
 // finishTransmission delivers a completed frame to every in-range node,
@@ -625,25 +679,28 @@ func (m *Medium) finishTransmission(rec *txRecord, msg *wire.Message) {
 	m.active--
 	sender := rec.owner
 	if !sender.gone {
-		// Candidate receivers are everyone the spatial index puts near
-		// the sender's current position — a superset of the in-range
-		// set. Deliver in sorted id order: index iteration order would
-		// leak placement history into RNG draws and event ordering,
-		// breaking the engine's reproducibility guarantee. rxCand is
-		// reserved for this loop because deliver callbacks may issue
-		// nested sense queries through m.cand.
-		cand := append(m.rxCand[:0], m.candidates(sender.pos)...)
+		m.collectOverlap(rec)
+		// Receivers are those of the radios the spatial index puts near
+		// the sender that are in range of it, as they stand when the
+		// airtime ends. Deliver in sorted id order: index iteration order
+		// would leak placement history into RNG draws and event ordering,
+		// breaking the engine's reproducibility guarantee. Filtering
+		// before the sort leaves 8 radios to order on the paper's grid,
+		// not the 81 of a full 3×3 block.
+		m.rxCand = m.rxCand[:0]
+		for _, rx := range m.candidates(sender.pos) {
+			if rx != sender && rx.pos.Dist(sender.pos) <= m.cfg.Range {
+				m.rxCand = append(m.rxCand, rx)
+			}
+		}
 		// slices.SortFunc rather than sort.Slice: the sort.Interface shim
 		// boxes the slice into an interface on every delivery.
-		slices.SortFunc(cand, func(a, b *Radio) int { return cmp.Compare(a.id, b.id) })
-		for _, rx := range cand {
-			if rx == sender || rx.gone {
-				continue
+		slices.SortFunc(m.rxCand, func(a, b *Radio) int { return cmp.Compare(a.id, b.id) })
+		for _, rx := range m.rxCand {
+			if rx.gone {
+				continue // detached by an earlier receiver's callback
 			}
-			if rx.pos.Dist(sender.pos) > m.cfg.Range {
-				continue
-			}
-			if m.collided(rec, rx, sender) {
+			if m.collided(rx, sender) {
 				m.stats.Collisions++
 				m.Tracer.Frame(trace.FrameCollision, rx.id, sender.id, msg)
 				continue
@@ -689,68 +746,81 @@ func (m *Medium) finishTransmission(rec *txRecord, msg *wire.Message) {
 				}
 			}
 		}
-		m.rxCand = cand[:0]
 	}
 	m.prune(rec.end)
 }
 
-// collided reports whether the frame was destroyed at rx: the receiver
-// was itself transmitting (half duplex), or a time-overlapping
-// transmission audible at rx was too strong for capture. With capture
-// enabled, the frame survives when its sender is decisively closer to
-// rx than every interferer, as a SINR receiver would decode it.
+// collectOverlap fills m.overlap with the records that share airtime
+// with rec — every transmission that can have destroyed rec's frame at
+// some receiver. Times are fixed once a record exists, so this is asked
+// once per frame; who owns the record, whether it is still attached and
+// how far it is from a receiver is collided's to ask, per receiver. Most
+// frames overlap nothing.
 //
 //pds:hotpath
-func (m *Medium) collided(rec *txRecord, rx *Radio, sender *Radio) bool {
+func (m *Medium) collectOverlap(rec *txRecord) {
+	m.overlap = m.overlap[:0]
+	for _, o := range m.txOrder {
+		if o != rec && o.end > rec.start && o.start < rec.end {
+			m.overlap = append(m.overlap, o)
+		}
+	}
+}
+
+// collided reports whether sender's frame was destroyed at rx: the
+// receiver was itself transmitting (half duplex), or a time-overlapping
+// transmission (m.overlap) audible at rx was too strong for capture.
+// With capture enabled, the frame survives when its sender is decisively
+// closer to rx than every interferer, as a SINR receiver would decode it.
+//
+//pds:hotpath
+func (m *Medium) collided(rx, sender *Radio) bool {
+	if len(m.overlap) == 0 {
+		return false
+	}
 	dSig := sender.pos.Dist(rx.pos)
 	sr := m.senseRange()
-	for _, tx := range m.candidates(rx.pos) {
-		if len(tx.recs) == 0 {
+	for _, o := range m.overlap {
+		tx := o.owner
+		if tx == rx {
+			return true // half duplex: rx was sending
+		}
+		// Interference reaches out to the sense range: a signal too
+		// weak to decode still corrupts concurrent reception.
+		dInt := tx.pos.Dist(rx.pos)
+		if tx.gone || dInt > sr {
 			continue
 		}
-		dInt := tx.pos.Dist(rx.pos)
-		for _, o := range tx.recs {
-			if o == rec {
-				continue // rec itself
-			}
-			if o.end <= rec.start || o.start >= rec.end {
-				continue // no time overlap
-			}
-			if tx == rx {
-				return true // half duplex: rx was sending
-			}
-			// Interference reaches out to the sense range: a signal too
-			// weak to decode still corrupts concurrent reception.
-			if dInt > sr {
-				continue
-			}
-			if m.cfg.CaptureMargin > 0 && dInt >= dSig*m.cfg.CaptureMargin {
-				continue // captured: our signal dominates this interferer
-			}
-			return true
+		if m.cfg.CaptureMargin > 0 && dInt >= dSig*m.cfg.CaptureMargin {
+			continue // captured: our signal dominates this interferer
 		}
+		return true
 	}
 	return false
 }
 
-// newRecord takes a record from the pool or allocates one.
-func (m *Medium) newRecord(owner *Radio, start, end time.Duration) *txRecord {
+// openRecord files a live transmission record for owner, taken from the
+// pool when it has one.
+func (m *Medium) openRecord(owner *Radio, start, end time.Duration) *txRecord {
+	var rec *txRecord
 	if n := len(m.recPool); n > 0 {
-		rec := m.recPool[n-1]
+		rec = m.recPool[n-1]
 		m.recPool[n-1] = nil
 		m.recPool = m.recPool[:n-1]
-		*rec = txRecord{owner: owner, start: start, end: end}
-		return rec
+	} else {
+		rec = new(txRecord)
 	}
-	return &txRecord{owner: owner, start: start, end: end}
+	*rec = txRecord{owner: owner, start: start, end: end}
+	m.txOrder = append(m.txOrder, rec)
+	m.active++
+	return rec
 }
 
 // prune retires records that can no longer affect a sense or collision
 // query: everything that ended before the earliest start of a
-// still-active record and before now. Each retired record is unlinked
-// from its owner and returned to the pool. A retired record's
-// airtime-end event has always already run (it fires exactly at
-// rec.end < now), so no reference to it survives outside the medium.
+// still-active record and before now. Each retired record returns to
+// the pool. A retired record's airtime-end event has always already run
+// (it fires exactly at rec.end < now), so its radio no longer holds it.
 //
 // The cutoff deliberately treats a transmission ending exactly at now
 // as inactive even though its delivery event may not have run yet: when
@@ -772,15 +842,6 @@ func (m *Medium) prune(now time.Duration) {
 		if rec.end >= earliest {
 			kept = append(kept, rec)
 			continue
-		}
-		owner := rec.owner
-		for i, o := range owner.recs {
-			if o == rec {
-				copy(owner.recs[i:], owner.recs[i+1:])
-				owner.recs[len(owner.recs)-1] = nil
-				owner.recs = owner.recs[:len(owner.recs)-1]
-				break
-			}
 		}
 		m.recPool = append(m.recPool, rec)
 	}

@@ -64,6 +64,53 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) (cancel func()) {
 	}
 }
 
+// Timer is a caller-owned, reusable event: made once by NewTimer, armed
+// by Reset, re-armed as often as its owner likes — from inside its own
+// callback too — without allocating. It is for a client that has at most
+// one event of a kind pending at a time (a radio's MAC step), where
+// Schedule would make an event and a cancel closure per arming.
+//
+// A Timer is pending from Reset until its callback is about to run:
+// fn is set while it is filed in the wheel, and Step clears fn before
+// it calls, exactly as it does for a Schedule event.
+//
+// There is no Stop. The wheel cancels lazily — a dead event stays linked
+// in its slot until the cursor reaches it — so stopping and re-arming one
+// object would link it twice. A client that may lose interest checks its
+// own state in the callback instead.
+type Timer struct {
+	event
+	eng *Engine
+	run func()
+}
+
+// NewTimer returns an idle timer that runs fn each time it fires.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	return &Timer{eng: e, run: fn}
+}
+
+// Reset arms the timer to fire after delay (>= 0) of virtual time. It
+// takes its sequence number from the same counter as Schedule, so a
+// Timer fires exactly where the Schedule call it replaces would have.
+// Reset on a pending timer panics: it is a bug in the owner.
+//
+//pds:hotpath
+func (t *Timer) Reset(delay time.Duration) {
+	if t.fn != nil {
+		panic("sim: Reset on a pending Timer")
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	e := t.eng
+	t.at, t.seq, t.fn = e.now+delay, e.seq, t.run
+	e.seq++
+	e.events.push(&t.event)
+}
+
+// Pending reports whether the timer is armed and has not fired yet.
+func (t *Timer) Pending() bool { return t.fn != nil }
+
 // Step executes the next pending event, advancing the clock to it. It
 // reports whether an event was executed (false when the queue is empty).
 func (e *Engine) Step() bool {
@@ -79,7 +126,9 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.processed++
 	fn := ev.fn
-	ev.fn = nil // executed: the returned cancel must become a no-op
+	// Executed: the returned cancel must become a no-op, and a Timer is
+	// idle before its callback runs, which may Reset it.
+	ev.fn = nil
 	fn()
 	return true
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -41,9 +42,10 @@ func (h *refHeap) Pop() any {
 
 // refModel mirrors Engine semantics on top of refHeap.
 type refModel struct {
-	now    time.Duration
-	seq    uint64
-	events refHeap
+	now       time.Duration
+	seq       uint64
+	events    refHeap
+	processed uint64
 }
 
 func (m *refModel) schedule(delay time.Duration, id int) *refEvent {
@@ -65,6 +67,7 @@ func (m *refModel) step() (int, time.Duration) {
 			continue
 		}
 		m.now = ev.at
+		m.processed++
 		return ev.id, ev.at
 	}
 	return -1, 0
@@ -80,11 +83,27 @@ func (m *refModel) pending() int {
 	return n
 }
 
+// lockTimer is one reusable Timer of the lockstep test. Each arming gets
+// a fresh event id; chain holds the delays with which the callback will
+// re-arm the timer from inside itself, rearmed what it last did, for the
+// test to replay on the reference model.
+type lockTimer struct {
+	t       *Timer
+	id      int
+	chain   []time.Duration
+	rearmed bool
+	delay   time.Duration
+}
+
 // TestWheelMatchesReferenceHeap drives the timing-wheel engine and the
 // reference heap model with the same randomized workload — bursts of
 // schedules at delays spanning every wheel level, cancels, nested
-// re-scheduling — and checks that both execute the same events in the
-// same order at the same times, with the same pending counts.
+// re-scheduling, and reusable Timers armed from outside and re-armed
+// from inside their own callbacks (at delay 0 too) — and checks that
+// both execute the same events in the same order at the same times,
+// with the same pending and processed counts. A Timer takes its seq
+// from the engine's counter, so to the reference it is one more
+// schedule call.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	delays := []time.Duration{
 		0, 1, 100, // sub-tick
@@ -92,11 +111,24 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 		300 * time.Microsecond, 5 * time.Millisecond, // levels 1–2
 		900 * time.Millisecond, 30 * time.Second, // levels 3–4
 		20 * time.Minute, 7 * time.Hour, // levels 5–6
+		200 * 24 * time.Hour, 30 * 365 * 24 * time.Hour, // levels 7–8
 	}
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		eng := NewEngine(1)
 		ref := &refModel{}
+		randDelay := func() time.Duration {
+			d := delays[rng.Intn(len(delays))]
+			if eng.Now() > 100*365*24*time.Hour {
+				d %= time.Hour // a time.Duration ends at 292 years
+			}
+			if rng.Intn(2) == 0 {
+				// Bare table delays make same-instant ties (and exact
+				// zeros) common: FIFO by seq is what is under test.
+				return d
+			}
+			return d + time.Duration(rng.Intn(5000))
+		}
 
 		var gotIDs []int
 		nextID := 0
@@ -114,58 +146,185 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 			cancellable = append(cancellable, pair{cancelEng, refEv})
 		}
 
-		// Seed an initial burst, then interleave steps with schedules
-		// and cancels.
-		for i := 0; i < 30; i++ {
-			scheduleOne(delays[rng.Intn(len(delays))] + time.Duration(rng.Intn(5000)))
+		timers := make([]*lockTimer, 8)
+		timerOf := make(map[int]*lockTimer) // event id -> the timer armed under it
+		for i := range timers {
+			lt := &lockTimer{}
+			lt.t = eng.NewTimer(func() {
+				gotIDs = append(gotIDs, lt.id)
+				lt.rearmed = len(lt.chain) > 0
+				if lt.rearmed {
+					lt.delay, lt.chain = lt.chain[0], lt.chain[1:]
+					lt.id = nextID
+					nextID++
+					lt.t.Reset(lt.delay)
+				}
+			})
+			timers[i] = lt
 		}
-		for op := 0; op < 600; op++ {
-			switch rng.Intn(10) {
+		armTimer := func(lt *lockTimer) {
+			lt.chain = lt.chain[:0]
+			for n := rng.Intn(4); n > 0; n-- {
+				lt.chain = append(lt.chain, randDelay())
+			}
+			delay := randDelay()
+			lt.id = nextID
+			nextID++
+			timerOf[lt.id] = lt
+			lt.t.Reset(delay)
+			ref.schedule(delay, lt.id)
+		}
+
+		// stepBoth steps the reference, then the engine, and replays on
+		// the reference what the engine's callback did. It reports
+		// whether an event ran.
+		stepBoth := func(where string) bool {
+			wantID, wantAt := ref.step()
+			before := len(gotIDs)
+			stepped := eng.Step()
+			if wantID == -1 {
+				if stepped {
+					t.Fatalf("trial %d %s: engine stepped with empty reference", trial, where)
+				}
+				return false
+			}
+			if !stepped || len(gotIDs) != before+1 || gotIDs[before] != wantID {
+				t.Fatalf("trial %d %s: engine ran %v, reference wants id %d",
+					trial, where, gotIDs[before:], wantID)
+			}
+			if eng.Now() != wantAt {
+				t.Fatalf("trial %d %s: clock %v, reference %v", trial, where, eng.Now(), wantAt)
+			}
+			if lt := timerOf[wantID]; lt != nil && lt.rearmed {
+				timerOf[lt.id] = lt
+				ref.schedule(lt.delay, lt.id)
+			}
+			return true
+		}
+		checkCounts := func(where string) {
+			if eng.Pending() != ref.pending() {
+				t.Fatalf("trial %d %s: Pending=%d, reference=%d",
+					trial, where, eng.Pending(), ref.pending())
+			}
+			if eng.Processed() != ref.processed {
+				t.Fatalf("trial %d %s: Processed=%d, reference=%d",
+					trial, where, eng.Processed(), ref.processed)
+			}
+		}
+
+		// Seed an initial burst, then interleave steps with schedules,
+		// timer armings and cancels.
+		for i := 0; i < 30; i++ {
+			scheduleOne(randDelay())
+		}
+		for op := 0; op < 800; op++ {
+			switch rng.Intn(12) {
 			case 0, 1, 2:
-				scheduleOne(delays[rng.Intn(len(delays))] + time.Duration(rng.Intn(5000)))
+				scheduleOne(randDelay())
 			case 3:
 				if len(cancellable) > 0 {
 					p := cancellable[rng.Intn(len(cancellable))]
 					p.cancelEng()
 					p.refEv.dead = true
 				}
+			case 4, 5:
+				if lt := timers[rng.Intn(len(timers))]; !lt.t.Pending() {
+					armTimer(lt)
+				}
 			default:
-				wantID, wantAt := ref.step()
-				before := len(gotIDs)
-				stepped := eng.Step()
-				if wantID == -1 {
-					if stepped {
-						t.Fatalf("trial %d: engine stepped with empty reference", trial)
-					}
-					continue
-				}
-				if !stepped || len(gotIDs) != before+1 || gotIDs[len(gotIDs)-1] != wantID {
-					t.Fatalf("trial %d op %d: engine ran %v, reference wants id %d",
-						trial, op, gotIDs[before:], wantID)
-				}
-				if eng.Now() != wantAt {
-					t.Fatalf("trial %d: clock %v, reference %v", trial, eng.Now(), wantAt)
-				}
+				stepBoth(fmt.Sprintf("op %d", op))
 			}
-			if eng.Pending() != ref.pending() {
-				t.Fatalf("trial %d op %d: Pending=%d, reference=%d",
-					trial, op, eng.Pending(), ref.pending())
-			}
+			checkCounts(fmt.Sprintf("op %d", op))
 		}
 		// Drain both completely; the tails must agree too.
-		for {
-			wantID, _ := ref.step()
-			if wantID == -1 {
-				break
-			}
-			before := len(gotIDs)
-			if !eng.Step() || gotIDs[len(gotIDs)-1] != wantID {
-				t.Fatalf("trial %d drain: got %v, want id %d", trial, gotIDs[before:], wantID)
-			}
+		for stepBoth("drain") {
+			checkCounts("drain")
 		}
-		if eng.Step() {
-			t.Fatalf("trial %d: engine had events after reference drained", trial)
+		if eng.Pending() != 0 {
+			t.Fatalf("trial %d: Pending=%d after drain", trial, eng.Pending())
 		}
+	}
+}
+
+// TestTimerResetWhilePendingPanics pins the one misuse a Timer can
+// detect: arming it twice would link one event into the wheel twice.
+func TestTimerResetWhilePendingPanics(t *testing.T) {
+	e := NewEngine(1)
+	tm := e.NewTimer(func() {})
+	tm.Reset(time.Millisecond)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Reset on a pending timer did not panic")
+			}
+		}()
+		tm.Reset(time.Millisecond)
+	}()
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after the refused Reset, want 1", e.Pending())
+	}
+	e.Run(time.Second)
+	if tm.Pending() {
+		t.Fatal("timer still pending after it fired")
+	}
+	tm.Reset(0) // idle again: fine
+	e.Run(time.Second)
+	if e.Processed() != 2 {
+		t.Fatalf("Processed = %d, want 2", e.Processed())
+	}
+}
+
+// TestTimerRearmedAMillionTimes re-arms one timer from its own callback
+// a million times over delays from every part of the radio's mix (and
+// one per wheel level beyond it): every arming fires exactly once, in
+// time order, and nothing is left behind in the wheel.
+func TestTimerRearmedAMillionTimes(t *testing.T) {
+	const rounds = 1_000_000
+	delays := []time.Duration{
+		0, 9 * time.Microsecond, 27 * time.Microsecond, 603 * time.Microsecond,
+		2 * time.Millisecond, 700 * time.Millisecond, 40 * time.Second, time.Hour,
+	}
+	e := NewEngine(1)
+	var tm *Timer
+	fired := 0
+	var due time.Duration
+	tm = e.NewTimer(func() {
+		if e.Now() != due {
+			t.Fatalf("arming %d fired at %v, due %v", fired, e.Now(), due)
+		}
+		fired++
+		if fired < rounds {
+			d := delays[fired%len(delays)]
+			due = e.Now() + d
+			tm.Reset(d)
+		}
+	})
+	tm.Reset(0)
+	for e.Step() {
+		if e.Pending() > 1 {
+			t.Fatalf("Pending = %d with one timer", e.Pending())
+		}
+	}
+	if fired != rounds || e.Processed() != rounds {
+		t.Fatalf("fired %d, Processed %d, want %d", fired, e.Processed(), rounds)
+	}
+	if e.Pending() != 0 || tm.Pending() {
+		t.Fatalf("Pending = %d, timer pending %v after drain", e.Pending(), tm.Pending())
+	}
+}
+
+// TestTimerArmAndFireAllocateNothing is what the Timer is for.
+func TestTimerArmAndFireAllocateNothing(t *testing.T) {
+	e := NewEngine(1)
+	tm := e.NewTimer(func() {})
+	delays := []time.Duration{0, 18 * time.Microsecond, 400 * time.Microsecond, 2 * time.Millisecond}
+	i := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		tm.Reset(delays[i%len(delays)])
+		i++
+		e.Step()
+	}); avg != 0 {
+		t.Fatalf("Reset + Step allocates %.1f objects, want 0", avg)
 	}
 }
 
@@ -268,6 +427,73 @@ func BenchmarkSchedulePop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(time.Duration(rng.Intn(1e9)), func() {})
+		e.Step()
+	}
+}
+
+// macDelays is the radio's delay mix, a frame's three MAC steps over and
+// over: the zero-delay kick, a backoff (acks 0–27 µs, data 36–603 µs, in
+// 9 µs slots) and an airtime around 2 ms.
+func macDelays() []time.Duration {
+	rng := rand.New(rand.NewSource(7))
+	out := make([]time.Duration, 3*1024)
+	for i := 0; i < len(out); i += 3 {
+		slots := 4 + rng.Intn(64)
+		if rng.Intn(2) == 0 {
+			slots = rng.Intn(4)
+		}
+		out[i] = 0
+		out[i+1] = time.Duration(slots) * 9 * time.Microsecond
+		out[i+2] = 1867*time.Microsecond + time.Duration(rng.Intn(400))*time.Microsecond
+	}
+	return out
+}
+
+// benchSources is how many independent event chains the two benchmarks
+// below keep pending: one per radio of a 10×10 grid.
+const benchSources = 100
+
+// BenchmarkEngineSchedule is the cost of one fired event when every
+// arming is a Schedule call with a fresh closure, as the radio's MAC
+// armed its steps before it had a Timer.
+func BenchmarkEngineSchedule(b *testing.B) {
+	e := NewEngine(1)
+	delays := macDelays()
+	next := 0
+	var arm func()
+	arm = func() {
+		d := delays[next%len(delays)]
+		next++
+		e.Schedule(d, func() { arm() })
+	}
+	for i := 0; i < benchSources; i++ {
+		arm()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEngineTimer is the same event stream through one reusable
+// Timer per chain.
+func BenchmarkEngineTimer(b *testing.B) {
+	e := NewEngine(1)
+	delays := macDelays()
+	next := 0
+	for i := 0; i < benchSources; i++ {
+		var tm *Timer
+		tm = e.NewTimer(func() {
+			tm.Reset(delays[next%len(delays)])
+			next++
+		})
+		tm.Reset(delays[next%len(delays)])
+		next++
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }

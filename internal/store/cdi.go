@@ -1,7 +1,8 @@
 package store
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"pds/internal/clock"
@@ -77,7 +78,9 @@ func (t *CDITable) Lookup(itemKey string, chunkID int, now time.Duration) []CDIE
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Neighbor < out[j].Neighbor })
+	// Update keeps one entry per neighbor and chunk, so no two keys tie
+	// and an unstable sort has one possible outcome.
+	slices.SortFunc(out, func(a, b CDIEntry) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	return out
 }
 
@@ -98,7 +101,8 @@ func (t *CDITable) Pairs(itemKey string, now time.Duration) []wire.CDIPair {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ChunkID < out[j].ChunkID })
+	// One pair per key of the chunks map: chunk ids cannot tie.
+	slices.SortFunc(out, func(a, b wire.CDIPair) int { return cmp.Compare(a.ChunkID, b.ChunkID) })
 	return out
 }
 
