@@ -69,9 +69,11 @@ golden:
 	$(GO) test ./internal/scenario -run TestFigureRowsGolden -update-golden
 
 # fuzz runs short bursts of the fuzzers: the Bloom filter's one-loop
-# hash pair against hash/fnv, the codec, the datagram framing above it,
-# the tracker wire protocol, the persistent store's record framing below
-# it, and the two CLI spec grammars (fault plans and workload specs).
+# hash pair against hash/fnv, the codec, the checksummed framing above it
+# that both socket carriers receive through (wire.DecodeChecked, driven
+# from udptransport's datagram corpus), the tracker wire protocol, the
+# persistent store's record framing below it, and the two CLI spec
+# grammars (fault plans and workload specs).
 fuzz:
 	$(GO) test ./internal/bloom -fuzz FuzzHashPair -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
@@ -91,10 +93,12 @@ bench:
 
 # benchdiff is the benchmark-regression gate: it compares the fresh
 # BENCH_PDS.json (run `make bench` first) against the committed
-# BENCH_BASELINE.json and fails on >10% alloc/op or wall-share
-# regression in any figure. Regenerate the baseline with `make
-# baseline` after an intentional cost change, at the CI settings
-# (BENCH_RUNS=1 BENCH_SIZE=1) so figure costs stay comparable.
+# BENCH_BASELINE.json and fails when a figure's allocation count or
+# allocated bytes rise by more than 10% — both repeat per seed on any
+# host. Wall time is printed beside them and decides nothing.
+# Regenerate the baseline with `make baseline` after an intentional
+# cost change, at the CI settings (BENCH_RUNS=1 BENCH_SIZE=1) so figure
+# costs stay comparable.
 benchdiff:
 	$(GO) run ./cmd/pds-benchdiff BENCH_BASELINE.json BENCH_PDS.json
 

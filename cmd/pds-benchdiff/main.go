@@ -4,24 +4,18 @@
 //
 // Usage:
 //
-//	pds-benchdiff [-threshold 0.10] [-raw-wall] BENCH_BASELINE.json BENCH_PDS.json
+//	pds-benchdiff [-threshold 0.10] BENCH_BASELINE.json BENCH_PDS.json
 //
-// Two cost axes are compared per figure:
+// The gate is alloc/op: each figure's allocation count and allocated
+// bytes. Figure sweeps are seeded and deterministic, so these repeat
+// per seed on any machine and are compared directly. Wall time is
+// printed beside them and never decides anything: it does not transfer
+// between hosts, spreads by a fifth on one host, and as a share of the
+// suite it moves whenever some other figure gets faster.
 //
-//   - alloc/op — the figure's total allocated bytes and allocation
-//     count. Figure sweeps are seeded and deterministic, so these are
-//     machine-independent and compared directly.
-//   - ns/op — the figure's wall time. Absolute wall clock does not
-//     transfer between the machine that committed the baseline and the
-//     CI runner, so by default each figure's wall time is normalized
-//     to its share of the report's total before comparing: a figure
-//     that got relatively slower than the rest of the suite regressed,
-//     regardless of how fast the host is. -raw-wall compares absolute
-//     seconds instead (useful when both reports come from one host).
-//
-// Figures below the noise floors (tiny wall share, few allocations)
-// are skipped, as are figures present in only one report — a new
-// figure has no baseline to regress against and is reported as such.
+// Figures with too few allocations to compare are skipped, as are
+// figures present in only one report — a new figure has no baseline to
+// regress against and is reported as such.
 package main
 
 import (
@@ -45,13 +39,9 @@ type figure struct {
 	Allocs      uint64  `json:"allocs"`
 }
 
-// Noise floors: skip axes whose baseline is too small to compare
-// meaningfully (a 50 ms figure doubling is scheduler jitter, not a
-// hot-path regression).
-const (
-	minWallShare = 0.005 // 0.5% of total suite wall
-	minAllocs    = 100_000
-)
+// minAllocs is the noise floor: a figure whose baseline allocates less
+// is too small to compare meaningfully.
+const minAllocs = 100_000
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -75,26 +65,9 @@ func load(path string) (*report, error) {
 	return &r, nil
 }
 
-// totalWall sums the wall times of the figures whose names the keep set
-// admits (the report's own wall_seconds includes printing and is absent
-// from trimmed baselines). Totals are computed over the figures both
-// reports share, so a run that selects extra figures — or skips the
-// optional compare matrix — does not skew every other figure's
-// wall-share.
-func totalWall(r *report, keep map[string]bool) float64 {
-	var t float64
-	for _, f := range r.Figures {
-		if keep[f.Name] {
-			t += f.WallSeconds
-		}
-	}
-	return t
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("pds-benchdiff", flag.ContinueOnError)
 	threshold := fs.Float64("threshold", 0.10, "fail on regressions beyond this fraction")
-	rawWall := fs.Bool("raw-wall", false, "compare absolute wall seconds instead of share-of-suite")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -111,7 +84,7 @@ func run(args []string) error {
 		return err
 	}
 
-	if failed := diff(os.Stdout, base, cur, *threshold, *rawWall); failed > 0 {
+	if failed := diff(os.Stdout, base, cur, *threshold); failed > 0 {
 		return fmt.Errorf("%d cost regression(s) beyond %.0f%%", failed, *threshold*100)
 	}
 	fmt.Printf("no regressions beyond %.0f%%\n", *threshold*100)
@@ -119,24 +92,18 @@ func run(args []string) error {
 }
 
 // diff compares the current report against the baseline figure by
-// figure, writes one line per compared axis (and one notice per figure
-// present in only one report) to w, and returns the number of axes
-// that regressed beyond threshold.
-func diff(w io.Writer, base, cur *report, threshold float64, rawWall bool) int {
+// figure, writes one line per compared axis — the figure's wall time,
+// which is no verdict, printed on the first — and one notice per figure
+// present in only one report to w, and returns the number of axes that
+// regressed beyond threshold.
+func diff(w io.Writer, base, cur *report, threshold float64) int {
 	baseByName := make(map[string]figure, len(base.Figures))
 	for _, f := range base.Figures {
 		baseByName[f.Name] = f
 	}
-	shared := make(map[string]bool, len(cur.Figures))
-	for _, f := range cur.Figures {
-		if _, ok := baseByName[f.Name]; ok {
-			shared[f.Name] = true
-		}
-	}
-	baseTotal, curTotal := totalWall(base, shared), totalWall(cur, shared)
 
 	failed := 0
-	check := func(name, axis string, baseVal, curVal float64) {
+	check := func(name, axis string, baseVal, curVal float64, wall string) {
 		if baseVal <= 0 {
 			return
 		}
@@ -147,7 +114,7 @@ func diff(w io.Writer, base, cur *report, threshold float64, rawWall bool) int {
 			failed++
 		}
 		fmt.Fprintf(w, "%-12s %-11s %12.4g -> %-12.4g %+6.1f%%  %s\n",
-			name, axis, baseVal, curVal, delta*100, mark)
+			name, axis, baseVal, curVal, delta*100, strings.TrimRight(fmt.Sprintf("%-10s%s", mark, wall), " "))
 	}
 
 	seen := make(map[string]bool, len(cur.Figures))
@@ -159,15 +126,9 @@ func diff(w io.Writer, base, cur *report, threshold float64, rawWall bool) int {
 			continue
 		}
 		if b.Allocs >= minAllocs {
-			check(f.Name, "allocs", float64(b.Allocs), float64(f.Allocs))
-			check(f.Name, "alloc-bytes", float64(b.AllocBytes), float64(f.AllocBytes))
-		}
-		if rawWall {
-			if b.WallSeconds/baseTotal >= minWallShare {
-				check(f.Name, "wall-s", b.WallSeconds, f.WallSeconds)
-			}
-		} else if share := b.WallSeconds / baseTotal; share >= minWallShare {
-			check(f.Name, "wall-share", share, f.WallSeconds/curTotal)
+			wall := fmt.Sprintf("  wall %.3gs -> %.3gs", b.WallSeconds, f.WallSeconds)
+			check(f.Name, "allocs", float64(b.Allocs), float64(f.Allocs), wall)
+			check(f.Name, "alloc-bytes", float64(b.AllocBytes), float64(f.AllocBytes), "")
 		}
 	}
 	for _, f := range base.Figures {

@@ -14,7 +14,7 @@ func TestDiffNoRegression(t *testing.T) {
 	base := &report{Figures: []figure{fig("pdd", 10, 2_000_000), fig("pdr", 10, 2_000_000)}}
 	cur := &report{Figures: []figure{fig("pdd", 10.5, 2_050_000), fig("pdr", 9.5, 1_900_000)}}
 	var out strings.Builder
-	if failed := diff(&out, base, cur, 0.10, false); failed != 0 {
+	if failed := diff(&out, base, cur, 0.10); failed != 0 {
 		t.Fatalf("failed = %d, want 0\n%s", failed, out.String())
 	}
 	if strings.Contains(out.String(), "REGRESSION") {
@@ -26,7 +26,7 @@ func TestDiffDetectsRegression(t *testing.T) {
 	base := &report{Figures: []figure{fig("pdd", 10, 2_000_000)}}
 	cur := &report{Figures: []figure{fig("pdd", 10, 3_000_000)}} // +50% allocs
 	var out strings.Builder
-	failed := diff(&out, base, cur, 0.10, false)
+	failed := diff(&out, base, cur, 0.10)
 	// Both allocation axes (count and bytes) regressed by 50%.
 	if failed != 2 {
 		t.Fatalf("failed = %d, want 2\n%s", failed, out.String())
@@ -44,7 +44,7 @@ func TestDiffSkipsNewFigure(t *testing.T) {
 	base := &report{Figures: []figure{fig("pdd", 10, 2_000_000)}}
 	cur := &report{Figures: []figure{fig("pdd", 10, 2_000_000), fig("stream", 5, 9_000_000)}}
 	var out strings.Builder
-	if failed := diff(&out, base, cur, 0.10, false); failed != 0 {
+	if failed := diff(&out, base, cur, 0.10); failed != 0 {
 		t.Fatalf("failed = %d, want 0\n%s", failed, out.String())
 	}
 	if !strings.Contains(out.String(), "stream") ||
@@ -57,9 +57,7 @@ func TestDiffNoticesDroppedFigure(t *testing.T) {
 	base := &report{Figures: []figure{fig("pdd", 10, 2_000_000), fig("crowd", 5, 2_000_000)}}
 	cur := &report{Figures: []figure{fig("pdd", 10, 2_000_000)}}
 	var out strings.Builder
-	// raw-wall: dropping a figure shifts every share, which is not what
-	// this test is about.
-	if failed := diff(&out, base, cur, 0.10, true); failed != 0 {
+	if failed := diff(&out, base, cur, 0.10); failed != 0 {
 		t.Fatalf("failed = %d, want 0\n%s", failed, out.String())
 	}
 	if !strings.Contains(out.String(), "crowd") ||
@@ -68,27 +66,24 @@ func TestDiffNoticesDroppedFigure(t *testing.T) {
 	}
 }
 
-// TestDiffWallShareNormalized: with share-of-suite normalization a
-// uniformly slower host does not regress; with -raw-wall it does.
-func TestDiffWallShareNormalized(t *testing.T) {
-	base := &report{Figures: []figure{fig("pdd", 10, 0), fig("pdr", 10, 0)}}
-	cur := &report{Figures: []figure{fig("pdd", 20, 0), fig("pdr", 20, 0)}} // 2x slower host
+// TestDiffWallIsReportedNotGated: a figure ten times slower with the
+// same allocations is no regression; both wall times are printed.
+func TestDiffWallIsReportedNotGated(t *testing.T) {
+	base := &report{Figures: []figure{fig("pdd", 10, 2_000_000), fig("pdr", 10, 2_000_000)}}
+	cur := &report{Figures: []figure{fig("pdd", 100, 2_000_000), fig("pdr", 10, 2_000_000)}}
 	var out strings.Builder
-	if failed := diff(&out, base, cur, 0.10, false); failed != 0 {
-		t.Fatalf("normalized: failed = %d, want 0\n%s", failed, out.String())
+	if failed := diff(&out, base, cur, 0.10); failed != 0 {
+		t.Fatalf("failed = %d, want 0\n%s", failed, out.String())
 	}
-	out.Reset()
-	if failed := diff(&out, base, cur, 0.10, true); failed != 2 {
-		t.Fatalf("raw-wall: failed = %d, want 2\n%s", failed, out.String())
+	if !strings.Contains(out.String(), "wall 10s -> 100s") {
+		t.Fatalf("wall times not printed:\n%s", out.String())
 	}
 }
 
 // TestDiffSkipsAbsentCompareFigures: compare/<scenario> figures are the
 // optional strategy-matrix rows — which cells a run selects is a
 // harness choice, not a regression. A baseline regenerated with the
-// matrix must neither notice their absence nor let the missing wall
-// time skew the shared figures' wall-share (totals come from the
-// intersection of both reports).
+// matrix must not notice their absence.
 func TestDiffSkipsAbsentCompareFigures(t *testing.T) {
 	base := &report{Figures: []figure{
 		fig("pdd", 10, 2_000_000),
@@ -100,7 +95,7 @@ func TestDiffSkipsAbsentCompareFigures(t *testing.T) {
 		fig("pdr", 10, 2_000_000),
 	}}
 	var out strings.Builder
-	if failed := diff(&out, base, cur, 0.10, false); failed != 0 {
+	if failed := diff(&out, base, cur, 0.10); failed != 0 {
 		t.Fatalf("compare-less run flagged: failed = %d, want 0\n%s", failed, out.String())
 	}
 	if strings.Contains(out.String(), "dropped") {
@@ -114,18 +109,18 @@ func TestDiffGatesCompareFigurePresentInBoth(t *testing.T) {
 	base := &report{Figures: []figure{fig("pdd", 10, 2_000_000), fig("compare/fig8", 10, 2_000_000)}}
 	cur := &report{Figures: []figure{fig("pdd", 10, 2_000_000), fig("compare/fig8", 10, 3_000_000)}}
 	var out strings.Builder
-	if failed := diff(&out, base, cur, 0.10, false); failed != 2 {
+	if failed := diff(&out, base, cur, 0.10); failed != 2 {
 		t.Fatalf("compare cell regression: failed = %d, want 2\n%s", failed, out.String())
 	}
 }
 
-// TestDiffBelowNoiseFloor: tiny allocation counts and wall shares are
-// not compared at all.
+// TestDiffBelowNoiseFloor: tiny allocation counts are not compared at
+// all.
 func TestDiffBelowNoiseFloor(t *testing.T) {
 	base := &report{Figures: []figure{fig("pdd", 100, 0), {Name: "tiny", WallSeconds: 0.01, Allocs: 10}}}
 	cur := &report{Figures: []figure{fig("pdd", 100, 0), {Name: "tiny", WallSeconds: 1, Allocs: 90}}}
 	var out strings.Builder
-	if failed := diff(&out, base, cur, 0.10, false); failed != 0 {
+	if failed := diff(&out, base, cur, 0.10); failed != 0 {
 		t.Fatalf("failed = %d, want 0\n%s", failed, out.String())
 	}
 	if strings.Contains(out.String(), "tiny") {

@@ -350,11 +350,37 @@ func (n *Node) CDI() *store.CDITable { return n.cdi }
 // LQTLen reports the lingering-query table size (tests/diagnostics).
 func (n *Node) LQTLen() int { return n.lqt.Len() }
 
-// Stop cancels the sweep; the node still responds to HandleMessage but
-// schedules no further timers of its own.
+// Stop aborts every active session without callbacks and cancels the
+// sweep; the node still responds to HandleMessage but schedules no
+// further timers of its own.
 func (n *Node) Stop() {
 	n.stopped = true
+	n.abortSessions()
 	n.arm(clock.Never)
+}
+
+// abortSessions ends every active retrieval and discovery without
+// calling back, cancelling the check and deadline timers that would
+// otherwise keep the session — and through it the node — alive.
+func (n *Node) abortSessions() {
+	//lint:allow determinism per-entry teardown; the cancels only unschedule that retrieval's own timers
+	for _, r := range n.retrievals {
+		r.done = true
+		if r.cancelCheck != nil {
+			r.cancelCheck()
+		}
+		if r.cancelDeadline != nil {
+			r.cancelDeadline()
+		}
+	}
+	n.retrievals = make(map[string]*retrieval)
+	for _, s := range n.discSessions {
+		s.done = true
+		if s.cancelCheck != nil {
+			s.cancelCheck()
+		}
+	}
+	n.discSessions = nil
 }
 
 // Crash powers the node off mid-protocol: it stops sending and
@@ -370,21 +396,7 @@ func (n *Node) Crash() {
 	}
 	n.crashed = true
 	n.epoch++
-	//lint:allow determinism per-entry teardown; cancelCheck only unschedules that retrieval's own sim timer
-	for _, r := range n.retrievals {
-		r.done = true
-		if r.cancelCheck != nil {
-			r.cancelCheck()
-		}
-	}
-	n.retrievals = make(map[string]*retrieval)
-	for _, s := range n.discSessions {
-		s.done = true
-		if s.cancelCheck != nil {
-			s.cancelCheck()
-		}
-	}
-	n.discSessions = nil
+	n.abortSessions()
 	n.servePending = nil
 	n.ds.PowerOff()
 	n.cdi = store.NewCDITable()

@@ -305,13 +305,28 @@ func TestNodeHoldsATimerOnlyWhileItHoldsState(t *testing.T) {
 	if got := clk.Processed() - start; got != 3 {
 		t.Fatalf("%d sweeps for three deadlines", got)
 	}
+	// Active sessions hold timers too — a check each, and the retrieval
+	// its deadline — and Crash and Stop end them without calling back.
+	startSessions := func() {
+		n.RetrieveWithOptions(testItem(), RetrieveOptions{Deadline: time.Minute}, func(RetrievalResult) {
+			t.Error("aborted retrieval called back")
+		})
+		n.Discover(testSel(), DiscoverOptions{}, func(DiscoveryResult) {
+			t.Error("aborted discovery called back")
+		})
+		if clk.pending != 4 {
+			t.Fatalf("%d timers pending with a deadline retrieval and a discovery active, want sweep, two checks and the deadline", clk.pending)
+		}
+	}
 	feed()
+	startSessions()
 	n.Crash()
 	if clk.pending != 0 {
 		t.Fatalf("%d timers pending after Crash", clk.pending)
 	}
 	n.Restart()
 	feed()
+	startSessions()
 	n.Stop()
 	if clk.pending != 0 {
 		t.Fatalf("%d timers pending after Stop", clk.pending)
@@ -319,6 +334,11 @@ func TestNodeHoldsATimerOnlyWhileItHoldsState(t *testing.T) {
 	feed()
 	if clk.pending != 0 {
 		t.Fatalf("stopped node armed %d timers", clk.pending)
+	}
+	start = clk.Processed()
+	clk.Run(clk.Now() + 2*time.Minute)
+	if got := clk.Processed() - start; got != 0 {
+		t.Fatalf("%d events ran on a stopped node past its sessions' deadlines", got)
 	}
 }
 

@@ -425,10 +425,10 @@ func (f *Face) readLoop(conn net.Conn, br *bufio.Reader, buf []byte) {
 			// Keepalive answer / late hello: any inbound data already
 			// reset the idle deadline.
 		case frameMsg:
-			msg, err := decodeMsgBody(body)
+			msg, err := wire.DecodeChecked(body)
 			if err != nil {
 				f.m.count(func(s *Stats) {
-					if errors.Is(err, errChecksum) {
+					if errors.Is(err, wire.ErrChecksum) {
 						s.ChecksumErrors++
 					} else {
 						s.DecodeErrors++

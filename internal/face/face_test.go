@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"pds/internal/attr"
+	"pds/internal/link"
+	"pds/internal/sim"
 	"pds/internal/wire"
 )
 
@@ -104,7 +106,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	// The bytes on the wire: length, type, CRC of the payload, payload —
 	// built here the long way, in one exactly sized buffer by the mesh.
-	want := binary.BigEndian.AppendUint32(nil, uint32(1+crcSize+len(payload)))
+	want := binary.BigEndian.AppendUint32(nil, uint32(1+wire.ChecksumSize+len(payload)))
 	want = append(want, frameMsg)
 	want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
 	want = append(want, payload...)
@@ -124,9 +126,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if typ != frameMsg {
 		t.Fatalf("type = %d, want %d", typ, frameMsg)
 	}
-	got, err := decodeMsgBody(body)
+	got, err := wire.DecodeChecked(body)
 	if err != nil {
-		t.Fatalf("decodeMsgBody: %v", err)
+		t.Fatalf("DecodeChecked: %v", err)
 	}
 	if got.Query == nil || got.Query.ID != 42 {
 		t.Fatalf("decoded wrong message: %+v", got)
@@ -138,7 +140,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeMsgBody(body); err == nil {
+	if _, err := wire.DecodeChecked(body); err == nil {
 		t.Fatal("damaged body decoded")
 	}
 
@@ -369,6 +371,10 @@ func TestSelfConnectionStops(t *testing.T) {
 	}
 }
 
+// TestVirtualFragmentOverFaces sends the fragments a link cuts, at the default
+// size and at others, through a face and hands what arrives to a
+// receiving link: it reassembles the message the sender fragmented. The
+// mesh is told nothing about fragment sizes.
 func TestVirtualFragmentOverFaces(t *testing.T) {
 	a := newTestMesh(t, 1)
 	b := newTestMesh(t, 2)
@@ -380,62 +386,36 @@ func TestVirtualFragmentOverFaces(t *testing.T) {
 		t.Fatal("face never came up")
 	}
 
-	payload := make([]byte, 3000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	whole := &wire.Message{
-		Type:       wire.TypeResponse,
-		TransmitID: 1,
-		From:       2,
-		Response: &wire.Response{
-			ID:        7,
-			Kind:      wire.KindChunk,
-			Receivers: []wire.NodeID{1},
-			Blobs:     []wire.Blob{{Desc: attr.NewDescriptor().Set("c", attr.Int(0)), Payload: payload}},
-		},
-	}
-	size := wire.EncodedSize(whole)
-	fragBytes := b.cfg.FragmentBytes
-	count := (size + fragBytes - 1) / fragBytes
-	for i := 0; i < count; i++ {
-		fsize := fragBytes
-		if i == count-1 {
-			fsize = size - (count-1)*fragBytes
+	sent := 0
+	for _, fragBytes := range []int{600, 1400, 2000} {
+		cfg := link.DefaultConfig(nil)
+		cfg.FragmentBytes = fragBytes
+		whole := chunkMessage()
+		frames := linkFrames(whole, cfg)
+		for i, frag := range frames {
+			if !b.Send(frag) {
+				t.Fatalf("FragmentBytes %d: send fragment %d failed", fragBytes, i)
+			}
 		}
-		frag := &wire.Message{
-			Type:       wire.TypeFragment,
-			TransmitID: uint64(100 + i),
-			From:       2,
-			Fragment: &wire.Fragment{
-				OrigID: 55, Index: i, Count: count,
-				Receivers: []wire.NodeID{1},
-				Size:      fsize,
-				Whole:     whole,
-			},
+		msgs := got.wait(t, sent+len(frames), 5*time.Second)[sent:]
+		sent += len(frames)
+
+		rx := link.New(sim.NewEngine(1), 1, func(*wire.Message) bool { return true }, cfg)
+		var up *wire.Message
+		for _, m := range msgs {
+			if m.Type != wire.TypeFragment || m.Fragment.Data == nil {
+				t.Fatalf("FragmentBytes %d: expected materialized fragment, got %+v", fragBytes, m)
+			}
+			if r := rx.HandleIncoming(m); r != nil {
+				up = r
+			}
 		}
-		if !b.Send(frag) {
-			t.Fatalf("send fragment %d failed", i)
+		if up == nil || up.Response == nil || rx.Stats().ReasmErrors != 0 {
+			t.Fatalf("FragmentBytes %d: %d fragments did not reassemble: %+v", fragBytes, len(msgs), rx.Stats())
 		}
-	}
-	msgs := got.wait(t, count, 5*time.Second)
-	byIndex := make([][]byte, count)
-	for _, m := range msgs {
-		if m.Type != wire.TypeFragment || m.Fragment.Data == nil {
-			t.Fatalf("expected materialized fragment, got %+v", m)
+		if !bytes.Equal(up.Response.Blobs[0].Payload, whole.Response.Blobs[0].Payload) {
+			t.Fatalf("FragmentBytes %d: reassembled payload differs", fragBytes)
 		}
-		byIndex[m.Fragment.Index] = m.Fragment.Data
-	}
-	var buf []byte
-	for _, part := range byIndex {
-		buf = append(buf, part...)
-	}
-	decoded, err := wire.Decode(buf)
-	if err != nil {
-		t.Fatalf("decode reassembled: %v", err)
-	}
-	if decoded.Response == nil || len(decoded.Response.Blobs[0].Payload) != len(payload) {
-		t.Fatal("reassembled message wrong")
 	}
 }
 

@@ -3,8 +3,10 @@ package face
 import (
 	"encoding/hex"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pds/internal/attr"
 	"pds/internal/link"
@@ -57,14 +59,60 @@ func TestFragmentFramesPinned(t *testing.T) {
 	if len(frames) != 3 || len(want) != 3 {
 		t.Fatalf("%d frames against %d pinned, want 3 and 3", len(frames), len(want))
 	}
-	m := &Mesh{cfg: Config{FragmentBytes: 1400}, encCache: make(map[uint64][]byte)}
 	for i, f := range frames {
-		frame, err := m.encodeFrame(f)
+		frame, err := encodeMsgFrame(f)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got := hex.EncodeToString(frame); got != want[i] {
 			t.Errorf("frame %d differs from the pinned bytes:\n got %s\nwant %s", i, got, want[i])
+		}
+	}
+}
+
+// sendWatchedFragment sends whole as one virtual fragment whose
+// memo is its own allocation, and reports by closing the returned
+// channel when that memo — and the encoded whole, which nothing else can
+// reach — has been collected. Built and sent here so the caller's frame
+// holds no reference.
+func sendWatchedFragment(t *testing.T, whole *wire.Message, send func(*wire.Message) bool) <-chan struct{} {
+	t.Helper()
+	enc := new(wire.Encoding)
+	gone := make(chan struct{})
+	runtime.SetFinalizer(enc, func(*wire.Encoding) { close(gone) })
+	if !send(&wire.Message{
+		Type: wire.TypeFragment, TransmitID: 9, From: 2, NoAck: true,
+		Fragment: &wire.Fragment{OrigID: 5, Count: 1, Size: wire.EncodedSize(whole), Whole: whole, Enc: enc},
+	}) {
+		t.Fatal("send failed")
+	}
+	return gone
+}
+
+// TestMeshKeepsNoEncodedWhole: a mesh frames a fragment and keeps
+// neither it nor the encoded message it was cut from.
+func TestMeshKeepsNoEncodedWhole(t *testing.T) {
+	a := newTestMesh(t, 1)
+	b := newTestMesh(t, 2)
+	var got collector
+	a.SetReceiver(got.add)
+	b.SetReceiver(func(*wire.Message) {})
+	b.AddPeer(a.ListenAddr().String())
+	if !b.WaitReady(1, 5*time.Second) {
+		t.Fatal("face never came up")
+	}
+	gone := sendWatchedFragment(t, chunkMessage(), b.Send)
+	got.wait(t, 1, 5*time.Second)
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-gone:
+			runtime.KeepAlive(b)
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("the mesh still references a sent fragment's encoded whole")
 		}
 	}
 }

@@ -4,27 +4,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"pds/internal/wire"
 )
 
 // Stream framing: every frame is a 4-byte big-endian length (counting
-// the type byte and body), a 1-byte type, and the body. Message bodies
-// carry a CRC32 of the encoded payload in front of it — TCP's checksum
-// is end-to-end weak for multi-megabyte transfers, and reusing the
-// udptransport framing discipline keeps damaged frames out of the
-// codec.
+// the type byte and body), a 1-byte type, and the body. A message body
+// is the checksummed encoding udptransport puts in a datagram
+// (wire.AppendChecked), which keeps damaged frames out of the codec.
 const (
 	frameHello = 1 // body: 4-byte BE node id
 	framePing  = 2 // empty body
 	framePong  = 3 // empty body
-	frameMsg   = 4 // body: 4-byte BE CRC32(payload) + wire-encoded payload
+	frameMsg   = 4 // body: wire.AppendChecked of the message
 
-	lenSize   = 4
-	crcSize   = 4
-	msgHeader = lenSize + 1 + crcSize // what a frameMsg puts in front of its payload
+	lenSize = 4
 )
 
 // Preframed keepalive frames, shared read-only across all faces.
@@ -33,10 +28,7 @@ var (
 	pongFrame = []byte{0, 0, 0, 1, framePong}
 )
 
-var (
-	errFrameLength = errors.New("face: bad frame length")
-	errChecksum    = errors.New("face: message frame checksum mismatch")
-)
+var errFrameLength = errors.New("face: bad frame length")
 
 // helloFrame builds a hello frame announcing the local node id.
 func helloFrame(id wire.NodeID) []byte {
@@ -48,19 +40,16 @@ func helloFrame(id wire.NodeID) []byte {
 }
 
 // encodeMsgFrame wire-encodes msg straight into its frame — length,
-// type, CRC, payload — in one buffer sized up front (msg carries the
-// body of its type, as everything link.Send has sized does): header
-// reserved, payload encoded behind it, then length and CRC filled in.
+// type, checksummed payload — in one buffer sized up front (msg carries
+// the body of its type, as everything link.Send has sized does).
 func encodeMsgFrame(msg *wire.Message) ([]byte, error) {
-	frame := make([]byte, msgHeader, msgHeader+wire.EncodedSize(msg))
-	frame, err := wire.AppendEncode(frame, msg)
+	frame := make([]byte, lenSize+1, lenSize+1+wire.ChecksumSize+wire.EncodedSize(msg))
+	frame, err := wire.AppendChecked(frame, msg)
 	if err != nil {
 		return nil, err
 	}
-	payload := frame[msgHeader:]
-	binary.BigEndian.PutUint32(frame, uint32(1+crcSize+len(payload)))
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-lenSize))
 	frame[lenSize] = frameMsg
-	binary.BigEndian.PutUint32(frame[lenSize+1:], crc32.ChecksumIEEE(payload))
 	return frame, nil
 }
 
@@ -84,18 +73,4 @@ func readFrame(r io.Reader, buf []byte, maxFrame int) (typ byte, body, out []byt
 		return 0, nil, buf, err
 	}
 	return buf[0], buf[1:], buf, nil
-}
-
-// decodeMsgBody verifies the CRC and decodes the message. The codec
-// copies out everything it keeps, so the body buffer can be reused the
-// moment this returns.
-func decodeMsgBody(body []byte) (*wire.Message, error) {
-	if len(body) < crcSize {
-		return nil, errChecksum
-	}
-	payload := body[crcSize:]
-	if binary.BigEndian.Uint32(body) != crc32.ChecksumIEEE(payload) {
-		return nil, errChecksum
-	}
-	return wire.Decode(payload)
 }

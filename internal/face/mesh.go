@@ -11,14 +11,12 @@
 // Send fans every frame out to all up faces, one frame per distinct
 // peer, so the protocol's broadcast-shaped behaviors — overhearing,
 // lingering-query matching at relays, Bloom rewriting — run unchanged
-// over unicast: the mesh is the neighborhood. Frames reuse the wire
-// encode paths with length-prefixed CRC framing; virtual fragments are
-// materialized exactly like udptransport, by encoding the whole message
-// once and slicing it.
+// over unicast: the mesh is the neighborhood. A mesh is a carrier and
+// nothing more: every message, fragments included, goes through the one
+// wire encode path into a length-prefixed, CRC-checked frame.
 package face
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -50,9 +48,6 @@ type Config struct {
 	// can be set later with SetLocalID, but must be set before faces
 	// come up for per-peer send dedup and breaker attribution to work.
 	Self wire.NodeID
-	// FragmentBytes must match the link layer's FragmentBytes so
-	// virtual fragments slice the encoded message consistently.
-	FragmentBytes int
 	// MaxFrame bounds inbound frames (guards decode-time allocation).
 	MaxFrame int
 	// DialTimeout bounds one dial attempt.
@@ -96,7 +91,6 @@ type Config struct {
 func DefaultConfig(addr string) Config {
 	return Config{
 		ListenAddr:      addr,
-		FragmentBytes:   1400,
 		MaxFrame:        8 << 20,
 		DialTimeout:     3 * time.Second,
 		WriteTimeout:    5 * time.Second,
@@ -113,9 +107,6 @@ func DefaultConfig(addr string) Config {
 
 func (c *Config) fillDefaults() {
 	d := DefaultConfig("")
-	if c.FragmentBytes <= 0 {
-		c.FragmentBytes = d.FragmentBytes
-	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = d.MaxFrame
 	}
@@ -197,11 +188,6 @@ type Mesh struct {
 	closed   bool
 	stats    Stats
 
-	// encMu guards the virtual-fragment materialization cache, same
-	// discipline as udptransport.
-	encMu    sync.Mutex
-	encCache map[uint64][]byte // OrigID -> encoded whole message
-
 	wg sync.WaitGroup
 }
 
@@ -213,7 +199,6 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		cfg:      cfg,
 		self:     cfg.Self,
 		accepted: make(map[*Face]struct{}),
-		encCache: make(map[uint64][]byte),
 	}
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
@@ -356,7 +341,7 @@ func (m *Mesh) WaitReady(n int, timeout time.Duration) bool {
 // reports false when the frame could not be encoded or any face's
 // outbox dropped it.
 func (m *Mesh) Send(msg *wire.Message) bool {
-	frame, err := m.encodeFrame(msg)
+	frame, err := encodeMsgFrame(msg)
 	if err != nil {
 		m.mu.Lock()
 		m.stats.EncodeErrors++
@@ -404,53 +389,6 @@ func (m *Mesh) Send(msg *wire.Message) bool {
 		m.mu.Unlock()
 	}
 	return ok
-}
-
-// encodeFrame wire-encodes the message and frames it. Virtual
-// fragments are materialized copy-on-write by slicing the cached
-// encoding of the whole message, exactly like udptransport.
-func (m *Mesh) encodeFrame(msg *wire.Message) ([]byte, error) {
-	if msg.Type == wire.TypeFragment && msg.Fragment != nil && msg.Fragment.Data == nil {
-		f := msg.Fragment
-		if f.Whole == nil {
-			return nil, errors.New("face: fragment without data or whole")
-		}
-		m.encMu.Lock()
-		whole, ok := m.encCache[f.OrigID]
-		if !ok {
-			var err error
-			whole, err = wire.Encode(f.Whole)
-			if err != nil {
-				m.encMu.Unlock()
-				return nil, err
-			}
-			m.encCache[f.OrigID] = whole
-			if len(m.encCache) > 64 {
-				for k := range m.encCache {
-					if k != f.OrigID {
-						delete(m.encCache, k)
-					}
-				}
-			}
-		}
-		m.encMu.Unlock()
-		lo := f.Index * m.cfg.FragmentBytes
-		hi := lo + m.cfg.FragmentBytes
-		if lo > len(whole) {
-			lo = len(whole)
-		}
-		if hi > len(whole) {
-			hi = len(whole)
-		}
-		real := *msg
-		fcopy := *f
-		fcopy.Whole = nil
-		fcopy.Data = whole[lo:hi]
-		fcopy.Size = hi - lo
-		real.Fragment = &fcopy
-		return encodeMsgFrame(&real)
-	}
-	return encodeMsgFrame(msg)
 }
 
 // deliver hands a decoded message to the receiver.

@@ -129,6 +129,11 @@ type fragJob struct {
 	noAck       bool
 	aborted     bool
 	unacked     map[wire.NodeID]bool
+	// enc is whole's encoding, filled if a carrier ever encodes one of
+	// the job's fragments (the simulator never does). Every fragment
+	// points at it, so the bytes are made once and go when the job and
+	// its frames do.
+	enc wire.Encoding
 }
 
 type outItem struct {
@@ -215,7 +220,7 @@ func (l *Link) Send(msg *wire.Message) {
 		l.sendFragmented(msg, size)
 		return
 	}
-	l.sendFrame(msg)
+	l.sendFrame(msg, nil)
 }
 
 // sendFragmented queues msg as a fragment job; jobs stream one at a
@@ -271,12 +276,13 @@ func (l *Link) pumpJobs() {
 				Receivers: job.receivers,
 				Size:      fsize,
 				Whole:     job.whole,
+				Enc:       &job.enc,
 			},
 		}
 		if !job.noAck {
 			job.outstanding++
 		}
-		l.sendFrameForJob(frag, job)
+		l.sendFrame(frag, job)
 	}
 	if job.aborted || (job.next >= job.count && job.outstanding == 0) {
 		l.finishJob(job)
@@ -324,26 +330,17 @@ func (l *Link) fragAcked(job *fragJob, ok bool, unacked map[wire.NodeID]bool) {
 	}
 }
 
-// sendFrameForJob is sendFrame with job bookkeeping attached.
-func (l *Link) sendFrameForJob(msg *wire.Message, job *fragJob) {
-	l.sendFrame(msg)
-	if !msg.NoAck && job != nil {
-		if p, ok := l.pend[msg.TransmitID]; ok {
-			p.job = job
-		}
-	}
-}
-
 // sendFrame assigns the TransmitID, decides whether acks are expected
-// (explicit receiver list, acking enabled) and paces the frame out.
-func (l *Link) sendFrame(msg *wire.Message) {
+// (explicit receiver list, acking enabled) and paces the frame out. job
+// is the fragment job the frame belongs to, nil for a whole message.
+func (l *Link) sendFrame(msg *wire.Message, job *fragJob) {
 	l.nextTransmit++
 	receivers := msg.Receivers()
 	needAck := l.cfg.AckEnabled && len(receivers) > 0 && msg.Type != wire.TypeAck
 	msg.Stamp(uint64(l.self)<<32|l.nextTransmit, l.self, !needAck)
 
 	if needAck {
-		p := &pending{msg: msg, remaining: make(map[wire.NodeID]bool, len(receivers))}
+		p := &pending{msg: msg, remaining: make(map[wire.NodeID]bool, len(receivers)), job: job}
 		for _, r := range receivers {
 			p.remaining[r] = true
 		}

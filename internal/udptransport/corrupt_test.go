@@ -46,35 +46,36 @@ func sampleMessages(t testing.TB) []*wire.Message {
 	}
 }
 
-// sampleDatagrams encodes the corpus into wire-framed datagrams.
+// sampleDatagrams frames the corpus as Send does.
 func sampleDatagrams(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, m := range sampleMessages(t) {
-		payload, err := wire.Encode(m)
+		dg, err := wire.AppendChecked(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, encodeDatagram(payload))
+		out = append(out, dg)
 	}
 	return out
 }
 
 // TestDecodeDatagramCorruption is the table test for the receive path's
 // central safety property: a truncated or bit-flipped datagram must
-// never panic the decoder and never surface as a message.
+// never panic the decoder (wire.DecodeChecked, which the face mesh's
+// frames go through too) and never surface as a message.
 func TestDecodeDatagramCorruption(t *testing.T) {
 	for di, dg := range sampleDatagrams(t) {
 		// The intact datagram must decode.
-		if _, err := decodeDatagram(dg); err != nil {
+		if _, err := wire.DecodeChecked(dg); err != nil {
 			t.Fatalf("datagram %d: intact decode failed: %v", di, err)
 		}
 
 		// Every truncation must be rejected — the CRC covers the full
 		// payload, so any missing suffix fails the framing check.
 		for n := 0; n < len(dg); n++ {
-			if msg, err := decodeDatagram(dg[:n]); err == nil {
+			if msg, err := wire.DecodeChecked(dg[:n]); err == nil {
 				t.Fatalf("datagram %d truncated to %d bytes decoded: %+v", di, n, msg)
-			} else if !errors.Is(err, errChecksum) {
+			} else if !errors.Is(err, wire.ErrChecksum) {
 				t.Fatalf("datagram %d truncated to %d bytes: want checksum error, got %v", di, n, err)
 			}
 		}
@@ -85,7 +86,7 @@ func TestDecodeDatagramCorruption(t *testing.T) {
 			for bit := 0; bit < 8; bit++ {
 				flipped := append([]byte(nil), dg...)
 				flipped[pos] ^= 1 << bit
-				if msg, err := decodeDatagram(flipped); err == nil {
+				if msg, err := wire.DecodeChecked(flipped); err == nil {
 					t.Fatalf("datagram %d with bit %d of byte %d flipped decoded: %+v", di, bit, pos, msg)
 				}
 			}
@@ -94,7 +95,7 @@ func TestDecodeDatagramCorruption(t *testing.T) {
 
 	// Degenerate inputs.
 	for _, in := range [][]byte{nil, {}, {1}, {1, 2, 3}} {
-		if _, err := decodeDatagram(in); !errors.Is(err, errChecksum) {
+		if _, err := wire.DecodeChecked(in); !errors.Is(err, wire.ErrChecksum) {
 			t.Fatalf("short input %v: want checksum error, got %v", in, err)
 		}
 	}
@@ -108,20 +109,20 @@ func FuzzDecodeDatagram(f *testing.F) {
 	for _, dg := range sampleDatagrams(f) {
 		f.Add(dg)
 		f.Add(dg[:len(dg)/2])
-		f.Add(dg[crcSize:]) // framing stripped: raw codec bytes
+		f.Add(dg[wire.ChecksumSize:]) // framing stripped: raw codec bytes
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := decodeDatagram(data)
+		msg, err := wire.DecodeChecked(data)
 		if err != nil {
 			return
 		}
-		payload, err := wire.Encode(msg)
+		dg, err := wire.AppendChecked(nil, msg)
 		if err != nil {
 			t.Fatalf("accepted message does not re-encode: %v", err)
 		}
-		if _, err := decodeDatagram(encodeDatagram(payload)); err != nil {
+		if _, err := wire.DecodeChecked(dg); err != nil {
 			t.Fatalf("re-framed message does not decode: %v", err)
 		}
 	})

@@ -2,9 +2,12 @@ package udptransport
 
 import (
 	"encoding/hex"
+	"net"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pds/internal/attr"
 	"pds/internal/link"
@@ -45,8 +48,9 @@ func linkFrames(msg *wire.Message, cfg link.Config) []*wire.Message {
 }
 
 // TestFragmentFramesPinned holds the bytes a fragmented message puts on
-// a datagram socket to testdata/fragment_frames.hex, captured at e855bbc: one line
-// per frame of chunkMessage under the default link config.
+// a datagram socket to testdata/fragment_frames.hex, captured at e855bbc:
+// one line per datagram of chunkMessage under the default link config,
+// read back from a plain UDP socket the transport sends to.
 func TestFragmentFramesPinned(t *testing.T) {
 	golden, err := os.ReadFile("testdata/fragment_frames.hex")
 	if err != nil {
@@ -57,14 +61,69 @@ func TestFragmentFramesPinned(t *testing.T) {
 	if len(frames) != 3 || len(want) != 3 {
 		t.Fatalf("%d frames against %d pinned, want 3 and 3", len(frames), len(want))
 	}
-	tr := &Transport{cfg: Config{FragmentBytes: 1400}, encCache: make(map[uint64][]byte)}
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("cannot bind loopback UDP: %v", err)
+	}
+	defer peer.Close()
+	tr, err := New(Config{ListenAddr: "127.0.0.1:0", PeerAddrs: []string{peer.LocalAddr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	buf := make([]byte, 4096)
 	for i, f := range frames {
-		frame, err := tr.appendDatagram(nil, f)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		if !tr.Send(f) {
+			t.Fatalf("send fragment %d failed", i)
 		}
-		if got := hex.EncodeToString(frame); got != want[i] {
-			t.Errorf("frame %d differs from the pinned bytes:\n got %s\nwant %s", i, got, want[i])
+		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, _, err := peer.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if got := hex.EncodeToString(buf[:n]); got != want[i] {
+			t.Errorf("datagram %d differs from the pinned bytes:\n got %s\nwant %s", i, got, want[i])
+		}
+	}
+}
+
+// sendWatchedFragment sends whole as one virtual fragment whose
+// memo is its own allocation, and reports by closing the returned
+// channel when that memo — and the encoded whole, which nothing else can
+// reach — has been collected. Built and sent here so the caller's frame
+// holds no reference.
+func sendWatchedFragment(t *testing.T, whole *wire.Message, send func(*wire.Message) bool) <-chan struct{} {
+	t.Helper()
+	enc := new(wire.Encoding)
+	gone := make(chan struct{})
+	runtime.SetFinalizer(enc, func(*wire.Encoding) { close(gone) })
+	if !send(&wire.Message{
+		Type: wire.TypeFragment, TransmitID: 9, From: 2, NoAck: true,
+		Fragment: &wire.Fragment{OrigID: 5, Count: 1, Size: wire.EncodedSize(whole), Whole: whole, Enc: enc},
+	}) {
+		t.Fatal("send failed")
+	}
+	return gone
+}
+
+// TestTransportKeepsNoEncodedWhole: the transport frames a fragment and
+// keeps neither it nor the encoded message it was cut from.
+func TestTransportKeepsNoEncodedWhole(t *testing.T) {
+	a, b := newPair(t, 19813, 19814)
+	var got collector
+	b.SetReceiver(got.add)
+	gone := sendWatchedFragment(t, sampleMessages(t)[1], a.Send) // fits a datagram
+	got.wait(t, 1, 5*time.Second)
+	for i := 0; ; i++ {
+		runtime.GC()
+		select {
+		case <-gone:
+			runtime.KeepAlive(a)
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+		if i == 100 {
+			t.Fatal("the transport still references a sent fragment's encoded whole")
 		}
 	}
 }

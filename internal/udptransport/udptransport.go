@@ -12,18 +12,17 @@
 //     node binds its own 127.0.0.1 port and "broadcast" fans out to an
 //     explicit list of peer ports.
 //
-// Messages larger than a datagram-safe size travel as link-layer
-// fragments; the transport serializes virtual fragments (which carry
-// the original message by reference) by encoding the whole message
-// once and slicing it, so receivers reassemble and decode.
+// The transport is a carrier and nothing more: one message, one
+// checksummed datagram (wire.AppendChecked). Messages larger than a
+// datagram-safe size reach it as link-layer fragments, which encode like
+// any other message; MaxFragment tells the node how large the link may
+// cut them.
 package udptransport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"syscall"
@@ -42,10 +41,8 @@ type Config struct {
 	BroadcastAddr string
 	// PeerAddrs lists explicit destinations (loopback mode).
 	PeerAddrs []string
-	// FragmentBytes must match the link layer's FragmentBytes so
-	// virtual fragments slice the encoded message consistently.
-	FragmentBytes int
-	// MaxDatagram bounds receive buffers.
+	// MaxDatagram bounds receive buffers, and through MaxFragment the
+	// link layer's fragments.
 	MaxDatagram int
 }
 
@@ -54,7 +51,6 @@ func DefaultConfig(port int) Config {
 	return Config{
 		ListenAddr:    fmt.Sprintf(":%d", port),
 		BroadcastAddr: fmt.Sprintf("255.255.255.255:%d", port),
-		FragmentBytes: 1400,
 		MaxDatagram:   2048,
 	}
 }
@@ -64,9 +60,8 @@ func DefaultConfig(port int) Config {
 // filtered by source address).
 func LoopbackConfig(ownPort int, peerPorts []int) Config {
 	cfg := Config{
-		ListenAddr:    fmt.Sprintf("127.0.0.1:%d", ownPort),
-		FragmentBytes: 1400,
-		MaxDatagram:   2048,
+		ListenAddr:  fmt.Sprintf("127.0.0.1:%d", ownPort),
+		MaxDatagram: 2048,
 	}
 	for _, p := range peerPorts {
 		if p != ownPort {
@@ -83,12 +78,11 @@ type Transport struct {
 	conn  *net.UDPConn
 	dests []*net.UDPAddr
 
-	mu       sync.Mutex
-	recv     func(*wire.Message)
-	tr       *trace.NodeTracer // nil-safe: methods no-op on nil
-	closed   bool
-	wg       sync.WaitGroup
-	encCache map[uint64][]byte // OrigID -> encoded whole message
+	mu     sync.Mutex
+	recv   func(*wire.Message)
+	tr     *trace.NodeTracer // nil-safe: methods no-op on nil
+	closed bool
+	wg     sync.WaitGroup
 
 	// sendMu serializes Send and guards sendBuf, a scratch buffer the
 	// datagram is framed into. The buffer is reused across sends, so
@@ -104,8 +98,8 @@ type Stats struct {
 	DatagramsSent     uint64
 	DatagramsReceived uint64
 	BytesSent         uint64
-	// ChecksumErrors counts datagrams dropped by the CRC32 framing
-	// check (truncated or bit-damaged on the wire).
+	// ChecksumErrors counts datagrams dropped by the checksum
+	// (truncated or bit-damaged on the wire).
 	ChecksumErrors uint64
 	// DecodeErrors counts well-framed datagrams the codec rejected.
 	DecodeErrors uint64
@@ -125,27 +119,10 @@ const (
 	dropClassWrite  = "write"
 )
 
-// crcSize is the length of the datagram checksum header.
-const crcSize = 4
-
-// errChecksum marks a datagram dropped by the framing check.
-var errChecksum = errors.New("udptransport: datagram checksum mismatch")
-
-// encodeDatagram frames an encoded message for the wire: a big-endian
-// CRC32 (IEEE) of the payload, then the payload. UDP's own 16-bit
-// checksum is optional on IPv4 and too weak for multi-megabyte
-// transfers; the paper's prototype saw real bit damage on busy Wi-Fi.
-func encodeDatagram(payload []byte) []byte {
-	out := make([]byte, crcSize+len(payload))
-	binary.BigEndian.PutUint32(out, crc32.ChecksumIEEE(payload))
-	copy(out[crcSize:], payload)
-	return out
-}
-
 // recvBufPool holds receive buffers for readLoop. wire.Decode fully
 // materializes every section it returns (payload bytes, fragment data,
 // bloom bits, attribute strings are all copied out of the source), so a
-// buffer can be recycled the moment decodeDatagram returns.
+// buffer can be recycled the moment wire.DecodeChecked returns.
 var recvBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 2048)
@@ -153,23 +130,8 @@ var recvBufPool = sync.Pool{
 	},
 }
 
-// decodeDatagram verifies the CRC framing and decodes the message. It
-// returns errChecksum for truncated or bit-damaged datagrams and the
-// codec's error for well-framed payloads the codec rejects. It never
-// panics and never returns a message from damaged input.
-func decodeDatagram(buf []byte) (*wire.Message, error) {
-	if len(buf) < crcSize {
-		return nil, errChecksum
-	}
-	payload := buf[crcSize:]
-	if binary.BigEndian.Uint32(buf) != crc32.ChecksumIEEE(payload) {
-		return nil, errChecksum
-	}
-	return wire.Decode(payload)
-}
-
 // fragmentOverhead is the worst-case framing around one fragment's
-// data slice: the CRC header plus the encoded envelope and fragment
+// data slice: the checksum plus the encoded envelope and fragment
 // section with every varint at maximum width and an allowance of
 // maxFragReceivers receiver entries (the link narrows the list to
 // live one-hop neighbors, so a small bound is realistic).
@@ -194,22 +156,19 @@ func fragmentOverhead() int {
 	}
 	// EncodedSize counts a 1-byte length prefix for the empty Data
 	// slice; a full fragment's prefix is up to 5 bytes, hence +4.
-	return crcSize + wire.EncodedSize(m) + 4
+	return wire.ChecksumSize + wire.EncodedSize(m) + 4
 }
+
+// MaxFragment is the largest link-layer fragment one datagram carries
+// whole; receivers would truncate anything larger. pds.NewNode refuses
+// a link configured to cut bigger ones.
+func (t *Transport) MaxFragment() int { return t.cfg.MaxDatagram - fragmentOverhead() }
 
 // New binds the socket and starts the receive loop. The caller must
 // SetReceiver before peers start talking.
 func New(cfg Config) (*Transport, error) {
-	if cfg.FragmentBytes <= 0 {
-		cfg.FragmentBytes = 1400
-	}
 	if cfg.MaxDatagram <= 0 {
 		cfg.MaxDatagram = 2048
-	}
-	if over := fragmentOverhead(); cfg.FragmentBytes+over > cfg.MaxDatagram {
-		return nil, fmt.Errorf(
-			"udptransport: FragmentBytes %d + framing overhead %d exceeds MaxDatagram %d; receivers would truncate every full fragment",
-			cfg.FragmentBytes, over, cfg.MaxDatagram)
 	}
 	// SO_BROADCAST must be set explicitly or sends to the subnet
 	// broadcast address fail with permission errors on most systems.
@@ -234,7 +193,7 @@ func New(cfg Config) (*Transport, error) {
 		pc.Close()
 		return nil, errors.New("udptransport: not a UDP socket")
 	}
-	t := &Transport{cfg: cfg, conn: conn, encCache: make(map[uint64][]byte)}
+	t := &Transport{cfg: cfg, conn: conn}
 	if len(cfg.PeerAddrs) > 0 {
 		for _, a := range cfg.PeerAddrs {
 			dst, err := net.ResolveUDPAddr("udp", a)
@@ -292,13 +251,12 @@ func (t *Transport) Stats() Stats {
 	return t.stats
 }
 
-// Send encodes and broadcasts one frame. Virtual fragments are
-// materialized by slicing the encoded whole message. The datagram is
-// framed into a scratch buffer reused across sends; the message itself
-// is read-only here and never mutated or retained.
+// Send encodes and broadcasts one frame. The datagram is framed into a
+// scratch buffer reused across sends; the message itself is read-only
+// here and never mutated or retained.
 func (t *Transport) Send(msg *wire.Message) bool {
 	t.sendMu.Lock()
-	buf, err := t.appendDatagram(t.sendBuf[:0], msg)
+	buf, err := wire.AppendChecked(t.sendBuf[:0], msg)
 	if err != nil {
 		t.sendMu.Unlock()
 		t.mu.Lock()
@@ -333,62 +291,6 @@ func (t *Transport) Send(msg *wire.Message) bool {
 	return ok
 }
 
-// appendDatagram frames the message into dst — CRC header then encoded
-// payload — and returns the extended buffer. Virtual fragments are
-// materialized copy-on-write: a stack copy of the envelope and Fragment
-// section carries the encoded slice; the shared original is untouched.
-func (t *Transport) appendDatagram(dst []byte, msg *wire.Message) ([]byte, error) {
-	dst = append(dst, 0, 0, 0, 0) // CRC placeholder, filled below
-	var err error
-	if msg.Type == wire.TypeFragment && msg.Fragment != nil && msg.Fragment.Data == nil {
-		f := msg.Fragment
-		if f.Whole == nil {
-			return nil, errors.New("udptransport: fragment without data or whole")
-		}
-		t.mu.Lock()
-		whole, ok := t.encCache[f.OrigID]
-		if !ok {
-			whole, err = wire.Encode(f.Whole)
-			if err != nil {
-				t.mu.Unlock()
-				return nil, err
-			}
-			t.encCache[f.OrigID] = whole
-			if len(t.encCache) > 64 {
-				// Simple bound: drop everything but the current entry.
-				for k := range t.encCache {
-					if k != f.OrigID {
-						delete(t.encCache, k)
-					}
-				}
-			}
-		}
-		t.mu.Unlock()
-		lo := f.Index * t.cfg.FragmentBytes
-		hi := lo + t.cfg.FragmentBytes
-		if lo > len(whole) {
-			lo = len(whole)
-		}
-		if hi > len(whole) {
-			hi = len(whole)
-		}
-		real := *msg
-		fcopy := *f
-		fcopy.Whole = nil
-		fcopy.Data = whole[lo:hi]
-		fcopy.Size = hi - lo
-		real.Fragment = &fcopy
-		dst, err = wire.AppendEncode(dst, &real)
-	} else {
-		dst, err = wire.AppendEncode(dst, msg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	binary.BigEndian.PutUint32(dst, crc32.ChecksumIEEE(dst[crcSize:]))
-	return dst, nil
-}
-
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
 	local := t.conn.LocalAddr().String()
@@ -408,10 +310,10 @@ func (t *Transport) readLoop() {
 		}
 		// Decode straight from the receive buffer: the codec copies out
 		// everything it keeps, so no per-datagram clone is needed.
-		msg, err := decodeDatagram(buf[:n])
+		msg, err := wire.DecodeChecked(buf[:n])
 		if err != nil {
 			t.mu.Lock()
-			if errors.Is(err, errChecksum) {
+			if errors.Is(err, wire.ErrChecksum) {
 				t.stats.ChecksumErrors++
 			} else {
 				t.stats.DecodeErrors++

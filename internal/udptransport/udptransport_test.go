@@ -1,11 +1,16 @@
 package udptransport
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
 
 	"pds/internal/attr"
+	"pds/internal/link"
+	"pds/internal/sim"
 	"pds/internal/wire"
 )
 
@@ -87,73 +92,68 @@ func TestSendReceive(t *testing.T) {
 	}
 }
 
+// TestVirtualFragmentMaterialization sends the fragments a link cuts, at the
+// default size and at others a datagram can carry, through the socket
+// and hands what arrives to a receiving link: it reassembles the message
+// the sender fragmented. The transport is told nothing about fragment
+// sizes.
 func TestVirtualFragmentMaterialization(t *testing.T) {
 	a, b := newPair(t, 19803, 19804)
 	var got collector
 	b.SetReceiver(got.add)
 
-	// A whole message too large for one fragment, split virtually the
-	// way the link layer does.
-	payload := make([]byte, 3000)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	whole := &wire.Message{
-		Type:       wire.TypeResponse,
-		TransmitID: 1,
-		From:       1,
-		Response: &wire.Response{
-			ID:        7,
-			Kind:      wire.KindChunk,
-			Receivers: []wire.NodeID{2},
-			Blobs:     []wire.Blob{{Desc: attr.NewDescriptor().Set("c", attr.Int(0)), Payload: payload}},
-		},
-	}
-	size := wire.EncodedSize(whole)
-	const fragBytes = 1400
-	count := (size + fragBytes - 1) / fragBytes
-	var parts [][]byte
-	for i := 0; i < count; i++ {
-		fsize := fragBytes
-		if i == count-1 {
-			fsize = size - (count-1)*fragBytes
+	sent := 0
+	for _, fragBytes := range []int{600, 1400, a.MaxFragment()} {
+		cfg := link.DefaultConfig(nil)
+		cfg.FragmentBytes = fragBytes
+		whole := chunkMessage()
+		frames := linkFrames(whole, cfg)
+		for i, frag := range frames {
+			if !a.Send(frag) {
+				t.Fatalf("FragmentBytes %d: send fragment %d failed", fragBytes, i)
+			}
 		}
-		frag := &wire.Message{
-			Type:       wire.TypeFragment,
-			TransmitID: uint64(100 + i),
-			From:       1,
-			Fragment: &wire.Fragment{
-				OrigID: 55, Index: i, Count: count,
-				Receivers: []wire.NodeID{2},
-				Size:      fsize,
-				Whole:     whole,
-			},
+		msgs := got.wait(t, sent+len(frames), 5*time.Second)[sent:]
+		sent += len(frames)
+
+		rx := link.New(sim.NewEngine(1), 1, func(*wire.Message) bool { return true }, cfg)
+		var up *wire.Message
+		for _, m := range msgs {
+			if m.Type != wire.TypeFragment || m.Fragment.Data == nil {
+				t.Fatalf("FragmentBytes %d: expected materialized fragment, got %+v", fragBytes, m)
+			}
+			if r := rx.HandleIncoming(m); r != nil {
+				up = r
+			}
 		}
-		if !a.Send(frag) {
-			t.Fatalf("send fragment %d failed", i)
+		if up == nil || up.Response == nil || rx.Stats().ReasmErrors != 0 {
+			t.Fatalf("FragmentBytes %d: %d fragments did not reassemble: %+v", fragBytes, len(msgs), rx.Stats())
 		}
-		_ = parts
-	}
-	msgs := got.wait(t, count, 5*time.Second)
-	// Receiver-side: concatenate the materialized fragment data and
-	// decode; it must equal the original message.
-	byIndex := make([][]byte, count)
-	for _, m := range msgs {
-		if m.Type != wire.TypeFragment || m.Fragment.Data == nil {
-			t.Fatalf("expected materialized fragment, got %+v", m)
+		if !bytes.Equal(up.Response.Blobs[0].Payload, whole.Response.Blobs[0].Payload) {
+			t.Fatalf("FragmentBytes %d: reassembled payload differs", fragBytes)
 		}
-		byIndex[m.Fragment.Index] = m.Fragment.Data
 	}
-	var buf []byte
-	for _, part := range byIndex {
-		buf = append(buf, part...)
+}
+
+// TestMaxFragmentFitsDatagram: a fragment of MaxFragment bytes toward a
+// full receiver list frames into no more than MaxDatagram bytes, so no
+// receiver truncates it.
+func TestMaxFragmentFitsDatagram(t *testing.T) {
+	a, _ := newPair(t, 19811, 19812)
+	cfg := link.DefaultConfig(nil)
+	cfg.FragmentBytes = a.MaxFragment()
+	whole := chunkMessage()
+	for len(whole.Response.Receivers) < 16 {
+		whole.Response.Receivers = append(whole.Response.Receivers, ^wire.NodeID(0))
 	}
-	decoded, err := wire.Decode(buf)
-	if err != nil {
-		t.Fatalf("decode reassembled: %v", err)
-	}
-	if decoded.Response == nil || len(decoded.Response.Blobs[0].Payload) != len(payload) {
-		t.Fatal("reassembled message wrong")
+	for i, frag := range linkFrames(whole, cfg) {
+		dg, err := wire.AppendChecked(nil, frag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dg) > a.cfg.MaxDatagram {
+			t.Fatalf("fragment %d frames into %d bytes, over MaxDatagram %d", i, len(dg), a.cfg.MaxDatagram)
+		}
 	}
 }
 
@@ -193,7 +193,9 @@ func TestDecodeErrorCounted(t *testing.T) {
 	}
 	// A correctly framed datagram whose payload is not a valid message
 	// passes the CRC but fails the codec.
-	if _, err := conn.WriteToUDP(encodeDatagram([]byte{0xde, 0xad, 0xbe, 0xef}), dst); err != nil {
+	garbage := []byte{0xde, 0xad, 0xbe, 0xef}
+	framed := append(binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(garbage)), garbage...)
+	if _, err := conn.WriteToUDP(framed, dst); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)

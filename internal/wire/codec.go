@@ -131,19 +131,49 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 		if f == nil {
 			return nil, fmt.Errorf("%w: fragment message without body", ErrBadMessage)
 		}
-		if f.Data == nil {
-			return nil, fmt.Errorf("%w: virtual fragment is not wire-encodable", ErrBadMessage)
+		data, err := f.data()
+		if err != nil {
+			return nil, err
 		}
 		dst = binary.AppendUvarint(dst, f.OrigID)
 		dst = binary.AppendUvarint(dst, uint64(f.Index))
 		dst = binary.AppendUvarint(dst, uint64(f.Count))
 		dst = appendNodeIDs(dst, f.Receivers)
-		dst = binary.AppendUvarint(dst, uint64(len(f.Data)))
-		dst = append(dst, f.Data...)
+		dst = binary.AppendUvarint(dst, uint64(len(data)))
+		dst = append(dst, data...)
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, m.Type)
 	}
 	return dst, nil
+}
+
+// data returns the bytes the fragment carries: Data when it has them,
+// otherwise its own range of the encoded Whole. The fragments of a
+// message are Size bytes each but for the last, which ends the message.
+func (f *Fragment) data() ([]byte, error) {
+	if f.Data != nil {
+		return f.Data, nil
+	}
+	if f.Whole == nil {
+		return nil, fmt.Errorf("%w: fragment with neither data nor whole", ErrBadMessage)
+	}
+	whole, err := f.Enc.of(f.Whole)
+	if err != nil {
+		return nil, err
+	}
+	// Every fragment but the last is Size bytes, so Size and the message
+	// length fix how many there are; the last one ends the message.
+	n, last := len(whole), f.Index == f.Count-1
+	if f.Index < 0 || f.Index >= f.Count || f.Size <= 0 || f.Size > n ||
+		(!last && f.Count != (n-1)/f.Size+1) {
+		return nil, fmt.Errorf("%w: fragment %d of %d, %d bytes, does not fit its %d-byte message",
+			ErrBadMessage, f.Index, f.Count, f.Size, n)
+	}
+	lo := f.Index * f.Size
+	if last {
+		lo = n - f.Size
+	}
+	return whole[lo : lo+f.Size], nil
 }
 
 //pds:hotpath
@@ -465,7 +495,7 @@ func decodeFragment(src []byte) (*Fragment, []byte, error) {
 		return nil, nil, errTruncated
 	}
 	src = src[used:]
-	f.Data = append([]byte(nil), src[:dlen]...)
+	f.Data = append([]byte{}, src[:dlen]...) // never nil: a decoded fragment has Data, even empty
 	f.Size = int(dlen)
 	src = src[dlen:]
 	return f, src, nil

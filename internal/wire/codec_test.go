@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -234,10 +235,18 @@ func TestFragmentCodec(t *testing.T) {
 	if f.OrigID != 42 || f.Index != 1 || f.Count != 3 || len(f.Data) != 100 {
 		t.Fatalf("fragment fields wrong: %+v", f)
 	}
-	// Virtual fragments (Whole set, Data nil) must refuse to encode.
-	virt := &Message{Type: TypeFragment, Fragment: &Fragment{OrigID: 1, Count: 1, Size: 10, Whole: m}}
-	if _, err := Encode(virt); err == nil {
-		t.Fatal("virtual fragment encoded")
+	// A virtual fragment (Whole set, Data nil) encodes as its own range
+	// of the encoded whole: here all of it.
+	virt := &Message{Type: TypeFragment, Fragment: &Fragment{OrigID: 1, Count: 1, Size: len(buf), Whole: m}}
+	vbuf, err := Encode(virt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vbuf) != EncodedSize(virt) {
+		t.Fatalf("virtual fragment: EncodedSize %d != %d", EncodedSize(virt), len(vbuf))
+	}
+	if got, err = Decode(vbuf); err != nil || !bytes.Equal(got.Fragment.Data, buf) {
+		t.Fatalf("virtual fragment carried %x (%v), want the encoded whole", got.Fragment.Data, err)
 	}
 }
 

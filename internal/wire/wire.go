@@ -15,6 +15,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"pds/internal/attr"
@@ -192,11 +193,14 @@ type Response struct {
 // 256 KB chunk survive a lossy channel (a monolithic datagram would be
 // lost whenever any one of its ~171 frames collided).
 //
-// In simulation, fragments are virtual: Whole carries the original
-// message by reference and Size declares the fragment's wire size, so a
-// chunk is never re-serialized hop by hop. A real transport sets Data
-// to the actual byte range instead, and the receiver reassembles and
-// decodes. Exactly one of Whole and Data is set.
+// A fragment the link cuts is virtual: Whole carries the original
+// message by reference and Size declares the fragment's wire size, so
+// the simulator never serializes a chunk hop by hop. Encoding a virtual
+// fragment materializes it — AppendEncode writes the fragment's own
+// range of the encoded Whole — so a carrier that needs bytes encodes a
+// fragment like any other message. A decoded fragment carries that
+// range in Data; the receiver reassembles and decodes. Exactly one of
+// Whole and Data is set.
 type Fragment struct {
 	// OrigID identifies the fragmented message; all fragments of one
 	// message share it.
@@ -206,12 +210,42 @@ type Fragment struct {
 	// Receivers lists the intended next-hop receivers, narrowed on
 	// retransmission like any other frame.
 	Receivers []NodeID
-	// Size is the payload byte count this fragment represents.
+	// Size is the payload byte count this fragment represents. The
+	// fragments of one message are equally sized but for the last.
 	Size int
-	// Whole is the original message (simulation path).
+	// Whole is the original message (virtual fragment).
 	Whole *Message
-	// Data is the raw byte range (real transport path).
+	// Enc, shared by every fragment cut from one Whole, holds Whole's
+	// encoding once some fragment has been encoded. Nil is allowed: the
+	// fragment then encodes Whole by itself.
+	Enc *Encoding
+	// Data is the raw byte range (decoded fragment).
 	Data []byte
+}
+
+// Encoding is the encoded form of one fragmented message, made the first
+// time one of its fragments is encoded and shared by the rest, from any
+// goroutine. Whoever cuts the fragments owns it (the link's fragment
+// job) and hands each fragment a pointer; the bytes live as long as that
+// owner and its fragments do. The zero value is ready to use, and is one
+// word: a job that no carrier ever encodes — every job in the simulator
+// — pays nothing else for it.
+type Encoding struct{ p atomic.Pointer[[]byte] }
+
+// of returns the encoding of whole, keeping it on the first call (a nil
+// Encoding keeps nothing). Two goroutines that both find it missing both
+// encode, to the same bytes.
+func (e *Encoding) of(whole *Message) ([]byte, error) {
+	if e != nil {
+		if b := e.p.Load(); b != nil {
+			return *b, nil
+		}
+	}
+	b, err := Encode(whole)
+	if err == nil && e != nil {
+		e.p.CompareAndSwap(nil, &b)
+	}
+	return b, err
 }
 
 // Ack acknowledges one received transmission (§V-1): it carries the ID
@@ -252,6 +286,12 @@ type Ack struct {
 //     freely shared across messages, nodes and goroutines.
 //   - Receiver lists, ChunkIDs, Serves and CDI slices are frozen with
 //     the message; rewriting goes through a CoW helper.
+//   - Fragment.Enc is a pointer frozen with the message like any other
+//     field; what it points at is not part of any message. The cutter
+//     installs the pointer when it builds the fragment, and the first
+//     encode of any fragment of the cutting fills the Encoding behind
+//     it, once, by an atomic swap — a memo of bytes that are a function
+//     of the frozen Whole, not a write to a frozen message.
 //   - Query.Bloom is frozen with the message. A node that rewrites the
 //     filter en route (§III-B.2) must work on its own copy — the LQT
 //     clones the filter at insert. The query it forwards carries the
@@ -333,10 +373,10 @@ func (m *Message) ShallowShare() *Message {
 
 // WithReceivers returns a copy of the message whose body carries the
 // given receiver list, sharing every other section — payloads,
-// descriptor lists, Bloom filter, fragment data. The caller transfers
-// ownership of rs to the new message. This is how the link layer narrows
-// a retransmission to the not-yet-acked subset without duplicating a
-// 256 KB chunk payload.
+// descriptor lists, Bloom filter, fragment data and memo. The caller
+// transfers ownership of rs to the new message. This is how the link
+// layer narrows a retransmission to the not-yet-acked subset without
+// duplicating a 256 KB chunk payload or encoding it a second time.
 func (m *Message) WithReceivers(rs []NodeID) *Message {
 	out := *m
 	switch {
@@ -421,7 +461,7 @@ func (m *Message) Clone() *Message {
 	if m.Fragment != nil {
 		f := *m.Fragment
 		f.Receivers = append([]NodeID(nil), m.Fragment.Receivers...)
-		// Whole and Data are shared: both are immutable once published.
+		// Whole, Data and the memo are shared: immutable once published.
 		out.Fragment = &f
 	}
 	return out

@@ -54,6 +54,9 @@ type Node struct {
 	tracer *trace.Tracer
 	nt     *trace.NodeTracer
 	disk   *diskstore.Backend
+	// closed is closed by Close, which aborts the core's sessions without
+	// calling back: a Discover or Retrieve waiting on one returns.
+	closed chan struct{}
 
 	// Deployment plane (all nil/zero without the matching options).
 	trk      *tracker.Client
@@ -236,7 +239,7 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 		}
 		o.cfg.Caching = o.caching
 	}
-	n := &Node{id: o.id, clk: clk, trans: trans}
+	n := &Node{id: o.id, clk: clk, trans: trans, closed: make(chan struct{})}
 
 	lcfg := link.DefaultConfig(func(max time.Duration) time.Duration {
 		if max <= 0 {
@@ -250,6 +253,11 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 		if lcfg.Jitter == nil {
 			lcfg.Jitter = jitter
 		}
+	}
+	// A datagram carrier truncates a fragment it cannot carry whole.
+	if mf, ok := trans.(interface{ MaxFragment() int }); ok && lcfg.FragmentBytes > mf.MaxFragment() {
+		return nil, fmt.Errorf("pds: link FragmentBytes %d exceeds what the transport carries in one frame (%d)",
+			lcfg.FragmentBytes, mf.MaxFragment())
 	}
 	n.link = link.New(timers, o.id, func(m *wire.Message) bool { return trans.Send(m) }, lcfg)
 	n.core = core.NewNode(o.id, timers, rng, func(m *wire.Message) { n.link.Send(m) }, o.cfg)
@@ -329,7 +337,14 @@ func (n *Node) Close() error {
 	if n.hbStop != nil {
 		n.hbStop()
 	}
-	n.clk.Locked(func() { n.core.Stop() })
+	n.clk.Locked(func() {
+		n.core.Stop()
+		select {
+		case <-n.closed:
+		default:
+			close(n.closed)
+		}
+	})
 	err := n.trans.Close()
 	// Frames still waiting for an ack would be retried into the closed
 	// transport until they give up, some twenty seconds on, and each
@@ -422,6 +437,8 @@ func (n *Node) discover(ctx context.Context, sel Query, opts core.DiscoverOption
 		return r, nil
 	case <-ctx.Done():
 		return DiscoveryResult{}, fmt.Errorf("pds: discover: %w", ctx.Err())
+	case <-n.closed:
+		return DiscoveryResult{}, errors.New("pds: discover: node closed")
 	}
 }
 
@@ -461,6 +478,8 @@ func (n *Node) RetrieveWithOptions(ctx context.Context, item Descriptor, opts Re
 	case <-ctx.Done():
 		n.abandonRetrieve(item, done)
 		return nil, fmt.Errorf("pds: retrieve: %w", ctx.Err())
+	case <-n.closed:
+		return nil, errors.New("pds: retrieve: node closed")
 	}
 }
 

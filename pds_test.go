@@ -470,11 +470,33 @@ func TestCloseLeavesNoTimerPending(t *testing.T) {
 	if got := settle(1); got != 1 {
 		t.Fatalf("%d timers pending on an idle node holding soft state, want the one sweep", got)
 	}
+	// A retrieve nobody can serve is in flight at Close: its session has a
+	// 10 Hz check and a deadline armed, and Close must end it — the call
+	// returns and neither timer stays behind.
+	item := NewDescriptor().Set(AttrName, String("nowhere")).Set(AttrTotalChunks, Int(4))
+	retrieved := make(chan error, 1)
+	go func() {
+		_, err := a.RetrieveWithOptions(context.Background(), item, RetrieveOptions{Deadline: time.Minute})
+		retrieved <- err
+	}()
+	for deadline := time.Now().Add(3 * time.Second); clk.pending.Load() < 3; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d timers pending with a deadline retrieve in flight, want the sweep, a check and a deadline", clk.pending.Load())
+		}
+	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := clk.pending.Load(); got != 0 {
 		t.Fatalf("%d timers pending after Close", got)
+	}
+	select {
+	case err := <-retrieved:
+		if err == nil {
+			t.Fatal("retrieve of an item nobody has succeeded")
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("retrieve in flight at Close never returned")
 	}
 }
 

@@ -270,6 +270,8 @@ func (n *Node) runTierPass(ctx context.Context, item Descriptor, res *TieredResu
 	case <-ctx.Done():
 		n.abandonRetrieve(item, done)
 		return
+	case <-n.closed:
+		return
 	}
 	for c, p := range r.Chunks {
 		if _, ok := res.Chunks[c]; ok {
