@@ -32,9 +32,10 @@ lint:
 # fast), then vet, a full build, the whole test suite, and the race
 # detector across every package — shared immutable messages and
 # parallel sweep runs mean concurrency is no longer confined to the
-# socket code — then the link layer's receive micro-benchmark for a
-# hundred frames per window size, so it cannot rot (its scaling guard is
-# a plain test and already ran), the serve pass's micro-benchmarks (index
+# socket code — then the link layer's micro-benchmarks, receive for a
+# hundred frames per window size and a hundred acknowledged 256 KB
+# messages end to end, so they cannot rot (their guards are plain tests
+# and already ran), the serve pass's micro-benchmarks (index
 # walk, sorted insert, one pass, one Bloom test) and the simulator's (a
 # fired event by Schedule and by Timer, a frame through the medium)
 # likewise, and last the nested benchmarks/ module, which `./...` does
@@ -44,7 +45,7 @@ verify: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test ./internal/link -run '^$$' -bench HandleIncoming -benchtime 100x -benchmem
+	$(GO) test ./internal/link -run '^$$' -bench 'HandleIncoming|AckedStream' -benchtime 100x -benchmem
 	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains' -benchtime 100x -benchmem
 	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
 	$(GO) vet -C benchmarks ./...
@@ -71,13 +72,15 @@ golden:
 # fuzz runs short bursts of the fuzzers: the Bloom filter's one-loop
 # hash pair against hash/fnv, the codec, the checksummed framing above it
 # that both socket carriers receive through (wire.DecodeChecked, driven
-# from udptransport's datagram corpus), the tracker wire protocol, the
+# from udptransport's datagram corpus), the link's receive path fed
+# whatever two frames decode to, the tracker wire protocol, the
 # persistent store's record framing below it, and the two CLI spec
 # grammars (fault plans and workload specs).
 fuzz:
 	$(GO) test ./internal/bloom -fuzz FuzzHashPair -fuzztime 30s
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/udptransport -fuzz FuzzDecodeDatagram -fuzztime 30s
+	$(GO) test ./internal/link -fuzz FuzzHandleIncoming -fuzztime 30s
 	$(GO) test ./internal/tracker -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/diskstore -fuzz FuzzSegmentDecode -fuzztime 30s
 	$(GO) test ./internal/fault -fuzz FuzzParsePlan -fuzztime 30s

@@ -105,15 +105,21 @@ type Stats struct {
 	RawDrops        uint64 // frames rejected by the raw sender
 	Fragmented      uint64 // messages split into fragments
 	Reassembled     uint64 // messages reassembled from fragments
-	ReasmErrors     uint64 // reassembled byte streams that failed to decode
+	ReasmErrors     uint64 // fragments at odds with their reassembly, and reassembled bytes that failed to decode
 }
 
+// pending is the record of one frame awaiting acks, pooled per link
+// (sendFrame, putPending): it keeps its retry timer, bound to it once,
+// and its remaining buffer from frame to frame.
 type pending struct {
-	msg       *wire.Message
-	remaining map[wire.NodeID]bool
+	msg *wire.Message
+	// remaining is the receiver list less the nodes that have acked,
+	// order and repeats kept: what a retransmission is addressed to.
+	remaining []wire.NodeID
 	attempts  int
-	cancel    func()
+	timer     clock.Timer
 	job       *fragJob
+	next      *pending // free list
 }
 
 // fragJob is one fragmented message being streamed under the ARQ
@@ -128,7 +134,7 @@ type fragJob struct {
 	outstanding int // released fragments not yet fully acked
 	noAck       bool
 	aborted     bool
-	unacked     map[wire.NodeID]bool
+	unacked     []wire.NodeID // receivers the aborted fragments still waited for, repeats and all
 	// enc is whole's encoding, filled if a carrier ever encodes one of
 	// the job's fragments (the simulator never does). Every fragment
 	// points at it, so the bytes are made once and go when the job and
@@ -155,8 +161,10 @@ type Link struct {
 	queue       ring.Queue[outItem]
 	queuedBytes int // sum of queue's sizes, kept by enqueue/drain/Reset
 	drainArmed  bool
+	wakeup      clock.Timer // re-runs drain; made when the queue first has to wait
 
 	pend map[uint64]*pending
+	free *pending // idle records, linked by next
 	// seen and seenOld are the dedup window (see duplicate): TransmitIDs
 	// accepted since seenSince, and those of the generation before.
 	seen, seenOld map[uint64]time.Duration
@@ -235,7 +243,6 @@ func (l *Link) sendFragmented(msg *wire.Message, size int) {
 		size:      size,
 		count:     (size + l.cfg.FragmentBytes - 1) / l.cfg.FragmentBytes,
 		noAck:     !l.cfg.AckEnabled || len(receivers) == 0,
-		unacked:   make(map[wire.NodeID]bool),
 	}
 	l.stats.Fragmented++
 	l.tr.Fragment(msg, job.origID, job.count, size)
@@ -264,25 +271,27 @@ func (l *Link) pumpJobs() {
 		if i == job.count-1 {
 			fsize = job.size - (job.count-1)*l.cfg.FragmentBytes
 		}
-		frag := &wire.Message{
-			Type: wire.TypeFragment,
-			Fragment: &wire.Fragment{
-				OrigID: job.origID,
-				Index:  i,
-				Count:  job.count,
-				// Shared with every fragment of the job: the list is
-				// frozen at job creation, and retransmission narrowing
-				// builds its own list via WithReceivers.
-				Receivers: job.receivers,
-				Size:      fsize,
-				Whole:     job.whole,
-				Enc:       &job.enc,
-			},
-		}
+		// Envelope and body are one object, pointer set before stamping.
+		f := &struct {
+			wire.Message
+			frag wire.Fragment
+		}{frag: wire.Fragment{
+			OrigID: job.origID,
+			Index:  i,
+			Count:  job.count,
+			// Shared with every fragment of the job: the list is
+			// frozen at job creation, and retransmission narrowing
+			// builds its own list via WithReceivers.
+			Receivers: job.receivers,
+			Size:      fsize,
+			Whole:     job.whole,
+			Enc:       &job.enc,
+		}}
+		f.Message = wire.Message{Type: wire.TypeFragment, Fragment: &f.frag}
 		if !job.noAck {
 			job.outstanding++
 		}
-		l.sendFrame(frag, job)
+		l.sendFrame(&f.Message, job)
 	}
 	if job.aborted || (job.next >= job.count && job.outstanding == 0) {
 		l.finishJob(job)
@@ -296,30 +305,30 @@ func (l *Link) finishJob(job *fragJob) {
 	}
 	l.activeJob = nil
 	if job.aborted {
-		l.stats.GiveUps++
-		l.tr.GiveUp(job.whole, len(job.unacked))
-		if l.OnGiveUp != nil {
-			unacked := make([]wire.NodeID, 0, len(job.unacked))
-			for id := range job.unacked {
-				unacked = append(unacked, id)
-			}
-			// Sorted so health-tracker strikes land in the same order
-			// every run (the second strike kills a neighbor).
-			slices.Sort(unacked)
-			l.OnGiveUp(job.whole, unacked)
-		}
+		l.giveUp(job.whole, job.unacked)
 	}
 	l.pumpJobs()
 }
 
+// giveUp reports msg abandoned with unacked (taken over) still waited
+// for: sorted, each node once, so that health-tracker strikes land one
+// per neighbor, in the same order every run (the second kills one).
+func (l *Link) giveUp(msg *wire.Message, unacked []wire.NodeID) {
+	slices.Sort(unacked)
+	unacked = slices.Compact(unacked)
+	l.stats.GiveUps++
+	l.tr.GiveUp(msg, len(unacked))
+	if l.OnGiveUp != nil {
+		l.OnGiveUp(msg, unacked)
+	}
+}
+
 // fragAcked is called when one fragment's pending entry resolves.
-func (l *Link) fragAcked(job *fragJob, ok bool, unacked map[wire.NodeID]bool) {
+func (l *Link) fragAcked(job *fragJob, ok bool, unacked []wire.NodeID) {
 	job.outstanding--
 	if !ok {
 		job.aborted = true
-		for id := range unacked {
-			job.unacked[id] = true
-		}
+		job.unacked = append(job.unacked, unacked...)
 	}
 	if l.activeJob == job {
 		if job.aborted && job.outstanding <= 0 {
@@ -340,16 +349,30 @@ func (l *Link) sendFrame(msg *wire.Message, job *fragJob) {
 	msg.Stamp(uint64(l.self)<<32|l.nextTransmit, l.self, !needAck)
 
 	if needAck {
-		p := &pending{msg: msg, remaining: make(map[wire.NodeID]bool, len(receivers)), job: job}
-		for _, r := range receivers {
-			p.remaining[r] = true
+		p := l.free
+		if p == nil { // the pool grows to the most frames ever in flight
+			p = new(pending)
+			p.timer = clock.NewTimer(l.clk, func() { l.retry(p) })
+		} else {
+			l.free, p.next = p.next, nil
 		}
+		p.msg, p.job = msg, job
+		p.remaining = append(p.remaining, receivers...)
 		l.pend[msg.TransmitID] = p
 		// The retry timer is armed when the frame actually leaves the
 		// pacing queue (see transmit), not here: frames can wait in the
 		// queue long past RetrTimeout.
 	}
 	l.enqueue(msg)
+}
+
+// putPending frees p, out of pend already: timer stopped, holding nothing.
+//
+//pds:hotpath
+func (l *Link) putPending(p *pending) {
+	p.timer.Stop()
+	p.msg, p.job, p.attempts, p.remaining = nil, nil, 0, p.remaining[:0]
+	p.next, l.free = l.free, p
 }
 
 // enqueue paces a frame through the leaky bucket (or sends immediately
@@ -400,10 +423,13 @@ func (l *Link) drain() {
 		wait = time.Millisecond
 	}
 	l.drainArmed = true
-	l.clk.Schedule(wait, func() {
-		l.drainArmed = false
-		l.drain()
-	})
+	if l.wakeup == nil {
+		l.wakeup = clock.NewTimer(l.clk, func() {
+			l.drainArmed = false
+			l.drain()
+		})
+	}
+	l.wakeup.Reset(wait)
 }
 
 func (l *Link) transmit(msg *wire.Message) {
@@ -415,16 +441,9 @@ func (l *Link) transmit(msg *wire.Message) {
 		// drops is precisely what lifts reception from ~40-90% to
 		// 85-99% in Figure 3's ack experiment.
 		l.stats.RawDrops++
-		if p, ok := l.pend[msg.TransmitID]; ok {
-			l.armRetry(p, wire.EncodedSize(msg))
-		}
-		return
 	}
-	if l.txNotify {
-		return // timer armed by NotifyTransmitted at airtime end
-	}
-	if p, ok := l.pend[msg.TransmitID]; ok {
-		l.armRetry(p, wire.EncodedSize(msg))
+	if !sent || !l.txNotify { // else NotifyTransmitted arms it, at airtime end
+		l.armRetry(msg)
 	}
 }
 
@@ -439,16 +458,15 @@ func (l *Link) EnableTransmitNotify() { l.txNotify = true }
 // behind a similarly sized chunk already contending for the channel, so
 // a flat 0.2 s (tuned on 1.5 KB packets, §V-4) would retransmit 256 KB
 // messages spuriously.
-func (l *Link) NotifyTransmitted(msg *wire.Message) {
-	if p, ok := l.pend[msg.TransmitID]; ok {
-		l.armRetry(p, wire.EncodedSize(msg))
-	}
-}
+func (l *Link) NotifyTransmitted(msg *wire.Message) { l.armRetry(msg) }
 
-func (l *Link) armRetry(p *pending, size int) {
-	if p.cancel != nil {
-		p.cancel()
+// armRetry starts the retry timer of msg's record, if it has one, afresh.
+func (l *Link) armRetry(msg *wire.Message) {
+	p := l.pend[msg.TransmitID]
+	if p == nil {
+		return
 	}
+	p.timer.Stop()
 	rate := l.cfg.AirtimeEstRate
 	if rate <= 0 {
 		rate = l.cfg.LeakRate
@@ -459,41 +477,29 @@ func (l *Link) armRetry(p *pending, size int) {
 		// behind a similarly sized frame) and by our own outbound
 		// backlog, which competes with the returning ack for the
 		// channel.
-		timeout += time.Duration(float64(size+l.QueuedBytes()) / rate * float64(time.Second))
+		timeout += time.Duration(float64(wire.EncodedSize(msg)+l.QueuedBytes()) / rate * float64(time.Second))
 	}
 	// Exponential backoff across attempts damps retransmission storms
 	// under sustained contention.
 	for i := 0; i < p.attempts && timeout < 5*time.Second; i++ {
 		timeout *= 2
 	}
-	p.cancel = l.clk.Schedule(timeout, func() { l.retry(p) })
+	p.timer.Reset(timeout)
 }
 
+// retry is p's timer callback: never after Stop, so p is in pend, its frame unacknowledged.
 func (l *Link) retry(p *pending) {
-	cur, ok := l.pend[p.msg.TransmitID]
-	if !ok || cur != p || len(p.remaining) == 0 {
-		return
-	}
 	if p.attempts >= l.cfg.MaxRetr {
 		delete(l.pend, p.msg.TransmitID)
-		if p.job != nil {
-			// Abort the whole fragment job: the message cannot be
-			// reassembled; finishJob reports the give-up once.
-			l.fragAcked(p.job, false, p.remaining)
+		msg, job, unacked := p.msg, p.job, slices.Clone(p.remaining)
+		l.putPending(p)
+		if job == nil {
+			l.giveUp(msg, unacked)
 			return
 		}
-		l.stats.GiveUps++
-		l.tr.GiveUp(p.msg, len(p.remaining))
-		if l.OnGiveUp != nil {
-			unacked := make([]wire.NodeID, 0, len(p.remaining))
-			for id := range p.remaining {
-				unacked = append(unacked, id)
-			}
-			// Sorted for the same reason as in finishJob: neighbor
-			// strike order must not inherit map iteration order.
-			slices.Sort(unacked)
-			l.OnGiveUp(p.msg, unacked)
-		}
+		// Abort the whole fragment job: the message cannot be
+		// reassembled; finishJob reports the give-up once.
+		l.fragAcked(job, false, unacked)
 		return
 	}
 	p.attempts++
@@ -513,14 +519,9 @@ func (l *Link) retry(p *pending) {
 	// lists and Bloom filter stay shared with the published frame, so
 	// retrying a 256 KB chunk response costs a few header allocations.
 	// The retry timer re-arms when the retransmission leaves the pacing
-	// queue (transmit sees the pending entry by TransmitID).
-	narrowed := make([]wire.NodeID, 0, len(p.remaining))
-	for _, id := range p.msg.Receivers() {
-		if p.remaining[id] {
-			narrowed = append(narrowed, id)
-		}
-	}
-	l.enqueue(p.msg.WithReceivers(narrowed))
+	// queue (transmit sees the pending entry by TransmitID). The frame
+	// owns its list; remaining goes on changing, hence the clone.
+	l.enqueue(p.msg.WithReceivers(slices.Clone(p.remaining)))
 }
 
 // HandleIncoming processes a frame from the medium. It absorbs acks,
@@ -531,18 +532,7 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 	now := l.clk.Now()
 	if msg.Type == wire.TypeAck {
 		l.stats.AcksReceived++
-		if p, ok := l.pend[msg.Ack.MsgID]; ok {
-			delete(p.remaining, msg.Ack.From)
-			if len(p.remaining) == 0 {
-				if p.cancel != nil {
-					p.cancel()
-				}
-				delete(l.pend, msg.Ack.MsgID)
-				if p.job != nil {
-					l.fragAcked(p.job, true, nil)
-				}
-			}
-		}
+		l.absorbAck(msg.Ack)
 		return nil
 	}
 
@@ -551,14 +541,14 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		// Acks bypass the bucket: they are tiny and latency-critical;
 		// the radio model gives them SIFS-like priority. The optional
 		// jitter spreads acks from several receivers of one broadcast.
-		ack := &wire.Message{
-			Type:  wire.TypeAck,
-			From:  l.self,
-			NoAck: true,
-			Ack:   &wire.Ack{MsgID: msg.TransmitID, From: l.self},
-		}
+		f := &struct {
+			wire.Message
+			ack wire.Ack
+		}{ack: wire.Ack{MsgID: msg.TransmitID, From: l.self}} // one object, as a fragment is
+		f.Message = wire.Message{Type: wire.TypeAck, Ack: &f.ack}
 		l.nextTransmit++
-		ack.TransmitID = uint64(l.self)<<32 | l.nextTransmit
+		ack := &f.Message
+		ack.Stamp(uint64(l.self)<<32|l.nextTransmit, l.self, true)
 		l.stats.AcksSent++
 		if j := l.cfg.Jitter(l.cfg.AckJitterMax); j > 0 {
 			l.clk.Schedule(j, func() { l.transmit(ack) })
@@ -576,6 +566,26 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		return l.reassemble(msg.Fragment, now)
 	}
 	return msg
+}
+
+// absorbAck strikes the acknowledging node, every mention of it, from
+// the frame's remaining receivers, and retires the record with the last.
+//
+//pds:hotpath
+func (l *Link) absorbAck(ack *wire.Ack) {
+	p := l.pend[ack.MsgID]
+	if p == nil {
+		return
+	}
+	if p.remaining = slices.DeleteFunc(p.remaining, func(id wire.NodeID) bool { return id == ack.From }); len(p.remaining) > 0 {
+		return
+	}
+	delete(l.pend, ack.MsgID)
+	job := p.job
+	l.putPending(p)
+	if job != nil {
+		l.fragAcked(job, true, nil)
+	}
 }
 
 // duplicate reports whether id was accepted less than DedupRetention
@@ -609,9 +619,13 @@ func (l *Link) duplicate(id uint64, now time.Duration) bool {
 	return false
 }
 
+// maxFragments bounds Count, which comes off the wire and sizes a reassembly's tables.
+const maxFragments = 1 << 16
+
 // reasm tracks one in-progress message reassembly.
 type reasm struct {
-	have      map[int]bool
+	have      []uint64 // bit i: fragment i has arrived
+	got       int      // bits set in have
 	count     int
 	whole     *wire.Message
 	parts     [][]byte
@@ -623,12 +637,16 @@ type reasm struct {
 // first time all fragments are present. Overhearing nodes reassemble
 // too, which is what lets them cache chunks they were never sent.
 func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
-	if f == nil || f.Count <= 0 || f.Index < 0 || f.Index >= f.Count {
+	if f == nil || f.Count <= 0 || f.Count > maxFragments || f.Index < 0 || f.Index >= f.Count {
 		return nil
 	}
 	r, ok := l.reasms[f.OrigID]
+	if ok && f.Count != r.count { // Index is good for f's Count, not for r's tables
+		l.stats.ReasmErrors++
+		return nil
+	}
 	if !ok {
-		r = &reasm{have: make(map[int]bool, f.Count), count: f.Count, at: now}
+		r = &reasm{have: make([]uint64, (f.Count+63)/64), count: f.Count, at: now}
 		if f.Data != nil {
 			r.parts = make([][]byte, f.Count)
 		}
@@ -645,14 +663,17 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 	if r.delivered {
 		return nil
 	}
-	r.have[f.Index] = true
+	if bit := uint64(1) << (f.Index % 64); r.have[f.Index/64]&bit == 0 {
+		r.have[f.Index/64] |= bit
+		r.got++
+	}
 	if f.Whole != nil {
 		r.whole = f.Whole
 	}
 	if f.Data != nil && r.parts != nil {
 		r.parts[f.Index] = f.Data
 	}
-	if len(r.have) < r.count {
+	if r.got < r.count {
 		return nil
 	}
 	// Complete: the entry stays only as a tombstone against a second
@@ -707,11 +728,13 @@ var reasmBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retur
 // post-restart frames never collide with pre-crash ones still cached in
 // neighbors' dedup windows.
 func (l *Link) Reset() {
-	//lint:allow determinism per-entry teardown; cancel only unschedules that entry's own retry timer
-	for id, p := range l.pend {
-		if p.cancel != nil {
-			p.cancel()
-		}
+	ids := make([]uint64, 0, len(l.pend))
+	for id := range l.pend {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids) // records go back to the free list in TransmitID order
+	for _, id := range ids {
+		l.putPending(l.pend[id])
 		delete(l.pend, id)
 	}
 	l.queue.Reset()

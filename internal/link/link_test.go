@@ -484,3 +484,129 @@ func TestCompletedReassemblyKeepsOnlyTombstone(t *testing.T) {
 		})
 	}
 }
+
+// cutFragments encodes msg and cuts it into count byte-carrying
+// fragments of OrigID orig, as a socket carrier delivers them;
+// TransmitIDs from tid.
+func cutFragments(t testing.TB, msg *wire.Message, orig, tid uint64, count int) []*wire.Message {
+	t.Helper()
+	enc, err := wire.Encode(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := (len(enc) + count - 1) / count
+	frames := make([]*wire.Message, count)
+	for i := range frames {
+		data := enc[i*size : min((i+1)*size, len(enc))]
+		frames[i] = &wire.Message{
+			Type: wire.TypeFragment, TransmitID: tid + uint64(i), From: 2, NoAck: true,
+			Fragment: &wire.Fragment{OrigID: orig, Index: i, Count: count, Size: len(data), Data: data},
+		}
+	}
+	return frames
+}
+
+// rogueFragment claims a place far beyond a two-fragment message of the
+// same OrigID.
+func rogueFragment(orig uint64) *wire.Message {
+	return &wire.Message{
+		Type: wire.TypeFragment, TransmitID: 999, From: 3, NoAck: true,
+		Fragment: &wire.Fragment{OrigID: orig, Index: 50, Count: 100, Size: 4, Data: []byte("junk")},
+	}
+}
+
+// TestFragmentCountMismatchDropped: a fragment whose Count disagrees
+// with the reassembly it names is dropped and counted, whichever of the
+// two came first — its Index was only ever checked against its own
+// Count, and used to index tables sized by the other's. Fed as built and
+// as any peer on a socket face can send it, through the checked codec.
+func TestFragmentCountMismatchDropped(t *testing.T) {
+	asBuilt := func(m *wire.Message) *wire.Message { return m }
+	offTheWire := func(m *wire.Message) *wire.Message {
+		buf, err := wire.AppendChecked(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := wire.DecodeChecked(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name       string
+		via        func(*wire.Message) *wire.Message
+		rogueFirst bool
+	}{
+		{"rogue second", asBuilt, false},
+		{"rogue first", asBuilt, true},
+		{"rogue second, off the wire", offTheWire, false},
+		{"rogue first, off the wire", offTheWire, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lk := New(&manualClock{}, 1, func(*wire.Message) bool { return true }, testConfig())
+			legit := cutFragments(t, smallResponse(42, 1), 77, 100, 2)
+			order := []*wire.Message{legit[0], rogueFragment(77), legit[1]}
+			// The reassembly is whoever came first's: the rogue is at odds
+			// with the honest pair's, which then completes — or both honest
+			// fragments with the rogue's, which never does.
+			wantErrors, wantUp := uint64(1), 1
+			if tc.rogueFirst {
+				order[0], order[1] = order[1], order[0]
+				wantErrors, wantUp = 2, 0
+			}
+			up := 0
+			for _, m := range order {
+				if got := lk.HandleIncoming(tc.via(m)); got != nil {
+					if got.Response == nil || got.Response.ID != 42 {
+						t.Fatalf("handed up %+v", got)
+					}
+					up++
+				}
+			}
+			if st := lk.Stats(); st.ReasmErrors != wantErrors || up != wantUp {
+				t.Fatalf("ReasmErrors = %d, %d messages handed up; want %d and %d", st.ReasmErrors, up, wantErrors, wantUp)
+			}
+		})
+	}
+}
+
+// TestReassemblyRefusesAbsurdCounts: Count sizes a reassembly's tables,
+// so one beyond any message the link could be sent is refused before
+// anything is allocated for it.
+func TestReassemblyRefusesAbsurdCounts(t *testing.T) {
+	lk := New(&manualClock{}, 1, func(*wire.Message) bool { return true }, testConfig())
+	for i, count := range []int{maxFragments + 1, 1 << 40, -1, 0} {
+		m := rogueFragment(uint64(i))
+		m.TransmitID += uint64(i)
+		m.Fragment.Index, m.Fragment.Count = 0, count
+		if up := lk.HandleIncoming(m); up != nil || len(lk.reasms) != 0 {
+			t.Fatalf("Count %d: handed up %v, %d reassemblies started", count, up, len(lk.reasms))
+		}
+	}
+}
+
+// FuzzHandleIncoming feeds a link whatever two frames decode to, in
+// order: it must never panic. The seeds are the pair that used to index
+// a two-slot table at 50, both ways round.
+func FuzzHandleIncoming(f *testing.F) {
+	encode := func(m *wire.Message) []byte {
+		buf, err := wire.Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return buf
+	}
+	legit := cutFragments(f, smallResponse(42, 1), 77, 100, 2)[0]
+	f.Add(encode(legit), encode(rogueFragment(77)))
+	f.Add(encode(rogueFragment(77)), encode(legit))
+	f.Add(encode(smallResponse(1, 1)), []byte{})
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		lk := New(&manualClock{}, 1, func(*wire.Message) bool { return true }, testConfig())
+		for _, data := range [][]byte{first, second} {
+			if m, err := wire.Decode(data); err == nil {
+				lk.HandleIncoming(m)
+			}
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,10 @@ type stream struct {
 	drop  func(n int) bool    // a's nth frame is lost on the air
 	log   *strings.Builder    // every frame and give-up, when set
 	up    func(*wire.Message) // what b hands up
+
+	// Objects allocated inside calls into each link, while counting.
+	counting         bool
+	allocsA, allocsB uint64
 }
 
 type flight struct {
@@ -104,17 +109,33 @@ func (s *stream) landNext() {
 		s.land.Reset(s.air.Front().at - s.eng.Now())
 	}
 	if f.to == s.a {
-		s.a.HandleIncoming(f.msg)
+		s.allocsA += s.count(func() { s.a.HandleIncoming(f.msg) })
 		return
 	}
-	if got := s.b.HandleIncoming(f.msg); got != nil && s.up != nil {
+	var got *wire.Message
+	s.allocsB += s.count(func() { got = s.b.HandleIncoming(f.msg) })
+	if got != nil && s.up != nil {
 		s.up(got)
 	}
 }
 
+// count runs f and, while counting, returns the objects it allocated
+// (as testing.AllocsPerRun counts them).
+func (s *stream) count(f func()) uint64 {
+	if !s.counting {
+		f()
+		return 0
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // send hands msg to a and runs the engine until nothing is left to do.
 func (s *stream) send(msg *wire.Message) {
-	s.a.Send(msg)
+	s.allocsA += s.count(func() { s.a.Send(msg) })
 	s.eng.Run(s.eng.Now() + time.Hour)
 }
 
@@ -171,14 +192,27 @@ func frameLog(maxRetr int, run func(*stream), clk func(*sim.Engine) clock.Clock)
 	return s.log.String()
 }
 
+// plainClock hides the engine's own timer, so the links' timers are
+// built on Schedule.
+type plainClock struct{ eng *sim.Engine }
+
+func (c plainClock) Now() time.Duration { return c.eng.Now() }
+func (c plainClock) Schedule(d time.Duration, fn func()) func() {
+	return c.eng.Schedule(d, fn)
+}
+
 // TestFrameLogPinned holds the link's behaviour on the air — which frame
 // leaves when, under which TransmitID, toward whom — to logs captured
-// before its per-frame records were pooled.
+// before its per-frame records were pooled, on the engine's own timers
+// and on timers made of Schedule calls alike: there is one retry path.
 func TestFrameLogPinned(t *testing.T) {
 	for _, ps := range pinnedStreams {
 		t.Run(ps.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "frames_"+ps.name+".golden")
 			got := frameLog(ps.maxRetr, ps.run, nil)
+			if onSchedule := frameLog(ps.maxRetr, ps.run, func(e *sim.Engine) clock.Clock { return plainClock{e} }); onSchedule != got {
+				t.Fatalf("frame log on a Schedule-only clock differs from the engine's:\n%s", firstDiff(onSchedule, got))
+			}
 			if *updateFrames {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -205,4 +239,113 @@ func firstDiff(got, want string) string {
 		}
 	}
 	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
+}
+
+// ackedStream is the steady state the pooled records are for: 256 KB
+// chunks, one after another, every fragment acknowledged. Between
+// messages the engine runs on past the dedup retention, as between two
+// retrievals, so the window's maps rotate instead of growing.
+type ackedStream struct {
+	*stream
+	payload   []byte
+	fragments int
+	delivered int
+}
+
+func newAckedStream() *ackedStream {
+	as := &ackedStream{stream: newStream(testConfig(), nil), payload: make([]byte, 256<<10)}
+	as.up = func(*wire.Message) { as.delivered++ }
+	as.next()
+	as.fragments = int(as.b.Stats().AcksSent)
+	return as
+}
+
+func (as *ackedStream) next() { as.send(chunkTo(as.payload, 2)) }
+
+// TestAckedStreamAllocations: once the pools are warm, a delivered
+// fragment costs the sender its frame and the receiver its ack — one
+// object each — and a message its job and its reassembly on top.
+func TestAckedStreamAllocations(t *testing.T) {
+	as := newAckedStream()
+	for i := 0; i < 3; i++ {
+		as.next()
+	}
+	const messages = 5
+	as.counting = true
+	for i := 0; i < messages; i++ {
+		as.next()
+	}
+	if as.delivered != 4+messages || as.a.PendingAcks() != 0 || as.a.Stats().Retransmissions != 0 {
+		t.Fatalf("delivered %d messages with %d acks pending and %d retransmissions",
+			as.delivered, as.a.PendingAcks(), as.a.Stats().Retransmissions)
+	}
+	perFragment := func(allocs uint64) float64 { return float64(allocs) / float64(messages*as.fragments) }
+	t.Logf("%d fragments a message: sender %.3f, receiver %.3f objects a fragment", as.fragments, perFragment(as.allocsA), perFragment(as.allocsB))
+	// The sender's message, response and blob list are made by the test.
+	if got := perFragment(as.allocsA); got > 1.05 {
+		t.Errorf("sender allocates %.3f objects a delivered fragment, want its frame and little else", got)
+	}
+	if got := perFragment(as.allocsB); got > 1.05 {
+		t.Errorf("receiver allocates %.3f objects a delivered fragment, want its ack and little else", got)
+	}
+}
+
+// TestIdleRecordsHoldNoMessage: a record back on the free list, and the
+// timer it keeps, reference nothing of the frame it tracked — not after
+// the last ack, not after a give-up, not after Reset.
+func TestIdleRecordsHoldNoMessage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(*stream)
+	}{
+		{"acked", func(s *stream) { s.eng.Run(time.Hour) }},
+		{"given up", func(s *stream) {
+			s.drop = func(int) bool { return true }
+			s.eng.Run(time.Hour)
+		}},
+		{"reset", func(s *stream) {
+			s.eng.Run(3 * time.Millisecond)
+			if s.a.PendingAcks() == 0 {
+				t.Fatal("nothing in flight at the reset")
+			}
+			s.a.Reset()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStream(testConfig(), nil)
+			gone := make(chan struct{})
+			func() {
+				msg := chunkTo(make([]byte, 40<<10), 2)
+				runtime.SetFinalizer(msg, func(*wire.Message) { close(gone) })
+				s.a.Send(msg)
+			}()
+			tc.end(s)
+			if s.a.PendingAcks() != 0 || s.a.free == nil {
+				t.Fatalf("%d acks pending, free list %v", s.a.PendingAcks(), s.a.free)
+			}
+			for p := s.a.free; p != nil; p = p.next {
+				if p.msg != nil || p.job != nil || len(p.remaining) != 0 || p.attempts != 0 {
+					t.Fatalf("idle record still holds %+v", *p)
+				}
+			}
+			s.b.Reset() // the receiver's tombstones are not under test
+			passDeadEvents(s.eng)
+			if !collected(gone) {
+				t.Fatal("the message is still reachable from an idle link")
+			}
+			runtime.KeepAlive(s)
+		})
+	}
+}
+
+// BenchmarkAckedStream is one acknowledged 256 KB message through both
+// links: what the per-frame bookkeeping costs, sender and receiver.
+func BenchmarkAckedStream(b *testing.B) {
+	as := newAckedStream()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as.next()
+	}
+	b.ReportMetric(float64(as.fragments), "fragments/op")
 }

@@ -65,6 +65,10 @@ var hotpathSeeds = []hotSeed{
 	{"/internal/radio", "Medium", "busyUntil"},
 	{"/internal/radio", "Radio", "macStep"},
 	{"/internal/sim", "Timer", "Reset"},
+	{"/internal/sim", "Timer", "Stop"},
+	{"/internal/sim", "wheelQueue", "release"},
+	{"/internal/link", "Link", "putPending"},
+	{"/internal/link", "Link", "absorbAck"},
 	{"/internal/spatial", "Grid", "VisitNeighborhood"},
 	{"/internal/spatial", "Grid", "AppendNeighborhood"},
 	{"/internal/trace", "Tracer", "FrameTx"},

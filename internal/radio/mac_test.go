@@ -139,8 +139,8 @@ func (c predicateCheck) run(frames []*txRecord, starting *Radio) {
 		if got, want := m.busyUntil(r), ref.busyUntil(r); got != want {
 			t.Fatalf("%v: busyUntil(%d) = %v, reference %v", now, r.id, got, want)
 		}
-		if (r.phase != macIdle) != r.mac.Pending() && r != starting {
-			t.Fatalf("%v: radio %d in phase %d, timer pending %v", now, r.id, r.phase, r.mac.Pending())
+		if (r.phase != macIdle) != r.mac.(*sim.Timer).Pending() && r != starting {
+			t.Fatalf("%v: radio %d in phase %d, timer pending %v", now, r.id, r.phase, r.mac.(*sim.Timer).Pending())
 		}
 		if onAir := r.phase == macOnAir; onAir != (r.airRec != nil) || onAir != (r.airMsg != nil) {
 			t.Fatalf("%v: radio %d in phase %d holds frame %v, record %v", now, r.id, r.phase, r.airMsg, r.airRec)
@@ -197,8 +197,8 @@ func TestOneMACEventPerRadio(t *testing.T) {
 			t.Fatalf("%v: %d events pending, want %d (phase %d, %d queued)",
 				eng.Now(), eng.Pending(), want, r.phase, r.queue.Len())
 		}
-		if (r.phase != macIdle) != r.mac.Pending() {
-			t.Fatalf("%v: phase %d, timer pending %v", eng.Now(), r.phase, r.mac.Pending())
+		if (r.phase != macIdle) != r.mac.(*sim.Timer).Pending() {
+			t.Fatalf("%v: phase %d, timer pending %v", eng.Now(), r.phase, r.mac.(*sim.Timer).Pending())
 		}
 	}
 	for op := 0; op < 5000; op++ {

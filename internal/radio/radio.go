@@ -43,6 +43,7 @@ import (
 	"sort"
 	"time"
 
+	"pds/internal/clock"
 	"pds/internal/ring"
 	"pds/internal/sim"
 	"pds/internal/spatial"
@@ -210,7 +211,7 @@ type Radio struct {
 	// frame at a time and sends one frame at a time, so at most one MAC
 	// step is ever pending; phase says which, and airMsg/airRec hold the
 	// frame and its record while that step is the end of an airtime.
-	mac    *sim.Timer
+	mac    clock.Timer
 	phase  macPhase
 	airMsg *wire.Message
 	airRec *txRecord

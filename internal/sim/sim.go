@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"pds/internal/clock"
 )
 
 // event is a scheduled callback.
@@ -22,6 +24,8 @@ type event struct {
 	fn   func()
 	dead bool   // cancelled
 	next *event // intrusive slot list link (see wheel.go)
+	// timer is set on a borrowed event (see Timer); Stop leaves it set.
+	timer *Timer
 }
 
 // Engine is a discrete-event scheduler with a virtual clock starting at
@@ -64,28 +68,28 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) (cancel func()) {
 	}
 }
 
-// Timer is a caller-owned, reusable event: made once by NewTimer, armed
-// by Reset, re-armed as often as its owner likes — from inside its own
-// callback too — without allocating. It is for a client that has at most
-// one event of a kind pending at a time (a radio's MAC step), where
-// Schedule would make an event and a cancel closure per arming.
+// Timer is a caller-owned, reusable event, the engine's clock.Timer:
+// made once by NewTimer, armed by Reset and disarmed by Stop as often as
+// its owner likes — from inside its own callback too — without
+// allocating. It is for a client with at most one event of a kind pending
+// at a time (a radio's MAC step, a link record's retry), where Schedule
+// would make an event and a cancel closure per arming.
 //
-// A Timer is pending from Reset until its callback is about to run:
-// fn is set while it is filed in the wheel, and Step clears fn before
-// it calls, exactly as it does for a Schedule event.
-//
-// There is no Stop. The wheel cancels lazily — a dead event stays linked
-// in its slot until the cursor reaches it — so stopping and re-arming one
-// object would link it twice. A client that may lose interest checks its
-// own state in the callback instead.
+// A Timer is pending from Reset until Stop or until its callback is about
+// to run, and holds an event borrowed from the wheel's free list for just
+// that long. The wheel cancels lazily — a dead event stays in its slot
+// until the cursor reaches it — so Stop marks the event dead and lets go,
+// a Reset after Stop borrows another, and the wheel takes events back as
+// it drops carcasses and when one fires. Schedule's events are never
+// recycled: a stale cancel must not reach another arming.
 type Timer struct {
-	event
 	eng *Engine
 	run func()
+	ev  *event // borrowed while pending
 }
 
-// NewTimer returns an idle timer that runs fn each time it fires.
-func (e *Engine) NewTimer(fn func()) *Timer {
+// NewTimer returns an idle *Timer that runs fn each time it fires, as clock.NewTimer asks.
+func (e *Engine) NewTimer(fn func()) clock.Timer {
 	return &Timer{eng: e, run: fn}
 }
 
@@ -96,20 +100,32 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 //
 //pds:hotpath
 func (t *Timer) Reset(delay time.Duration) {
-	if t.fn != nil {
+	if t.ev != nil {
 		panic("sim: Reset on a pending Timer")
 	}
 	if delay < 0 {
 		delay = 0
 	}
 	e := t.eng
-	t.at, t.seq, t.fn = e.now+delay, e.seq, t.run
+	ev := e.events.borrow()
+	ev.at, ev.seq, ev.fn, ev.timer = e.now+delay, e.seq, t.run, t
 	e.seq++
-	e.events.push(&t.event)
+	t.ev = ev
+	e.events.push(ev)
+}
+
+// Stop disarms a pending timer (a no-op on an idle one); Reset may follow at once.
+//
+//pds:hotpath
+func (t *Timer) Stop() {
+	if ev := t.ev; ev != nil {
+		t.ev, ev.fn = nil, nil
+		t.eng.events.cancel(ev)
+	}
 }
 
 // Pending reports whether the timer is armed and has not fired yet.
-func (t *Timer) Pending() bool { return t.fn != nil }
+func (t *Timer) Pending() bool { return t.ev != nil }
 
 // Step executes the next pending event, advancing the clock to it. It
 // reports whether an event was executed (false when the queue is empty).
@@ -127,8 +143,12 @@ func (e *Engine) Step() bool {
 	e.processed++
 	fn := ev.fn
 	// Executed: the returned cancel must become a no-op, and a Timer is
-	// idle before its callback runs, which may Reset it.
+	// idle, its event back with the wheel, before a callback that may Reset it.
 	ev.fn = nil
+	if ev.timer != nil {
+		ev.timer.ev = nil
+		e.events.release(ev)
+	}
 	fn()
 	return true
 }

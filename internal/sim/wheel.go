@@ -50,6 +50,28 @@ type wheelQueue struct {
 	occ   [wheelLevels]uint64 // per-level slot occupancy bitmaps
 	near  []*event            // min-heap by (at, seq): events at tick cur
 	live  int                 // scheduled, not yet executed or cancelled
+	free  *event              // events no Timer is armed on, linked by next
+}
+
+// borrow hands a Timer an event to arm, recycled when there is one.
+func (w *wheelQueue) borrow() *event {
+	ev := w.free
+	if ev == nil {
+		return &event{}
+	}
+	w.free, ev.next = ev.next, nil
+	return ev
+}
+
+// release takes back an event that has left the wheel, fired or dead,
+// if it is a Timer's; one Schedule made is left to the collector.
+//
+//pds:hotpath
+func (w *wheelQueue) release(ev *event) {
+	if ev.timer != nil {
+		*ev = event{next: w.free}
+		w.free = ev
+	}
 }
 
 // tickOf buckets a virtual time into a wheel tick.
@@ -110,7 +132,8 @@ func (w *wheelQueue) advance() bool {
 				head = head.next
 				ev.next = nil
 				if ev.dead {
-					continue // cancelled while parked: drop during the move
+					w.release(ev) // cancelled while parked: drop during the move
+					continue
 				}
 				w.file(ev) // level 0 slots re-file straight into near
 			}
@@ -134,7 +157,7 @@ func (w *wheelQueue) peekAt() (time.Duration, bool) {
 		if !w.near[0].dead {
 			return w.near[0].at, true
 		}
-		w.nearPop()
+		w.release(w.nearPop())
 	}
 }
 
@@ -146,6 +169,7 @@ func (w *wheelQueue) pop() *event {
 		}
 		ev := w.nearPop()
 		if ev.dead {
+			w.release(ev)
 			continue
 		}
 		w.live--

@@ -83,13 +83,19 @@ func (m *refModel) pending() int {
 	return n
 }
 
+// newTimer is Engine.NewTimer as the *Timer it always is, for tests that
+// ask whether it is pending.
+func newTimer(e *Engine, fn func()) *Timer { return e.NewTimer(fn).(*Timer) }
+
 // lockTimer is one reusable Timer of the lockstep test. Each arming gets
 // a fresh event id; chain holds the delays with which the callback will
 // re-arm the timer from inside itself, rearmed what it last did, for the
-// test to replay on the reference model.
+// test to replay on the reference model, and ref the reference's event
+// for the current arming, for Stop to kill.
 type lockTimer struct {
 	t       *Timer
 	id      int
+	ref     *refEvent
 	chain   []time.Duration
 	rearmed bool
 	delay   time.Duration
@@ -98,12 +104,14 @@ type lockTimer struct {
 // TestWheelMatchesReferenceHeap drives the timing-wheel engine and the
 // reference heap model with the same randomized workload — bursts of
 // schedules at delays spanning every wheel level, cancels, nested
-// re-scheduling, and reusable Timers armed from outside and re-armed
-// from inside their own callbacks (at delay 0 too) — and checks that
-// both execute the same events in the same order at the same times,
-// with the same pending and processed counts. A Timer takes its seq
-// from the engine's counter, so to the reference it is one more
-// schedule call.
+// re-scheduling, and reusable Timers armed from outside, re-armed from
+// inside their own callbacks (at delay 0 too), stopped, and armed again
+// straight after a Stop — and checks that both execute the same events
+// in the same order at the same times, with the same pending and
+// processed counts. A Timer takes its seq from the engine's counter, so
+// to the reference it is one more schedule call, and a Stop one more
+// cancel: a stopped arming that fired anyway would run an id the
+// reference never pops.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	delays := []time.Duration{
 		0, 1, 100, // sub-tick
@@ -150,7 +158,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 		timerOf := make(map[int]*lockTimer) // event id -> the timer armed under it
 		for i := range timers {
 			lt := &lockTimer{}
-			lt.t = eng.NewTimer(func() {
+			lt.t = newTimer(eng, func() {
 				gotIDs = append(gotIDs, lt.id)
 				lt.rearmed = len(lt.chain) > 0
 				if lt.rearmed {
@@ -172,7 +180,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 			nextID++
 			timerOf[lt.id] = lt
 			lt.t.Reset(delay)
-			ref.schedule(delay, lt.id)
+			lt.ref = ref.schedule(delay, lt.id)
 		}
 
 		// stepBoth steps the reference, then the engine, and replays on
@@ -197,7 +205,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 			}
 			if lt := timerOf[wantID]; lt != nil && lt.rearmed {
 				timerOf[lt.id] = lt
-				ref.schedule(lt.delay, lt.id)
+				lt.ref = ref.schedule(lt.delay, lt.id)
 			}
 			return true
 		}
@@ -218,7 +226,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 			scheduleOne(randDelay())
 		}
 		for op := 0; op < 800; op++ {
-			switch rng.Intn(12) {
+			switch rng.Intn(14) {
 			case 0, 1, 2:
 				scheduleOne(randDelay())
 			case 3:
@@ -230,6 +238,19 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 			case 4, 5:
 				if lt := timers[rng.Intn(len(timers))]; !lt.t.Pending() {
 					armTimer(lt)
+				}
+			case 6, 7:
+				lt := timers[rng.Intn(len(timers))]
+				was := lt.t.Pending()
+				lt.t.Stop() // a no-op on an idle timer
+				if lt.t.Pending() {
+					t.Fatalf("trial %d op %d: timer pending after Stop", trial, op)
+				}
+				if was {
+					lt.ref.dead = true
+					if rng.Intn(2) == 0 {
+						armTimer(lt) // while the stopped arming's event is still in the wheel
+					}
 				}
 			default:
 				stepBoth(fmt.Sprintf("op %d", op))
@@ -243,6 +264,68 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 		if eng.Pending() != 0 {
 			t.Fatalf("trial %d: Pending=%d after drain", trial, eng.Pending())
 		}
+		// Drained, the wheel has every Timer event back, blank.
+		for ev := eng.events.free; ev != nil; ev = ev.next {
+			if ev.fn != nil || ev.timer != nil || ev.dead {
+				t.Fatalf("trial %d: event on the free list not blank: %+v", trial, ev)
+			}
+		}
+		for _, lt := range timers {
+			if lt.t.ev != nil {
+				t.Fatalf("trial %d: idle timer still holds an event", trial)
+			}
+		}
+	}
+}
+
+// freeEvents counts the wheel's free list.
+func freeEvents(e *Engine) (n int) {
+	for ev := e.events.free; ev != nil; ev = ev.next {
+		n++
+	}
+	return n
+}
+
+// TestTimerStoppedAMillionTimes arms and stops one timer a million times,
+// the cursor passing each carcass before the next arming (as an ack
+// retires a link's retry timer long before it was due): the timer never
+// fires, the one event it ever borrowed goes back and forth, and nothing
+// is allocated.
+func TestTimerStoppedAMillionTimes(t *testing.T) {
+	delays := []time.Duration{
+		0, 9 * time.Microsecond, 27 * time.Microsecond, 603 * time.Microsecond,
+		2 * time.Millisecond, 700 * time.Millisecond, 40 * time.Second, time.Hour,
+	}
+	e := NewEngine(1)
+	tm := newTimer(e, func() { t.Fatal("a stopped timer fired") })
+	i := 0
+	pair := func() {
+		d := delays[i%len(delays)]
+		i++
+		tm.Reset(d)
+		tm.Stop()
+		e.Run(e.Now() + d + time.Microsecond)
+	}
+	for i < 1_000_000 {
+		pair()
+	}
+	if n := freeEvents(e); n != 1 || e.Pending() != 0 || e.Processed() != 0 {
+		t.Fatalf("%d events on the free list, %d pending, %d run; want 1, 0, 0", n, e.Pending(), e.Processed())
+	}
+	if avg := testing.AllocsPerRun(1000, pair); avg != 0 {
+		t.Fatalf("Reset + Stop allocates %.1f objects, want 0", avg)
+	}
+	// Armed again at once, before the cursor moves, the timer needs a
+	// second event — and no more than that, however often.
+	for n := 0; n < 1000; n++ {
+		tm.Reset(time.Second)
+		tm.Stop()
+		tm.Reset(time.Second)
+		tm.Stop()
+		e.Run(e.Now() + 2*time.Second)
+	}
+	if n := freeEvents(e); n != 2 {
+		t.Fatalf("%d events on the free list after stop-and-re-arm rounds, want 2", n)
 	}
 }
 
@@ -250,7 +333,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 // detect: arming it twice would link one event into the wheel twice.
 func TestTimerResetWhilePendingPanics(t *testing.T) {
 	e := NewEngine(1)
-	tm := e.NewTimer(func() {})
+	tm := newTimer(e, func() {})
 	tm.Reset(time.Millisecond)
 	func() {
 		defer func() {
@@ -288,7 +371,7 @@ func TestTimerRearmedAMillionTimes(t *testing.T) {
 	var tm *Timer
 	fired := 0
 	var due time.Duration
-	tm = e.NewTimer(func() {
+	tm = newTimer(e, func() {
 		if e.Now() != due {
 			t.Fatalf("arming %d fired at %v, due %v", fired, e.Now(), due)
 		}
@@ -316,7 +399,7 @@ func TestTimerRearmedAMillionTimes(t *testing.T) {
 // TestTimerArmAndFireAllocateNothing is what the Timer is for.
 func TestTimerArmAndFireAllocateNothing(t *testing.T) {
 	e := NewEngine(1)
-	tm := e.NewTimer(func() {})
+	tm := newTimer(e, func() {})
 	delays := []time.Duration{0, 18 * time.Microsecond, 400 * time.Microsecond, 2 * time.Millisecond}
 	i := 0
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -484,7 +567,7 @@ func BenchmarkEngineTimer(b *testing.B) {
 	next := 0
 	for i := 0; i < benchSources; i++ {
 		var tm *Timer
-		tm = e.NewTimer(func() {
+		tm = newTimer(e, func() {
 			tm.Reset(delays[next%len(delays)])
 			next++
 		})

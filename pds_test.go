@@ -419,8 +419,9 @@ func TestCancelledRetrieveStopsCoreSession(t *testing.T) {
 	}
 }
 
-// countingClock is the wall clock with a count of the timers scheduled
-// through it that have neither fired nor been cancelled.
+// countingClock is the wall clock with a count of the timers armed
+// through it — Schedule calls and the clock's own reusable timers alike
+// — that have neither fired nor been cancelled or stopped.
 type countingClock struct {
 	*clock.Real
 	pending atomic.Int64
@@ -432,6 +433,37 @@ func (c *countingClock) Schedule(d time.Duration, fn func()) func() {
 	done := func() { once.Do(func() { c.pending.Add(-1) }) }
 	cancel := c.Real.Schedule(d, func() { done(); fn() })
 	return func() { cancel(); done() }
+}
+
+// NewTimer is Real's timer, counted while armed. Like the timer itself
+// it is used under the clock's lock only.
+func (c *countingClock) NewTimer(fn func()) clock.Timer {
+	t := &countedTimer{c: c}
+	t.Timer = c.Real.NewTimer(func() { t.disarm(); fn() })
+	return t
+}
+
+type countedTimer struct {
+	clock.Timer
+	c     *countingClock
+	armed bool
+}
+
+func (t *countedTimer) Reset(d time.Duration) {
+	if !t.armed {
+		t.armed = true
+		t.c.pending.Add(1)
+	}
+	t.Timer.Reset(d)
+}
+
+func (t *countedTimer) Stop() { t.disarm(); t.Timer.Stop() }
+
+func (t *countedTimer) disarm() {
+	if t.armed {
+		t.armed = false
+		t.c.pending.Add(-1)
+	}
 }
 
 // TestCloseLeavesNoTimerPending: a node that has taken in soft state has
@@ -545,8 +577,8 @@ func TestCloseCancelsRetransmissions(t *testing.T) {
 		a.clk.Locked(func() { pending = a.link.PendingAcks() })
 		return pending
 	}
-	if got := unacked(); got == 0 {
-		t.Fatal("no frame of a awaits an ack; the test exercises nothing")
+	if got := unacked(); got == 0 || clk.pending.Load() == 0 {
+		t.Fatalf("%d frames of a await an ack on %d timers; the test exercises nothing", got, clk.pending.Load())
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -554,8 +586,9 @@ func TestCloseCancelsRetransmissions(t *testing.T) {
 	if got := unacked(); got != 0 {
 		t.Fatalf("%d frames still await acks after Close", got)
 	}
-	// Jitter delays (≤ 100 ms) may still be armed; a retry would be re-armed
-	// for seconds.
+	// Close stopped every record's retry timer (a.link is on the clock's
+	// own timers, counted above). Jitter delays (≤ 100 ms) may still be
+	// armed; a retry would be re-armed for seconds.
 	deadline := time.Now().Add(time.Second)
 	for clk.pending.Load() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
