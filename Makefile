@@ -1,6 +1,7 @@
 GO ?= go
 BENCH_RUNS ?= 3
 BENCH_SIZE ?= 2
+FUZZTIME ?= 30s
 
 .PHONY: build test lint verify loc golden fuzz bench benchdiff baseline compare
 
@@ -75,16 +76,17 @@ golden:
 # from udptransport's datagram corpus), the link's receive path fed
 # whatever two frames decode to, the tracker wire protocol, the
 # persistent store's record framing below it, and the two CLI spec
-# grammars (fault plans and workload specs).
+# grammars (fault plans and workload specs). CI runs this list too, with
+# FUZZTIME=10s.
 fuzz:
-	$(GO) test ./internal/bloom -fuzz FuzzHashPair -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
-	$(GO) test ./internal/udptransport -fuzz FuzzDecodeDatagram -fuzztime 30s
-	$(GO) test ./internal/link -fuzz FuzzHandleIncoming -fuzztime 30s
-	$(GO) test ./internal/tracker -fuzz FuzzDecode -fuzztime 30s
-	$(GO) test ./internal/diskstore -fuzz FuzzSegmentDecode -fuzztime 30s
-	$(GO) test ./internal/fault -fuzz FuzzParsePlan -fuzztime 30s
-	$(GO) test ./internal/workload -fuzz FuzzParseSpec -fuzztime 30s
+	$(GO) test ./internal/bloom -fuzz FuzzHashPair -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/udptransport -fuzz FuzzDecodeDatagram -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/link -fuzz FuzzHandleIncoming -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tracker -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/diskstore -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault -fuzz FuzzParsePlan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/workload -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 
 # bench regenerates every figure with machine-readable output in
 # BENCH_PDS.json (wall time and allocation counters per figure), plus

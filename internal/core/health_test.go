@@ -193,7 +193,7 @@ func TestCrashWipesVolatileStateRestartRecovers(t *testing.T) {
 	// the grid of whole seconds since the restart.
 	restartedAt := eng.Now()
 	eng.Run(restartedAt + 5*time.Second)
-	if eng.Pending() != 1 || n.cancelSweep == nil || n.sweepAt != restartedAt+time.Minute {
+	if eng.Pending() != 1 || n.sweepAt != restartedAt+time.Minute {
 		t.Fatalf("%d timers pending, sweep armed for %v; want one sweep at %v",
 			eng.Pending(), n.sweepAt, restartedAt+time.Minute)
 	}

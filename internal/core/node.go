@@ -236,10 +236,10 @@ type Node struct {
 	epoch uint64
 
 	// The soft-state sweep (see arm): next bounds the earliest expiry
-	// held from below, the timer is armed for sweepAt while cancelSweep is
-	// set, grid is the birth or Restart instant, sweepFn n.sweep bound once.
-	next, sweepAt, grid  time.Duration
-	cancelSweep, sweepFn func()
+	// held from below, sweepTimer runs n.sweep and is armed for sweepAt
+	// (clock.Never: not armed), grid is the birth or Restart instant.
+	next, sweepAt, grid time.Duration
+	sweepTimer          clock.Timer
 }
 
 // NewNode creates a protocol node. rng must be dedicated to this node
@@ -260,9 +260,10 @@ func NewNode(id wire.NodeID, clk clock.Clock, rng *rand.Rand, send Sender, cfg C
 		retrievals: make(map[string]*retrieval),
 		health:     newHealthTracker(),
 		next:       clock.Never,
+		sweepAt:    clock.Never,
 		grid:       clk.Now(),
 	}
-	n.sweepFn = n.sweep
+	n.sweepTimer = clock.NewTimer(clk, n.sweep)
 	cs, err := strategy.NewCaching(cfg.Caching, id)
 	if err != nil {
 		panic("core: " + err.Error()) // CLIs validate names up front
@@ -452,22 +453,21 @@ func (n *Node) arm(at time.Duration) {
 	if !n.stopped && !n.crashed && n.next != clock.Never {
 		at = n.grid + (max(n.next, now+1)-n.grid+time.Second-1)/time.Second*time.Second
 	}
-	if n.cancelSweep != nil {
+	if n.sweepAt != clock.Never {
 		if n.sweepAt <= at && at != clock.Never {
 			return
 		}
-		n.cancelSweep()
-		n.cancelSweep = nil
+		n.sweepTimer.Stop()
 	}
-	if at != clock.Never {
-		n.sweepAt, n.cancelSweep = at, n.clk.Schedule(at-now, n.sweepFn)
+	if n.sweepAt = at; at != clock.Never {
+		n.sweepTimer.Reset(at - now)
 	}
 }
 
 // sweep runs every expiry scan and the routing strategy's Tick; each
 // returns the next instant it has work.
 func (n *Node) sweep() {
-	n.cancelSweep = nil
+	n.sweepAt = clock.Never
 	if n.stopped || n.crashed {
 		return
 	}

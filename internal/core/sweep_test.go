@@ -48,7 +48,8 @@ func newSoftNode(eng *sim.Engine, cfg Config, poll bool) *softNode {
 	s.n = NewNode(1, eng, rand.New(rand.NewSource(7)), func(*wire.Message) { s.sends++ }, cfg)
 	s.n.SetTracer(s.tr.ForNode(1))
 	if poll {
-		s.n.sweepFn = func() {} // the poll below does the work instead
+		s.n.sweepTimer.Stop() // the poll below does the work instead
+		s.n.sweepTimer = clock.NewTimer(eng, func() {})
 		s.n.scheduleHousekeeping()
 	}
 	return s
@@ -255,36 +256,17 @@ func TestSweepReclaimsEntryOfEvictedPayload(t *testing.T) {
 	}
 }
 
-// countingClock counts the timers a node has pending on an engine.
-type countingClock struct {
-	*sim.Engine
-	pending int
-}
-
-func (c *countingClock) Schedule(d time.Duration, fn func()) func() {
-	c.pending++
-	live := true
-	done := func() {
-		if live {
-			live = false
-			c.pending--
-		}
-	}
-	cancel := c.Engine.Schedule(d, func() { done(); fn() })
-	return func() { cancel(); done() }
-}
-
 // TestNodeHoldsATimerOnlyWhileItHoldsState: a silent node schedules
 // nothing; one that took in soft state holds exactly one timer, lets go
 // of it after its last deadline, and loses it at once on Stop and Crash.
 func TestNodeHoldsATimerOnlyWhileItHoldsState(t *testing.T) {
-	clk := &countingClock{Engine: sim.NewEngine(1)}
+	clk := sim.NewEngine(1) // the node is its only user: what is pending is the node's
 	cfg := DefaultConfig()
 	cfg.ForwardJitterMax, cfg.ResponseJitterMax = 0, 0
 	n := NewNode(1, clk, rand.New(rand.NewSource(1)), func(*wire.Message) {}, cfg)
 	clk.Run(10 * time.Minute)
-	if clk.Processed() != 0 || clk.pending != 0 {
-		t.Fatalf("silent node: %d events run, %d timers pending", clk.Processed(), clk.pending)
+	if clk.Processed() != 0 || clk.Pending() != 0 {
+		t.Fatalf("silent node: %d events run, %d timers pending", clk.Processed(), clk.Pending())
 	}
 	feed := func() {
 		n.HandleMessage(&wire.Message{Type: wire.TypeQuery, Query: &wire.Query{
@@ -293,13 +275,13 @@ func TestNodeHoldsATimerOnlyWhileItHoldsState(t *testing.T) {
 			ID: n.newID(), Kind: wire.KindMetadata, Sender: 2, Entries: []attr.Descriptor{testEntry(1)}}})
 	}
 	feed()
-	if clk.pending != 1 {
-		t.Fatalf("%d timers pending after a query and a response, want the one sweep", clk.pending)
+	if clk.Pending() != 1 {
+		t.Fatalf("%d timers pending after a query and a response, want the one sweep", clk.Pending())
 	}
 	start := clk.Processed()
 	clk.Run(clk.Now() + cfg.EntryTTL + time.Second)
-	if clk.pending != 0 || n.LQTLen() != 0 || n.rr.Len() != 0 || n.next != clock.Never {
-		t.Fatalf("after the last deadline: %d timers, lqt %d, rr %d, next %v", clk.pending, n.LQTLen(), n.rr.Len(), n.next)
+	if clk.Pending() != 0 || n.LQTLen() != 0 || n.rr.Len() != 0 || n.next != clock.Never {
+		t.Fatalf("after the last deadline: %d timers, lqt %d, rr %d, next %v", clk.Pending(), n.LQTLen(), n.rr.Len(), n.next)
 	}
 	// Three deadlines (response id 30 s, query 60 s, entry 5 min): three sweeps.
 	if got := clk.Processed() - start; got != 3 {
@@ -314,26 +296,26 @@ func TestNodeHoldsATimerOnlyWhileItHoldsState(t *testing.T) {
 		n.Discover(testSel(), DiscoverOptions{}, func(DiscoveryResult) {
 			t.Error("aborted discovery called back")
 		})
-		if clk.pending != 4 {
-			t.Fatalf("%d timers pending with a deadline retrieval and a discovery active, want sweep, two checks and the deadline", clk.pending)
+		if clk.Pending() != 4 {
+			t.Fatalf("%d timers pending with a deadline retrieval and a discovery active, want sweep, two checks and the deadline", clk.Pending())
 		}
 	}
 	feed()
 	startSessions()
 	n.Crash()
-	if clk.pending != 0 {
-		t.Fatalf("%d timers pending after Crash", clk.pending)
+	if clk.Pending() != 0 {
+		t.Fatalf("%d timers pending after Crash", clk.Pending())
 	}
 	n.Restart()
 	feed()
 	startSessions()
 	n.Stop()
-	if clk.pending != 0 {
-		t.Fatalf("%d timers pending after Stop", clk.pending)
+	if clk.Pending() != 0 {
+		t.Fatalf("%d timers pending after Stop", clk.Pending())
 	}
 	feed()
-	if clk.pending != 0 {
-		t.Fatalf("stopped node armed %d timers", clk.pending)
+	if clk.Pending() != 0 {
+		t.Fatalf("stopped node armed %d timers", clk.Pending())
 	}
 	start = clk.Processed()
 	clk.Run(clk.Now() + 2*time.Minute)

@@ -250,11 +250,6 @@ type Medium struct {
 	active  int // live (unfinished) transmissions
 	stats   Stats
 
-	// allPairs disables the spatial index for geometric queries and
-	// scans every attached radio instead — the O(n) reference mode the
-	// equivalence tests run against the grid.
-	allPairs bool
-
 	// scratch buffers, reused across queries to keep hot paths
 	// allocation-free. cand is valid only until the next candidates
 	// call; rxCand and overlap — the receivers of the frame being
@@ -398,18 +393,12 @@ func (m *Medium) InRange(a, b wire.NodeID) bool {
 
 // candidates fills m.cand with every radio whose current position can
 // satisfy a query of radius <= senseRange around p: the 3×3 cell block
-// around p's cell, or every attached radio in allPairs reference mode.
-// The result aliases m.cand and is invalidated by the next call.
+// around p's cell. The result aliases m.cand and is invalidated by the
+// next call.
 //
 //pds:hotpath
 func (m *Medium) candidates(p Pos) []*Radio {
 	m.cand = m.cand[:0]
-	if m.allPairs {
-		for _, id := range m.ids {
-			m.cand = append(m.cand, m.radios[m.index[id]])
-		}
-		return m.cand
-	}
 	m.slotBuf = m.grid.AppendNeighborhood(p.X, p.Y, m.slotBuf[:0])
 	for _, s := range m.slotBuf {
 		m.cand = append(m.cand, m.radios[s])

@@ -59,38 +59,26 @@ func (s *DataStore) SetBackend(b PayloadBackend) {
 // HasBackend reports whether a durable tier is attached.
 func (s *DataStore) HasBackend() bool { return s.backend != nil }
 
-// Recover resets every in-memory structure and reloads the store from
-// the attached backend: owned records (entries and payloads) come back
+// Recover empties the store and reloads it from the attached backend:
+// owned records (entries and payloads) come back
 // exactly; cached payloads surviving in a persistent cache tier come
 // back spilled — bytes stay on disk, served on demand — with a fresh
 // entry lease of entryTTL. Without a backend it simply empties the
 // store.
 func (s *DataStore) Recover(now, entryTTL time.Duration) {
-	s.resetEntries()
-	s.payloads = make(map[string][]byte)
-	s.ownedKeys = make(map[string]bool)
-	s.spilled = make(map[string]bool)
-	s.cachedBytes = 0
-	s.cacheOrder = nil
+	s.reset()
 	s.cache.Reset()
-	s.chunkIndex = make(map[string]map[int]string)
 	if s.backend == nil {
 		return
 	}
 	s.backend.Restore(func(d attr.Descriptor, payload []byte, hasPayload, owned bool) {
-		key := d.Key()
 		switch {
+		case owned && hasPayload:
+			s.hold(s.setEntry(d, true, 0), held{bytes: payload, owned: true})
 		case owned:
-			s.setEntry(Entry{Desc: d, Owned: true})
-			if hasPayload {
-				s.payloads[key] = payload
-				s.ownedKeys[key] = true
-				s.indexChunk(d, key)
-			}
+			s.setEntry(d, true, 0)
 		case hasPayload:
-			s.setEntry(Entry{Desc: d, ExpireAt: now + entryTTL})
-			s.spilled[key] = true
-			s.indexChunk(d, key)
+			s.hold(s.setEntry(d, false, now+entryTTL), held{spilled: true})
 		}
 	})
 }

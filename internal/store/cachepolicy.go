@@ -33,18 +33,6 @@ func (s *DataStore) CacheStrategyName() string { return s.cache.Name() }
 // CacheCounters returns the installed cache strategy's bookkeeping.
 func (s *DataStore) CacheCounters() strategy.CacheCounters { return s.cache.Counters() }
 
-// touch records an access to a cached payload for LRU/LFU accounting.
-func (s *DataStore) touch(key string) { s.cache.Touch(key) }
-
-// victim returns the cache-order index of the payload to evict next
-// under the current strategy, or -1 when nothing is evictable.
-func (s *DataStore) victim() int {
-	if len(s.cacheOrder) == 0 {
-		return -1
-	}
-	return s.cache.Victim(s.cacheOrder)
-}
-
 // evictOne removes one cached payload from RAM according to the
 // strategy; it reports whether anything was removed. With a backend
 // holding a durable copy, the eviction is a spill: the bytes leave RAM
@@ -52,22 +40,17 @@ func (s *DataStore) victim() int {
 // decides what leaves memory while the backend decides where bytes
 // survive.
 func (s *DataStore) evictOne() bool {
-	i := s.victim()
-	if i < 0 {
+	if len(s.cacheOrder) == 0 {
 		return false
 	}
-	key := s.cacheOrder[i]
-	s.cacheOrder = append(s.cacheOrder[:i], s.cacheOrder[i+1:]...)
-	if p, ok := s.payloads[key]; ok && !s.ownedKeys[key] {
-		s.cachedBytes -= len(p)
-		s.tr.CacheEvict(key, len(p))
-		delete(s.payloads, key)
-		if s.backend != nil && s.backend.HasPayload(key) {
-			s.spilled[key] = true
-		} else if e, ok := s.entries[key]; ok {
-			s.unindexChunk(e.Desc)
-		}
+	key := s.cacheOrder[s.cache.Victim(s.cacheOrder)]
+	e := s.entries[key]
+	s.tr.CacheEvict(key, len(e.held.bytes))
+	if s.backend != nil && s.backend.HasPayload(key) {
+		s.hold(e, held{spilled: true})
+		s.cache.Forget(key)
+	} else {
+		s.release(e)
 	}
-	s.cache.Forget(key)
 	return true
 }

@@ -35,18 +35,8 @@ func (s *DataStore) matchByMapSort(q attr.Query, now time.Duration) []attr.Descr
 
 func (s *DataStore) matchPayloadsByMapSort(q attr.Query, now time.Duration) []attr.Descriptor {
 	keys := make([]string, 0)
-	for k := range s.payloads {
-		e, ok := s.entries[k]
-		if ok && s.live(e, now) && q.Match(e.Desc) {
-			keys = append(keys, k)
-		}
-	}
-	for k := range s.spilled {
-		if _, inRAM := s.payloads[k]; inRAM {
-			continue
-		}
-		e, ok := s.entries[k]
-		if ok && s.live(e, now) && q.Match(e.Desc) {
+	for k, e := range s.entries {
+		if e.held != nil && s.live(e, now) && q.Match(e.Desc) {
 			keys = append(keys, k)
 		}
 	}
@@ -122,14 +112,19 @@ func keysOf(ds []attr.Descriptor) []string {
 }
 
 // checkIndex asserts the index's one invariant — it is exactly the
-// records of the entry map, ascending by key — and that both walks agree
-// with the map→sort reference under the catch-all, a broad and a narrow
-// selector.
+// records of the entry map, ascending by key — that the books kept over
+// the records balance (cachedBytes and cacheOrder are the bytes and the
+// keys, each once, of the cached payloads in RAM; chunkIndex is the
+// payload-bearing chunk records; nothing is spilled and in RAM at once),
+// and that both walks agree with the map→sort reference under the
+// catch-all, a broad and a narrow selector.
 func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 	t.Helper()
 	if len(s.index) != len(s.entries) {
 		t.Fatalf("%s: index holds %d records, the map %d", step, len(s.index), len(s.entries))
 	}
+	var cached []string
+	cachedBytes, chunks := 0, 0
 	for i, e := range s.index {
 		key := e.Desc.Key()
 		if s.entries[key] != e {
@@ -138,6 +133,38 @@ func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 		if i > 0 && s.index[i-1].Desc.Key() >= key {
 			t.Fatalf("%s: index out of order at %d", step, i)
 		}
+		h := e.held
+		if h == nil {
+			continue
+		}
+		if h.spilled && (h.bytes != nil || h.owned) {
+			t.Fatalf("%s: %s is spilled and in RAM (owned %v)", step, key, h.owned)
+		}
+		if h.inCache() {
+			cached = append(cached, key)
+			cachedBytes += len(h.bytes)
+		}
+		if cid, ok := e.Desc.ChunkID(); ok {
+			chunks++
+			if s.chunkIndex[e.Desc.ItemDescriptor().Key()][cid] != e {
+				t.Fatalf("%s: chunk %s holds a payload the chunk index does not point at", step, key)
+			}
+		}
+	}
+	if s.cachedBytes != cachedBytes {
+		t.Fatalf("%s: cachedBytes %d, the cached payloads in RAM sum to %d", step, s.cachedBytes, cachedBytes)
+	}
+	got := slices.Clone(s.cacheOrder)
+	if sort.Strings(got); !slices.Equal(got, cached) {
+		t.Fatalf("%s: cacheOrder\n got %q\nwant %q", step, got, cached)
+	}
+	for itemKey, m := range s.chunkIndex {
+		if chunks -= len(m); len(m) == 0 {
+			t.Fatalf("%s: chunk index keeps an empty item %s", step, itemKey)
+		}
+	}
+	if chunks != 0 {
+		t.Fatalf("%s: chunk index holds %d records that bear no payload", step, -chunks)
 	}
 	sels := []attr.Query{
 		{},
@@ -156,9 +183,11 @@ func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 }
 
 // TestIndexFollowsEveryMutation drives random sequences of every call
-// that inserts or removes an entry — under a two-payload cache cap, so
-// inserts purge and evict — with no backend, a volatile one and one with
-// a persistent cache tier, and checks the index after every step.
+// that inserts or removes an entry or a payload — under a two-payload
+// cache cap, so inserts purge and evict, and with unpublish and publish
+// aimed at keys the cache holds — with no backend, a volatile one and one
+// with a persistent cache tier, and checks the index and the cache's
+// books after every step.
 func TestIndexFollowsEveryMutation(t *testing.T) {
 	const ttl = 10 * time.Second
 	universe := make([]attr.Descriptor, 0, 24)
@@ -187,7 +216,7 @@ func TestIndexFollowsEveryMutation(t *testing.T) {
 						d := universe[rng.Intn(len(universe))]
 						expire := now + time.Duration(1+rng.Intn(20))*time.Second
 						var step string
-						switch op := rng.Intn(20); {
+						switch op := rng.Intn(22); {
 						case op < 2:
 							step = "PutOwned"
 							s.PutOwned(d)
@@ -217,9 +246,20 @@ func TestIndexFollowsEveryMutation(t *testing.T) {
 						case op < 18:
 							step = "Recover"
 							s.Recover(now, ttl)
-						default:
+						case op < 19:
 							step = "advance"
 							now += time.Duration(rng.Intn(8)) * time.Second
+						case len(s.cacheOrder) == 0:
+							step = "nothing cached"
+						default:
+							d = s.entries[s.cacheOrder[rng.Intn(len(s.cacheOrder))]].Desc
+							if op < 21 {
+								step = "DeleteOwned of a cached key"
+								s.DeleteOwned(d)
+							} else {
+								step = "PutPayloadOwned over a cached key"
+								s.PutPayloadOwned(d, []byte{5, 6, 7, 8})
+							}
 						}
 						checkIndex(t, s, now, fmt.Sprintf("step %d (%s)", i, step))
 					}

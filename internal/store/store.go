@@ -18,8 +18,8 @@ import (
 	"pds/internal/trace"
 )
 
-// Entry is one metadata entry in the data store (§II-C): a descriptor
-// plus bookkeeping about how it is held.
+// Entry is one record of the data store (§II-C): a descriptor, how its
+// metadata is held, and what the node holds of its payload.
 type Entry struct {
 	Desc attr.Descriptor
 	// Owned entries describe data this node produced or fully holds;
@@ -27,42 +27,58 @@ type Entry struct {
 	// without payload) carry an expiry (§II-C).
 	Owned    bool
 	ExpireAt time.Duration
+	// held is the payload (a small item, or one chunk under its chunk
+	// descriptor); nil for a metadata-only entry. A payload has no
+	// existence apart from its record, so it cannot outlive its entry.
+	held *held
 }
 
-// DataStore holds metadata entries and data payloads (small items and
-// chunks), keyed by canonical descriptor key.
+// held is what a node holds of one payload. Only hold writes one and
+// only release takes one away.
+type held struct {
+	// bytes is the payload in RAM; nil while spilled, so a payload is
+	// never in RAM and spilled at once.
+	bytes []byte
+	// owned payloads (produced or retrieved here) sit outside the cache
+	// budget and survive WipeCached; the rest are cached.
+	owned bool
+	// spilled marks a cached payload whose bytes live only in the
+	// backend: evicted from RAM but still served, via a disk read.
+	spilled bool
+}
+
+// inCache reports whether the payload counts against the cache budget:
+// cached, with its bytes in RAM.
+func (h *held) inCache() bool { return !h.owned && !h.spilled }
+
+// DataStore holds one record per canonical descriptor key: the metadata
+// entry and, on it, the payload if held.
 type DataStore struct {
 	entries map[string]*Entry
 	// index holds the records of entries ordered by key, so a serve pass
 	// is one walk with nothing to collect or sort. Its one invariant:
 	// index is exactly the values of entries, ascending by Desc.Key().
-	// Only setEntry, dropEntry, dropEntries and resetEntries write either.
+	// Only setEntry, dropEntry, dropEntries and reset write either.
 	index []*Entry
-	// payloads maps descriptor key to payload bytes for data this node
-	// holds (small items, or individual chunks keyed by the chunk
-	// descriptor).
-	payloads map[string][]byte
 	// cacheCap bounds the total bytes of cached (non-owned) payloads;
 	// 0 means unlimited. Metadata entries are always cached (§VII).
-	cacheCap    int
+	cacheCap int
+	// cachedBytes and cacheOrder are the cache's books: the byte sum and
+	// the keys, in insertion order, of exactly the records whose held is
+	// inCache. hold and unload keep them so; the strategy picks eviction
+	// victims from cacheOrder.
 	cachedBytes int
-	ownedKeys   map[string]bool // payload keys this node owns
-	// cacheOrder tracks insertion order of cached payload keys for FIFO
-	// eviction when cacheCap is exceeded.
-	cacheOrder []string
-	// chunkIndex maps item key -> chunk id -> chunk descriptor key, for
-	// the chunks of each item whose payload this node holds. CDI
-	// responses are built from it.
-	chunkIndex map[string]map[int]string
+	cacheOrder  []string
+	// chunkIndex maps item key -> chunk id -> record, for exactly the
+	// chunk records that hold a payload (RAM or spilled). CDI responses
+	// are built from it.
+	chunkIndex map[string]map[int]*Entry
 	// cache is the admission/eviction strategy (see cachepolicy.go and
 	// internal/strategy); never nil — NewDataStore installs FIFO.
 	cache strategy.CacheStrategy
 	// backend is the optional durable tier (see backend.go); nil keeps
 	// the store purely in-memory, byte-for-byte the seed's behavior.
 	backend PayloadBackend
-	// spilled marks cached payloads whose bytes live only in the
-	// backend: evicted from RAM but still served, via a disk read.
-	spilled map[string]bool
 	// tr records cache insert/evict trace events; nil is free.
 	tr *trace.NodeTracer
 }
@@ -82,11 +98,8 @@ func (s *DataStore) SetTracer(tr *trace.NodeTracer) {
 func NewDataStore(cacheCap int) *DataStore {
 	return &DataStore{
 		entries:    make(map[string]*Entry),
-		payloads:   make(map[string][]byte),
-		ownedKeys:  make(map[string]bool),
-		spilled:    make(map[string]bool),
 		cacheCap:   cacheCap,
-		chunkIndex: make(map[string]map[int]string),
+		chunkIndex: make(map[string]map[int]*Entry),
 		cache:      defaultCacheStrategy(),
 	}
 }
@@ -94,15 +107,11 @@ func NewDataStore(cacheCap int) *DataStore {
 // PutOwned inserts an entry for data this node produced; it never
 // expires.
 func (s *DataStore) PutOwned(d attr.Descriptor) {
-	key := d.Key()
-	s.setEntry(Entry{Desc: d, Owned: true})
-	if s.backend != nil && !s.ownedKeys[key] {
-		if _, hasPayload := s.payloads[key]; !hasPayload && !s.spilled[key] {
-			// Entry-only owned fact: persist it so a restart still
-			// announces it. Payload-bearing records are written by
-			// PutPayloadOwned and must not be superseded here.
-			s.backend.PutEntry(d)
-		}
+	if e := s.setEntry(d, true, 0); s.backend != nil && e.held == nil {
+		// Entry-only owned fact: persist it so a restart still
+		// announces it. Payload-bearing records are written by
+		// PutPayloadOwned and must not be superseded here.
+		s.backend.PutEntry(d)
 	}
 }
 
@@ -110,42 +119,47 @@ func (s *DataStore) PutOwned(d attr.Descriptor) {
 // An existing owned entry is never downgraded. It reports whether the
 // entry was new.
 func (s *DataStore) PutCached(d attr.Descriptor, expireAt time.Duration) bool {
-	key := d.Key()
-	if old, ok := s.entries[key]; ok {
-		if !old.Owned && expireAt > old.ExpireAt {
-			old.ExpireAt = expireAt
-		}
-		return false
-	}
-	s.setEntry(Entry{Desc: d, ExpireAt: expireAt})
-	s.tr.CacheInsert(key, 0)
-	return true
+	_, fresh := s.lease(s.entries[d.Key()], d, expireAt)
+	return fresh
 }
 
-// setEntry stores e under its key: in place when the key is held, else
-// as a new record (the one allocation an entry costs) at its place in
-// the index. Keys that arrive ascending — a producer's series, a
-// backend's Restore — append without a search.
-func (s *DataStore) setEntry(e Entry) {
-	key := e.Desc.Key()
-	if old, ok := s.entries[key]; ok {
-		*old = e
-		return
+// lease is PutCached for a caller that already looked up the record
+// under d's key (nil when there is none); it returns the record too.
+func (s *DataStore) lease(e *Entry, d attr.Descriptor, expireAt time.Duration) (*Entry, bool) {
+	if e != nil {
+		if !e.Owned && expireAt > e.ExpireAt {
+			e.ExpireAt = expireAt
+		}
+		return e, false
 	}
-	rec := &e
-	s.entries[key] = rec
+	e = s.setEntry(d, false, expireAt)
+	s.tr.CacheInsert(d.Key(), 0)
+	return e, true
+}
+
+// setEntry sets how d's metadata is held and returns its record: in
+// place when the key is held, whatever payload is on it staying, else a
+// new record (the one allocation an entry costs) at its place in the
+// index. Keys that arrive ascending — a producer's series, a backend's
+// Restore — append without a search.
+func (s *DataStore) setEntry(d attr.Descriptor, owned bool, expireAt time.Duration) *Entry {
+	key := d.Key()
+	if e, ok := s.entries[key]; ok {
+		e.Owned, e.ExpireAt = owned, expireAt
+		return e
+	}
+	e := &Entry{Desc: d, Owned: owned, ExpireAt: expireAt}
+	s.entries[key] = e
 	i := len(s.index)
 	if i > 0 && s.index[i-1].Desc.Key() > key {
 		i = s.indexOf(key)
 	}
-	s.index = slices.Insert(s.index, i, rec)
+	s.index = slices.Insert(s.index, i, e)
+	return e
 }
 
-// dropEntry removes the entry under key, if held.
+// dropEntry removes the entry held under key.
 func (s *DataStore) dropEntry(key string) {
-	if _, ok := s.entries[key]; !ok {
-		return
-	}
 	delete(s.entries, key)
 	i := s.indexOf(key)
 	s.index = slices.Delete(s.index, i, i+1)
@@ -163,10 +177,12 @@ func (s *DataStore) dropEntries(drop func(*Entry) bool) {
 	})
 }
 
-// resetEntries empties the store's entries.
-func (s *DataStore) resetEntries() {
+// reset empties the store: every record, and the books kept over them.
+func (s *DataStore) reset() {
 	s.entries = make(map[string]*Entry)
 	s.index = nil
+	s.chunkIndex = make(map[string]map[int]*Entry)
+	s.cachedBytes, s.cacheOrder = 0, nil
 }
 
 // indexOf returns where key sits, or would be inserted, in the index.
@@ -208,45 +224,76 @@ func (s *DataStore) AppendMatch(dst []attr.Descriptor, q attr.Query, now time.Du
 // PutPayloadOwned stores a payload this node produced, with its metadata
 // entry.
 func (s *DataStore) PutPayloadOwned(d attr.Descriptor, payload []byte) {
-	key := d.Key()
-	if !s.ownedKeys[key] {
-		if _, cached := s.payloads[key]; cached {
-			// Upgrading a cached payload to owned: stop counting it
-			// against the cache budget.
-			s.cachedBytes -= len(s.payloads[key])
-		}
-		s.ownedKeys[key] = true
-	}
-	delete(s.spilled, key) // upgraded copies live in RAM again
-	s.payloads[key] = payload
-	s.indexChunk(d, key)
-	s.PutOwned(d)
+	// Over a cached copy this is an upgrade: hold takes the old bytes
+	// off the cache budget, and a spilled copy lives in RAM again.
+	s.hold(s.setEntry(d, true, 0), held{bytes: payload, owned: true})
 	if s.backend != nil {
 		s.backend.PutPayload(d, payload, true)
 	}
 }
 
-// indexChunk records chunk payload possession in the per-item index.
-func (s *DataStore) indexChunk(d attr.Descriptor, key string) {
-	cid, ok := d.ChunkID()
-	if !ok {
-		return
+// hold is the one way a payload lands on a record or changes how it is
+// held there; it keeps the chunk index and the cache's books in step.
+func (s *DataStore) hold(e *Entry, h held) {
+	if e.held == nil {
+		e.held = new(held)
+		s.indexChunk(e)
+	} else {
+		s.unload(e)
 	}
-	itemKey := d.ItemDescriptor().Key()
-	m, ok := s.chunkIndex[itemKey]
-	if !ok {
-		m = make(map[int]string)
-		s.chunkIndex[itemKey] = m
+	*e.held = h
+	if h.inCache() {
+		s.cachedBytes += len(h.bytes)
+		s.cacheOrder = append(s.cacheOrder, e.Desc.Key())
 	}
-	m[cid] = key
 }
 
-func (s *DataStore) unindexChunk(d attr.Descriptor) {
-	cid, ok := d.ChunkID()
+// unload takes e's payload, if it is in the cache, off the cache's
+// books; its caller says at once how the record is held from then on.
+func (s *DataStore) unload(e *Entry) {
+	if !e.held.inCache() {
+		return
+	}
+	s.cachedBytes -= len(e.held.bytes)
+	i := slices.Index(s.cacheOrder, e.Desc.Key())
+	s.cacheOrder = slices.Delete(s.cacheOrder, i, i+1)
+}
+
+// release is the one way a payload leaves the store: off the cache's
+// books, out of the chunk index and out of the strategy's access state.
+// The record stays, as a metadata-only entry, for its caller to keep or
+// drop.
+func (s *DataStore) release(e *Entry) {
+	if e.held == nil {
+		return
+	}
+	s.unload(e)
+	s.unindexChunk(e)
+	s.cache.Forget(e.Desc.Key())
+	e.held = nil
+}
+
+// indexChunk records chunk payload possession in the per-item index.
+func (s *DataStore) indexChunk(e *Entry) {
+	cid, ok := e.Desc.ChunkID()
 	if !ok {
 		return
 	}
-	itemKey := d.ItemDescriptor().Key()
+	itemKey := e.Desc.ItemDescriptor().Key()
+	m, ok := s.chunkIndex[itemKey]
+	if !ok {
+		m = make(map[int]*Entry)
+		s.chunkIndex[itemKey] = m
+	}
+	m[cid] = e
+}
+
+func (s *DataStore) unindexChunk(e *Entry) {
+	cid, ok := e.Desc.ChunkID()
+	if !ok {
+		return
+	}
+	itemKey := e.Desc.ItemDescriptor().Key()
 	if m, ok := s.chunkIndex[itemKey]; ok {
 		delete(m, cid)
 		if len(m) == 0 {
@@ -270,28 +317,24 @@ func (s *DataStore) ChunksHeld(itemKey string) []int {
 // ChunkPayload returns the payload of one chunk of the item. Access
 // counts toward LRU/LFU cache accounting.
 func (s *DataStore) ChunkPayload(itemKey string, chunkID int) ([]byte, bool) {
-	m := s.chunkIndex[itemKey]
-	key, ok := m[chunkID]
-	if !ok {
-		return nil, false
-	}
-	return s.payloadByKey(key)
+	return s.read(s.chunkIndex[itemKey][chunkID])
 }
 
-// payloadByKey reads a payload from RAM or, for spilled keys, from the
-// backend. Either hit counts toward LRU/LFU accounting.
-func (s *DataStore) payloadByKey(key string) ([]byte, bool) {
-	if p, ok := s.payloads[key]; ok {
-		s.touch(key)
-		return p, true
+// read returns e's payload from RAM or, when spilled, from the backend;
+// e may be nil. Either hit counts toward LRU/LFU accounting.
+func (s *DataStore) read(e *Entry) ([]byte, bool) {
+	if e == nil || e.held == nil {
+		return nil, false
 	}
-	if s.spilled[key] {
-		if p, ok := s.backend.GetPayload(key); ok {
-			s.touch(key)
-			return p, true
+	key, p := e.Desc.Key(), e.held.bytes
+	if e.held.spilled {
+		var ok bool
+		if p, ok = s.backend.GetPayload(key); !ok {
+			return nil, false
 		}
 	}
-	return nil, false
+	s.cache.Touch(key)
+	return p, true
 }
 
 // PutPayloadCached stores an overheard or relayed payload, subject to
@@ -304,16 +347,13 @@ func (s *DataStore) payloadByKey(key string) ([]byte, bool) {
 // stored.
 func (s *DataStore) PutPayloadCached(d attr.Descriptor, payload []byte, now, expireAt time.Duration) bool {
 	key := d.Key()
-	if s.ownedKeys[key] {
-		return false // already have a better copy
-	}
-	if _, ok := s.payloads[key]; ok {
-		s.PutCached(d, expireAt)
-		return false
-	}
-	if s.spilled[key] {
-		// Bytes already live in the disk tier; just refresh the lease.
-		s.PutCached(d, expireAt)
+	e := s.entries[key]
+	if e != nil && e.held != nil {
+		if !e.held.owned {
+			// A cached copy is held already, in RAM or in the disk tier;
+			// just refresh the lease. An owned one is the better copy.
+			s.lease(e, d, expireAt)
+		}
 		return false
 	}
 	if s.cacheCap > 0 && len(payload) > s.cacheCap {
@@ -333,12 +373,10 @@ func (s *DataStore) PutPayloadCached(d attr.Descriptor, payload []byte, now, exp
 			break
 		}
 	}
-	s.payloads[key] = payload
-	s.cachedBytes += len(payload)
-	s.cacheOrder = append(s.cacheOrder, key)
 	s.tr.CacheInsert(key, len(payload))
-	s.indexChunk(d, key)
-	s.PutCached(d, expireAt)
+	// Neither pass above touched e: both take payload-bearing records only.
+	e, _ = s.lease(e, d, expireAt)
+	s.hold(e, held{bytes: payload})
 	if s.backend != nil {
 		s.backend.PutPayload(d, payload, false)
 	}
@@ -346,55 +384,37 @@ func (s *DataStore) PutPayloadCached(d attr.Descriptor, payload []byte, now, exp
 }
 
 // purgeExpired frees the cache slots of cached payloads whose metadata
-// entry has expired: the payload is dropped (RAM and disk tier), the
-// chunk unindexed and the entry removed, so the eviction policy is
-// never asked to sacrifice a live payload while an expired one squats
-// on the budget.
+// entry has expired: the payload is released (RAM and disk tier) and the
+// entry removed, so the eviction policy is never asked to sacrifice a
+// live payload while an expired one squats on the budget.
 func (s *DataStore) purgeExpired(now time.Duration) {
 	s.dropEntries(func(e *Entry) bool {
-		if s.live(e, now) {
-			return false
+		if s.live(e, now) || e.held == nil {
+			return false // live, or no payload to reclaim: Expire's business
 		}
 		key := e.Desc.Key()
-		p, inRAM := s.payloads[key]
-		if !inRAM && !s.spilled[key] {
-			return false // no payload to reclaim: Expire's business
+		if e.held.inCache() {
+			s.tr.CacheEvict(key, len(e.held.bytes))
 		}
-		if inRAM {
-			s.cachedBytes -= len(p)
-			s.tr.CacheEvict(key, len(p))
-			delete(s.payloads, key)
-		}
-		s.unindexChunk(e.Desc)
-		s.cache.Forget(key)
+		s.release(e)
 		if s.backend != nil {
 			s.backend.DeletePayload(key)
 		}
-		// A spilled payload left cacheOrder when it was evicted from RAM;
-		// its disk record was reclaimed just above.
-		delete(s.spilled, key)
 		return true
-	})
-	s.cacheOrder = slices.DeleteFunc(s.cacheOrder, func(key string) bool {
-		_, inRAM := s.payloads[key]
-		return !inRAM
 	})
 }
 
 // Payload returns the stored payload for the descriptor, if present.
 // Access counts toward LRU/LFU cache accounting.
 func (s *DataStore) Payload(d attr.Descriptor) ([]byte, bool) {
-	return s.payloadByKey(d.Key())
+	return s.read(s.entries[d.Key()])
 }
 
 // HasPayload reports whether the payload for the descriptor is present
 // in RAM or the disk tier.
 func (s *DataStore) HasPayload(d attr.Descriptor) bool {
-	key := d.Key()
-	if _, ok := s.payloads[key]; ok {
-		return true
-	}
-	return s.spilled[key]
+	e, ok := s.entries[d.Key()]
+	return ok && e.held != nil
 }
 
 // MatchPayloads returns descriptors of held payloads (RAM or spilled)
@@ -410,7 +430,7 @@ func (s *DataStore) MatchPayloads(q attr.Query, now time.Duration) []attr.Descri
 //pds:hotpath
 func (s *DataStore) AppendMatchPayloads(dst []attr.Descriptor, q attr.Query, now time.Duration) []attr.Descriptor {
 	for _, e := range s.index {
-		if s.live(e, now) && q.Match(e.Desc) && s.HasPayload(e.Desc) {
+		if e.held != nil && s.live(e, now) && q.Match(e.Desc) {
 			dst = append(dst, e.Desc)
 		}
 	}
@@ -422,11 +442,10 @@ func (s *DataStore) AppendMatchPayloads(dst []attr.Descriptor, q attr.Query, now
 // key) — the content set that advertisement-based routing strategies
 // flood.
 func (s *DataStore) OwnedItemKeys() []string {
-	seen := make(map[string]bool, len(s.ownedKeys))
-	keys := make([]string, 0, len(s.ownedKeys))
-	for k := range s.ownedKeys {
-		e, ok := s.entries[k]
-		if !ok {
+	seen := make(map[string]bool)
+	var keys []string
+	for _, e := range s.index {
+		if e.held == nil || !e.held.owned {
 			continue
 		}
 		ik := e.Desc.ItemDescriptor().Key()
@@ -439,15 +458,14 @@ func (s *DataStore) OwnedItemKeys() []string {
 	return keys
 }
 
-// DeleteOwned removes an owned payload and its entry — the producer
-// deleting its data (§II-A "data ... deleted").
+// DeleteOwned removes a payload, however it is held, and its entry —
+// the producer deleting its data (§II-A "data ... deleted").
 func (s *DataStore) DeleteOwned(d attr.Descriptor) {
 	key := d.Key()
-	delete(s.payloads, key)
-	delete(s.ownedKeys, key)
-	s.dropEntry(key)
-	delete(s.spilled, key)
-	s.unindexChunk(d)
+	if e, ok := s.entries[key]; ok {
+		s.release(e)
+		s.dropEntry(key)
+	}
 	if s.backend != nil {
 		s.backend.DeletePayload(key)
 	}
@@ -460,26 +478,15 @@ func (s *DataStore) DeleteOwned(d attr.Descriptor) {
 // its cached records follow the same crash semantics unless it was
 // opened with a persistent cache tier.
 func (s *DataStore) WipeCached() {
-	s.dropEntries(func(e *Entry) bool { return !e.Owned })
-	for k := range s.payloads {
-		if !s.ownedKeys[k] {
-			delete(s.payloads, k)
+	s.dropEntries(func(e *Entry) bool {
+		if e.held != nil && !e.held.owned {
+			s.release(e)
 		}
-	}
-	s.cachedBytes = 0
-	s.cacheOrder = nil
+		return !e.Owned
+	})
 	s.cache.Reset()
-	s.spilled = make(map[string]bool)
 	if s.backend != nil {
 		s.backend.WipeCached()
-	}
-	// Rebuild the chunk index from the surviving (owned) payloads.
-	s.chunkIndex = make(map[string]map[int]string)
-	for _, e := range s.index {
-		key := e.Desc.Key()
-		if _, held := s.payloads[key]; held {
-			s.indexChunk(e.Desc, key)
-		}
 	}
 }
 
@@ -491,13 +498,9 @@ func (s *DataStore) WipeCached() {
 // process.
 func (s *DataStore) PowerOff() {
 	s.WipeCached()
-	if s.backend == nil {
-		return
+	if s.backend != nil {
+		s.reset()
 	}
-	s.resetEntries()
-	s.payloads = make(map[string][]byte)
-	s.ownedKeys = make(map[string]bool)
-	s.chunkIndex = make(map[string]map[int]string)
 }
 
 // Expire removes entries whose expiry has passed and whose payload is
@@ -515,7 +518,7 @@ func (s *DataStore) Expire(now time.Duration) time.Duration {
 			next = min(next, e.ExpireAt)
 			return false
 		}
-		return !s.HasPayload(e.Desc)
+		return e.held == nil
 	})
 	return next
 }
