@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Filter is a classic Bloom filter with double hashing. The zero Filter
@@ -28,10 +29,9 @@ type Filter struct {
 	nhashes uint32
 	salt    uint64
 	count   uint64 // inserted elements, approximate occupancy signal
-	// over remembers Overloaded's answer for the current count: +1 yes,
-	// -1 no, 0 not asked since the count last moved (or since the filter
-	// was built, cloned or decoded).
-	over int8
+	// overAt is the least count at which EstimatedFPR exceeds 0.25: a
+	// property of the geometry, worked out once where the filter is made.
+	overAt uint64
 }
 
 // Default sizing targets used when the caller does not specify them.
@@ -64,6 +64,7 @@ func New(nbits uint64, nhashes uint32, salt uint64) *Filter {
 		nbits:   nbits,
 		nhashes: nhashes,
 		salt:    salt,
+		overAt:  overloadAt(nbits, nhashes),
 	}
 }
 
@@ -139,7 +140,6 @@ func (f *Filter) Add(key string) {
 	}
 	if changed {
 		f.count++
-		f.over = 0
 	}
 }
 
@@ -173,13 +173,24 @@ func (f *Filter) Salt() uint64 { return f.salt }
 
 // EstimatedFPR returns the expected false-positive rate given the current
 // occupancy: (1 - e^{-kn/m})^k.
-func (f *Filter) EstimatedFPR() float64 {
-	if f.nbits == 0 {
+func (f *Filter) EstimatedFPR() float64 { return fprAt(f.nbits, f.nhashes, f.count) }
+
+func fprAt(nbits uint64, nhashes uint32, count uint64) float64 {
+	if nbits == 0 {
 		return 1
 	}
-	k := float64(f.nhashes)
-	exp := -k * float64(f.count) / float64(f.nbits)
+	k := float64(nhashes)
+	exp := -k * float64(count) / float64(nbits)
 	return math.Pow(1-math.Exp(exp), k)
+}
+
+// overloadAt returns the least count at which a filter of the geometry is
+// Overloaded, by bisection: the estimate only rises with the count and is
+// past 0.25 by count = nbits whatever the hash count ((1-e^-k)^k >= 0.63).
+func overloadAt(nbits uint64, nhashes uint32) uint64 {
+	return uint64(sort.Search(int(nbits), func(count int) bool {
+		return fprAt(nbits, nhashes, uint64(count)) > 0.25
+	}))
 }
 
 // Overloaded reports whether so many elements were inserted (relative
@@ -193,20 +204,12 @@ func (f *Filter) EstimatedFPR() float64 {
 // quotes ~14% per-round FPR converging to 0.02 joint FPR in 2 rounds
 // for 10,000 entries on a bounded filter).
 //
-// The answer depends only on the geometry and the count, so it is
-// remembered until the count moves: a serve pass asks once per (entry,
-// query) and most of those add nothing. The memo is written here, so
-// like Add this is for a filter the caller owns — the LQT's private
-// clone — not one inside a frozen message.
-func (f *Filter) Overloaded() bool {
-	if f.over == 0 {
-		f.over = -1
-		if f.EstimatedFPR() > 0.25 {
-			f.over = 1
-		}
-	}
-	return f.over > 0
-}
+// A serve pass asks once per (entry, query), so the answer is one
+// comparison against the geometry's threshold — a read, safe on a filter
+// inside a frozen message.
+//
+//pds:hotpath
+func (f *Filter) Overloaded() bool { return f.count >= f.overAt }
 
 // Clone returns a deep copy of the filter.
 func (f *Filter) Clone() *Filter {
@@ -216,6 +219,7 @@ func (f *Filter) Clone() *Filter {
 		nhashes: f.nhashes,
 		salt:    f.salt,
 		count:   f.count,
+		overAt:  f.overAt,
 	}
 	copy(out.bits, f.bits)
 	return out
@@ -289,6 +293,7 @@ func Decode(src []byte) (*Filter, []byte, error) {
 		nhashes: uint32(nhashes),
 		salt:    salt,
 		count:   count,
+		overAt:  overloadAt(nbits, uint32(nhashes)),
 	}
 	copy(f.bits, src[:nbytes])
 	return f, src[nbytes:], nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -57,39 +58,45 @@ func FuzzHashPair(f *testing.F) {
 	f.Fuzz(func(t *testing.T, salt uint64, key string) { checkHashPair(t, salt, key) })
 }
 
-// TestOverloadedMemo: the remembered answer is the direct formula's at
-// every count an Add sequence passes through — asked once, twice or
-// only now and then — and a clone or a decoded copy, which start with
-// nothing remembered, agree with the filter they came from.
+// TestOverloadedMemo: Overloaded — a comparison against a threshold
+// fixed by the geometry — is the direct formula's answer at every count
+// from empty to past full, on a built, a cloned and a decoded filter
+// alike; it turns true once and leaves the filter's bytes as they were.
 func TestOverloadedMemo(t *testing.T) {
 	direct := func(f *Filter) bool { return f.EstimatedFPR() > 0.25 }
-	for _, geom := range [][2]uint64{{8, 1}, {64, 2}, {64, 7}, {1024, 4}, {MaxBits, 9}} {
+	for _, geom := range [][2]uint64{{8, 1}, {64, 2}, {64, 7}, {1024, 4}, {4808, 3}, {MaxBits, 9}, {MaxBits, 1}} {
 		f := New(geom[0], uint32(geom[1]), 11)
-		flips, last := 0, f.Overloaded()
-		for i := 0; i < 3000; i++ {
-			f.Add(fmt.Sprintf("k%d", i))
-			if i%3 == 0 {
-				continue // the count moved with nobody asking
-			}
-			if f.Overloaded() != direct(f) || f.Overloaded() != direct(f) {
-				t.Fatalf("geometry %v count %d: memo %v, formula %v", geom, f.Count(), f.Overloaded(), direct(f))
-			}
-			if f.Overloaded() != last {
-				flips, last = flips+1, !last
-			}
-			if i%97 == 0 {
-				g, rest, err := Decode(f.AppendBinary(nil))
-				if err != nil || len(rest) != 0 {
-					t.Fatal(err)
+		f.Add("k")
+		g, rest, err := Decode(f.AppendBinary(nil))
+		if err != nil || len(rest) != 0 {
+			t.Fatal(err)
+		}
+		for name, f := range map[string]*Filter{"built": f, "cloned": f.Clone(), "decoded": g} {
+			before, flips, last := *f, 0, false
+			for c := uint64(0); c <= geom[0]+3; c++ {
+				if f.count = c; c == geom[0]+3 {
+					f.count = 1 << 62
 				}
-				if c := f.Clone(); c.Overloaded() != direct(f) || g.Overloaded() != direct(f) {
-					t.Fatalf("geometry %v count %d: clone/decoded copy disagree", geom, f.Count())
+				got := f.Overloaded()
+				if got != direct(f) {
+					t.Fatalf("%s, geometry %v, count %d: Overloaded %v, formula %v", name, geom, f.count, got, direct(f))
+				}
+				if got != last {
+					flips, last = flips+1, got
 				}
 			}
+			if flips != 1 || !last {
+				t.Fatalf("%s, geometry %v: the answer changed %d times and ended %v", name, geom, flips, last)
+			}
+			if f.count = before.count; !reflect.DeepEqual(*f, before) {
+				t.Fatalf("%s, geometry %v: Overloaded wrote to the filter", name, geom)
+			}
 		}
-		if geom[0] <= 1024 && flips != 1 {
-			t.Fatalf("geometry %v: answer flipped %d times over the run, want once", geom, flips)
-		}
+	}
+	// A hash count of 0 only comes off the wire; the formula reads 1.
+	zero, _, err := Decode([]byte{8, 0, 0, 0, 0})
+	if err != nil || !zero.Overloaded() || !direct(zero) {
+		t.Fatalf("zero hashes: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"pds/internal/attr"
 	"pds/internal/bloom"
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
@@ -59,8 +60,8 @@ type session struct {
 	// (ExtendRoundsOnLoss); capped at 2, reset by any progress.
 	extensions int
 
-	done        bool
-	cancelCheck func()
+	done       bool
+	checkTimer clock.Timer // runs check every RoundCheck until done
 }
 
 // DiscoverOptions tune a discovery session beyond the node defaults.
@@ -115,6 +116,7 @@ func (n *Node) Discover(sel attr.Query, opts DiscoverOptions, cb func(DiscoveryR
 	if s.maxRounds <= 0 {
 		s.maxRounds = n.cfg.MaxRounds
 	}
+	s.checkTimer = clock.NewTimer(n.clk, func() { s.check(); s.scheduleCheck() })
 	s.lastNewAt = s.start
 	n.discSessions = append(n.discSessions, s)
 
@@ -217,13 +219,9 @@ func (s *session) startRound() {
 }
 
 func (s *session) scheduleCheck() {
-	if s.done {
-		return
+	if !s.done {
+		s.checkTimer.Reset(s.n.cfg.RoundCheck)
 	}
-	s.cancelCheck = s.n.clk.Schedule(s.n.cfg.RoundCheck, func() {
-		s.check()
-		s.scheduleCheck()
-	})
 }
 
 // check evaluates the round rules of §III-B.2: the round is finished
@@ -305,9 +303,7 @@ func (s *session) finish(now time.Duration) {
 		return
 	}
 	s.done = true
-	if s.cancelCheck != nil {
-		s.cancelCheck()
-	}
+	s.checkTimer.Stop()
 	s.n.removeSession(s)
 
 	keys := make([]string, 0, len(s.received))

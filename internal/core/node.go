@@ -204,14 +204,21 @@ type Node struct {
 	// the default "cdi" strategy reads the CDI table verbatim.
 	routing strategy.RoutingStrategy
 
-	// servePending coalesces response generation per query kind.
-	servePending map[wire.QueryKind]bool
-	// units and keep are the serve pass's scratch, reused across passes:
-	// the store's live entries in key order, and the indices of the units
-	// a mixedcast pass keeps. What is kept is copied out before anything
-	// is sent, so no message ever aliases either.
-	units []attr.Descriptor
-	keep  []int
+	// servePending coalesces response generation per query kind
+	// (metadata and data are the kinds served).
+	servePending [wire.KindData + 1]bool
+	// idle are the deferred records nothing is waiting in (see later).
+	idle *deferred
+	// routes, units, keep, receivers and serves are the serve and relay
+	// passes' scratch, reused across passes: a pass's lingering queries,
+	// the store's live entries in key order, the indices of the units a
+	// mixedcast pass keeps, and whom it addresses them to. What leaves is
+	// copied out before anything is sent, so no message aliases any.
+	routes    []*store.LingeringQuery
+	units     []attr.Descriptor
+	keep      []int
+	receivers []wire.NodeID
+	serves    []wire.Serve
 	// discSessions are this node's active discovery/collection
 	// sessions; responses are delivered to them by selector match.
 	discSessions []*session
@@ -367,9 +374,7 @@ func (n *Node) abortSessions() {
 	//lint:allow determinism per-entry teardown; the cancels only unschedule that retrieval's own timers
 	for _, r := range n.retrievals {
 		r.done = true
-		if r.cancelCheck != nil {
-			r.cancelCheck()
-		}
+		r.checkTimer.Stop()
 		if r.cancelDeadline != nil {
 			r.cancelDeadline()
 		}
@@ -377,9 +382,7 @@ func (n *Node) abortSessions() {
 	n.retrievals = make(map[string]*retrieval)
 	for _, s := range n.discSessions {
 		s.done = true
-		if s.cancelCheck != nil {
-			s.cancelCheck()
-		}
+		s.checkTimer.Stop()
 	}
 	n.discSessions = nil
 }
@@ -398,7 +401,7 @@ func (n *Node) Crash() {
 	n.crashed = true
 	n.epoch++
 	n.abortSessions()
-	n.servePending = nil
+	clear(n.servePending[:])
 	n.ds.PowerOff()
 	n.cdi = store.NewCDITable()
 	n.lqt = store.NewLQT()
@@ -563,13 +566,48 @@ func (n *Node) sendJittered(msg *wire.Message, maxJitter time.Duration) {
 		n.transmit(msg)
 		return
 	}
-	delay := time.Duration(n.rng.Int63n(int64(maxJitter)))
-	epoch := n.epoch
-	n.clk.Schedule(delay, func() {
-		if n.epoch == epoch {
-			n.transmit(msg)
+	n.later(time.Duration(n.rng.Int63n(int64(maxJitter))), msg, 0)
+}
+
+// deferred is one jittered action waiting for its instant — msg to send
+// or, msg nil, a serve pass of kind to run — pooled per node: the record
+// keeps its timer, bound to it once, from action to action.
+type deferred struct {
+	msg   *wire.Message
+	kind  wire.QueryKind
+	epoch uint64 // the node's when armed: a crash since voids the action
+	timer clock.Timer
+	next  *deferred
+}
+
+// later arms an idle record to run the action after delay.
+func (n *Node) later(delay time.Duration, msg *wire.Message, kind wire.QueryKind) {
+	d := n.idle
+	if d == nil { // the pool grows to the most actions ever waiting
+		d = new(deferred)
+		d.timer = clock.NewTimer(n.clk, func() { n.fire(d) })
+	} else {
+		n.idle, d.next = d.next, nil
+	}
+	d.msg, d.kind, d.epoch = msg, kind, n.epoch
+	d.timer.Reset(delay)
+}
+
+// fire is d's timer callback: d goes back to the pool, holding nothing,
+// and its action runs unless the node crashed since it was armed.
+func (n *Node) fire(d *deferred) {
+	msg, kind, live := d.msg, d.kind, d.epoch == n.epoch
+	d.msg, d.next, n.idle = nil, n.idle, d
+	switch {
+	case !live: // servePending was wiped with everything else
+	case msg != nil:
+		n.transmit(msg)
+	default:
+		n.servePending[kind] = false
+		if !n.stopped {
+			n.serveQueries(kind)
 		}
-	})
+	}
 }
 
 // newID draws a random, effectively unique id for queries/responses.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"slices"
 	"time"
 
 	"pds/internal/attr"
@@ -99,9 +100,6 @@ func (n *Node) reflood(q *wire.Query) {
 // queries, so entries wanted by several consumers leave in one message
 // with one role per (receiver, query).
 func (n *Node) scheduleServe(kind wire.QueryKind) {
-	if n.servePending == nil {
-		n.servePending = make(map[wire.QueryKind]bool)
-	}
 	if n.servePending[kind] {
 		return
 	}
@@ -110,29 +108,21 @@ func (n *Node) scheduleServe(kind wire.QueryKind) {
 	if n.cfg.ResponseJitterMax > 0 {
 		delay = time.Duration(n.rng.Int63n(int64(n.cfg.ResponseJitterMax)))
 	}
-	epoch := n.epoch
-	n.clk.Schedule(delay, func() {
-		if n.epoch != epoch {
-			return // node crashed since; servePending was wiped
-		}
-		n.servePending[kind] = false
-		if !n.stopped {
-			n.serveQueries(kind)
-		}
-	})
+	n.later(delay, nil, kind)
 }
 
 // serveQueries answers every lingering query of the kind from the local
 // store in one mixedcast pass.
 func (n *Node) serveQueries(kind wire.QueryKind) {
 	now := n.clk.Now()
-	all := n.lqt.AllOfKind(kind, now)
+	n.routes = n.lqt.AllOfKind(n.routes[:0], kind, now)
+	defer clear(n.routes) // an expired query is not kept alive from here
 	// Serve each query once (Algorithm 1 answers at query receipt);
 	// already-served queries participate only in relaying. Without this
 	// every later round would be re-answered from scratch by every
 	// node, multiplying traffic.
-	routes := all[:0]
-	for _, lq := range all {
+	routes := n.routes[:0]
+	for _, lq := range n.routes {
 		if !lq.Served && !lq.Exhausted {
 			lq.Served = true
 			routes = append(routes, lq)
@@ -161,7 +151,7 @@ func (n *Node) serveQueries(kind wire.QueryKind) {
 // every lingering query would flood each unit across the whole mesh
 // once per consumer.
 func (n *Node) relayUnits(r *wire.Response, now time.Duration) {
-	var routes []*store.LingeringQuery
+	n.routes = n.routes[:0]
 	for _, sv := range r.Serves {
 		if sv.Node != n.id {
 			continue
@@ -171,7 +161,7 @@ func (n *Node) relayUnits(r *wire.Response, now time.Duration) {
 			continue
 		}
 		n.tr.LQMatch(r.ID, sv.QueryID)
-		routes = append(routes, lq)
+		n.routes = append(n.routes, lq)
 	}
 	// By kind, not by what the frame happens to carry: a malformed
 	// response must not put both lists behind one index.
@@ -179,7 +169,8 @@ func (n *Node) relayUnits(r *wire.Response, now time.Duration) {
 	if r.Kind == wire.KindData {
 		units = content{blobs: r.Blobs}
 	}
-	n.answer(routes, units, r)
+	n.answer(n.routes, units, r)
+	clear(n.routes)
 }
 
 // content is the unit list of a PDD response: metadata entries or
@@ -238,7 +229,7 @@ type cast struct {
 	// kept are the units at least one route still wants, one copy each.
 	kept content
 	// receivers and serves are the upstream senders of the routes that
-	// want them and the (receiver, query) bindings, sorted.
+	// want them and the (receiver, query) bindings, sorted and made once.
 	receivers []wire.NodeID
 	serves    []wire.Serve
 	// suppressed counts (unit, route) pairs a Bloom filter turned down;
@@ -255,7 +246,7 @@ type cast struct {
 // it, is LingeringQuery.Offer.
 func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 	var c cast
-	n.keep = n.keep[:0]
+	n.keep, n.receivers, n.serves = n.keep[:0], n.receivers[:0], n.serves[:0]
 	for i := 0; i < units.len(); i++ {
 		d := units.desc(i)
 		key := d.Key()
@@ -272,8 +263,8 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 				// A query this node originated is a sink: the unit is
 				// recorded against it but travels no further.
 				if lq.Query.Origin != n.id {
-					c.receivers = insertSorted(c.receivers, lq.Query.Sender, cmp.Compare)
-					c.serves = insertSorted(c.serves, wire.Serve{Node: lq.Query.Sender, QueryID: lq.Query.ID}, compareServes)
+					n.receivers = insertSorted(n.receivers, lq.Query.Sender, cmp.Compare)
+					n.serves = insertSorted(n.serves, wire.Serve{Node: lq.Query.Sender, QueryID: lq.Query.ID}, compareServes)
 					forward = true
 				}
 				// The one-shot Interest ablation: with lingering disabled
@@ -292,7 +283,7 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 			c.unwanted++
 		}
 	}
-	c.kept = units.pick(n.keep)
+	c.kept, c.receivers, c.serves = units.pick(n.keep), slices.Clone(n.receivers), slices.Clone(n.serves)
 	return c
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"pds/internal/assign"
 	"pds/internal/attr"
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
@@ -87,7 +88,7 @@ type retrieval struct {
 
 	done           bool
 	deadlineHit    bool
-	cancelCheck    func()
+	checkTimer     clock.Timer // runs check every RoundCheck until done
 	cancelDeadline func()
 }
 
@@ -138,6 +139,7 @@ func (n *Node) RetrieveWithOptions(item attr.Descriptor, opts RetrieveOptions, c
 		requestedAt: make(map[int]time.Duration),
 	}
 	r.lastChunkAt = r.start
+	r.checkTimer = clock.NewTimer(n.clk, func() { r.check(); r.scheduleCheck() })
 	if r.total <= 0 {
 		// Nothing to do: a malformed descriptor retrieves nothing.
 		cb(RetrievalResult{Item: item, Chunks: map[int][]byte{}, Complete: false})
@@ -223,13 +225,9 @@ func (r *retrieval) startCDIRound() {
 }
 
 func (r *retrieval) scheduleCheck() {
-	if r.done {
-		return
+	if !r.done {
+		r.checkTimer.Reset(r.n.cfg.RoundCheck)
 	}
-	r.cancelCheck = r.n.clk.Schedule(r.n.cfg.RoundCheck, func() {
-		r.check()
-		r.scheduleCheck()
-	})
 }
 
 // check drives the phase machine: phase 1 settles when CDI covers every
@@ -385,9 +383,7 @@ func (r *retrieval) finish(now time.Duration) {
 		return
 	}
 	r.done = true
-	if r.cancelCheck != nil {
-		r.cancelCheck()
-	}
+	r.checkTimer.Stop()
 	if r.cancelDeadline != nil {
 		r.cancelDeadline()
 	}
@@ -632,13 +628,15 @@ func (n *Node) handleChunkQuery(q *wire.Query) {
 	// from this query. Chunk lingering queries expire quickly (see
 	// chunkLinger below), so a dead chain only damps retries briefly.
 	inFlight := make(map[int]bool)
-	for _, lq := range n.lqt.MatchItem(wire.KindChunk, itemKey, now) {
+	n.routes = n.lqt.MatchItem(n.routes[:0], wire.KindChunk, itemKey, now)
+	for _, lq := range n.routes {
 		if lq.Query.Origin == q.Origin {
 			for _, c := range lq.Wanted {
 				inFlight[c] = true
 			}
 		}
 	}
+	clear(n.routes)
 
 	var held, missing []int
 	for _, c := range q.ChunkIDs {
@@ -700,14 +698,15 @@ func (n *Node) handleChunkQuery(q *wire.Query) {
 // sets so each chunk travels each edge at most once per consumer chain.
 func (n *Node) relayChunks(r *wire.Response, now time.Duration) {
 	itemKey := r.Item.Key()
-	matching := n.lqt.MatchItem(wire.KindChunk, itemKey, now)
+	n.routes = n.lqt.MatchItem(n.routes[:0], wire.KindChunk, itemKey, now)
+	defer clear(n.routes)
 	for _, b := range r.Blobs {
 		cid, ok := b.Desc.ChunkID()
 		if !ok {
 			continue
 		}
 		var recv []wire.NodeID
-		for _, lq := range matching {
+		for _, lq := range n.routes {
 			idx := indexOf(lq.Wanted, cid)
 			if idx < 0 {
 				continue

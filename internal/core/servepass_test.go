@@ -22,7 +22,7 @@ import (
 // through a seen-set in route order, hand the union to the same answer.
 func (n *Node) serveQueriesByUnion(kind wire.QueryKind) {
 	now := n.clk.Now()
-	all := n.lqt.AllOfKind(kind, now)
+	all := n.lqt.AllOfKind(nil, kind, now)
 	routes := all[:0]
 	for _, lq := range all {
 		if !lq.Served && !lq.Exhausted {
@@ -196,7 +196,7 @@ func TestServePassMatchesUnion(t *testing.T) {
 		// Every route was rewritten alike: same filter bits, same
 		// exhaustion, and — probing the exact forwarded set — the same
 		// verdict for every unit of the universe.
-		routes := [2][]*store.LingeringQuery{sides[0].n.lqt.AllOfKind(kind, 0), sides[1].n.lqt.AllOfKind(kind, 0)}
+		routes := [2][]*store.LingeringQuery{sides[0].n.lqt.AllOfKind(nil, kind, 0), sides[1].n.lqt.AllOfKind(nil, kind, 0)}
 		if len(routes[0]) != len(routes[1]) {
 			t.Fatalf("%s: %d routes vs %d", name, len(routes[0]), len(routes[1]))
 		}

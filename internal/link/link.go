@@ -108,9 +108,9 @@ type Stats struct {
 	ReasmErrors     uint64 // fragments at odds with their reassembly, and reassembled bytes that failed to decode
 }
 
-// pending is the record of one frame awaiting acks, pooled per link
-// (sendFrame, putPending): it keeps its retry timer, bound to it once,
-// and its remaining buffer from frame to frame.
+// pending is the record of one frame awaiting acks, or of an ack awaiting
+// its jittered instant, pooled per link (getPending, putPending): it keeps
+// its timer, bound to it once, and its remaining buffer from frame to frame.
 type pending struct {
 	msg *wire.Message
 	// remaining is the receiver list less the nodes that have acked,
@@ -169,8 +169,9 @@ type Link struct {
 	// accepted since seenSince, and those of the generation before.
 	seen, seenOld map[uint64]time.Duration
 	seenSince     time.Duration
-	// reasms tracks in-progress fragment reassemblies by OrigID.
-	reasms map[uint64]*reasm
+	// reasms tracks fragment reassemblies by OrigID, swept no sooner than reasmSweepAt.
+	reasms       map[uint64]reasm
+	reasmSweepAt time.Duration
 	// fragJobs queues fragmented messages; one streams at a time.
 	fragJobs  ring.Queue[*fragJob]
 	activeJob *fragJob
@@ -205,7 +206,7 @@ func New(clk clock.Clock, self wire.NodeID, raw RawSender, cfg Config) *Link {
 		cfg:    cfg,
 		tokens: float64(cfg.BucketBytes),
 		pend:   make(map[uint64]*pending),
-		reasms: make(map[uint64]*reasm),
+		reasms: make(map[uint64]reasm),
 	}
 }
 
@@ -349,14 +350,7 @@ func (l *Link) sendFrame(msg *wire.Message, job *fragJob) {
 	msg.Stamp(uint64(l.self)<<32|l.nextTransmit, l.self, !needAck)
 
 	if needAck {
-		p := l.free
-		if p == nil { // the pool grows to the most frames ever in flight
-			p = new(pending)
-			p.timer = clock.NewTimer(l.clk, func() { l.retry(p) })
-		} else {
-			l.free, p.next = p.next, nil
-		}
-		p.msg, p.job = msg, job
+		p := l.getPending(msg, job)
 		p.remaining = append(p.remaining, receivers...)
 		l.pend[msg.TransmitID] = p
 		// The retry timer is armed when the frame actually leaves the
@@ -364,6 +358,19 @@ func (l *Link) sendFrame(msg *wire.Message, job *fragJob) {
 		// queue long past RetrTimeout.
 	}
 	l.enqueue(msg)
+}
+
+// getPending takes an idle record for msg.
+func (l *Link) getPending(msg *wire.Message, job *fragJob) *pending {
+	p := l.free
+	if p == nil { // the pool grows to the most frames ever in flight
+		p = new(pending)
+		p.timer = clock.NewTimer(l.clk, func() { l.retry(p) })
+	} else {
+		l.free, p.next = p.next, nil
+	}
+	p.msg, p.job = msg, job
+	return p
 }
 
 // putPending frees p, out of pend already: timer stopped, holding nothing.
@@ -489,6 +496,11 @@ func (l *Link) armRetry(msg *wire.Message) {
 
 // retry is p's timer callback: never after Stop, so p is in pend, its frame unacknowledged.
 func (l *Link) retry(p *pending) {
+	if p.msg.Type == wire.TypeAck { // or p, in no table, holds a jittered ack due now
+		l.transmit(p.msg)
+		l.putPending(p)
+		return
+	}
 	if p.attempts >= l.cfg.MaxRetr {
 		delete(l.pend, p.msg.TransmitID)
 		msg, job, unacked := p.msg, p.job, slices.Clone(p.remaining)
@@ -551,7 +563,7 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		ack.Stamp(uint64(l.self)<<32|l.nextTransmit, l.self, true)
 		l.stats.AcksSent++
 		if j := l.cfg.Jitter(l.cfg.AckJitterMax); j > 0 {
-			l.clk.Schedule(j, func() { l.transmit(ack) })
+			l.getPending(ack, nil).timer.Reset(j)
 		} else {
 			l.transmit(ack)
 		}
@@ -622,73 +634,90 @@ func (l *Link) duplicate(id uint64, now time.Duration) bool {
 // maxFragments bounds Count, which comes off the wire and sizes a reassembly's tables.
 const maxFragments = 1 << 16
 
-// reasm tracks one in-progress message reassembly.
+// reasm tracks one message reassembly, by value in the table. A message
+// of up to 64 fragments that carry it (Whole) is the word have and nothing
+// on the heap; big is what a longer one, or one arriving as bytes, needs
+// there. Finished (got == count) it stays as a tombstone against a second
+// delivery, big gone: it references nothing.
 type reasm struct {
-	have      []uint64 // bit i: fragment i has arrived
-	got       int      // bits set in have
-	count     int
-	whole     *wire.Message
-	parts     [][]byte
-	delivered bool
-	at        time.Duration
+	have       uint64 // bit i: fragment i has arrived
+	got, count int32
+	at         time.Duration
+	big        *bigReasm
+}
+
+type bigReasm struct {
+	have  []uint64 // in place of reasm.have
+	parts [][]byte // the fragments' bytes, where they carry any
 }
 
 // reassemble records a fragment and returns the completed message the
-// first time all fragments are present. Overhearing nodes reassemble
-// too, which is what lets them cache chunks they were never sent.
+// first time all fragments are present — the Whole its fragments carry,
+// else their bytes decoded. Overhearing nodes reassemble too, which is
+// what lets them cache chunks they were never sent.
 func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 	if f == nil || f.Count <= 0 || f.Count > maxFragments || f.Index < 0 || f.Index >= f.Count {
 		return nil
 	}
 	r, ok := l.reasms[f.OrigID]
-	if ok && f.Count != r.count { // Index is good for f's Count, not for r's tables
+	if ok && f.Count != int(r.count) { // Index is good for f's Count, not for r's tables
 		l.stats.ReasmErrors++
 		return nil
 	}
 	if !ok {
-		r = &reasm{have: make([]uint64, (f.Count+63)/64), count: f.Count, at: now}
-		if f.Data != nil {
-			r.parts = make([][]byte, f.Count)
+		r.count = int32(f.Count)
+		if f.Count > 64 || f.Data != nil {
+			r.big = &bigReasm{have: make([]uint64, (f.Count+63)/64)}
+			if f.Data != nil {
+				r.big.parts = make([][]byte, f.Count)
+			}
 		}
-		l.reasms[f.OrigID] = r
-		if len(l.reasms) > 1024 {
+		if len(l.reasms) >= 1024 && now >= l.reasmSweepAt {
+			// Make room: drop what is a DedupRetention old, finished or
+			// not — at most sixteen times a retention, so a burst of new
+			// OrigIDs inside one does not walk the table each.
 			for id, old := range l.reasms {
 				if now-old.at >= l.cfg.DedupRetention {
 					delete(l.reasms, id)
 				}
 			}
+			l.reasmSweepAt = now + l.cfg.DedupRetention/16
 		}
 	}
 	r.at = now
-	if r.delivered {
+	if r.got == r.count { // the tombstone of a message already handed up
+		l.reasms[f.OrigID] = r
 		return nil
 	}
-	if bit := uint64(1) << (f.Index % 64); r.have[f.Index/64]&bit == 0 {
-		r.have[f.Index/64] |= bit
+	word := &r.have
+	if r.big != nil {
+		word = &r.big.have[f.Index/64]
+	}
+	if bit := uint64(1) << (f.Index % 64); *word&bit == 0 {
+		*word |= bit
 		r.got++
 	}
-	if f.Whole != nil {
-		r.whole = f.Whole
+	if r.big != nil && r.big.parts != nil && f.Data != nil {
+		r.big.parts[f.Index] = f.Data
 	}
-	if f.Data != nil && r.parts != nil {
-		r.parts[f.Index] = f.Data
+	var parts [][]byte
+	if r.got == r.count && r.big != nil {
+		// Complete: the fragments go now, not when the table is next
+		// swept, or a node holds a second copy of every chunk it heard.
+		parts, r.big = r.big.parts, nil
 	}
+	l.reasms[f.OrigID] = r
 	if r.got < r.count {
 		return nil
 	}
-	// Complete: the entry stays only as a tombstone against a second
-	// delivery and lets go of the fragments now, not when the table is
-	// next swept, or a node holds a second copy of every chunk it heard.
-	whole, parts := r.whole, r.parts
-	r.delivered, r.have, r.whole, r.parts = true, nil, nil, nil
 	l.stats.Reassembled++
-	if whole != nil {
-		l.tr.Reassembled(whole, f.OrigID, r.count)
+	if f.Whole != nil {
+		l.tr.Reassembled(f.Whole, f.OrigID, f.Count)
 		// Virtual path: hand up the shared original. Every receiver's
 		// fragments reference the same published message, and published
 		// messages are read-only end to end (wire.Message ownership
 		// rules), so no private clone is needed.
-		return whole
+		return f.Whole
 	}
 	// Real-transport path: concatenate into a pooled scratch buffer and
 	// decode. Decode fully materializes the message (payloads and
@@ -712,7 +741,7 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 		l.stats.ReasmErrors++
 		return nil
 	}
-	l.tr.Reassembled(decoded, f.OrigID, r.count)
+	l.tr.Reassembled(decoded, f.OrigID, f.Count)
 	return decoded
 }
 
@@ -742,7 +771,7 @@ func (l *Link) Reset() {
 	l.fragJobs.Reset()
 	l.activeJob = nil
 	l.seen, l.seenOld = nil, nil
-	l.reasms = make(map[uint64]*reasm)
+	l.reasms = make(map[uint64]reasm)
 	l.tokens = float64(l.cfg.BucketBytes)
 	l.lastRefill = l.clk.Now()
 	// drainArmed stays as-is: a pending drain callback finds an empty

@@ -456,7 +456,7 @@ func TestCompletedReassemblyKeepsOnlyTombstone(t *testing.T) {
 			}
 			var up []*wire.Message
 			for i := 0; i < count; i++ {
-				if i == count-1 && lk.reasms[55].parts[0] == nil {
+				if i == count-1 && lk.reasms[55].big.parts[0] == nil {
 					t.Fatal("an in-progress reassembly must hold its fragments")
 				}
 				if m := lk.HandleIncoming(frag(i)); m != nil {
@@ -478,7 +478,7 @@ func TestCompletedReassemblyKeepsOnlyTombstone(t *testing.T) {
 				t.Fatalf("handed up %d messages, %d decode errors, want 0 and 1", len(up), st.ReasmErrors)
 			}
 			r := lk.reasms[55]
-			if st.Reassembled != 1 || len(lk.reasms) != 1 || !r.delivered || r.parts != nil || r.have != nil || r.whole != nil {
+			if st.Reassembled != 1 || len(lk.reasms) != 1 || r.got != r.count || r.big != nil {
 				t.Fatalf("finished reassembly still holds state: reassembled=%d entries=%d %+v", st.Reassembled, len(lk.reasms), r)
 			}
 		})

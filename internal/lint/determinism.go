@@ -424,9 +424,10 @@ func baseIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// allSortedAfter reports whether every collected slice is an argument
-// to a sort.*/slices.* call somewhere after the range statement in the
-// same function.
+// allSortedAfter reports whether every collected slice is an argument,
+// whole or resliced (an append-style collector sorts dst[from:]), to a
+// sort.*/slices.* call somewhere after the range statement in the same
+// function.
 func allSortedAfter(p *Pass, rng *ast.RangeStmt, collected map[types.Object]bool) bool {
 	var fn ast.Node
 	for _, file := range p.Pkg.Files {
@@ -456,7 +457,7 @@ func allSortedAfter(p *Pass, rng *ast.RangeStmt, collected map[types.Object]bool
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok {
+			if id, ok := unwrapSlicing(arg).(*ast.Ident); ok {
 				if obj := p.Pkg.Info.Uses[id]; obj != nil {
 					sorted[obj] = true
 				}

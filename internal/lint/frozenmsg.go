@@ -27,9 +27,8 @@ import (
 //     copy or a range variable;
 //   - append/copy whose destination aliases a frozen slice (append may
 //     write into the shared backing array when capacity allows);
-//   - Bloom.Add on the shared filter (and Overloaded, which memoizes
-//     into it), even via an alias; rewriting goes through LQT's
-//     private clone and Message.WithBloom;
+//   - Bloom.Add on the shared filter, even via an alias; rewriting
+//     goes through LQT's private clone and Message.WithBloom;
 //   - calls passing frozen data to a same-package function whose body
 //     (transitively, within the package) writes through that parameter.
 //
@@ -239,11 +238,10 @@ func checkFrozenCall(p *Pass, fl *funcFlow, call *ast.CallExpr, sums paramMutati
 		}
 	}
 	// q.Bloom.Add(...): the filter is shared even across value copies.
-	// Overloaded writes too — it remembers its answer in the filter.
-	if fun, ok := call.Fun.(*ast.SelectorExpr); ok && (fun.Sel.Name == "Add" || fun.Sel.Name == "Overloaded") {
+	if fun, ok := call.Fun.(*ast.SelectorExpr); ok && fun.Sel.Name == "Add" {
 		if bloomSel, ok := fun.X.(*ast.SelectorExpr); ok && bloomSel.Sel.Name == "Bloom" {
 			if name, ok := namedWireType(p.Pkg.Info.TypeOf(bloomSel.X)); ok && !fl.exprOwned(bloomSel.X) {
-				p.Reportf(call.Pos(), "mutation of the shared wire.%s Bloom filter: clone it (LQT does at insert) and attach a snapshot via WithBloom", name)
+				p.Reportf(call.Pos(), "mutation of the shared wire.%s Bloom filter: clone it (LQT does before its first Add) and attach a snapshot via WithBloom", name)
 				return
 			}
 		}

@@ -90,6 +90,16 @@ func mapSorted(m map[int]string, sink func(int)) {
 	}
 }
 
+// Append-style: what was collected is the tail of dst, sorted as such.
+func mapAppendedSorted(dst []int, m map[int]string) []int {
+	from := len(dst)
+	for k := range m {
+		dst = append(dst, k)
+	}
+	sort.Ints(dst[from:])
+	return dst
+}
+
 // Collecting without sorting leaks map order into the result.
 func mapCollectedUnsorted(m map[int]string) []int {
 	var keys []int

@@ -43,9 +43,9 @@ func mutateBloom(m *wire.Message, key string) {
 	fwd.Bloom.Add(key) // want "mutation of the shared wire.Query Bloom filter"
 }
 
-// Overloaded remembers its answer inside the filter: a write as well.
-func askSharedBloom(m *wire.Message) bool {
-	return m.Query.Bloom.Overloaded() // want "mutation of the shared wire.Query Bloom filter"
+// Overloaded and Contains only read the filter.
+func askSharedBloom(m *wire.Message, key string) bool {
+	return m.Query.Bloom.Overloaded() || m.Query.Bloom.Contains(key)
 }
 
 // --- v2: aliases, ranges, embedding, one call level ------------------

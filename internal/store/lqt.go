@@ -14,9 +14,10 @@ import (
 
 // LingeringQuery is one entry of the Lingering Query Table (§III-A): a
 // received query that stays until expiration and keeps directing
-// matching responses back toward its sender. Bloom holds this node's
-// private copy of the filter received with the query, rewritten en route
-// as entries are forwarded (§III-B.2); Query stays shared and read-only.
+// matching responses back toward its sender. Bloom is the filter received
+// with the query, Query.Bloom itself, until this node first forwards toward
+// the query, and from then on a private copy rewritten en route (§III-B.2);
+// Query stays shared and read-only.
 type LingeringQuery struct {
 	Query    *wire.Query
 	ExpireAt time.Duration
@@ -69,12 +70,12 @@ const (
 // en-route rewriting (§III-B.1, §III-B.2), decided in this order:
 // selector match, the exact already-forwarded set, then the Bloom
 // filter. A Fresh verdict has rewritten the query's state — the key is
-// in the private Bloom clone (never the frozen Query.Bloom) and in the
-// forwarded set — so a filter entry is only ever added, never lost, and
-// the same unit is never Fresh twice. A saturated filter fails open
-// (see forwarded above): it is then not consulted at all. key is
-// d.Key(), passed in because callers offer one unit to many queries.
-// Every verdict but Fresh allocates nothing.
+// in a private Bloom clone the first Fresh makes (never in the frozen
+// Query.Bloom) and in the forwarded set — so a filter entry is only ever
+// added, never lost, and the same unit is never Fresh twice. A saturated
+// filter fails open (see forwarded above): it is then not consulted at
+// all. key is d.Key(), passed in because callers offer one unit to many
+// queries. Every verdict but Fresh allocates nothing.
 //
 //pds:hotpath
 func (lq *LingeringQuery) Offer(d attr.Descriptor, key string) Verdict {
@@ -87,6 +88,9 @@ func (lq *LingeringQuery) Offer(d attr.Descriptor, key string) Verdict {
 	if lq.Bloom != nil {
 		if !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
 			return Suppressed
+		}
+		if lq.Bloom == lq.Query.Bloom {
+			lq.Bloom = lq.Bloom.Clone()
 		}
 		lq.Bloom.Add(key)
 	}
@@ -128,15 +132,12 @@ func (t *LQT) Exists(id uint64, now time.Duration) bool {
 // Insert adds a query, replacing any previous copy with the same id.
 // The query itself is referenced, not copied — delivered queries are
 // immutable and may be shared by every node that heard the same frame —
-// but the mutable per-node state is cloned: the Bloom filter (the table
-// rewrites its copy as entries are forwarded, §III-B.2) and the chunk
-// wanted set (consumed as payloads relay through). Mutating the query's
-// own fields would corrupt the shared message for every other holder.
+// and so is its Bloom filter, which Offer clones when it first has
+// something to add (most hearers of a flooded query never do). The chunk
+// wanted set (consumed as payloads relay through) is cloned here: mutating
+// the query's own fields would corrupt the message for every other holder.
 func (t *LQT) Insert(q *wire.Query, expireAt time.Duration) *LingeringQuery {
-	lq := &LingeringQuery{Query: q, ExpireAt: expireAt}
-	if q.Bloom != nil {
-		lq.Bloom = q.Bloom.Clone()
-	}
+	lq := &LingeringQuery{Query: q, ExpireAt: expireAt, Bloom: q.Bloom}
 	if len(q.ChunkIDs) > 0 {
 		lq.Wanted = append([]int(nil), q.ChunkIDs...)
 	}
@@ -154,26 +155,26 @@ func (t *LQT) Get(id uint64, now time.Duration) (*LingeringQuery, bool) {
 	return lq, true
 }
 
-// AllOfKind returns the unexpired lingering queries of the kind,
+// AllOfKind appends the unexpired lingering queries of the kind to dst,
 // sorted by query id.
-func (t *LQT) AllOfKind(kind wire.QueryKind, now time.Duration) []*LingeringQuery {
-	var out []*LingeringQuery
+func (t *LQT) AllOfKind(dst []*LingeringQuery, kind wire.QueryKind, now time.Duration) []*LingeringQuery {
+	from := len(dst)
 	for _, lq := range t.queries {
 		if lq.ExpireAt > now && lq.Query.Kind == kind {
-			out = append(out, lq)
+			dst = append(dst, lq)
 		}
 	}
-	slices.SortFunc(out, byQueryID)
-	return out
+	slices.SortFunc(dst[from:], byQueryID)
+	return dst
 }
 
 func byQueryID(a, b *LingeringQuery) int { return cmp.Compare(a.Query.ID, b.Query.ID) }
 
-// MatchItem returns unexpired lingering queries of the kind whose Item
-// descriptor equals the given item (CDI and chunk planes match on the
-// requested item, not on predicates). Sorted by query id.
-func (t *LQT) MatchItem(kind wire.QueryKind, itemKey string, now time.Duration) []*LingeringQuery {
-	var out []*LingeringQuery
+// MatchItem appends to dst the unexpired lingering queries of the kind
+// whose Item descriptor equals the given item (CDI and chunk planes match
+// on the requested item, not on predicates), sorted by query id.
+func (t *LQT) MatchItem(dst []*LingeringQuery, kind wire.QueryKind, itemKey string, now time.Duration) []*LingeringQuery {
+	from := len(dst)
 	for _, lq := range t.queries {
 		if lq.ExpireAt <= now || lq.Query.Kind != kind {
 			continue
@@ -181,10 +182,10 @@ func (t *LQT) MatchItem(kind wire.QueryKind, itemKey string, now time.Duration) 
 		if lq.Query.Item.Key() != itemKey {
 			continue
 		}
-		out = append(out, lq)
+		dst = append(dst, lq)
 	}
-	slices.SortFunc(out, byQueryID)
-	return out
+	slices.SortFunc(dst[from:], byQueryID)
+	return dst
 }
 
 // Expire removes expired queries (§III-A: "a lingering query stays in

@@ -78,7 +78,7 @@ func TestLQTOfferFilters(t *testing.T) {
 	}
 	// Kind filter: the data query with the same selector is a route
 	// only on its own plane.
-	if got := lqt.AllOfKind(wire.KindData, 0); len(got) != 1 || got[0].Query.ID != 3 {
+	if got := lqt.AllOfKind(nil, wire.KindData, 0); len(got) != 1 || got[0].Query.ID != 3 {
 		t.Fatalf("kind filtering broken: %d", len(got))
 	}
 }
@@ -91,16 +91,16 @@ func TestLQTOfferBloomPruning(t *testing.T) {
 	q := metaQuery(1, 10, attr.NewQuery())
 	q.Bloom = f
 	lq := lqt.Insert(q, time.Minute)
-	if v := lq.Offer(d, d.Key()); v != Suppressed {
-		t.Fatalf("entry in bloom: verdict %d", v)
+	if v := lq.Offer(d, d.Key()); v != Suppressed || lq.Bloom != f {
+		t.Fatalf("entry in bloom: verdict %d; the filter is shared until something is forwarded: %v", v, lq.Bloom == f)
 	}
 	other := attr.NewDescriptor().Set("ns", attr.String("b"))
 	if v := lq.Offer(other, other.Key()); v != Fresh {
 		t.Fatalf("entry outside bloom: verdict %d", v)
 	}
-	// Rewriting lands in the table's private clone, never in the filter
-	// of the shared, frozen query.
-	if !lq.Bloom.Contains(other.Key()) || f.Contains(other.Key()) {
+	// Rewriting lands in a private clone the first Fresh makes, never in
+	// the filter of the shared, frozen query.
+	if lq.Bloom == f || !lq.Bloom.Contains(other.Key()) || !lq.Bloom.Contains(d.Key()) || f.Contains(other.Key()) {
 		t.Fatal("Fresh verdict must rewrite the private filter only")
 	}
 }
@@ -110,13 +110,13 @@ func TestLQTMatchItem(t *testing.T) {
 	item := attr.NewDescriptor().Set("name", attr.String("v"))
 	q := &wire.Query{ID: 1, Kind: wire.KindCDI, Sender: 5, Item: item}
 	lqt.Insert(q, time.Minute)
-	if got := lqt.MatchItem(wire.KindCDI, item.Key(), 0); len(got) != 1 {
+	if got := lqt.MatchItem(nil, wire.KindCDI, item.Key(), 0); len(got) != 1 {
 		t.Fatalf("MatchItem = %d", len(got))
 	}
-	if got := lqt.MatchItem(wire.KindChunk, item.Key(), 0); len(got) != 0 {
+	if got := lqt.MatchItem(nil, wire.KindChunk, item.Key(), 0); len(got) != 0 {
 		t.Fatal("kind not filtered")
 	}
-	if got := lqt.MatchItem(wire.KindCDI, "other", 0); len(got) != 0 {
+	if got := lqt.MatchItem(nil, wire.KindCDI, "other", 0); len(got) != 0 {
 		t.Fatal("item key not filtered")
 	}
 }
@@ -127,7 +127,7 @@ func TestLQTAllOfKindSorted(t *testing.T) {
 		lqt.Insert(metaQuery(id, 1, attr.NewQuery()), time.Minute)
 	}
 	lqt.Insert(metaQuery(7, 1, attr.NewQuery()), -time.Second) // expired
-	got := lqt.AllOfKind(wire.KindMetadata, 0)
+	got := lqt.AllOfKind(nil, wire.KindMetadata, 0)
 	if len(got) != 3 {
 		t.Fatalf("AllOfKind = %d", len(got))
 	}
