@@ -38,7 +38,8 @@ lint:
 # messages end to end, so they cannot rot (their guards are plain tests
 # and already ran), the serve pass's micro-benchmarks (index
 # walk, sorted insert, one pass, one Bloom test, one heard query) and the simulator's (a
-# fired event by Schedule and by Timer, a frame through the medium)
+# fired event by Schedule and by Timer, a frame through the medium) and
+# the face's (a window of eight frames and their acks over loopback TCP)
 # likewise, and last the nested benchmarks/ module, which `./...` does
 # not reach.
 verify: lint
@@ -49,6 +50,7 @@ verify: lint
 	$(GO) test ./internal/link -run '^$$' -bench 'HandleIncoming|AckedStream' -benchtime 100x -benchmem
 	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains|HearQuery' -benchtime 100x -benchmem
 	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
+	$(GO) test ./internal/face -run '^$$' -bench FaceBurst -benchtime 100x -benchmem
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
 

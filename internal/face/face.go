@@ -32,14 +32,21 @@ var errDialFault = errors.New("face: injected dial fault")
 // Face is one unicast adjacency: a dialed face owns a supervisor
 // goroutine that keeps the connection alive (backoff redial, breaker),
 // an accepted face lives for one connection. All faces share the
-// mesh's receive path and fan-out.
+// mesh's receive path and are fed by its Send.
 type Face struct {
 	m      *Mesh
 	addr   string // dial address; remote address for accepted faces
 	dialed bool
 	rng    *rand.Rand // backoff jitter; supervisor goroutine only
 
-	outbox   chan []byte
+	// The two outbound queues, each bounded by OutboxFrames: listed
+	// holds what someone waits for (frames whose receiver list names the
+	// peer or names nobody, acks, pongs), overhear the copies of frames
+	// addressed to other peers. The writer takes both whole per wake-up.
+	qmu      sync.Mutex
+	listed   [][]byte
+	overhear [][]byte
+	wake     chan struct{} // one slot: something was queued since the writer last looked
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
@@ -59,7 +66,7 @@ func newDialedFace(m *Mesh, addr string) *Face {
 		addr:   addr,
 		dialed: true,
 		rng:    rand.New(rand.NewSource(m.cfg.Seed ^ int64(h.Sum64()))),
-		outbox: make(chan []byte, m.cfg.OutboxFrames),
+		wake:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 	}
 }
@@ -68,7 +75,7 @@ func newAcceptedFace(m *Mesh, conn net.Conn) *Face {
 	return &Face{
 		m:      m,
 		addr:   conn.RemoteAddr().String(),
-		outbox: make(chan []byte, m.cfg.OutboxFrames),
+		wake:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 	}
 }
@@ -112,29 +119,40 @@ func (f *Face) peerID() wire.NodeID {
 	return f.peer
 }
 
-// enqueue offers a frame to the face's writer; full outboxes drop.
-func (f *Face) enqueue(frame []byte) bool {
+// enqueue offers a frame to the face's writer, on the listed queue or
+// the overhear one; a full queue refuses it.
+func (f *Face) enqueue(frame []byte, listed bool) bool {
 	if f.stopped() {
 		return false
 	}
-	select {
-	case f.outbox <- frame:
-		return true
-	default:
+	q := &f.overhear
+	if listed {
+		q = &f.listed
+	}
+	f.qmu.Lock()
+	if len(*q) >= f.m.cfg.OutboxFrames {
+		f.qmu.Unlock()
 		return false
 	}
+	*q = append(*q, frame)
+	f.qmu.Unlock()
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+	return true
 }
 
-// drainOutbox discards frames queued for a connection that died; a
-// reconnected face starts clean instead of replaying stale traffic.
-func (f *Face) drainOutbox() {
-	for {
-		select {
-		case <-f.outbox:
-		default:
-			return
-		}
-	}
+// take moves everything queued onto batch, listed frames ahead of
+// overhear copies, and lets go of them.
+func (f *Face) take(batch [][]byte) [][]byte {
+	f.qmu.Lock()
+	batch = append(append(batch, f.listed...), f.overhear...)
+	clear(f.listed)
+	clear(f.overhear)
+	f.listed, f.overhear = f.listed[:0], f.overhear[:0]
+	f.qmu.Unlock()
+	return batch
 }
 
 // noteReason records the first teardown cause of the current
@@ -322,7 +340,9 @@ func (f *Face) runConn(conn net.Conn) string {
 	}
 	fails := f.fails + 1
 	f.mu.Unlock()
-	f.drainOutbox()
+	// Frames queued for the connection that died go with it: a
+	// reconnected face starts clean instead of replaying stale traffic.
+	f.take(nil)
 	if f.stopped() {
 		reason = reasonClosed
 	}
@@ -330,68 +350,91 @@ func (f *Face) runConn(conn net.Conn) string {
 	return reason
 }
 
-// writeLoop owns all writes on the connection: outbox frames plus
-// heartbeat pings. Every write carries a deadline; a blocked or dead
-// peer tears the connection down instead of wedging the mesh.
+// writeLoop owns all writes on the connection. Each time it wakes — a
+// frame was queued, or a heartbeat is due — it takes everything the two
+// queues hold, never waiting for more, and issues one write for the lot:
+// listed frames first, overhear copies after, the ping last. Every write
+// carries a deadline; a blocked or dead peer tears the connection down
+// instead of wedging the mesh.
 func (f *Face) writeLoop(conn net.Conn, done chan struct{}) {
-	cfg := &f.m.cfg
-	hb := time.NewTicker(cfg.HeartbeatEvery)
+	hb := time.NewTicker(f.m.cfg.HeartbeatEvery)
 	defer hb.Stop()
+	var batch [][]byte
+	bufs := new(net.Buffers) // what one write consumes; batch keeps the backing array
 	for {
+		ping := false
 		select {
 		case <-done:
 			return
 		case <-f.stopCh:
 			return
-		case frame := <-f.outbox:
-			if !f.writeFrame(conn, frame, true) {
-				conn.Close()
-				return
-			}
+		case <-f.wake:
 		case <-hb.C:
-			if !f.writeFrame(conn, pingFrame, false) {
-				conn.Close()
-				return
-			}
+			ping = true
 		}
+		batch = f.take(batch[:0])
+		if ping {
+			batch = append(batch, pingFrame)
+		}
+		if len(batch) > 0 && !f.writeBatch(conn, batch, bufs) {
+			conn.Close()
+			return
+		}
+		clear(batch)
 	}
 }
 
-func (f *Face) writeFrame(conn net.Conn, frame []byte, isMsg bool) bool {
+// writeBatch writes the frames in one call. Chaos draws once per message
+// frame, in queue order; a hit cuts the batch there — what was queued
+// ahead of it is still written — and fails the connection.
+func (f *Face) writeBatch(conn net.Conn, batch [][]byte, bufs *net.Buffers) bool {
 	cfg := &f.m.cfg
-	if isMsg && cfg.Chaos != nil {
-		reset, stall := cfg.Chaos.ConnFault(f.addr)
-		if reset {
-			f.noteReason(reasonReset)
-			f.m.count(func(s *Stats) { s.ConnResets++ })
-			return false
+	reset, stall := false, false
+	if cfg.Chaos != nil {
+		for i, frame := range batch {
+			if frame[lenSize] != frameMsg {
+				continue
+			}
+			if reset, stall = cfg.Chaos.ConnFault(f.addr); reset || stall {
+				batch = batch[:i]
+				break
+			}
 		}
-		if stall {
-			// Simulate a peer that stopped draining: park until the
-			// write deadline would have fired, then fail like one.
-			if f.sleep(cfg.WriteTimeout) {
+	}
+	if len(batch) > 0 {
+		*bufs = batch
+		conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+		n, err := bufs.WriteTo(conn)
+		if err != nil {
+			if isTimeout(err) {
 				f.noteReason(reasonWriteTime)
 				f.m.count(func(s *Stats) { s.WriteTimeouts++ })
+			} else {
+				f.noteReason(reasonWrite)
+				f.m.count(func(s *Stats) { s.ConnResets++ })
 			}
 			return false
 		}
+		f.m.count(func(s *Stats) {
+			s.Writes++
+			s.FramesSent += uint64(len(batch))
+			s.BytesSent += uint64(n)
+		})
 	}
-	conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-	n, err := conn.Write(frame)
-	if err != nil {
-		if isTimeout(err) {
+	switch {
+	case reset:
+		f.noteReason(reasonReset)
+		f.m.count(func(s *Stats) { s.ConnResets++ })
+		return false
+	case stall:
+		// Simulate a peer that stopped draining: park until the write
+		// deadline would have fired, then fail like one.
+		if f.sleep(cfg.WriteTimeout) {
 			f.noteReason(reasonWriteTime)
 			f.m.count(func(s *Stats) { s.WriteTimeouts++ })
-		} else {
-			f.noteReason(reasonWrite)
-			f.m.count(func(s *Stats) { s.ConnResets++ })
 		}
 		return false
 	}
-	f.m.count(func(s *Stats) {
-		s.FramesSent++
-		s.BytesSent += uint64(n)
-	})
 	return true
 }
 
@@ -400,8 +443,16 @@ func (f *Face) writeFrame(conn net.Conn, frame []byte, isMsg bool) bool {
 func (f *Face) readLoop(conn net.Conn, br *bufio.Reader, buf []byte) {
 	cfg := &f.m.cfg
 	idle := cfg.HeartbeatEvery * time.Duration(cfg.HeartbeatMiss+1)
+	var armed time.Time
 	for {
-		conn.SetReadDeadline(time.Now().Add(idle))
+		// The idle deadline is re-armed by the clock, not by the frame:
+		// at most half a heartbeat stale, so a silent peer is torn down
+		// between HeartbeatMiss and HeartbeatMiss+1 intervals after its
+		// last frame.
+		if now := time.Now(); now.Sub(armed) >= cfg.HeartbeatEvery/2 {
+			conn.SetReadDeadline(now.Add(idle))
+			armed = now
+		}
 		typ, body, nbuf, err := readFrame(br, buf, cfg.MaxFrame)
 		buf = nbuf
 		if err != nil {
@@ -420,10 +471,10 @@ func (f *Face) readLoop(conn net.Conn, br *bufio.Reader, buf []byte) {
 		})
 		switch typ {
 		case framePing:
-			f.enqueue(pongFrame)
+			f.enqueue(pongFrame, true)
 		case framePong, frameHello:
-			// Keepalive answer / late hello: any inbound data already
-			// reset the idle deadline.
+			// Keepalive answer / late hello: reading it is what counts,
+			// the idle deadline moves with whatever arrives.
 		case frameMsg:
 			msg, err := wire.DecodeChecked(body)
 			if err != nil {

@@ -496,15 +496,11 @@ func TestDialedFacesStayInAddressOrder(t *testing.T) {
 // winning, faces whose peer announced no id all served — and that a
 // Send allocates the frame and nothing else.
 func TestSendFanOut(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.ListenAddr = ""
-	m, err := NewMesh(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := stubMesh(t, 4096)
 	up := func(addr string, peer wire.NodeID) *Face {
-		return &Face{m: m, addr: addr, outbox: make(chan []byte, 4096), stopCh: make(chan struct{}), up: true, peer: peer}
+		f := stubFace(m, addr, peer)
+		f.listed = make([][]byte, 0, 4096)
+		return f
 	}
 	a, b, c := up("10.0.0.1:1", 2), up("10.0.0.2:1", 3), up("10.0.0.3:1", 2) // c reaches a's peer again
 	down := up("10.0.0.4:1", 4)
@@ -525,7 +521,7 @@ func TestSendFanOut(t *testing.T) {
 		want int
 	}{{"a", a, 1}, {"b", b, 1}, {"c (same peer as a)", c, 0}, {"down", down, 0},
 		{"anon1", anon1, 1}, {"anon2", anon2, 1}, {"accepted, peer already dialed", accDup, 0}, {"accepted, new peer", accNew, 1}} {
-		if got := len(tc.f.outbox); got != tc.want {
+		if got := len(tc.f.listed) + len(tc.f.overhear); got != tc.want {
 			t.Errorf("face %s got %d frames, want %d", tc.name, got, tc.want)
 		}
 	}

@@ -55,13 +55,16 @@ func encodeMsgFrame(msg *wire.Message) ([]byte, error) {
 
 // readFrame reads one frame from r into buf (grown as needed) and
 // returns the type, the body (aliasing buf — valid until the next
-// call), and the grown buffer.
+// call), and the grown buffer. The length prefix is read into buf too: a
+// warm reader allocates nothing.
 func readFrame(r io.Reader, buf []byte, maxFrame int) (typ byte, body, out []byte, err error) {
-	var hdr [lenSize]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < lenSize {
+		buf = make([]byte, lenSize)
+	}
+	if _, err = io.ReadFull(r, buf[:lenSize]); err != nil {
 		return 0, nil, buf, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(buf[:lenSize]))
 	if n < 1 || n > maxFrame {
 		return 0, nil, buf, fmt.Errorf("%w: %d", errFrameLength, n)
 	}

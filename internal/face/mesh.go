@@ -8,12 +8,18 @@
 // consecutive-failure circuit breaker that reports the peer to the
 // neighbor-health blacklist) and accepted ones from its listener.
 //
-// Send fans every frame out to all up faces, one frame per distinct
-// peer, so the protocol's broadcast-shaped behaviors — overhearing,
-// lingering-query matching at relays, Bloom rewriting — run unchanged
-// over unicast: the mesh is the neighborhood. A mesh is a carrier and
-// nothing more: every message, fragments included, goes through the one
-// wire encode path into a length-prefixed, CRC-checked frame.
+// Send gives every up peer a copy of every frame but an ack, so the
+// protocol's broadcast-shaped behaviors — overhearing, lingering-query
+// matching at relays, Bloom rewriting — run unchanged over unicast: the
+// mesh is the neighborhood. Three rules make that affordable over
+// point-to-point faces. An ack goes to the one face that can use it, the
+// transmitter its MsgID names. A copy for a peer the frame's receiver
+// list does not name waits in a queue of its own, behind everything a
+// receiver is waiting for, and is what a burst drops. And a face's writer
+// puts everything queued when it wakes into one write. A mesh is a
+// carrier and nothing more: every message, fragments included, goes
+// through the one wire encode path into a length-prefixed, CRC-checked
+// frame.
 package face
 
 import (
@@ -52,7 +58,7 @@ type Config struct {
 	MaxFrame int
 	// DialTimeout bounds one dial attempt.
 	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline; a blocked peer
+	// WriteTimeout is the deadline of one write; a blocked peer
 	// socket counts as a connection failure instead of wedging the
 	// writer.
 	WriteTimeout time.Duration
@@ -76,8 +82,9 @@ type Config struct {
 	// BreakerCooldown.
 	BreakerAfter    int
 	BreakerCooldown time.Duration
-	// OutboxFrames bounds each face's send queue; full queues drop
-	// frames (counted, traced) rather than block the protocol.
+	// OutboxFrames bounds each of a face's two queues (listed frames,
+	// overhear copies); a full queue drops (counted, traced) rather than
+	// block the protocol.
 	OutboxFrames int
 	// Seed drives the backoff jitter; identical seeds and failure
 	// sequences produce identical retry schedules.
@@ -165,7 +172,9 @@ type Stats struct {
 	EncodeErrors   uint64
 	ChecksumErrors uint64
 	DecodeErrors   uint64
-	OutboxDrops    uint64
+	OutboxDrops    uint64 // frame copies refused by a full queue, either class
+	OverhearDrops  uint64 // the share of OutboxDrops nobody was waiting for (copies for unlisted peers)
+	Writes         uint64 // write calls issued; FramesSent / Writes is the coalescing ratio
 
 	FacesUp    int // gauge: faces past the hello exchange
 	PeersKnown int // gauge: configured dial targets
@@ -183,7 +192,7 @@ type Mesh struct {
 	recv     func(*wire.Message)
 	onDown   func(wire.NodeID)
 	tr       *trace.NodeTracer
-	dialed   []*Face // in dial-address order, which is Send's fan-out order
+	dialed   []*Face // in dial-address order, which is the order Send walks them in
 	accepted map[*Face]struct{}
 	closed   bool
 	stats    Stats
@@ -334,12 +343,16 @@ func (m *Mesh) WaitReady(n int, timeout time.Duration) bool {
 	}
 }
 
-// Send fans the frame out to every up face, one transmission per
-// distinct peer (a peer reachable over both a dialed and an accepted
-// face gets the frame once, over the dialed one). The message is
-// encoded exactly once; faces share the framed bytes read-only. It
-// reports false when the frame could not be encoded or any face's
-// outbox dropped it.
+// Send encodes the message once and queues the framed bytes, shared
+// read-only, on the up faces that can use them, one per distinct peer (a
+// peer reachable over both a dialed and an accepted face is served over
+// the dialed one; peers that announced no id all count as distinct and
+// as listed). An ack goes to the face of the peer whose frame it
+// acknowledges and to no other. Any other frame goes to every peer: on
+// the listed queue where its receiver list names the peer or is empty, on
+// the overhear queue elsewhere. Send reports false when the message could
+// not be encoded or a listed copy was refused by a full queue; a refused
+// overhear copy is counted and traced and nobody's loss.
 func (m *Mesh) Send(msg *wire.Message) bool {
 	frame, err := encodeMsgFrame(msg)
 	if err != nil {
@@ -350,18 +363,25 @@ func (m *Mesh) Send(msg *wire.Message) bool {
 		tr.TransportDrop(msg, 0, "encode")
 		return false
 	}
+	isAck := msg.Type == wire.TypeAck
+	var acked wire.NodeID
+	if isAck {
+		acked = wire.TransmitNode(msg.Ack.MsgID)
+	}
+	receivers := msg.Receivers()
 
-	// Snapshot the target faces under the lock, enqueue after
-	// releasing it (outbox sends must not happen under mu). Up to 16
-	// faces the snapshot and the peers it already reaches stay on the
-	// stack; peers that announced no id (0) all count as distinct.
+	// Snapshot the target faces under the lock, enqueue after releasing
+	// it. Up to 16 faces the snapshot and the peers it already reaches
+	// stay on the stack.
 	var faceBuf [16]*Face
 	var peerBuf [16]wire.NodeID
 	targets, peers := faceBuf[:0], peerBuf[:0]
 	add := func(f *Face) {
-		if up, peer := f.upPeer(); up && (peer == 0 || !slices.Contains(peers, peer)) {
-			targets, peers = append(targets, f), append(peers, peer)
+		up, peer := f.upPeer()
+		if !up || peer != 0 && (slices.Contains(peers, peer) || isAck && peer != acked) {
+			return
 		}
+		targets, peers = append(targets, f), append(peers, peer)
 	}
 	m.mu.Lock()
 	for _, f := range m.dialed {
@@ -372,23 +392,29 @@ func (m *Mesh) Send(msg *wire.Message) bool {
 	}
 	tr := m.tr
 	m.mu.Unlock()
+	if len(targets) == 0 {
+		return true
+	}
 
-	ok := true
-	for _, f := range targets {
-		if !f.enqueue(frame) {
-			ok = false
-			m.mu.Lock()
-			m.stats.OutboxDrops++
-			m.mu.Unlock()
+	var listedDrops, overhearDrops uint64
+	for i, f := range targets {
+		listed := len(receivers) == 0 || peers[i] == 0 || slices.Contains(receivers, peers[i])
+		switch {
+		case f.enqueue(frame, listed):
+		case listed:
+			listedDrops++
 			tr.TransportDrop(msg, len(frame), "outbox")
+		default:
+			overhearDrops++
+			tr.TransportDrop(msg, len(frame), "overhear")
 		}
 	}
-	if len(targets) > 0 {
-		m.mu.Lock()
-		m.stats.MsgsSent++
-		m.mu.Unlock()
-	}
-	return ok
+	m.mu.Lock()
+	m.stats.MsgsSent++
+	m.stats.OutboxDrops += listedDrops + overhearDrops
+	m.stats.OverhearDrops += overhearDrops
+	m.mu.Unlock()
+	return listedDrops == 0
 }
 
 // deliver hands a decoded message to the receiver.

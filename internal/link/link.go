@@ -239,7 +239,7 @@ func (l *Link) sendFragmented(msg *wire.Message, size int) {
 	receivers := msg.Receivers()
 	job := &fragJob{
 		whole:     msg,
-		origID:    uint64(l.self)<<32 | l.nextTransmit,
+		origID:    wire.NewTransmitID(l.self, l.nextTransmit),
 		receivers: append([]wire.NodeID(nil), receivers...),
 		size:      size,
 		count:     (size + l.cfg.FragmentBytes - 1) / l.cfg.FragmentBytes,
@@ -347,7 +347,7 @@ func (l *Link) sendFrame(msg *wire.Message, job *fragJob) {
 	l.nextTransmit++
 	receivers := msg.Receivers()
 	needAck := l.cfg.AckEnabled && len(receivers) > 0 && msg.Type != wire.TypeAck
-	msg.Stamp(uint64(l.self)<<32|l.nextTransmit, l.self, !needAck)
+	msg.Stamp(wire.NewTransmitID(l.self, l.nextTransmit), l.self, !needAck)
 
 	if needAck {
 		p := l.getPending(msg, job)
@@ -560,7 +560,7 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		f.Message = wire.Message{Type: wire.TypeAck, Ack: &f.ack}
 		l.nextTransmit++
 		ack := &f.Message
-		ack.Stamp(uint64(l.self)<<32|l.nextTransmit, l.self, true)
+		ack.Stamp(wire.NewTransmitID(l.self, l.nextTransmit), l.self, true)
 		l.stats.AcksSent++
 		if j := l.cfg.Jitter(l.cfg.AckJitterMax); j > 0 {
 			l.getPending(ack, nil).timer.Reset(j)

@@ -575,7 +575,7 @@ func (nt *NodeTracer) FaceBreaker(peer wire.NodeID, failures int, addr string) {
 
 // TransportDrop records an outbound frame dropped at a transport. class
 // must be a pre-existing string naming the error class ("encode",
-// "write", "outbox").
+// "write", "outbox", "overhear").
 func (nt *NodeTracer) TransportDrop(m *wire.Message, size int, class string) {
 	if nt == nil {
 		return

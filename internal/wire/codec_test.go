@@ -284,3 +284,32 @@ func TestCloneIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestTransmitIDLayout pins the one layout of a TransmitID: the node in
+// the high half, its counter in the low, each read back whole — a counter
+// below 2³² never reaches the node half.
+func TestTransmitIDLayout(t *testing.T) {
+	for _, tc := range []struct {
+		node NodeID
+		seq  uint64
+		want uint64
+	}{
+		{0, 0, 0},
+		{1, 1, 1<<32 | 1},
+		{7, 0, 7 << 32},
+		{3, 1<<32 - 1, 3<<32 | 0xffffffff},
+		{1<<32 - 1, 1<<32 - 1, 1<<64 - 1},
+		{0x80000000, 5, 0x80000000<<32 | 5},
+	} {
+		id := NewTransmitID(tc.node, tc.seq)
+		if id != tc.want {
+			t.Errorf("NewTransmitID(%d, %d) = %#x, want %#x", tc.node, tc.seq, id, tc.want)
+		}
+		if got := TransmitNode(id); got != tc.node {
+			t.Errorf("TransmitNode(%#x) = %d, want %d", id, got, tc.node)
+		}
+		if got := id & 0xffffffff; got != tc.seq {
+			t.Errorf("low half of %#x = %d, want the counter %d", id, got, tc.seq)
+		}
+	}
+}

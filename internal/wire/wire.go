@@ -302,7 +302,9 @@ type Message struct {
 	Type MessageType
 	// TransmitID identifies this logical transmission for per-hop
 	// ack/retransmission. Retransmissions of the same content keep the
-	// same TransmitID so receivers can deduplicate.
+	// same TransmitID so receivers can deduplicate. The link mints it
+	// with NewTransmitID, so an id names its transmitter (TransmitNode):
+	// an Ack's MsgID says who is waiting for it.
 	TransmitID uint64
 	// From is the transmitting node.
 	From NodeID
@@ -315,6 +317,14 @@ type Message struct {
 	Ack      *Ack
 	Fragment *Fragment
 }
+
+// NewTransmitID is the one layout of a TransmitID (and of a fragment
+// job's OrigID): the minting node in the high 32 bits, its send counter
+// below.
+func NewTransmitID(node NodeID, seq uint64) uint64 { return uint64(node)<<32 | seq }
+
+// TransmitNode returns the node that minted id.
+func TransmitNode(id uint64) NodeID { return NodeID(id >> 32) }
 
 // Stamp is the link layer's final build step: it assigns the per-hop
 // envelope — TransmitID, transmitting node and ack expectation — just

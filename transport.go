@@ -76,7 +76,8 @@ func DefaultFaceConfig(addr string) FaceConfig { return face.DefaultConfig(addr)
 
 // NewFaceTransport opens a supervised TCP unicast mesh: it listens on
 // cfg.ListenAddr (when set) and supervises a dialed face to every
-// peer address. The mesh fans each frame out to all up faces, so the
+// peer address. Every up peer gets a copy of every frame but an ack —
+// which goes to the peer whose frame it acknowledges — so the
 // protocol's broadcast-shaped behaviors — overhearing, lingering
 // queries, Bloom rewriting — run unchanged over unicast.
 func NewFaceTransport(cfg FaceConfig, peerAddrs ...string) (*FaceMesh, error) {
