@@ -37,7 +37,8 @@ lint:
 # hundred frames per window size and a hundred acknowledged 256 KB
 # messages end to end, so they cannot rot (their guards are plain tests
 # and already ran), the serve pass's micro-benchmarks (index
-# walk, sorted insert, one pass, one Bloom test, one heard query) and the simulator's (a
+# walk, sorted insert, one pass, one Bloom test, one heard query, one
+# CDI response's pairs) and the simulator's (a
 # fired event by Schedule and by Timer, a frame through the medium) and
 # the face's (a window of eight frames and their acks over loopback TCP)
 # likewise, and last the nested benchmarks/ module, which `./...` does
@@ -48,7 +49,7 @@ verify: lint
 	$(GO) test ./...
 	$(GO) test -race ./...
 	$(GO) test ./internal/link -run '^$$' -bench 'HandleIncoming|AckedStream' -benchtime 100x -benchmem
-	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains|HearQuery' -benchtime 100x -benchmem
+	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains|HearQuery|CDIPairs' -benchtime 100x -benchmem
 	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
 	$(GO) test ./internal/face -run '^$$' -bench FaceBurst -benchtime 100x -benchmem
 	$(GO) vet -C benchmarks ./...

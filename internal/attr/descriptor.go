@@ -142,6 +142,24 @@ func (d Descriptor) ItemDescriptor() Descriptor {
 	return newDescriptor(out)
 }
 
+// ItemKey returns ItemDescriptor().Key(). chunkid sorts before every
+// standard attribute name, so the key of a standard chunk descriptor
+// opens with the chunk id's segment (name length, name, value) and the
+// item key is the rest of it, returned without building anything.
+//
+//pds:hotpath
+func (d Descriptor) ItemKey() string {
+	const name = "\x07" + AttrChunkID
+	v, ok := d.attrs[AttrChunkID]
+	switch {
+	case !ok:
+		return d.Key()
+	case strings.HasPrefix(d.key, name):
+		return d.key[len(name)+v.encodedSize():]
+	}
+	return d.ItemDescriptor().Key()
+}
+
 // Equal reports whether two descriptors have identical attribute sets.
 func (d Descriptor) Equal(o Descriptor) bool {
 	if d.key != "" && o.key != "" {

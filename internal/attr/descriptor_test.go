@@ -68,6 +68,37 @@ func TestChunkDescriptors(t *testing.T) {
 	}
 }
 
+// TestItemKey holds ItemKey to ItemDescriptor().Key() over random
+// descriptors — with and without a chunk id of any kind, with names
+// sorting before and after chunkid — and pins a standard chunk
+// descriptor's item key to no allocation.
+func TestItemKey(t *testing.T) {
+	names := []string{"a", "chunk", "chunkic", "chunkidx", AttrDataType, AttrName, AttrTime, AttrTotalChunks}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		d := NewDescriptor()
+		for n := rng.Intn(5); n > 0; n-- {
+			d = d.Set(names[rng.Intn(len(names))], randomValue(rng))
+		}
+		switch rng.Intn(3) {
+		case 0:
+			d = d.WithChunk(rng.Intn(1 << 20))
+		case 1:
+			d = d.Set(AttrChunkID, randomValue(rng))
+		}
+		if got, want := d.ItemKey(), d.ItemDescriptor().Key(); got != want {
+			t.Fatalf("%s: ItemKey %q, ItemDescriptor().Key() %q", d, got, want)
+		}
+	}
+	if (Descriptor{}).ItemKey() != "" {
+		t.Fatal("the zero descriptor has an item key")
+	}
+	c := sampleDescriptor().Set(AttrTotalChunks, Int(10)).WithChunk(7)
+	if got := testing.AllocsPerRun(100, func() { c.ItemKey() }); got != 0 {
+		t.Errorf("ItemKey of a standard chunk descriptor: %v allocs", got)
+	}
+}
+
 func TestDescriptorKeyEquality(t *testing.T) {
 	a := sampleDescriptor()
 	b := NewDescriptor().

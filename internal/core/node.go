@@ -219,6 +219,10 @@ type Node struct {
 	keep      []int
 	receivers []wire.NodeID
 	serves    []wire.Serve
+	// chunks and pairs are cdiPairsFor's scratch: the chunks held here,
+	// then those and the table's pairs, sorted together and compacted.
+	chunks []int
+	pairs  []wire.CDIPair
 	// discSessions are this node's active discovery/collection
 	// sessions; responses are delivered to them by selector match.
 	discSessions []*session

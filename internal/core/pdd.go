@@ -444,7 +444,7 @@ func (n *Node) cacheResponse(r *wire.Response, now time.Duration) {
 				// duplicate delivery; stores below are idempotent.
 				n.stats.ChunkDupDeliveries++
 			}
-			if _, mine := n.retrievals[b.Desc.ItemDescriptor().Key()]; mine {
+			if _, mine := n.retrievals[b.Desc.ItemKey()]; mine {
 				// Chunks of an item this node is actively retrieving are
 				// the retrieval's output, not opportunistic cache.
 				n.ds.PutPayloadOwned(b.Desc, b.Payload)

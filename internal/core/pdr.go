@@ -65,6 +65,8 @@ type retrieval struct {
 	// window is this session's request-window size (chunks requested
 	// but undelivered); 0 falls back to Config.OutstandingChunks.
 	window int
+	// gaps is the buffer missing fills.
+	gaps []int
 
 	phase         int // 1 = CDI retrieval, 2 = chunk retrieval
 	rounds        int
@@ -176,7 +178,7 @@ func (n *Node) RetrieveWithOptions(item attr.Descriptor, opts RetrieveOptions, c
 // returns whether a session was cancelled. Streaming drivers use it to
 // abandon segments the playhead has irrecoverably passed.
 func (n *Node) CancelRetrieve(item attr.Descriptor) bool {
-	r, ok := n.retrievals[item.ItemDescriptor().Key()]
+	r, ok := n.retrievals[item.ItemKey()]
 	if !ok || r.done {
 		return false
 	}
@@ -184,22 +186,32 @@ func (n *Node) CancelRetrieve(item attr.Descriptor) bool {
 	return true
 }
 
-// missing returns the chunk ids not yet held locally, sorted.
+// missing returns the chunk ids not yet held locally, sorted, in the
+// session's own buffer: the next call overwrites it, so no caller may
+// hold the result across a call that can re-enter the session.
+//
+//pds:hotpath
 func (r *retrieval) missing() []int {
-	held := make(map[int]bool)
-	for _, c := range r.n.ds.ChunksHeld(r.itemKey) {
-		held[c] = true
-	}
-	var out []int
+	r.gaps = r.gaps[:0]
 	for c := 0; c < r.total; c++ {
-		if !held[c] {
-			out = append(out, c)
+		if !r.n.ds.HoldsChunk(r.itemKey, c) {
+			r.gaps = append(r.gaps, c)
 		}
 	}
-	return out
+	return r.gaps
 }
 
-func (r *retrieval) complete() bool { return len(r.missing()) == 0 }
+// complete reports whether every chunk is held locally.
+//
+//pds:hotpath
+func (r *retrieval) complete() bool {
+	for c := 0; c < r.total; c++ {
+		if !r.n.ds.HoldsChunk(r.itemKey, c) {
+			return false
+		}
+	}
+	return true
+}
 
 // startCDIRound floods a CDI query for the item (phase 1, §IV-A).
 func (r *retrieval) startCDIRound() {
@@ -427,7 +439,7 @@ func (r *retrieval) finish(now time.Duration) {
 // notifyChunk is called when a chunk payload lands in the store; it
 // completes sessions and resets watchdogs.
 func (n *Node) notifyChunk(chunkDesc attr.Descriptor, now time.Duration) {
-	itemKey := chunkDesc.ItemDescriptor().Key()
+	itemKey := chunkDesc.ItemKey()
 	r, ok := n.retrievals[itemKey]
 	if !ok || r.done {
 		return
@@ -462,24 +474,18 @@ func (n *Node) notifyCDI(itemKey string, now time.Duration) {
 // --- CDI plane -----------------------------------------------------
 
 // cdiPairsFor merges locally held chunks (hop 0) with the CDI table's
-// pairs: the contents of a CDI response from this node (§IV-A).
+// pairs: the contents of a CDI response from this node (§IV-A). Both
+// lists are read into node scratch, held chunks first, so the stable
+// sort keeps a held chunk ahead of the table's pair for it and Compact
+// keeps that one; the response gets an exact-size copy.
 func (n *Node) cdiPairsFor(itemKey string, now time.Duration) []wire.CDIPair {
-	local := n.ds.ChunksHeld(itemKey)
-	pairs := n.cdi.Pairs(itemKey, now)
-	merged := make(map[int]int, len(local)+len(pairs))
-	for _, p := range pairs {
-		merged[p.ChunkID] = p.HopCount
+	n.chunks, n.pairs = n.ds.AppendChunksHeld(n.chunks[:0], itemKey), n.pairs[:0]
+	for _, c := range n.chunks {
+		n.pairs = append(n.pairs, wire.CDIPair{ChunkID: c})
 	}
-	for _, c := range local {
-		merged[c] = 0
-	}
-	out := make([]wire.CDIPair, 0, len(merged))
-	for c, h := range merged {
-		out = append(out, wire.CDIPair{ChunkID: c, HopCount: h})
-	}
-	// One pair per key of merged: chunk ids cannot tie.
-	slices.SortFunc(out, func(a, b wire.CDIPair) int { return cmp.Compare(a.ChunkID, b.ChunkID) })
-	return out
+	n.pairs = n.cdi.AppendPairs(n.pairs, itemKey, now)
+	slices.SortStableFunc(n.pairs, func(a, b wire.CDIPair) int { return cmp.Compare(a.ChunkID, b.ChunkID) })
+	return slices.Clone(slices.CompactFunc(n.pairs, func(a, b wire.CDIPair) bool { return a.ChunkID == b.ChunkID }))
 }
 
 // respondCDI answers a CDI query from local chunks and CDI entries.

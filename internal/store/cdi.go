@@ -84,26 +84,24 @@ func (t *CDITable) Lookup(itemKey string, chunkID int, now time.Duration) []CDIE
 	return out
 }
 
-// Pairs returns one ChunkID-HopCount pair per chunk of the item with an
-// unexpired entry, sorted by chunk id — the payload of a CDI response
-// (§IV-A).
-func (t *CDITable) Pairs(itemKey string, now time.Duration) []wire.CDIPair {
-	chunks, ok := t.items[itemKey]
-	if !ok {
-		return nil
-	}
-	var out []wire.CDIPair
-	for cid, entries := range chunks {
+// AppendPairs appends to dst one ChunkID-HopCount pair per chunk of the
+// item with an unexpired entry, sorted by chunk id — the routed part of
+// a CDI response (§IV-A). It allocates nothing when dst has the room.
+//
+//pds:hotpath
+func (t *CDITable) AppendPairs(dst []wire.CDIPair, itemKey string, now time.Duration) []wire.CDIPair {
+	n := len(dst)
+	for cid, entries := range t.items[itemKey] {
 		for _, e := range entries {
 			if e.ExpireAt > now {
-				out = append(out, wire.CDIPair{ChunkID: cid, HopCount: e.HopCount})
+				dst = append(dst, wire.CDIPair{ChunkID: cid, HopCount: e.HopCount})
 				break
 			}
 		}
 	}
 	// One pair per key of the chunks map: chunk ids cannot tie.
-	slices.SortFunc(out, func(a, b wire.CDIPair) int { return cmp.Compare(a.ChunkID, b.ChunkID) })
-	return out
+	slices.SortFunc(dst[n:], func(a, b wire.CDIPair) int { return cmp.Compare(a.ChunkID, b.ChunkID) })
+	return dst
 }
 
 // prune drops the entries keep rejects from one item's rows, and the

@@ -60,14 +60,14 @@ func TestCDIExpiry(t *testing.T) {
 	if next := tbl.Expire(11 * time.Second); next != 20*time.Second {
 		t.Fatalf("Expire: next %v, want the surviving entry's 20s", next)
 	}
-	if got := tbl.Pairs("item", 0); len(got) != 1 || got[0].ChunkID != 1 {
-		t.Fatalf("Pairs after first expire = %v", got)
+	if got := tbl.AppendPairs(nil, "item", 0); len(got) != 1 || got[0].ChunkID != 1 {
+		t.Fatalf("AppendPairs after first expire = %v", got)
 	}
 	if next := tbl.Expire(20 * time.Second); next != clock.Never {
 		t.Fatalf("Expire left a deadline at %v", next)
 	}
-	if got := tbl.Pairs("item", 0); len(got) != 0 {
-		t.Fatalf("Pairs after expire = %v", got)
+	if got := tbl.AppendPairs(nil, "item", 0); len(got) != 0 {
+		t.Fatalf("AppendPairs after expire = %v", got)
 	}
 }
 
@@ -76,9 +76,9 @@ func TestCDIPairs(t *testing.T) {
 	exp := time.Hour
 	tbl.Update("item", CDIEntry{ChunkID: 2, HopCount: 1, Neighbor: 1, ExpireAt: exp})
 	tbl.Update("item", CDIEntry{ChunkID: 0, HopCount: 3, Neighbor: 2, ExpireAt: exp})
-	pairs := tbl.Pairs("item", 0)
+	pairs := tbl.AppendPairs(nil, "item", 0)
 	if len(pairs) != 2 || pairs[0].ChunkID != 0 || pairs[1].ChunkID != 2 {
-		t.Fatalf("Pairs = %+v", pairs)
+		t.Fatalf("AppendPairs = %+v", pairs)
 	}
 	if pairs[0].HopCount != 3 || pairs[1].HopCount != 1 {
 		t.Fatalf("hop counts wrong: %+v", pairs)

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -116,8 +117,11 @@ func keysOf(ds []attr.Descriptor) []string {
 // the records balance (cachedBytes and cacheOrder are the bytes and the
 // keys, each once, of the cached payloads in RAM; chunkIndex is the
 // payload-bearing chunk records; nothing is spilled and in RAM at once),
-// and that both walks agree with the map→sort reference under the
-// catch-all, a broad and a narrow selector.
+// that the slab's do (every record in the map or on the free list is a
+// distinct slot setEntry cut, together all of them; a free slot is
+// zeroed and reachable from no table), and that both walks agree with
+// the map→sort reference under the catch-all, a broad and a narrow
+// selector.
 func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 	t.Helper()
 	if len(s.index) != len(s.entries) {
@@ -146,7 +150,7 @@ func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 		}
 		if cid, ok := e.Desc.ChunkID(); ok {
 			chunks++
-			if s.chunkIndex[e.Desc.ItemDescriptor().Key()][cid] != e {
+			if s.chunkIndex[e.Desc.ItemKey()][cid] != e {
 				t.Fatalf("%s: chunk %s holds a payload the chunk index does not point at", step, key)
 			}
 		}
@@ -166,6 +170,28 @@ func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 	if chunks != 0 {
 		t.Fatalf("%s: chunk index holds %d records that bear no payload", step, -chunks)
 	}
+	free := make(map[*Entry]bool, len(s.free))
+	for _, e := range s.free {
+		if free[e] || s.entries[e.Desc.Key()] == e || !reflect.ValueOf(*e).IsZero() {
+			t.Fatalf("%s: a free slot is listed twice, still in the map or not zeroed: %+v", step, *e)
+		}
+		free[e] = true
+	}
+	for itemKey, m := range s.chunkIndex {
+		for cid, e := range m {
+			if free[e] {
+				t.Fatalf("%s: chunk index points at a free slot for %q chunk %d", step, itemKey, cid)
+			}
+		}
+	}
+	if live := len(s.entries); live+len(free) != s.slots {
+		t.Fatalf("%s: %d live records and %d free slots, but %d slots cut", step, live, len(free), s.slots)
+	}
+	for i := range s.slab {
+		if e := &s.slab[i]; !free[e] && s.entries[e.Desc.Key()] != e {
+			t.Fatalf("%s: slot %d of the current chunk is neither live nor free", step, i)
+		}
+	}
 	sels := []attr.Query{
 		{},
 		selAll(),
@@ -184,10 +210,10 @@ func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 
 // TestIndexFollowsEveryMutation drives random sequences of every call
 // that inserts or removes an entry or a payload — under a two-payload
-// cache cap, so inserts purge and evict, and with unpublish and publish
-// aimed at keys the cache holds — with no backend, a volatile one and one
-// with a persistent cache tier, and checks the index and the cache's
-// books after every step.
+// cache cap, so inserts purge and evict, and with unpublish, publish and
+// an owned entry aimed at keys the cache holds — with no backend, a
+// volatile one and one with a persistent cache tier, and checks the
+// index and the cache's and the slab's books after every step.
 func TestIndexFollowsEveryMutation(t *testing.T) {
 	const ttl = 10 * time.Second
 	universe := make([]attr.Descriptor, 0, 24)
@@ -216,7 +242,7 @@ func TestIndexFollowsEveryMutation(t *testing.T) {
 						d := universe[rng.Intn(len(universe))]
 						expire := now + time.Duration(1+rng.Intn(20))*time.Second
 						var step string
-						switch op := rng.Intn(22); {
+						switch op := rng.Intn(23); {
 						case op < 2:
 							step = "PutOwned"
 							s.PutOwned(d)
@@ -253,12 +279,16 @@ func TestIndexFollowsEveryMutation(t *testing.T) {
 							step = "nothing cached"
 						default:
 							d = s.entries[s.cacheOrder[rng.Intn(len(s.cacheOrder))]].Desc
-							if op < 21 {
+							switch op {
+							case 19, 20:
 								step = "DeleteOwned of a cached key"
 								s.DeleteOwned(d)
-							} else {
+							case 21:
 								step = "PutPayloadOwned over a cached key"
 								s.PutPayloadOwned(d, []byte{5, 6, 7, 8})
+							default:
+								step = "PutOwned over a cached key"
+								s.PutOwned(d)
 							}
 						}
 						checkIndex(t, s, now, fmt.Sprintf("step %d (%s)", i, step))
@@ -336,4 +366,29 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 			t.Errorf("Offer with verdict %d: %v allocs", want, got)
 		}
 	}
+}
+
+// TestPutCachedCutsRecordsFromTheSlab: 64 new keys into a warm store cost
+// a slab chunk or two and whatever the map and the index grow by, not
+// an allocation per record.
+func TestPutCachedCutsRecordsFromTheSlab(t *testing.T) {
+	const batch, runs = 64, 4
+	s := NewDataStore(0)
+	descs := make([]attr.Descriptor, 320+(runs+1)*batch)
+	for i := range descs {
+		descs[i] = benchEntry(i)
+	}
+	for _, d := range descs[:320] {
+		s.PutCached(d, time.Hour)
+	}
+	next := descs[320:]
+	if got := testing.AllocsPerRun(runs, func() {
+		for _, d := range next[:batch] {
+			s.PutCached(d, time.Hour)
+		}
+		next = next[batch:]
+	}); got > 8 {
+		t.Errorf("PutCached of %d new keys: %v allocs, want at most 8", batch, got)
+	}
+	checkIndex(t, s, 0, "after the batches")
 }

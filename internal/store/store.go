@@ -79,6 +79,11 @@ type DataStore struct {
 	// backend is the optional durable tier (see backend.go); nil keeps
 	// the store purely in-memory, byte-for-byte the seed's behavior.
 	backend PayloadBackend
+	// slab is the chunk new records are cut from, free the dropped ones
+	// awaiting reuse, slots the number cut: entries plus free.
+	slab  []Entry
+	free  []*Entry
+	slots int
 	// tr records cache insert/evict trace events; nil is free.
 	tr *trace.NodeTracer
 }
@@ -105,13 +110,23 @@ func NewDataStore(cacheCap int) *DataStore {
 }
 
 // PutOwned inserts an entry for data this node produced; it never
-// expires.
+// expires. With a backend attached the owned fact is persisted, so a
+// restart still announces it: as an entry when no payload is held, and
+// over a cached payload by making its record owned, bytes and all. An
+// owned payload's record, written by PutPayloadOwned, stands.
 func (s *DataStore) PutOwned(d attr.Descriptor) {
-	if e := s.setEntry(d, true, 0); s.backend != nil && e.held == nil {
-		// Entry-only owned fact: persist it so a restart still
-		// announces it. Payload-bearing records are written by
-		// PutPayloadOwned and must not be superseded here.
+	switch e := s.setEntry(d, true, 0); {
+	case s.backend == nil || e.held != nil && e.held.owned:
+	case e.held == nil:
 		s.backend.PutEntry(d)
+	case !e.held.spilled:
+		s.backend.PutPayload(d, e.held.bytes, true)
+	default:
+		if p, ok := s.backend.GetPayload(d.Key()); ok {
+			s.backend.PutPayload(d, p, true)
+		} else {
+			s.backend.PutEntry(d)
+		}
 	}
 }
 
@@ -137,18 +152,37 @@ func (s *DataStore) lease(e *Entry, d attr.Descriptor, expireAt time.Duration) (
 	return e, true
 }
 
+// slabChunk bounds the chunks records are cut from, which start at one
+// record and double. 42 48-byte records and the runtime's 8-byte header
+// on a pointerful object over 512 bytes fill a 2 KB size class.
+const slabChunk = 42
+
 // setEntry sets how d's metadata is held and returns its record: in
 // place when the key is held, whatever payload is on it staying, else a
-// new record (the one allocation an entry costs) at its place in the
-// index. Keys that arrive ascending — a producer's series, a backend's
-// Restore — append without a search.
+// dropped record off the free list or the current chunk's next slot, at
+// its place in the index. Keys that arrive ascending — a producer's
+// series, a backend's Restore — append without a search. Reuse is safe
+// because a record is reached only through entries, index and
+// chunkIndex (*Entry never leaves the package), and every drop takes it
+// out of all three before freeEntry zeroes it; checkIndex asserts it.
 func (s *DataStore) setEntry(d attr.Descriptor, owned bool, expireAt time.Duration) *Entry {
 	key := d.Key()
 	if e, ok := s.entries[key]; ok {
 		e.Owned, e.ExpireAt = owned, expireAt
 		return e
 	}
-	e := &Entry{Desc: d, Owned: owned, ExpireAt: expireAt}
+	var e *Entry
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		if len(s.slab) == cap(s.slab) {
+			s.slab = make([]Entry, 0, min(max(1, 2*cap(s.slab)), slabChunk))
+		}
+		s.slab = s.slab[:len(s.slab)+1]
+		e = &s.slab[len(s.slab)-1]
+		s.slots++
+	}
+	*e = Entry{Desc: d, Owned: owned, ExpireAt: expireAt}
 	s.entries[key] = e
 	i := len(s.index)
 	if i > 0 && s.index[i-1].Desc.Key() > key {
@@ -162,6 +196,7 @@ func (s *DataStore) setEntry(d attr.Descriptor, owned bool, expireAt time.Durati
 func (s *DataStore) dropEntry(key string) {
 	delete(s.entries, key)
 	i := s.indexOf(key)
+	s.freeEntry(s.index[i])
 	s.index = slices.Delete(s.index, i, i+1)
 }
 
@@ -173,16 +208,26 @@ func (s *DataStore) dropEntries(drop func(*Entry) bool) {
 			return false
 		}
 		delete(s.entries, e.Desc.Key())
+		s.freeEntry(e)
 		return true
 	})
 }
 
-// reset empties the store: every record, and the books kept over them.
+// freeEntry zeroes a dropped record, so its descriptor and payload can
+// be collected, and keeps it for the next setEntry.
+func (s *DataStore) freeEntry(e *Entry) {
+	*e = Entry{}
+	s.free = append(s.free, e)
+}
+
+// reset empties the store: every record, the slab they came from, and
+// the books kept over them.
 func (s *DataStore) reset() {
 	s.entries = make(map[string]*Entry)
 	s.index = nil
 	s.chunkIndex = make(map[string]map[int]*Entry)
 	s.cachedBytes, s.cacheOrder = 0, nil
+	s.slab, s.free, s.slots = nil, nil, 0
 }
 
 // indexOf returns where key sits, or would be inserted, in the index.
@@ -279,7 +324,7 @@ func (s *DataStore) indexChunk(e *Entry) {
 	if !ok {
 		return
 	}
-	itemKey := e.Desc.ItemDescriptor().Key()
+	itemKey := e.Desc.ItemKey()
 	m, ok := s.chunkIndex[itemKey]
 	if !ok {
 		m = make(map[int]*Entry)
@@ -293,7 +338,7 @@ func (s *DataStore) unindexChunk(e *Entry) {
 	if !ok {
 		return
 	}
-	itemKey := e.Desc.ItemDescriptor().Key()
+	itemKey := e.Desc.ItemKey()
 	if m, ok := s.chunkIndex[itemKey]; ok {
 		delete(m, cid)
 		if len(m) == 0 {
@@ -305,13 +350,29 @@ func (s *DataStore) unindexChunk(e *Entry) {
 // ChunksHeld returns the sorted chunk ids of the item whose payloads
 // this node holds.
 func (s *DataStore) ChunksHeld(itemKey string) []int {
-	m := s.chunkIndex[itemKey]
-	out := make([]int, 0, len(m))
-	for cid := range m {
-		out = append(out, cid)
+	return s.AppendChunksHeld(nil, itemKey)
+}
+
+// AppendChunksHeld appends to dst what ChunksHeld returns; it allocates
+// nothing when dst has the room.
+//
+//pds:hotpath
+func (s *DataStore) AppendChunksHeld(dst []int, itemKey string) []int {
+	n := len(dst)
+	for cid := range s.chunkIndex[itemKey] {
+		dst = append(dst, cid)
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
+}
+
+// HoldsChunk reports whether this node holds the payload of one chunk
+// of the item, in RAM or spilled.
+//
+//pds:hotpath
+func (s *DataStore) HoldsChunk(itemKey string, chunkID int) bool {
+	_, ok := s.chunkIndex[itemKey][chunkID]
+	return ok
 }
 
 // ChunkPayload returns the payload of one chunk of the item. Access
@@ -448,7 +509,7 @@ func (s *DataStore) OwnedItemKeys() []string {
 		if e.held == nil || !e.held.owned {
 			continue
 		}
-		ik := e.Desc.ItemDescriptor().Key()
+		ik := e.Desc.ItemKey()
 		if !seen[ik] {
 			seen[ik] = true
 			keys = append(keys, ik)

@@ -201,6 +201,38 @@ func TestChunkIndexEviction(t *testing.T) {
 	}
 }
 
+// TestPutOwnedOverCachedPayloadIsDurable: an entry published over a
+// cached payload, in RAM or spilled, survives a power cycle on a
+// volatile backend with its bytes; without a backend the payload stays
+// cached.
+func TestPutOwnedOverCachedPayloadIsDurable(t *testing.T) {
+	d := entry(1)
+	for _, spilled := range []bool{false, true} {
+		s := NewDataStore(4)
+		s.SetBackend(&memBackend{recs: map[string]memRecord{}})
+		s.PutPayloadCached(d, []byte("aaaa"), 0, time.Hour)
+		if spilled {
+			s.PutPayloadCached(entry(2), []byte("bbbb"), 0, time.Hour) // evicts d to the backend
+		}
+		s.PutOwned(d)
+		s.PowerOff()
+		s.Recover(0, time.Hour)
+		if !s.HasEntry(d, 2*time.Hour) {
+			t.Fatalf("spilled %v: the owned entry did not survive a power cycle", spilled)
+		}
+		if p, ok := s.Payload(d); !ok || string(p) != "aaaa" {
+			t.Fatalf("spilled %v: payload after the power cycle = %q, %v", spilled, p, ok)
+		}
+		checkIndex(t, s, 2*time.Hour, fmt.Sprintf("spilled %v", spilled))
+	}
+	s := NewDataStore(0)
+	s.PutPayloadCached(d, []byte("aaaa"), 0, time.Hour)
+	s.PutOwned(d)
+	if s.cachedBytes != 4 || !s.HasEntry(d, 2*time.Hour) {
+		t.Fatalf("without a backend: cached bytes %d, owned entry held %v", s.cachedBytes, s.HasEntry(d, 2*time.Hour))
+	}
+}
+
 func TestMatchPayloads(t *testing.T) {
 	s := NewDataStore(0)
 	s.PutOwned(entry(1)) // entry only, no payload

@@ -529,7 +529,7 @@ func (n *Node) LocalEntries(sel Query) []Descriptor {
 // holds, out of the item's total.
 func (n *Node) LocalData(item Descriptor) (held, total int) {
 	n.clk.Locked(func() {
-		held = len(n.core.Store().ChunksHeld(item.ItemDescriptor().Key()))
+		held = len(n.core.Store().ChunksHeld(item.ItemKey()))
 	})
 	return held, item.TotalChunks()
 }
