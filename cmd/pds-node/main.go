@@ -167,7 +167,7 @@ func run(args []string) error {
 	}
 
 	if *debugAddr != "" {
-		stop := debugServer(*debugAddr, node)
+		stop := debugServer(*debugAddr, node, trans)
 		defer stop()
 		fmt.Printf("debug endpoint on http://%s/debug/\n", *debugAddr)
 	}
@@ -296,14 +296,19 @@ func run(args []string) error {
 }
 
 // debugServer starts the live-telemetry HTTP endpoint: expvar (with the
-// node's protocol counters published under "pds_stats", and the
-// strategy plane's names and counters under "pds_strategy"), the pprof
-// profiles, and /debug/trace streaming the tracer's buffered events as
-// JSONL — the same format pds-trace analyzes. The returned stop func
-// closes the listener and joins the serve goroutine.
-func debugServer(addr string, node *pds.Node) func() {
+// node's protocol counters published under "pds_stats", the strategy
+// plane's names and counters under "pds_strategy", and on a face mesh the
+// mesh's counters — writes, queue drops, overhear drops — under
+// "pds_face"), the pprof profiles, and /debug/trace streaming the
+// tracer's buffered events as JSONL — the same format pds-trace analyzes.
+// The returned stop func closes the listener and joins the serve
+// goroutine.
+func debugServer(addr string, node *pds.Node, trans pds.Transport) func() {
 	expvar.Publish("pds_stats", expvar.Func(func() any { return node.Stats() }))
 	expvar.Publish("pds_strategy", expvar.Func(func() any { return node.StrategyStats() }))
+	if m, ok := trans.(*pds.FaceMesh); ok {
+		expvar.Publish("pds_face", expvar.Func(func() any { return m.Stats() }))
+	}
 	if _, ok := node.DiskStats(); ok {
 		expvar.Publish("pds_diskstore", expvar.Func(func() any {
 			st, _ := node.DiskStats()

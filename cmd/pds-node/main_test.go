@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"expvar"
+	"strings"
+	"testing"
+
+	"pds"
+)
 
 func TestParseLoopback(t *testing.T) {
 	tests := []struct {
@@ -33,6 +39,33 @@ func TestParseLoopback(t *testing.T) {
 				t.Fatalf("own=%d peers=%d, want %d/%d", own, len(peers), tt.wantOwn, tt.wantPeers)
 			}
 		})
+	}
+}
+
+// TestDebugServerPublishesFaceStats: on a face mesh the debug endpoint
+// publishes the mesh's counters next to the protocol's.
+func TestDebugServerPublishesFaceStats(t *testing.T) {
+	m, err := pds.NewFaceTransport(pds.DefaultFaceConfig("127.0.0.1:0"))
+	if err != nil {
+		t.Skipf("cannot listen on loopback TCP: %v", err)
+	}
+	node, err := pds.NewNode(m)
+	if err != nil {
+		m.Close()
+		t.Fatal(err)
+	}
+	defer node.Close()
+	stop := debugServer("127.0.0.1:0", node, m)
+	defer stop()
+	for _, name := range []string{"pds_stats", "pds_face"} {
+		if expvar.Get(name) == nil {
+			t.Fatalf("expvar %q not published", name)
+		}
+	}
+	for _, field := range []string{`"Writes"`, `"OutboxDrops"`, `"OverhearDrops"`} {
+		if s := expvar.Get("pds_face").String(); !strings.Contains(s, field) {
+			t.Errorf("pds_face = %s, lacks %s", s, field)
+		}
 	}
 }
 

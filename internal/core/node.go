@@ -50,7 +50,10 @@ type Config struct {
 	// entries received in the finished round exceeds it. Paper best: 0.
 	NewRoundRatio float64
 	// RoundCheck is how often a consumer session evaluates the round
-	// rules; it only needs to be a fraction of Window.
+	// rules; it only needs to be a fraction of Window. A PDR round does
+	// not always wait for it: a covering CDI update settles phase 1 at
+	// once when it lands after one ResponseJitterMax but before the
+	// round's first check.
 	RoundCheck time.Duration
 	// MaxRounds caps discovery rounds as a safety valve.
 	MaxRounds int
@@ -72,10 +75,14 @@ type Config struct {
 	// ForwardJitterMax randomizes when a flooded query is re-forwarded,
 	// desynchronizing the neighbors that all received the same
 	// broadcast — the classic broadcast-storm mitigation the paper
-	// defers to ([26], [27] in §VII).
+	// defers to ([26], [27] in §VII). A point-to-point transport (a face
+	// mesh) gives every peer its own queue, so there is no collision to
+	// spread out: pds.NewNode zeroes both jitters over one.
 	ForwardJitterMax time.Duration
 	// ResponseJitterMax randomizes when a locally generated response is
-	// sent, spreading the answer burst that a flooded query triggers.
+	// sent, spreading the answer burst that a flooded query triggers. It
+	// is also the spread a PDR round waits out before a covering CDI
+	// update may settle phase 1 (see RoundCheck).
 	ResponseJitterMax time.Duration
 	// MaxResponseBytes bounds the payload of one metadata/CDI response
 	// message; longer payloads are split across messages, mirroring the
@@ -344,6 +351,9 @@ func (n *Node) ID() wire.NodeID { return n.id }
 // Stats returns a snapshot of protocol counters.
 func (n *Node) Stats() Stats { return n.stats }
 
+// Config returns the protocol parameters the node runs with.
+func (n *Node) Config() Config { return n.cfg }
+
 // Store exposes the data store for scenario seeding and assertions.
 func (n *Node) Store() *store.DataStore { return n.ds }
 
@@ -570,7 +580,16 @@ func (n *Node) sendJittered(msg *wire.Message, maxJitter time.Duration) {
 		n.transmit(msg)
 		return
 	}
-	n.later(time.Duration(n.rng.Int63n(int64(maxJitter))), msg, 0)
+	n.later(n.jitter(maxJitter), msg, 0)
+}
+
+// jitter draws a uniform delay in [0, maxJitter) from the node's rng; a
+// non-positive maximum is no delay and draws nothing.
+func (n *Node) jitter(maxJitter time.Duration) time.Duration {
+	if maxJitter <= 0 {
+		return 0
+	}
+	return time.Duration(n.rng.Int63n(int64(maxJitter)))
 }
 
 // deferred is one jittered action waiting for its instant — msg to send

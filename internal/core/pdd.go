@@ -104,11 +104,7 @@ func (n *Node) scheduleServe(kind wire.QueryKind) {
 		return
 	}
 	n.servePending[kind] = true
-	delay := time.Duration(0)
-	if n.cfg.ResponseJitterMax > 0 {
-		delay = time.Duration(n.rng.Int63n(int64(n.cfg.ResponseJitterMax)))
-	}
-	n.later(delay, nil, kind)
+	n.later(n.jitter(n.cfg.ResponseJitterMax), nil, kind)
 }
 
 // serveQueries answers every lingering query of the kind from the local

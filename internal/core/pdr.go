@@ -242,9 +242,9 @@ func (r *retrieval) scheduleCheck() {
 	}
 }
 
-// check drives the phase machine: phase 1 settles when CDI covers every
-// missing chunk or has been quiet for CDIWindow; phase 2 is watched by
-// a retry timer that falls back to a fresh CDI round.
+// check drives the phase machine on every RoundCheck tick: phase 1 is
+// settle's to decide; phase 2 is watched by a retry timer that falls
+// back to a fresh CDI round.
 func (r *retrieval) check() {
 	if r.done {
 		return
@@ -257,23 +257,7 @@ func (r *retrieval) check() {
 	}
 	switch r.phase {
 	case 1:
-		covered := r.cdiCovers()
-		quiet := now-r.lastCDIUpdate >= n.cfg.CDIWindow
-		switch {
-		case covered:
-			r.enterPhase2(now)
-		case quiet && r.knownChunks() > 0:
-			// Partial knowledge after a quiet window: request what we
-			// can; the phase-2 watchdog will re-run CDI for the rest.
-			r.enterPhase2(now)
-		case quiet:
-			// No CDI at all: re-flood unless out of budget.
-			if r.rounds >= n.cfg.RetrievalRounds {
-				r.finish(now)
-				return
-			}
-			r.startCDIRound()
-		}
+		r.settle(now, true)
 	case 2:
 		// Keep the request window full; stale requests re-issue here.
 		r.topUp(now)
@@ -288,6 +272,44 @@ func (r *retrieval) check() {
 			}
 			r.startCDIRound()
 		}
+	}
+}
+
+// settle is phase 1's decision (§IV-A), taken on every RoundCheck tick
+// and whenever a CDI update lands. A round settles into phase 2 when CDI
+// covers every missing chunk; on a tick, also once CDI has been quiet for
+// CDIWindow. A quiet round with no CDI at all floods a new one.
+//
+// A round may settle once one response spread (ResponseJitterMax) has
+// passed since its query left: by then every neighbor that heard the
+// query has answered it. So a covering update that lands after the
+// spread but before the round's first tick settles it at once; from
+// that tick on the tick decides. Rounds start on ticks, so where the
+// spread is the poll period — the simulated radio, 100 ms each — that
+// window is empty and phase 1 is decided at the poll's instants, a tie
+// included: an update at the tick's instant leaves the decision to the
+// tick. On a face mesh the spread is 0 and a round settles as its
+// covering answer lands.
+func (r *retrieval) settle(now time.Duration, tick bool) {
+	n := r.n
+	if since := now - r.lastRoundAt; !tick && (since < n.cfg.ResponseJitterMax || since >= n.cfg.RoundCheck) {
+		return
+	}
+	quiet := tick && now-r.lastCDIUpdate >= n.cfg.CDIWindow
+	switch {
+	case r.cdiCovers():
+		r.enterPhase2(now)
+	case quiet && r.knownChunks() > 0:
+		// Partial knowledge after a quiet window: request what we
+		// can; the phase-2 watchdog will re-run CDI for the rest.
+		r.enterPhase2(now)
+	case quiet:
+		// No CDI at all: re-flood unless out of budget.
+		if r.rounds >= n.cfg.RetrievalRounds {
+			r.finish(now)
+			return
+		}
+		r.startCDIRound()
 	}
 }
 
@@ -463,11 +485,14 @@ func (n *Node) notifyChunk(chunkDesc attr.Descriptor, now time.Duration) {
 	r.topUp(now)
 }
 
-// notifyCDI is called when CDI updates land; phase-1 sessions use it to
-// detect quiescence.
+// notifyCDI is called when CDI updates land: a phase-1 session measures
+// quiescence from the last one, and a covering one may settle its round.
 func (n *Node) notifyCDI(itemKey string, now time.Duration) {
 	if r, ok := n.retrievals[itemKey]; ok && !r.done {
 		r.lastCDIUpdate = now
+		if r.phase == 1 {
+			r.settle(now, false)
+		}
 	}
 }
 

@@ -247,6 +247,12 @@ func (m *Mesh) OnPeerDown(fn func(wire.NodeID)) {
 	m.mu.Unlock()
 }
 
+// SharedMedium reports false: every peer has its own queue, so a burst
+// of answers to one flooded query collides nowhere, and pds.NewNode
+// runs the protocol without the forward and response jitters that
+// spread such a burst over a shared medium.
+func (m *Mesh) SharedMedium() bool { return false }
+
 // ListenAddr returns the bound listener address, nil when dial-only.
 func (m *Mesh) ListenAddr() net.Addr {
 	if m.ln == nil {

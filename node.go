@@ -239,6 +239,12 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 		}
 		o.cfg.Caching = o.caching
 	}
+	// The jitters spread a broadcast's answers over a shared medium; a
+	// transport that gives every peer its own queue has no collision for
+	// them to spread out.
+	if sm, ok := trans.(interface{ SharedMedium() bool }); ok && !sm.SharedMedium() {
+		o.cfg.ForwardJitterMax, o.cfg.ResponseJitterMax = 0, 0
+	}
 	n := &Node{id: o.id, clk: clk, trans: trans, closed: make(chan struct{})}
 
 	lcfg := link.DefaultConfig(func(max time.Duration) time.Duration {
@@ -351,7 +357,8 @@ func (n *Node) Close() error {
 	// armed retry timer pins its frame and, through the link, the node's
 	// stores. The transport delivers nothing more and a stopped core
 	// sends nothing more, so what is left armed after this is jitter
-	// delays of at most 100 ms.
+	// delays: at most 100 ms, and none on a face mesh, where the core runs
+	// without jitter.
 	n.clk.Locked(func() { n.link.Reset() })
 	if n.disk != nil {
 		if derr := n.disk.Store().Close(); err == nil {

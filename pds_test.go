@@ -312,7 +312,9 @@ func TestRetrieveIncompleteError(t *testing.T) {
 }
 
 // TestChanHubCloseStopsDelivery: frames sent after a member closes are
-// not delivered to it.
+// not delivered to it, nor queued behind it: a closed member's inbox has
+// no pump, and a hub that kept the member would fill the inbox, then
+// report every later send as dropped, the frames pinned there.
 func TestChanHubCloseStopsDelivery(t *testing.T) {
 	hub := NewChanHub()
 	a := hub.Attach()
@@ -329,7 +331,11 @@ func TestChanHubCloseStopsDelivery(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a.Send(msg)
+	for i := 0; i < 2000; i++ {
+		if !a.Send(msg) {
+			t.Fatalf("send %d after close reported a drop", i)
+		}
+	}
 	select {
 	case <-got:
 		t.Fatal("delivery after close")

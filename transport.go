@@ -1,6 +1,7 @@
 package pds
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -178,8 +179,15 @@ func (m *chanMember) SetReceiver(fn func(*wire.Message)) {
 	m.recv = fn
 }
 
+// Close detaches the member from its hub, so no send queues behind it
+// once its pump has stopped draining the inbox.
 func (m *chanMember) Close() error {
-	m.closed.Do(func() { close(m.done) })
+	m.closed.Do(func() {
+		close(m.done)
+		m.hub.mu.Lock()
+		m.hub.members = slices.DeleteFunc(m.hub.members, func(o *chanMember) bool { return o == m })
+		m.hub.mu.Unlock()
+	})
 	m.SetReceiver(nil)
 	return nil
 }
