@@ -40,8 +40,8 @@ lint:
 # walk, sorted insert, one pass, one Bloom test, one heard query, one
 # CDI response's pairs) and the simulator's (a
 # fired event by Schedule and by Timer, a frame through the medium) and
-# the face's (a window of eight frames and their acks over loopback TCP)
-# likewise, and last the nested benchmarks/ module, which `./...` does
+# the face's (a window of eight frames and their acks over loopback TCP,
+# and one 896 KB retrieval between two nodes on a face mesh) likewise, and last the nested benchmarks/ module, which `./...` does
 # not reach.
 verify: lint
 	$(GO) vet ./...
@@ -51,7 +51,7 @@ verify: lint
 	$(GO) test ./internal/link -run '^$$' -bench 'HandleIncoming|AckedStream' -benchtime 100x -benchmem
 	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains|HearQuery|CDIPairs' -benchtime 100x -benchmem
 	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
-	$(GO) test ./internal/face -run '^$$' -bench FaceBurst -benchtime 100x -benchmem
+	$(GO) test . ./internal/face -run '^$$' -bench 'FaceBurst|FaceMeshRetrieve' -benchtime 20x -benchmem
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
 

@@ -19,7 +19,8 @@
 // puts everything queued when it wakes into one write. A mesh is a
 // carrier and nothing more: every message, fragments included, goes
 // through the one wire encode path into a length-prefixed, CRC-checked
-// frame.
+// frame. Fragments appear only past MaxFrame: MaxFragment tells the node
+// to send anything smaller whole.
 package face
 
 import (
@@ -54,7 +55,10 @@ type Config struct {
 	// can be set later with SetLocalID, but must be set before faces
 	// come up for per-peer send dedup and breaker attribution to work.
 	Self wire.NodeID
-	// MaxFrame bounds inbound frames (guards decode-time allocation).
+	// MaxFrame bounds inbound frames (guards decode-time allocation),
+	// and through MaxFragment the link layer's fragments. Every mesh in a
+	// deployment must agree on it: a sender cuts at its own bound, and a
+	// receiver resets the face on a frame over its own.
 	MaxFrame int
 	// DialTimeout bounds one dial attempt.
 	DialTimeout time.Duration
@@ -252,6 +256,13 @@ func (m *Mesh) OnPeerDown(fn func(wire.NodeID)) {
 // runs the protocol without the forward and response jitters that
 // spread such a burst over a shared medium.
 func (m *Mesh) SharedMedium() bool { return false }
+
+// MaxFragment is the largest link-layer fragment one frame under MaxFrame
+// carries whole: MaxFrame less the type byte and the worst-case fragment
+// envelope. A stream has no shared air for a collision to cost a packet
+// of, so pds.NewNode cuts fragments here on a mesh: a message goes whole
+// unless it is too big for one frame.
+func (m *Mesh) MaxFragment() int { return m.cfg.MaxFrame - 1 - wire.FragmentOverhead() }
 
 // ListenAddr returns the bound listener address, nil when dial-only.
 func (m *Mesh) ListenAddr() net.Addr {

@@ -61,7 +61,9 @@ type Config struct {
 	DedupRetention time.Duration
 	// FragmentBytes is the maximum frame payload; larger messages are
 	// split into individually acked and retransmitted fragments, the
-	// prototype's 1.5 KB packets (§V-4). Zero disables fragmentation.
+	// prototype's 1.5 KB packets (§V-4). Zero disables fragmentation. On
+	// a carrier with no shared medium (a face mesh) pds.NewNode sets it to
+	// the carrier's MaxFragment, whatever the configuration says.
 	FragmentBytes int
 	// FragWindow is the ARQ window: at most this many unacknowledged
 	// fragments of the active message are in flight, so a chunk stream
@@ -408,12 +410,15 @@ func (l *Link) refill() {
 }
 
 // drain sends queued frames while tokens last, then schedules itself for
-// when the next frame's tokens will have accumulated.
+// when the next frame's tokens will have accumulated. A frame bigger than
+// the bucket (one a carrier with a large frame bound sends whole) leaves
+// once the bucket is full, and the bucket runs into debt for the rest.
 func (l *Link) drain() {
 	l.refill()
+	full := float64(l.cfg.BucketBytes)
 	for l.queue.Len() > 0 {
 		head := l.queue.Front()
-		if float64(head.size) > l.tokens {
+		if float64(head.size) > l.tokens && l.tokens < full {
 			break
 		}
 		l.tokens -= float64(head.size)
@@ -424,7 +429,7 @@ func (l *Link) drain() {
 	if l.queue.Len() == 0 || l.drainArmed {
 		return
 	}
-	need := float64(l.queue.Front().size) - l.tokens
+	need := min(float64(l.queue.Front().size), full) - l.tokens
 	wait := time.Duration(need / l.cfg.LeakRate * float64(time.Second))
 	if wait < time.Millisecond {
 		wait = time.Millisecond

@@ -198,6 +198,34 @@ func TestPacingLimitsRate(t *testing.T) {
 	}
 }
 
+// TestPacingPassesFrameOverBucket: a whole frame bigger than the bucket
+// leaves once the bucket is full, and the debt it runs up holds the next
+// frame back for as long as the bucket takes to repay it.
+func TestPacingPassesFrameOverBucket(t *testing.T) {
+	cfg := testConfig()
+	cfg.BucketBytes = 2000
+	cfg.LeakRate = 10000 // 10 kB/s
+	cfg.AckEnabled = false
+	cfg.FragmentBytes = 0
+	var sentAt []time.Duration
+	eng := sim.NewEngine(1)
+	l := New(eng, 1, func(m *wire.Message) bool {
+		sentAt = append(sentAt, eng.Now())
+		return true
+	}, cfg)
+	big := smallResponse(1, 2)
+	big.Response.Blobs = []wire.Blob{{Payload: make([]byte, 5000)}}
+	l.Send(big)
+	l.Send(smallResponse(2, 2))
+	eng.Run(time.Minute)
+	if len(sentAt) != 2 || sentAt[0] != 0 {
+		t.Fatalf("frames left at %v, want the oversize one at once and then the small one", sentAt)
+	}
+	if sentAt[1] < 300*time.Millisecond {
+		t.Fatalf("the frame behind a 5 kB one left at %v: the bucket ran up no debt", sentAt[1])
+	}
+}
+
 // TestPacingQueueKeepsOrderAndCount drives the pacing queue through
 // random sends, drains and resets: frames leave in the order they were
 // sent, and QueuedBytes — a counter, not a walk — says at every step,

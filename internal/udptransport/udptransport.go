@@ -130,39 +130,10 @@ var recvBufPool = sync.Pool{
 	},
 }
 
-// fragmentOverhead is the worst-case framing around one fragment's
-// data slice: the checksum plus the encoded envelope and fragment
-// section with every varint at maximum width and an allowance of
-// maxFragReceivers receiver entries (the link narrows the list to
-// live one-hop neighbors, so a small bound is realistic).
-func fragmentOverhead() int {
-	const maxFragReceivers = 16
-	// Size stays 0: EncodedSize counts f.Size as payload bytes, and
-	// only the envelope is overhead here.
-	f := &wire.Fragment{
-		OrigID:    ^uint64(0),
-		Index:     1<<31 - 1,
-		Count:     1<<31 - 1,
-		Receivers: make([]wire.NodeID, maxFragReceivers),
-	}
-	for i := range f.Receivers {
-		f.Receivers[i] = ^wire.NodeID(0)
-	}
-	m := &wire.Message{
-		Type:       wire.TypeFragment,
-		TransmitID: ^uint64(0),
-		From:       ^wire.NodeID(0),
-		Fragment:   f,
-	}
-	// EncodedSize counts a 1-byte length prefix for the empty Data
-	// slice; a full fragment's prefix is up to 5 bytes, hence +4.
-	return wire.ChecksumSize + wire.EncodedSize(m) + 4
-}
-
 // MaxFragment is the largest link-layer fragment one datagram carries
 // whole; receivers would truncate anything larger. pds.NewNode refuses
 // a link configured to cut bigger ones.
-func (t *Transport) MaxFragment() int { return t.cfg.MaxDatagram - fragmentOverhead() }
+func (t *Transport) MaxFragment() int { return t.cfg.MaxDatagram - wire.FragmentOverhead() }
 
 // New binds the socket and starts the receive loop. The caller must
 // SetReceiver before peers start talking.

@@ -10,6 +10,36 @@ import (
 // message: a big-endian CRC32 (IEEE) of the bytes behind it.
 const ChecksumSize = 4
 
+// FragmentOverhead is the worst-case framing around one fragment's data
+// slice: the checksum plus the encoded envelope and fragment section with
+// every varint at maximum width and an allowance of 16 receiver entries
+// (the link narrows the list to live one-hop neighbors, so a small bound
+// is realistic). A carrier that frames at most n bytes carries fragments
+// of up to n − FragmentOverhead() bytes whole.
+func FragmentOverhead() int {
+	const maxFragReceivers = 16
+	// Size stays 0: EncodedSize counts f.Size as payload bytes, and
+	// only the envelope is overhead here.
+	f := &Fragment{
+		OrigID:    ^uint64(0),
+		Index:     1<<31 - 1,
+		Count:     1<<31 - 1,
+		Receivers: make([]NodeID, maxFragReceivers),
+	}
+	for i := range f.Receivers {
+		f.Receivers[i] = ^NodeID(0)
+	}
+	m := &Message{
+		Type:       TypeFragment,
+		TransmitID: ^uint64(0),
+		From:       ^NodeID(0),
+		Fragment:   f,
+	}
+	// EncodedSize counts a 1-byte length prefix for the empty Data
+	// slice; a full fragment's prefix is up to 5 bytes, hence +4.
+	return ChecksumSize + EncodedSize(m) + 4
+}
+
 // ErrChecksum marks input that DecodeChecked refused before the codec
 // saw it: shorter than a checksum, or damaged.
 var ErrChecksum = errors.New("wire: checksum mismatch")

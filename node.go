@@ -242,7 +242,9 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 	// The jitters spread a broadcast's answers over a shared medium; a
 	// transport that gives every peer its own queue has no collision for
 	// them to spread out.
-	if sm, ok := trans.(interface{ SharedMedium() bool }); ok && !sm.SharedMedium() {
+	sm, ok := trans.(interface{ SharedMedium() bool })
+	unshared := ok && !sm.SharedMedium()
+	if unshared {
 		o.cfg.ForwardJitterMax, o.cfg.ResponseJitterMax = 0, 0
 	}
 	n := &Node{id: o.id, clk: clk, trans: trans, closed: make(chan struct{})}
@@ -260,10 +262,18 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 			lcfg.Jitter = jitter
 		}
 	}
-	// A datagram carrier truncates a fragment it cannot carry whole.
-	if mf, ok := trans.(interface{ MaxFragment() int }); ok && lcfg.FragmentBytes > mf.MaxFragment() {
-		return nil, fmt.Errorf("pds: link FragmentBytes %d exceeds what the transport carries in one frame (%d)",
-			lcfg.FragmentBytes, mf.MaxFragment())
+	// Radio-sized fragments bound what one collision costs; without a
+	// shared medium they buy nothing, and the link cuts only at the
+	// carrier's frame bound. A datagram carrier truncates a fragment it
+	// cannot carry whole.
+	if mf, ok := trans.(interface{ MaxFragment() int }); ok {
+		switch {
+		case unshared:
+			lcfg.FragmentBytes = mf.MaxFragment()
+		case lcfg.FragmentBytes > mf.MaxFragment():
+			return nil, fmt.Errorf("pds: link FragmentBytes %d exceeds what the transport carries in one frame (%d)",
+				lcfg.FragmentBytes, mf.MaxFragment())
+		}
 	}
 	n.link = link.New(timers, o.id, func(m *wire.Message) bool { return trans.Send(m) }, lcfg)
 	n.core = core.NewNode(o.id, timers, rng, func(m *wire.Message) { n.link.Send(m) }, o.cfg)
