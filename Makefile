@@ -11,11 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs the static-analysis gate: the repo's own invariant
+# lint runs the static-analysis gate: the repo's four invariant
 # analyzers (cmd/pds-lint — frozen messages, determinism, hot-path
-# allocations, goroutine supervision, tracer hygiene, lock/send
-# ordering; see DESIGN.md §12/§17), a gofmt check, and — when the
-# binary is installed — golangci-lint with the pinned .golangci.yml.
+# allocations, goroutine supervision; see DESIGN.md §12/§17), a gofmt
+# check, and — when the binary is installed — golangci-lint with the
+# pinned .golangci.yml.
 # Findings are suppressed only by an audited `//lint:allow <analyzer>
 # <reason>` comment; pds-lint prints every suppression and the
 # per-analyzer wall times, and -budget fails the run outright if the

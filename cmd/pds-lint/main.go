@@ -1,13 +1,12 @@
-// Command pds-lint runs the repo's invariant analyzers (internal/lint)
-// over package patterns and reports findings with the DESIGN.md section
-// each one enforces. It is the pre-merge teeth for the frozen-message
-// lifecycle, seed-determinism, tracer hygiene and lock/send ordering:
+// Command pds-lint runs the repo's four invariant analyzers
+// (internal/lint) over package patterns and reports findings with the
+// DESIGN.md section each one enforces: the frozen-message lifecycle,
+// seed-determinism, hot-path allocations and goroutine supervision.
 // `make verify` and CI run it before the test suite.
 //
 // Usage:
 //
-//	pds-lint [-tests] [-format text|json|sarif] [-json report.json]
-//	         [-sarif report.sarif] [-budget 60s] [patterns ...]
+//	pds-lint [-tests] [-sarif report.sarif] [-budget 60s] [-q] [patterns ...]
 //
 // Patterns default to ./... resolved against the module root. Exit
 // status is 1 when any unsuppressed finding remains (stale //lint:allow
@@ -36,43 +35,14 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// report is the annotation-friendly JSON schema CI uploads: one entry
-// per finding with file/line/col so a viewer (or a GitHub annotation
-// script) can map each straight onto the diff.
-type report struct {
-	Findings    []reportFinding `json:"findings"`
-	Suppressed  []reportFinding `json:"suppressed"`
-	Unused      []reportFinding `json:"unused_suppressions"`
-	Summary     map[string]int  `json:"summary_by_analyzer"`
-	Suppression map[string]int  `json:"suppressions_by_analyzer"`
-}
-
-type reportFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Section  string `json:"section,omitempty"`
-	Message  string `json:"message"`
-	Reason   string `json:"reason,omitempty"`
-}
-
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("pds-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	includeTests := fs.Bool("tests", false, "also analyze _test.go files of each package")
-	format := fs.String("format", "text", "stdout format: text, json (annotation report) or sarif (SARIF 2.1.0)")
-	jsonOut := fs.String("json", "", "write an annotation-friendly JSON report to this file (\"-\" for stdout)")
 	sarifOut := fs.String("sarif", "", "write a SARIF 2.1.0 report to this file (\"-\" for stdout)")
 	budget := fs.Duration("budget", 0, "fail if the whole run (load + analyze) exceeds this wall time; 0 disables")
 	quiet := fs.Bool("q", false, "suppress the per-suppression detail lines")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "pds-lint: unknown -format %q (want text, json or sarif)\n", *format)
 		return 2
 	}
 	start := time.Now()
@@ -117,10 +87,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		return p
 	}
 
-	// In json/sarif stdout mode the document owns stdout; the human
+	// When the SARIF document goes to stdout it owns it; the human
 	// lines move to stderr so the output stays machine-parseable.
 	text := io.Writer(stdout)
-	if *format != "text" {
+	if *sarifOut == "-" {
 		text = stderr
 	}
 
@@ -142,11 +112,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	byAnalyzer := make(map[string]int)
 	supByAnalyzer := make(map[string]int)
-	for _, f := range unsup {
-		byAnalyzer[f.Analyzer]++
-	}
 	for _, f := range sup {
 		supByAnalyzer[f.Analyzer]++
 	}
@@ -156,43 +122,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	fmt.Fprintf(text, "pds-lint: %d packages, %d findings, %d suppressed (%s)\n",
 		len(pkgs), len(unsup), len(sup), suppressionSummary(supByAnalyzer))
 
-	if *jsonOut != "" || *format == "json" {
-		rep := report{Summary: byAnalyzer, Suppression: supByAnalyzer}
-		for _, f := range unsup {
-			rep.Findings = append(rep.Findings, reportFinding{
-				File: rel(f.Pos.Filename), Line: f.Pos.Line, Col: f.Pos.Column,
-				Analyzer: f.Analyzer, Section: f.Section, Message: f.Message,
-			})
-		}
-		for _, f := range sup {
-			rep.Suppressed = append(rep.Suppressed, reportFinding{
-				File: rel(f.Pos.Filename), Line: f.Pos.Line, Col: f.Pos.Column,
-				Analyzer: f.Analyzer, Section: f.Section, Message: f.Message, Reason: f.Reason,
-			})
-		}
-		for _, d := range res.Unused {
-			rep.Unused = append(rep.Unused, reportFinding{
-				File: rel(d.Pos.Filename), Line: d.Pos.Line,
-				Analyzer: d.Analyzer, Reason: d.Reason,
-			})
-		}
-		dest := *jsonOut
-		if dest == "" {
-			dest = "-"
-		}
-		if err := writeDoc(rep, dest, stdout); err != nil {
-			fmt.Fprintf(stderr, "pds-lint: %v\n", err)
-			return 2
-		}
-	}
-
-	if *sarifOut != "" || *format == "sarif" {
-		doc := buildSARIF(res, lint.All(), rel)
-		dest := *sarifOut
-		if dest == "" {
-			dest = "-"
-		}
-		if err := writeDoc(doc, dest, stdout); err != nil {
+	if *sarifOut != "" {
+		if err := writeSARIF(buildSARIF(res, lint.All(), rel), *sarifOut, stdout); err != nil {
 			fmt.Fprintf(stderr, "pds-lint: %v\n", err)
 			return 2
 		}
@@ -210,9 +141,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	return code
 }
 
-// writeDoc marshals v as indented JSON to dest ("-" for stdout).
-func writeDoc(v any, dest string, stdout io.Writer) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// writeSARIF marshals the log as indented JSON to dest ("-" for stdout).
+func writeSARIF(doc *sarifLog, dest string, stdout io.Writer) error {
+	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding report: %w", err)
 	}

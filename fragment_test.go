@@ -256,7 +256,15 @@ func TestFaceMeshOverhearsButAcksOneFace(t *testing.T) {
 		t.Fatalf("retrieved %d bytes that are not the %d published", len(got), len(payload))
 	}
 
-	if held, total := nodes[1].LocalData(item); held != total {
+	// Node 2 takes its overheard copies on its own goroutines: node 3's
+	// Retrieve returning says nothing about whether 2 has stored the
+	// last of them yet, so give it a moment before counting.
+	held, total := nodes[1].LocalData(item)
+	for deadline := time.Now().Add(5 * time.Second); held != total && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		held, total = nodes[1].LocalData(item)
+	}
+	if held != total {
 		t.Errorf("the overhearing node holds %d of %d chunks (overhear copies dropped at node 1: %d)",
 			held, total, meshes[0].Stats().OverhearDrops)
 	}

@@ -164,6 +164,54 @@ func nilReceiverGuard(fd *ast.FuncDecl) bool {
 	return toleratesNil(fd.Body.List[0], fd.Recv.List[0].Names[0].Name)
 }
 
+// toleratesNil recognizes `if recv == nil { return ... }` and
+// `return <expr involving recv == nil or recv != nil>`.
+func toleratesNil(s ast.Stmt, recv string) bool {
+	switch s := s.(type) {
+	case *ast.IfStmt:
+		if !nilComparison(s.Cond, recv, token.EQL) {
+			return false
+		}
+		for _, b := range s.Body.List {
+			if _, ok := b.(*ast.ReturnStmt); ok {
+				return true
+			}
+		}
+		return false
+	case *ast.ReturnStmt:
+		for _, e := range s.Results {
+			found := false
+			ast.Inspect(e, func(n ast.Node) bool {
+				if be, ok := n.(*ast.BinaryExpr); ok &&
+					(nilComparison(be, recv, token.EQL) || nilComparison(be, recv, token.NEQ)) {
+					found = true
+				}
+				return !found
+			})
+			if found {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func nilComparison(e ast.Expr, recv string, op token.Token) bool {
+	be, ok := e.(*ast.BinaryExpr)
+	if !ok || be.Op != op {
+		return false
+	}
+	isRecv := func(x ast.Expr) bool {
+		id, ok := x.(*ast.Ident)
+		return ok && id.Name == recv
+	}
+	isNil := func(x ast.Expr) bool {
+		id, ok := x.(*ast.Ident)
+		return ok && id.Name == "nil"
+	}
+	return (isRecv(be.X) && isNil(be.Y)) || (isNil(be.X) && isRecv(be.Y))
+}
+
 func checkAllocFree(p *Pass, fl *funcFlow, fd *ast.FuncDecl) {
 	info := p.Pkg.Info
 	fname := fd.Name.Name

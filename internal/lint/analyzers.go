@@ -4,5 +4,5 @@ package lint
 // is the machine-checked form of one documented invariant; see each
 // analyzer's Section for the DESIGN.md contract it enforces.
 func All() []*Analyzer {
-	return []*Analyzer{FrozenMsg, Determinism, AllocFree, GoroutineLife, TraceHygiene, LockSafe}
+	return []*Analyzer{FrozenMsg, Determinism, AllocFree, GoroutineLife}
 }

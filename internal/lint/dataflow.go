@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the intraprocedural dataflow engine the dataflow-aware
-// analyzers (frozenmsg v2, allocfree) sit on: a per-function value
+// analyzers (frozenmsg, allocfree) sit on: a per-function value
 // graph over go/ast + go/types tracking, for every local object, where
 // its value can come from. Two lattices are computed to a fixpoint:
 //
@@ -307,222 +307,6 @@ func (fl *funcFlow) exprTainted(e ast.Expr) bool {
 	return false
 }
 
-// --- package mutation summaries (one call level) ---------------------
-
-// paramMutations records, per function, which parameters the body
-// writes through: index ≥ 0 for parameters, recvIndex for the method
-// receiver. Only parameters of non-wire-flavored reference types are
-// recorded — a helper taking *wire.Message is flagged at its own
-// mutation site by the direct rules, so a call-site report would be a
-// duplicate. The summary is what lets frozenmsg follow a frozen slice
-// one call deep into a helper that scribbles on it.
-const recvIndex = -1
-
-type paramMutations map[*types.Func]map[int]bool
-
-// buildMutationSummaries computes the package's mutation summaries to a
-// fixpoint (a helper that forwards its parameter to a mutating helper
-// is itself mutating).
-func buildMutationSummaries(p *Pass, skipParamType func(types.Type) bool) paramMutations {
-	type fnInfo struct {
-		fn     *types.Func
-		body   *ast.BlockStmt
-		params map[types.Object]int
-	}
-	var fns []fnInfo
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			params := make(map[types.Object]int)
-			if fd.Recv != nil && len(fd.Recv.List) == 1 && len(fd.Recv.List[0].Names) == 1 {
-				if obj := p.Pkg.Info.Defs[fd.Recv.List[0].Names[0]]; obj != nil {
-					params[obj] = recvIndex
-				}
-			}
-			idx := 0
-			for _, field := range fd.Type.Params.List {
-				for _, name := range field.Names {
-					if obj := p.Pkg.Info.Defs[name]; obj != nil {
-						params[obj] = idx
-					}
-					idx++
-				}
-				if len(field.Names) == 0 {
-					idx++
-				}
-			}
-			fns = append(fns, fnInfo{fn: fn, body: fd.Body, params: params})
-		}
-	}
-
-	sums := make(paramMutations, len(fns))
-	record := func(fi fnInfo, obj types.Object) bool {
-		idx, isParam := fi.params[obj]
-		if !isParam {
-			return false
-		}
-		if skipParamType != nil && skipParamType(obj.Type()) {
-			return false
-		}
-		m := sums[fi.fn]
-		if m == nil {
-			m = make(map[int]bool)
-			sums[fi.fn] = m
-		}
-		if m[idx] {
-			return false
-		}
-		m[idx] = true
-		return true
-	}
-
-	// refRootedParam resolves an expression chain to a parameter object
-	// when the chain passes only through reference steps (pointer deref,
-	// selector on a pointer, slice/map indexing, re-slicing) — a write
-	// through such a chain is visible to the caller.
-	refRootedParam := func(fi fnInfo, e ast.Expr) types.Object {
-		visible := false
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
-			case *ast.StarExpr:
-				visible = true
-				e = x.X
-			case *ast.SliceExpr:
-				e = x.X
-			case *ast.IndexExpr:
-				if t := p.Pkg.Info.TypeOf(x.X); t != nil {
-					switch t.Underlying().(type) {
-					case *types.Slice, *types.Map, *types.Pointer:
-						visible = true
-					}
-				}
-				e = x.X
-			case *ast.SelectorExpr:
-				if t := p.Pkg.Info.TypeOf(x.X); t != nil {
-					if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-						visible = true
-					}
-				}
-				e = x.X
-			case *ast.Ident:
-				obj := usedObj(p.Pkg.Info, x)
-				if obj == nil {
-					return nil
-				}
-				if _, isParam := fi.params[obj]; isParam && visible {
-					return obj
-				}
-				return nil
-			default:
-				return nil
-			}
-		}
-	}
-	// sliceParam resolves e to a slice-typed parameter even without a
-	// visible step (append/copy mutate the backing array directly).
-	sliceParam := func(fi fnInfo, e ast.Expr) types.Object {
-		e = unwrapSlicing(e)
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return nil
-		}
-		obj := usedObj(p.Pkg.Info, id)
-		if obj == nil {
-			return nil
-		}
-		if _, isParam := fi.params[obj]; !isParam {
-			return nil
-		}
-		if t := obj.Type(); t != nil {
-			if _, isSlice := t.Underlying().(*types.Slice); isSlice {
-				return obj
-			}
-		}
-		return nil
-	}
-
-	for round := 0; round < 8; round++ {
-		changed := false
-		for _, fi := range fns {
-			fi := fi
-			ast.Inspect(fi.body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if obj := refRootedParam(fi, lhs); obj != nil {
-							if record(fi, obj) {
-								changed = true
-							}
-						}
-					}
-				case *ast.IncDecStmt:
-					if obj := refRootedParam(fi, n.X); obj != nil {
-						if record(fi, obj) {
-							changed = true
-						}
-					}
-				case *ast.CallExpr:
-					if id, ok := n.Fun.(*ast.Ident); ok {
-						if b, isBuiltin := p.Pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-							if (b.Name() == "append" || b.Name() == "copy") && len(n.Args) > 0 {
-								if obj := sliceParam(fi, n.Args[0]); obj != nil {
-									if record(fi, obj) {
-										changed = true
-									}
-								}
-							}
-							return true
-						}
-					}
-					// Forwarding: a parameter passed to a same-package
-					// function that mutates that position.
-					callee := calleeFunc(p.Pkg.Info, n)
-					if callee == nil {
-						return true
-					}
-					mut := sums[callee]
-					if mut == nil {
-						return true
-					}
-					if mut[recvIndex] {
-						if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-							for _, obj := range []types.Object{refRootedParam(fi, sel.X), sliceParam(fi, sel.X)} {
-								if obj != nil && record(fi, obj) {
-									changed = true
-								}
-							}
-						}
-					}
-					for i, arg := range n.Args {
-						if !mut[i] {
-							continue
-						}
-						for _, obj := range []types.Object{refRootedParam(fi, arg), sliceParam(fi, arg)} {
-							if obj != nil && record(fi, obj) {
-								changed = true
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-		if !changed {
-			break
-		}
-	}
-	return sums
-}
-
 // unwrapSlicing strips parens and re-slicing from an expression.
 func unwrapSlicing(e ast.Expr) ast.Expr {
 	for {
@@ -535,19 +319,4 @@ func unwrapSlicing(e ast.Expr) ast.Expr {
 			return e
 		}
 	}
-}
-
-// calleeFunc resolves a call to the invoked *types.Func (package-level
-// function or method), or nil for builtins, conversions and indirect
-// calls through function values.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -24,20 +24,13 @@ import (
 //   - select statements with more than one ready-path (the runtime
 //     picks among ready cases pseudo-randomly).
 //
-// Scope is computed, not hand-listed: when the whole module is loaded
-// (Run builds a package-level CallGraph) the deterministic core is
-// exactly the set of packages reachable from the scenario/sim entry
-// points — a new package is covered the moment the simulation first
-// calls into it, and a package only ever used by cmd/ tooling drops
-// out on its own. The static allowlist below still subtracts the
-// real-I/O packages that scenario code legitimately reaches, and it is
-// the whole rule for single-package fixture runs (no graph to consult).
-//
-// Out of scope by allowlist: the root package and cmd/ (real-clock
+// Scope is a path rule: every package of the module is in the
+// deterministic core except the root package and cmd/ (real-clock
 // wiring), examples/, internal/udptransport, internal/face,
 // internal/tracker and internal/origin (real sockets and deadlines),
 // internal/fault (its sources are seeded by construction),
 // internal/diskstore (wall-clock maintenance timing) and this package.
+// A new internal package is therefore covered from its first line.
 //
 // internal/spatial gets the opposite treatment — strict mode: the cell
 // scans there sit under every geometric query of the radio hot path,
@@ -83,35 +76,9 @@ func determinismStrict(path string) bool {
 	return false
 }
 
-// determinismRoots are the entry-point suffixes the computed scope
-// grows from: whatever the scenario drivers and the sim engine can
-// reach carries the same-seed contract.
-var determinismRoots = []string{"/internal/scenario", "/internal/sim"}
-
-// determinismInScope decides whether a package carries the determinism
-// contract. With a call graph (a whole-module Run) scope is
-// reachability from determinismRoots minus the static exemptions; the
-// path rule alone governs fixture packages and graph-less runs, so
-// fixtures exercise the checks without standing up a module.
-func determinismInScope(p *Pass) bool {
-	path := p.Pkg.Path
-	if !determinismScoped(path, p.Pkg.Types.Name()) {
-		return false
-	}
-	if p.Graph == nil || strings.HasPrefix(path, "fixture/") {
-		return true
-	}
-	reach := p.Graph.Reachable(determinismRoots)
-	if len(reach) == 0 {
-		// Partial run (pds-lint ./internal/clock): the entry points are
-		// not loaded, so there is no cone to narrow by — the path rule
-		// alone governs, else every audited suppression in the target
-		// would turn stale.
-		return true
-	}
-	return reach[path]
-}
-
+// determinismScoped decides whether a package carries the determinism
+// contract. Fixture packages ("fixture/...") are in scope, so fixtures
+// exercise the checks without standing up a module.
 func determinismScoped(path, name string) bool {
 	if name == "main" {
 		return false
@@ -132,7 +99,7 @@ func determinismScoped(path, name string) bool {
 }
 
 func runDeterminism(p *Pass) {
-	if !determinismInScope(p) {
+	if !determinismScoped(p.Pkg.Path, p.Pkg.Types.Name()) {
 		return
 	}
 	for _, f := range p.Pkg.Files {

@@ -1,6 +1,10 @@
 package lint
 
-import "testing"
+import (
+	"go/build"
+	"strings"
+	"testing"
+)
 
 func TestDeterminismFixture(t *testing.T) {
 	RunFixture(t, Determinism, "testdata/determinism")
@@ -55,37 +59,40 @@ func TestDeterminismScope(t *testing.T) {
 	}
 }
 
-// TestDeterminismGraphScope exercises the computed scope: with a call
-// graph present, only packages reachable from the scenario/sim roots
-// stay in scope, and the static exemptions still subtract from that.
+// TestDeterminismGraphScope checks the path rule over the whole module:
+// the simulation's packages are in scope, and the real-I/O edges, the
+// commands, the examples and this package are out.
 func TestDeterminismGraphScope(t *testing.T) {
-	g := &CallGraph{
-		edges: map[string][]string{
-			"pds/internal/scenario": {"pds/internal/sim", "pds/internal/core"},
-			"pds/internal/sim":      {"pds/internal/clock"},
-			"pds/internal/core":     {"pds/internal/wire", "pds/internal/diskstore"},
-			// qoe is loaded but nothing on the sim side calls it.
-			"pds/internal/qoe": {"pds/internal/metrics"},
-		},
-		reach: make(map[string]map[string]bool),
+	targets, err := Expand(mustAbs(t, "../.."), "pds", []string{"./..."})
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
 	}
-	r := g.Reachable(determinismRoots)
-	for _, want := range []string{
-		"pds/internal/scenario", "pds/internal/sim",
-		"pds/internal/core", "pds/internal/wire", "pds/internal/clock",
-	} {
-		if !r[want] {
-			t.Errorf("Reachable: %s missing from the scenario/sim cone", want)
+	scoped := make(map[string]bool, len(targets))
+	for _, tg := range targets {
+		bp, err := build.ImportDir(tg.Dir, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tg.Path, err)
+		}
+		scoped[tg.Path] = determinismScoped(tg.Path, bp.Name)
+		cmdOrExample := strings.HasPrefix(tg.Path, "pds/cmd/") || strings.HasPrefix(tg.Path, "pds/examples/")
+		if scoped[tg.Path] && (cmdOrExample || bp.Name == "main") {
+			t.Errorf("%s is in the deterministic core; commands and examples wire real clocks", tg.Path)
 		}
 	}
-	for _, stray := range []string{"pds/internal/qoe", "pds/internal/metrics"} {
-		if r[stray] {
-			t.Errorf("Reachable: %s should not be in the scenario/sim cone", stray)
+	for _, name := range []string{"scenario", "sim", "core", "wire", "clock", "radio", "link", "store"} {
+		if path := "pds/internal/" + name; !scoped[path] {
+			t.Errorf("%s is out of scope or missing from Expand, want in scope", path)
 		}
 	}
-	// Reachability widens coverage, never the exemptions: diskstore is
-	// reachable yet stays out via the static allowlist.
-	if determinismScoped("pds/internal/diskstore", "diskstore") {
-		t.Error("diskstore must stay exempt even though it is reachable")
+	out := []string{"pds"}
+	for _, name := range []string{"face", "udptransport", "tracker", "origin", "fault", "diskstore", "lint"} {
+		out = append(out, "pds/internal/"+name)
+	}
+	for _, path := range out {
+		if in, loaded := scoped[path]; !loaded {
+			t.Errorf("Expand missed %s", path)
+		} else if in {
+			t.Errorf("%s is in the deterministic core, want out", path)
+		}
 	}
 }

@@ -10,13 +10,11 @@ import (
 // wire.Message is published, the same pointer is delivered to every
 // receiver, so any in-place mutation is cross-node data corruption.
 //
-// v2 sits on the dataflow engine (dataflow.go): frozen values are
+// It sits on the dataflow engine (dataflow.go): frozen values are
 // tracked through aliases (e := m.Response.Entries; e[0] = x), struct
-// embedding (a wrapper embedding *wire.Message), range statements
-// (for _, b := range m.Response.Blobs { b.Payload[0] = 0 }) and one
-// call level (passing a frozen slice to a same-package helper that
-// writes through its parameter). The analyzer flags, outside the wire
-// package itself:
+// embedding (a wrapper embedding *wire.Message) and range statements
+// (for _, b := range m.Response.Blobs { b.Payload[0] = 0 }). The
+// analyzer flags, outside the wire package itself:
 //
 //   - field writes through a pointer to a frozen wire struct (Message,
 //     Query, Response, Fragment, Ack) — e.g. msg.From = id — and
@@ -28,16 +26,14 @@ import (
 //   - append/copy whose destination aliases a frozen slice (append may
 //     write into the shared backing array when capacity allows);
 //   - Bloom.Add on the shared filter, even via an alias; rewriting
-//     goes through LQT's private clone and Message.WithBloom;
-//   - calls passing frozen data to a same-package function whose body
-//     (transitively, within the package) writes through that parameter.
+//     goes through LQT's private clone and Message.WithBloom.
 //
 // Values the engine proves locally constructed (&wire.X{...},
 // new(wire.X), value copies' scalar fields) are the build/CoW phase of
 // the lifecycle and are allowed.
 var FrozenMsg = &Analyzer{
 	Name:    "frozenmsg",
-	Doc:     "flags post-publish mutation of frozen wire.Message sections outside the wire package's builders, tracking aliases, embedding and one call level",
+	Doc:     "flags post-publish mutation of frozen wire.Message sections outside the wire package's builders, tracking aliases and embedding",
 	Section: "DESIGN.md §8 (message ownership & copy-on-write)",
 	Run:     runFrozenMsg,
 }
@@ -77,7 +73,6 @@ func runFrozenMsg(p *Pass) {
 	if isWirePkg(p.Pkg.Types) {
 		return // the builders live here by design
 	}
-	sums := buildMutationSummaries(p, wireFlavored)
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -85,12 +80,12 @@ func runFrozenMsg(p *Pass) {
 				continue
 			}
 			fl := newFuncFlow(p, fd, flowConfig{taintedType: wireFlavored})
-			checkFrozenFunc(p, fl, fd.Body, sums)
+			checkFrozenFunc(p, fl, fd.Body)
 		}
 	}
 }
 
-func checkFrozenFunc(p *Pass, fl *funcFlow, body *ast.BlockStmt, sums paramMutations) {
+func checkFrozenFunc(p *Pass, fl *funcFlow, body *ast.BlockStmt) {
 	checkLHS := func(lhs ast.Expr) {
 		switch l := lhs.(type) {
 		case *ast.SelectorExpr:
@@ -146,7 +141,7 @@ func checkFrozenFunc(p *Pass, fl *funcFlow, body *ast.BlockStmt, sums paramMutat
 		case *ast.IncDecStmt:
 			checkLHS(n.X)
 		case *ast.CallExpr:
-			checkFrozenCall(p, fl, n, sums)
+			checkFrozenCall(p, fl, n)
 		}
 		return true
 	})
@@ -203,7 +198,7 @@ func frozenFieldSel(info *types.Info, e ast.Expr) (*ast.SelectorExpr, string, bo
 	}
 }
 
-func checkFrozenCall(p *Pass, fl *funcFlow, call *ast.CallExpr, sums paramMutations) {
+func checkFrozenCall(p *Pass, fl *funcFlow, call *ast.CallExpr) {
 	// append(m.Query.ChunkIDs[:i], ...) mutates the shared array in
 	// place when capacity allows; only the destination (first) argument
 	// is dangerous — frozen slices as variadic sources are reads. The
@@ -250,33 +245,7 @@ func checkFrozenCall(p *Pass, fl *funcFlow, call *ast.CallExpr, sums paramMutati
 			if pkg, tn, ok := receiverNamed(recv); ok && tn == "Filter" && pkg != nil &&
 				strings.HasSuffix(pkg.Path(), "/internal/bloom") && fl.exprTainted(fun.X) {
 				p.Reportf(call.Pos(), "mutation of a Bloom filter aliased from a frozen wire message: clone it and attach a snapshot via WithBloom")
-				return
 			}
-		}
-	}
-	// One call level: frozen data handed to a same-package helper that
-	// writes through the parameter (directly or transitively).
-	fn := calleeFunc(p.Pkg.Info, call)
-	if fn == nil {
-		return
-	}
-	mut := sums[fn]
-	if mut == nil {
-		return
-	}
-	if mut[recvIndex] {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && fl.exprTainted(sel.X) && !fl.exprOwned(sel.X) {
-			p.Reportf(call.Pos(), "%s is called on %s, which aliases frozen wire message data, and its body writes through the receiver",
-				fn.Name(), exprString(sel.X))
-		}
-	}
-	for i, arg := range call.Args {
-		if !mut[i] {
-			continue
-		}
-		if fl.exprTainted(arg) && !fl.exprOwned(arg) {
-			p.Reportf(call.Pos(), "passing %s, which aliases frozen wire message data, to %s, which writes through that parameter; copy before the call",
-				exprString(unwrapSlicing(arg)), fn.Name())
 		}
 	}
 }

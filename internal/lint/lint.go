@@ -30,12 +30,7 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Graph is the package-level call graph over every package in the
-	// run, for analyzers that scope by reachability instead of path
-	// lists. Nil in single-package fixture runs — analyzers must fall
-	// back to their static scope rule.
-	Graph *CallGraph
-	diags *[]Diagnostic
+	diags    *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
@@ -179,7 +174,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 		known[a.Name] = true
 	}
 
-	graph := BuildCallGraph(pkgs)
 	elapsed := make([]time.Duration, len(analyzers))
 	var diags []Diagnostic
 	var dirs []*Directive
@@ -189,7 +183,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 		diags = append(diags, bad...)
 		for i, a := range analyzers {
 			start := time.Now()
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, Graph: graph, diags: &diags})
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
 			elapsed[i] += time.Since(start)
 		}
 	}

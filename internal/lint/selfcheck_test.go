@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/ast"
+	"go/token"
 	"os"
 	"regexp"
 	"strings"
@@ -46,11 +48,42 @@ func TestAnalyzerSections(t *testing.T) {
 	}
 }
 
+// historyRE matches the doc-comment marker of a history case: a copy of
+// a real pre-fix shape, named by the commit before the fix and the
+// flagged line there.
+var historyRE = regexp.MustCompile(`^//\s*history:\s+[0-9a-f]{7,40}\s+\S+:\d+$`)
+
+// historyMarked reports whether pos lies in a function whose doc
+// comment carries a history marker.
+func historyMarked(pkg *Package, pos token.Position) bool {
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil {
+				continue
+			}
+			from, to := pkg.Fset.Position(fd.Pos()), pkg.Fset.Position(fd.End())
+			if from.Filename != pos.Filename || pos.Line < from.Line || pos.Line > to.Line {
+				continue
+			}
+			for _, c := range fd.Doc.List {
+				if historyRE.MatchString(c.Text) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // TestAnalyzerFixtureCoverage requires every analyzer's fixture to
 // exercise both sides of the suppression machinery: at least one
 // unsuppressed positive (the analyzer still catches its seeded
 // violations) and at least one //lint:allow-suppressed case (the
 // audited escape hatch keeps working for that analyzer's diagnostics).
+// It also requires a catch: at least one unsuppressed finding inside a
+// history case, so an analyzer keeps its place only while it still
+// flags a shape this repo actually shipped.
 func TestAnalyzerFixtureCoverage(t *testing.T) {
 	for _, a := range All() {
 		a := a
@@ -62,14 +95,18 @@ func TestAnalyzerFixtureCoverage(t *testing.T) {
 				t.Fatalf("loading %s: %v", dir, err)
 			}
 			res := Run([]*Package{pkg}, []*Analyzer{a})
-			var pos, sup int
+			var pos, sup, hist int
 			for _, f := range res.Findings {
 				if f.Analyzer != a.Name {
 					continue
 				}
-				if f.Suppressed {
+				switch {
+				case f.Suppressed:
 					sup++
-				} else {
+				case historyMarked(pkg, f.Pos):
+					hist++
+					pos++
+				default:
 					pos++
 				}
 			}
@@ -78,6 +115,9 @@ func TestAnalyzerFixtureCoverage(t *testing.T) {
 			}
 			if sup == 0 {
 				t.Errorf("%s: no //lint:allow-suppressed case in %s", a.Name, dir)
+			}
+			if hist == 0 {
+				t.Errorf("%s: no unsuppressed finding in a // history: case in %s", a.Name, dir)
 			}
 		})
 	}

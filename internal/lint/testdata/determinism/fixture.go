@@ -100,13 +100,16 @@ func mapAppendedSorted(dst []int, m map[int]string) []int {
 	return dst
 }
 
-// Collecting without sorting leaks map order into the result.
-func mapCollectedUnsorted(m map[int]string) []int {
-	var keys []int
-	for k := range m { // want "map iteration order is random"
-		keys = append(keys, k)
+// Collecting without sorting leaks map order into the result: the
+// link handed its give-up callback the unacked receivers in map order.
+//
+// history: 3a8a4ef internal/link/link.go:487
+func giveUp(remaining map[uint32]bool, onGiveUp func([]uint32)) {
+	unacked := make([]uint32, 0, len(remaining))
+	for id := range remaining { // want "map iteration order is random"
+		unacked = append(unacked, id)
 	}
-	return keys
+	onGiveUp(unacked)
 }
 
 // Early return of constants is the quantifier shape: whichever entry

@@ -3,14 +3,45 @@
 package fixture
 
 import (
+	"pds/internal/attr"
 	"pds/internal/bloom"
 	"pds/internal/wire"
 )
 
-// Envelope writes through a shared pointer are post-publish mutations.
-func mutateEnvelope(m *wire.Message) {
-	m.TransmitID = 7 // want "write to frozen wire.Message field TransmitID"
-	m.NoAck = true   // want "write to frozen wire.Message field NoAck"
+// Envelope writes through a shared pointer are post-publish mutations:
+// the link stamped every frame in place until Stamp built a copy.
+//
+// history: 3a8a4ef internal/link/link.go:335
+func (l *link) sendFrame(msg *wire.Message) {
+	l.nextTransmit++
+	msg.TransmitID = uint64(l.self)<<32 | l.nextTransmit // want "write to frozen wire.Message field TransmitID"
+	msg.From = l.self                                    // want "write to frozen wire.Message field From"
+	msg.NoAck = !l.ackEnabled                            // want "write to frozen wire.Message field NoAck"
+}
+
+type link struct {
+	self         wire.NodeID
+	nextTransmit uint64
+	ackEnabled   bool
+}
+
+// One variable holds either a frozen section or a fresh slice, so a
+// write through it may land in r.Entries; the alias rule flags it
+// without asking which branch ran.
+//
+// history: 86e82c5 internal/core/discovery.go:360
+func notifyDiscovery(r *wire.Response) []attr.Descriptor {
+	var descs []attr.Descriptor
+	switch r.Kind {
+	case wire.KindMetadata:
+		descs = r.Entries
+	case wire.KindData:
+		descs = make([]attr.Descriptor, len(r.Blobs))
+		for i, b := range r.Blobs {
+			descs[i] = b.Desc // want "element write into descs, which aliases a frozen wire message section"
+		}
+	}
+	return descs
 }
 
 // Body-section writes through pointer chains corrupt the shared frame.
@@ -48,7 +79,7 @@ func askSharedBloom(m *wire.Message, key string) bool {
 	return m.Query.Bloom.Overloaded() || m.Query.Bloom.Contains(key)
 }
 
-// --- v2: aliases, ranges, embedding, one call level ------------------
+// --- Aliases, ranges, embedding --------------------------------------
 
 // A slice pulled out of a frozen message still aliases its backing
 // array; the dataflow engine tracks the assignment.
@@ -83,25 +114,6 @@ type tracked struct {
 func mutateEmbedded(w *tracked) {
 	w.hits++          // the wrapper's own field is private
 	w.TransmitID = 12 // want "write to frozen wire.Message field TransmitID through an embedded pointer"
-}
-
-// One call level: frozen data handed to a helper that writes through
-// its parameter (directly, or transitively via another helper).
-func scrub(ids []int) {
-	for i := range ids {
-		ids[i] = 0
-	}
-}
-
-func wipe(rs []wire.NodeID)    { rs[0] = 0 }
-func wipeAll(rs []wire.NodeID) { wipe(rs) }
-
-func mutateViaCall(m *wire.Message) {
-	scrub(m.Query.ChunkIDs) // want "passing m.Query.ChunkIDs, which aliases frozen wire message data, to scrub"
-}
-
-func mutateViaCallDeep(m *wire.Message) {
-	wipeAll(m.Query.Receivers) // want "passing m.Query.Receivers, which aliases frozen wire message data, to wipeAll"
 }
 
 // copy's destination mutates the shared backing array like append.
@@ -155,20 +167,6 @@ func copyOut(m *wire.Message) []int {
 // Reading and the CoW helpers themselves are of course fine.
 func read(m *wire.Message, rs []wire.NodeID) (*wire.Message, int) {
 	return m.WithReceivers(rs), len(m.Query.ChunkIDs)
-}
-
-// A copied slice is owned, so mutating helpers may take it.
-func scrubOwned(m *wire.Message) []int {
-	ids := append([]int(nil), m.Query.ChunkIDs...)
-	scrub(ids)
-	return ids
-}
-
-// Builders may hand their own sections to mutating helpers too.
-func buildAndScrub() *wire.Query {
-	q := &wire.Query{ChunkIDs: []int{1, 2}}
-	scrub(q.ChunkIDs)
-	return q
 }
 
 // Reading through range variables never fires the alias rules.

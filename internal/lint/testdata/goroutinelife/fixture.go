@@ -5,6 +5,7 @@ package fixture
 
 import (
 	"context"
+	"net/http"
 	"sync"
 )
 
@@ -19,6 +20,16 @@ func fire() {}
 func leaky(s *server) {
 	go fire()      // want "unsupervised goroutine"
 	go func() {}() // want "unsupervised goroutine"
+}
+
+// pds-node started its origin server and closed it on the way out, but
+// nothing waited for ListenAndServe to return.
+//
+// history: 86e82c5 cmd/pds-node/main.go:208
+func serveOrigin(addr string) {
+	osrv := &http.Server{Addr: addr}
+	go osrv.ListenAndServe() // want "unsupervised goroutine"
+	defer osrv.Close()
 }
 
 // Add after the go statement races with Wait; still flagged.

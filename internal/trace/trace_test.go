@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -155,8 +157,9 @@ func TestMsgID(t *testing.T) {
 	}
 }
 
-// TestNilTracerWriteJSONL pins the tracehygiene fix: a nil tracer is
-// the documented disabled path and must write nothing, not panic.
+// TestNilTracerWriteJSONL pins the fix for WriteJSONL's missing nil
+// guard: a nil tracer is the documented disabled path and must write
+// nothing, not panic.
 func TestNilTracerWriteJSONL(t *testing.T) {
 	var tr *Tracer
 	var buf bytes.Buffer
@@ -165,5 +168,34 @@ func TestNilTracerWriteJSONL(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("nil tracer wrote %q", buf.String())
+	}
+}
+
+// TestNilTracerMethods holds every exported method of *Tracer and
+// *NodeTracer to the nil-receiver contract: called on nil with
+// zero-value arguments, none panics. A method added without its nil
+// guard fails here.
+func TestNilTracerMethods(t *testing.T) {
+	for _, recv := range []any{(*Tracer)(nil), (*NodeTracer)(nil)} {
+		v := reflect.ValueOf(recv)
+		if v.NumMethod() == 0 {
+			t.Fatalf("%T has no exported methods", recv)
+		}
+		for i := 0; i < v.NumMethod(); i++ {
+			name := fmt.Sprintf("%T.%s", recv, v.Type().Method(i).Name)
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on a nil receiver panicked: %v", name, r)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
 	}
 }

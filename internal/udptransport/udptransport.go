@@ -240,7 +240,6 @@ func (t *Transport) Send(msg *wire.Message) bool {
 	t.sendBuf = buf[:0] // keep grown capacity for the next frame
 	ok := true
 	for _, dst := range t.dests {
-		//lint:allow locksafe sendMu exists to serialize these writes over the shared scratch buffer; UDP sends don't block on peers
 		if _, err := t.conn.WriteToUDP(buf, dst); err != nil {
 			ok = false
 		}
