@@ -74,7 +74,8 @@ golden:
 	$(GO) test ./internal/scenario -run TestFigureRowsGolden -update-golden
 
 # fuzz runs short bursts of the fuzzers: the Bloom filter's one-loop
-# hash pair against hash/fnv, the codec, the checksummed framing above it
+# hash pair against hash/fnv, the codec and its two frame shapes (one
+# buffer, or segments around the payloads), the checksummed framing above it
 # that both socket carriers receive through (wire.DecodeChecked, driven
 # from udptransport's datagram corpus), the link's receive path fed
 # whatever two frames decode to, the tracker wire protocol, the
@@ -84,6 +85,7 @@ golden:
 fuzz:
 	$(GO) test ./internal/bloom -fuzz FuzzHashPair -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzSplit -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/udptransport -fuzz FuzzDecodeDatagram -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/link -fuzz FuzzHandleIncoming -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tracker -fuzz FuzzDecode -fuzztime $(FUZZTIME)

@@ -405,3 +405,34 @@ func TestUnpublishRemovesData(t *testing.T) {
 		t.Fatal("unpublish left data")
 	}
 }
+
+// TestAssembleAllocatesOnce: a 7-chunk item assembles into one buffer
+// sized up front — one allocation, not a doubling per chunk — and
+// byte-identical to its chunks in id order.
+func TestAssembleAllocatesOnce(t *testing.T) {
+	const chunks, size = 7, 128 << 10
+	r := RetrievalResult{
+		Item:   attr.NewDescriptor().Set(attr.AttrName, attr.String("clip")).Set(attr.AttrTotalChunks, attr.Int(chunks)),
+		Chunks: make(map[int][]byte),
+	}
+	var want []byte
+	for c := 0; c < chunks; c++ {
+		p := make([]byte, size-c) // unequal, as an item's last chunk is
+		for i := range p {
+			p[i] = byte(c + i)
+		}
+		r.Chunks[c] = p
+		want = append(want, p...)
+	}
+	got, ok := r.Assemble()
+	if !ok || string(got) != string(want) {
+		t.Fatalf("Assemble: %d bytes, ok %v; want the %d bytes of the chunks in order", len(got), ok, len(want))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.Assemble() }); allocs != 1 {
+		t.Fatalf("Assemble of %d chunks costs %v allocations, want 1", chunks, allocs)
+	}
+	delete(r.Chunks, 3)
+	if out, ok := r.Assemble(); ok || out != nil {
+		t.Fatalf("Assemble with chunk 3 missing: %d bytes, ok %v", len(out), ok)
+	}
+}

@@ -40,14 +40,22 @@ type RetrievalResult struct {
 // Assemble concatenates the chunks in id order; ok is false when any
 // chunk is missing.
 func (r *RetrievalResult) Assemble() ([]byte, bool) {
-	total := r.Item.TotalChunks()
-	var out []byte
+	return AssembleChunks(r.Chunks, r.Item.TotalChunks())
+}
+
+// AssembleChunks joins chunks 0 to total−1 in one buffer sized once; ok is false if one is missing.
+func AssembleChunks(chunks map[int][]byte, total int) ([]byte, bool) {
+	size := 0
 	for c := 0; c < total; c++ {
-		p, ok := r.Chunks[c]
+		p, ok := chunks[c]
 		if !ok {
 			return nil, false
 		}
-		out = append(out, p...)
+		size += len(p)
+	}
+	out := make([]byte, 0, size)
+	for c := 0; c < total; c++ {
+		out = append(out, chunks[c]...)
 	}
 	return out, true
 }

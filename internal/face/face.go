@@ -44,11 +44,15 @@ type Face struct {
 	// peer or names nobody, acks, pongs), overhear the copies of frames
 	// addressed to other peers. The writer takes both whole per wake-up.
 	qmu      sync.Mutex
-	listed   [][]byte
-	overhear [][]byte
+	listed   []frame
+	overhear []frame
 	wake     chan struct{} // one slot: something was queued since the writer last looked
 	stopCh   chan struct{}
 	stopOnce sync.Once
+
+	// The writer's, kept across writes: a batch's segments, and what one write consumes.
+	segs [][]byte
+	bufs net.Buffers
 
 	mu         sync.Mutex
 	conn       net.Conn
@@ -121,7 +125,7 @@ func (f *Face) peerID() wire.NodeID {
 
 // enqueue offers a frame to the face's writer, on the listed queue or
 // the overhear one; a full queue refuses it.
-func (f *Face) enqueue(frame []byte, listed bool) bool {
+func (f *Face) enqueue(fr frame, listed bool) bool {
 	if f.stopped() {
 		return false
 	}
@@ -134,7 +138,7 @@ func (f *Face) enqueue(frame []byte, listed bool) bool {
 		f.qmu.Unlock()
 		return false
 	}
-	*q = append(*q, frame)
+	*q = append(*q, fr)
 	f.qmu.Unlock()
 	select {
 	case f.wake <- struct{}{}:
@@ -145,7 +149,7 @@ func (f *Face) enqueue(frame []byte, listed bool) bool {
 
 // take moves everything queued onto batch, listed frames ahead of
 // overhear copies, and lets go of them.
-func (f *Face) take(batch [][]byte) [][]byte {
+func (f *Face) take(batch []frame) []frame {
 	f.qmu.Lock()
 	batch = append(append(batch, f.listed...), f.overhear...)
 	clear(f.listed)
@@ -359,8 +363,7 @@ func (f *Face) runConn(conn net.Conn) string {
 func (f *Face) writeLoop(conn net.Conn, done chan struct{}) {
 	hb := time.NewTicker(f.m.cfg.HeartbeatEvery)
 	defer hb.Stop()
-	var batch [][]byte
-	bufs := new(net.Buffers) // what one write consumes; batch keeps the backing array
+	var batch []frame
 	for {
 		ping := false
 		select {
@@ -376,7 +379,7 @@ func (f *Face) writeLoop(conn net.Conn, done chan struct{}) {
 		if ping {
 			batch = append(batch, pingFrame)
 		}
-		if len(batch) > 0 && !f.writeBatch(conn, batch, bufs) {
+		if len(batch) > 0 && !f.writeBatch(conn, batch) {
 			conn.Close()
 			return
 		}
@@ -384,15 +387,15 @@ func (f *Face) writeLoop(conn net.Conn, done chan struct{}) {
 	}
 }
 
-// writeBatch writes the frames in one call. Chaos draws once per message
-// frame, in queue order; a hit cuts the batch there — what was queued
-// ahead of it is still written — and fails the connection.
-func (f *Face) writeBatch(conn net.Conn, batch [][]byte, bufs *net.Buffers) bool {
+// writeBatch writes the frames' segments in one call. Chaos draws once per
+// message frame, in queue order; a hit cuts the batch there — what was
+// queued ahead of it is still written — and fails the connection.
+func (f *Face) writeBatch(conn net.Conn, batch []frame) bool {
 	cfg := &f.m.cfg
 	reset, stall := false, false
 	if cfg.Chaos != nil {
-		for i, frame := range batch {
-			if frame[lenSize] != frameMsg {
+		for i, fr := range batch {
+			if fr.head[lenSize] != frameMsg {
 				continue
 			}
 			if reset, stall = cfg.Chaos.ConnFault(f.addr); reset || stall {
@@ -402,9 +405,14 @@ func (f *Face) writeBatch(conn net.Conn, batch [][]byte, bufs *net.Buffers) bool
 		}
 	}
 	if len(batch) > 0 {
-		*bufs = batch
+		for _, fr := range batch {
+			f.segs = append(append(f.segs, fr.head), fr.rest...)
+		}
+		f.bufs = f.segs
 		conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		n, err := bufs.WriteTo(conn)
+		n, err := f.bufs.WriteTo(conn)
+		clear(f.segs)
+		f.segs = f.segs[:0]
 		if err != nil {
 			if isTimeout(err) {
 				f.noteReason(reasonWriteTime)
@@ -439,7 +447,8 @@ func (f *Face) writeBatch(conn net.Conn, batch [][]byte, bufs *net.Buffers) bool
 }
 
 // readLoop consumes frames until the connection dies or goes silent
-// past the heartbeat budget.
+// past the heartbeat budget. A message holding payload bytes keeps its
+// frame's buffer; the reader goes on with the scratch that frame outgrew.
 func (f *Face) readLoop(conn net.Conn, br *bufio.Reader, buf []byte) {
 	cfg := &f.m.cfg
 	idle := cfg.HeartbeatEvery * time.Duration(cfg.HeartbeatMiss+1)
@@ -453,6 +462,7 @@ func (f *Face) readLoop(conn net.Conn, br *bufio.Reader, buf []byte) {
 			conn.SetReadDeadline(now.Add(idle))
 			armed = now
 		}
+		scratch := buf
 		typ, body, nbuf, err := readFrame(br, buf, cfg.MaxFrame)
 		buf = nbuf
 		if err != nil {
@@ -486,6 +496,12 @@ func (f *Face) readLoop(conn net.Conn, br *bufio.Reader, buf []byte) {
 					}
 				})
 				continue
+			}
+			if wire.PayloadBytes(msg) > 0 {
+				if cap(buf) == cap(scratch) {
+					scratch = nil // the frame was read into the scratch itself
+				}
+				buf = scratch
 			}
 			f.m.deliver(msg)
 		default:

@@ -1,10 +1,13 @@
 package face
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,10 +103,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := encodeMsgFrame(msg)
+	fr, err := encodeMsgFrame(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame := fr.joined()
 	// The bytes on the wire: length, type, CRC of the payload, payload —
 	// built here the long way, in one exactly sized buffer by the mesh.
 	want := binary.BigEndian.AppendUint32(nil, uint32(1+wire.ChecksumSize+len(payload)))
@@ -113,13 +117,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("frame bytes differ:\n got %x\nwant %x", frame, want)
 	}
-	if cap(frame) != len(frame) {
-		t.Fatalf("frame buffer cap %d for %d bytes: sized wrong or grown", cap(frame), len(frame))
+	if fr.rest != nil || cap(fr.head) != len(fr.head) {
+		t.Fatalf("frame of a message with no payload: head cap %d for %d bytes and %d more segments; sized wrong or grown",
+			cap(fr.head), len(fr.head), len(fr.rest))
 	}
 	if _, err := encodeMsgFrame(&wire.Message{Type: 99}); err == nil {
 		t.Fatal("unencodable message framed")
 	}
-	typ, body, _, err := readFrame(bytes.NewReader(frame), nil, 1<<20)
+	typ, body, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), nil, 1<<20)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -136,7 +141,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// Bit damage must fail the CRC, not decode garbage.
 	frame[len(frame)-1] ^= 0xff
-	_, body, _, err = readFrame(bytes.NewReader(frame), nil, 1<<20)
+	_, body, _, err = readFrame(bufio.NewReader(bytes.NewReader(frame)), nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// Oversized length prefix must be rejected before allocation.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, frameMsg}
-	if _, _, _, err := readFrame(bytes.NewReader(huge), nil, 1<<20); err == nil {
+	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(huge)), nil, 1<<20); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -499,7 +504,7 @@ func TestSendFanOut(t *testing.T) {
 	m := stubMesh(t, 4096)
 	up := func(addr string, peer wire.NodeID) *Face {
 		f := stubFace(m, addr, peer)
-		f.listed = make([][]byte, 0, 4096)
+		f.listed = make([]frame, 0, 4096)
 		return f
 	}
 	a, b, c := up("10.0.0.1:1", 2), up("10.0.0.2:1", 3), up("10.0.0.3:1", 2) // c reaches a's peer again
@@ -530,5 +535,99 @@ func TestSendFanOut(t *testing.T) {
 	}
 	if st := m.Stats(); st.MsgsSent != 502 || st.OutboxDrops != 0 {
 		t.Errorf("stats after 502 sends: %+v", st)
+	}
+}
+
+// chunkResponse is a chunk response to node 1 carrying n bytes of fill.
+func chunkResponse(id uint64, n int, fill byte) *wire.Message {
+	m := testResponse(id, 1)
+	m.Response.Kind = wire.KindChunk
+	m.Response.Blobs = []wire.Blob{{Desc: attr.NewDescriptor().Set("c", attr.Int(int64(id))), Payload: bytes.Repeat([]byte{fill}, n)}}
+	return m
+}
+
+// TestChunkSendCopiesNoPayload: a 128 KB chunk response is framed around
+// its payload, not copied into the frame. Send allocates the frame's
+// encoded bytes and its segment list — at most 2 objects, under 1 KB
+// together — however many faces queue it, and the frame's bytes are the
+// checksummed encoding.
+func TestChunkSendCopiesNoPayload(t *testing.T) {
+	m := stubMesh(t, 4096)
+	to1, to3 := stubFace(m, "10.0.0.1:1", 1), stubFace(m, "10.0.0.2:1", 3)
+	to1.listed, to3.overhear = make([]frame, 0, 4096), make([]frame, 0, 4096)
+	m.dialed = []*Face{to1, to3}
+	msg := chunkResponse(1, 128<<10, 7)
+	if !m.Send(msg) {
+		t.Fatal("Send failed")
+	}
+	fr := to1.listed[0]
+	want, err := wire.AppendChecked(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fr.joined(); !bytes.Equal(got[lenSize+1:], want) || int(binary.BigEndian.Uint32(got)) != 1+len(want) {
+		t.Fatal("the frame is not the length, the type and the checksummed encoding")
+	}
+	if payload := msg.Response.Blobs[0].Payload; len(fr.rest) == 0 || &fr.rest[0][0] != &payload[0] {
+		t.Fatal("the frame does not carry the message's own payload bytes")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { m.Send(msg) }); allocs > 2 {
+		t.Errorf("a chunk Send costs %v allocations, want at most 2", allocs)
+	}
+	const sends = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sends; i++ {
+		m.Send(msg)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / sends; per >= 1<<10 {
+		t.Errorf("a Send of a %d-byte chunk allocates %d bytes, want under 1 KB", len(msg.Response.Blobs[0].Payload), per)
+	}
+}
+
+// TestReceivedPayloadOutlivesLaterFrames: a received chunk's payload
+// aliases the buffer its frame was read into, and the reader leaves that
+// buffer to the message — whether the frame fitted the reader's scratch
+// or outgrew it — so the frames read after it never write over it.
+func TestReceivedPayloadOutlivesLaterFrames(t *testing.T) {
+	a := newTestMesh(t, 1)
+	b := newTestMesh(t, 2)
+	var got collector
+	a.SetReceiver(got.add)
+	b.SetReceiver(func(*wire.Message) {})
+	b.AddPeer(a.ListenAddr().String())
+	if !b.WaitReady(1, 5*time.Second) {
+		t.Fatal("face never came up")
+	}
+	// A metadata response bigger than a chunk frame grows the reader's
+	// scratch, so chunk 0xA1 is read into the scratch itself; 0xB2 then
+	// finds none, and 0xC3 outgrows the query read before it.
+	big := testResponse(100, 1)
+	for i := 0; i < 200; i++ {
+		big.Response.Entries = append(big.Response.Entries, attr.NewDescriptor().Set("name", attr.String(strings.Repeat("x", 64))))
+	}
+	const size = 4 << 10
+	fills := []byte{0xa1, 0xb2, 0xc3, 0xd4}
+	sends := []*wire.Message{big, chunkResponse(1, size, fills[0]), chunkResponse(2, size, fills[1]), testQuery(3),
+		chunkResponse(4, size, fills[2]), testQuery(5), testQuery(6), chunkResponse(7, size, fills[3]), big}
+	for i, msg := range sends {
+		if !b.Send(msg) {
+			t.Fatalf("send %d failed", i)
+		}
+	}
+	var chunks []*wire.Message
+	for _, msg := range got.wait(t, len(sends), 5*time.Second) {
+		if wire.PayloadBytes(msg) > 0 {
+			chunks = append(chunks, msg)
+		}
+	}
+	if len(chunks) != len(fills) {
+		t.Fatalf("%d chunks arrived, want %d", len(chunks), len(fills))
+	}
+	for i, msg := range chunks {
+		if p := msg.Response.Blobs[0].Payload; !bytes.Equal(p, bytes.Repeat([]byte{fills[i]}, size)) {
+			t.Errorf("chunk %#x was written over by a frame read after it", fills[i])
+		}
 	}
 }

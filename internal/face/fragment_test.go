@@ -64,7 +64,7 @@ func TestFragmentFramesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got := hex.EncodeToString(frame); got != want[i] {
+		if got := hex.EncodeToString(frame.joined()); got != want[i] {
 			t.Errorf("frame %d differs from the pinned bytes:\n got %s\nwant %s", i, got, want[i])
 		}
 	}

@@ -1,6 +1,7 @@
 package face
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,10 +23,20 @@ const (
 	lenSize = 4
 )
 
+// frame is one queued frame, shared read-only by the faces that queue it:
+// head, then rest, which holds a message's payloads (wire.AppendSplit).
+type frame struct {
+	head []byte
+	rest [][]byte
+}
+
+// size returns the frame's length on the stream, as its prefix says.
+func (fr frame) size() int { return lenSize + int(binary.BigEndian.Uint32(fr.head)) }
+
 // Preframed keepalive frames, shared read-only across all faces.
 var (
-	pingFrame = []byte{0, 0, 0, 1, framePing}
-	pongFrame = []byte{0, 0, 0, 1, framePong}
+	pingFrame = frame{head: []byte{0, 0, 0, 1, framePing}}
+	pongFrame = frame{head: []byte{0, 0, 0, 1, framePong}}
 )
 
 var errFrameLength = errors.New("face: bad frame length")
@@ -39,35 +50,34 @@ func helloFrame(id wire.NodeID) []byte {
 	return out
 }
 
-// encodeMsgFrame wire-encodes msg straight into its frame — length,
-// type, checksummed payload — in one buffer sized up front (msg carries
-// the body of its type, as everything link.Send has sized does).
-func encodeMsgFrame(msg *wire.Message) ([]byte, error) {
-	frame := make([]byte, lenSize+1, lenSize+1+wire.ChecksumSize+wire.EncodedSize(msg))
-	frame, err := wire.AppendChecked(frame, msg)
+// encodeMsgFrame wire-encodes msg into its frame — length, type, checksum,
+// encoding, payloads by reference — in one buffer sized up front (msg
+// carries the body of its type, as everything link.Send has sized does).
+func encodeMsgFrame(msg *wire.Message) (frame, error) {
+	size := lenSize + 1 + wire.ChecksumSize + wire.EncodedSize(msg)
+	head, rest, err := wire.AppendSplit(make([]byte, lenSize+1, size-wire.PayloadBytes(msg)), msg)
 	if err != nil {
-		return nil, err
+		return frame{}, err
 	}
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-lenSize))
-	frame[lenSize] = frameMsg
-	return frame, nil
+	binary.BigEndian.PutUint32(head, uint32(size-lenSize))
+	head[lenSize] = frameMsg
+	return frame{head, rest}, nil
 }
 
 // readFrame reads one frame from r into buf (grown as needed) and
-// returns the type, the body (aliasing buf — valid until the next
-// call), and the grown buffer. The length prefix is read into buf too: a
-// warm reader allocates nothing.
-func readFrame(r io.Reader, buf []byte, maxFrame int) (typ byte, body, out []byte, err error) {
-	if cap(buf) < lenSize {
-		buf = make([]byte, lenSize)
-	}
-	if _, err = io.ReadFull(r, buf[:lenSize]); err != nil {
+// returns the type, the body (aliasing buf — valid until buf is next
+// read into), and the buffer used. The length prefix is peeked from r: a
+// warm reader allocates nothing, a nil buf the frame's size exactly.
+func readFrame(r *bufio.Reader, buf []byte, maxFrame int) (typ byte, body, out []byte, err error) {
+	prefix, err := r.Peek(lenSize)
+	if err != nil {
 		return 0, nil, buf, err
 	}
-	n := int(binary.BigEndian.Uint32(buf[:lenSize]))
+	n := int(binary.BigEndian.Uint32(prefix))
 	if n < 1 || n > maxFrame {
 		return 0, nil, buf, fmt.Errorf("%w: %d", errFrameLength, n)
 	}
+	r.Discard(lenSize) // cannot fail: the bytes were peeked
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}

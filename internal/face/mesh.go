@@ -20,7 +20,8 @@
 // carrier and nothing more: every message, fragments included, goes
 // through the one wire encode path into a length-prefixed, CRC-checked
 // frame. Fragments appear only past MaxFrame: MaxFragment tells the node
-// to send anything smaller whole.
+// to send anything smaller whole. A payload is never copied into a frame
+// or out of one (wire.AppendSplit, wire.DecodeChecked).
 package face
 
 import (
@@ -360,8 +361,8 @@ func (m *Mesh) WaitReady(n int, timeout time.Duration) bool {
 	}
 }
 
-// Send encodes the message once and queues the framed bytes, shared
-// read-only, on the up faces that can use them, one per distinct peer (a
+// Send encodes the message once and queues the frame, shared read-only,
+// on the up faces that can use them, one per distinct peer (a
 // peer reachable over both a dialed and an accepted face is served over
 // the dialed one; peers that announced no id all count as distinct and
 // as listed). An ack goes to the face of the peer whose frame it
@@ -371,7 +372,7 @@ func (m *Mesh) WaitReady(n int, timeout time.Duration) bool {
 // not be encoded or a listed copy was refused by a full queue; a refused
 // overhear copy is counted and traced and nobody's loss.
 func (m *Mesh) Send(msg *wire.Message) bool {
-	frame, err := encodeMsgFrame(msg)
+	fr, err := encodeMsgFrame(msg)
 	if err != nil {
 		m.mu.Lock()
 		m.stats.EncodeErrors++
@@ -417,13 +418,13 @@ func (m *Mesh) Send(msg *wire.Message) bool {
 	for i, f := range targets {
 		listed := len(receivers) == 0 || peers[i] == 0 || slices.Contains(receivers, peers[i])
 		switch {
-		case f.enqueue(frame, listed):
+		case f.enqueue(fr, listed):
 		case listed:
 			listedDrops++
-			tr.TransportDrop(msg, len(frame), "outbox")
+			tr.TransportDrop(msg, fr.size(), "outbox")
 		default:
 			overhearDrops++
-			tr.TransportDrop(msg, len(frame), "overhear")
+			tr.TransportDrop(msg, fr.size(), "overhear")
 		}
 	}
 	m.mu.Lock()

@@ -28,6 +28,11 @@ func stubMesh(t *testing.T, outboxFrames int) *Mesh {
 	return m
 }
 
+// joined returns the frame's bytes as they go on the stream.
+func (fr frame) joined() []byte {
+	return slices.Concat(append([][]byte{fr.head}, fr.rest...)...)
+}
+
 // stubFace is an up face to peer that no goroutine serves.
 func stubFace(m *Mesh, addr string, peer wire.NodeID) *Face {
 	return &Face{m: m, addr: addr, wake: make(chan struct{}, 1), stopCh: make(chan struct{}), up: true, peer: peer}
@@ -222,7 +227,7 @@ func TestWriterGathers(t *testing.T) {
 		}
 	}
 	batch := f.take(nil)
-	if !f.writeBatch(near, batch, new(net.Buffers)) {
+	if !f.writeBatch(near, batch) {
 		t.Fatal("writeBatch failed")
 	}
 	if st := m.Stats(); st.Writes != 1 || st.FramesSent != 9 {
@@ -300,7 +305,6 @@ func TestChaosDrawsOncePerMessageFrame(t *testing.T) {
 	f := stubFace(m, "10.0.0.1:1", 2)
 	m.dialed = []*Face{f}
 	near, far := tcpPair(t)
-	bufs := new(net.Buffers)
 
 	// One batch: three listed frames, a pong, two overhear copies.
 	for i := uint64(1); i <= 3; i++ {
@@ -309,7 +313,7 @@ func TestChaosDrawsOncePerMessageFrame(t *testing.T) {
 	f.enqueue(pongFrame, true)
 	m.Send(testResponse(4, 9))
 	m.Send(testResponse(5, 9))
-	if !f.writeBatch(near, f.take(nil), bufs) {
+	if !f.writeBatch(near, f.take(nil)) {
 		t.Fatal("writeBatch failed")
 	}
 	if chaos.draws != 5 {
@@ -318,11 +322,11 @@ func TestChaosDrawsOncePerMessageFrame(t *testing.T) {
 	// Frame by frame, and a ping on its own.
 	for i := uint64(6); i <= 8; i++ {
 		m.Send(testResponse(i, 2))
-		if !f.writeBatch(near, f.take(nil), bufs) {
+		if !f.writeBatch(near, f.take(nil)) {
 			t.Fatal("writeBatch failed")
 		}
 	}
-	if !f.writeBatch(near, [][]byte{pingFrame}, bufs) {
+	if !f.writeBatch(near, []frame{pingFrame}) {
 		t.Fatal("writeBatch failed")
 	}
 	if chaos.draws != 8 {
@@ -335,7 +339,7 @@ func TestChaosDrawsOncePerMessageFrame(t *testing.T) {
 		m.Send(testResponse(i, 2))
 	}
 	resets := m.Stats().ConnResets
-	if f.writeBatch(near, f.take(nil), bufs) {
+	if f.writeBatch(near, f.take(nil)) {
 		t.Fatal("writeBatch survived a reset")
 	}
 	if chaos.draws != 11 {
@@ -359,7 +363,7 @@ func TestReadFrameAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	const runs = 200
-	br := bufio.NewReader(bytes.NewReader(bytes.Repeat(frame, runs+2)))
+	br := bufio.NewReader(bytes.NewReader(bytes.Repeat(frame.joined(), runs+2)))
 	_, _, buf, err := readFrame(br, nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +412,7 @@ func TestSilentPeerTornDownOnTheHeartbeatClock(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		time.Sleep(every / 8)
 		last = time.Now()
-		if _, err := conn.Write(pongFrame); err != nil {
+		if _, err := conn.Write(pongFrame.head); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,6 @@ package link
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"pds/internal/clock"
@@ -724,24 +723,10 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 		// rules), so no private clone is needed.
 		return f.Whole
 	}
-	// Real-transport path: concatenate into a pooled scratch buffer and
-	// decode. Decode fully materializes the message (payloads and
-	// fragment data are copied out), so the buffer can go straight back
-	// to the pool.
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	buf := reasmBufPool.Get().(*[]byte)
-	*buf = (*buf)[:0]
-	if cap(*buf) < total {
-		*buf = make([]byte, 0, total)
-	}
-	for _, part := range parts {
-		*buf = append(*buf, part...)
-	}
-	decoded, err := wire.Decode(*buf)
-	reasmBufPool.Put(buf)
+	// Real-transport path: concatenate the fragments into one buffer and
+	// decode. The buffer is never reused: the message's blob payloads
+	// alias it, and the large reassemblies are chunks.
+	decoded, err := wire.Decode(slices.Concat(parts...))
 	if err != nil {
 		l.stats.ReasmErrors++
 		return nil
@@ -749,11 +734,6 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 	l.tr.Reassembled(decoded, f.OrigID, f.Count)
 	return decoded
 }
-
-// reasmBufPool recycles reassembly scratch buffers: one multi-megabyte
-// concatenation per reassembled message would otherwise dominate the
-// real-transport receive path's allocations.
-var reasmBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // Reset wipes all volatile link state — pacing queue, in-flight ARQ
 // entries (their retry timers cancelled), fragment jobs, reassembly

@@ -1,9 +1,11 @@
 package link
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"pds/internal/attr"
 	"pds/internal/wire"
 )
 
@@ -121,5 +123,43 @@ func TestReassemblySweep(t *testing.T) {
 	t.Logf("a new reassembly: %v joining under 1k others, %v joining 64k", small, large)
 	if large > 10*max(small, 20*time.Nanosecond) {
 		t.Fatalf("a new reassembly costs %v in a table of 64k and %v in one under 1k: it pays for a walk of the table", large, small)
+	}
+}
+
+// TestReassembledPayloadOutlivesLaterReassemblies: a message reassembled
+// from bytes holds the buffer it was decoded from, and the reassemblies
+// after it — of payload-free messages, and of chunks as large — never
+// write over its payload.
+func TestReassembledPayloadOutlivesLaterReassemblies(t *testing.T) {
+	lk := New(&manualClock{}, 1, func(*wire.Message) bool { return true }, testConfig())
+	chunk := func(id uint64) *wire.Message {
+		return &wire.Message{
+			Type: wire.TypeResponse, TransmitID: id, From: 2,
+			Response: &wire.Response{
+				ID: id, Kind: wire.KindChunk, Receivers: []wire.NodeID{1},
+				Blobs: []wire.Blob{{Desc: attr.NewDescriptor().Set("c", attr.Int(0)), Payload: bytes.Repeat([]byte{byte(id)}, 5000)}},
+			},
+		}
+	}
+	var up []*wire.Message
+	tid := uint64(100)
+	for orig, msg := range []*wire.Message{smallResponse(1, 1), chunk(0xa1), chunk(0xb2), smallResponse(2, 1), chunk(0xc3), chunk(0xd4)} {
+		for _, frag := range cutFragments(t, msg, uint64(orig+1), tid, 4) {
+			if m := lk.HandleIncoming(frag); m != nil {
+				up = append(up, m)
+			}
+		}
+		tid += 4
+	}
+	if len(up) != 6 {
+		t.Fatalf("%d messages reassembled, want 6", len(up))
+	}
+	for _, m := range up {
+		if wire.PayloadBytes(m) == 0 {
+			continue
+		}
+		if id := m.Response.ID; !bytes.Equal(m.Response.Blobs[0].Payload, bytes.Repeat([]byte{byte(id)}, 5000)) {
+			t.Errorf("the payload of chunk %#x was written over by a reassembly after it", id)
+		}
 	}
 }

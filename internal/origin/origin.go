@@ -144,9 +144,11 @@ func (s *Static) PutEntry(d attr.Descriptor) {
 	s.mu.Unlock()
 }
 
+// PutPayload keeps payload itself, not a copy: payload bytes never change
+// once handed over, as core.PublishItem relies on too.
 func (s *Static) PutPayload(d attr.Descriptor, payload []byte, owned bool) bool {
 	s.mu.Lock()
-	s.records[d.Key()] = staticRecord{desc: d, payload: append([]byte(nil), payload...), owned: owned}
+	s.records[d.Key()] = staticRecord{desc: d, payload: payload, owned: owned}
 	s.mu.Unlock()
 	return true
 }

@@ -51,6 +51,20 @@ func TestStaticBackend(t *testing.T) {
 	}
 }
 
+// TestStaticKeepsWhatItIsGiven: Static stores the caller's bytes, not a
+// copy of them, so Restore hands back the very slice that was Put.
+func TestStaticKeepsWhatItIsGiven(t *testing.T) {
+	s := NewStatic()
+	d := chunkDesc("clip", 0)
+	payload := []byte("chunk-zero")
+	s.Put(d, payload)
+	var got []byte
+	s.Restore(func(_ attr.Descriptor, p []byte, _, _ bool) { got = p })
+	if len(got) != len(payload) || &got[0] != &payload[0] {
+		t.Fatal("Restore handed back a copy of the payload, not the slice that was Put")
+	}
+}
+
 func TestHTTPOriginAgainstHandler(t *testing.T) {
 	back := NewStatic()
 	d := chunkDesc("clip", 1)

@@ -119,17 +119,6 @@ const (
 	dropClassWrite  = "write"
 )
 
-// recvBufPool holds receive buffers for readLoop. wire.Decode fully
-// materializes every section it returns (payload bytes, fragment data,
-// bloom bits, attribute strings are all copied out of the source), so a
-// buffer can be recycled the moment wire.DecodeChecked returns.
-var recvBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 2048)
-		return &b
-	},
-}
-
 // MaxFragment is the largest link-layer fragment one datagram carries
 // whole; receivers would truncate anything larger. pds.NewNode refuses
 // a link configured to cut bigger ones.
@@ -264,12 +253,7 @@ func (t *Transport) Send(msg *wire.Message) bool {
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
 	local := t.conn.LocalAddr().String()
-	bp := recvBufPool.Get().(*[]byte)
-	defer recvBufPool.Put(bp)
-	if cap(*bp) < t.cfg.MaxDatagram {
-		*bp = make([]byte, t.cfg.MaxDatagram)
-	}
-	buf := (*bp)[:t.cfg.MaxDatagram]
+	buf := make([]byte, t.cfg.MaxDatagram)
 	for {
 		n, from, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -278,8 +262,8 @@ func (t *Transport) readLoop() {
 		if from != nil && from.String() == local {
 			continue // our own broadcast echoed back
 		}
-		// Decode straight from the receive buffer: the codec copies out
-		// everything it keeps, so no per-datagram clone is needed.
+		// Decode straight from the receive buffer: a message that holds
+		// payload bytes keeps it, and the next datagram goes into another.
 		msg, err := wire.DecodeChecked(buf[:n])
 		if err != nil {
 			t.mu.Lock()
@@ -290,6 +274,9 @@ func (t *Transport) readLoop() {
 			}
 			t.mu.Unlock()
 			continue
+		}
+		if wire.PayloadBytes(msg) > 0 {
+			buf = make([]byte, t.cfg.MaxDatagram)
 		}
 		t.mu.Lock()
 		t.stats.DatagramsReceived++

@@ -208,3 +208,33 @@ func TestDecodeErrorCounted(t *testing.T) {
 	}
 	t.Fatalf("errors not counted: %+v", b.Stats())
 }
+
+// TestReceivedPayloadOutlivesLaterDatagrams: a data response decoded
+// from a datagram holds the buffer it was read into, and the reader takes
+// another for what follows, so later datagrams never write over the
+// payload.
+func TestReceivedPayloadOutlivesLaterDatagrams(t *testing.T) {
+	a, b := newPair(t, 19815, 19816)
+	var got collector
+	b.SetReceiver(got.add)
+	const n, size = 6, 1000
+	fill := func(id uint64) byte { return byte(0x11 * id) }
+	for id := uint64(1); id <= n; id++ {
+		msg := &wire.Message{
+			Type: wire.TypeResponse, TransmitID: id, From: 1,
+			Response: &wire.Response{
+				ID: id, Kind: wire.KindData, Sender: 1,
+				Blobs: []wire.Blob{{Desc: attr.NewDescriptor().Set("n", attr.Int(int64(id))), Payload: bytes.Repeat([]byte{fill(id)}, size)}},
+			},
+		}
+		if !a.Send(msg) {
+			t.Fatalf("send %d failed", id)
+		}
+	}
+	for _, msg := range got.wait(t, n, 5*time.Second) {
+		id := msg.Response.ID
+		if !bytes.Equal(msg.Response.Blobs[0].Payload, bytes.Repeat([]byte{fill(id)}, size)) {
+			t.Errorf("the payload of response %d was written over by a datagram read after it", id)
+		}
+	}
+}

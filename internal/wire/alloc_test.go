@@ -184,8 +184,8 @@ func TestShareAllocBudget(t *testing.T) {
 }
 
 // TestDecodeAllocBudget keeps Decode's materialization cost bounded: it
-// must copy out what it keeps (that is what lets receive buffers be
-// pooled), but the per-message overhead must stay small and flat.
+// copies out everything but blob payloads, which alias the input, and the
+// per-message overhead must stay small and flat.
 func TestDecodeAllocBudget(t *testing.T) {
 	m := sampleResponse()
 	buf, err := Encode(m)
@@ -198,7 +198,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 		}
 	})
 	// Sections of the sample: message, response, serves, entries (with
-	// attribute maps and strings), CDI, blobs with payload copies. The
+	// attribute maps and strings), CDI, blobs (payloads not copied). The
 	// exact figure depends on the sample's shape; the bound catches an
 	// accidental quadratic or per-byte regression.
 	if allocs > 60 {

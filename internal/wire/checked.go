@@ -59,11 +59,63 @@ func AppendChecked(dst []byte, m *Message) ([]byte, error) {
 	return dst, nil
 }
 
+// AppendSplit is AppendChecked with each blob payload left where it is:
+// the frame is head (dst, checksum, encoding up to the first payload), then
+// rest: each payload, m's own slice, and the encoding after it. A message
+// with no payload bytes has no rest. It does not grow a dst with room for
+// ChecksumSize + EncodedSize(m) − PayloadBytes(m) more bytes.
+func AppendSplit(dst []byte, m *Message) (head []byte, rest [][]byte, err error) {
+	at := len(dst)
+	var s split
+	if dst, err = appendMessage(append(dst, 0, 0, 0, 0), m, &s); err != nil {
+		return nil, nil, err
+	}
+	head = dst
+	if s.rest != nil {
+		head, rest = dst[:s.first], append(s.rest, dst[s.mark:])
+	}
+	crc := crc32.ChecksumIEEE(head[at+ChecksumSize:])
+	for _, seg := range rest {
+		crc = crc32.Update(crc, crc32.IEEETable, seg)
+	}
+	binary.BigEndian.PutUint32(head[at:], crc)
+	return head, rest, nil
+}
+
+// split records where in dst the first payload goes, where the encoding
+// after the last one starts, and the segments between (AppendSplit).
+type split struct {
+	first, mark int
+	rest        [][]byte
+}
+
+// cut leaves payload out of line at the end of dst; the first sizes rest
+// for n blobs, two segments each.
+func (s *split) cut(dst, payload []byte, n int) {
+	if s.rest == nil {
+		s.first, s.rest = len(dst), make([][]byte, 0, 2*n)
+	} else {
+		s.rest = append(s.rest, dst[s.mark:])
+	}
+	s.rest, s.mark = append(s.rest, payload), len(dst)
+}
+
+// PayloadBytes returns the blob payload bytes m carries: what AppendSplit
+// leaves out of line, and what makes a decoded m hold its input buffer.
+func PayloadBytes(m *Message) (n int) {
+	if m.Response != nil {
+		for _, b := range m.Response.Blobs {
+			n += len(b.Payload)
+		}
+	}
+	return n
+}
+
 // DecodeChecked verifies the checksum and decodes the message behind
 // it. It returns ErrChecksum for truncated or bit-damaged input and the
 // codec's error for intact bytes the codec rejects; it never panics and
-// never returns a message from damaged input. The codec copies out
-// everything it keeps, so buf can be reused the moment this returns.
+// never returns a message from damaged input. As with Decode, buf is
+// reusable once this returns iff the message's PayloadBytes are 0.
 func DecodeChecked(buf []byte) (*Message, error) {
 	if len(buf) < ChecksumSize {
 		return nil, ErrChecksum

@@ -101,6 +101,13 @@ func Encode(m *Message) ([]byte, error) {
 //
 //pds:hotpath
 func AppendEncode(dst []byte, m *Message) ([]byte, error) {
+	return appendMessage(dst, m, nil)
+}
+
+// appendMessage is the one encoder; with s set, payloads stay out of line.
+//
+//pds:hotpath
+func appendMessage(dst []byte, m *Message, s *split) ([]byte, error) {
 	dst = append(dst, frameMagic, frameVersion, byte(m.Type))
 	dst = binary.AppendUvarint(dst, m.TransmitID)
 	dst = binary.AppendUvarint(dst, uint64(m.From))
@@ -119,7 +126,7 @@ func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 		if m.Response == nil {
 			return nil, fmt.Errorf("%w: response message without body", ErrBadMessage)
 		}
-		dst = appendResponse(dst, m.Response)
+		dst = appendResponse(dst, m.Response, s)
 	case TypeAck:
 		if m.Ack == nil {
 			return nil, fmt.Errorf("%w: ack message without body", ErrBadMessage)
@@ -199,7 +206,7 @@ func appendQuery(dst []byte, q *Query) []byte {
 }
 
 //pds:hotpath
-func appendResponse(dst []byte, r *Response) []byte {
+func appendResponse(dst []byte, r *Response, s *split) []byte {
 	dst = binary.AppendUvarint(dst, r.ID)
 	dst = append(dst, byte(r.Kind))
 	dst = binary.AppendUvarint(dst, uint64(r.Sender))
@@ -223,12 +230,17 @@ func appendResponse(dst []byte, r *Response) []byte {
 	for _, b := range r.Blobs {
 		dst = b.Desc.AppendBinary(dst)
 		dst = binary.AppendUvarint(dst, uint64(len(b.Payload)))
-		dst = append(dst, b.Payload...)
+		if s == nil || len(b.Payload) == 0 {
+			dst = append(dst, b.Payload...)
+		} else {
+			s.cut(dst, b.Payload, len(r.Blobs))
+		}
 	}
 	return dst
 }
 
-// Decode parses a message encoded by Encode.
+// Decode parses a message encoded by Encode. Blob payloads alias src, and
+// everything else is copied out: src is reusable iff PayloadBytes is 0.
 func Decode(src []byte) (*Message, error) {
 	if len(src) < 4 {
 		return nil, errTruncated
@@ -459,7 +471,9 @@ func decodeResponse(src []byte) (*Response, []byte, error) {
 			return nil, nil, errTruncated
 		}
 		src = src[used:]
-		b.Payload = append([]byte(nil), src[:plen]...)
+		if plen > 0 {
+			b.Payload = src[:plen:plen]
+		}
 		src = src[plen:]
 		r.Blobs = append(r.Blobs, b)
 	}

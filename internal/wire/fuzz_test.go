@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -95,4 +97,94 @@ func TestEncodeRejectsBadFragments(t *testing.T) {
 			t.Errorf("%s: encoded %d bytes, error %v; want ErrBadMessage", c.name, len(buf), err)
 		}
 	}
+}
+
+// FuzzSplit holds the codec's two frame shapes to one encoding for every
+// message Decode accepts (checkSplit). The seeds are responses, most of
+// them carrying payloads.
+func FuzzSplit(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		buf, err := Encode(randomResponseMessage(rng))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if m, err := Decode(data); err == nil {
+			checkSplit(t, m)
+		}
+	})
+}
+
+// TestSplitMatchesChecked runs checkSplit over random messages of every
+// type.
+func TestSplitMatchesChecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		checkSplit(t, randomMessage(rng))
+	}
+}
+
+// checkSplit: AppendSplit's head and rest, joined, are AppendChecked's
+// bytes; a dst sized as its doc says is not grown; each payload segment is
+// the message's own slice, and there is none without payload bytes; and
+// the joined frame decodes back to the message, each payload aliasing the
+// frame where its segment went.
+func checkSplit(t *testing.T, m *Message) {
+	t.Helper()
+	want, err := AppendChecked([]byte{0xee}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := append(make([]byte, 0, 1+ChecksumSize+EncodedSize(m)-PayloadBytes(m)), 0xee)
+	head, rest, err := AppendSplit(dst, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := slices.Concat(append([][]byte{head}, rest...)...)
+	if !bytes.Equal(joined, want) {
+		t.Fatalf("split frame differs from the checked encoding:\n got %x\nwant %x", joined, want)
+	}
+	if &head[0] != &dst[0] {
+		t.Fatal("AppendSplit grew a dst sized for it")
+	}
+	var payloads, decoded [][]byte
+	if m.Response != nil {
+		payloads = nonEmpty(m.Response.Blobs)
+	}
+	if (rest == nil) != (len(payloads) == 0) {
+		t.Fatalf("%d payloads, %d segments after the head", len(payloads), len(rest))
+	}
+	d, err := DecodeChecked(joined[1:])
+	if err != nil || !messagesEquivalent(d, m) {
+		t.Fatalf("joined frame does not decode back to the message: %v", err)
+	}
+	if d.Response != nil {
+		decoded = nonEmpty(d.Response.Blobs)
+	}
+	off := len(head)
+	for i, seg := range rest {
+		if i%2 == 0 { // payload i/2, then the encoding up to the next
+			if &seg[0] != &payloads[i/2][0] {
+				t.Fatalf("segment %d is a copy of payload %d, not the payload", i, i/2)
+			}
+			if &decoded[i/2][0] != &joined[off] {
+				t.Fatalf("decoded payload %d does not alias the frame", i/2)
+			}
+		}
+		off += len(seg)
+	}
+}
+
+// nonEmpty returns the payloads of blobs that have any.
+func nonEmpty(blobs []Blob) [][]byte {
+	var out [][]byte
+	for _, b := range blobs {
+		if len(b.Payload) > 0 {
+			out = append(out, b.Payload)
+		}
+	}
+	return out
 }

@@ -6,10 +6,11 @@
 // every in-range node overhears a broadcast frame and caches useful
 // content, but only listed receivers process it further (§V).
 //
-// The package provides both a real codec (Encode/Decode, used by the UDP
-// transport) and an analytic EncodedSize (used by the simulator to charge
-// airtime and the message-overhead metric without serializing chunk
-// payloads). A property test asserts the two always agree.
+// The package provides both a real codec (AppendChecked for UDP,
+// AppendSplit's segments for the face mesh, DecodeChecked for both) and an
+// analytic EncodedSize (used by the simulator to charge airtime and the
+// message-overhead metric without serializing chunk payloads). A property
+// test asserts the two always agree.
 package wire
 
 import (
@@ -283,7 +284,9 @@ type Ack struct {
 //
 //   - Blob.Payload bytes, attr.Descriptor values (Sel, Item, Entries,
 //     Blobs[i].Desc) and Fragment.Whole/Data are always immutable and
-//     freely shared across messages, nodes and goroutines.
+//     freely shared across messages, nodes and goroutines. A decoded
+//     payload aliases the receive buffer, which then belongs to the
+//     message for good (PayloadBytes says when).
 //   - Receiver lists, ChunkIDs, Serves and CDI slices are frozen with
 //     the message; rewriting goes through a CoW helper.
 //   - Fragment.Enc is a pointer frozen with the message like any other

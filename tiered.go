@@ -91,20 +91,7 @@ type TieredResult struct {
 // Assemble concatenates the chunks in order; ok is false when any
 // chunk is missing.
 func (r *TieredResult) Assemble() ([]byte, bool) {
-	total := r.Item.TotalChunks()
-	size := 0
-	for c := 0; c < total; c++ {
-		p, ok := r.Chunks[c]
-		if !ok {
-			return nil, false
-		}
-		size += len(p)
-	}
-	out := make([]byte, 0, size)
-	for c := 0; c < total; c++ {
-		out = append(out, r.Chunks[c]...)
-	}
-	return out, true
+	return core.AssembleChunks(r.Chunks, r.Item.TotalChunks())
 }
 
 // defaultTieredBudget bounds a tiered retrieval when ctx carries no
