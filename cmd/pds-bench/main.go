@@ -141,7 +141,7 @@ func toJSONSeries(series []*metrics.Series) []jsonSeries {
 				OverheadBytes: p.Sample.OverheadBytes,
 				Rounds:        p.Sample.Rounds,
 			}
-			if p.Sample.Faults != (metrics.FaultCounters{}) {
+			if metrics.Any(p.Sample.Faults) {
 				f := p.Sample.Faults
 				jp.Faults = &f
 			}

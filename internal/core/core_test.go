@@ -436,3 +436,22 @@ func TestAssembleAllocatesOnce(t *testing.T) {
 		t.Fatalf("Assemble with chunk 3 missing: %d bytes, ok %v", len(out), ok)
 	}
 }
+
+// TestStrategyCountersFoldBothPlanes: a node's strategy row is its
+// routing strategy's counters folded with its cache strategy's, labelled
+// with both names.
+func TestStrategyCountersFoldBothPlanes(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.Routing, cfg.Caching = "bfr", "opportunistic"
+	n := NewNode(1, eng, rand.New(rand.NewSource(1)), func(*wire.Message) {}, cfg)
+	n.PublishChunk(testEntry(0).Set(attr.AttrTotalChunks, attr.Int(1)), 0, []byte("x"))
+	for i := 1; i <= 16; i++ {
+		n.ds.PutPayloadCached(testEntry(i), []byte("p"), 0, time.Hour)
+	}
+	eng.Run(5 * time.Second)
+	c := n.StrategyCounters()
+	if c.Routing != "bfr" || c.Caching != "opportunistic" || c.AdvertFloods == 0 || c.CacheAdmitSkips == 0 {
+		t.Fatalf("strategy row = %+v, want both names, advert floods and admission skips", c)
+	}
+}

@@ -332,17 +332,10 @@ func (n *Node) floodStrategyQuery(q *wire.Query) {
 // StrategyCounters returns the active routing/caching strategy names
 // and a snapshot of their bookkeeping.
 func (n *Node) StrategyCounters() metrics.StrategyCounters {
-	rc := n.routing.Counters()
-	return metrics.StrategyCounters{
-		Routing:         n.routing.Name(),
-		Caching:         n.ds.CacheStrategyName(),
-		AdvertFloods:    rc.AdvertFloods,
-		AdvertsHeld:     rc.AdvertsHeld,
-		FreqEntries:     rc.FreqEntries,
-		RouteOverrides:  rc.RouteOverrides,
-		FallbackRoutes:  rc.FallbackRoutes,
-		CacheAdmitSkips: n.ds.CacheCounters().AdmitSkips,
-	}
+	c := n.routing.Counters()
+	metrics.Add(&c, n.ds.CacheCounters())
+	c.Routing, c.Caching = n.routing.Name(), n.ds.CacheStrategyName()
+	return c
 }
 
 // ID returns the node id.

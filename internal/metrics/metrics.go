@@ -30,10 +30,6 @@ type Sample struct {
 	// runs, which therefore render byte-identically to runs predating
 	// the disk tier.
 	Disk *DiskCounters
-	// Tiers attributes retrieved chunks to the tier that served them;
-	// nil for pure-P2P runs, which therefore render byte-identically
-	// to runs predating the deployment plane.
-	Tiers *TierCounters
 	// QoE carries the streaming/bulk workload quality measures; nil for
 	// one-shot discovery/retrieval runs, which therefore render
 	// byte-identically to runs predating the workload engine.
@@ -44,9 +40,11 @@ type Sample struct {
 	Strategy *StrategyCounters
 }
 
-// StrategyCounters summarizes one run's routing/caching strategy-plane
-// activity (per-node counters summed over the deployment), tagged with
-// the strategy names so A/B rows are self-describing.
+// StrategyCounters is the routing/caching strategy plane's bookkeeping
+// at every level: what one strategy reports (each fills its own
+// fields), a node's row (its two strategies folded) and a run's row
+// (every node folded). Rows are tagged with the strategy names so A/B
+// rows are self-describing.
 type StrategyCounters struct {
 	// Routing / Caching are the registered strategy names in effect.
 	Routing string `json:"routing"`
@@ -65,30 +63,6 @@ type StrategyCounters struct {
 	FallbackRoutes uint64 `json:"fallback_routes"`
 	// CacheAdmitSkips counts cached payloads the admission gate rejected.
 	CacheAdmitSkips uint64 `json:"cache_admit_skips"`
-}
-
-// Any reports whether the strategy plane saw any non-default activity.
-func (s StrategyCounters) Any() bool {
-	return s.AdvertFloods > 0 || s.AdvertsHeld > 0 || s.FreqEntries > 0 ||
-		s.RouteOverrides > 0 || s.FallbackRoutes > 0 || s.CacheAdmitSkips > 0
-}
-
-// Add accumulates another counter set (per-node roll-up; names stick to
-// the first non-empty value, which per-deployment aggregation makes the
-// shared pair).
-func (s *StrategyCounters) Add(o StrategyCounters) {
-	if s.Routing == "" {
-		s.Routing = o.Routing
-	}
-	if s.Caching == "" {
-		s.Caching = o.Caching
-	}
-	s.AdvertFloods += o.AdvertFloods
-	s.AdvertsHeld += o.AdvertsHeld
-	s.FreqEntries += o.FreqEntries
-	s.RouteOverrides += o.RouteOverrides
-	s.FallbackRoutes += o.FallbackRoutes
-	s.CacheAdmitSkips += o.CacheAdmitSkips
 }
 
 // String renders the counters as a compact row suffix.
@@ -132,37 +106,12 @@ type QoECounters struct {
 	OriginBytes uint64 `json:"origin_bytes"`
 }
 
-// Any reports whether the workload path saw any activity.
-func (q QoECounters) Any() bool {
-	return q.StartupDelay > 0 || q.Stalls > 0 || q.StallTime > 0 ||
-		q.DeadlineMisses > 0 || q.P99 > 0 ||
-		q.LocalBytes > 0 || q.P2PBytes > 0 || q.EdgeBytes > 0 || q.OriginBytes > 0
-}
-
 // SyncSeconds refreshes the JSON second-valued percentile mirrors from
 // the duration fields.
 func (q *QoECounters) SyncSeconds() {
 	q.P50Sec = q.P50.Seconds()
 	q.P95Sec = q.P95.Seconds()
 	q.P99Sec = q.P99.Seconds()
-}
-
-// Add accumulates another counter set (used by Mean; percentile fields
-// sum here and are divided back into a mean-of-percentiles, the usual
-// cross-run aggregate).
-func (q *QoECounters) Add(o QoECounters) {
-	q.StartupDelay += o.StartupDelay
-	q.Stalls += o.Stalls
-	q.StallTime += o.StallTime
-	q.RebufferRatio += o.RebufferRatio
-	q.P50 += o.P50
-	q.P95 += o.P95
-	q.P99 += o.P99
-	q.DeadlineMisses += o.DeadlineMisses
-	q.LocalBytes += o.LocalBytes
-	q.P2PBytes += o.P2PBytes
-	q.EdgeBytes += o.EdgeBytes
-	q.OriginBytes += o.OriginBytes
 }
 
 // String renders the counters as a compact row suffix.
@@ -194,24 +143,6 @@ type TierCounters struct {
 	StaleTrackerServes uint64 `json:"stale_tracker_serves"`
 }
 
-// Any reports whether the tiered path saw any activity.
-func (t TierCounters) Any() bool {
-	return t.LocalChunks > 0 || t.P2PChunks > 0 || t.EdgeChunks > 0 ||
-		t.OriginChunks > 0 || t.MissingChunks > 0 ||
-		t.TrackerFailovers > 0 || t.StaleTrackerServes > 0
-}
-
-// Add accumulates another counter set.
-func (t *TierCounters) Add(o TierCounters) {
-	t.LocalChunks += o.LocalChunks
-	t.P2PChunks += o.P2PChunks
-	t.EdgeChunks += o.EdgeChunks
-	t.OriginChunks += o.OriginChunks
-	t.MissingChunks += o.MissingChunks
-	t.TrackerFailovers += o.TrackerFailovers
-	t.StaleTrackerServes += o.StaleTrackerServes
-}
-
 // String renders the counters as a compact row suffix.
 func (t TierCounters) String() string {
 	return fmt.Sprintf("local=%d p2p=%d edge=%d origin=%d missing=%d failovers=%d stale=%d",
@@ -241,24 +172,6 @@ type DiskCounters struct {
 	SkippedRecords   uint64 `json:"skipped_records"`
 }
 
-// Any reports whether the disk tier saw any activity.
-func (d DiskCounters) Any() bool {
-	return d.BytesWritten > 0 || d.SpillLoads > 0 || d.RecoveredRecords > 0 || d.SkippedRecords > 0
-}
-
-// Add accumulates another counter set (per-node roll-up).
-func (d *DiskCounters) Add(o DiskCounters) {
-	d.Segments += o.Segments
-	d.LiveBytes += o.LiveBytes
-	d.DeadBytes += o.DeadBytes
-	d.BytesWritten += o.BytesWritten
-	d.Compactions += o.Compactions
-	d.SpillWrites += o.SpillWrites
-	d.SpillLoads += o.SpillLoads
-	d.RecoveredRecords += o.RecoveredRecords
-	d.SkippedRecords += o.SkippedRecords
-}
-
 // String renders the counters as a compact row suffix.
 func (d DiskCounters) String() string {
 	return fmt.Sprintf("segs=%d live=%s written=%s compactions=%d spills=%d loads=%d recovered=%d skipped=%d",
@@ -281,117 +194,10 @@ type FaultCounters struct {
 	BlacklistHits uint64 `json:"blacklist_hits"`
 }
 
-// Any reports whether any fault was injected or reacted to.
-func (f FaultCounters) Any() bool {
-	return f.BurstsEntered > 0 || f.Crashes > 0 || f.CorruptFrames > 0 || f.BlacklistHits > 0
-}
-
 // String renders the counters as a compact row suffix.
 func (f FaultCounters) String() string {
 	return fmt.Sprintf("bursts=%d crashes=%d corrupt=%d blacklisted=%d",
 		f.BurstsEntered, f.Crashes, f.CorruptFrames, f.BlacklistHits)
-}
-
-// Mean averages the samples (zero value for an empty slice).
-func Mean(samples []Sample) Sample {
-	if len(samples) == 0 {
-		return Sample{}
-	}
-	var out Sample
-	var lat float64
-	var disk DiskCounters
-	var tiers TierCounters
-	var qoe QoECounters
-	var strat StrategyCounters
-	diskRuns := uint64(0)
-	tierRuns := uint64(0)
-	qoeRuns := uint64(0)
-	stratRuns := uint64(0)
-	for _, s := range samples {
-		out.Recall += s.Recall
-		lat += float64(s.Latency)
-		out.OverheadBytes += s.OverheadBytes
-		out.Rounds += s.Rounds
-		out.Faults.BurstsEntered += s.Faults.BurstsEntered
-		out.Faults.Crashes += s.Faults.Crashes
-		out.Faults.CorruptFrames += s.Faults.CorruptFrames
-		out.Faults.BlacklistHits += s.Faults.BlacklistHits
-		if s.Disk != nil {
-			disk.Add(*s.Disk)
-			diskRuns++
-		}
-		if s.Tiers != nil {
-			tiers.Add(*s.Tiers)
-			tierRuns++
-		}
-		if s.QoE != nil {
-			qoe.Add(*s.QoE)
-			qoeRuns++
-		}
-		if s.Strategy != nil {
-			strat.Add(*s.Strategy)
-			stratRuns++
-		}
-	}
-	n := float64(len(samples))
-	out.Recall /= n
-	out.Latency = time.Duration(lat / n)
-	out.OverheadBytes = uint64(float64(out.OverheadBytes) / n)
-	out.Rounds /= n
-	un := uint64(len(samples))
-	out.Faults.BurstsEntered /= un
-	out.Faults.Crashes /= un
-	out.Faults.CorruptFrames /= un
-	out.Faults.BlacklistHits /= un
-	if diskRuns > 0 {
-		disk.Segments /= diskRuns
-		disk.LiveBytes /= diskRuns
-		disk.DeadBytes /= diskRuns
-		disk.BytesWritten /= diskRuns
-		disk.Compactions /= diskRuns
-		disk.SpillWrites /= diskRuns
-		disk.SpillLoads /= diskRuns
-		disk.RecoveredRecords /= diskRuns
-		disk.SkippedRecords /= diskRuns
-		out.Disk = &disk
-	}
-	if tierRuns > 0 {
-		tiers.LocalChunks /= tierRuns
-		tiers.P2PChunks /= tierRuns
-		tiers.EdgeChunks /= tierRuns
-		tiers.OriginChunks /= tierRuns
-		tiers.MissingChunks /= tierRuns
-		tiers.TrackerFailovers /= tierRuns
-		tiers.StaleTrackerServes /= tierRuns
-		out.Tiers = &tiers
-	}
-	if qoeRuns > 0 {
-		qd := time.Duration(qoeRuns)
-		qoe.StartupDelay /= qd
-		qoe.Stalls /= qoeRuns
-		qoe.StallTime /= qd
-		qoe.RebufferRatio /= float64(qoeRuns)
-		qoe.P50 /= qd
-		qoe.P95 /= qd
-		qoe.P99 /= qd
-		qoe.DeadlineMisses /= qoeRuns
-		qoe.LocalBytes /= qoeRuns
-		qoe.P2PBytes /= qoeRuns
-		qoe.EdgeBytes /= qoeRuns
-		qoe.OriginBytes /= qoeRuns
-		qoe.SyncSeconds()
-		out.QoE = &qoe
-	}
-	if stratRuns > 0 {
-		strat.AdvertFloods /= stratRuns
-		strat.AdvertsHeld /= stratRuns
-		strat.FreqEntries /= stratRuns
-		strat.RouteOverrides /= stratRuns
-		strat.FallbackRoutes /= stratRuns
-		strat.CacheAdmitSkips /= stratRuns
-		out.Strategy = &strat
-	}
-	return out
 }
 
 // MB renders bytes as megabytes with two decimals, the unit the paper

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -206,10 +208,222 @@ func TestSeriesStringQoESuffix(t *testing.T) {
 }
 
 func TestQoECountersAny(t *testing.T) {
-	if (QoECounters{}).Any() {
+	if Any(QoECounters{}) {
 		t.Fatalf("zero QoE should not be Any")
 	}
-	if !(QoECounters{Stalls: 1}).Any() || !(QoECounters{P2PBytes: 1}).Any() {
+	if !Any(QoECounters{Stalls: 1}) || !Any(QoECounters{P2PBytes: 1}) {
 		t.Fatalf("non-zero QoE should be Any")
+	}
+}
+
+// handMean is the hand-written Mean the fold replaced, field for field,
+// kept as the reference TestMeanMatchesHandWritten holds the fold to:
+// every row a figure renders from Mean must come out bit for bit.
+func handMean(samples []Sample) Sample {
+	if len(samples) == 0 {
+		return Sample{}
+	}
+	var out Sample
+	var lat float64
+	var disk DiskCounters
+	var qoe QoECounters
+	var strat StrategyCounters
+	diskRuns, qoeRuns, stratRuns := uint64(0), uint64(0), uint64(0)
+	for _, s := range samples {
+		out.Recall += s.Recall
+		lat += float64(s.Latency)
+		out.OverheadBytes += s.OverheadBytes
+		out.Rounds += s.Rounds
+		out.Faults.BurstsEntered += s.Faults.BurstsEntered
+		out.Faults.Crashes += s.Faults.Crashes
+		out.Faults.CorruptFrames += s.Faults.CorruptFrames
+		out.Faults.BlacklistHits += s.Faults.BlacklistHits
+		if d := s.Disk; d != nil {
+			disk.Segments += d.Segments
+			disk.LiveBytes += d.LiveBytes
+			disk.DeadBytes += d.DeadBytes
+			disk.BytesWritten += d.BytesWritten
+			disk.Compactions += d.Compactions
+			disk.SpillWrites += d.SpillWrites
+			disk.SpillLoads += d.SpillLoads
+			disk.RecoveredRecords += d.RecoveredRecords
+			disk.SkippedRecords += d.SkippedRecords
+			diskRuns++
+		}
+		if q := s.QoE; q != nil {
+			qoe.StartupDelay += q.StartupDelay
+			qoe.Stalls += q.Stalls
+			qoe.StallTime += q.StallTime
+			qoe.RebufferRatio += q.RebufferRatio
+			qoe.P50 += q.P50
+			qoe.P95 += q.P95
+			qoe.P99 += q.P99
+			qoe.DeadlineMisses += q.DeadlineMisses
+			qoe.LocalBytes += q.LocalBytes
+			qoe.P2PBytes += q.P2PBytes
+			qoe.EdgeBytes += q.EdgeBytes
+			qoe.OriginBytes += q.OriginBytes
+			qoeRuns++
+		}
+		if st := s.Strategy; st != nil {
+			if strat.Routing == "" {
+				strat.Routing = st.Routing
+			}
+			if strat.Caching == "" {
+				strat.Caching = st.Caching
+			}
+			strat.AdvertFloods += st.AdvertFloods
+			strat.AdvertsHeld += st.AdvertsHeld
+			strat.FreqEntries += st.FreqEntries
+			strat.RouteOverrides += st.RouteOverrides
+			strat.FallbackRoutes += st.FallbackRoutes
+			strat.CacheAdmitSkips += st.CacheAdmitSkips
+			stratRuns++
+		}
+	}
+	n := float64(len(samples))
+	out.Recall /= n
+	out.Latency = time.Duration(lat / n)
+	out.OverheadBytes = uint64(float64(out.OverheadBytes) / n)
+	out.Rounds /= n
+	un := uint64(len(samples))
+	out.Faults.BurstsEntered /= un
+	out.Faults.Crashes /= un
+	out.Faults.CorruptFrames /= un
+	out.Faults.BlacklistHits /= un
+	if diskRuns > 0 {
+		disk.Segments /= diskRuns
+		disk.LiveBytes /= diskRuns
+		disk.DeadBytes /= diskRuns
+		disk.BytesWritten /= diskRuns
+		disk.Compactions /= diskRuns
+		disk.SpillWrites /= diskRuns
+		disk.SpillLoads /= diskRuns
+		disk.RecoveredRecords /= diskRuns
+		disk.SkippedRecords /= diskRuns
+		out.Disk = &disk
+	}
+	if qoeRuns > 0 {
+		qd := time.Duration(qoeRuns)
+		qoe.StartupDelay /= qd
+		qoe.Stalls /= qoeRuns
+		qoe.StallTime /= qd
+		qoe.RebufferRatio /= float64(qoeRuns)
+		qoe.P50 /= qd
+		qoe.P95 /= qd
+		qoe.P99 /= qd
+		qoe.DeadlineMisses /= qoeRuns
+		qoe.LocalBytes /= qoeRuns
+		qoe.P2PBytes /= qoeRuns
+		qoe.EdgeBytes /= qoeRuns
+		qoe.OriginBytes /= qoeRuns
+		qoe.SyncSeconds()
+		out.QoE = &qoe
+	}
+	if stratRuns > 0 {
+		strat.AdvertFloods /= stratRuns
+		strat.AdvertsHeld /= stratRuns
+		strat.FreqEntries /= stratRuns
+		strat.RouteOverrides /= stratRuns
+		strat.FallbackRoutes /= stratRuns
+		strat.CacheAdmitSkips /= stratRuns
+		out.Strategy = &strat
+	}
+	return out
+}
+
+// randomFamily fills every field of the struct v points to: counters up
+// to limit, durations up to an hour, ratios in [0, 1), labels from a small
+// set that includes the empty one. A pointer-to-struct field is left nil
+// half the time.
+func randomFamily(rng *rand.Rand, v reflect.Value, limit uint64) {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		switch {
+		case f.Type() == reflect.TypeOf(time.Duration(0)):
+			f.SetInt(rng.Int63n(int64(time.Hour)))
+		case f.CanUint():
+			f.SetUint(uint64(rng.Int63n(int64(limit))))
+		case f.CanFloat():
+			f.SetFloat(rng.Float64())
+		case f.Kind() == reflect.String:
+			f.SetString([]string{"", "cdi", "bfr"}[rng.Intn(3)])
+		case f.Kind() == reflect.Struct:
+			randomFamily(rng, f, limit)
+		case f.Kind() == reflect.Pointer:
+			if rng.Intn(2) == 0 {
+				f.Set(reflect.New(f.Type().Elem()))
+				randomFamily(rng, f.Elem(), limit)
+			}
+		}
+	}
+}
+
+// TestMeanMatchesHandWritten holds the fold's Mean to handMean on random
+// samples, with counters small (so every division truncates) and large
+// (up to a petabyte of overhead), and run counts whose sums do not
+// divide.
+func TestMeanMatchesHandWritten(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		limit := uint64(7)
+		if trial%2 == 1 {
+			limit = 1 << 50
+		}
+		samples := make([]Sample, rng.Intn(7))
+		for i := range samples {
+			randomFamily(rng, reflect.ValueOf(&samples[i]).Elem(), limit)
+		}
+		if got, want := Mean(samples), handMean(samples); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d, %d samples:\nfold %+v\nhand %+v", trial, len(samples), got, want)
+		}
+	}
+}
+
+// TestFoldCoversEveryField sets each numeric field of each counter
+// family alone and requires Any to see it and Add to double it, with no
+// other field moving: a field added to a family is folded without anyone
+// listing it.
+func TestFoldCoversEveryField(t *testing.T) {
+	checkFamily[Sample](t)
+	checkFamily[FaultCounters](t)
+	checkFamily[DiskCounters](t)
+	checkFamily[QoECounters](t)
+	checkFamily[TierCounters](t)
+	checkFamily[StrategyCounters](t)
+}
+
+func checkFamily[T any](t *testing.T) {
+	t.Helper()
+	typ := reflect.TypeFor[T]()
+	for i := range typ.NumField() {
+		var only, twice T
+		set := func(v *T, x int64) {
+			switch f := reflect.ValueOf(v).Elem().Field(i); {
+			case f.CanUint():
+				f.SetUint(uint64(x))
+			case f.CanInt():
+				f.SetInt(x)
+			case f.CanFloat():
+				f.SetFloat(float64(x))
+			}
+		}
+		set(&only, 3)
+		set(&twice, 6)
+		if reflect.ValueOf(only).IsZero() {
+			continue // a label or a nested family: each has its own check
+		}
+		if !Any(only) {
+			t.Fatalf("%s.%s: Any missed it", typ.Name(), typ.Field(i).Name)
+		}
+		sum := only
+		Add(&sum, only)
+		if !reflect.DeepEqual(sum, twice) {
+			t.Fatalf("%s.%s: Add = %+v, want %+v", typ.Name(), typ.Field(i).Name, sum, twice)
+		}
+	}
+	var zero T
+	if Any(zero) {
+		t.Fatalf("%s: Any of the zero value", typ.Name())
 	}
 }

@@ -130,7 +130,7 @@ func TestCounters(t *testing.T) {
 	if q.P99Sec == 0 {
 		t.Fatalf("seconds mirror not synced")
 	}
-	if !q.Any() {
+	if !metrics.Any(q) {
 		t.Fatalf("counters should be Any")
 	}
 }

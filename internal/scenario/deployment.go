@@ -291,7 +291,7 @@ func (d *Deployment) DiskCounters() *metrics.DiskCounters {
 		}
 		found = true
 		st := p.Disk.Store().Stats()
-		out.Add(metrics.DiskCounters{
+		metrics.Add(&out, metrics.DiskCounters{
 			Segments:         uint64(st.Segments),
 			LiveBytes:        uint64(st.LiveBytes),
 			DeadBytes:        uint64(st.DeadBytes),
@@ -324,7 +324,7 @@ func (d *Deployment) StrategyCounters() *metrics.StrategyCounters {
 		if p.Down {
 			continue
 		}
-		out.Add(p.Node.StrategyCounters())
+		metrics.Add(&out, p.Node.StrategyCounters())
 	}
 	return &out
 }

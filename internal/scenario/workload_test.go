@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pds/internal/metrics"
 	"pds/internal/trace"
 	"pds/internal/workload"
 )
@@ -22,7 +23,7 @@ func TestStreamingRunDeterministic(t *testing.T) {
 	if a.Row != b.Row {
 		t.Fatalf("same-seed rows differ:\n  %s\n  %s", a.Row, b.Row)
 	}
-	if a.Sample.QoE == nil || !a.Sample.QoE.Any() {
+	if a.Sample.QoE == nil || !metrics.Any(*a.Sample.QoE) {
 		t.Fatal("streaming sample carries no QoE counters")
 	}
 	if !a.Done {
@@ -37,7 +38,7 @@ func TestFlashCrowdRunDeterministic(t *testing.T) {
 	if a.Row != b.Row {
 		t.Fatalf("same-seed rows differ:\n  %s\n  %s", a.Row, b.Row)
 	}
-	if a.Sample.QoE == nil || !a.Sample.QoE.Any() {
+	if a.Sample.QoE == nil || !metrics.Any(*a.Sample.QoE) {
 		t.Fatal("crowd sample carries no QoE counters")
 	}
 	if !a.Done {

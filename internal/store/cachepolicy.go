@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 
+	"pds/internal/metrics"
 	"pds/internal/strategy"
 )
 
@@ -31,7 +32,7 @@ func (s *DataStore) SetCacheStrategy(cs strategy.CacheStrategy) { s.cache = cs }
 func (s *DataStore) CacheStrategyName() string { return s.cache.Name() }
 
 // CacheCounters returns the installed cache strategy's bookkeeping.
-func (s *DataStore) CacheCounters() strategy.CacheCounters { return s.cache.Counters() }
+func (s *DataStore) CacheCounters() metrics.StrategyCounters { return s.cache.Counters() }
 
 // evictOne removes one cached payload from RAM according to the
 // strategy; it reports whether anything was removed. With a backend

@@ -1,6 +1,9 @@
 package strategy
 
-import "pds/internal/wire"
+import (
+	"pds/internal/metrics"
+	"pds/internal/wire"
+)
 
 func init() {
 	RegisterCaching("fifo", func(wire.NodeID) CacheStrategy { return fifoCache{} })
@@ -22,13 +25,13 @@ func init() {
 // insertion. It keeps no per-key state at all.
 type fifoCache struct{}
 
-func (fifoCache) Name() string            { return "fifo" }
-func (fifoCache) Admit(string) bool       { return true }
-func (fifoCache) Touch(string)            {}
-func (fifoCache) Victim([]string) int     { return 0 }
-func (fifoCache) Forget(string)           {}
-func (fifoCache) Reset()                  {}
-func (fifoCache) Counters() CacheCounters { return CacheCounters{} }
+func (fifoCache) Name() string                       { return "fifo" }
+func (fifoCache) Admit(string) bool                  { return true }
+func (fifoCache) Touch(string)                       {}
+func (fifoCache) Victim([]string) int                { return 0 }
+func (fifoCache) Forget(string)                      {}
+func (fifoCache) Reset()                             {}
+func (fifoCache) Counters() metrics.StrategyCounters { return metrics.StrategyCounters{} }
 
 // accessCache reproduces the pre-strategy LRU/LFU accounting exactly:
 // one logical clock, last-access and access-count maps both updated on
@@ -84,7 +87,7 @@ func (c *accessCache) Reset() {
 	c.lastAccess, c.accessCount = nil, nil
 }
 
-func (c *accessCache) Counters() CacheCounters { return CacheCounters{} }
+func (c *accessCache) Counters() metrics.StrategyCounters { return metrics.StrategyCounters{} }
 
 // opportunisticCache is the cache-placement variant: each node admits
 // only a pseudorandom half of cacheable payloads, keyed by its own ID,
@@ -122,6 +125,6 @@ func (c *opportunisticCache) Admit(key string) bool {
 	return false
 }
 
-func (c *opportunisticCache) Counters() CacheCounters {
-	return CacheCounters{AdmitSkips: c.skips}
+func (c *opportunisticCache) Counters() metrics.StrategyCounters {
+	return metrics.StrategyCounters{CacheAdmitSkips: c.skips}
 }

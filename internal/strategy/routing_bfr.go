@@ -6,6 +6,7 @@ import (
 
 	"pds/internal/bloom"
 	"pds/internal/clock"
+	"pds/internal/metrics"
 	"pds/internal/wire"
 )
 
@@ -188,8 +189,8 @@ func (r *bfrRouting) Reset() {
 	r.dirty, r.nextAdvert = false, clock.Never
 }
 
-func (r *bfrRouting) Counters() RoutingCounters {
-	return RoutingCounters{
+func (r *bfrRouting) Counters() metrics.StrategyCounters {
+	return metrics.StrategyCounters{
 		AdvertFloods:   r.floods,
 		AdvertsHeld:    uint64(len(r.adverts)),
 		FallbackRoutes: r.fallbacks,

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pds/internal/clock"
+	"pds/internal/metrics"
 	"pds/internal/wire"
 )
 
@@ -35,4 +36,4 @@ func (r *cdiRouting) OnPublish(string, time.Duration)                 {}
 func (r *cdiRouting) OnNeighborDown(wire.NodeID)                      {}
 func (r *cdiRouting) Tick(time.Duration) time.Duration                { return clock.Never }
 func (r *cdiRouting) Reset()                                          {}
-func (r *cdiRouting) Counters() RoutingCounters                       { return RoutingCounters{} }
+func (r *cdiRouting) Counters() metrics.StrategyCounters              { return metrics.StrategyCounters{} }

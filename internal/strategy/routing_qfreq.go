@@ -4,6 +4,7 @@ import (
 	"sort"
 	"time"
 
+	"pds/internal/metrics"
 	"pds/internal/wire"
 )
 
@@ -108,8 +109,8 @@ func (r *qfreqRouting) Reset() {
 	r.env.TickAt(qfreqDecayInterval)
 }
 
-func (r *qfreqRouting) Counters() RoutingCounters {
-	return RoutingCounters{
+func (r *qfreqRouting) Counters() metrics.StrategyCounters {
+	return metrics.StrategyCounters{
 		FreqEntries:    uint64(len(r.keys)),
 		RouteOverrides: r.overrides,
 	}

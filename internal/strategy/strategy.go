@@ -26,6 +26,7 @@ package strategy
 import (
 	"time"
 
+	"pds/internal/metrics"
 	"pds/internal/wire"
 )
 
@@ -64,33 +65,6 @@ type RoutingEnv struct {
 	TickAt func(at time.Duration)
 }
 
-// RoutingCounters exposes per-strategy bookkeeping for traces, expvar
-// and the bench matrix; zero-valued fields are meaningless for
-// strategies that do not use them.
-type RoutingCounters struct {
-	// AdvertFloods counts content advertisements this node originated.
-	AdvertFloods uint64
-	// AdvertsHeld is the current size of the advertisement table.
-	AdvertsHeld uint64
-	// FreqEntries is the current size of the query-frequency table.
-	FreqEntries uint64
-	// RouteOverrides counts route selections the strategy changed away
-	// from the raw CDI rows.
-	RouteOverrides uint64
-	// FallbackRoutes counts routes synthesized when the CDI table had
-	// none (e.g. from Bloom advertisements).
-	FallbackRoutes uint64
-}
-
-// Add accumulates rhs into c (for deployment-wide aggregation).
-func (c *RoutingCounters) Add(rhs RoutingCounters) {
-	c.AdvertFloods += rhs.AdvertFloods
-	c.AdvertsHeld += rhs.AdvertsHeld
-	c.FreqEntries += rhs.FreqEntries
-	c.RouteOverrides += rhs.RouteOverrides
-	c.FallbackRoutes += rhs.FallbackRoutes
-}
-
 // RoutingStrategy decides which neighbors a node asks for chunks. One
 // instance exists per node; methods are invoked from the node's event
 // context only.
@@ -123,18 +97,10 @@ type RoutingStrategy interface {
 	Tick(now time.Duration) time.Duration
 	// Reset drops all volatile state (node crash/restart).
 	Reset()
-	// Counters returns a snapshot of the strategy's bookkeeping.
-	Counters() RoutingCounters
+	// Counters returns a snapshot of the strategy's bookkeeping: the
+	// routing fields of the plane's counters, the rest left zero.
+	Counters() metrics.StrategyCounters
 }
-
-// CacheCounters exposes cache-strategy bookkeeping.
-type CacheCounters struct {
-	// AdmitSkips counts cacheable payloads the admission gate declined.
-	AdmitSkips uint64
-}
-
-// Add accumulates rhs into c.
-func (c *CacheCounters) Add(rhs CacheCounters) { c.AdmitSkips += rhs.AdmitSkips }
 
 // CacheStrategy decides what a node's payload cache admits and evicts.
 // The store owns the cache order slice (insertion order) and the byte
@@ -156,6 +122,7 @@ type CacheStrategy interface {
 	Forget(key string)
 	// Reset drops all access state (crash/restart wipe).
 	Reset()
-	// Counters returns a snapshot of the strategy's bookkeeping.
-	Counters() CacheCounters
+	// Counters returns a snapshot of the strategy's bookkeeping: the
+	// caching fields of the plane's counters, the rest left zero.
+	Counters() metrics.StrategyCounters
 }

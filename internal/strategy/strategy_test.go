@@ -8,6 +8,7 @@ import (
 
 	"pds/internal/bloom"
 	"pds/internal/clock"
+	"pds/internal/metrics"
 	"pds/internal/wire"
 )
 
@@ -193,7 +194,7 @@ func TestCDIRoutingIsPassThrough(t *testing.T) {
 	if next != clock.Never || se.tickAt != clock.Never {
 		t.Fatalf("cdi asked for a tick: Tick returned %v, TickAt %v", next, se.tickAt)
 	}
-	if c := s.Counters(); c != (RoutingCounters{}) {
+	if c := s.Counters(); c != (metrics.StrategyCounters{}) {
 		t.Fatalf("cdi counters = %+v, want zero", c)
 	}
 }
@@ -387,7 +388,7 @@ func TestFifoCacheSemantics(t *testing.T) {
 	if v := c.Victim([]string{"a", "b", "c"}); v != 0 {
 		t.Fatalf("fifo victim = %d, want 0", v)
 	}
-	if got := c.Counters(); got != (CacheCounters{}) {
+	if got := c.Counters(); got != (metrics.StrategyCounters{}) {
 		t.Fatalf("fifo counters = %+v, want zero", got)
 	}
 }
@@ -467,8 +468,8 @@ func TestOpportunisticAdmissionDeterministic(t *testing.T) {
 	if admitted < keys/4 || admitted > keys*3/4 {
 		t.Fatalf("admitted %d of %d keys — admission badly skewed", admitted, keys)
 	}
-	if c := a.Counters(); c.AdmitSkips != uint64(keys-admitted) {
-		t.Fatalf("AdmitSkips = %d, want %d", c.AdmitSkips, keys-admitted)
+	if c := a.Counters(); c.CacheAdmitSkips != uint64(keys-admitted) {
+		t.Fatalf("CacheAdmitSkips = %d, want %d", c.CacheAdmitSkips, keys-admitted)
 	}
 }
 

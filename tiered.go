@@ -10,8 +10,8 @@ package pds
 // dead swarm cannot eat the whole retrieval window before the origin
 // gets its turn. The result attributes every chunk to the tier that
 // served it — mirrored into the trace (ChunkTier events) and the
-// metrics plane (metrics.TierCounters) so pds-trace and scenario
-// tables show where the bytes actually came from.
+// metrics plane (metrics.TierCounters) so pds-trace and pds-node
+// show where the bytes actually came from.
 
 import (
 	"context"
