@@ -24,7 +24,8 @@ var updateGolden = flag.Bool("update-golden", false,
 // figures. The rows after the disk figure pin the PDD paths those four
 // never run: the ablations (one-shot interests, per-query responses, no
 // Bloom rewriting), MDR (small-data relay carrying chunks) and a
-// multi-consumer small-data collection (blob mixedcast).
+// multi-consumer small-data collection (blob mixedcast). The last rows
+// are the single-hop harness: Fig 3 and the leak-rate and ack sweeps.
 func goldenFigureRows(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -40,6 +41,13 @@ func goldenFigureRows(t *testing.T) string {
 	}
 	b.WriteString(smallDataCollect(t, 1).String())
 	b.WriteString(trialGoldenRows(t))
+	for _, s := range Fig03SingleHopReception(1, 1) {
+		b.WriteString(s.String())
+	}
+	b.WriteString(TabLeakyBucketSweep(1, 1).String())
+	for _, s := range TabAckSweep(1, 1) {
+		b.WriteString(s.String())
+	}
 	return b.String()
 }
 
