@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -74,11 +73,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *routing != "" && !slices.Contains(strategy.RoutingNames(), *routing) {
-		return fmt.Errorf("unknown routing strategy %q (have %v)", *routing, strategy.RoutingNames())
-	}
-	if *caching != "" && !slices.Contains(strategy.CachingNames(), *caching) {
-		return fmt.Errorf("unknown caching strategy %q (have %v)", *caching, strategy.CachingNames())
+	if err := strategy.Check(*routing, *caching); err != nil {
+		return err
 	}
 	strategySelected := *routing != "" || *caching != ""
 	if strategySelected && *nodes > 0 {
@@ -145,7 +141,6 @@ func run(args []string) error {
 			l := link.DefaultConfig(nil)
 			l.AckEnabled = false
 			opts.Link = l
-			opts.LinkConfigured = true
 		}
 	}
 

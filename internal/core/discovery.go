@@ -204,7 +204,7 @@ func (s *session) startRound() {
 			// most needed the suppression.
 			capacity = 4096
 		}
-		f := bloom.NewForCapacity(capacity, n.cfg.BloomFPR,
+		f := bloom.NewForCapacity(capacity, bloomFPR,
 			s.bloomSalt+uint64(s.round))
 		//lint:allow determinism Bloom Add is commutative; insertion order cannot change the filter bits
 		for key := range s.received {
@@ -220,7 +220,7 @@ func (s *session) startRound() {
 
 func (s *session) scheduleCheck() {
 	if !s.done {
-		s.checkTimer.Reset(s.n.cfg.RoundCheck)
+		s.checkTimer.Reset(RoundCheck)
 	}
 }
 

@@ -294,7 +294,7 @@ func TestServeIsTheSamePass(t *testing.T) {
 }
 
 // TestResponsePackerBudget: one packer for entries and blobs — batches
-// stay under MaxResponseBytes, an oversize unit travels alone, and every
+// stay under maxResponseBytes, an oversize unit travels alone, and every
 // message carries the full receiver and serve lists.
 func TestResponsePackerBudget(t *testing.T) {
 	cfg := DefaultConfig()

@@ -49,20 +49,12 @@ type Config struct {
 	// NewRoundRatio is T_d: a new round starts when the fraction of new
 	// entries received in the finished round exceeds it. Paper best: 0.
 	NewRoundRatio float64
-	// RoundCheck is how often a consumer session evaluates the round
-	// rules; it only needs to be a fraction of Window. A PDR round does
-	// not always wait for it: a covering CDI update settles phase 1 at
-	// once when it lands after one ResponseJitterMax but before the
-	// round's first check.
-	RoundCheck time.Duration
 	// MaxRounds caps discovery rounds as a safety valve.
 	MaxRounds int
 
 	// BloomEnabled turns redundancy detection on (§III-B.2). Off is the
 	// no-rewrite ablation.
 	BloomEnabled bool
-	// BloomFPR is the per-round false-positive target (§V-3).
-	BloomFPR float64
 	// MixedcastEnabled joins entries for multiple downstream consumers
 	// into one response (§III-B.1). Off sends one response per matching
 	// lingering query — the multicast-style ablation.
@@ -84,10 +76,6 @@ type Config struct {
 	// is also the spread a PDR round waits out before a covering CDI
 	// update may settle phase 1 (see RoundCheck).
 	ResponseJitterMax time.Duration
-	// MaxResponseBytes bounds the payload of one metadata/CDI response
-	// message; longer payloads are split across messages, mirroring the
-	// prototype's 1.5 KB packets.
-	MaxResponseBytes int
 	// CacheCap bounds cached (non-owned) payload bytes per node;
 	// 0 = unlimited. Metadata entries are always cached (§VII).
 	CacheCap int
@@ -116,9 +104,6 @@ type Config struct {
 	// ChunkRetry is the consumer-side watchdog for PDR phase 2: wanted
 	// chunks not delivered within it are re-requested with fresh CDI.
 	ChunkRetry time.Duration
-	// CDIWindow is the phase-1 settling window: phase 2 starts once no
-	// CDI update has arrived for this long (or all chunks are known).
-	CDIWindow time.Duration
 	// RetrievalRounds caps phase-1/phase-2 retry cycles.
 	RetrievalRounds int
 
@@ -137,6 +122,25 @@ type Config struct {
 	ExtendRoundsOnLoss bool
 }
 
+// The settings of the operating point that no experiment varies.
+const (
+	// RoundCheck is how often a consumer session evaluates the round
+	// rules; it only needs to be a fraction of Window. A PDR round does
+	// not always wait for it: a covering CDI update settles phase 1 at
+	// once when it lands after one ResponseJitterMax but before the
+	// round's first check.
+	RoundCheck = 100 * time.Millisecond
+	// bloomFPR is the per-round false-positive target (§V-3).
+	bloomFPR = 0.01
+	// maxResponseBytes bounds the payload of one metadata/CDI response
+	// message; longer payloads are split across messages, mirroring the
+	// prototype's 1.5 KB packets.
+	maxResponseBytes = 1400
+	// cdiWindow is the phase-1 settling window: phase 2 starts once no
+	// CDI update has arrived for this long (or all chunks are known).
+	cdiWindow = 800 * time.Millisecond
+)
+
 // DefaultConfig returns the paper's operating point: T = 1 s,
 // T_r = T_d = 0, Bloom redundancy detection, mixedcast and lingering
 // queries on.
@@ -149,20 +153,16 @@ func DefaultConfig() Config {
 		Window:              time.Second,
 		StopRatio:           0,
 		NewRoundRatio:       0,
-		RoundCheck:          100 * time.Millisecond,
 		MaxRounds:           12,
 		BloomEnabled:        true,
-		BloomFPR:            0.01,
 		ForwardJitterMax:    20 * time.Millisecond,
 		ResponseJitterMax:   100 * time.Millisecond,
 		MixedcastEnabled:    true,
 		LingeringEnabled:    true,
-		MaxResponseBytes:    1400,
 		CacheCap:            0,
 		LoadBalanceEnabled:  true,
 		OutstandingChunks:   6,
 		ChunkRetry:          15 * time.Second,
-		CDIWindow:           800 * time.Millisecond,
 		RetrievalRounds:     10,
 	}
 }

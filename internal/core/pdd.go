@@ -322,15 +322,12 @@ func (n *Node) answer(routes []*store.LingeringQuery, units content, src *wire.R
 }
 
 // sendResponses packs the kept units into response messages bounded by
-// MaxResponseBytes each (mirroring the prototype's 1.5 KB packets) and
+// maxResponseBytes each (mirroring the prototype's 1.5 KB packets) and
 // sends them to the receivers. A unit larger than the budget (a 256 KB
 // chunk) travels alone, as a unit (§VI-A). Messages share the unit,
 // receiver and serve arrays: sent messages are frozen.
 func (n *Node) sendResponses(kind wire.QueryKind, c cast, src *wire.Response) {
-	budget := n.cfg.MaxResponseBytes
-	if budget <= 0 {
-		budget = 1400
-	}
+	budget := maxResponseBytes
 	lo, used := 0, 0
 	flush := func(hi int) {
 		batch := c.kept.slice(lo, hi)

@@ -246,7 +246,7 @@ func (r *retrieval) startCDIRound() {
 
 func (r *retrieval) scheduleCheck() {
 	if !r.done {
-		r.checkTimer.Reset(r.n.cfg.RoundCheck)
+		r.checkTimer.Reset(RoundCheck)
 	}
 }
 
@@ -286,7 +286,7 @@ func (r *retrieval) check() {
 // settle is phase 1's decision (§IV-A), taken on every RoundCheck tick
 // and whenever a CDI update lands. A round settles into phase 2 when CDI
 // covers every missing chunk; on a tick, also once CDI has been quiet for
-// CDIWindow. A quiet round with no CDI at all floods a new one.
+// cdiWindow. A quiet round with no CDI at all floods a new one.
 //
 // A round may settle once one response spread (ResponseJitterMax) has
 // passed since its query left: by then every neighbor that heard the
@@ -300,10 +300,10 @@ func (r *retrieval) check() {
 // covering answer lands.
 func (r *retrieval) settle(now time.Duration, tick bool) {
 	n := r.n
-	if since := now - r.lastRoundAt; !tick && (since < n.cfg.ResponseJitterMax || since >= n.cfg.RoundCheck) {
+	if since := now - r.lastRoundAt; !tick && (since < n.cfg.ResponseJitterMax || since >= RoundCheck) {
 		return
 	}
-	quiet := tick && now-r.lastCDIUpdate >= n.cfg.CDIWindow
+	quiet := tick && now-r.lastCDIUpdate >= cdiWindow
 	switch {
 	case r.cdiCovers():
 		r.enterPhase2(now)

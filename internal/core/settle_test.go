@@ -47,7 +47,7 @@ func TestUnjitteredRoundSettlesOnCoveringCDI(t *testing.T) {
 		t.Fatal("no CDI response reached the consumer")
 	}
 	if res.CDILatency != arrived {
-		t.Fatalf("phase 1 took %v; the covering CDI landed at %v (RoundCheck %v)", res.CDILatency, arrived, cfg.RoundCheck)
+		t.Fatalf("phase 1 took %v; the covering CDI landed at %v (RoundCheck %v)", res.CDILatency, arrived, RoundCheck)
 	}
 }
 
@@ -104,11 +104,11 @@ func TestJitteredRoundsSettleOnTicks(t *testing.T) {
 		if !ok || !r.Complete {
 			t.Fatalf("consumer %d: finished %v, complete %v", c, ok, r.Complete)
 		}
-		if r.CDILatency <= 0 || r.CDILatency%cfg.RoundCheck != 0 {
+		if r.CDILatency <= 0 || r.CDILatency%RoundCheck != 0 {
 			t.Errorf("consumer %d: phase 1 took %v, not a whole number of %v ticks (first CDI answer after %v)",
-				c, r.CDILatency, cfg.RoundCheck, heard[c])
+				c, r.CDILatency, RoundCheck, heard[c])
 		}
-		if d := heard[c]; d > cfg.RoundCheck && d%cfg.RoundCheck != 0 {
+		if d := heard[c]; d > RoundCheck && d%RoundCheck != 0 {
 			late++
 		}
 	}

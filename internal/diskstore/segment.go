@@ -36,8 +36,9 @@ const (
 	flagHasPayload = 1 << 2 // record carries payload bytes (vs entry-only)
 )
 
-// castagnoli is the CRC-32C polynomial table, matching the datagram
-// framing in internal/udptransport.
+// castagnoli is the CRC-32C polynomial table that seals each log
+// record. It is the store's own choice: the socket carriers frame with
+// wire.AppendChecked's IEEE CRC-32.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // record is one decoded log record.

@@ -40,21 +40,15 @@ type Config struct {
 	AckEnabled bool
 	// RetrTimeout is how long to wait for acks before retransmitting
 	// (paper: 0.2 s). The wait for a given message is additionally
-	// padded by the message's own estimated transmission time, so large
-	// chunk messages are not retransmitted while still on the air.
+	// padded by the message's own transmission time at LeakRate, so
+	// large chunk messages are not retransmitted while still on the air.
 	RetrTimeout time.Duration
-	// AirtimeEstRate (bytes/second) estimates per-message transmission
-	// time for the RetrTimeout padding. Zero defaults to LeakRate.
-	AirtimeEstRate float64
 	// MaxRetr is the maximum number of retransmissions. The paper's
 	// prototype used 4 for standalone 1.5 KB messages; fragments of
 	// large chunks default to a slightly more persistent 6 (with
 	// exponential backoff) because abandoning one fragment wastes the
 	// whole chunk's airtime.
 	MaxRetr int
-	// AckJitterMax randomizes ack send times to avoid synchronized ack
-	// collisions among multiple receivers.
-	AckJitterMax time.Duration
 	// DedupRetention is how long received TransmitIDs are remembered to
 	// drop retransmitted duplicates.
 	DedupRetention time.Duration
@@ -64,19 +58,18 @@ type Config struct {
 	// a carrier with no shared medium (a face mesh) pds.NewNode sets it to
 	// the carrier's MaxFragment, whatever the configuration says.
 	FragmentBytes int
-	// FragWindow is the ARQ window: at most this many unacknowledged
-	// fragments of the active message are in flight, so a chunk stream
-	// self-clocks to the channel's real per-hop goodput instead of
-	// flooding the contention domain. Fragmented messages themselves
-	// are sent one at a time per link.
-	FragWindow int
-	// Jitter returns a uniform random duration in [0, max); injected so
-	// simulation stays deterministic. Required when AckEnabled.
-	Jitter func(max time.Duration) time.Duration
 }
 
-// DefaultConfig returns the prototype parameters.
-func DefaultConfig(jitter func(time.Duration) time.Duration) Config {
+// fragWindow is the ARQ window: at most this many unacknowledged
+// fragments of the active message are in flight, so a chunk stream
+// self-clocks to the channel's real per-hop goodput instead of flooding
+// the contention domain. Fragmented messages themselves are sent one at
+// a time per link.
+const fragWindow = 8
+
+// DefaultConfig returns the prototype parameters. Its argument is
+// ignored; it is kept only until the benchmark module stops passing one.
+func DefaultConfig(func(time.Duration) time.Duration) Config {
 	return Config{
 		PaceEnabled:    true,
 		BucketBytes:    300 << 10,
@@ -84,11 +77,8 @@ func DefaultConfig(jitter func(time.Duration) time.Duration) Config {
 		AckEnabled:     true,
 		RetrTimeout:    200 * time.Millisecond,
 		MaxRetr:        6,
-		AckJitterMax:   0,
 		DedupRetention: 10 * time.Second,
 		FragmentBytes:  1400,
-		FragWindow:     8,
-		Jitter:         jitter,
 	}
 }
 
@@ -97,8 +87,6 @@ type Stats struct {
 	Sent            uint64 // logical sends accepted from the engine
 	Transmitted     uint64 // frames handed to the raw sender
 	Retransmissions uint64
-	RetxQueries     uint64
-	RetxResponses   uint64
 	AcksSent        uint64
 	AcksReceived    uint64
 	GiveUps         uint64 // transmissions abandoned with unacked receivers
@@ -109,9 +97,9 @@ type Stats struct {
 	ReasmErrors     uint64 // fragments at odds with their reassembly, and reassembled bytes that failed to decode
 }
 
-// pending is the record of one frame awaiting acks, or of an ack awaiting
-// its jittered instant, pooled per link (getPending, putPending): it keeps
-// its timer, bound to it once, and its remaining buffer from frame to frame.
+// pending is the record of one frame awaiting acks, pooled per link
+// (getPending, putPending): it keeps its timer, bound to it once, and its
+// remaining buffer from frame to frame.
 type pending struct {
 	msg *wire.Message
 	// remaining is the receiver list less the nodes that have acked,
@@ -197,9 +185,6 @@ func (l *Link) SetTracer(tr *trace.NodeTracer) { l.tr = tr }
 
 // New returns a link layer for node self sending through raw.
 func New(clk clock.Clock, self wire.NodeID, raw RawSender, cfg Config) *Link {
-	if cfg.Jitter == nil {
-		cfg.Jitter = func(time.Duration) time.Duration { return 0 }
-	}
 	return &Link{
 		clk:    clk,
 		self:   self,
@@ -262,8 +247,8 @@ func (l *Link) pumpJobs() {
 		l.activeJob = l.fragJobs.PopFront()
 	}
 	job := l.activeJob
-	window := l.cfg.FragWindow
-	if window <= 0 || job.noAck {
+	window := fragWindow
+	if job.noAck {
 		window = job.count // unacked jobs cannot self-clock; blast
 	}
 	for job.next < job.count && job.outstanding < window && !job.aborted {
@@ -478,12 +463,8 @@ func (l *Link) armRetry(msg *wire.Message) {
 		return
 	}
 	p.timer.Stop()
-	rate := l.cfg.AirtimeEstRate
-	if rate <= 0 {
-		rate = l.cfg.LeakRate
-	}
 	timeout := l.cfg.RetrTimeout
-	if rate > 0 {
+	if rate := l.cfg.LeakRate; rate > 0 {
 		// Pad by this frame's own airtime (the ack usually defers
 		// behind a similarly sized frame) and by our own outbound
 		// backlog, which competes with the returning ack for the
@@ -500,11 +481,6 @@ func (l *Link) armRetry(msg *wire.Message) {
 
 // retry is p's timer callback: never after Stop, so p is in pend, its frame unacknowledged.
 func (l *Link) retry(p *pending) {
-	if p.msg.Type == wire.TypeAck { // or p, in no table, holds a jittered ack due now
-		l.transmit(p.msg)
-		l.putPending(p)
-		return
-	}
 	if p.attempts >= l.cfg.MaxRetr {
 		delete(l.pend, p.msg.TransmitID)
 		msg, job, unacked := p.msg, p.job, slices.Clone(p.remaining)
@@ -521,12 +497,6 @@ func (l *Link) retry(p *pending) {
 	p.attempts++
 	l.stats.Retransmissions++
 	l.tr.Retransmit(p.msg, p.attempts, len(p.remaining))
-	switch p.msg.Type {
-	case wire.TypeQuery:
-		l.stats.RetxQueries++
-	case wire.TypeResponse:
-		l.stats.RetxResponses++
-	}
 	// Retransmit with the receiver list narrowed to nodes that have not
 	// acknowledged yet (§V-1). The TransmitID stays the same so
 	// receivers that already processed the frame drop the duplicate.
@@ -555,8 +525,8 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 	intended := msg.IsIntendedFor(l.self)
 	if intended && !msg.NoAck {
 		// Acks bypass the bucket: they are tiny and latency-critical;
-		// the radio model gives them SIFS-like priority. The optional
-		// jitter spreads acks from several receivers of one broadcast.
+		// the radio model gives them SIFS-like priority and spreads
+		// several receivers' acks of one broadcast over its ack slots.
 		f := &struct {
 			wire.Message
 			ack wire.Ack
@@ -566,11 +536,7 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		ack := &f.Message
 		ack.Stamp(wire.NewTransmitID(l.self, l.nextTransmit), l.self, true)
 		l.stats.AcksSent++
-		if j := l.cfg.Jitter(l.cfg.AckJitterMax); j > 0 {
-			l.getPending(ack, nil).timer.Reset(j)
-		} else {
-			l.transmit(ack)
-		}
+		l.transmit(ack)
 	}
 
 	if l.duplicate(msg.TransmitID, now) {

@@ -20,9 +20,7 @@ import (
 //   - map iteration whose body is order-sensitive: anything beyond
 //     commutative accumulation (counters, sums, set/map inserts,
 //     deletes) or the collect-keys-then-sort idiom feeds map order into
-//     wire output, metrics or trace export;
-//   - select statements with more than one ready-path (the runtime
-//     picks among ready cases pseudo-randomly).
+//     wire output, metrics or trace export.
 //
 // Scope is a path rule: every package of the module is in the
 // deterministic core except the root package and cmd/ (real-clock
@@ -39,7 +37,7 @@ import (
 // flagged regardless of body shape.
 var Determinism = &Analyzer{
 	Name:    "determinism",
-	Doc:     "forbids wall-clock, global RNG, order-sensitive map iteration and racing selects in the deterministic core",
+	Doc:     "forbids wall-clock, global RNG and order-sensitive map iteration in the deterministic core",
 	Section: "DESIGN.md §2/§9 (seeded determinism)",
 	Run:     runDeterminism,
 }
@@ -109,8 +107,6 @@ func runDeterminism(p *Pass) {
 				checkDeterminismCall(p, n)
 			case *ast.RangeStmt:
 				checkMapRange(p, n)
-			case *ast.SelectStmt:
-				checkSelect(p, n)
 			}
 			return true
 		})
@@ -438,19 +434,4 @@ func allSortedAfter(p *Pass, rng *ast.RangeStmt, collected map[types.Object]bool
 		}
 	}
 	return true
-}
-
-// checkSelect flags selects that can race: with two or more ready comm
-// cases the runtime chooses pseudo-randomly, so sim-clock channel fan-in
-// must be sequenced by the engine instead.
-func checkSelect(p *Pass, sel *ast.SelectStmt) {
-	comm := 0
-	for _, c := range sel.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-			comm++
-		}
-	}
-	if comm >= 2 {
-		p.Reportf(sel.Pos(), "select over %d channels resolves ready cases pseudo-randomly; deterministic core code must sequence events through the sim engine", comm)
-	}
 }

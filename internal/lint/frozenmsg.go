@@ -96,11 +96,6 @@ func checkFrozenFunc(p *Pass, fl *funcFlow, body *ast.BlockStmt) {
 				}
 				return
 			}
-			if name, field, ok := embeddedWirePath(p.Pkg.Info, l); ok {
-				p.Reportf(l.Pos(), "write to frozen wire.%s field %s through an embedded pointer: the wrapper shares the published message, clone it before mutating",
-					name, field)
-				return
-			}
 			// Alias rule: a pointer that the engine proves may reach
 			// frozen data (w := msg.Response; w.Sender = id through an
 			// interface table, a range variable, a container element).
@@ -145,33 +140,6 @@ func checkFrozenFunc(p *Pass, fl *funcFlow, body *ast.BlockStmt) {
 		}
 		return true
 	})
-}
-
-// embeddedWirePath reports whether the field selection traverses an
-// embedded pointer to a frozen wire struct (the implicit step in
-// w.TransmitID when w embeds *wire.Message), returning the wire struct
-// name and the selected field.
-func embeddedWirePath(info *types.Info, sel *ast.SelectorExpr) (wireName, field string, ok bool) {
-	s := info.Selections[sel]
-	if s == nil || s.Kind() != types.FieldVal || len(s.Index()) < 2 {
-		return "", "", false
-	}
-	t := s.Recv()
-	for _, idx := range s.Index()[:len(s.Index())-1] {
-		if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		st, isStruct := t.Underlying().(*types.Struct)
-		if !isStruct || idx >= st.NumFields() {
-			return "", "", false
-		}
-		ft := st.Field(idx).Type()
-		if name, isWirePtr := isPtrTo(ft); isWirePtr {
-			return name, sel.Sel.Name, true
-		}
-		t = ft
-	}
-	return "", "", false
 }
 
 // frozenFieldSel reports whether e (after unwrapping parens/slicing) is

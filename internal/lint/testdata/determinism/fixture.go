@@ -175,26 +175,6 @@ func markAll(m map[int]*record) {
 	}
 }
 
-// Multi-channel selects resolve ready cases pseudo-randomly.
-func racySelect(a, b chan int) int {
-	select { // want "select over 2 channels"
-	case x := <-a:
-		return x
-	case x := <-b:
-		return x
-	}
-}
-
-// A single comm case with a default is a plain non-blocking poll.
-func pollSelect(a chan int) (int, bool) {
-	select {
-	case x := <-a:
-		return x, true
-	default:
-		return 0, false
-	}
-}
-
 // The audited escape hatch: a justified //lint:allow silences the
 // finding at Run time while the raw diagnostic stays visible here.
 func throughputClock() int64 {

@@ -104,18 +104,6 @@ func mutateRangePtr(msgs []*wire.Message) {
 	}
 }
 
-// A wrapper embedding *wire.Message shares the published message; the
-// implicit traversal in w.TransmitID is still a frozen write.
-type tracked struct {
-	*wire.Message
-	hits int
-}
-
-func mutateEmbedded(w *tracked) {
-	w.hits++          // the wrapper's own field is private
-	w.TransmitID = 12 // want "write to frozen wire.Message field TransmitID through an embedded pointer"
-}
-
 // copy's destination mutates the shared backing array like append.
 func mutateCopy(m *wire.Message, src []int) {
 	copy(m.Query.ChunkIDs, src) // want "copy into frozen wire.Query.ChunkIDs"

@@ -61,7 +61,7 @@ func (m refMedium) busyFor(r *Radio) bool {
 			continue
 		}
 		for _, rec := range m.recs[tx] {
-			if rec.end > now && now-rec.start >= m.cfg.SenseLag {
+			if rec.end > now && now-rec.start >= senseLag {
 				return true
 			}
 		}

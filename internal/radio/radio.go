@@ -68,14 +68,6 @@ type Config struct {
 	// Range is the radio range in meters; nodes farther apart neither
 	// hear nor interfere with each other.
 	Range float64
-	// MACBitRate is the broadcast transmission rate in bits/second.
-	MACBitRate float64
-	// FrameBytes is the fragmentation unit; per-fragment MAC overhead
-	// is charged once per FrameBytes of message size.
-	FrameBytes int
-	// FrameOverhead is the fixed airtime cost per fragment (preamble,
-	// MAC header, inter-frame spacing).
-	FrameOverhead time.Duration
 	// OSBufferBytes is the per-node kernel send buffer capacity.
 	// Sends that would overflow it are dropped silently, as observed on
 	// the Android prototype.
@@ -95,14 +87,6 @@ type Config struct {
 	// ack/retransmission; transfers more than ~2 hops apart still
 	// pipeline concurrently.
 	SenseFactor float64
-	// SlotTime is the contention slot; backoffs are multiples of it.
-	SlotTime time.Duration
-	// CWSlots is the contention window width in slots (CWmin; broadcast
-	// never widens it since there are no MAC acks).
-	CWSlots int
-	// SenseLag is how long after a transmission starts it becomes
-	// audible to carrier sensing; two nodes starting within it collide.
-	SenseLag time.Duration
 	// CaptureMargin models physical-layer capture: a frame survives an
 	// overlap when every interferer is at least CaptureMargin times
 	// farther from the receiver than the frame's sender (the stronger
@@ -111,23 +95,38 @@ type Config struct {
 	CaptureMargin float64
 }
 
-// DefaultConfig returns the medium parameters from the paper: 7.2 Mbps
-// 802.11n broadcast MAC rate (§V-2), 1.5 KB frames, ~1 MB OS buffer (the
-// paper observed the first ~658 1.5 KB packets surviving). The effective
-// per-frame goodput lands near 6 Mbps, above the 4.5 Mbps leaky-bucket
-// pacing the prototype settled on.
+// The MAC the paper measured: no experiment varies these.
+const (
+	// macBitRate is the broadcast transmission rate in bits/second, the
+	// 802.11n broadcast rate of §V-2.
+	macBitRate = 7.2e6
+	// frameBytes is the fragmentation unit; per-fragment MAC overhead is
+	// charged once per frameBytes of message size.
+	frameBytes = 1500
+	// frameOverhead is the fixed airtime cost per fragment (preamble,
+	// MAC header, inter-frame spacing).
+	frameOverhead = 200 * time.Microsecond
+	// slotTime is the contention slot; backoffs are multiples of it.
+	slotTime = 9 * time.Microsecond
+	// cwSlots is the contention window width in slots (CWmin; broadcast
+	// never widens it since there are no MAC acks).
+	cwSlots = 64
+	// senseLag is how long after a transmission starts it becomes
+	// audible to carrier sensing; two nodes starting within it collide.
+	senseLag = 9 * time.Microsecond
+)
+
+// DefaultConfig returns the medium parameters from the paper: ~1 MB OS
+// buffer (the paper observed the first ~658 1.5 KB packets surviving)
+// in front of the 7.2 Mbps MAC. The effective per-frame goodput lands
+// near 6 Mbps, above the 4.5 Mbps leaky-bucket pacing the prototype
+// settled on.
 func DefaultConfig() Config {
 	return Config{
 		Range:         45,
-		MACBitRate:    7.2e6,
-		FrameBytes:    1500,
-		FrameOverhead: 200 * time.Microsecond,
 		OSBufferBytes: 1 << 20,
 		BaseLoss:      0.01,
 		SenseFactor:   1.9,
-		SlotTime:      9 * time.Microsecond,
-		CWSlots:       64,
-		SenseLag:      9 * time.Microsecond,
 		CaptureMargin: 1.25,
 	}
 }
@@ -277,7 +276,7 @@ type Medium struct {
 
 // NewMedium creates a medium on the engine.
 func NewMedium(eng *sim.Engine, cfg Config) *Medium {
-	if cfg.Range <= 0 || cfg.MACBitRate <= 0 || cfg.FrameBytes <= 0 {
+	if cfg.Range <= 0 {
 		panic(fmt.Sprintf("radio: invalid config %+v", cfg))
 	}
 	m := &Medium{eng: eng, cfg: cfg, index: make(map[wire.NodeID]int32)}
@@ -431,13 +430,13 @@ func (m *Medium) NodeIDs() []wire.NodeID {
 
 // airtime returns how long a message of size bytes occupies the channel.
 func (m *Medium) airtime(size int) time.Duration {
-	frames := (size + m.cfg.FrameBytes - 1) / m.cfg.FrameBytes
+	frames := (size + frameBytes - 1) / frameBytes
 	if frames < 1 {
 		frames = 1
 	}
 	bits := float64(size) * 8
-	return time.Duration(bits/m.cfg.MACBitRate*float64(time.Second)) +
-		time.Duration(frames)*m.cfg.FrameOverhead
+	return time.Duration(bits/macBitRate*float64(time.Second)) +
+		time.Duration(frames)*frameOverhead
 }
 
 // senseRange returns the carrier-sense / interference radius.
@@ -457,7 +456,7 @@ func audible(tx, r *Radio, sr float64) bool {
 
 // busyUntil returns the latest end time of transmissions currently
 // audible at r (zero when the channel is idle). Unlike busyFor it
-// counts transmissions regardless of SenseLag: it estimates how long to
+// counts transmissions regardless of senseLag: it estimates how long to
 // defer, not whether a collision occurs. Like busyFor and collided it
 // walks the live records rather than r's neighborhood: there are a few
 // dozen of them at most (every one still on the air, plus what prune
@@ -481,7 +480,7 @@ func (m *Medium) busyUntil(r *Radio) time.Duration {
 }
 
 // busyFor reports whether any active transmission is audible at r.
-// Transmissions younger than SenseLag are not yet sensed — that is the
+// Transmissions younger than senseLag are not yet sensed — that is the
 // vulnerable window in which two backoffs expiring in the same slot
 // collide.
 //
@@ -493,7 +492,7 @@ func (m *Medium) busyFor(r *Radio) bool {
 	now := m.eng.Now()
 	sr := m.senseRange()
 	for _, rec := range m.txOrder {
-		if rec.end > now && now-rec.start >= m.cfg.SenseLag && audible(rec.owner, r, sr) {
+		if rec.end > now && now-rec.start >= senseLag && audible(rec.owner, r, sr) {
 			return true
 		}
 	}
@@ -506,18 +505,10 @@ func (m *Medium) busyFor(r *Radio) bool {
 // acknowledgements; the randomization within the window keeps several
 // receivers acking the same broadcast from always colliding.
 func (m *Medium) backoff(ack bool) time.Duration {
-	slot := m.cfg.SlotTime
-	if slot <= 0 {
-		slot = 9 * time.Microsecond
-	}
 	if ack {
-		return slot * time.Duration(m.eng.Rand().Intn(4))
+		return slotTime * time.Duration(m.eng.Rand().Intn(4))
 	}
-	cw := m.cfg.CWSlots
-	if cw < 1 {
-		cw = 1
-	}
-	return slot * time.Duration(4+m.eng.Rand().Intn(cw))
+	return slotTime * time.Duration(4+m.eng.Rand().Intn(cwSlots))
 }
 
 // Send enqueues a message for broadcast. It reports false when the OS
@@ -596,7 +587,7 @@ func (r *Radio) armAttempt() {
 // instant it finds the channel idle: it always draws a slotted backoff
 // first (deferred past the end of any audible transmission), re-senses
 // when the backoff expires, and only then transmits. Two nodes whose
-// backoffs land within SenseLag of each other both transmit and
+// backoffs land within senseLag of each other both transmit and
 // collide — the standard slotted-contention vulnerability.
 //
 //pds:hotpath

@@ -74,13 +74,13 @@ func (c CompareConfig) WithDefaults() CompareConfig {
 // registered alternatives.
 func (c CompareConfig) Validate() error {
 	for _, r := range c.Routings {
-		if !slices.Contains(strategy.RoutingNames(), r) {
-			return fmt.Errorf("unknown routing strategy %q (have %v)", r, strategy.RoutingNames())
+		if err := strategy.Check(r, ""); err != nil {
+			return err
 		}
 	}
 	for _, ca := range c.Cachings {
-		if !slices.Contains(strategy.CachingNames(), ca) {
-			return fmt.Errorf("unknown caching strategy %q (have %v)", ca, strategy.CachingNames())
+		if err := strategy.Check("", ca); err != nil {
+			return err
 		}
 	}
 	for _, s := range c.Scenarios {

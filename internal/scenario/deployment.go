@@ -24,16 +24,13 @@ import (
 	"pds/internal/wire"
 )
 
-// Options configures a deployment. Zero values select the paper's
-// defaults.
+// Options configures a deployment. A zero Radio, Link or Core selects
+// the paper's default for that layer; any other value is used as given.
 type Options struct {
 	Seed  int64
 	Radio radio.Config
 	Link  link.Config
 	Core  core.Config
-	// LinkConfigured marks Link as explicitly provided (a zero
-	// link.Config is a meaningful "everything off" setting).
-	LinkConfigured bool
 	// DataDir, when set, gives every peer a persistent chunk store at
 	// DataDir/node-<id>: owned data survives crash/restart cycles on
 	// disk instead of being held in the crashed node's RAM, and a
@@ -43,22 +40,14 @@ type Options struct {
 	DataDir string
 }
 
-func (o Options) withDefaults(eng *sim.Engine) Options {
-	if o.Radio.Range == 0 {
+func (o Options) withDefaults() Options {
+	if o.Radio == (radio.Config{}) {
 		o.Radio = radio.DefaultConfig()
 	}
-	if !o.LinkConfigured {
+	if o.Link == (link.Config{}) {
 		o.Link = link.DefaultConfig(nil)
 	}
-	if o.Link.Jitter == nil {
-		o.Link.Jitter = func(max time.Duration) time.Duration {
-			if max <= 0 {
-				return 0
-			}
-			return time.Duration(eng.Rand().Int63n(int64(max)))
-		}
-	}
-	if o.Core.Window == 0 {
+	if o.Core == (core.Config{}) {
 		o.Core = core.DefaultConfig()
 	}
 	return o
@@ -127,7 +116,7 @@ func (d *Deployment) wireTracer(p *Peer) {
 // New creates an empty deployment.
 func New(opts Options) *Deployment {
 	eng := sim.NewEngine(opts.Seed)
-	opts = opts.withDefaults(eng)
+	opts = opts.withDefaults()
 	return &Deployment{
 		Eng:    eng,
 		Medium: radio.NewMedium(eng, opts.Radio),
@@ -519,7 +508,7 @@ func MobilityRadioConfig() radio.Config {
 // scheduled. It returns the deployment and the ids of the initial
 // nodes.
 func MobileArea(p mobility.Profile, duration time.Duration, opts Options) (*Deployment, []wire.NodeID) {
-	if opts.Radio.Range == 0 {
+	if opts.Radio == (radio.Config{}) {
 		opts.Radio = MobilityRadioConfig()
 	}
 	d := New(opts)

@@ -44,7 +44,7 @@ func singleRoundOptions(seed int64, ack bool) Options {
 	c.MaxRounds = 1
 	l := link.DefaultConfig(nil)
 	l.AckEnabled = ack
-	return Options{Seed: seed, Core: c, Link: l, LinkConfigured: true}
+	return Options{Seed: seed, Core: c, Link: l}
 }
 
 // Fig03SingleHopReception regenerates Figure 3: reception rate of raw
@@ -58,11 +58,11 @@ func Fig03SingleHopReception(seed int64, runs int) []*metrics.Series {
 		rates := parMap(runs, func(r int) [3]float64 {
 			s := seed + int64(r)*31
 			cr := DefaultReception(senders)
-			cr.Pace, cr.Ack = false, false
+			cr.Link.PaceEnabled, cr.Link.AckEnabled = false, false
 			cb := DefaultReception(senders)
-			cb.Pace = true
+			cb.Link.PaceEnabled = true
 			ca := DefaultReception(senders)
-			ca.Pace, ca.Ack = true, true
+			ca.Link.PaceEnabled, ca.Link.AckEnabled = true, true
 			return [3]float64{
 				SingleHopReception(cr, s).ReceptionRate,
 				SingleHopReception(cb, s).ReceptionRate,
@@ -91,8 +91,8 @@ func TabLeakyBucketSweep(seed int64, runs int) *metrics.Series {
 	for _, mbps := range []float64{1, 2, 3, 4, 4.5, 5, 6, 7} {
 		sum := sumFloats(parMap(runs, func(r int) float64 {
 			cfg := DefaultReception(2)
-			cfg.Pace = true
-			cfg.LeakRateBps = mbps * 1e6
+			cfg.Link.PaceEnabled = true
+			cfg.Link.LeakRate = mbps * 1e6 / 8
 			return SingleHopReception(cfg, seed+int64(r)*31).ReceptionRate
 		}))
 		s.Add(mbps, fmt.Sprintf("%gMbps", mbps), metrics.Sample{Recall: sum / float64(runs)})
@@ -107,8 +107,8 @@ func TabAckSweep(seed int64, runs int) []*metrics.Series {
 	for _, ms := range []int{25, 50, 100, 200, 400} {
 		sum := sumFloats(parMap(runs, func(r int) float64 {
 			cfg := DefaultReception(2)
-			cfg.Pace, cfg.Ack = true, true
-			cfg.RetrTimeout = time.Duration(ms) * time.Millisecond
+			cfg.Link.PaceEnabled, cfg.Link.AckEnabled = true, true
+			cfg.Link.RetrTimeout = time.Duration(ms) * time.Millisecond
 			return SingleHopReception(cfg, seed+int64(r)*31).ReceptionRate
 		}))
 		byTimeout.Add(float64(ms), fmt.Sprintf("%dms", ms), metrics.Sample{Recall: sum / float64(runs)})
@@ -117,8 +117,8 @@ func TabAckSweep(seed int64, runs int) []*metrics.Series {
 	for _, mr := range []int{0, 1, 2, 4, 6} {
 		sum := sumFloats(parMap(runs, func(r int) float64 {
 			cfg := DefaultReception(2)
-			cfg.Pace, cfg.Ack = true, true
-			cfg.MaxRetr = mr
+			cfg.Link.PaceEnabled, cfg.Link.AckEnabled = true, true
+			cfg.Link.MaxRetr = mr
 			return SingleHopReception(cfg, seed+int64(r)*31).ReceptionRate
 		}))
 		byRetries.Add(float64(mr), fmt.Sprintf("%d retries", mr), metrics.Sample{Recall: sum / float64(runs)})

@@ -40,11 +40,11 @@ func TestSingleHopReceptionShape(t *testing.T) {
 		t.Skip("long")
 	}
 	raw4 := DefaultReception(4)
-	raw4.Pace, raw4.Ack = false, false
+	raw4.Link.PaceEnabled, raw4.Link.AckEnabled = false, false
 	bucket4 := DefaultReception(4)
-	bucket4.Pace = true
+	bucket4.Link.PaceEnabled = true
 	ack4 := DefaultReception(4)
-	ack4.Pace, ack4.Ack = true, true
+	ack4.Link.PaceEnabled, ack4.Link.AckEnabled = true, true
 
 	r := SingleHopReception(raw4, 3).ReceptionRate
 	bkt := SingleHopReception(bucket4, 3).ReceptionRate
@@ -61,7 +61,7 @@ func TestSingleHopReceptionShape(t *testing.T) {
 	}
 
 	raw1 := DefaultReception(1)
-	raw1.Pace, raw1.Ack = false, false
+	raw1.Link.PaceEnabled, raw1.Link.AckEnabled = false, false
 	r1 := SingleHopReception(raw1, 3).ReceptionRate
 	if r1 < r {
 		t.Fatalf("raw reception should degrade with senders: 1snd=%.3f 4snd=%.3f", r1, r)
@@ -76,8 +76,8 @@ func TestLeakyBucketSweetSpot(t *testing.T) {
 	}
 	at := func(mbps float64) float64 {
 		cfg := DefaultReception(1)
-		cfg.Pace = true
-		cfg.LeakRateBps = mbps * 1e6
+		cfg.Link.PaceEnabled = true
+		cfg.Link.LeakRate = mbps * 1e6 / 8
 		return SingleHopReception(cfg, 3).ReceptionRate
 	}
 	low, high := at(4.5), at(12)

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"pds/internal/core"
+	"pds/internal/link"
+	"pds/internal/radio"
 	"pds/internal/wire"
 )
 
@@ -24,6 +26,24 @@ func TestPDDSmallGrid(t *testing.T) {
 	t.Logf("recall=%.3f latency=%v rounds=%d overhead=%d", recall, res.Latency, res.Rounds, d.Medium.Stats().TxBytes)
 	if recall < 0.95 {
 		t.Fatalf("recall %.3f < 0.95", recall)
+	}
+}
+
+// TestOptionsZeroLayerIsDefault: a zero layer config selects the paper
+// default and any other value is used as given — a Link with acks off is
+// not dropped for want of a marker.
+func TestOptionsZeroLayerIsDefault(t *testing.T) {
+	d := New(Options{})
+	if d.opts.Radio != radio.DefaultConfig() || d.opts.Link != link.DefaultConfig(nil) || d.opts.Core != core.DefaultConfig() {
+		t.Fatalf("zero Options gave %+v", d.opts)
+	}
+	l := link.DefaultConfig(nil)
+	l.AckEnabled = false
+	c := core.DefaultConfig()
+	c.MaxRounds = 1
+	d = New(Options{Link: l, Core: c})
+	if d.opts.Link != l || d.opts.Core != c {
+		t.Fatalf("set layers replaced: link %+v, core %+v", d.opts.Link, d.opts.Core)
 	}
 }
 

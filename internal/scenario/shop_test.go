@@ -5,11 +5,11 @@ import "testing"
 func TestSingleHopModes(t *testing.T) {
 	for _, senders := range []int{1, 2, 4} {
 		raw := DefaultReception(senders)
-		raw.Pace, raw.Ack = false, false
+		raw.Link.PaceEnabled, raw.Link.AckEnabled = false, false
 		bucket := DefaultReception(senders)
-		bucket.Pace = true
+		bucket.Link.PaceEnabled = true
 		both := DefaultReception(senders)
-		both.Pace, both.Ack = true, true
+		both.Link.PaceEnabled, both.Link.AckEnabled = true, true
 		r1 := SingleHopReception(raw, 7)
 		r2 := SingleHopReception(bucket, 7)
 		r3 := SingleHopReception(both, 7)

@@ -24,29 +24,25 @@ type ReceptionConfig struct {
 	// quickly as possible" on the prototype ≈ tens of Mbps, far above
 	// what the MAC can broadcast).
 	AppRateBps float64
-	// Pace enables the leaky bucket.
-	Pace bool
-	// BucketBytes, LeakRateBps configure it (paper best: 300 KB,
-	// 4.5 Mbps).
-	BucketBytes int
-	LeakRateBps float64
-	// Ack enables per-hop ack/retransmission.
-	Ack         bool
-	RetrTimeout time.Duration
-	MaxRetr     int
+	// Link is every node's link layer: PaceEnabled switches the leaky
+	// bucket (BucketBytes, LeakRate) on, AckEnabled per-hop
+	// ack/retransmission (RetrTimeout, MaxRetr).
+	Link link.Config
 }
 
 // DefaultReception returns the Figure 3 setup: 1.5 KB packets sent at
-// 40 Mbps application rate.
+// 40 Mbps application rate, raw UDP — leaky bucket and acks off, each
+// figure switches them on — with the prototype's link parameters
+// (300 KB bucket, 4.5 Mbps, 0.2 s) and Fig 3's four retransmissions.
 func DefaultReception(senders int) ReceptionConfig {
+	l := link.DefaultConfig(nil)
+	l.PaceEnabled, l.AckEnabled = false, false
+	l.MaxRetr = 4
 	return ReceptionConfig{
-		Senders:     senders,
-		Messages:    8000,
-		AppRateBps:  40e6,
-		BucketBytes: 300 << 10,
-		LeakRateBps: 4.5e6,
-		RetrTimeout: 200 * time.Millisecond,
-		MaxRetr:     4,
+		Senders:    senders,
+		Messages:   8000,
+		AppRateBps: 40e6,
+		Link:       l,
 	}
 }
 
@@ -87,25 +83,7 @@ func SingleHopReception(cfg ReceptionConfig, seed int64) ReceptionResult {
 			lastDelivery = eng.Now()
 		}
 	})
-	jitter := func(max time.Duration) time.Duration {
-		if max <= 0 {
-			return 0
-		}
-		return time.Duration(eng.Rand().Int63n(int64(max)))
-	}
-	lcfg := link.Config{
-		PaceEnabled:    cfg.Pace,
-		BucketBytes:    cfg.BucketBytes,
-		LeakRate:       cfg.LeakRateBps / 8,
-		AckEnabled:     cfg.Ack,
-		RetrTimeout:    cfg.RetrTimeout,
-		MaxRetr:        cfg.MaxRetr,
-		DedupRetention: 10 * time.Second,
-		FragmentBytes:  1400,
-		FragWindow:     8,
-		Jitter:         jitter,
-	}
-	recvLink = link.New(eng, receiverID, recvRadio.Send, lcfg)
+	recvLink = link.New(eng, receiverID, recvRadio.Send, cfg.Link)
 	recvLink.EnableTransmitNotify()
 	recvRadio.OnTransmitted = recvLink.NotifyTransmitted
 
@@ -121,7 +99,7 @@ func SingleHopReception(cfg ReceptionConfig, seed int64) ReceptionResult {
 		r := medium.Attach(id, radio.Pos{X: float64(s+1) * 2, Y: 0}, func(msg *wire.Message) {
 			snd.HandleIncoming(msg)
 		})
-		snd = link.New(eng, id, r.Send, lcfg)
+		snd = link.New(eng, id, r.Send, cfg.Link)
 		snd.EnableTransmitNotify()
 		r.OnTransmitted = snd.NotifyTransmitted
 		// Stagger senders slightly so they do not start in lockstep.

@@ -59,11 +59,10 @@ func NewRouting(name string, env *RoutingEnv) (RoutingStrategy, error) {
 	if name == "" {
 		name = DefaultRouting
 	}
-	f, ok := routingFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown routing strategy %q (have %v)", name, RoutingNames())
+	if err := Check(name, ""); err != nil {
+		return nil, err
 	}
-	return f(env), nil
+	return routingFactories[name](env), nil
 }
 
 // NewCaching builds the named cache strategy for the node self. The
@@ -72,11 +71,23 @@ func NewCaching(name string, self wire.NodeID) (CacheStrategy, error) {
 	if name == "" {
 		name = DefaultCaching
 	}
-	f, ok := cachingFactories[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown cache strategy %q (have %v)", name, CachingNames())
+	if err := Check("", name); err != nil {
+		return nil, err
 	}
-	return f(self), nil
+	return cachingFactories[name](self), nil
+}
+
+// Check reports an error naming the registered alternatives when
+// routing or caching names no registered strategy; an empty name is
+// that plane's default.
+func Check(routing, caching string) error {
+	if _, ok := routingFactories[routing]; routing != "" && !ok {
+		return fmt.Errorf("unknown routing strategy %q (have %v)", routing, RoutingNames())
+	}
+	if _, ok := cachingFactories[caching]; caching != "" && !ok {
+		return fmt.Errorf("unknown caching strategy %q (have %v)", caching, CachingNames())
+	}
+	return nil
 }
 
 // RoutingNames lists the registered routing strategies, sorted.

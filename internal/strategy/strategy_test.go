@@ -83,6 +83,15 @@ func TestRegistryDefaultsAndErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), DefaultCaching) {
 		t.Fatalf("unknown caching error = %v; want name and alternatives", err)
 	}
+	if err := Check("", ""); err != nil {
+		t.Fatalf("Check of the defaults = %v", err)
+	}
+	if err := Check(DefaultRouting, DefaultCaching); err != nil {
+		t.Fatalf("Check(%q, %q) = %v", DefaultRouting, DefaultCaching, err)
+	}
+	if err := Check(DefaultCaching, DefaultRouting); err == nil {
+		t.Fatal("Check accepted each plane's default name for the other plane")
+	}
 }
 
 func TestRegistryNamesSortedCopies(t *testing.T) {

@@ -188,7 +188,7 @@ func clampMillis(d time.Duration) uint32 {
 	return uint32(ms)
 }
 
-// String renders the op name for diagnostics.
+// OpName renders the op name for diagnostics.
 func OpName(op byte) string {
 	switch op {
 	case OpAnnounce:

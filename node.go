@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"slices"
 	"time"
 
 	"pds/internal/clock"
@@ -73,8 +72,6 @@ type nodeOptions struct {
 	cfg          core.Config
 	linkCfg      *link.Config
 	seed         int64
-	seedSet      bool
-	cacheCap     int
 	tracing      bool
 	traceCap     int
 	dataDir      string
@@ -109,12 +106,7 @@ func WithLinkConfig(cfg link.Config) NodeOption {
 
 // WithSeed makes the node's randomness deterministic (tests).
 func WithSeed(seed int64) NodeOption {
-	return func(o *nodeOptions) { o.seed = seed; o.seedSet = true }
-}
-
-// WithCacheCap bounds cached payload bytes (0 = unlimited).
-func WithCacheCap(capBytes int) NodeOption {
-	return func(o *nodeOptions) { o.cacheCap = capBytes }
+	return func(o *nodeOptions) { o.seed = seed }
 }
 
 // WithTracing enables hop-level event tracing (link and protocol
@@ -224,20 +216,16 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 	if o.id == 0 {
 		o.id = NodeID(rng.Uint32() | 1) // non-zero
 	}
-	if o.cacheCap > 0 {
-		o.cfg.CacheCap = o.cacheCap
-	}
 	if o.routing != "" {
-		if !slices.Contains(strategy.RoutingNames(), o.routing) {
-			return nil, fmt.Errorf("pds: unknown routing strategy %q (have %v)", o.routing, strategy.RoutingNames())
-		}
 		o.cfg.Routing = o.routing
 	}
 	if o.caching != "" {
-		if !slices.Contains(strategy.CachingNames(), o.caching) {
-			return nil, fmt.Errorf("pds: unknown caching strategy %q (have %v)", o.caching, strategy.CachingNames())
-		}
 		o.cfg.Caching = o.caching
+	}
+	// Everything that can fail comes before anything that starts,
+	// announces or hooks into the transport.
+	if err := strategy.Check(o.cfg.Routing, o.cfg.Caching); err != nil {
+		return nil, fmt.Errorf("pds: %w", err)
 	}
 	// The jitters spread a broadcast's answers over a shared medium; a
 	// transport that gives every peer its own queue has no collision for
@@ -247,20 +235,9 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 	if unshared {
 		o.cfg.ForwardJitterMax, o.cfg.ResponseJitterMax = 0, 0
 	}
-	n := &Node{id: o.id, clk: clk, trans: trans, closed: make(chan struct{})}
-
-	lcfg := link.DefaultConfig(func(max time.Duration) time.Duration {
-		if max <= 0 {
-			return 0
-		}
-		return time.Duration(rng.Int63n(int64(max)))
-	})
+	lcfg := link.DefaultConfig(nil)
 	if o.linkCfg != nil {
-		jitter := lcfg.Jitter
 		lcfg = *o.linkCfg
-		if lcfg.Jitter == nil {
-			lcfg.Jitter = jitter
-		}
 	}
 	// Radio-sized fragments bound what one collision costs; without a
 	// shared medium they buy nothing, and the link cuts only at the
@@ -275,6 +252,18 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 				lcfg.FragmentBytes, mf.MaxFragment())
 		}
 	}
+	var disk *diskstore.Backend
+	if o.dataDir != "" {
+		st, err := diskstore.Open(o.dataDir, diskstore.Options{
+			PersistCached: o.persistCache,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("pds: open data dir: %w", err)
+		}
+		disk = diskstore.NewBackend(st)
+	}
+
+	n := &Node{id: o.id, clk: clk, trans: trans, disk: disk, closed: make(chan struct{})}
 	n.link = link.New(timers, o.id, func(m *wire.Message) bool { return trans.Send(m) }, lcfg)
 	n.core = core.NewNode(o.id, timers, rng, func(m *wire.Message) { n.link.Send(m) }, o.cfg)
 	n.link.OnGiveUp = n.core.OnSendFailure
@@ -319,15 +308,8 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 			}
 		}
 	}
-	if o.dataDir != "" {
-		st, err := diskstore.Open(o.dataDir, diskstore.Options{
-			PersistCached: o.persistCache,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("pds: open data dir: %w", err)
-		}
-		n.disk = diskstore.NewBackend(st)
-		clk.Locked(func() { n.core.AttachBackend(n.disk) })
+	if disk != nil {
+		clk.Locked(func() { n.core.AttachBackend(disk) })
 	}
 	trans.SetReceiver(func(m *wire.Message) {
 		clk.Locked(func() {

@@ -3,12 +3,15 @@ package pds
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pds/internal/clock"
+	"pds/internal/tracker"
 	"pds/internal/wire"
 )
 
@@ -272,7 +275,9 @@ func TestNodeErrorPaths(t *testing.T) {
 		t.Fatal("nil transport accepted")
 	}
 	hub := NewChanHub()
-	n, err := NewNode(hub.Attach(), WithNodeID(7), WithSeed(7), WithCacheCap(1<<20))
+	cfg := DefaultConfig()
+	cfg.CacheCap = 1 << 20
+	n, err := NewNode(hub.Attach(), WithNodeID(7), WithSeed(7), WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +294,50 @@ func TestNodeErrorPaths(t *testing.T) {
 	}
 	if _, _, err := n.Collect(ctx, NewQuery()); err == nil {
 		t.Fatal("cancelled collect returned nil error")
+	}
+}
+
+// TestNewNodeRejectsConfiguredStrategy: a strategy name that comes in
+// through WithConfig is checked like one given to WithStrategies, and an
+// unknown one is an error, not a panic in the core.
+func TestNewNodeRejectsConfiguredStrategy(t *testing.T) {
+	hub := NewChanHub()
+	for _, cfg := range []Config{{Routing: "nope"}, {Caching: "nope"}} {
+		tr := hub.Attach()
+		if n, err := NewNode(tr, WithConfig(cfg)); err == nil {
+			n.Close()
+			t.Fatalf("NewNode accepted %+v", cfg)
+		}
+		tr.Close()
+	}
+}
+
+// TestFailedNewNodeAnnouncesNothing: a NewNode that fails — here on a
+// data directory that is a regular file — leaves no heartbeat behind
+// announcing the node to its trackers.
+func TestFailedNewNodeAnnouncesNothing(t *testing.T) {
+	srv, err := tracker.NewServer("127.0.0.1:0", tracker.ServerOptions{})
+	if err != nil {
+		t.Skipf("cannot bind UDP: %v", err)
+	}
+	defer srv.Close()
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := NewFaceTransport(DefaultFaceConfig("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	if n, err := NewNode(mesh, WithNodeID(1), WithSeed(1), WithDataDir(file),
+		WithTrackers(srv.Addr().String()), WithAnnounce(10*time.Second, 50*time.Millisecond)); err == nil {
+		n.Close()
+		t.Fatal("NewNode opened a data dir that is a regular file")
+	}
+	time.Sleep(300 * time.Millisecond)
+	if got := srv.Stats().Announces; got != 0 {
+		t.Fatalf("tracker heard %d announces from a node that failed to start", got)
 	}
 }
 

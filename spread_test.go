@@ -74,8 +74,8 @@ func TestFaceMeshRetrievesWithoutSpread(t *testing.T) {
 		}
 	}
 	slices.Sort(lat)
-	if roundCheck := core.DefaultConfig().RoundCheck; lat[len(lat)/2] >= roundCheck/2 {
-		t.Fatalf("median retrieval %v, want under %v; all %v", lat[len(lat)/2], roundCheck/2, lat)
+	if lat[len(lat)/2] >= core.RoundCheck/2 {
+		t.Fatalf("median retrieval %v, want under %v; all %v", lat[len(lat)/2], core.RoundCheck/2, lat)
 	}
 }
 

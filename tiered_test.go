@@ -50,7 +50,6 @@ func runEquivScenario(t *testing.T, trans [3]*countingTransport) equivRow {
 	// would make the overhead row depend on scheduler noise.
 	lcfg := link.DefaultConfig(nil)
 	lcfg.AckEnabled = false
-	lcfg.Jitter = nil // keep the node's seeded jitter
 
 	var nodes [3]*Node
 	for i := range nodes {

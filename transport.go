@@ -10,18 +10,6 @@ import (
 	"pds/internal/wire"
 )
 
-// udpAdapter narrows udptransport.Transport to the Transport interface
-// (the underlying type already matches; this keeps the coupling
-// explicit and compile-checked).
-type udpAdapter struct {
-	*udptransport.Transport
-}
-
-var _ Transport = udpAdapter{}
-
-func (u udpAdapter) Send(msg *Message) bool        { return u.Transport.Send(msg) }
-func (u udpAdapter) SetReceiver(fn func(*Message)) { u.Transport.SetReceiver(fn) }
-
 // NewUDPTransport opens a broadcast-mode UDP transport on the port:
 // all peers on the same LAN segment and port form a one-hop PDS
 // neighborhood, exactly like the paper's prototype (§V).
@@ -30,7 +18,7 @@ func NewUDPTransport(port int) (Transport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return udpAdapter{t}, nil
+	return t, nil
 }
 
 // NewLoopbackTransport opens a loopback-mode UDP transport for running
@@ -42,7 +30,7 @@ func NewLoopbackTransport(ownPort int, peerPorts []int) (Transport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return udpAdapter{t}, nil
+	return t, nil
 }
 
 // EdgeDialer is implemented by transports that can grow unicast
@@ -93,6 +81,7 @@ func NewFaceTransport(cfg FaceConfig, peerAddrs ...string) (*FaceMesh, error) {
 }
 
 var _ Transport = (*FaceMesh)(nil)
+var _ Transport = (*udptransport.Transport)(nil)
 var _ EdgeDialer = (*FaceMesh)(nil)
 var _ readyWaiter = (*FaceMesh)(nil)
 
