@@ -146,7 +146,9 @@ func run(args []string) error {
 		opts = append(opts, pds.WithOrigin(pds.NewHTTPOrigin(*originURL, 0)))
 	}
 	if *routing != "" || *caching != "" {
-		opts = append(opts, pds.WithStrategies(*routing, *caching))
+		cfg := pds.DefaultConfig()
+		cfg.Routing, cfg.Caching = *routing, *caching
+		opts = append(opts, pds.WithConfig(cfg))
 	}
 	node, err := pds.NewNode(trans, opts...)
 	if err != nil {

@@ -418,7 +418,6 @@ func (n *Node) cacheResponse(r *wire.Response, now time.Duration) {
 			if n.cdi.Update(itemKey, e) {
 				updates++
 				n.tr.CDIUpdate(r.ID, r.Sender, p.ChunkID, p.HopCount+1)
-				n.routing.ObserveCDI(itemKey, p.ChunkID, p.HopCount+1, r.Sender)
 			}
 		}
 		// A CDI response also implies the item exists: cache its entry

@@ -106,14 +106,7 @@ type retrieval struct {
 // carry totalchunks, normally obtained from discovery) and calls cb
 // exactly once. Chunks already cached locally are used directly.
 func (n *Node) Retrieve(item attr.Descriptor, cb func(RetrievalResult)) {
-	n.RetrieveWithProgress(item, nil, cb)
-}
-
-// RetrieveWithProgress is Retrieve with a progress callback invoked
-// after every chunk arrival with (chunks held, total chunks). It fires
-// before the final callback and never after it.
-func (n *Node) RetrieveWithProgress(item attr.Descriptor, progress func(done, total int), cb func(RetrievalResult)) {
-	n.RetrieveWithOptions(item, RetrieveOptions{Progress: progress}, cb)
+	n.RetrieveWithOptions(item, RetrieveOptions{}, cb)
 }
 
 // RetrieveOptions tune one retrieval session.

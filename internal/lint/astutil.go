@@ -6,24 +6,6 @@ import (
 	"strings"
 )
 
-// walkStack traverses node depth-first, calling fn with each node and
-// the stack of its ancestors (outermost first, not including n itself).
-// fn returning false prunes the subtree.
-func walkStack(n ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(n, func(node ast.Node) bool {
-		if node == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		keep := fn(node, stack)
-		if keep {
-			stack = append(stack, node)
-		}
-		return keep
-	})
-}
-
 // wireMessageTypes are the frozen wire structs of DESIGN.md §8.
 var wireMessageTypes = map[string]bool{
 	"Message": true, "Query": true, "Response": true,

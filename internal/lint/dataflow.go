@@ -6,19 +6,18 @@ import (
 	"go/types"
 )
 
-// This file is the intraprocedural dataflow engine the dataflow-aware
-// analyzers (frozenmsg, allocfree) sit on: a per-function value
-// graph over go/ast + go/types tracking, for every local object, where
-// its value can come from. Two lattices are computed to a fixpoint:
+// This file is the intraprocedural dataflow engine frozenmsg sits on: a
+// per-function value graph over go/ast + go/types tracking, for every
+// local object, where its value can come from. Two lattices are
+// computed to a fixpoint:
 //
 //   - owned: the object only ever holds memory constructed in this
 //     function (&T{...}, new/make, composite literals, append onto an
 //     owned slice, conversions of owned values). Writes through owned
 //     values are the build phase of a lifecycle and are never flagged.
-//   - tainted: the object may alias data the analyzer's flowConfig
-//     declares shared (for frozenmsg: anything reachable from a frozen
-//     wire struct). Taint enters through typed roots (an expression of
-//     a flagged type that is not rooted at an owned object) and
+//   - tainted: the object may alias anything reachable from a frozen
+//     wire struct. Taint enters through typed roots (an expression of
+//     a wireFlavored type that is not rooted at an owned object) and
 //     propagates through assignments, address-of, slicing/indexing,
 //     struct-literal capture and range statements.
 //
@@ -28,18 +27,9 @@ import (
 // little precision for predictability — a diagnostic never depends on
 // statement order the reader can't see.
 
-// flowConfig parameterizes a funcFlow build.
-type flowConfig struct {
-	// taintedType reports whether an expression of this type is tainted
-	// by construction (unless rooted at an owned object). frozenmsg
-	// passes the wire-flavored type predicate here.
-	taintedType func(t types.Type) bool
-}
-
 // funcFlow is the per-function value graph after fixpoint propagation.
 type funcFlow struct {
-	p   *Pass
-	cfg flowConfig
+	p *Pass
 
 	owned     map[types.Object]bool
 	taint     map[types.Object]bool
@@ -49,9 +39,9 @@ type funcFlow struct {
 // newFuncFlow builds the value graph for one function body (FuncDecl
 // bodies include any nested function literals: captured variables keep
 // one classification across the closure boundary).
-func newFuncFlow(p *Pass, body ast.Node, cfg flowConfig) *funcFlow {
+func newFuncFlow(p *Pass, body ast.Node) *funcFlow {
 	fl := &funcFlow{
-		p: p, cfg: cfg,
+		p:         p,
 		owned:     make(map[types.Object]bool),
 		taint:     make(map[types.Object]bool),
 		clobbered: make(map[types.Object]bool),
@@ -248,9 +238,8 @@ func (fl *funcFlow) exprOwned(e ast.Expr) bool {
 	return false
 }
 
-// exprTainted reports whether e may alias shared data per the
-// flowConfig: rooted at a tainted object, or of a tainted type without
-// an owned root.
+// exprTainted reports whether e may alias frozen wire data: rooted at a
+// tainted object, or of a wireFlavored type without an owned root.
 func (fl *funcFlow) exprTainted(e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
@@ -289,7 +278,7 @@ func (fl *funcFlow) exprTainted(e ast.Expr) bool {
 		if fl.owned[obj] {
 			return false
 		}
-		return fl.cfg.taintedType != nil && fl.cfg.taintedType(obj.Type())
+		return wireFlavored(obj.Type())
 	case *ast.CallExpr:
 		if id, ok := e.Fun.(*ast.Ident); ok {
 			if b, isBuiltin := fl.p.Pkg.Info.Uses[id].(*types.Builtin); isBuiltin && b.Name() == "append" {
@@ -302,7 +291,7 @@ func (fl *funcFlow) exprTainted(e ast.Expr) bool {
 		// Non-conversion calls: the result is fresh unless its type is
 		// tainted by construction (a *wire.Message return is shared
 		// until proven otherwise — matching the v1 builder rule).
-		return fl.cfg.taintedType != nil && fl.cfg.taintedType(fl.p.Pkg.Info.TypeOf(e))
+		return wireFlavored(fl.p.Pkg.Info.TypeOf(e))
 	}
 	return false
 }

@@ -13,10 +13,6 @@ import (
 //
 //   - time.Now / time.Since / time.Until (wall-clock reads; use the sim
 //     clock via clock.Clock);
-//   - the global math/rand RNG (rand.Intn, rand.Shuffle, rand.Seed, ...)
-//     and any math/rand/v2 package function (its global generator is
-//     randomly seeded at startup) — seeded rand.New(rand.NewSource(s))
-//     instances remain fine;
 //   - map iteration whose body is order-sensitive: anything beyond
 //     commutative accumulation (counters, sums, set/map inserts,
 //     deletes) or the collect-keys-then-sort idiom feeds map order into
@@ -30,14 +26,15 @@ import (
 // internal/diskstore (wall-clock maintenance timing) and this package.
 // A new internal package is therefore covered from its first line.
 //
-// internal/spatial gets the opposite treatment — strict mode: the cell
-// scans there sit under every geometric query of the radio hot path,
-// where even a commutative-looking map range is one refactor away from
-// feeding bucket order into delivery order, so ANY range over a map is
-// flagged regardless of body shape.
+// internal/spatial and internal/strategy get the opposite treatment —
+// strict mode: the cell scans there sit under every geometric query of
+// the radio hot path, and a strategy's choices feed every node's
+// routing, where even a commutative-looking map range is one refactor
+// away from feeding bucket order into delivery order, so ANY range over
+// a map is flagged regardless of body shape.
 var Determinism = &Analyzer{
 	Name:    "determinism",
-	Doc:     "forbids wall-clock, global RNG and order-sensitive map iteration in the deterministic core",
+	Doc:     "forbids wall-clock reads and order-sensitive map iteration in the deterministic core",
 	Section: "DESIGN.md §2/§9 (seeded determinism)",
 	Run:     runDeterminism,
 }
@@ -115,24 +112,8 @@ func runDeterminism(p *Pass) {
 
 func checkDeterminismCall(p *Pass, call *ast.CallExpr) {
 	pkg, name, ok := pkgFuncCall(p.Pkg.Info, call)
-	if !ok {
-		return
-	}
-	switch pkg {
-	case "time":
-		switch name {
-		case "Now", "Since", "Until":
-			p.Reportf(call.Pos(), "time.%s reads the wall clock in the deterministic core; take the simulated time from clock.Clock", name)
-		}
-	case "math/rand":
-		switch name {
-		case "New", "NewSource", "NewZipf":
-			// Constructing a seeded generator is the sanctioned path.
-		default:
-			p.Reportf(call.Pos(), "math/rand.%s uses the global RNG; draw from a per-run seeded rand.New(rand.NewSource(seed))", name)
-		}
-	case "math/rand/v2":
-		p.Reportf(call.Pos(), "math/rand/v2.%s is seeded randomly at process start; use a per-run seeded math/rand source", name)
+	if ok && pkg == "time" && (name == "Now" || name == "Since" || name == "Until") {
+		p.Reportf(call.Pos(), "time.%s reads the wall clock in the deterministic core; take the simulated time from clock.Clock", name)
 	}
 }
 
@@ -152,9 +133,10 @@ func checkDeterminismCall(p *Pass, call *ast.CallExpr) {
 //     declared outside the loop, each of which is passed to a
 //     sort.*/slices.* call later in the enclosing function.
 //
-// Calls inside the body are still visited by the main walk, so
-// wall-clock/RNG use is caught independently; a stateful helper called
-// per entry (e.g. an ID allocator) is the known soundness gap.
+// In strict scope no body shape is safe. Calls inside the body are
+// still visited by the main walk, so wall-clock use is caught
+// independently; a stateful helper called per entry (e.g. an ID
+// allocator) is the known soundness gap.
 func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 	t := p.Pkg.Info.TypeOf(rng.X)
 	if t == nil {
@@ -163,17 +145,10 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 	if _, isMap := t.Underlying().(*types.Map); !isMap {
 		return
 	}
-	if determinismStrict(p.Pkg.Path) {
-		p.Reportf(rng.Pos(), "map iteration is banned outright in the spatial index; keep cell scans on fixed offset loops and dense slices (DESIGN.md §14)")
-		return
-	}
-	sc := &mapRangeScope{p: p, rng: rng, collected: make(map[types.Object]bool)}
-	if sc.safeBody(rng.Body.List, 0) {
-		if len(sc.collected) == 0 {
-			return // commutative accumulation / per-entry rewrites only
-		}
-		if allSortedAfter(p, rng, sc.collected) {
-			return // collect-then-sort idiom
+	if !determinismStrict(p.Pkg.Path) {
+		sc := &mapRangeScope{p: p, rng: rng, collected: make(map[types.Object]bool)}
+		if sc.safeBody(rng.Body.List, 0) && (len(sc.collected) == 0 || allSortedAfter(p, rng, sc.collected)) {
+			return // commutative accumulation, per-entry rewrites, or collect-then-sort
 		}
 	}
 	p.Reportf(rng.Pos(), "map iteration order is random and this loop body is order-sensitive; collect keys and sort (cf. sortedIDs) or restrict the body to commutative updates")

@@ -3,37 +3,32 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // FrozenMsg is the compile-time teeth behind DESIGN.md §8: once a
 // wire.Message is published, the same pointer is delivered to every
 // receiver, so any in-place mutation is cross-node data corruption.
 //
-// It sits on the dataflow engine (dataflow.go): frozen values are
-// tracked through aliases (e := m.Response.Entries; e[0] = x), struct
-// embedding (a wrapper embedding *wire.Message) and range statements
-// (for _, b := range m.Response.Blobs { b.Payload[0] = 0 }). The
-// analyzer flags, outside the wire package itself:
+// It sits on the dataflow engine (dataflow.go), which tracks frozen
+// values through aliases (e := m.Response.Entries; e[0] = x) and range
+// statements (for _, b := range m.Response.Blobs { b.Payload[0] = 0 }).
+// The analyzer flags, outside the wire package itself:
 //
 //   - field writes through a pointer to a frozen wire struct (Message,
-//     Query, Response, Fragment, Ack) — e.g. msg.From = id — and
-//     through anything the dataflow engine proves aliases one;
-//   - element writes into a frozen slice section (Receivers, ChunkIDs,
-//     Serves, Entries, CDI, Blobs, Data) or into any slice aliasing
-//     frozen message data, whether reached through a pointer, a value
-//     copy or a range variable;
-//   - append/copy whose destination aliases a frozen slice (append may
-//     write into the shared backing array when capacity allows);
-//   - Bloom.Add on the shared filter, even via an alias; rewriting
-//     goes through LQT's private clone and Message.WithBloom.
+//     Query, Response, Fragment, Ack) — e.g. msg.From = id;
+//   - element writes into any slice the engine proves may alias frozen
+//     message data, reached through a pointer, a value copy, a range
+//     variable or a local that holds a frozen section on some path;
+//   - append whose destination is a frozen slice section (Receivers,
+//     ChunkIDs, Serves, Entries, CDI, Blobs, Data): it may write the
+//     shared backing array when capacity allows.
 //
 // Values the engine proves locally constructed (&wire.X{...},
-// new(wire.X), value copies' scalar fields) are the build/CoW phase of
-// the lifecycle and are allowed.
+// new(wire.X), make) are the build phase of the lifecycle and are
+// allowed.
 var FrozenMsg = &Analyzer{
 	Name:    "frozenmsg",
-	Doc:     "flags post-publish mutation of frozen wire.Message sections outside the wire package's builders, tracking aliases and embedding",
+	Doc:     "flags post-publish mutation of frozen wire.Message sections outside the wire package's builders, tracking aliases",
 	Section: "DESIGN.md §8 (message ownership & copy-on-write)",
 	Run:     runFrozenMsg,
 }
@@ -46,8 +41,8 @@ var frozenSliceFields = map[string]bool{
 
 // wireFlavored reports whether a value of type t can reach frozen wire
 // message memory by construction: the wire structs themselves and any
-// pointer/slice/array/map closure over them. This is the taint-root
-// predicate handed to the dataflow engine.
+// pointer/slice/array/map closure over them: the dataflow engine's
+// taint-root predicate.
 func wireFlavored(t types.Type) bool {
 	for depth := 0; t != nil && depth < 8; depth++ {
 		if _, ok := namedWireType(t); ok {
@@ -79,7 +74,7 @@ func runFrozenMsg(p *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fl := newFuncFlow(p, fd, flowConfig{taintedType: wireFlavored})
+			fl := newFuncFlow(p, fd)
 			checkFrozenFunc(p, fl, fd.Body)
 		}
 	}
@@ -89,40 +84,16 @@ func checkFrozenFunc(p *Pass, fl *funcFlow, body *ast.BlockStmt) {
 	checkLHS := func(lhs ast.Expr) {
 		switch l := lhs.(type) {
 		case *ast.SelectorExpr:
-			if name, ok := isPtrTo(p.Pkg.Info.TypeOf(l.X)); ok {
-				if !fl.exprOwned(l.X) {
-					p.Reportf(l.Pos(), "write to frozen wire.%s field %s outside the wire builders: published messages are shared by every receiver (use ShallowShare/WithReceivers/WithBloom/WithEntries)",
-						name, l.Sel.Name)
-				}
-				return
-			}
-			// Alias rule: a pointer that the engine proves may reach
-			// frozen data (w := msg.Response; w.Sender = id through an
-			// interface table, a range variable, a container element).
-			if t := p.Pkg.Info.TypeOf(l.X); t != nil {
-				if _, isPtr := t.Underlying().(*types.Pointer); isPtr && fl.exprTainted(l.X) {
-					p.Reportf(l.Pos(), "write through %s mutates data aliased from a frozen wire message; copy before mutating",
-						exprString(l.X))
-				}
+			if name, ok := isPtrTo(p.Pkg.Info.TypeOf(l.X)); ok && !fl.exprOwned(l.X) {
+				p.Reportf(l.Pos(), "write to frozen wire.%s field %s outside the wire builders: published messages are shared by every receiver (use ShallowShare/WithReceivers/WithBloom/WithEntries)",
+					name, l.Sel.Name)
 			}
 		case *ast.IndexExpr:
-			if sel, fieldOf, ok := frozenFieldSel(p.Pkg.Info, l.X); ok {
-				if !fl.exprOwned(sel.X) {
-					p.Reportf(l.Pos(), "element write into frozen wire.%s.%s: the backing array is shared with the published message even through a struct copy",
-						fieldOf, sel.Sel.Name)
-				}
-				return
-			}
 			if t := p.Pkg.Info.TypeOf(l.X); t != nil {
 				if _, isSlice := t.Underlying().(*types.Slice); isSlice && fl.exprTainted(l.X) && !fl.exprOwned(l.X) {
 					p.Reportf(l.Pos(), "element write into %s, which aliases a frozen wire message section; copy the slice first",
 						exprString(l.X))
 				}
-			}
-		case *ast.StarExpr:
-			if name, ok := isPtrTo(p.Pkg.Info.TypeOf(l.X)); ok && !fl.exprOwned(l.X) {
-				p.Reportf(l.Pos(), "write through *%s overwrites a frozen wire.%s in place; build a fresh message instead",
-					exprString(l.X), name)
 			}
 		}
 	}
@@ -136,7 +107,7 @@ func checkFrozenFunc(p *Pass, fl *funcFlow, body *ast.BlockStmt) {
 		case *ast.IncDecStmt:
 			checkLHS(n.X)
 		case *ast.CallExpr:
-			checkFrozenCall(p, fl, n)
+			checkFrozenAppend(p, fl, n)
 		}
 		return true
 	})
@@ -166,54 +137,20 @@ func frozenFieldSel(info *types.Info, e ast.Expr) (*ast.SelectorExpr, string, bo
 	}
 }
 
-func checkFrozenCall(p *Pass, fl *funcFlow, call *ast.CallExpr) {
-	// append(m.Query.ChunkIDs[:i], ...) mutates the shared array in
-	// place when capacity allows; only the destination (first) argument
-	// is dangerous — frozen slices as variadic sources are reads. The
-	// same goes for copy's destination.
-	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) > 0 {
-		if b, isBuiltin := p.Pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-			switch b.Name() {
-			case "append":
-				if sel, fieldOf, ok := frozenFieldSel(p.Pkg.Info, call.Args[0]); ok {
-					if !fl.exprOwned(sel.X) {
-						p.Reportf(call.Pos(), "append into frozen wire.%s.%s may write the shared backing array; copy first (append([]T(nil), s...)) or rebuild via a CoW helper",
-							fieldOf, sel.Sel.Name)
-					}
-				} else if fl.exprTainted(call.Args[0]) && !fl.exprOwned(call.Args[0]) {
-					p.Reportf(call.Pos(), "append into %s, which aliases a frozen wire message section, may write the shared backing array; copy first",
-						exprString(unwrapSlicing(call.Args[0])))
-				}
-			case "copy":
-				if len(call.Args) >= 2 {
-					if sel, fieldOf, ok := frozenFieldSel(p.Pkg.Info, call.Args[0]); ok {
-						if !fl.exprOwned(sel.X) {
-							p.Reportf(call.Pos(), "copy into frozen wire.%s.%s overwrites the shared backing array",
-								fieldOf, sel.Sel.Name)
-						}
-					} else if fl.exprTainted(call.Args[0]) && !fl.exprOwned(call.Args[0]) {
-						p.Reportf(call.Pos(), "copy into %s overwrites a backing array aliased from a frozen wire message",
-							exprString(unwrapSlicing(call.Args[0])))
-					}
-				}
-			}
-			return
-		}
+// checkFrozenAppend flags append(m.Query.ChunkIDs[:i], ...), which
+// mutates the shared array in place when capacity allows; only the
+// destination (first) argument is dangerous — frozen slices as
+// variadic sources are reads.
+func checkFrozenAppend(p *Pass, fl *funcFlow, call *ast.CallExpr) {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || len(call.Args) == 0 {
+		return
 	}
-	// q.Bloom.Add(...): the filter is shared even across value copies.
-	if fun, ok := call.Fun.(*ast.SelectorExpr); ok && fun.Sel.Name == "Add" {
-		if bloomSel, ok := fun.X.(*ast.SelectorExpr); ok && bloomSel.Sel.Name == "Bloom" {
-			if name, ok := namedWireType(p.Pkg.Info.TypeOf(bloomSel.X)); ok && !fl.exprOwned(bloomSel.X) {
-				p.Reportf(call.Pos(), "mutation of the shared wire.%s Bloom filter: clone it (LQT does before its first Add) and attach a snapshot via WithBloom", name)
-				return
-			}
-		}
-		// Alias form: b := q.Bloom; b.Add(h).
-		if recv, _, ok := methodCall(p.Pkg.Info, call); ok {
-			if pkg, tn, ok := receiverNamed(recv); ok && tn == "Filter" && pkg != nil &&
-				strings.HasSuffix(pkg.Path(), "/internal/bloom") && fl.exprTainted(fun.X) {
-				p.Reportf(call.Pos(), "mutation of a Bloom filter aliased from a frozen wire message: clone it and attach a snapshot via WithBloom")
-			}
-		}
+	if b, isBuiltin := p.Pkg.Info.Uses[id].(*types.Builtin); !isBuiltin || b.Name() != "append" {
+		return
+	}
+	if sel, fieldOf, ok := frozenFieldSel(p.Pkg.Info, call.Args[0]); ok && !fl.exprOwned(sel.X) {
+		p.Reportf(call.Pos(), "append into frozen wire.%s.%s may write the shared backing array; copy first (append([]T(nil), s...)) or rebuild via a CoW helper",
+			fieldOf, sel.Sel.Name)
 	}
 }

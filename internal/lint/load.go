@@ -3,10 +3,10 @@
 // go/importer, plus the four project analyzers that machine-check the
 // invariants DESIGN.md only documents — the frozen-message lifecycle
 // (§8), seed-determinism (§2, §9), hot-path allocations (§17) and
-// goroutine supervision in the deployment plane (§13). Each keeps its
-// place through a catch: its fixture holds a copy of a real pre-fix
-// shape from this repo's history (a "// history:" case) that it still
-// flags. The framework deliberately mirrors golang.org/x/tools'
+// goroutine supervision in the deployment plane (§13). Each diagnostic
+// keeps its place through a catch: its analyzer's fixture holds a copy
+// of a real pre-fix shape from this repo's history (a "// history:"
+// case) that it still prints. The framework deliberately mirrors golang.org/x/tools'
 // go/analysis shape (Analyzer, Pass, Reportf, testdata fixtures with
 // "want" comments) so analyzers can migrate to the upstream framework
 // wholesale if the dependency ever becomes available; it exists because

@@ -2,9 +2,11 @@ package lint
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -76,50 +78,109 @@ func historyMarked(pkg *Package, pos token.Position) bool {
 	return false
 }
 
+// runOwnFixture runs a over its fixture, testdata/<name>, through the
+// full pipeline (suppressions resolved).
+func runOwnFixture(t *testing.T, a *Analyzer) (*Package, *Result) {
+	t.Helper()
+	dir := "testdata/" + a.Name
+	pkg, err := NewLoader().LoadDir(dir, "fixture/"+a.Name, true)
+	if err != nil {
+		t.Fatalf("loading %s: %v", dir, err)
+	}
+	return pkg, Run([]*Package{pkg}, []*Analyzer{a})
+}
+
 // TestAnalyzerFixtureCoverage requires every analyzer's fixture to
 // exercise both sides of the suppression machinery: at least one
 // unsuppressed positive (the analyzer still catches its seeded
 // violations) and at least one //lint:allow-suppressed case (the
 // audited escape hatch keeps working for that analyzer's diagnostics).
-// It also requires a catch: at least one unsuppressed finding inside a
-// history case, so an analyzer keeps its place only while it still
-// flags a shape this repo actually shipped.
 func TestAnalyzerFixtureCoverage(t *testing.T) {
 	for _, a := range All() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			dir := "testdata/" + a.Name
-			l := NewLoader()
-			pkg, err := l.LoadDir(dir, "fixture/"+a.Name, true)
-			if err != nil {
-				t.Fatalf("loading %s: %v", dir, err)
-			}
-			res := Run([]*Package{pkg}, []*Analyzer{a})
-			var pos, sup, hist int
+			_, res := runOwnFixture(t, a)
+			var pos, sup int
 			for _, f := range res.Findings {
-				if f.Analyzer != a.Name {
-					continue
-				}
 				switch {
+				case f.Analyzer != a.Name:
 				case f.Suppressed:
 					sup++
-				case historyMarked(pkg, f.Pos):
-					hist++
-					pos++
 				default:
 					pos++
 				}
 			}
 			if pos == 0 {
-				t.Errorf("%s: no unsuppressed positive case in %s", a.Name, dir)
+				t.Errorf("%s: no unsuppressed positive case in testdata/%s", a.Name, a.Name)
 			}
 			if sup == 0 {
-				t.Errorf("%s: no //lint:allow-suppressed case in %s", a.Name, dir)
-			}
-			if hist == 0 {
-				t.Errorf("%s: no unsuppressed finding in a // history: case in %s", a.Name, dir)
+				t.Errorf("%s: no //lint:allow-suppressed case in testdata/%s", a.Name, a.Name)
 			}
 		})
+	}
+}
+
+// reportFormats returns the format string of every Reportf call in an
+// analyzer's source file.
+func reportFormats(t *testing.T, file string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatalf("parsing %s: %v", file, err)
+	}
+	var formats []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Reportf" {
+			return true
+		}
+		lit, ok := call.Args[1].(*ast.BasicLit)
+		if !ok {
+			t.Fatalf("%s: a Reportf format is not a string literal", file)
+		}
+		format, err := strconv.Unquote(lit.Value)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		formats = append(formats, format)
+		return true
+	})
+	return formats
+}
+
+// TestEveryDiagnosticHasHistory keeps a diagnostic only through a catch:
+// every Reportf format string of an analyzer must print at least one
+// unsuppressed finding inside a // history: case of its fixture — a
+// copy of a shape this repo shipped and a later commit fixed or
+// audited. A diagnostic with no such case has never caught anything.
+func TestEveryDiagnosticHasHistory(t *testing.T) {
+	verb := regexp.MustCompile(`%[a-z]`)
+	for _, a := range All() {
+		formats := reportFormats(t, a.Name+".go")
+		if len(formats) == 0 {
+			t.Errorf("%s: no Reportf calls found in %s.go", a.Name, a.Name)
+		}
+		pkg, res := runOwnFixture(t, a)
+		for _, format := range formats {
+			parts := verb.Split(format, -1)
+			for i := range parts {
+				parts[i] = regexp.QuoteMeta(parts[i])
+			}
+			re := regexp.MustCompile("^" + strings.Join(parts, ".*") + "$")
+			caught := false
+			for _, f := range res.Findings {
+				if f.Analyzer == a.Name && !f.Suppressed && re.MatchString(f.Message) && historyMarked(pkg, f.Pos) {
+					caught = true
+					break
+				}
+			}
+			if !caught {
+				t.Errorf("%s: no // history: case in testdata/%s prints %q", a.Name, a.Name, format)
+			}
+		}
 	}
 }
 

@@ -9,48 +9,64 @@ import (
 	"sort"
 )
 
-type codec struct {
-	buf   []byte
-	stats map[string]int
+type medium struct {
+	active int
+	nodes  map[int]*radio
+	rxCand []*radio
 }
 
-// seededEncode is on the analyzer's seeded list but lacks the
-// annotation.
-func seededEncode(dst []byte) []byte { // want "seeded hot path seededEncode lacks the //pds:hotpath annotation"
-	return dst
+type radio struct {
+	id   int
+	recs []int64
 }
 
+// busyUntil is on the analyzer's seeded list; the radio shipped it
+// without the annotation.
+//
+// history: b13fc01 internal/radio/radio.go:440
+func (m *medium) busyUntil(r *radio) int64 { // want "seeded hot path busyUntil lacks the //pds:hotpath annotation"
+	if m.active == 0 {
+		return 0
+	}
+	var until int64
+	for _, rec := range r.recs {
+		until = max(until, rec)
+	}
+	return until
+}
+
+// The medium sorted a fresh slice of every node id for each frame it
+// delivered.
+//
+// history: 89c9108 internal/radio/radio.go:524
+//
 //pds:hotpath
-func allocsEverywhere(c *codec, name string, n int) {
-	m := make([]int, n) // want "make in hot path allocsEverywhere allocates"
-	_ = m
-	p := new(codec)       // want "new in hot path allocsEverywhere allocates"
-	q := &codec{}         // want "composite literal allocates in hot path allocsEverywhere"
-	s := []int{1, 2}      // want "composite literal allocates in hot path allocsEverywhere"
-	go func() { _ = s }() // want "go statement in hot path allocsEverywhere" "closure literal in hot path allocsEverywhere"
-	_ = name + "!"        // want "runtime string concatenation in hot path allocsEverywhere"
-	_ = []byte(name)      // want "conversion in hot path allocsEverywhere copies"
-	fmt.Println(name)     // want "fmt.Println in hot path allocsEverywhere allocates"
-	_, _ = p, q
+func (m *medium) finishTransmission() {
+	ids := make([]int, 0, len(m.nodes)) // want "make in hot path finishTransmission allocates"
+	for id := range m.nodes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 }
 
+// Reusing the candidate buffer did not save the frame: sort.Slice's
+// any parameter boxed the slice header on every call.
+//
+// history: 86e82c5 internal/radio/radio.go:630
+//
 //pds:hotpath
-func appendProvenance(c *codec, dst []byte, vals []int) []byte {
-	vals = append(vals[:0], 1) // fine: the parameter's own backing array
-	tmp := lookup()
-	tmp = append(tmp, 2) // want "append in hot path appendProvenance has unknown capacity provenance"
-	c.buf = append(c.buf, 3)
-	return append(dst, c.buf...)
+func (m *medium) deliver(cand []*radio) {
+	cand = append(m.rxCand[:0], cand...)
+	sort.Slice(cand, func(i, j int) bool { return cand[i].id < cand[j].id }) // want "interface boxing of non-pointer value in hot path deliver"
 }
-
-func lookup() []int { return nil }
 
 type sink interface{ accept(v any) }
 
 //pds:hotpath
-func boxing(s sink, c *codec, v int) {
-	s.accept(v) // want "interface boxing of non-pointer value in hot path boxing"
-	s.accept(c) // fine: pointers fit the interface word
+func boxing(s sink, m *medium, v int, name string) {
+	s.accept(v)       // want "interface boxing of non-pointer value in hot path boxing"
+	s.accept(m)       // fine: pointers fit the interface word
+	fmt.Println(name) // want "interface boxing of non-pointer value in hot path boxing"
 }
 
 // A size taken by encoding into a throwaway buffer allocates on every
@@ -68,8 +84,8 @@ func (f *filter) AppendBinary(dst []byte) []byte { return append(dst, byte(len(f
 
 // --- Non-findings ----------------------------------------------------
 
-// The error return is the cold path: fmt.Errorf inside a return stays
-// allowed, as do plain appends to caller-managed buffers.
+// The error return is the cold path: fmt.Errorf's operands inside a
+// return may box, and appends to caller-managed buffers are the point.
 //
 //pds:hotpath
 func encode(dst []byte, v uint64, bad bool) ([]byte, error) {
@@ -84,43 +100,11 @@ func encode(dst []byte, v uint64, bad bool) ([]byte, error) {
 	return dst, nil
 }
 
-// Sort comparators passed directly to sort/slices never escape; the
-// generic slices.SortFunc keeps the slice monomorphic too.
+// The generic slices.SortFunc keeps the slice monomorphic.
 //
 //pds:hotpath
 func order(xs []int) {
 	slices.SortFunc(xs, func(a, b int) int { return a - b })
-}
-
-// sort.Slice's any parameter boxes the slice header on every call —
-// the closure itself is exempt, the boxing is not.
-//
-//pds:hotpath
-func orderBoxed(xs []int) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] }) // want "interface boxing of non-pointer value in hot path orderBoxed"
-}
-
-// A disabled-path wrapper: the nil guard is the hot path, the enabled
-// body may allocate freely.
-//
-//pds:hotpath
-func (c *codec) count(name string) {
-	if c == nil {
-		return
-	}
-	c.stats[name+"!"]++
-}
-
-// Locally constructed slices are flagged at the creation site only;
-// appending to them afterwards is not a second finding.
-//
-//pds:hotpath
-func localAppend(n int) []int {
-	out := make([]int, 0, n) // want "make in hot path localAppend allocates"
-	for i := 0; i < n; i++ {
-		out = append(out, i)
-	}
-	return out
 }
 
 // The audited escape hatch: suppressed at Run time, still visible to
@@ -133,12 +117,4 @@ func auditedAlloc() []byte {
 }
 
 // Unannotated functions are never scanned.
-func coldPath(name string) string { return name + name }
-
-// Value struct literals stay on the stack (spatial's Cell map keys).
-type cellKey struct{ x, y int32 }
-
-//pds:hotpath
-func valueLit(m map[cellKey]int, x, y int32) int {
-	return m[cellKey{x: x, y: y}]
-}
+func coldPath(n int) []int { return make([]int, n) }

@@ -2,28 +2,22 @@
 package fixture
 
 import (
-	"math/rand"
 	"sort"
 	"time"
 )
 
-// Wall-clock reads diverge between runs.
-func wallClock() time.Duration {
-	t0 := time.Now()      // want "time.Now reads the wall clock"
-	return time.Since(t0) // want "time.Since reads the wall clock"
+// Wall-clock reads diverge between runs: the real clock read the wall
+// inside the deterministic core until its bridge was audited with a
+// //lint:allow.
+type Real struct{ epoch time.Time }
+
+// history: 3a8a4ef internal/clock/clock.go:33
+func NewReal() *Real {
+	return &Real{epoch: time.Now()} // want "time.Now reads the wall clock"
 }
 
-// The global math/rand generator is process-wide shared state.
-func globalRand(n int) int {
-	rand.Seed(42)       // want "math/rand.Seed uses the global RNG"
-	return rand.Intn(n) // want "math/rand.Intn uses the global RNG"
-}
-
-// A per-run seeded source is the sanctioned path.
-func seededRand(seed int64, n int) int {
-	rng := rand.New(rand.NewSource(seed))
-	return rng.Intn(n)
-}
+// history: 3a8a4ef internal/clock/clock.go:37
+func (r *Real) Now() time.Duration { return time.Since(r.epoch) } // want "time.Since reads the wall clock"
 
 // Map iteration feeding an ordered sink is order-sensitive.
 func mapOrderLeak(m map[int]string, sink func(string)) {

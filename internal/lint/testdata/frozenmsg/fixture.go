@@ -53,14 +53,34 @@ func mutateBody(m *wire.Message, rs []wire.NodeID) {
 // Element writes alias the shared backing array even via a value copy.
 func mutateElements(m *wire.Message) {
 	fwd := *m.Query
-	fwd.ChunkIDs[0] = 1 // want "element write into frozen wire.Query.ChunkIDs"
+	fwd.ChunkIDs[0] = 1 // want "element write into fwd.ChunkIDs, which aliases a frozen wire message section"
 	r := *m.Response
-	r.Entries[0] = r.Entries[1] // want "element write into frozen wire.Response.Entries"
+	r.Entries[0] = r.Entries[1] // want "element write into r.Entries, which aliases a frozen wire message section"
 }
 
-// In-place append can write the shared backing array.
-func mutateAppend(q *wire.Query, idx int) {
-	q.ChunkIDs = append(q.ChunkIDs[:idx], q.ChunkIDs[idx+1:]...) // want "write to frozen wire.Query field ChunkIDs" "append into frozen wire.Query.ChunkIDs"
+type lingering struct{ Query *wire.Query }
+
+// In-place append can write the shared backing array: relaying a chunk
+// consumed it from every lingering query's wanted set in place.
+//
+// history: 3a8a4ef internal/core/pdr.go:669
+func relayChunks(matching []*lingering, cid int) {
+	for _, lq := range matching {
+		idx := indexOf(lq.Query.ChunkIDs, cid)
+		if idx < 0 {
+			continue
+		}
+		lq.Query.ChunkIDs = append(lq.Query.ChunkIDs[:idx], lq.Query.ChunkIDs[idx+1:]...) // want "write to frozen wire.Query field ChunkIDs" "append into frozen wire.Query.ChunkIDs"
+	}
+}
+
+func indexOf(ids []int, id int) int {
+	for i, x := range ids {
+		if x == id {
+			return i
+		}
+	}
+	return -1
 }
 
 func mutateAppendValue(m *wire.Message) []int {
@@ -68,18 +88,7 @@ func mutateAppendValue(m *wire.Message) []int {
 	return append(fwd.ChunkIDs[:1], 9) // want "append into frozen wire.Query.ChunkIDs"
 }
 
-// The Bloom pointer is shared even across struct value copies.
-func mutateBloom(m *wire.Message, key string) {
-	fwd := *m.Query
-	fwd.Bloom.Add(key) // want "mutation of the shared wire.Query Bloom filter"
-}
-
-// Overloaded and Contains only read the filter.
-func askSharedBloom(m *wire.Message, key string) bool {
-	return m.Query.Bloom.Overloaded() || m.Query.Bloom.Contains(key)
-}
-
-// --- Aliases, ranges, embedding --------------------------------------
+// --- Aliases and ranges ----------------------------------------------
 
 // A slice pulled out of a frozen message still aliases its backing
 // array; the dataflow engine tracks the assignment.
@@ -102,16 +111,6 @@ func mutateRangePtr(msgs []*wire.Message) {
 	for _, e := range msgs {
 		e.NoAck = true // want "write to frozen wire.Message field NoAck"
 	}
-}
-
-// copy's destination mutates the shared backing array like append.
-func mutateCopy(m *wire.Message, src []int) {
-	copy(m.Query.ChunkIDs, src) // want "copy into frozen wire.Query.ChunkIDs"
-}
-
-// Overwriting the pointed-to struct wholesale is the bluntest mutation.
-func mutateStar(m *wire.Message) {
-	*m.Query = wire.Query{} // want "overwrites a frozen wire.Query in place"
 }
 
 // The audited escape hatch: a suppressed finding stays visible to

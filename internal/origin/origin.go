@@ -209,8 +209,10 @@ func (s *Static) Restore(fn func(d attr.Descriptor, payload []byte, hasPayload, 
 // side to turn any node's diskstore into an origin server.
 func Handler(b store.PayloadBackend) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		key, err := url.PathUnescape(strings.TrimPrefix(r.URL.Path, "/"))
-		if err != nil || key == "" {
+		// net/http has already unescaped the path once; a second
+		// unescape would eat every '%' byte a key carries.
+		key := strings.TrimPrefix(r.URL.Path, "/")
+		if key == "" {
 			http.Error(w, "bad key", http.StatusBadRequest)
 			return
 		}

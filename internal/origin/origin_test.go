@@ -3,6 +3,7 @@ package origin
 import (
 	"bytes"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,6 +93,30 @@ func TestHTTPOriginAgainstHandler(t *testing.T) {
 	// Origin is read-only from the node's perspective.
 	if h.PutPayload(d, payload, false) {
 		t.Fatal("HTTP origin accepted a write")
+	}
+}
+
+// TestHTTPOriginKeysWithPercent: a key is escaped once by NewHTTP and
+// unescaped once by net/http, so a '%' byte in it survives the trip —
+// whether the name holds one or a 37-byte name's uvarint length byte
+// (0x25) does.
+func TestHTTPOriginKeysWithPercent(t *testing.T) {
+	names := []string{"clip", "100%", "x%41y", strings.Repeat("a", 37), strings.Repeat("%", 37)}
+	back := NewStatic()
+	for i, name := range names {
+		back.Put(chunkDesc(name, 0), []byte{byte(i)})
+	}
+	srv := httptest.NewServer(Handler(back))
+	defer srv.Close()
+	h := NewHTTP(srv.URL, time.Second)
+	for i, name := range names {
+		key := chunkDesc(name, 0).Key()
+		if got, ok := h.GetPayload(key); !ok || !bytes.Equal(got, []byte{byte(i)}) {
+			t.Errorf("GetPayload(%q) = %v, %v; want [%d], true", name, got, ok, i)
+		}
+		if !h.HasPayload(key) {
+			t.Errorf("HasPayload(%q) = false", name)
+		}
 	}
 }
 

@@ -5,22 +5,6 @@ import (
 	"pds/internal/wire"
 )
 
-func init() {
-	RegisterCaching("fifo", func(wire.NodeID) CacheStrategy { return fifoCache{} })
-	RegisterCaching("lru", func(wire.NodeID) CacheStrategy {
-		return &accessCache{name: "lru", byRecency: true}
-	})
-	RegisterCaching("lfu", func(wire.NodeID) CacheStrategy {
-		return &accessCache{name: "lfu"}
-	})
-	RegisterCaching("opportunistic", func(self wire.NodeID) CacheStrategy {
-		return &opportunisticCache{
-			accessCache: accessCache{name: "opportunistic", byRecency: true},
-			self:        self,
-		}
-	})
-}
-
 // fifoCache is the seed's default: admit everything, evict the oldest
 // insertion. It keeps no per-key state at all.
 type fifoCache struct{}

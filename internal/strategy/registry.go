@@ -2,8 +2,9 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"pds/internal/clock"
 	"pds/internal/wire"
 )
 
@@ -13,44 +14,36 @@ const (
 	DefaultCaching = "fifo"
 )
 
-// The registries pair a lookup map with a sorted name slice so listing
-// never iterates a map (determinism strict scope). Registration happens
-// in init funcs only; no locking is needed.
-var (
-	routingFactories = map[string]func(*RoutingEnv) RoutingStrategy{}
-	routingNames     []string
-
-	cachingFactories = map[string]func(self wire.NodeID) CacheStrategy{}
-	cachingNames     []string
-)
-
-// RegisterRouting adds a routing strategy factory under name. It
-// panics on a duplicate name (registration is programmer error
-// territory, caught at init).
-func RegisterRouting(name string, factory func(*RoutingEnv) RoutingStrategy) {
-	if _, dup := routingFactories[name]; dup {
-		panic(fmt.Sprintf("strategy: duplicate routing strategy %q", name))
-	}
-	routingFactories[name] = factory
-	routingNames = insertSorted(routingNames, name)
+// The strategy tables, sorted by name: listing them never ranges over
+// a map (determinism strict scope), and TestRegistryNamesSortedCopies
+// holds the order.
+var routings = []struct {
+	name  string
+	build func(*RoutingEnv) RoutingStrategy
+}{
+	{"bfr", func(env *RoutingEnv) RoutingStrategy {
+		return &bfrRouting{env: env, nextAdvert: clock.Never}
+	}},
+	{DefaultRouting, func(env *RoutingEnv) RoutingStrategy { return &cdiRouting{env: env} }},
+	{"qfreq", func(env *RoutingEnv) RoutingStrategy {
+		env.TickAt(qfreqDecayInterval)
+		return &qfreqRouting{env: env}
+	}},
 }
 
-// RegisterCaching adds a cache strategy factory under name; panics on
-// a duplicate.
-func RegisterCaching(name string, factory func(self wire.NodeID) CacheStrategy) {
-	if _, dup := cachingFactories[name]; dup {
-		panic(fmt.Sprintf("strategy: duplicate cache strategy %q", name))
-	}
-	cachingFactories[name] = factory
-	cachingNames = insertSorted(cachingNames, name)
-}
-
-func insertSorted(names []string, name string) []string {
-	i := sort.SearchStrings(names, name)
-	names = append(names, "")
-	copy(names[i+1:], names[i:])
-	names[i] = name
-	return names
+var cachings = []struct {
+	name  string
+	build func(self wire.NodeID) CacheStrategy
+}{
+	{DefaultCaching, func(wire.NodeID) CacheStrategy { return fifoCache{} }},
+	{"lfu", func(wire.NodeID) CacheStrategy { return &accessCache{name: "lfu"} }},
+	{"lru", func(wire.NodeID) CacheStrategy { return &accessCache{name: "lru", byRecency: true} }},
+	{"opportunistic", func(self wire.NodeID) CacheStrategy {
+		return &opportunisticCache{
+			accessCache: accessCache{name: "opportunistic", byRecency: true},
+			self:        self,
+		}
+	}},
 }
 
 // NewRouting builds the named routing strategy bound to env. The empty
@@ -59,10 +52,12 @@ func NewRouting(name string, env *RoutingEnv) (RoutingStrategy, error) {
 	if name == "" {
 		name = DefaultRouting
 	}
-	if err := Check(name, ""); err != nil {
-		return nil, err
+	for _, r := range routings {
+		if r.name == name {
+			return r.build(env), nil
+		}
 	}
-	return routingFactories[name](env), nil
+	return nil, Check(name, "")
 }
 
 // NewCaching builds the named cache strategy for the node self. The
@@ -71,27 +66,41 @@ func NewCaching(name string, self wire.NodeID) (CacheStrategy, error) {
 	if name == "" {
 		name = DefaultCaching
 	}
-	if err := Check("", name); err != nil {
-		return nil, err
+	for _, c := range cachings {
+		if c.name == name {
+			return c.build(self), nil
+		}
 	}
-	return cachingFactories[name](self), nil
+	return nil, Check("", name)
 }
 
 // Check reports an error naming the registered alternatives when
 // routing or caching names no registered strategy; an empty name is
 // that plane's default.
 func Check(routing, caching string) error {
-	if _, ok := routingFactories[routing]; routing != "" && !ok {
+	if routing != "" && !slices.Contains(RoutingNames(), routing) {
 		return fmt.Errorf("unknown routing strategy %q (have %v)", routing, RoutingNames())
 	}
-	if _, ok := cachingFactories[caching]; caching != "" && !ok {
+	if caching != "" && !slices.Contains(CachingNames(), caching) {
 		return fmt.Errorf("unknown caching strategy %q (have %v)", caching, CachingNames())
 	}
 	return nil
 }
 
-// RoutingNames lists the registered routing strategies, sorted.
-func RoutingNames() []string { return append([]string(nil), routingNames...) }
+// RoutingNames lists the routing strategies, sorted.
+func RoutingNames() []string {
+	names := make([]string, len(routings))
+	for i, r := range routings {
+		names[i] = r.name
+	}
+	return names
+}
 
-// CachingNames lists the registered cache strategies, sorted.
-func CachingNames() []string { return append([]string(nil), cachingNames...) }
+// CachingNames lists the cache strategies, sorted.
+func CachingNames() []string {
+	names := make([]string, len(cachings))
+	for i, c := range cachings {
+		names[i] = c.name
+	}
+	return names
+}

@@ -10,12 +10,6 @@ import (
 	"pds/internal/wire"
 )
 
-func init() {
-	RegisterRouting("bfr", func(env *RoutingEnv) RoutingStrategy {
-		return &bfrRouting{env: env, nextAdvert: clock.Never}
-	})
-}
-
 // BFR tuning knobs (Marandi et al., "BFR: a Bloom Filter-based Routing
 // Approach for Information-Centric Networks", arXiv:1702.00340, adapted
 // to PDS: producers flood compact Bloom advertisements of their content
@@ -198,4 +192,3 @@ func (r *bfrRouting) Counters() metrics.StrategyCounters {
 }
 
 func (r *bfrRouting) ObserveQuery(string, wire.NodeID, time.Duration) {}
-func (r *bfrRouting) ObserveCDI(string, int, int, wire.NodeID)        {}

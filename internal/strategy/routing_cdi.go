@@ -8,12 +8,6 @@ import (
 	"pds/internal/wire"
 )
 
-func init() {
-	RegisterRouting(DefaultRouting, func(env *RoutingEnv) RoutingStrategy {
-		return &cdiRouting{env: env}
-	})
-}
-
 // cdiRouting is the paper's routing: chunk requests follow the CDI
 // distance-vector table verbatim (§IV-A). Every method besides
 // SelectRoutes is a no-op, so a node running "cdi" draws the same RNG
@@ -30,7 +24,6 @@ func (r *cdiRouting) SelectRoutes(itemKey string, chunkID int, now time.Duration
 }
 
 func (r *cdiRouting) ObserveQuery(string, wire.NodeID, time.Duration) {}
-func (r *cdiRouting) ObserveCDI(string, int, int, wire.NodeID)        {}
 func (r *cdiRouting) ObserveAdvert(*wire.Query, time.Duration)        {}
 func (r *cdiRouting) OnPublish(string, time.Duration)                 {}
 func (r *cdiRouting) OnNeighborDown(wire.NodeID)                      {}

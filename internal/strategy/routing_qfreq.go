@@ -8,13 +8,6 @@ import (
 	"pds/internal/wire"
 )
 
-func init() {
-	RegisterRouting("qfreq", func(env *RoutingEnv) RoutingStrategy {
-		env.TickAt(qfreqDecayInterval)
-		return &qfreqRouting{env: env}
-	})
-}
-
 // Query-frequency tuning knobs. The decay halves every counter each
 // interval, so an item needs sustained demand to stay hot (the
 // "forwarding information updated by query frequency" idea of Tsai,
@@ -116,7 +109,6 @@ func (r *qfreqRouting) Counters() metrics.StrategyCounters {
 	}
 }
 
-func (r *qfreqRouting) ObserveCDI(string, int, int, wire.NodeID) {}
 func (r *qfreqRouting) ObserveAdvert(*wire.Query, time.Duration) {}
 func (r *qfreqRouting) OnPublish(string, time.Duration)          {}
 func (r *qfreqRouting) OnNeighborDown(wire.NodeID)               {}

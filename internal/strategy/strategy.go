@@ -78,9 +78,6 @@ type RoutingStrategy interface {
 	// ObserveQuery notes that a chunk/CDI query for itemKey arrived
 	// from sender (frequency-driven strategies count these).
 	ObserveQuery(itemKey string, sender wire.NodeID, now time.Duration)
-	// ObserveCDI notes a CDI row learned from a response: chunkID of
-	// itemKey is hop hops away via neighbor.
-	ObserveCDI(itemKey string, chunkID, hop int, neighbor wire.NodeID)
 	// ObserveAdvert processes a received content advertisement. q is
 	// frozen: implementations must not mutate it (retaining q.Bloom for
 	// read-only lookups is allowed).

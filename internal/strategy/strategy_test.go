@@ -143,7 +143,6 @@ func routingTranscript(s RoutingStrategy, se *scriptedEnv) string {
 	for i := 0; i < 5; i++ {
 		s.ObserveQuery("multi/hot", 3, time.Duration(i)*time.Second)
 	}
-	s.ObserveCDI("multi/hot", 0, 2, 5)
 	logRoutes("hot", s.SelectRoutes("multi/hot", 0, 10*time.Second))
 	logRoutes("cold", s.SelectRoutes("multi/cold", 0, 10*time.Second))
 	logRoutes("miss", s.SelectRoutes("nohit", 0, 10*time.Second))

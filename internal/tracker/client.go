@@ -61,11 +61,6 @@ func (c *Client) SetTracer(nt *trace.NodeTracer) {
 	c.mu.Unlock()
 }
 
-// Trackers returns the configured tracker addresses.
-func (c *Client) Trackers() []string {
-	return append([]string(nil), c.addrs...)
-}
-
 // Stats returns a snapshot of the client counters.
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()

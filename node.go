@@ -29,7 +29,7 @@ type PayloadBackend = store.PayloadBackend
 // Transport carries frames between peers. Implementations must invoke
 // the receive callback (set via SetReceiver) for every incoming frame,
 // from any goroutine, and Send must not block for long.
-// udptransport (used via WithUDP) is the standard implementation.
+// NewUDPTransport and NewFaceTransport build the standard ones.
 type Transport interface {
 	// Send broadcasts a frame to all reachable peers. It reports false
 	// when the frame was dropped locally (e.g. a full buffer).
@@ -83,9 +83,6 @@ type nodeOptions struct {
 	announceEvery  time.Duration
 	origin         PayloadBackend
 	p2pShare       int
-
-	routing string
-	caching string
 }
 
 // WithNodeID sets the node id; default is randomly drawn. IDs must be
@@ -172,14 +169,6 @@ func NewHTTPOrigin(baseURL string, timeout time.Duration) PayloadBackend {
 	return origin.NewHTTP(baseURL, timeout)
 }
 
-// WithStrategies selects the node's routing and caching strategies by
-// registry name (RoutingStrategies / CachingStrategies list them); an
-// empty name keeps that plane's default. Applied after WithConfig, so
-// the two options compose in either order.
-func WithStrategies(routing, caching string) NodeOption {
-	return func(o *nodeOptions) { o.routing = routing; o.caching = caching }
-}
-
 // RoutingStrategies lists the registered routing strategy names.
 func RoutingStrategies() []string { return strategy.RoutingNames() }
 
@@ -215,12 +204,6 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 	rng := rand.New(rand.NewSource(o.seed))
 	if o.id == 0 {
 		o.id = NodeID(rng.Uint32() | 1) // non-zero
-	}
-	if o.routing != "" {
-		o.cfg.Routing = o.routing
-	}
-	if o.caching != "" {
-		o.cfg.Caching = o.caching
 	}
 	// Everything that can fail comes before anything that starts,
 	// announces or hooks into the transport.
@@ -445,14 +428,7 @@ func (n *Node) discover(ctx context.Context, sel Query, opts core.DiscoverOption
 // assembled payload. The descriptor must carry totalchunks, normally
 // obtained from Discover.
 func (n *Node) Retrieve(ctx context.Context, item Descriptor) ([]byte, error) {
-	return n.RetrieveWithProgress(ctx, item, nil)
-}
-
-// RetrieveWithProgress is Retrieve with a progress callback invoked
-// after each arriving chunk with (chunks held, total). The callback
-// runs on the node's internal goroutine and must not block.
-func (n *Node) RetrieveWithProgress(ctx context.Context, item Descriptor, progress func(done, total int)) ([]byte, error) {
-	return n.RetrieveWithOptions(ctx, item, RetrieveOptions{Progress: progress})
+	return n.RetrieveWithOptions(ctx, item, RetrieveOptions{})
 }
 
 // RetrieveWithOptions is Retrieve with per-session options: a deadline

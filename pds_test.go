@@ -216,14 +216,14 @@ func TestRetrieveWithProgress(t *testing.T) {
 	var progress []int
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	data, err := b.RetrieveWithProgress(ctx, item, func(done, total int) {
+	data, err := b.RetrieveWithOptions(ctx, item, RetrieveOptions{Progress: func(done, total int) {
 		mu.Lock()
 		progress = append(progress, done)
 		mu.Unlock()
 		if total != item.TotalChunks() {
 			t.Errorf("total = %d", total)
 		}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +298,8 @@ func TestNodeErrorPaths(t *testing.T) {
 }
 
 // TestNewNodeRejectsConfiguredStrategy: a strategy name that comes in
-// through WithConfig is checked like one given to WithStrategies, and an
-// unknown one is an error, not a panic in the core.
+// through WithConfig is checked before the node starts, and an unknown
+// one is an error, not a panic in the core.
 func TestNewNodeRejectsConfiguredStrategy(t *testing.T) {
 	hub := NewChanHub()
 	for _, cfg := range []Config{{Routing: "nope"}, {Caching: "nope"}} {
