@@ -41,8 +41,9 @@ lint:
 # CDI response's pairs) and the simulator's (a
 # fired event by Schedule and by Timer, a frame through the medium) and
 # the face's (a window of eight frames and their acks over loopback TCP,
-# and one 896 KB retrieval between two nodes on a face mesh) likewise, and last the nested benchmarks/ module, which `./...` does
-# not reach.
+# and one 896 KB retrieval between two nodes on a face mesh) and the
+# deployment's (a thousand peers attached to a hundred) likewise, and
+# last the nested benchmarks/ module, which `./...` does not reach.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -52,6 +53,7 @@ verify: lint
 	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains|HearQuery|CDIPairs' -benchtime 100x -benchmem
 	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
 	$(GO) test . ./internal/face -run '^$$' -bench 'FaceBurst|FaceMeshRetrieve' -benchtime 20x -benchmem
+	$(GO) test ./internal/scenario -run '^$$' -bench AddPeer -benchtime 20x -benchmem
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
 

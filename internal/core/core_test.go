@@ -455,3 +455,24 @@ func TestStrategyCountersFoldBothPlanes(t *testing.T) {
 		t.Fatalf("strategy row = %+v, want both names, advert floods and admission skips", c)
 	}
 }
+
+// TestIdleNodeCrashRestartDiscovers: a node that never heard a frame has
+// made none of its tables' maps, and Crash sets them back to none; once
+// restarted it must still discover like any other node.
+func TestIdleNodeCrashRestartDiscovers(t *testing.T) {
+	h := newHarness(t, DefaultConfig(), 1, 2)
+	for i := 0; i < 5; i++ {
+		h.nodes[2].PublishEntry(testEntry(i))
+	}
+	h.nodes[1].Crash()
+	h.nodes[1].Restart()
+	var res DiscoveryResult
+	done := false
+	h.nodes[1].Discover(testSel(), DiscoverOptions{}, func(r DiscoveryResult) {
+		res, done = r, true
+	})
+	h.run(2 * time.Minute)
+	if !done || len(res.Entries) != 5 {
+		t.Fatalf("discovery after an idle crash: done %v, %d entries, want 5", done, len(res.Entries))
+	}
+}

@@ -32,13 +32,9 @@ type neighborHealth struct {
 // memory the original OnSendFailure lacked: it dropped the item's CDI
 // routes but the very next CDI response from a stale relay re-installed
 // them, and the retrieval ping-ponged against the dead node until the
-// round budget ran out.
+// round budget ran out. The zero value holds no records.
 type healthTracker struct {
-	m map[wire.NodeID]*neighborHealth
-}
-
-func newHealthTracker() *healthTracker {
-	return &healthTracker{m: make(map[wire.NodeID]*neighborHealth)}
+	m map[wire.NodeID]*neighborHealth // nil until the first failure
 }
 
 // recordFailure notes a delivery give-up toward nb and returns its
@@ -46,6 +42,9 @@ func newHealthTracker() *healthTracker {
 func (h *healthTracker) recordFailure(nb wire.NodeID, now time.Duration) int {
 	e, ok := h.m[nb]
 	if !ok {
+		if h.m == nil {
+			h.m = make(map[wire.NodeID]*neighborHealth)
+		}
 		e = &neighborHealth{}
 		h.m[nb] = e
 	}
@@ -77,9 +76,4 @@ func (h *healthTracker) recordSuccess(nb wire.NodeID) {
 func (h *healthTracker) blocked(nb wire.NodeID, now time.Duration) bool {
 	e, ok := h.m[nb]
 	return ok && now < e.blockedUntil
-}
-
-// reset drops all records (node crash wipes volatile state).
-func (h *healthTracker) reset() {
-	h.m = make(map[wire.NodeID]*neighborHealth)
 }

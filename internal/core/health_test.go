@@ -12,7 +12,7 @@ import (
 )
 
 func TestHealthTrackerBackoffAndDecay(t *testing.T) {
-	h := newHealthTracker()
+	h := new(healthTracker)
 	now := time.Duration(0)
 
 	if h.blocked(2, now) {

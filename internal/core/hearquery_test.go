@@ -77,19 +77,27 @@ func TestHearingAQueryIsCheap(t *testing.T) {
 	for id := uint64(1); id <= 8; id++ { // grow the tables, the pool and the sent log
 		hear(heardQuery(id, bloom.MaxBits))
 	}
-	p.sent = p.sent[:0]
-	q := heardQuery(99, bloom.MaxBits)
-	msg := &wire.Message{Type: wire.TypeQuery, Query: q}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p.n.HandleMessage(msg)
-	eng.Run(eng.Now() + time.Second)
-	runtime.ReadMemStats(&after)
-	if len(p.sent) != 1 || p.sent[0].Query.Bloom != q.Bloom {
-		t.Fatalf("%d messages left, want the query flooded on with the received filter", len(p.sent))
+	// TotalAlloc is the process's: another goroutine's allocation can land
+	// between the reads, never leave one. The least of several first
+	// hearings still bounds what one costs from above.
+	var msg *wire.Message
+	least := ^uint64(0)
+	for id := uint64(99); id < 104; id++ {
+		p.sent = p.sent[:0]
+		q := heardQuery(id, bloom.MaxBits)
+		msg = &wire.Message{Type: wire.TypeQuery, Query: q}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.n.HandleMessage(msg)
+		eng.Run(eng.Now() + time.Second)
+		runtime.ReadMemStats(&after)
+		if len(p.sent) != 1 || p.sent[0].Query.Bloom != q.Bloom {
+			t.Fatalf("%d messages left, want the query flooded on with the received filter", len(p.sent))
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1024 {
-		t.Errorf("hearing a query with a %d-byte filter allocated %d bytes, want < 1024", q.Bloom.Bits()/8, got)
+	if least >= 1024 {
+		t.Errorf("hearing a query with a %d-byte filter allocated %d bytes, want < 1024", msg.Query.Bloom.Bits()/8, least)
 	}
 	if got := testing.AllocsPerRun(100, func() { p.n.HandleMessage(msg) }); got != 0 {
 		t.Errorf("a duplicate copy of the query costs %v allocations, want 0", got)

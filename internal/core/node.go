@@ -203,10 +203,12 @@ type Node struct {
 	send Sender
 	cfg  Config
 
-	ds  *store.DataStore
-	cdi *store.CDITable
-	lqt *store.LQT
-	rr  *store.RecentResponses
+	// The node's tables, held by value: each makes its maps at its first
+	// write, so a node that never hears a frame holds none.
+	ds  store.DataStore
+	cdi store.CDITable
+	lqt store.LQT
+	rr  store.RecentResponses
 	// routing is the pluggable route-selection strategy (never nil);
 	// the default "cdi" strategy reads the CDI table verbatim.
 	routing strategy.RoutingStrategy
@@ -233,10 +235,11 @@ type Node struct {
 	// discSessions are this node's active discovery/collection
 	// sessions; responses are delivered to them by selector match.
 	discSessions []*session
-	// retrievals maps item keys to active PDR sessions.
+	// retrievals maps item keys to active PDR sessions; nil until the
+	// first Retrieve.
 	retrievals map[string]*retrieval
 	// health remembers per-neighbor delivery failures (blacklisting).
-	health *healthTracker
+	health healthTracker
 	// lastSendFailAt timestamps the most recent link give-up, the loss
 	// signal ExtendRoundsOnLoss reads.
 	lastSendFailAt time.Duration
@@ -255,7 +258,8 @@ type Node struct {
 
 	// The soft-state sweep (see arm): next bounds the earliest expiry
 	// held from below, sweepTimer runs n.sweep and is armed for sweepAt
-	// (clock.Never: not armed), grid is the birth or Restart instant.
+	// (clock.Never: not armed; nil: never armed yet), grid is the birth or
+	// Restart instant.
 	next, sweepAt, grid time.Duration
 	sweepTimer          clock.Timer
 }
@@ -265,36 +269,23 @@ type Node struct {
 // id).
 func NewNode(id wire.NodeID, clk clock.Clock, rng *rand.Rand, send Sender, cfg Config) *Node {
 	n := &Node{
-		id:   id,
-		clk:  clk,
-		rng:  rng,
-		send: send,
-		cfg:  cfg,
-		ds:   store.NewDataStore(cfg.CacheCap),
-
-		cdi:        store.NewCDITable(),
-		lqt:        store.NewLQT(),
-		rr:         store.NewRecentResponses(cfg.RecentRespRetention),
-		retrievals: make(map[string]*retrieval),
-		health:     newHealthTracker(),
-		next:       clock.Never,
-		sweepAt:    clock.Never,
-		grid:       clk.Now(),
+		id:      id,
+		clk:     clk,
+		rng:     rng,
+		send:    send,
+		cfg:     cfg,
+		ds:      *store.NewDataStore(cfg.CacheCap),
+		rr:      *store.NewRecentResponses(cfg.RecentRespRetention),
+		next:    clock.Never,
+		sweepAt: clock.Never,
+		grid:    clk.Now(),
 	}
-	n.sweepTimer = clock.NewTimer(clk, n.sweep)
 	cs, err := strategy.NewCaching(cfg.Caching, id)
 	if err != nil {
 		panic("core: " + err.Error()) // CLIs validate names up front
 	}
 	n.ds.SetCacheStrategy(cs)
-	rt, err := strategy.NewRouting(cfg.Routing, &strategy.RoutingEnv{
-		Self:          id,
-		CDIRoutes:     n.cdiRoutes,
-		OwnedItemKeys: func() []string { return n.ds.OwnedItemKeys() },
-		Flood:         n.floodStrategyQuery,
-		NewID:         n.newID,
-		TickAt:        n.arm,
-	})
+	rt, err := strategy.NewRouting(cfg.Routing, (*routingEnv)(n))
 	if err != nil {
 		panic("core: " + err.Error()) // CLIs validate names up front
 	}
@@ -302,32 +293,44 @@ func NewNode(id wire.NodeID, clk clock.Clock, rng *rand.Rand, send Sender, cfg C
 	return n
 }
 
-// cdiRoutes adapts the CDI table's lookup rows to strategy routes; it
-// is the RoutingEnv capability every routing strategy builds on.
-func (n *Node) cdiRoutes(itemKey string, chunkID int, now time.Duration) []strategy.Route {
-	entries := n.cdi.Lookup(itemKey, chunkID, now)
+// routingEnv is the node as its routing strategy sees it: a pointer
+// conversion, so handing it over allocates nothing.
+type routingEnv Node
+
+func (e *routingEnv) Self() wire.NodeID { return e.id }
+
+// CDIRoutes adapts the CDI table's lookup rows to strategy routes; it
+// is the capability every routing strategy builds on.
+func (e *routingEnv) CDIRoutes(itemKey string, chunkID int, now time.Duration) []strategy.Route {
+	entries := e.cdi.Lookup(itemKey, chunkID, now)
 	if len(entries) == 0 {
 		return nil
 	}
 	routes := make([]strategy.Route, len(entries))
-	for i, e := range entries {
-		routes[i] = strategy.Route{Neighbor: e.Neighbor, Hop: e.HopCount}
+	for i, r := range entries {
+		routes[i] = strategy.Route{Neighbor: r.Neighbor, Hop: r.HopCount}
 	}
 	return routes
 }
 
-// floodStrategyQuery broadcasts a strategy-originated query (a content
-// advertisement, already stamped with the node as sender and origin):
-// the node inserts the query into the LQT so the flood's echoes
-// deduplicate, and sends with forward jitter to desynchronize advert
-// bursts across nodes.
-func (n *Node) floodStrategyQuery(q *wire.Query) {
+func (e *routingEnv) OwnedItemKeys() []string { return e.ds.OwnedItemKeys() }
+
+// Flood broadcasts a strategy-originated query (a content advertisement,
+// already stamped with the node as sender and origin): the node inserts
+// the query into the LQT so the flood's echoes deduplicate, and sends
+// with forward jitter to desynchronize advert bursts across nodes.
+func (e *routingEnv) Flood(q *wire.Query) {
+	n := (*Node)(e)
 	now := n.clk.Now()
 	n.lqt.Insert(q, now+q.TTL)
 	n.arm(now + q.TTL)
 	n.tr.QueryStart(q.ID, int(q.Round), q.Kind.String())
 	n.sendJittered(&wire.Message{Type: wire.TypeQuery, Query: q}, n.cfg.ForwardJitterMax)
 }
+
+func (e *routingEnv) NewID() uint64 { return (*Node)(e).newID() }
+
+func (e *routingEnv) TickAt(at time.Duration) { (*Node)(e).arm(at) }
 
 // StrategyCounters returns the active routing/caching strategy names
 // and a snapshot of their bookkeeping.
@@ -348,7 +351,7 @@ func (n *Node) Stats() Stats { return n.stats }
 func (n *Node) Config() Config { return n.cfg }
 
 // Store exposes the data store for scenario seeding and assertions.
-func (n *Node) Store() *store.DataStore { return n.ds }
+func (n *Node) Store() *store.DataStore { return &n.ds }
 
 // SetTracer installs a node-bound tracer for protocol events and
 // propagates it to the node's store and lingering-query table. A nil
@@ -360,7 +363,7 @@ func (n *Node) SetTracer(tr *trace.NodeTracer) {
 }
 
 // CDI exposes the chunk-distribution table for tests.
-func (n *Node) CDI() *store.CDITable { return n.cdi }
+func (n *Node) CDI() *store.CDITable { return &n.cdi }
 
 // LQTLen reports the lingering-query table size (tests/diagnostics).
 func (n *Node) LQTLen() int { return n.lqt.Len() }
@@ -386,7 +389,7 @@ func (n *Node) abortSessions() {
 			r.cancelDeadline()
 		}
 	}
-	n.retrievals = make(map[string]*retrieval)
+	n.retrievals = nil
 	for _, s := range n.discSessions {
 		s.done = true
 		s.checkTimer.Stop()
@@ -410,13 +413,13 @@ func (n *Node) Crash() {
 	n.abortSessions()
 	clear(n.servePending[:])
 	n.ds.PowerOff()
-	n.cdi = store.NewCDITable()
-	n.lqt = store.NewLQT()
-	// The recreated table must keep tracing: a restarted node's
+	n.cdi = store.CDITable{}
+	n.lqt = store.LQT{}
+	// The emptied table must keep tracing: a restarted node's
 	// post-crash lingering queries are part of the same trace.
 	n.lqt.SetTracer(n.tr)
-	n.rr = store.NewRecentResponses(n.cfg.RecentRespRetention)
-	n.health.reset()
+	n.rr = *store.NewRecentResponses(n.cfg.RecentRespRetention)
+	n.health = healthTracker{}
 	n.next = clock.Never // before Reset: a strategy may ask for its first Tick after Restart
 	n.routing.Reset()
 	n.arm(clock.Never)
@@ -470,6 +473,9 @@ func (n *Node) arm(at time.Duration) {
 		n.sweepTimer.Stop()
 	}
 	if n.sweepAt = at; at != clock.Never {
+		if n.sweepTimer == nil {
+			n.sweepTimer = clock.NewTimer(n.clk, n.sweep)
+		}
 		n.sweepTimer.Reset(at - now)
 	}
 }

@@ -152,6 +152,9 @@ func (n *Node) RetrieveWithOptions(item attr.Descriptor, opts RetrieveOptions, c
 		// One active session per item; the newer call supersedes.
 		old.finish(n.clk.Now())
 	}
+	if n.retrievals == nil {
+		n.retrievals = make(map[string]*retrieval)
+	}
 	n.retrievals[r.itemKey] = r
 	if r.complete() {
 		r.finish(n.clk.Now())

@@ -48,7 +48,9 @@ func newSoftNode(eng *sim.Engine, cfg Config, poll bool) *softNode {
 	s.n = NewNode(1, eng, rand.New(rand.NewSource(7)), func(*wire.Message) { s.sends++ }, cfg)
 	s.n.SetTracer(s.tr.ForNode(1))
 	if poll {
-		s.n.sweepTimer.Stop() // the poll below does the work instead
+		if s.n.sweepTimer != nil { // armed already by a strategy's first TickAt
+			s.n.sweepTimer.Stop() // the poll below does the work instead
+		}
 		s.n.sweepTimer = clock.NewTimer(eng, func() {})
 		s.n.scheduleHousekeeping()
 	}

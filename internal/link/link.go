@@ -152,13 +152,14 @@ type Link struct {
 	drainArmed  bool
 	wakeup      clock.Timer // re-runs drain; made when the queue first has to wait
 
-	pend map[uint64]*pending
-	free *pending // idle records, linked by next
+	pend map[uint64]*pending // nil until the first acknowledged frame
+	free *pending            // idle records, linked by next
 	// seen and seenOld are the dedup window (see duplicate): TransmitIDs
 	// accepted since seenSince, and those of the generation before.
 	seen, seenOld map[uint64]time.Duration
 	seenSince     time.Duration
-	// reasms tracks fragment reassemblies by OrigID, swept no sooner than reasmSweepAt.
+	// reasms tracks fragment reassemblies by OrigID, swept no sooner than
+	// reasmSweepAt; nil until the first fragment.
 	reasms       map[uint64]reasm
 	reasmSweepAt time.Duration
 	// fragJobs queues fragmented messages; one streams at a time.
@@ -191,8 +192,6 @@ func New(clk clock.Clock, self wire.NodeID, raw RawSender, cfg Config) *Link {
 		raw:    raw,
 		cfg:    cfg,
 		tokens: float64(cfg.BucketBytes),
-		pend:   make(map[uint64]*pending),
-		reasms: make(map[uint64]reasm),
 	}
 }
 
@@ -338,6 +337,9 @@ func (l *Link) sendFrame(msg *wire.Message, job *fragJob) {
 	if needAck {
 		p := l.getPending(msg, job)
 		p.remaining = append(p.remaining, receivers...)
+		if l.pend == nil {
+			l.pend = make(map[uint64]*pending)
+		}
 		l.pend[msg.TransmitID] = p
 		// The retry timer is armed when the frame actually leaves the
 		// pacing queue (see transmit), not here: frames can wait in the
@@ -635,6 +637,9 @@ func (l *Link) reassemble(f *wire.Fragment, now time.Duration) *wire.Message {
 		return nil
 	}
 	if !ok {
+		if l.reasms == nil {
+			l.reasms = make(map[uint64]reasm)
+		}
 		r.count = int32(f.Count)
 		if f.Count > 64 || f.Data != nil {
 			r.big = &bigReasm{have: make([]uint64, (f.Count+63)/64)}
@@ -715,14 +720,13 @@ func (l *Link) Reset() {
 	slices.Sort(ids) // records go back to the free list in TransmitID order
 	for _, id := range ids {
 		l.putPending(l.pend[id])
-		delete(l.pend, id)
 	}
+	l.pend = nil
 	l.queue.Reset()
 	l.queuedBytes = 0
 	l.fragJobs.Reset()
 	l.activeJob = nil
-	l.seen, l.seenOld = nil, nil
-	l.reasms = make(map[uint64]reasm)
+	l.seen, l.seenOld, l.reasms = nil, nil, nil
 	l.tokens = float64(l.cfg.BucketBytes)
 	l.lastRefill = l.clk.Now()
 	// drainArmed stays as-is: a pending drain callback finds an empty

@@ -123,6 +123,13 @@ func (c predicateCheck) atTransmit(starting *Radio) { c.run(c.m.txOrder, startin
 // does, and leaves the overlap set as the loop needs it.
 func (c predicateCheck) atDeliver(cur *txRecord) { c.run([]*txRecord{cur}, nil) }
 
+// macPending reports whether r's MAC timer is armed; a radio that has
+// never sent has no timer yet.
+func macPending(r *Radio) bool {
+	t, ok := r.mac.(*sim.Timer)
+	return ok && t.Pending()
+}
+
 func (c predicateCheck) run(frames []*txRecord, starting *Radio) {
 	t, m := c.t, c.m
 	t.Helper()
@@ -139,8 +146,8 @@ func (c predicateCheck) run(frames []*txRecord, starting *Radio) {
 		if got, want := m.busyUntil(r), ref.busyUntil(r); got != want {
 			t.Fatalf("%v: busyUntil(%d) = %v, reference %v", now, r.id, got, want)
 		}
-		if (r.phase != macIdle) != r.mac.(*sim.Timer).Pending() && r != starting {
-			t.Fatalf("%v: radio %d in phase %d, timer pending %v", now, r.id, r.phase, r.mac.(*sim.Timer).Pending())
+		if (r.phase != macIdle) != macPending(r) && r != starting {
+			t.Fatalf("%v: radio %d in phase %d, timer pending %v", now, r.id, r.phase, macPending(r))
 		}
 		if onAir := r.phase == macOnAir; onAir != (r.airRec != nil) || onAir != (r.airMsg != nil) {
 			t.Fatalf("%v: radio %d in phase %d holds frame %v, record %v", now, r.id, r.phase, r.airMsg, r.airRec)
@@ -197,8 +204,8 @@ func TestOneMACEventPerRadio(t *testing.T) {
 			t.Fatalf("%v: %d events pending, want %d (phase %d, %d queued)",
 				eng.Now(), eng.Pending(), want, r.phase, r.queue.Len())
 		}
-		if (r.phase != macIdle) != r.mac.(*sim.Timer).Pending() {
-			t.Fatalf("%v: phase %d, timer pending %v", eng.Now(), r.phase, r.mac.(*sim.Timer).Pending())
+		if (r.phase != macIdle) != macPending(r) {
+			t.Fatalf("%v: phase %d, timer pending %v", eng.Now(), r.phase, macPending(r))
 		}
 	}
 	for op := 0; op < 5000; op++ {

@@ -206,10 +206,11 @@ type Radio struct {
 	queuedBytes int
 	gone        bool
 
-	// mac is the radio's only engine event. A radio contends for one
-	// frame at a time and sends one frame at a time, so at most one MAC
-	// step is ever pending; phase says which, and airMsg/airRec hold the
-	// frame and its record while that step is the end of an airtime.
+	// mac is the radio's only engine event, made at its first Send. A
+	// radio contends for one frame at a time and sends one frame at a
+	// time, so at most one MAC step is ever pending; phase says which,
+	// and airMsg/airRec hold the frame and its record while that step is
+	// the end of an airtime.
 	mac    clock.Timer
 	phase  macPhase
 	airMsg *wire.Message
@@ -310,7 +311,6 @@ func (m *Medium) Attach(id wire.NodeID, pos Pos, deliver func(*wire.Message)) *R
 		m.radios = append(m.radios, nil)
 	}
 	r := &Radio{m: m, id: id, slot: slot, pos: pos, deliver: deliver}
-	r.mac = m.eng.NewTimer(r.macStep)
 	m.index[id] = slot
 	m.radios[slot] = r
 	m.grid.Insert(slot, pos.X, pos.Y)
@@ -539,6 +539,9 @@ func (r *Radio) Send(msg *wire.Message) bool {
 	}
 	r.queuedBytes += size
 	r.SentOK++
+	if r.mac == nil {
+		r.mac = r.m.eng.NewTimer(r.macStep)
+	}
 	r.armAttempt()
 	return true
 }

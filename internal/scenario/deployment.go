@@ -66,6 +66,8 @@ type Peer struct {
 	lastPos radio.Pos
 	// Disk is the peer's persistent backend, nil without Options.DataDir.
 	Disk *diskstore.Backend
+	// src is the source of the node's rng, held here rather than on its own.
+	src lazySource
 }
 
 // Deployment is a simulated PDS network.
@@ -130,8 +132,8 @@ func New(opts Options) *Deployment {
 // feeds the link layer, surviving frames feed the protocol engine, and
 // link give-ups feed route invalidation.
 func (d *Deployment) AddPeer(id wire.NodeID, pos radio.Pos) *Peer {
-	p := &Peer{ID: id}
-	rng := rand.New(&lazySource{seed: d.seed ^ (int64(id)+1)*0x5851f42d4c957f2d})
+	p := &Peer{ID: id, src: lazySource{seed: d.seed ^ (int64(id)+1)*0x5851f42d4c957f2d}}
+	rng := rand.New(&p.src)
 	d.attachRadio(p, pos)
 	p.Link = link.New(d.Eng, id, p.Radio.Send, d.opts.Link)
 	p.Link.EnableTransmitNotify()

@@ -22,16 +22,11 @@ type CDIEntry struct {
 // CDITable holds chunk distribution information per data item, keyed by
 // the item descriptor's canonical key. For each chunk it keeps every
 // least-hop-count neighbor (the paper creates one entry per neighbor
-// when several tie, §IV-A).
+// when several tie, §IV-A). The zero value is an empty table.
 type CDITable struct {
 	// items[itemKey][chunkID] -> entries with the same minimal hop
-	// count, one per neighbor.
+	// count, one per neighbor; nil until the first Update.
 	items map[string]map[int][]CDIEntry
-}
-
-// NewCDITable returns an empty table.
-func NewCDITable() *CDITable {
-	return &CDITable{items: make(map[string]map[int][]CDIEntry)}
 }
 
 // Update merges a new observation: chunkID of the item reachable via
@@ -41,6 +36,9 @@ func NewCDITable() *CDITable {
 func (t *CDITable) Update(itemKey string, e CDIEntry) bool {
 	chunks, ok := t.items[itemKey]
 	if !ok {
+		if t.items == nil {
+			t.items = make(map[string]map[int][]CDIEntry)
+		}
 		chunks = make(map[int][]CDIEntry)
 		t.items[itemKey] = chunks
 	}

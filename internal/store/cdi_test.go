@@ -11,7 +11,7 @@ import (
 )
 
 func TestCDIKeepsMinimum(t *testing.T) {
-	tbl := NewCDITable()
+	tbl := new(CDITable)
 	exp := time.Hour
 	if !tbl.Update("item", CDIEntry{ChunkID: 0, HopCount: 3, Neighbor: 1, ExpireAt: exp}) {
 		t.Fatal("first insert not new")
@@ -29,7 +29,7 @@ func TestCDIKeepsMinimum(t *testing.T) {
 }
 
 func TestCDITiesAccumulate(t *testing.T) {
-	tbl := NewCDITable()
+	tbl := new(CDITable)
 	exp := time.Hour
 	tbl.Update("item", CDIEntry{ChunkID: 0, HopCount: 2, Neighbor: 5, ExpireAt: exp})
 	tbl.Update("item", CDIEntry{ChunkID: 0, HopCount: 2, Neighbor: 3, ExpireAt: exp})
@@ -51,7 +51,7 @@ func TestCDITiesAccumulate(t *testing.T) {
 }
 
 func TestCDIExpiry(t *testing.T) {
-	tbl := NewCDITable()
+	tbl := new(CDITable)
 	tbl.Update("item", CDIEntry{ChunkID: 0, HopCount: 1, Neighbor: 1, ExpireAt: 10 * time.Second})
 	if got := tbl.Lookup("item", 0, 11*time.Second); len(got) != 0 {
 		t.Fatalf("expired entry returned: %+v", got)
@@ -72,7 +72,7 @@ func TestCDIExpiry(t *testing.T) {
 }
 
 func TestCDIPairs(t *testing.T) {
-	tbl := NewCDITable()
+	tbl := new(CDITable)
 	exp := time.Hour
 	tbl.Update("item", CDIEntry{ChunkID: 2, HopCount: 1, Neighbor: 1, ExpireAt: exp})
 	tbl.Update("item", CDIEntry{ChunkID: 0, HopCount: 3, Neighbor: 2, ExpireAt: exp})
@@ -86,7 +86,7 @@ func TestCDIPairs(t *testing.T) {
 }
 
 func TestCDIDropNeighbor(t *testing.T) {
-	tbl := NewCDITable()
+	tbl := new(CDITable)
 	exp := time.Hour
 	tbl.Update("item", CDIEntry{ChunkID: 0, HopCount: 1, Neighbor: 1, ExpireAt: exp})
 	tbl.Update("item", CDIEntry{ChunkID: 1, HopCount: 1, Neighbor: 1, ExpireAt: exp})
@@ -107,7 +107,7 @@ func TestCDIDropNeighbor(t *testing.T) {
 func TestQuickCDIMinimal(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := NewCDITable()
+		tbl := new(CDITable)
 		minHop := map[int]int{}
 		for i := 0; i < 50; i++ {
 			cid := rng.Intn(4)

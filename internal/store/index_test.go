@@ -352,7 +352,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	q := &wire.Query{ID: 1, Kind: wire.KindMetadata, Sel: selAll(), Bloom: bloom.NewForCapacity(64, 0.01, 9)}
 	held, sent := entry(1), entry(2)
 	q.Bloom.Add(held.Key())
-	lq := NewLQT().Insert(q, time.Minute)
+	lq := new(LQT).Insert(q, time.Minute)
 	if lq.Offer(sent, sent.Key()) != Fresh {
 		t.Fatal("first offer not Fresh")
 	}

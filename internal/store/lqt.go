@@ -107,16 +107,12 @@ func (lq *LingeringQuery) markForwarded(key string) {
 }
 
 // LQT is the Lingering Query Table. Queries are keyed by their globally
-// unique id; redundant copies are detected and dropped.
+// unique id; redundant copies are detected and dropped. The zero value
+// is an empty table.
 type LQT struct {
-	queries map[uint64]*LingeringQuery
+	queries map[uint64]*LingeringQuery // nil until the first Insert
 	// tr records LQT insert/expire trace events; nil is free.
 	tr *trace.NodeTracer
-}
-
-// NewLQT returns an empty table.
-func NewLQT() *LQT {
-	return &LQT{queries: make(map[uint64]*LingeringQuery)}
 }
 
 // SetTracer installs a node-bound tracer for LQT events. A nil tracer
@@ -140,6 +136,9 @@ func (t *LQT) Insert(q *wire.Query, expireAt time.Duration) *LingeringQuery {
 	lq := &LingeringQuery{Query: q, ExpireAt: expireAt, Bloom: q.Bloom}
 	if len(q.ChunkIDs) > 0 {
 		lq.Wanted = append([]int(nil), q.ChunkIDs...)
+	}
+	if t.queries == nil {
+		t.queries = make(map[uint64]*LingeringQuery)
 	}
 	t.queries[q.ID] = lq
 	t.tr.LQTInsert(q.ID)
@@ -218,19 +217,22 @@ func (t *LQT) Len() int { return len(t.queries) }
 // copies (§III-A RR lookup). Entries are pruned after a retention
 // window.
 type RecentResponses struct {
-	seen      map[uint64]time.Duration
+	seen      map[uint64]time.Duration // nil until the first Seen
 	retention time.Duration
 }
 
 // NewRecentResponses returns a cache with the given retention.
 func NewRecentResponses(retention time.Duration) *RecentResponses {
-	return &RecentResponses{seen: make(map[uint64]time.Duration), retention: retention}
+	return &RecentResponses{retention: retention}
 }
 
 // Seen records the id and reports whether it had been seen within the
 // retention window.
 func (r *RecentResponses) Seen(id uint64, now time.Duration) bool {
 	at, ok := r.seen[id]
+	if r.seen == nil {
+		r.seen = make(map[uint64]time.Duration)
+	}
 	r.seen[id] = now
 	return ok && now-at < r.retention
 }

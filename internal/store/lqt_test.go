@@ -17,7 +17,7 @@ func metaQuery(id uint64, sender wire.NodeID, sel attr.Query) *wire.Query {
 }
 
 func TestLQTInsertExistsExpire(t *testing.T) {
-	lqt := NewLQT()
+	lqt := new(LQT)
 	q := metaQuery(1, 9, attr.NewQuery())
 	lqt.Insert(q, 10*time.Second)
 	if !lqt.Exists(1, 5*time.Second) {
@@ -41,7 +41,7 @@ func TestLQTInsertExistsExpire(t *testing.T) {
 }
 
 func TestLQTGetAndRemove(t *testing.T) {
-	lqt := NewLQT()
+	lqt := new(LQT)
 	q := metaQuery(1, 9, attr.NewQuery())
 	lqt.Insert(q, 10*time.Second)
 	lq, ok := lqt.Get(1, 0)
@@ -58,7 +58,7 @@ func TestLQTGetAndRemove(t *testing.T) {
 }
 
 func TestLQTOfferFilters(t *testing.T) {
-	lqt := NewLQT()
+	lqt := new(LQT)
 	selA := attr.NewQuery(attr.Eq("ns", attr.String("a")))
 	selB := attr.NewQuery(attr.Eq("ns", attr.String("b")))
 	lqA := lqt.Insert(metaQuery(1, 10, selA), time.Minute)
@@ -84,7 +84,7 @@ func TestLQTOfferFilters(t *testing.T) {
 }
 
 func TestLQTOfferBloomPruning(t *testing.T) {
-	lqt := NewLQT()
+	lqt := new(LQT)
 	d := attr.NewDescriptor().Set("ns", attr.String("a"))
 	f := bloom.NewForCapacity(16, 0.01, 1)
 	f.Add(d.Key())
@@ -106,7 +106,7 @@ func TestLQTOfferBloomPruning(t *testing.T) {
 }
 
 func TestLQTMatchItem(t *testing.T) {
-	lqt := NewLQT()
+	lqt := new(LQT)
 	item := attr.NewDescriptor().Set("name", attr.String("v"))
 	q := &wire.Query{ID: 1, Kind: wire.KindCDI, Sender: 5, Item: item}
 	lqt.Insert(q, time.Minute)
@@ -122,7 +122,7 @@ func TestLQTMatchItem(t *testing.T) {
 }
 
 func TestLQTAllOfKindSorted(t *testing.T) {
-	lqt := NewLQT()
+	lqt := new(LQT)
 	for _, id := range []uint64{5, 2, 9} {
 		lqt.Insert(metaQuery(id, 1, attr.NewQuery()), time.Minute)
 	}
@@ -164,7 +164,7 @@ func TestRecentResponses(t *testing.T) {
 // private clone, so draining it never writes through to the delivered
 // query's ChunkIDs (DESIGN.md §8; enforced by the frozenmsg analyzer).
 func TestLQTInsertClonesChunkWanted(t *testing.T) {
-	lqt := NewLQT()
+	lqt := new(LQT)
 	q := &wire.Query{ID: 7, Kind: wire.KindChunk, Sender: 3, ChunkIDs: []int{0, 1, 2}}
 	lq := lqt.Insert(q, time.Minute)
 	if !slices.Equal(lq.Wanted, []int{0, 1, 2}) {
@@ -183,7 +183,7 @@ func TestLQTInsertClonesChunkWanted(t *testing.T) {
 // iteration order, so same-seed trace exports stay byte-identical.
 func TestLQTExpireEmitsSortedIDs(t *testing.T) {
 	tr := trace.New(func() time.Duration { return 0 }, 64)
-	lqt := NewLQT()
+	lqt := new(LQT)
 	lqt.SetTracer(tr.ForNode(1))
 	ids := []uint64{9, 3, 7, 1, 5, 8, 2, 6, 4, 12, 10, 11}
 	for _, id := range ids {

@@ -54,6 +54,7 @@ func (h *held) inCache() bool { return !h.owned && !h.spilled }
 // DataStore holds one record per canonical descriptor key: the metadata
 // entry and, on it, the payload if held.
 type DataStore struct {
+	// entries, like chunkIndex, is nil until its first write.
 	entries map[string]*Entry
 	// index holds the records of entries ordered by key, so a serve pass
 	// is one walk with nothing to collect or sort. Its one invariant:
@@ -101,12 +102,7 @@ func (s *DataStore) SetTracer(tr *trace.NodeTracer) {
 // NewDataStore returns an empty store. cacheCap bounds cached payload
 // bytes (0 = unlimited).
 func NewDataStore(cacheCap int) *DataStore {
-	return &DataStore{
-		entries:    make(map[string]*Entry),
-		cacheCap:   cacheCap,
-		chunkIndex: make(map[string]map[int]*Entry),
-		cache:      defaultCacheStrategy(),
-	}
+	return &DataStore{cacheCap: cacheCap, cache: defaultCacheStrategy()}
 }
 
 // PutOwned inserts an entry for data this node produced; it never
@@ -183,6 +179,9 @@ func (s *DataStore) setEntry(d attr.Descriptor, owned bool, expireAt time.Durati
 		s.slots++
 	}
 	*e = Entry{Desc: d, Owned: owned, ExpireAt: expireAt}
+	if s.entries == nil {
+		s.entries = make(map[string]*Entry)
+	}
 	s.entries[key] = e
 	i := len(s.index)
 	if i > 0 && s.index[i-1].Desc.Key() > key {
@@ -223,9 +222,7 @@ func (s *DataStore) freeEntry(e *Entry) {
 // reset empties the store: every record, the slab they came from, and
 // the books kept over them.
 func (s *DataStore) reset() {
-	s.entries = make(map[string]*Entry)
-	s.index = nil
-	s.chunkIndex = make(map[string]map[int]*Entry)
+	s.entries, s.index, s.chunkIndex = nil, nil, nil
 	s.cachedBytes, s.cacheOrder = 0, nil
 	s.slab, s.free, s.slots = nil, nil, 0
 }
@@ -327,6 +324,9 @@ func (s *DataStore) indexChunk(e *Entry) {
 	itemKey := e.Desc.ItemKey()
 	m, ok := s.chunkIndex[itemKey]
 	if !ok {
+		if s.chunkIndex == nil {
+			s.chunkIndex = make(map[string]map[int]*Entry)
+		}
 		m = make(map[int]*Entry)
 		s.chunkIndex[itemKey] = m
 	}

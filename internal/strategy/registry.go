@@ -19,13 +19,13 @@ const (
 // holds the order.
 var routings = []struct {
 	name  string
-	build func(*RoutingEnv) RoutingStrategy
+	build func(RoutingEnv) RoutingStrategy
 }{
-	{"bfr", func(env *RoutingEnv) RoutingStrategy {
+	{"bfr", func(env RoutingEnv) RoutingStrategy {
 		return &bfrRouting{env: env, nextAdvert: clock.Never}
 	}},
-	{DefaultRouting, func(env *RoutingEnv) RoutingStrategy { return &cdiRouting{env: env} }},
-	{"qfreq", func(env *RoutingEnv) RoutingStrategy {
+	{DefaultRouting, func(env RoutingEnv) RoutingStrategy { return &cdiRouting{env: env} }},
+	{"qfreq", func(env RoutingEnv) RoutingStrategy {
 		env.TickAt(qfreqDecayInterval)
 		return &qfreqRouting{env: env}
 	}},
@@ -48,7 +48,7 @@ var cachings = []struct {
 
 // NewRouting builds the named routing strategy bound to env. The empty
 // name selects the default (CDI pass-through).
-func NewRouting(name string, env *RoutingEnv) (RoutingStrategy, error) {
+func NewRouting(name string, env RoutingEnv) (RoutingStrategy, error) {
 	if name == "" {
 		name = DefaultRouting
 	}

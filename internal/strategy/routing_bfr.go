@@ -47,7 +47,7 @@ type bfrAdvert struct {
 // table is empty — e.g. before any CDI round has completed, or after a
 // crash wiped the distance vector.
 type bfrRouting struct {
-	env        *RoutingEnv
+	env        RoutingEnv
 	adverts    []bfrAdvert   // sorted by origin
 	dirty      bool          // content changed since last advert
 	nextAdvert time.Duration // re-advertisement due; clock.Never before the first advert
@@ -91,7 +91,7 @@ func (r *bfrRouting) advertise(now time.Duration) {
 	// Salt varies per flood so a key that false-positives in one advert
 	// generation is unlikely to persist in the next.
 	f := bloom.NewForCapacity(uint64(len(keys)), bfrAdvertFPR,
-		uint64(r.env.Self)*0x9e3779b97f4a7c15+r.floods)
+		uint64(r.env.Self())*0x9e3779b97f4a7c15+r.floods)
 	for _, k := range keys {
 		f.Add(k)
 	}
@@ -99,8 +99,8 @@ func (r *bfrRouting) advertise(now time.Duration) {
 		ID:       r.env.NewID(),
 		Kind:     wire.KindAdvert,
 		TTL:      bfrAdvertLifetime,
-		Sender:   r.env.Self,
-		Origin:   r.env.Self,
+		Sender:   r.env.Self(),
+		Origin:   r.env.Self(),
 		HopsLeft: bfrAdvertScope,
 		Bloom:    f,
 	})
@@ -114,7 +114,7 @@ func (r *bfrRouting) findOrigin(origin wire.NodeID) (int, bool) {
 }
 
 func (r *bfrRouting) ObserveAdvert(q *wire.Query, now time.Duration) {
-	if q.Origin == r.env.Self || q.Bloom == nil {
+	if q.Origin == r.env.Self() || q.Bloom == nil {
 		return
 	}
 	row := bfrAdvert{

@@ -14,7 +14,7 @@ import (
 // sequence and sends the same messages as the pre-strategy code — the
 // byte-identity anchor for the scenario golden rows.
 type cdiRouting struct {
-	env *RoutingEnv
+	env RoutingEnv
 }
 
 func (r *cdiRouting) Name() string { return DefaultRouting }

@@ -27,7 +27,7 @@ const (
 // The frequency table is a pair of parallel slices sorted by item key —
 // no map, so iteration order is inherently deterministic.
 type qfreqRouting struct {
-	env       *RoutingEnv
+	env       RoutingEnv
 	keys      []string // sorted item keys
 	counts    []uint32 // parallel decayed query counts
 	lastDecay time.Duration

@@ -39,30 +39,30 @@ type Route struct {
 	Hop      int
 }
 
-// RoutingEnv gives a routing strategy its node-side capabilities. All
-// closures are bound to one node by core.NewNode and must only be
+// RoutingEnv gives a routing strategy its node-side capabilities. The
+// node that core.NewNode builds implements it; its methods must only be
 // called from that node's event context (the strategies are
 // single-goroutine, like the rest of the node).
-type RoutingEnv struct {
+type RoutingEnv interface {
 	// Self is the owning node's ID.
-	Self wire.NodeID
+	Self() wire.NodeID
 	// CDIRoutes looks up the node's CDI distance-vector table: the
 	// unexpired (neighbor, hop) rows for one chunk, sorted by neighbor.
-	CDIRoutes func(itemKey string, chunkID int, now time.Duration) []Route
+	CDIRoutes(itemKey string, chunkID int, now time.Duration) []Route
 	// OwnedItemKeys lists the item keys of data this node holds payload
 	// for, sorted. Advertisement-based strategies flood these.
-	OwnedItemKeys func() []string
+	OwnedItemKeys() []string
 	// Flood broadcasts a strategy-originated query (e.g. a Bloom
 	// advertisement) to all neighbors. The node stamps Sender/Origin,
 	// registers the query for duplicate suppression and transmits with
 	// the usual jitter.
-	Flood func(q *wire.Query)
+	Flood(q *wire.Query)
 	// NewID draws a fresh globally-unique message ID from the node's
 	// seeded RNG.
-	NewID func() uint64
+	NewID() uint64
 	// TickAt asks the node to call Tick at its first housekeeping instant
 	// at or after at, for a need that arises between ticks.
-	TickAt func(at time.Duration)
+	TickAt(at time.Duration)
 }
 
 // RoutingStrategy decides which neighbors a node asks for chunks. One

@@ -12,39 +12,40 @@ import (
 	"pds/internal/wire"
 )
 
-// scriptedEnv is a deterministic stand-in for the node-side closures:
-// a synthetic CDI table keyed on the item key prefix, a fixed owned-key
-// list, a flood recorder, a counting ID source and the earliest Tick the
-// strategy has asked for through TickAt (clock.Never: none).
+// scriptedEnv is a deterministic RoutingEnv: a synthetic CDI table
+// keyed on the item key prefix, a fixed owned-key list, a flood
+// recorder, a counting ID source and the earliest Tick the strategy has
+// asked for through TickAt (clock.Never: none).
 type scriptedEnv struct {
-	env    *RoutingEnv
+	self   wire.NodeID
+	owned  []string
+	nextID uint64
 	floods []*wire.Query
 	tickAt time.Duration
 }
 
 func newScriptedEnv(self wire.NodeID) *scriptedEnv {
-	se := &scriptedEnv{tickAt: clock.Never}
-	nextID := uint64(100)
-	se.env = &RoutingEnv{
-		Self: self,
-		CDIRoutes: func(itemKey string, _ int, _ time.Duration) []Route {
-			// Fresh slices every call: strategies may prune in place,
-			// exactly like the real CDI table's lookup copies.
-			switch {
-			case strings.HasPrefix(itemKey, "multi"):
-				return []Route{{Neighbor: 2, Hop: 3}, {Neighbor: 4, Hop: 1}, {Neighbor: 6, Hop: 3}}
-			case strings.HasPrefix(itemKey, "single"):
-				return []Route{{Neighbor: 9, Hop: 2}}
-			}
-			return nil
-		},
-		OwnedItemKeys: func() []string { return []string{"item/a", "item/b"} },
-		Flood:         func(q *wire.Query) { se.floods = append(se.floods, q) },
-		NewID:         func() uint64 { nextID++; return nextID },
-		TickAt:        func(at time.Duration) { se.tickAt = min(se.tickAt, at) },
-	}
-	return se
+	return &scriptedEnv{self: self, owned: []string{"item/a", "item/b"}, nextID: 100, tickAt: clock.Never}
 }
+
+func (se *scriptedEnv) Self() wire.NodeID { return se.self }
+
+func (se *scriptedEnv) CDIRoutes(itemKey string, _ int, _ time.Duration) []Route {
+	// Fresh slices every call: strategies may prune in place,
+	// exactly like the real CDI table's lookup copies.
+	switch {
+	case strings.HasPrefix(itemKey, "multi"):
+		return []Route{{Neighbor: 2, Hop: 3}, {Neighbor: 4, Hop: 1}, {Neighbor: 6, Hop: 3}}
+	case strings.HasPrefix(itemKey, "single"):
+		return []Route{{Neighbor: 9, Hop: 2}}
+	}
+	return nil
+}
+
+func (se *scriptedEnv) OwnedItemKeys() []string { return se.owned }
+func (se *scriptedEnv) Flood(q *wire.Query)     { se.floods = append(se.floods, q) }
+func (se *scriptedEnv) NewID() uint64           { se.nextID++; return se.nextID }
+func (se *scriptedEnv) TickAt(at time.Duration) { se.tickAt = min(se.tickAt, at) }
 
 // advert builds a frozen content advertisement as the node would
 // deliver it: Sender is the relaying hop, Origin the producer, Round
@@ -67,7 +68,7 @@ func advert(origin, sender wire.NodeID, round uint32, keys ...string) *wire.Quer
 }
 
 func TestRegistryDefaultsAndErrors(t *testing.T) {
-	r, err := NewRouting("", newScriptedEnv(1).env)
+	r, err := NewRouting("", newScriptedEnv(1))
 	if err != nil || r.Name() != DefaultRouting {
 		t.Fatalf("NewRouting(\"\") = %v, %v; want %q", r, err, DefaultRouting)
 	}
@@ -75,7 +76,7 @@ func TestRegistryDefaultsAndErrors(t *testing.T) {
 	if err != nil || c.Name() != DefaultCaching {
 		t.Fatalf("NewCaching(\"\") = %v, %v; want %q", c, err, DefaultCaching)
 	}
-	if _, err := NewRouting("bogus", newScriptedEnv(1).env); err == nil ||
+	if _, err := NewRouting("bogus", newScriptedEnv(1)); err == nil ||
 		!strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), DefaultRouting) {
 		t.Fatalf("unknown routing error = %v; want name and alternatives", err)
 	}
@@ -117,7 +118,7 @@ func TestRegistryNamesSortedCopies(t *testing.T) {
 // agreement the counters and bench labels rely on.
 func TestEveryStrategyAnswersItsName(t *testing.T) {
 	for _, name := range RoutingNames() {
-		r, err := NewRouting(name, newScriptedEnv(1).env)
+		r, err := NewRouting(name, newScriptedEnv(1))
 		if err != nil || r.Name() != name {
 			t.Fatalf("NewRouting(%q).Name() = %v (err %v)", name, r, err)
 		}
@@ -169,11 +170,11 @@ func TestRoutingDeterminism(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			seA, seB := newScriptedEnv(7), newScriptedEnv(7)
-			a, err := NewRouting(name, seA.env)
+			a, err := NewRouting(name, seA)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, _ := NewRouting(name, seB.env)
+			b, _ := NewRouting(name, seB)
 			ta, tb := routingTranscript(a, seA), routingTranscript(b, seB)
 			if ta != tb {
 				t.Fatalf("transcripts diverge:\n--- a ---\n%s--- b ---\n%s", ta, tb)
@@ -184,9 +185,9 @@ func TestRoutingDeterminism(t *testing.T) {
 
 func TestCDIRoutingIsPassThrough(t *testing.T) {
 	se := newScriptedEnv(7)
-	s, _ := NewRouting("cdi", se.env)
+	s, _ := NewRouting("cdi", se)
 	got := s.SelectRoutes("multi/x", 0, time.Second)
-	want := se.env.CDIRoutes("multi/x", 0, time.Second)
+	want := se.CDIRoutes("multi/x", 0, time.Second)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("cdi routes = %v, want CDI table verbatim %v", got, want)
 	}
@@ -209,7 +210,7 @@ func TestCDIRoutingIsPassThrough(t *testing.T) {
 
 func TestQfreqHotPruningAndDecay(t *testing.T) {
 	se := newScriptedEnv(7)
-	s, _ := NewRouting("qfreq", se.env)
+	s, _ := NewRouting("qfreq", se)
 
 	// Below the hot threshold nothing changes.
 	for i := 0; i < qfreqHotThreshold-1; i++ {
@@ -256,7 +257,7 @@ func TestQfreqHotPruningAndDecay(t *testing.T) {
 
 func TestBfrAdvertFlooding(t *testing.T) {
 	se := newScriptedEnv(7)
-	s, _ := NewRouting("bfr", se.env)
+	s, _ := NewRouting("bfr", se)
 
 	// Nothing published yet: housekeeping stays silent and unasked for.
 	if next := s.Tick(1 * time.Second); next != clock.Never || se.tickAt != clock.Never {
@@ -282,7 +283,7 @@ func TestBfrAdvertFlooding(t *testing.T) {
 		q.HopsLeft != bfrAdvertScope || q.Bloom == nil {
 		t.Fatalf("advert shape wrong: %+v", q)
 	}
-	for _, k := range se.env.OwnedItemKeys() {
+	for _, k := range se.OwnedItemKeys() {
 		if !q.Bloom.Contains(k) {
 			t.Fatalf("advert filter misses owned key %q", k)
 		}
@@ -303,8 +304,8 @@ func TestBfrAdvertFlooding(t *testing.T) {
 
 func TestBfrFallbackRoutes(t *testing.T) {
 	se := newScriptedEnv(7)
-	se.env.OwnedItemKeys = func() []string { return nil } // pure consumer
-	s, _ := NewRouting("bfr", se.env)
+	se.owned = nil // pure consumer
+	s, _ := NewRouting("bfr", se)
 
 	adv := advert(11, 2, 1, "nohit")
 	// Snapshot the frozen advert so mutation is detectable.
@@ -354,8 +355,8 @@ func TestBfrFallbackRoutes(t *testing.T) {
 
 func TestBfrAdvertExpiry(t *testing.T) {
 	se := newScriptedEnv(7)
-	se.env.OwnedItemKeys = func() []string { return nil }
-	s, _ := NewRouting("bfr", se.env)
+	se.owned = nil
+	s, _ := NewRouting("bfr", se)
 	s.ObserveAdvert(advert(11, 2, 0, "nohit"), 0)
 	// The row's expiry is asked for on arrival and again by every Tick
 	// that keeps it; once it is gone nothing is.
