@@ -2,8 +2,9 @@ GO ?= go
 BENCH_RUNS ?= 3
 BENCH_SIZE ?= 2
 FUZZTIME ?= 30s
+LINT_REPLAY_DIR ?= lint-replay
 
-.PHONY: build test lint verify loc golden fuzz bench benchdiff baseline compare
+.PHONY: build test lint lint-replay verify loc golden fuzz bench benchdiff baseline compare
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,27 @@ lint:
 		golangci-lint run; \
 	else \
 		echo "golangci-lint not installed; skipped (CI runs it — see .golangci.yml)"; fi
+
+# lint-replay runs the working tree's pds-lint over a `git archive` of
+# every commit, oldest first, one snapshot at a time, and writes what it
+# prints (suppressed lines kept, the timing line dropped) to
+# $(LINT_REPLAY_DIR)/<commit>.txt. A finding a later commit fixed or
+# turned into a //lint:allow is a catch (DESIGN.md §17). To check that
+# a lint change keeps every catch, replay the parent and the change into
+# two directories and `diff -r` them. At 10–20 s a commit (~15 min
+# for the whole history on 2 CPUs) it stays out of CI.
+lint-replay:
+	@mkdir -p $(LINT_REPLAY_DIR)
+	@out=$$(cd $(LINT_REPLAY_DIR) && pwd); tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/pds-lint ./cmd/pds-lint || exit 1; \
+	for c in $$(git log --reverse --format=%h); do \
+		rm -rf $$tmp/snap; mkdir $$tmp/snap; \
+		git archive $$c | tar -x -C $$tmp/snap; \
+		(cd $$tmp/snap && $$tmp/pds-lint ./... 2>&1) | \
+			grep -v '^pds-lint: timings:' > $$out/$$c.txt; \
+		echo "$$c: $$(tail -n 1 $$out/$$c.txt)"; \
+	done
 
 # verify is the pre-merge gate: lint first (cheapest signal, fails
 # fast), then vet, a full build, the whole test suite, and the race

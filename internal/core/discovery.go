@@ -353,8 +353,8 @@ func (n *Node) notifyDiscovery(r *wire.Response, now time.Duration) {
 		descs = r.Entries
 	case wire.KindData:
 		// Collected into a variable distinct from descs: descs also
-		// holds a frozen r.Entries alias on the metadata path, and the
-		// frozenmsg dataflow engine is deliberately flow-insensitive.
+		// holds a frozen r.Entries alias on the metadata path, and
+		// frozenmsg classifies a local once for the whole function.
 		fresh := make([]attr.Descriptor, len(r.Blobs))
 		for i, b := range r.Blobs {
 			fresh[i] = b.Desc

@@ -95,12 +95,6 @@ type Config struct {
 	// §IV-B when dividing chunk queries among neighbors. Off always
 	// picks the first nearest neighbor — the contention ablation.
 	LoadBalanceEnabled bool
-	// OutstandingChunks bounds how many chunks a PDR consumer keeps
-	// requested but undelivered at once. Requesting every chunk of a
-	// 20 MB item simultaneously floods the consumer's contention domain
-	// with dozens of concurrent streams and collapses the channel; a
-	// small window keeps it near capacity.
-	OutstandingChunks int
 	// ChunkRetry is the consumer-side watchdog for PDR phase 2: wanted
 	// chunks not delivered within it are re-requested with fresh CDI.
 	ChunkRetry time.Duration
@@ -130,6 +124,12 @@ const (
 	// once when it lands after one ResponseJitterMax but before the
 	// round's first check.
 	RoundCheck = 100 * time.Millisecond
+	// OutstandingChunks bounds how many chunks a PDR consumer keeps
+	// requested but undelivered at once. Requesting every chunk of a
+	// 20 MB item simultaneously floods the consumer's contention domain
+	// with dozens of concurrent streams and collapses the channel; a
+	// small window keeps it near capacity.
+	OutstandingChunks = 6
 	// bloomFPR is the per-round false-positive target (§V-3).
 	bloomFPR = 0.01
 	// maxResponseBytes bounds the payload of one metadata/CDI response
@@ -161,7 +161,6 @@ func DefaultConfig() Config {
 		LingeringEnabled:    true,
 		CacheCap:            0,
 		LoadBalanceEnabled:  true,
-		OutstandingChunks:   6,
 		ChunkRetry:          15 * time.Second,
 		RetrievalRounds:     10,
 	}

@@ -71,7 +71,7 @@ type retrieval struct {
 	cb       func(RetrievalResult)
 	progress func(done, total int)
 	// window is this session's request-window size (chunks requested
-	// but undelivered); 0 falls back to Config.OutstandingChunks.
+	// but undelivered); 0 falls back to OutstandingChunks.
 	window int
 	// gaps is the buffer missing fills.
 	gaps []int
@@ -119,7 +119,7 @@ type RetrieveOptions struct {
 	// Progress, if set, is invoked after every chunk arrival with
 	// (chunks held, total chunks).
 	Progress func(done, total int)
-	// OutstandingChunks overrides Config.OutstandingChunks for this
+	// OutstandingChunks overrides the OutstandingChunks constant for this
 	// session when positive. Workload drivers running several pipelined
 	// retrievals at once (streaming prefetch) shrink each session's
 	// request window so the aggregate in-flight load stays what one
@@ -382,10 +382,7 @@ func (r *retrieval) topUp(now time.Duration) {
 	n := r.n
 	window := r.window
 	if window <= 0 {
-		window = n.cfg.OutstandingChunks
-	}
-	if window <= 0 {
-		window = 1 << 20 // unlimited: request everything at once
+		window = OutstandingChunks
 	}
 	retry := r.retryAfter()
 	outstanding := 0

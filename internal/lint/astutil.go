@@ -109,6 +109,31 @@ func receiverNamed(t types.Type) (pkg *types.Package, name string, ok bool) {
 	return named.Obj().Pkg(), named.Obj().Name(), true
 }
 
+// builtinName returns the name of the builtin call invokes ("append",
+// "make", ...), or "" when it calls anything else.
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := call.Fun.(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
+// unwrapSlicing strips parens and re-slicing from an expression.
+func unwrapSlicing(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return e
+		}
+	}
+}
+
 // exprString renders a short expression label for diagnostics (best
 // effort: identifiers and selector chains; anything else is "expr").
 func exprString(e ast.Expr) string {

@@ -198,9 +198,8 @@ func (sc *mapRangeScope) safeStmt(s ast.Stmt, depth int) bool {
 			return false
 		}
 		// delete(m, k) is commutative.
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" {
-			_, isBuiltin := sc.p.Pkg.Info.Uses[id].(*types.Builtin)
-			return isBuiltin
+		if builtinName(sc.p.Pkg.Info, call) == "delete" {
+			return true
 		}
 		// Sorting something in place erases order rather than leaking it.
 		if pkg, _, ok := pkgFuncCall(sc.p.Pkg.Info, call); ok && (pkg == "sort" || pkg == "slices") {

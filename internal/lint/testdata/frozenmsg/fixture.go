@@ -97,6 +97,14 @@ func mutateAlias(m *wire.Message) {
 	ids[0] = 9 // want "element write into ids, which aliases a frozen wire message section"
 }
 
+// A func literal shares the classification of the function around it:
+// a write inside it through an alias made outside it still lands in
+// the frozen section.
+func mutateCaptured(m *wire.Message) func() {
+	ids := m.Query.ChunkIDs
+	return func() { ids[0] = 1 } // want "element write into ids, which aliases a frozen wire message section"
+}
+
 // Range over a frozen section: the value variable is a copy, but its
 // reference fields still point into the shared payload.
 func mutateRange(m *wire.Message) {

@@ -41,17 +41,17 @@ type Config struct {
 	BroadcastAddr string
 	// PeerAddrs lists explicit destinations (loopback mode).
 	PeerAddrs []string
-	// MaxDatagram bounds receive buffers, and through MaxFragment the
-	// link layer's fragments.
-	MaxDatagram int
 }
+
+// MaxDatagram bounds receive buffers, and through MaxFragment the link
+// layer's fragments.
+const MaxDatagram = 2048
 
 // DefaultConfig returns broadcast-mode settings on the given port.
 func DefaultConfig(port int) Config {
 	return Config{
 		ListenAddr:    fmt.Sprintf(":%d", port),
 		BroadcastAddr: fmt.Sprintf("255.255.255.255:%d", port),
-		MaxDatagram:   2048,
 	}
 }
 
@@ -59,10 +59,7 @@ func DefaultConfig(port int) Config {
 // fan out to peerPorts (ownPort may be included; self-frames are
 // filtered by source address).
 func LoopbackConfig(ownPort int, peerPorts []int) Config {
-	cfg := Config{
-		ListenAddr:  fmt.Sprintf("127.0.0.1:%d", ownPort),
-		MaxDatagram: 2048,
-	}
+	cfg := Config{ListenAddr: fmt.Sprintf("127.0.0.1:%d", ownPort)}
 	for _, p := range peerPorts {
 		if p != ownPort {
 			cfg.PeerAddrs = append(cfg.PeerAddrs, fmt.Sprintf("127.0.0.1:%d", p))
@@ -122,14 +119,11 @@ const (
 // MaxFragment is the largest link-layer fragment one datagram carries
 // whole; receivers would truncate anything larger. pds.NewNode refuses
 // a link configured to cut bigger ones.
-func (t *Transport) MaxFragment() int { return t.cfg.MaxDatagram - wire.FragmentOverhead() }
+func (t *Transport) MaxFragment() int { return MaxDatagram - wire.FragmentOverhead() }
 
 // New binds the socket and starts the receive loop. The caller must
 // SetReceiver before peers start talking.
 func New(cfg Config) (*Transport, error) {
-	if cfg.MaxDatagram <= 0 {
-		cfg.MaxDatagram = 2048
-	}
 	// SO_BROADCAST must be set explicitly or sends to the subnet
 	// broadcast address fail with permission errors on most systems.
 	lc := net.ListenConfig{
@@ -253,7 +247,7 @@ func (t *Transport) Send(msg *wire.Message) bool {
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
 	local := t.conn.LocalAddr().String()
-	buf := make([]byte, t.cfg.MaxDatagram)
+	buf := make([]byte, MaxDatagram)
 	for {
 		n, from, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -276,7 +270,7 @@ func (t *Transport) readLoop() {
 			continue
 		}
 		if wire.PayloadBytes(msg) > 0 {
-			buf = make([]byte, t.cfg.MaxDatagram)
+			buf = make([]byte, MaxDatagram)
 		}
 		t.mu.Lock()
 		t.stats.DatagramsReceived++

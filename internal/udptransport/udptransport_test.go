@@ -151,8 +151,8 @@ func TestMaxFragmentFitsDatagram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dg) > a.cfg.MaxDatagram {
-			t.Fatalf("fragment %d frames into %d bytes, over MaxDatagram %d", i, len(dg), a.cfg.MaxDatagram)
+		if len(dg) > MaxDatagram {
+			t.Fatalf("fragment %d frames into %d bytes, over MaxDatagram %d", i, len(dg), MaxDatagram)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func StartCrowd(clk clock.Clock, spec CrowdSpec, cat []Artifact, clients []Crowd
 	}
 	// Per-layer politeness: a client pulling L layers at once gets one
 	// foreground retrieval's aggregate window.
-	window := core.DefaultConfig().OutstandingChunks / spec.Layers
+	window := core.OutstandingChunks / spec.Layers
 	if window < 1 {
 		window = 1
 	}

@@ -138,7 +138,7 @@ func StartStream(clk clock.Clock, spec StreamSpec, pub PublishFunc, cons Retriev
 	}
 	// Split one foreground retrieval's request window across the
 	// pipeline so aggregate in-flight load stays polite.
-	s.window = core.DefaultConfig().OutstandingChunks / spec.Prefetch
+	s.window = core.OutstandingChunks / spec.Prefetch
 	if s.window < 1 {
 		s.window = 1
 	}

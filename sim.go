@@ -22,22 +22,10 @@ type Sim struct {
 type SimOptions struct {
 	// Seed drives all randomness (0 is a valid fixed seed).
 	Seed int64
-	// Config overrides the protocol configuration (zero = paper
-	// defaults).
-	Config Config
-	// RadioRange overrides the radio range in meters (0 = default
-	// 45 m, which gives 8 neighbors at the standard grid spacing).
-	RadioRange float64
 }
 
 func (o SimOptions) toScenario() scenario.Options {
-	opts := scenario.Options{Seed: o.Seed, Core: o.Config}
-	if o.RadioRange > 0 {
-		cfg := radio.DefaultConfig()
-		cfg.Range = o.RadioRange
-		opts.Radio = cfg
-	}
-	return opts
+	return scenario.Options{Seed: o.Seed}
 }
 
 // NewSim creates an empty simulated deployment.
