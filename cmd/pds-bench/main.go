@@ -8,13 +8,13 @@
 //
 // where <figure> is one of: fig3, fig4, fig5, fig6, fig7, fig8, fig9,
 // fig9class, fig11, fig12, fig12class, fig13, fig15, fig16, saturation,
-// leaky, ack, ablation, balance, cache, chaos, disk, scale, stream,
-// crowd, compare, all.
+// leaky, ack, ablation, balance, chaos, disk, scale, stream, crowd,
+// compare, all.
 //
 // `compare` is the strategy A/B harness: it runs a routing × caching
-// matrix (-routings, -cachings; defaults: every registered routing ×
-// fifo/opportunistic) over the -compare-scenarios cells and prints one
-// ranked table per scenario, best strategy pair first. -quick shrinks
+// matrix (-routings, -cachings; default: every registered strategy)
+// over the -compare-scenarios cells (default: all of them) and prints
+// one ranked table per scenario, best strategy pair first. -quick shrinks
 // the cells to CI-smoke size. Each scenario lands in the JSON report as
 // its own `compare/<scenario>` figure.
 //
@@ -200,9 +200,9 @@ func run(args []string) error {
 	routings := fs.String("routings", "",
 		"comma-separated routing strategies for the compare matrix (default: every registered one)")
 	cachings := fs.String("cachings", "",
-		"comma-separated caching strategies for the compare matrix (default: fifo,opportunistic)")
+		"comma-separated caching strategies for the compare matrix (default: every registered one)")
 	compareScens := fs.String("compare-scenarios", "",
-		"comma-separated compare scenario cells: "+strings.Join(scenario.CompareScenarios, ",")+" (default: fig8,fig11,chaos)")
+		"comma-separated compare scenario cells: "+strings.Join(scenario.CompareScenarios, ",")+" (default: all)")
 	quick := fs.Bool("quick", false, "shrink compare cells to CI-smoke size")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -275,9 +275,6 @@ func run(args []string) error {
 		{name: "balance", desc: "Ablation: min-max balancing vs nearest-only", run: func() []*metrics.Series {
 			return scenario.AblationNearestOnly(*sizeMB, *seed, *runs)
 		}, tables: []string{"latency", "overhead"}},
-		{name: "cache", desc: "Ablation: cache eviction policies (FIFO/LRU/LFU, §VII)", run: func() []*metrics.Series {
-			return scenario.CachePolicyAblation(3, *seed, *runs)
-		}, tables: []string{"recall", "latency", "overhead"}},
 		{name: "chaos", desc: "Chaos scenarios: crash-the-hub / flash-crowd-churn / corrupt-10pct", run: func() []*metrics.Series {
 			return []*metrics.Series{scenario.ChaosSeries(*seed, *runs)}
 		}},

@@ -69,7 +69,7 @@ func run(args []string) error {
 	routing := fs.String("routing", "",
 		"routing strategy for every peer: "+strings.Join(strategy.RoutingNames(), " | ")+" (empty = "+strategy.DefaultRouting+" default)")
 	caching := fs.String("caching", "",
-		"caching strategy for every peer: "+strings.Join(strategy.CachingNames(), " | ")+" (empty = "+strategy.DefaultCaching+" default)")
+		"cache admission strategy for every peer (the cache evicts oldest first): "+strings.Join(strategy.CachingNames(), " | ")+" (empty = "+strategy.DefaultCaching+" default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

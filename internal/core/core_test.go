@@ -23,6 +23,8 @@ type harness struct {
 	links map[[2]wire.NodeID]bool
 	// taps observe every delivered message.
 	taps []func(from, to wire.NodeID, msg *wire.Message)
+	// drop, if set, loses the messages it reports true for.
+	drop func(from, to wire.NodeID, msg *wire.Message) bool
 }
 
 func newHarness(t *testing.T, cfg Config, ids ...wire.NodeID) *harness {
@@ -53,7 +55,8 @@ func (h *harness) broadcast(from wire.NodeID, msg *wire.Message) {
 			if id == from {
 				continue
 			}
-			if h.links != nil && !h.links[[2]wire.NodeID{from, id}] {
+			if h.links != nil && !h.links[[2]wire.NodeID{from, id}] ||
+				h.drop != nil && h.drop(from, id, msg) {
 				continue
 			}
 			m := msg.Clone()
@@ -453,6 +456,42 @@ func TestStrategyCountersFoldBothPlanes(t *testing.T) {
 	c := n.StrategyCounters()
 	if c.Routing != "bfr" || c.Caching != "opportunistic" || c.AdvertFloods == 0 || c.CacheAdmitSkips == 0 {
 		t.Fatalf("strategy row = %+v, want both names, advert floods and admission skips", c)
+	}
+}
+
+// TestFallbackRoutesCountOnlySentQueries: a bfr consumer whose CDI
+// stays empty retrieves over the advert table alone, and its
+// FallbackRoutes counts the routes its chunk queries were offered, not
+// the phase-1 checks that asked whether any route exists.
+func TestFallbackRoutesCountOnlySentQueries(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Routing = "bfr"
+	h := newHarness(t, cfg, 1, 2, 3)
+	h.line(1, 2, 3)
+	h.drop = func(_, to wire.NodeID, msg *wire.Message) bool {
+		return to == 1 && msg.Type == wire.TypeResponse && msg.Response.Kind == wire.KindCDI
+	}
+	// The consumer's one neighbor is node 2, so every chunk it asks for
+	// was offered exactly one route.
+	offered := 0
+	h.taps = append(h.taps, func(from, _ wire.NodeID, msg *wire.Message) {
+		if from == 1 && msg.Type == wire.TypeQuery && msg.Query.Kind == wire.KindChunk {
+			offered += len(msg.Query.ChunkIDs)
+		}
+	})
+	item := testEntry(0).Set(attr.AttrTotalChunks, attr.Int(4))
+	for c := 0; c < 4; c++ {
+		h.nodes[3].PublishChunk(item, c, []byte{byte(c)})
+	}
+	h.run(3 * time.Second) // node 3's advert reaches node 1
+	var res RetrievalResult
+	h.nodes[1].Retrieve(item, func(r RetrievalResult) { res = r })
+	h.run(time.Minute)
+	if !res.Complete {
+		t.Fatalf("retrieval over advert routes incomplete: %+v", res)
+	}
+	if got := h.nodes[1].StrategyCounters().FallbackRoutes; offered == 0 || got != uint64(offered) {
+		t.Fatalf("FallbackRoutes = %d, want the %d routes the chunk queries were offered", got, offered)
 	}
 }
 

@@ -79,15 +79,14 @@ type Config struct {
 	// CacheCap bounds cached (non-owned) payload bytes per node;
 	// 0 = unlimited. Metadata entries are always cached (§VII).
 	CacheCap int
-	// Caching selects the cache strategy for the bounded cache by
-	// registry name (internal/strategy: "fifo", "lru", "lfu" — §VII's
-	// popularity-based caching sketch — "opportunistic", ...). Empty
-	// means "fifo".
+	// Caching selects what the cache admits by registry name
+	// (internal/strategy: "fifo", "opportunistic"). Empty means "fifo":
+	// admit everything. Either way the cache evicts oldest first.
 	Caching string
 
 	// Routing, when non-empty, selects the routing strategy by registry
-	// name (internal/strategy: "cdi", "qfreq", "bfr", ...). Empty means
-	// "cdi", the paper's CDI distance-vector routing, which behaves
+	// name (internal/strategy: "cdi", "bfr"). Empty means "cdi", the
+	// paper's CDI distance-vector routing, which behaves
 	// byte-identically to the pre-strategy code.
 	Routing string
 

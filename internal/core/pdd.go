@@ -40,7 +40,6 @@ func (n *Node) handleQuery(q *wire.Query) {
 	case wire.KindMetadata, wire.KindData:
 		n.scheduleServe(q.Kind)
 	case wire.KindCDI:
-		n.routing.ObserveQuery(q.Item.Key(), q.Sender, now)
 		n.respondCDI(q)
 	case wire.KindAdvert:
 		// Nothing to answer: the frozen advert goes to the routing

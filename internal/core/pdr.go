@@ -322,7 +322,7 @@ func (r *retrieval) settle(now time.Duration, tick bool) {
 func (r *retrieval) cdiCovers() bool {
 	now := r.n.clk.Now()
 	for _, c := range r.missing() {
-		if len(r.n.routing.SelectRoutes(r.itemKey, c, now)) == 0 {
+		if !r.n.routing.HasRoute(r.itemKey, c, now) {
 			return false
 		}
 	}
@@ -335,7 +335,7 @@ func (r *retrieval) knownChunks() int {
 	now := r.n.clk.Now()
 	k := 0
 	for _, c := range r.missing() {
-		if len(r.n.routing.SelectRoutes(r.itemKey, c, now)) > 0 {
+		if r.n.routing.HasRoute(r.itemKey, c, now) {
 			k++
 		}
 	}
@@ -654,7 +654,6 @@ func (n *Node) handleChunkQuery(q *wire.Query) {
 	}
 
 	itemKey := q.Item.Key()
-	n.routing.ObserveQuery(itemKey, q.Sender, now)
 	// Cycle damping: chunks already wanted on behalf of the same origin
 	// by another lingering query are being fetched already; drop them
 	// from this query. Chunk lingering queries expire quickly (see

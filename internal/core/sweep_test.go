@@ -192,7 +192,7 @@ func comparePolled(t *testing.T, cfg Config, seed int64, birth, until time.Durat
 // schedule, where no deadline rides on a sweep armed for another.
 func TestSweepMatchesPerSecondPoll(t *testing.T) {
 	const span = 70 * time.Second
-	for _, routing := range []string{"cdi", "qfreq", "bfr"} {
+	for _, routing := range []string{"cdi", "bfr"} {
 		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", routing, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))

@@ -53,13 +53,8 @@ type StrategyCounters struct {
 	AdvertFloods uint64 `json:"advert_floods"`
 	// AdvertsHeld is the size of the advert route table at sample time.
 	AdvertsHeld uint64 `json:"adverts_held"`
-	// FreqEntries is the size of the query-frequency table at sample time.
-	FreqEntries uint64 `json:"freq_entries"`
-	// RouteOverrides counts forwarding decisions the strategy changed
-	// relative to the plain CDI choice.
-	RouteOverrides uint64 `json:"route_overrides"`
-	// FallbackRoutes counts routes served from the strategy's own state
-	// when the CDI had no entry.
+	// FallbackRoutes counts routes offered to sent chunk queries from
+	// the strategy's own state when the CDI had no entry.
 	FallbackRoutes uint64 `json:"fallback_routes"`
 	// CacheAdmitSkips counts cached payloads the admission gate rejected.
 	CacheAdmitSkips uint64 `json:"cache_admit_skips"`
@@ -67,9 +62,8 @@ type StrategyCounters struct {
 
 // String renders the counters as a compact row suffix.
 func (s StrategyCounters) String() string {
-	return fmt.Sprintf("routing=%s caching=%s floods=%d adverts=%d freq=%d overrides=%d fallbacks=%d admitskips=%d",
-		s.Routing, s.Caching, s.AdvertFloods, s.AdvertsHeld, s.FreqEntries,
-		s.RouteOverrides, s.FallbackRoutes, s.CacheAdmitSkips)
+	return fmt.Sprintf("routing=%s caching=%s floods=%d adverts=%d fallbacks=%d admitskips=%d",
+		s.Routing, s.Caching, s.AdvertFloods, s.AdvertsHeld, s.FallbackRoutes, s.CacheAdmitSkips)
 }
 
 // QoECounters are the quality-of-experience measures of one workload

@@ -274,8 +274,6 @@ func handMean(samples []Sample) Sample {
 			}
 			strat.AdvertFloods += st.AdvertFloods
 			strat.AdvertsHeld += st.AdvertsHeld
-			strat.FreqEntries += st.FreqEntries
-			strat.RouteOverrides += st.RouteOverrides
 			strat.FallbackRoutes += st.FallbackRoutes
 			strat.CacheAdmitSkips += st.CacheAdmitSkips
 			stratRuns++
@@ -323,8 +321,6 @@ func handMean(samples []Sample) Sample {
 	if stratRuns > 0 {
 		strat.AdvertFloods /= stratRuns
 		strat.AdvertsHeld /= stratRuns
-		strat.FreqEntries /= stratRuns
-		strat.RouteOverrides /= stratRuns
 		strat.FallbackRoutes /= stratRuns
 		strat.CacheAdmitSkips /= stratRuns
 		out.Strategy = &strat

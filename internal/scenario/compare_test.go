@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 // they exist exactly when a strategy was named.
 func TestExplicitDefaultStrategiesMatchImplicit(t *testing.T) {
 	const seed, entries = 1, 400
-	cell := gridCell(func(d *Deployment) metrics.Sample { return fig8Cell(d, d.seed, 3, entries) })
+	cell := gridCell(0, func(d *Deployment) metrics.Sample { return fig8Cell(d, d.seed, 3, entries) })
 	implicit := cell(seed, "", "")
 	explicit := cell(seed, strategy.DefaultRouting, strategy.DefaultCaching)
 
@@ -41,10 +42,10 @@ func TestCompareConfigDefaults(t *testing.T) {
 	if len(cfg.Routings) != len(strategy.RoutingNames()) {
 		t.Fatalf("default routings = %v, want every registered strategy", cfg.Routings)
 	}
-	if len(cfg.Cachings) != 2 || cfg.Cachings[0] != "fifo" || cfg.Cachings[1] != "opportunistic" {
-		t.Fatalf("default cachings = %v", cfg.Cachings)
+	if len(cfg.Cachings) != len(strategy.CachingNames()) {
+		t.Fatalf("default cachings = %v, want every registered strategy", cfg.Cachings)
 	}
-	if len(cfg.Scenarios) != 3 || cfg.SizeMB != 1 || cfg.Runs != 1 {
+	if len(cfg.Scenarios) != len(CompareScenarios) || cfg.SizeMB != 1 || cfg.Runs != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -95,5 +96,52 @@ func TestBetterSampleOrdering(t *testing.T) {
 			t.Fatalf("case %d: betterSample = (%v, %v), want (%v, %v)",
 				i, better, worse, tc.better, tc.worse)
 		}
+	}
+}
+
+// TestEveryStrategySeparates holds the registry to the compare matrix's
+// verdict rule: a strategy stays registered only while its row differs
+// from the default's, the other plane held at its default, on at least
+// one compare cell (quick size, seed 1). A new strategy arrives with the
+// cell it separates on.
+func TestEveryStrategySeparates(t *testing.T) {
+	type pair struct{ routing, caching string }
+	var todo []pair
+	for _, r := range strategy.RoutingNames() {
+		if r != strategy.DefaultRouting {
+			todo = append(todo, pair{r, strategy.DefaultCaching})
+		}
+	}
+	for _, c := range strategy.CachingNames() {
+		if c != strategy.DefaultCaching {
+			todo = append(todo, pair{strategy.DefaultRouting, c})
+		}
+	}
+	row := func(cell matrixCell, p pair) metrics.Sample {
+		s := cell(1, p.routing, p.caching)
+		s.Strategy = nil // the counters name the strategy; the row is the rest
+		return s
+	}
+	cfg := CompareConfig{Quick: true}.WithDefaults()
+	for _, scen := range cfg.Scenarios {
+		if len(todo) == 0 {
+			break
+		}
+		cell, err := compareCell(scen, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def := row(cell, pair{strategy.DefaultRouting, strategy.DefaultCaching})
+		same := todo[:0]
+		for _, p := range todo {
+			if reflect.DeepEqual(row(cell, p), def) {
+				same = append(same, p)
+			}
+		}
+		todo = same
+	}
+	for _, p := range todo {
+		t.Errorf("%s+%s reads the default's row on every compare cell %v: delete the strategy, or add the cell it separates on",
+			p.routing, p.caching, cfg.Scenarios)
 	}
 }

@@ -53,9 +53,9 @@ func goldenFigureRows(t *testing.T) string {
 
 // trialGoldenRows pins the runners that drive and reduce a deployment
 // by themselves and that no row above covers: the sequential-consumer
-// figures, Fig 16, the balance and cache ablations, one mobility point,
-// the workload runners on the grid and on a small city, one quick
-// compare cell per scenario, and the traced Fig 8 cell.
+// figures, Fig 16, the balance ablation, one mobility point, the
+// workload runners on the grid and on a small city, the quick compare
+// cells built on the grid's retrieval, and the traced Fig 8 cell.
 func trialGoldenRows(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -63,9 +63,6 @@ func trialGoldenRows(t *testing.T) string {
 	b.WriteString(Fig15PDRSequential(1, 1, 1).String())
 	b.WriteString(Fig16PDRSimultaneous(1, 1, 1).String())
 	for _, s := range AblationNearestOnly(1, 1, 1) {
-		b.WriteString(s.String())
-	}
-	for _, s := range CachePolicyAblation(1, 1, 1) {
 		b.WriteString(s.String())
 	}
 	mob := &metrics.Series{Name: "PDD under mobility"}
@@ -85,9 +82,9 @@ func trialGoldenRows(t *testing.T) string {
 		b.WriteString(row + "\n")
 	}
 
-	for _, scen := range []string{"fig8", "fig11"} {
+	for _, scen := range []string{"fig11", "sparse", "repeat", "pressure"} {
 		s, err := CompareOne(scen, CompareConfig{
-			Routings: []string{"qfreq"}, Cachings: []string{"opportunistic"}, Seed: 1, Quick: true,
+			Routings: []string{"bfr"}, Cachings: []string{"opportunistic"}, Seed: 1, Quick: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,8 @@ import (
 
 // PayloadBackend is the optional durable tier under a DataStore. The
 // DataStore keeps deciding *what* lives in the cache (the cache strategy
-// picks eviction victims, expiries bound leases); the backend decides
+// admits, the oldest payload leaves first, expiries bound leases); the
+// backend decides
 // *where* the bytes survive: owned records are written through and
 // outlive a crash, cached payloads evicted from RAM can keep serving
 // from disk ("spilled"), and WipeCached clears only the volatile tier.
@@ -67,7 +68,6 @@ func (s *DataStore) HasBackend() bool { return s.backend != nil }
 // store.
 func (s *DataStore) Recover(now, entryTTL time.Duration) {
 	s.reset()
-	s.cache.Reset()
 	if s.backend == nil {
 		return
 	}

@@ -210,7 +210,8 @@ func checkIndex(t *testing.T, s *DataStore, now time.Duration, step string) {
 
 // TestIndexFollowsEveryMutation drives random sequences of every call
 // that inserts or removes an entry or a payload — under a two-payload
-// cache cap, so inserts purge and evict, and with unpublish, publish and
+// cache cap that admits everything or the opportunistic half, so
+// inserts purge, evict and are refused, and with unpublish, publish and
 // an owned entry aimed at keys the cache holds — with no backend, a
 // volatile one and one with a persistent cache tier, and checks the
 // index and the cache's and the slab's books after every step.
@@ -229,7 +230,7 @@ func TestIndexFollowsEveryMutation(t *testing.T) {
 		"persistent": func() PayloadBackend { return &memBackend{recs: map[string]memRecord{}, keepCached: true} },
 	}
 	for name, mk := range backends {
-		for _, policy := range []string{"fifo", "lru"} {
+		for _, policy := range []string{"fifo", "opportunistic"} {
 			for seed := int64(1); seed <= 8; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", name, policy, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))

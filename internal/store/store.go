@@ -66,16 +66,16 @@ type DataStore struct {
 	cacheCap int
 	// cachedBytes and cacheOrder are the cache's books: the byte sum and
 	// the keys, in insertion order, of exactly the records whose held is
-	// inCache. hold and unload keep them so; the strategy picks eviction
-	// victims from cacheOrder.
+	// inCache. hold and unload keep them so; eviction takes cacheOrder's
+	// head.
 	cachedBytes int
 	cacheOrder  []string
 	// chunkIndex maps item key -> chunk id -> record, for exactly the
 	// chunk records that hold a payload (RAM or spilled). CDI responses
 	// are built from it.
 	chunkIndex map[string]map[int]*Entry
-	// cache is the admission/eviction strategy (see cachepolicy.go and
-	// internal/strategy); never nil — NewDataStore installs FIFO.
+	// cache is the admission strategy (see cachepolicy.go and
+	// internal/strategy); never nil — NewDataStore installs "fifo".
 	cache strategy.CacheStrategy
 	// backend is the optional durable tier (see backend.go); nil keeps
 	// the store purely in-memory, byte-for-byte the seed's behavior.
@@ -302,16 +302,14 @@ func (s *DataStore) unload(e *Entry) {
 }
 
 // release is the one way a payload leaves the store: off the cache's
-// books, out of the chunk index and out of the strategy's access state.
-// The record stays, as a metadata-only entry, for its caller to keep or
-// drop.
+// books and out of the chunk index. The record stays, as a
+// metadata-only entry, for its caller to keep or drop.
 func (s *DataStore) release(e *Entry) {
 	if e.held == nil {
 		return
 	}
 	s.unload(e)
 	s.unindexChunk(e)
-	s.cache.Forget(e.Desc.Key())
 	e.held = nil
 }
 
@@ -375,27 +373,21 @@ func (s *DataStore) HoldsChunk(itemKey string, chunkID int) bool {
 	return ok
 }
 
-// ChunkPayload returns the payload of one chunk of the item. Access
-// counts toward LRU/LFU cache accounting.
+// ChunkPayload returns the payload of one chunk of the item.
 func (s *DataStore) ChunkPayload(itemKey string, chunkID int) ([]byte, bool) {
 	return s.read(s.chunkIndex[itemKey][chunkID])
 }
 
 // read returns e's payload from RAM or, when spilled, from the backend;
-// e may be nil. Either hit counts toward LRU/LFU accounting.
+// e may be nil.
 func (s *DataStore) read(e *Entry) ([]byte, bool) {
 	if e == nil || e.held == nil {
 		return nil, false
 	}
-	key, p := e.Desc.Key(), e.held.bytes
-	if e.held.spilled {
-		var ok bool
-		if p, ok = s.backend.GetPayload(key); !ok {
-			return nil, false
-		}
+	if !e.held.spilled {
+		return e.held.bytes, true
 	}
-	s.cache.Touch(key)
-	return p, true
+	return s.backend.GetPayload(e.Desc.Key())
 }
 
 // PutPayloadCached stores an overheard or relayed payload, subject to
@@ -466,7 +458,6 @@ func (s *DataStore) purgeExpired(now time.Duration) {
 }
 
 // Payload returns the stored payload for the descriptor, if present.
-// Access counts toward LRU/LFU cache accounting.
 func (s *DataStore) Payload(d attr.Descriptor) ([]byte, bool) {
 	return s.read(s.entries[d.Key()])
 }
@@ -545,7 +536,6 @@ func (s *DataStore) WipeCached() {
 		}
 		return !e.Owned
 	})
-	s.cache.Reset()
 	if s.backend != nil {
 		s.backend.WipeCached()
 	}

@@ -25,10 +25,6 @@ var routings = []struct {
 		return &bfrRouting{env: env, nextAdvert: clock.Never}
 	}},
 	{DefaultRouting, func(env RoutingEnv) RoutingStrategy { return &cdiRouting{env: env} }},
-	{"qfreq", func(env RoutingEnv) RoutingStrategy {
-		env.TickAt(qfreqDecayInterval)
-		return &qfreqRouting{env: env}
-	}},
 }
 
 var cachings = []struct {
@@ -36,14 +32,7 @@ var cachings = []struct {
 	build func(self wire.NodeID) CacheStrategy
 }{
 	{DefaultCaching, func(wire.NodeID) CacheStrategy { return fifoCache{} }},
-	{"lfu", func(wire.NodeID) CacheStrategy { return &accessCache{name: "lfu"} }},
-	{"lru", func(wire.NodeID) CacheStrategy { return &accessCache{name: "lru", byRecency: true} }},
-	{"opportunistic", func(self wire.NodeID) CacheStrategy {
-		return &opportunisticCache{
-			accessCache: accessCache{name: "opportunistic", byRecency: true},
-			self:        self,
-		}
-	}},
+	{"opportunistic", func(self wire.NodeID) CacheStrategy { return &opportunisticCache{self: self} }},
 }
 
 // NewRouting builds the named routing strategy bound to env. The empty

@@ -168,6 +168,18 @@ func (r *bfrRouting) SelectRoutes(itemKey string, chunkID int, now time.Duration
 	return fallback
 }
 
+func (r *bfrRouting) HasRoute(itemKey string, chunkID int, now time.Duration) bool {
+	if len(r.env.CDIRoutes(itemKey, chunkID, now)) > 0 {
+		return true
+	}
+	for _, a := range r.adverts {
+		if a.expireAt > now && a.filter.Contains(itemKey) {
+			return true
+		}
+	}
+	return false
+}
+
 func (r *bfrRouting) OnNeighborDown(nb wire.NodeID) {
 	kept := r.adverts[:0]
 	for _, a := range r.adverts {
@@ -190,5 +202,3 @@ func (r *bfrRouting) Counters() metrics.StrategyCounters {
 		FallbackRoutes: r.fallbacks,
 	}
 }
-
-func (r *bfrRouting) ObserveQuery(string, wire.NodeID, time.Duration) {}

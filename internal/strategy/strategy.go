@@ -1,10 +1,11 @@
 // Package strategy is the pluggable routing/caching decision plane:
 // the points where a node chooses *where to fetch a chunk from* and
-// *what to keep in its cache* are expressed as interfaces, with the
-// paper's CDI distance-vector routing and FIFO/LRU/LFU eviction as the
-// default implementations and research alternatives (query-frequency
-// route preference, BFR-style Bloom content advertisements,
-// opportunistic cache placement) registered beside them.
+// *what to admit to its cache* are expressed as interfaces, with the
+// paper's CDI distance-vector routing and always-admit caching as the
+// defaults and the alternatives that separate from them on some
+// `pds-bench compare` cell (BFR-style Bloom content advertisements,
+// opportunistic cache placement) registered beside them. The cache
+// evicts in insertion order whichever strategy admits.
 //
 // Strategies are selected by registry name (see registry.go) through
 // core.Config.Routing / core.Config.Caching, `pds-sim -routing/-caching`
@@ -71,13 +72,14 @@ type RoutingEnv interface {
 type RoutingStrategy interface {
 	// Name returns the registry name the strategy was built under.
 	Name() string
-	// SelectRoutes returns the candidate next hops for one chunk, to be
-	// filtered (self/excluded/blacklisted) and fed to the assignment
-	// balancer. The default implementation returns CDIRoutes verbatim.
+	// SelectRoutes returns the candidate next hops for one chunk query
+	// about to be sent, to be filtered (self/excluded/blacklisted) and
+	// fed to the assignment balancer; a strategy counts the routes it
+	// offers here. The default implementation returns CDIRoutes verbatim.
 	SelectRoutes(itemKey string, chunkID int, now time.Duration) []Route
-	// ObserveQuery notes that a chunk/CDI query for itemKey arrived
-	// from sender (frequency-driven strategies count these).
-	ObserveQuery(itemKey string, sender wire.NodeID, now time.Duration)
+	// HasRoute reports whether SelectRoutes would offer any next hop for
+	// the chunk, counting nothing: a retrieval's phase-1 checks ask it.
+	HasRoute(itemKey string, chunkID int, now time.Duration) bool
 	// ObserveAdvert processes a received content advertisement. q is
 	// frozen: implementations must not mutate it (retaining q.Bloom for
 	// read-only lookups is allowed).
@@ -99,26 +101,16 @@ type RoutingStrategy interface {
 	Counters() metrics.StrategyCounters
 }
 
-// CacheStrategy decides what a node's payload cache admits and evicts.
-// The store owns the cache order slice (insertion order) and the byte
-// budget; the strategy owns access recency/frequency state and the
-// victim choice. One instance exists per node store.
+// CacheStrategy decides what a node's payload cache admits. The store
+// owns the byte budget and evicts in insertion order. One instance
+// exists per node store.
 type CacheStrategy interface {
 	// Name returns the registry name the strategy was built under.
 	Name() string
 	// Admit reports whether a cacheable payload should be stored at
 	// all. Declining is free diversity: other copies still exist
-	// elsewhere on the reverse path. The defaults always admit.
+	// elsewhere on the reverse path. The default always admits.
 	Admit(key string) bool
-	// Touch records an access to a cached payload.
-	Touch(key string)
-	// Victim returns the index into order (the store's cache insertion
-	// order, never empty) of the payload to evict next.
-	Victim(order []string) int
-	// Forget drops access state for an evicted or purged key.
-	Forget(key string)
-	// Reset drops all access state (crash/restart wipe).
-	Reset()
 	// Counters returns a snapshot of the strategy's bookkeeping: the
 	// caching fields of the plane's counters, the rest left zero.
 	Counters() metrics.StrategyCounters

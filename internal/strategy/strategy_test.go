@@ -141,19 +141,16 @@ func routingTranscript(s RoutingStrategy, se *scriptedEnv) string {
 	}
 	s.OnPublish("item/a", 0)
 	s.Tick(1 * time.Second)
-	for i := 0; i < 5; i++ {
-		s.ObserveQuery("multi/hot", 3, time.Duration(i)*time.Second)
-	}
-	logRoutes("hot", s.SelectRoutes("multi/hot", 0, 10*time.Second))
-	logRoutes("cold", s.SelectRoutes("multi/cold", 0, 10*time.Second))
+	logRoutes("cdi", s.SelectRoutes("multi/x", 0, 10*time.Second))
 	logRoutes("miss", s.SelectRoutes("nohit", 0, 10*time.Second))
 	s.ObserveAdvert(advert(11, 2, 1, "nohit"), 11*time.Second)
+	fmt.Fprintf(&b, "has:%v\n", s.HasRoute("nohit", 0, 12*time.Second))
 	logRoutes("adv", s.SelectRoutes("nohit", 0, 12*time.Second))
 	s.OnNeighborDown(2)
 	logRoutes("down", s.SelectRoutes("nohit", 0, 13*time.Second))
 	s.Tick(40 * time.Second)
 	s.Tick(70 * time.Second)
-	logRoutes("late", s.SelectRoutes("multi/hot", 0, 75*time.Second))
+	logRoutes("late", s.SelectRoutes("multi/x", 0, 75*time.Second))
 	fmt.Fprintf(&b, "counters:%+v floods:%d\n", s.Counters(), len(se.floods))
 	s.Reset()
 	fmt.Fprintf(&b, "reset:%+v\n", s.Counters())
@@ -205,53 +202,6 @@ func TestCDIRoutingIsPassThrough(t *testing.T) {
 	}
 	if c := s.Counters(); c != (metrics.StrategyCounters{}) {
 		t.Fatalf("cdi counters = %+v, want zero", c)
-	}
-}
-
-func TestQfreqHotPruningAndDecay(t *testing.T) {
-	se := newScriptedEnv(7)
-	s, _ := NewRouting("qfreq", se)
-
-	// Below the hot threshold nothing changes.
-	for i := 0; i < qfreqHotThreshold-1; i++ {
-		s.ObserveQuery("multi/x", 3, 0)
-	}
-	if got := s.SelectRoutes("multi/x", 0, time.Second); len(got) != 3 {
-		t.Fatalf("cold item pruned to %v", got)
-	}
-	// At the threshold, routes collapse to the minimum hop count.
-	s.ObserveQuery("multi/x", 3, 0)
-	got := s.SelectRoutes("multi/x", 0, time.Second)
-	if len(got) != 1 || got[0] != (Route{Neighbor: 4, Hop: 1}) {
-		t.Fatalf("hot item routes = %v, want the single hop-1 row", got)
-	}
-	if c := s.Counters(); c.RouteOverrides != 1 || c.FreqEntries != 1 {
-		t.Fatalf("counters = %+v, want overrides=1 freq=1", c)
-	}
-	// Other items are untouched.
-	if got := s.SelectRoutes("multi/other", 0, time.Second); len(got) != 3 {
-		t.Fatalf("unrelated item pruned to %v", got)
-	}
-
-	// Decay halves the count each interval: 4 -> 2 -> 1 -> dropped. The
-	// first decay was asked for at construction, each Tick asks for the
-	// next, and a Tick that is not due changes nothing.
-	if se.tickAt != qfreqDecayInterval {
-		t.Fatalf("qfreq asked for its first tick at %v", se.tickAt)
-	}
-	if next := s.Tick(qfreqDecayInterval - time.Second); next != qfreqDecayInterval {
-		t.Fatalf("early Tick returned %v", next)
-	}
-	if next := s.Tick(1 * qfreqDecayInterval); next != 2*qfreqDecayInterval {
-		t.Fatalf("Tick at the first decay returned %v", next)
-	}
-	if got := s.SelectRoutes("multi/x", 0, time.Second); len(got) != 3 {
-		t.Fatalf("decayed-below-threshold item still pruned: %v", got)
-	}
-	s.Tick(2 * qfreqDecayInterval)
-	s.Tick(3 * qfreqDecayInterval)
-	if c := s.Counters(); c.FreqEntries != 0 {
-		t.Fatalf("freq entries after full decay = %d, want 0", c.FreqEntries)
 	}
 }
 
@@ -326,6 +276,14 @@ func TestBfrFallbackRoutes(t *testing.T) {
 	if c := s.Counters(); c.FallbackRoutes != 1 || c.AdvertsHeld != 1 {
 		t.Fatalf("counters = %+v, want fallbacks=1 held=1", c)
 	}
+	// HasRoute sees the same routes and counts none of them.
+	if !s.HasRoute("nohit", 0, 6*time.Second) || !s.HasRoute("multi/x", 0, 6*time.Second) ||
+		s.HasRoute("unadvertised", 0, 6*time.Second) {
+		t.Fatal("HasRoute disagrees with SelectRoutes")
+	}
+	if c := s.Counters(); c.FallbackRoutes != 1 {
+		t.Fatalf("HasRoute counted fallbacks: %+v", c)
+	}
 	// The advert's own node never tables itself; non-matching keys miss.
 	if got := s.SelectRoutes("unadvertised", 0, 6*time.Second); len(got) != 0 {
 		t.Fatalf("non-advertised key routed: %v", got)
@@ -391,63 +349,9 @@ func TestFifoCacheSemantics(t *testing.T) {
 		if !c.Admit(k) {
 			t.Fatalf("fifo declined %q", k)
 		}
-		c.Touch(k)
-	}
-	// FIFO always evicts the oldest insertion regardless of touches.
-	if v := c.Victim([]string{"a", "b", "c"}); v != 0 {
-		t.Fatalf("fifo victim = %d, want 0", v)
 	}
 	if got := c.Counters(); got != (metrics.StrategyCounters{}) {
 		t.Fatalf("fifo counters = %+v, want zero", got)
-	}
-}
-
-func TestLRUCacheSemantics(t *testing.T) {
-	c, _ := NewCaching("lru", 1)
-	order := []string{"a", "b", "c"}
-	c.Touch("a")
-	c.Touch("b")
-	// Never-accessed keys evict before any accessed key.
-	if v := c.Victim(order); v != 2 {
-		t.Fatalf("victim = %d (%q), want the never-accessed c", v, order[v])
-	}
-	c.Touch("c")
-	if v := c.Victim(order); v != 0 {
-		t.Fatalf("victim = %d, want the least-recently-used a", v)
-	}
-	c.Touch("a")
-	if v := c.Victim(order); v != 1 {
-		t.Fatalf("victim after re-touch = %d, want b", v)
-	}
-	// Forget returns a key to never-accessed (zero) state.
-	c.Forget("c")
-	if v := c.Victim(order); v != 2 {
-		t.Fatalf("victim after forget = %d, want the forgotten c", v)
-	}
-	// Reset wipes everything: all-zero ties resolve to the earliest
-	// insertion index.
-	c.Reset()
-	if v := c.Victim(order); v != 0 {
-		t.Fatalf("victim after reset = %d, want 0", v)
-	}
-}
-
-func TestLFUCacheSemantics(t *testing.T) {
-	c, _ := NewCaching("lfu", 1)
-	order := []string{"a", "b", "c"}
-	for i := 0; i < 3; i++ {
-		c.Touch("a")
-	}
-	c.Touch("b")
-	c.Touch("c")
-	c.Touch("c")
-	if v := c.Victim(order); v != 1 {
-		t.Fatalf("victim = %d, want the least-frequently-used b", v)
-	}
-	c.Touch("b")
-	c.Touch("b")
-	if v := c.Victim(order); v != 2 {
-		t.Fatalf("victim = %d, want c after b overtakes it", v)
 	}
 }
 
@@ -485,17 +389,11 @@ func TestOpportunisticAdmissionDeterministic(t *testing.T) {
 // cachingTranscript mirrors routingTranscript for cache strategies.
 func cachingTranscript(c CacheStrategy) string {
 	var b strings.Builder
-	order := []string{"k0", "k1", "k2", "k3"}
 	for i := 0; i < 12; i++ {
-		k := order[(i*5)%4]
+		k := fmt.Sprintf("k%d", (i*5)%4)
 		fmt.Fprintf(&b, "admit(%s):%v\n", k, c.Admit(k))
-		c.Touch(k)
-		fmt.Fprintf(&b, "victim:%d\n", c.Victim(order))
 	}
-	c.Forget("k1")
-	fmt.Fprintf(&b, "after-forget:%d\n", c.Victim(order))
-	c.Reset()
-	fmt.Fprintf(&b, "after-reset:%d counters:%+v\n", c.Victim(order), c.Counters())
+	fmt.Fprintf(&b, "counters:%+v\n", c.Counters())
 	return b.String()
 }
 
