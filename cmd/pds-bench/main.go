@@ -65,14 +65,11 @@ func splitList(s string) []string {
 // jsonFile is where -json results land.
 const jsonFile = "BENCH_PDS.json"
 
-// figure is one regenerable figure or table: run produces the series,
-// tables optionally lists metrics.Table views to print instead of the
-// default one-table-per-series rendering.
+// figure is one regenerable figure or table: run produces the series.
 type figure struct {
-	name   string
-	desc   string
-	run    func() []*metrics.Series
-	tables []string
+	name string
+	desc string
+	run  func() []*metrics.Series
 }
 
 // jsonPoint is one metric row of a series in machine-readable form.
@@ -168,14 +165,8 @@ func runFigure(f figure) jsonFigure {
 	series := f.run()
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	if len(f.tables) > 0 {
-		for _, view := range f.tables {
-			fmt.Println(metrics.Table(view, series...))
-		}
-	} else {
-		for _, s := range series {
-			fmt.Println(s)
-		}
+	for _, s := range series {
+		fmt.Println(s)
 	}
 	return jsonFigure{
 		Name:        f.name,
@@ -271,10 +262,10 @@ func run(args []string) error {
 		}},
 		{name: "ablation", desc: "Ablations: one-shot interests / no mixedcast / no bloom", run: func() []*metrics.Series {
 			return scenario.Ablation(*seed, *runs)
-		}, tables: []string{"recall", "latency", "overhead"}},
+		}},
 		{name: "balance", desc: "Ablation: min-max balancing vs nearest-only", run: func() []*metrics.Series {
 			return scenario.AblationNearestOnly(*sizeMB, *seed, *runs)
-		}, tables: []string{"latency", "overhead"}},
+		}},
 		{name: "chaos", desc: "Chaos scenarios: crash-the-hub / flash-crowd-churn / corrupt-10pct", run: func() []*metrics.Series {
 			return []*metrics.Series{scenario.ChaosSeries(*seed, *runs)}
 		}},

@@ -246,62 +246,6 @@ func (s *Series) String() string {
 	return b.String()
 }
 
-// Table renders several series side by side on the shared x labels,
-// showing the chosen field ("recall", "latency", "overhead", "rounds").
-func Table(field string, series ...*Series) string {
-	if len(series) == 0 {
-		return ""
-	}
-	labels := make([]string, 0)
-	seen := make(map[string]bool)
-	for _, s := range series {
-		for _, p := range s.Points {
-			l := p.Label
-			if l == "" {
-				l = fmt.Sprintf("%g", p.X)
-			}
-			if !seen[l] {
-				seen[l] = true
-				labels = append(labels, l)
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", field)
-	for _, s := range series {
-		fmt.Fprintf(&b, " %14s", s.Name)
-	}
-	b.WriteByte('\n')
-	for _, l := range labels {
-		fmt.Fprintf(&b, "%-14s", l)
-		for _, s := range series {
-			v := "-"
-			for _, p := range s.Points {
-				pl := p.Label
-				if pl == "" {
-					pl = fmt.Sprintf("%g", p.X)
-				}
-				if pl == l {
-					switch field {
-					case "recall":
-						v = fmt.Sprintf("%.3f", p.Sample.Recall)
-					case "latency":
-						v = Seconds(p.Sample.Latency)
-					case "overhead":
-						v = MB(p.Sample.OverheadBytes)
-					case "rounds":
-						v = fmt.Sprintf("%.1f", p.Sample.Rounds)
-					}
-					break
-				}
-			}
-			fmt.Fprintf(&b, " %14s", v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Pool accumulates individual samples (segment latencies, layer fetch
 // times) for percentile extraction — the aggregation QoE rows need
 // where Mean-of-runs is not enough.

@@ -55,29 +55,6 @@ func TestSeriesString(t *testing.T) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	a := &Series{Name: "A"}
-	a.Add(1, "x1", Sample{Recall: 0.25})
-	b := &Series{Name: "B"}
-	b.Add(1, "x1", Sample{Recall: 0.75})
-	b.Add(2, "x2", Sample{Recall: 1})
-	out := Table("recall", a, b)
-	for _, want := range []string{"A", "B", "x1", "x2", "0.250", "0.750", "1.000", "-"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-	if Table("recall") != "" {
-		t.Fatal("empty table not empty")
-	}
-	// Other fields render without crashing.
-	for _, f := range []string{"latency", "overhead", "rounds"} {
-		if out := Table(f, a); out == "" {
-			t.Fatalf("Table(%q) empty", f)
-		}
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	vals := []float64{4, 1, 3, 2}
 	tests := []struct {
