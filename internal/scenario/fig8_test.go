@@ -6,7 +6,7 @@ func TestFig8Stability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	s := Fig08SimultaneousConsumers(1, 1)
+	s := ciFigures["fig8"]()[0]
 	t.Log("\n" + s.String())
 	for _, p := range s.Points {
 		if p.Sample.Recall < 0.98 {

@@ -10,7 +10,6 @@ import (
 
 	"pds/internal/core"
 	"pds/internal/metrics"
-	"pds/internal/mobility"
 	"pds/internal/wire"
 	"pds/internal/workload"
 )
@@ -19,36 +18,34 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/figure_rows.golden from the current implementation")
 
 // goldenFigureRows renders the pinned figures — Fig 8, Fig 11, chaos and
-// disk — as one deterministic text blob. Single run per point, base
-// seed 1: exactly the rows `pds-bench -seed 1 -runs 1` prints for these
-// figures. The rows after the disk figure pin the PDD paths those four
-// never run: the ablations (one-shot interests, per-query responses, no
-// Bloom rewriting), MDR (small-data relay carrying chunks) and a
-// multi-consumer small-data collection (blob mixedcast). The last rows
-// are the single-hop harness: Fig 3 and the leak-rate and ack sweeps.
+// disk — as one deterministic text blob, the paper figures' rows read from
+// ciFigures. Single run per point, base seed 1: exactly the rows
+// `pds-bench -seed 1 -runs 1` prints for these figures. The rows after
+// the disk figure pin the PDD paths those four never run: the ablations
+// (one-shot interests, per-query responses, no Bloom rewriting), MDR
+// (small-data relay carrying chunks) and a multi-consumer small-data
+// collection (blob mixedcast). The last rows are the single-hop harness:
+// Fig 3 and the leak-rate and ack sweeps.
 func goldenFigureRows(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	b.WriteString(Fig08SimultaneousConsumers(1, 1).String())
-	b.WriteString(Fig11DataItemSize(1, 1).String())
+	writeFigures(&b, "fig8", "fig11")
 	b.WriteString(ChaosSeries(1, 1).String())
 	b.WriteString(DiskSeries(1, 1, t.TempDir()).String())
-	for _, s := range Ablation(1, 1) {
-		b.WriteString(s.String())
-	}
-	for _, s := range Fig1314Redundancy(1, 1, 1) {
-		b.WriteString(s.String())
-	}
+	writeFigures(&b, "ablation", "fig13")
 	b.WriteString(smallDataCollect(t, 1).String())
 	b.WriteString(trialGoldenRows(t))
-	for _, s := range Fig03SingleHopReception(1, 1) {
-		b.WriteString(s.String())
-	}
-	b.WriteString(TabLeakyBucketSweep(1, 1).String())
-	for _, s := range TabAckSweep(1, 1) {
-		b.WriteString(s.String())
-	}
+	writeFigures(&b, "fig3", "leaky", "ack")
 	return b.String()
+}
+
+// writeFigures renders the named figures' CI rows (ciFigures) in order.
+func writeFigures(b *strings.Builder, figs ...string) {
+	for _, fig := range figs {
+		for _, s := range ciFigures[fig]() {
+			b.WriteString(s.String())
+		}
+	}
 }
 
 // trialGoldenRows pins the runners that drive and reduce a deployment
@@ -59,14 +56,9 @@ func goldenFigureRows(t *testing.T) string {
 func trialGoldenRows(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	b.WriteString(Fig07SequentialConsumers(1, 1).String())
-	b.WriteString(Fig15PDRSequential(1, 1, 1).String())
-	b.WriteString(Fig16PDRSimultaneous(1, 1, 1).String())
-	for _, s := range AblationNearestOnly(1, 1, 1) {
-		b.WriteString(s.String())
-	}
+	writeFigures(&b, "fig7", "fig15", "fig16", "balance")
 	mob := &metrics.Series{Name: "PDD under mobility"}
-	mob.Add(1, "x1.0 rates", fig0910Cell(mobility.StudentCenter(), 1))
+	mob.Add(1, "x1.0 rates", ciFigures["fig9"]()[0].Points[1].Sample)
 	b.WriteString(mob.String())
 
 	stream := workload.StreamSpec{Segments: 3, SegmentBytes: 128 << 10, SegmentDuration: 2 * time.Second}
@@ -137,10 +129,16 @@ func smallDataCollect(t *testing.T, seed int64) *metrics.Series {
 // golden file was captured before the city-scale core refactor (spatial
 // radio index, timing-wheel scheduler, dense node state); any
 // simulation-visible behavior change in those layers shows up here as a
-// diff. Regenerate deliberately with -update-golden.
+// diff. Regenerate deliberately with -update-golden, which refuses while
+// a claim of the paper ledger (TestPaperClaims) fails.
 func TestFigureRowsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
+	}
+	if *updateGolden {
+		if failing := failingClaims(); len(failing) > 0 {
+			t.Fatalf("refusing to re-pin while paper claims fail (go test -run TestPaperClaims -v): %v", failing)
+		}
 	}
 	path := filepath.Join("testdata", "figure_rows.golden")
 	got := goldenFigureRows(t)

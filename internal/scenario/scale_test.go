@@ -109,7 +109,10 @@ func TestScalePDR5MB(t *testing.T) {
 	}
 }
 
-// TestScaleMDR checks the baseline completes and costs more than PDR.
+// TestScaleMDR checks that the MDR baseline retrieves a 2 MB item held
+// at one copy to completion. It asserts no cost: at one copy MDR is the
+// cheaper method, in the paper and in the ledger's
+// fig13/one-copy-mdr-ahead claim.
 func TestScaleMDR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
@@ -148,32 +151,9 @@ func TestMobilityPDD(t *testing.T) {
 	}
 }
 
-// TestSequentialConsumersCachingEffect asserts Figure 7's qualitative
-// claim: a later consumer is faster than the first.
+// TestSequentialConsumersCachingEffect asserts Figure 7's caching
+// effect: every consumer discovers everything, and later ones are faster
+// than the first.
 func TestSequentialConsumersCachingEffect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	d := Grid(8, 8, GridSpacing, Options{Seed: 10})
-	d.DistributeEntries(2000, 1)
-	var ids []wire.NodeID
-	for _, idx := range mobility.CenterSubgridIndices(8, 8, 4)[:3] {
-		ids = append(ids, wire.NodeID(idx+1))
-	}
-	var latencies []time.Duration
-	for _, c := range ids {
-		results, done := d.Discover([]wire.NodeID{c}, EntrySelector(), core.DiscoverOptions{}, 120*time.Second)
-		res := results[0]
-		if !done {
-			t.Fatal("discovery did not finish")
-		}
-		latencies = append(latencies, res.Latency)
-		if recall := float64(len(res.Entries)) / 2000; recall < 0.95 {
-			t.Fatalf("consumer recall %.3f", recall)
-		}
-	}
-	t.Logf("sequential latencies: %v", latencies)
-	if latencies[2] >= latencies[0] {
-		t.Fatalf("third consumer (%v) not faster than first (%v)", latencies[2], latencies[0])
-	}
+	requireClaims(t, "fig7/recall-1", "fig7/later-consumers-faster")
 }

@@ -32,40 +32,17 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestSingleHopReceptionShape asserts the Figure 3 ordering: raw UDP
-// collapses, the leaky bucket recovers, ack/retransmission recovers
-// more, and raw reception degrades with sender count.
+// TestSingleHopReceptionShape asserts Figure 3 from the ledger's rows:
+// raw UDP collapses to ≈14 % and falls with senders, the leaky bucket
+// recovers part of it and ack/retransmission more, to 85 % and above.
 func TestSingleHopReceptionShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	raw4 := DefaultReception(4)
-	raw4.Link.PaceEnabled, raw4.Link.AckEnabled = false, false
-	bucket4 := DefaultReception(4)
-	bucket4.Link.PaceEnabled = true
-	ack4 := DefaultReception(4)
-	ack4.Link.PaceEnabled, ack4.Link.AckEnabled = true, true
+	requireClaims(t, "fig3/raw-udp-collapses", "fig3/modes-ordered", "fig3/ack-85pct")
+}
 
-	r := SingleHopReception(raw4, 3).ReceptionRate
-	bkt := SingleHopReception(bucket4, 3).ReceptionRate
-	ak := SingleHopReception(ack4, 3).ReceptionRate
-	t.Logf("4 senders: raw=%.3f bucket=%.3f ack=%.3f", r, bkt, ak)
-	if !(r < bkt && bkt < ak) {
-		t.Fatalf("ordering violated: raw=%.3f bucket=%.3f ack=%.3f", r, bkt, ak)
-	}
-	if r > 0.3 {
-		t.Fatalf("raw reception %.3f too high; buffer overflow not modeled?", r)
-	}
-	if ak < 0.8 {
-		t.Fatalf("ack reception %.3f too low", ak)
-	}
-
-	raw1 := DefaultReception(1)
-	raw1.Link.PaceEnabled, raw1.Link.AckEnabled = false, false
-	r1 := SingleHopReception(raw1, 3).ReceptionRate
-	if r1 < r {
-		t.Fatalf("raw reception should degrade with senders: 1snd=%.3f 4snd=%.3f", r1, r)
-	}
+// TestSingleHopModes asserts the order of the three link modes at every
+// sender count of Figure 3, and logs the bucket's gap.
+func TestSingleHopModes(t *testing.T) {
+	requireClaims(t, "fig3/modes-ordered", "fig3/bucket-40-90pct")
 }
 
 // TestLeakyBucketSweetSpot asserts the §V-2 finding: reception is high
@@ -90,54 +67,17 @@ func TestLeakyBucketSweetSpot(t *testing.T) {
 	}
 }
 
-// TestAblationsHurt asserts the headline mechanism earns its keep:
-// disabling Bloom rewriting increases overhead. (The full four-variant
-// comparison runs via `pds-bench ablation`; this test keeps the load
-// small enough for the default go-test timeout.)
+// TestAblationsHurt asserts that the discovery mechanisms earn their
+// keep on the ablation figure's rows: the baseline finds every entry,
+// and one-shot interests or no Bloom rewriting cost more.
 func TestAblationsHurt(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	const entries = 800
-	base := averagePDD(8, 8, entries, 1, Options{Seed: 3}, 1)
-	c := core.DefaultConfig()
-	c.BloomEnabled = false
-	noBloom := averagePDD(8, 8, entries, 1, Options{Seed: 3, Core: c}, 1)
-	t.Logf("baseline: recall=%.3f ovh=%dB; no-bloom: recall=%.3f ovh=%dB",
-		base.Recall, base.OverheadBytes, noBloom.Recall, noBloom.OverheadBytes)
-	if base.Recall < 0.99 {
-		t.Fatalf("baseline recall %.3f", base.Recall)
-	}
-	if noBloom.OverheadBytes <= base.OverheadBytes {
-		t.Fatalf("removing Bloom rewriting did not increase overhead (%d vs %d)",
-			noBloom.OverheadBytes, base.OverheadBytes)
-	}
+	requireClaims(t, "ablation/baseline-recall-1", "ablation/lingering-pays", "ablation/bloom-pays")
 }
 
-// TestPDRBeatsMDRAtRedundancy asserts Figures 13/14's crossover: at
-// redundancy 3+, PDR's overhead is lower than MDR's.
+// TestPDRBeatsMDRAtRedundancy asserts Figures 13/14's crossover: both
+// methods complete, and from two copies on PDR's overhead is below MDR's.
 func TestPDRBeatsMDRAtRedundancy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	const sizeMB = 1
-	run := func(method string) uint64 {
-		d := Grid(10, 10, GridSpacing, Options{Seed: 21})
-		consumer := CenterID(10, 10)
-		item := ItemDescriptor("clip", sizeMB<<20, DefaultChunkSize)
-		item = d.DistributeChunks(item, DefaultChunkSize, 3, consumer)
-		res, done := d.Retrieve([]wire.NodeID{consumer}, item, method == "mdr", 600*time.Second)
-		if !done || !res[0].Complete {
-			t.Fatalf("%s failed: done=%v complete=%v", method, done, res[0].Complete)
-		}
-		return d.Medium.Stats().TxBytes
-	}
-	pdr := run("pdr")
-	mdr := run("mdr")
-	t.Logf("redundancy 3: PDR=%.2fMB MDR=%.2fMB", float64(pdr)/1e6, float64(mdr)/1e6)
-	if pdr >= mdr {
-		t.Fatalf("PDR overhead (%d) not below MDR (%d) at redundancy 3", pdr, mdr)
-	}
+	requireClaims(t, "fig13/recall-1", "fig13/pdr-cheaper-from-2-copies")
 }
 
 // TestNodeChurnDuringDiscovery exercises leave events mid-discovery:
