@@ -91,13 +91,14 @@ loc:
 # golden rewrites internal/scenario/testdata/figure_rows.golden from the
 # current runners. Re-pin protocol (DESIGN.md §11): the golden moves only
 # in a commit that touches no other file, and whose message carries the
-# before/after row diff (`git diff` of the golden) and why each cell
+# before/after row diff (the `git diff` printed last) and why each cell
 # moved. A code change that moves a row is two commits: the code, then
 # `make golden`. The rewrite first checks the paper ledger
 # (TestPaperClaims) and refuses while a claim fails; the ledger's own run
 # then prints which claim and what the rows read.
 golden:
 	$(GO) test ./internal/scenario -run 'TestFigureRowsGolden|TestPaperClaims' -update-golden
+	git --no-pager diff -- internal/scenario/testdata/figure_rows.golden
 
 # fuzz runs short bursts of the fuzzers: the Bloom filter's one-loop
 # hash pair against hash/fnv, the codec and its two frame shapes (one

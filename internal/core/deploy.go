@@ -39,17 +39,11 @@ func (n *Node) InjectChunk(item attr.Descriptor, chunkID int, payload []byte) bo
 // NotePeerFailure records a transport-level delivery failure toward
 // the neighbor — a unicast face's circuit breaker opening after
 // consecutive connection failures — in the neighbor-health blacklist,
-// with the same escalation as a link-layer give-up: the first strike
-// backs the neighbor off, the second declares it dead and drops every
-// CDI route through it.
+// as a strike, like a link-layer give-up (see strike).
 func (n *Node) NotePeerFailure(nb wire.NodeID) {
 	if n.crashed || n.stopped || nb == 0 || nb == n.id {
 		return
 	}
-	now := n.clk.Now()
 	n.stats.FacePeerFailures++
-	if n.health.recordFailure(nb, now) == deadThreshold {
-		n.stats.NeighborsDead++
-		n.cdi.DropNeighborAll(nb)
-	}
+	n.strike(nb, n.clk.Now())
 }

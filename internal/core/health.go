@@ -77,3 +77,14 @@ func (h *healthTracker) blocked(nb wire.NodeID, now time.Duration) bool {
 	e, ok := h.m[nb]
 	return ok && now < e.blockedUntil
 }
+
+// strike records a delivery failure toward nb, from the link layer or a
+// face. The first backs nb off; at deadThreshold nb is dead, and every
+// route through it goes, from the CDI table and the routing strategy.
+func (n *Node) strike(nb wire.NodeID, now time.Duration) {
+	if n.health.recordFailure(nb, now) == deadThreshold {
+		n.stats.NeighborsDead++
+		n.cdi.DropNeighborAll(nb)
+		n.routing.OnNeighborDown(nb)
+	}
+}

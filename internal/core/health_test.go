@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"pds/internal/attr"
+	"pds/internal/bloom"
 	"pds/internal/sim"
 	"pds/internal/store"
 	"pds/internal/wire"
@@ -201,33 +203,58 @@ func TestCrashWipesVolatileStateRestartRecovers(t *testing.T) {
 
 // TestRetrievalDeadlinePartialResult: with no routes to any chunk and a
 // deadline configured, the session must return a partial result at the
-// deadline with every missing chunk enumerated — never hang.
+// deadline with every missing chunk enumerated — never hang. A deadline
+// off the RoundCheck grid still ends the session at its own instant.
 func TestRetrievalDeadlinePartialResult(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cfg := DefaultConfig()
-	cfg.RetrievalDeadline = 3 * time.Second
-	cfg.RetrievalRounds = 1000 // deadline, not the round budget, must end it
-	n := NewNode(1, eng, rand.New(rand.NewSource(1)), func(*wire.Message) {}, cfg)
+	for _, deadline := range []time.Duration{3 * time.Second, 3050 * time.Millisecond} {
+		eng := sim.NewEngine(1)
+		cfg := DefaultConfig()
+		cfg.RetrievalDeadline = deadline
+		cfg.RetrievalRounds = 1000 // deadline, not the round budget, must end it
+		n := NewNode(1, eng, rand.New(rand.NewSource(1)), func(*wire.Message) {}, cfg)
 
-	var res RetrievalResult
-	done := false
-	n.Retrieve(testItem(), func(r RetrievalResult) { res = r; done = true })
-	eng.Run(time.Minute)
-	if !done {
-		t.Fatal("retrieval hung past its deadline")
-	}
-	if res.Complete || !res.Deadline {
-		t.Fatalf("result %+v: want incomplete deadline result", res)
-	}
-	if len(res.Missing) != 4 {
-		t.Fatalf("Missing = %v, want all 4 chunks", res.Missing)
-	}
-	for i, c := range res.Missing {
-		if c != i {
-			t.Fatalf("Missing = %v, want [0 1 2 3]", res.Missing)
+		var res RetrievalResult
+		done := false
+		n.Retrieve(testItem(), func(r RetrievalResult) { res = r; done = true })
+		eng.Run(time.Minute)
+		if !done {
+			t.Fatalf("deadline %v: retrieval hung past it", deadline)
+		}
+		if res.Complete || !res.Deadline {
+			t.Fatalf("deadline %v: result %+v, want incomplete deadline result", deadline, res)
+		}
+		if !slices.Equal(res.Missing, []int{0, 1, 2, 3}) {
+			t.Fatalf("deadline %v: Missing = %v, want [0 1 2 3]", deadline, res.Missing)
+		}
+		if res.Duration != deadline {
+			t.Fatalf("Duration = %v, want the deadline %v", res.Duration, deadline)
 		}
 	}
-	if res.Duration < 3*time.Second || res.Duration > 4*time.Second {
-		t.Fatalf("Duration = %v, want ~deadline", res.Duration)
+}
+
+// TestFacePeerDeathDropsAdvertRoutes: a neighbor a face's circuit breaker
+// strikes dead loses every route through it, the routing strategy's
+// included — a bfr node stops offering the advert it learned via it,
+// as it does when the link layer gives up on it.
+func TestFacePeerDeathDropsAdvertRoutes(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.Routing = "bfr"
+	n := NewNode(1, eng, rand.New(rand.NewSource(1)), func(*wire.Message) {}, cfg)
+	key := testItem().Key()
+	f := bloom.NewForCapacity(1, 0.01, 7)
+	f.Add(key)
+	n.HandleMessage(&wire.Message{Type: wire.TypeQuery, Query: &wire.Query{
+		ID: 1, Kind: wire.KindAdvert, TTL: time.Minute, Sender: 2, Origin: 3, Bloom: f}})
+	if !n.routing.HasRoute(key, 0, eng.Now()) {
+		t.Fatal("the advert heard via node 2 offers no route")
+	}
+	n.NotePeerFailure(2)
+	if !n.routing.HasRoute(key, 0, eng.Now()) {
+		t.Fatal("one strike dropped the route; only a dead neighbor loses its routes")
+	}
+	n.NotePeerFailure(2)
+	if n.routing.HasRoute(key, 0, eng.Now()) {
+		t.Fatal("node 2 is dead, but its advert still offers a route")
 	}
 }

@@ -72,9 +72,8 @@ type Config struct {
 	// spread out: pds.NewNode zeroes both jitters over one.
 	ForwardJitterMax time.Duration
 	// ResponseJitterMax randomizes when a locally generated response is
-	// sent, spreading the answer burst that a flooded query triggers. It
-	// is also the spread a PDR round waits out before a covering CDI
-	// update may settle phase 1 (see RoundCheck).
+	// sent, spreading the answer burst that a flooded query triggers. A
+	// PDR round waits it out before it may settle phase 1.
 	ResponseJitterMax time.Duration
 	// CacheCap bounds cached (non-owned) payload bytes per node;
 	// 0 = unlimited. Metadata entries are always cached (§VII).
@@ -118,10 +117,8 @@ type Config struct {
 // The settings of the operating point that no experiment varies.
 const (
 	// RoundCheck is how often a consumer session evaluates the round
-	// rules; it only needs to be a fraction of Window. A PDR round does
-	// not always wait for it: a covering CDI update settles phase 1 at
-	// once when it lands after one ResponseJitterMax but before the
-	// round's first check.
+	// rules; it only needs to be a fraction of Window. A covering CDI
+	// update settles PDR phase 1 as it lands, without waiting for it.
 	RoundCheck = 100 * time.Millisecond
 	// OutstandingChunks bounds how many chunks a PDR consumer keeps
 	// requested but undelivered at once. Requesting every chunk of a
@@ -376,16 +373,13 @@ func (n *Node) Stop() {
 }
 
 // abortSessions ends every active retrieval and discovery without
-// calling back, cancelling the check and deadline timers that would
-// otherwise keep the session — and through it the node — alive.
+// calling back, stopping the check timers that would otherwise keep the
+// session — and through it the node — alive.
 func (n *Node) abortSessions() {
-	//lint:allow determinism per-entry teardown; the cancels only unschedule that retrieval's own timers
+	//lint:allow determinism per-entry teardown; the stops only unschedule that retrieval's own timer
 	for _, r := range n.retrievals {
 		r.done = true
 		r.checkTimer.Stop()
-		if r.cancelDeadline != nil {
-			r.cancelDeadline()
-		}
 	}
 	n.retrievals = nil
 	for _, s := range n.discSessions {

@@ -82,11 +82,12 @@ type retrieval struct {
 	phase2Start   time.Duration
 	lastCDIUpdate time.Duration
 	lastChunkAt   time.Duration
-	lastRequestAt time.Duration
 	// lastRoundAt is when the current retry cycle began (CDI flood or
-	// phase-2 entry); the no-progress watchdog compares against it, not
-	// against lastRequestAt, which re-requests keep refreshing.
+	// phase-2 entry); the no-progress watchdog compares against it.
 	lastRoundAt time.Duration
+	// deadline is when the session gives up with a partial result; 0
+	// for none.
+	deadline time.Duration
 	// requestedAt tracks when each chunk was last requested; entries
 	// older than the adaptive retry window are considered lost and
 	// eligible again.
@@ -96,10 +97,9 @@ type retrieval struct {
 	// a few typical service times, not a fixed worst case.
 	chunkEWMA time.Duration
 
-	done           bool
-	deadlineHit    bool
-	checkTimer     clock.Timer // runs check every RoundCheck until done
-	cancelDeadline func()
+	done        bool
+	deadlineHit bool
+	checkTimer  clock.Timer // runs check every RoundCheck, and at the deadline, until done
 }
 
 // Retrieve starts a PDR session for the item (whose descriptor must
@@ -164,14 +164,8 @@ func (n *Node) RetrieveWithOptions(item attr.Descriptor, opts RetrieveOptions, c
 	if opts.Deadline > 0 {
 		deadline = opts.Deadline
 	}
-	if d := deadline; d > 0 {
-		epoch := n.epoch
-		r.cancelDeadline = n.clk.Schedule(d, func() {
-			if !r.done && n.epoch == epoch {
-				r.deadlineHit = true
-				r.finish(n.clk.Now())
-			}
-		})
+	if deadline > 0 {
+		r.deadline = r.start + deadline
 	}
 	r.startCDIRound()
 	r.scheduleCheck()
@@ -240,28 +234,40 @@ func (r *retrieval) startCDIRound() {
 	n.transmit(&wire.Message{Type: wire.TypeQuery, Query: q})
 }
 
+// scheduleCheck arms the session's one timer for the next RoundCheck
+// tick, or for the deadline if that comes first.
 func (r *retrieval) scheduleCheck() {
-	if !r.done {
-		r.checkTimer.Reset(RoundCheck)
+	if r.done {
+		return
 	}
+	d := RoundCheck
+	if left := r.deadline - r.n.clk.Now(); r.deadline > 0 && left < d {
+		d = left
+	}
+	r.checkTimer.Reset(d)
 }
 
-// check drives the phase machine on every RoundCheck tick: phase 1 is
-// settle's to decide; phase 2 is watched by a retry timer that falls
-// back to a fresh CDI round.
+// check drives the phase machine on every RoundCheck tick: it ends the
+// session at its deadline; phase 1 is settle's to decide; phase 2 is
+// watched by a retry timer that falls back to a fresh CDI round.
 func (r *retrieval) check() {
 	if r.done {
 		return
 	}
 	n := r.n
 	now := n.clk.Now()
+	if r.deadline > 0 && now >= r.deadline {
+		r.deadlineHit = true
+		r.finish(now)
+		return
+	}
 	if r.complete() {
 		r.finish(now)
 		return
 	}
 	switch r.phase {
 	case 1:
-		r.settle(now, true)
+		r.settle(now)
 	case 2:
 		// Keep the request window full; stale requests re-issue here.
 		r.topUp(now)
@@ -280,26 +286,18 @@ func (r *retrieval) check() {
 }
 
 // settle is phase 1's decision (§IV-A), taken on every RoundCheck tick
-// and whenever a CDI update lands. A round settles into phase 2 when CDI
-// covers every missing chunk; on a tick, also once CDI has been quiet for
-// cdiWindow. A quiet round with no CDI at all floods a new one.
-//
-// A round may settle once one response spread (ResponseJitterMax) has
-// passed since its query left: by then every neighbor that heard the
-// query has answered it. So a covering update that lands after the
-// spread but before the round's first tick settles it at once; from
-// that tick on the tick decides. Rounds start on ticks, so where the
-// spread is the poll period — the simulated radio, 100 ms each — that
-// window is empty and phase 1 is decided at the poll's instants, a tie
-// included: an update at the tick's instant leaves the decision to the
-// tick. On a face mesh the spread is 0 and a round settles as its
-// covering answer lands.
-func (r *retrieval) settle(now time.Duration, tick bool) {
+// and whenever a CDI update lands, once one response spread
+// (ResponseJitterMax) has passed since the round's query left: by then
+// every neighbor that heard the query has answered it. A round settles
+// into phase 2 when CDI covers every missing chunk, or once CDI has been
+// quiet for cdiWindow — which only a tick can find, as an update resets
+// it. A quiet round with no CDI at all floods a new one.
+func (r *retrieval) settle(now time.Duration) {
 	n := r.n
-	if since := now - r.lastRoundAt; !tick && (since < n.cfg.ResponseJitterMax || since >= RoundCheck) {
+	if now-r.lastRoundAt < n.cfg.ResponseJitterMax {
 		return
 	}
-	quiet := tick && now-r.lastCDIUpdate >= cdiWindow
+	quiet := now-r.lastCDIUpdate >= cdiWindow
 	switch {
 	case r.cdiCovers():
 		r.enterPhase2(now)
@@ -354,7 +352,7 @@ func (r *retrieval) enterPhase2(now time.Duration) {
 
 // retryAfter returns how long a requested chunk stays blocked before it
 // becomes eligible for re-request: a few typical chunk service times,
-// clamped to [2s, ChunkRetry]. Fast networks reclaim stalled slots in
+// clamped to [5s, ChunkRetry]. Fast networks reclaim stalled slots in
 // seconds; the configured ceiling still bounds duplicate requests when
 // service times are genuinely long.
 func (r *retrieval) retryAfter() time.Duration {
@@ -409,7 +407,6 @@ func (r *retrieval) topUp(now time.Duration) {
 	for _, c := range sent {
 		r.requestedAt[c] = now
 	}
-	r.lastRequestAt = now
 }
 
 // finish reports the result exactly once.
@@ -419,9 +416,6 @@ func (r *retrieval) finish(now time.Duration) {
 	}
 	r.done = true
 	r.checkTimer.Stop()
-	if r.cancelDeadline != nil {
-		r.cancelDeadline()
-	}
 	if n := r.n; n.retrievals[r.itemKey] == r {
 		delete(n.retrievals, r.itemKey)
 	}
@@ -492,7 +486,7 @@ func (n *Node) notifyCDI(itemKey string, now time.Duration) {
 	if r, ok := n.retrievals[itemKey]; ok && !r.done {
 		r.lastCDIUpdate = now
 		if r.phase == 1 {
-			r.settle(now, false)
+			r.settle(now)
 		}
 	}
 }
@@ -783,11 +777,7 @@ func (n *Node) OnSendFailure(msg *wire.Message, unacked []wire.NodeID) {
 	n.stats.SendFailures++
 	n.lastSendFailAt = now
 	for _, nb := range unacked {
-		if n.health.recordFailure(nb, now) == deadThreshold {
-			n.stats.NeighborsDead++
-			n.cdi.DropNeighborAll(nb)
-			n.routing.OnNeighborDown(nb)
-		}
+		n.strike(nb, now)
 	}
 	if msg.Type != wire.TypeQuery || msg.Query == nil || msg.Query.Kind != wire.KindChunk {
 		return

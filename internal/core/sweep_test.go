@@ -289,8 +289,8 @@ func TestNodeHoldsATimerOnlyWhileItHoldsState(t *testing.T) {
 	if got := clk.Processed() - start; got != 3 {
 		t.Fatalf("%d sweeps for three deadlines", got)
 	}
-	// Active sessions hold timers too — a check each, and the retrieval
-	// its deadline — and Crash and Stop end them without calling back.
+	// Active sessions hold timers too — a check each, which a retrieval's
+	// deadline shares — and Crash and Stop end them without calling back.
 	startSessions := func() {
 		n.RetrieveWithOptions(testItem(), RetrieveOptions{Deadline: time.Minute}, func(RetrievalResult) {
 			t.Error("aborted retrieval called back")
@@ -298,8 +298,8 @@ func TestNodeHoldsATimerOnlyWhileItHoldsState(t *testing.T) {
 		n.Discover(testSel(), DiscoverOptions{}, func(DiscoveryResult) {
 			t.Error("aborted discovery called back")
 		})
-		if clk.Pending() != 4 {
-			t.Fatalf("%d timers pending with a deadline retrieval and a discovery active, want sweep, two checks and the deadline", clk.Pending())
+		if clk.Pending() != 3 {
+			t.Fatalf("%d timers pending with a deadline retrieval and a discovery active, want sweep and two checks", clk.Pending())
 		}
 	}
 	feed()
