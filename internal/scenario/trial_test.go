@@ -37,7 +37,7 @@ func TestTrialOnGrid(t *testing.T) {
 			metrics.Sample{Recall: 1, Latency: 178447934, OverheadBytes: 104124, Rounds: 2}},
 		{"pdd", []wire.NodeID{center, stranded, 1}, time.Minute, metrics.Sample{}},
 		{"pdr", []wire.NodeID{center}, time.Minute,
-			metrics.Sample{Recall: 1, Latency: 2632084764, OverheadBytes: 1774772, Rounds: 1}},
+			metrics.Sample{Recall: 1, Latency: 2533552822, OverheadBytes: 1774772, Rounds: 1}},
 		{"pdr", []wire.NodeID{center, stranded, 1}, time.Minute, metrics.Sample{}},
 		{"pdr", []wire.NodeID{center, 1}, time.Second, metrics.Sample{}},
 		{"mdr", []wire.NodeID{center}, time.Minute,
