@@ -14,11 +14,11 @@ import (
 
 // TestFaceMeshRetrievesWithoutSpread: a face mesh declares no shared
 // medium, so its nodes run without forward and response jitter, and a
-// retrieval's phase 1 settles as the covering CDI answer lands rather than
-// on the next RoundCheck tick. Three nodes on a loopback mesh; the third
+// retrieval's phase 1 settles as the covering CDI answer lands, with no
+// response spread to wait out. Three nodes on a loopback mesh; the third
 // fetches seven multi-chunk items from the first, one after another. The
 // median stays under half a RoundCheck, with room for the race detector:
-// the jittered path waits a whole RoundCheck for phase 1 alone.
+// the jittered path waits out a 100 ms spread for phase 1 alone.
 func TestFaceMeshRetrievesWithoutSpread(t *testing.T) {
 	var meshes [3]*FaceMesh
 	var nodes [3]*Node
