@@ -131,6 +131,21 @@ type fragJob struct {
 	enc wire.Encoding
 }
 
+// fragFrame is one fragment on the air: envelope and body in one
+// object, the body's pointer set before stamping. A job's frames are one
+// slab, cut when it releases its first (see pumpJobs).
+type fragFrame struct {
+	wire.Message
+	frag wire.Fragment
+}
+
+// ackFrame is one ack, envelope and body in one object; a link takes
+// them from the end of its chunk (see HandleIncoming).
+type ackFrame struct {
+	wire.Message
+	ack wire.Ack
+}
+
 type outItem struct {
 	msg  *wire.Message
 	size int
@@ -150,7 +165,11 @@ type Link struct {
 	queue       ring.Queue[outItem]
 	queuedBytes int // sum of queue's sizes, kept by enqueue/drain/Reset
 	drainArmed  bool
-	wakeup      clock.Timer // re-runs drain; made when the queue first has to wait
+	// txNotify records that the transport reports transmission
+	// completions via NotifyTransmitted, which arms retransmission
+	// timers precisely at airtime end instead of estimating.
+	txNotify bool
+	wakeup   clock.Timer // re-runs drain; made when the queue first has to wait
 
 	pend map[uint64]*pending // nil until the first acknowledged frame
 	free *pending            // idle records, linked by next
@@ -165,10 +184,13 @@ type Link struct {
 	// fragJobs queues fragmented messages; one streams at a time.
 	fragJobs  ring.Queue[*fragJob]
 	activeJob *fragJob
-	// txNotify records that the transport reports transmission
-	// completions via NotifyTransmitted, which arms retransmission
-	// timers precisely at airtime end instead of estimating.
-	txNotify bool
+	// frames is the active job's slab, one frame per fragment. It lives
+	// here, not on the job: every frame points into the job (Fragment.Enc),
+	// so a slab on the job would make the two a cycle, and a finalizer on
+	// the job never runs on a cycle.
+	frames []fragFrame
+	// acks is what is left of the chunk acks are taken from, at its end.
+	acks []ackFrame
 
 	// OnGiveUp, when set, is called after MaxRetr unsuccessful
 	// retransmissions with the message and still-unacked receivers.
@@ -257,11 +279,13 @@ func (l *Link) pumpJobs() {
 		if i == job.count-1 {
 			fsize = job.size - (job.count-1)*l.cfg.FragmentBytes
 		}
-		// Envelope and body are one object, pointer set before stamping.
-		f := &struct {
-			wire.Message
-			frag wire.Fragment
-		}{frag: wire.Fragment{
+		if i == 0 {
+			// Never reused: a frame may outlive the job (a carrier still
+			// holding it), and the GC frees the slab with its last frame.
+			l.frames = make([]fragFrame, job.count)
+		}
+		f := &l.frames[i]
+		f.frag = wire.Fragment{
 			OrigID: job.origID,
 			Index:  i,
 			Count:  job.count,
@@ -272,7 +296,7 @@ func (l *Link) pumpJobs() {
 			Size:      fsize,
 			Whole:     job.whole,
 			Enc:       &job.enc,
-		}}
+		}
 		f.Message = wire.Message{Type: wire.TypeFragment, Fragment: &f.frag}
 		if !job.noAck {
 			job.outstanding++
@@ -289,7 +313,7 @@ func (l *Link) finishJob(job *fragJob) {
 	if l.activeJob != job {
 		return
 	}
-	l.activeJob = nil
+	l.activeJob, l.frames = nil, nil
 	if job.aborted {
 		l.giveUp(job.whole, job.unacked)
 	}
@@ -529,10 +553,15 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		// Acks bypass the bucket: they are tiny and latency-critical;
 		// the radio model gives them SIFS-like priority and spreads
 		// several receivers' acks of one broadcast over its ack slots.
-		f := &struct {
-			wire.Message
-			ack wire.Ack
-		}{ack: wire.Ack{MsgID: msg.TransmitID, From: l.self}} // one object, as a fragment is
+		// Taken from the end of a chunk of up to 64, twice the last
+		// chunk's size (cap keeps it), so a link that acks once pays for
+		// one. Never reused: the GC frees a chunk with its last ack.
+		if len(l.acks) == 0 {
+			l.acks = make([]ackFrame, min(max(2*cap(l.acks), 1), 64))
+		}
+		f := &l.acks[len(l.acks)-1]
+		l.acks = l.acks[:len(l.acks)-1]
+		f.ack = wire.Ack{MsgID: msg.TransmitID, From: l.self}
 		f.Message = wire.Message{Type: wire.TypeAck, Ack: &f.ack}
 		l.nextTransmit++
 		ack := &f.Message
@@ -725,7 +754,7 @@ func (l *Link) Reset() {
 	l.queue.Reset()
 	l.queuedBytes = 0
 	l.fragJobs.Reset()
-	l.activeJob = nil
+	l.activeJob, l.frames = nil, nil
 	l.seen, l.seenOld, l.reasms = nil, nil, nil
 	l.tokens = float64(l.cfg.BucketBytes)
 	l.lastRefill = l.clk.Now()

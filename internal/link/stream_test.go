@@ -262,9 +262,10 @@ func newAckedStream() *ackedStream {
 
 func (as *ackedStream) next() { as.send(chunkTo(as.payload, 2)) }
 
-// TestAckedStreamAllocations: once the pools are warm, a delivered
-// fragment costs the sender its frame and the receiver its ack — one
-// object each — and a message its job and its reassembly on top.
+// TestAckedStreamAllocations: once the pools are warm, a message costs
+// the sender its job and one slab for all its frames, and the receiver
+// its reassembly and an ack chunk for every 64 acks — a small fraction
+// of an object a delivered fragment on either side.
 func TestAckedStreamAllocations(t *testing.T) {
 	as := newAckedStream()
 	for i := 0; i < 3; i++ {
@@ -282,11 +283,11 @@ func TestAckedStreamAllocations(t *testing.T) {
 	perFragment := func(allocs uint64) float64 { return float64(allocs) / float64(messages*as.fragments) }
 	t.Logf("%d fragments a message: sender %.3f, receiver %.3f objects a fragment", as.fragments, perFragment(as.allocsA), perFragment(as.allocsB))
 	// The sender's message, response and blob list are made by the test.
-	if got := perFragment(as.allocsA); got > 1.05 {
-		t.Errorf("sender allocates %.3f objects a delivered fragment, want its frame and little else", got)
+	if got := perFragment(as.allocsA); got > 0.05 {
+		t.Errorf("sender allocates %.3f objects a delivered fragment, want its frames batched", got)
 	}
-	if got := perFragment(as.allocsB); got > 1.05 {
-		t.Errorf("receiver allocates %.3f objects a delivered fragment, want its ack and little else", got)
+	if got := perFragment(as.allocsB); got > 0.05 {
+		t.Errorf("receiver allocates %.3f objects a delivered fragment, want its acks batched", got)
 	}
 }
 
@@ -335,6 +336,74 @@ func TestIdleRecordsHoldNoMessage(t *testing.T) {
 			}
 			runtime.KeepAlive(s)
 		})
+	}
+}
+
+// frameReading is what a frame read on the air.
+type frameReading struct {
+	tid, origID, ackOf uint64
+	index              int
+}
+
+func readFrame(m *wire.Message) frameReading {
+	r := frameReading{tid: m.TransmitID}
+	if f := m.Fragment; f != nil {
+		r.origID, r.index = f.OrigID, f.Index
+	}
+	if a := m.Ack; a != nil {
+		r.ackOf = a.MsgID
+	}
+	return r
+}
+
+// TestBatchedFramesNeverChange: a fragment job's frames are one slab and
+// acks come in chunks of up to 64, but no batch is ever reused, so a
+// frame kept past its job, two later jobs and a Reset still reads what
+// it read when it was sent (frozen messages never change).
+func TestBatchedFramesNeverChange(t *testing.T) {
+	s := newStream(testConfig(), nil)
+	type kept struct {
+		msg *wire.Message
+		was frameReading
+	}
+	var frags, acks []kept
+	keeping := true
+	for _, l := range []*Link{s.a, s.b} {
+		raw := l.raw
+		l.SetRawSender(func(m *wire.Message) bool {
+			if keeping && m.Type == wire.TypeFragment {
+				frags = append(frags, kept{m, readFrame(m)})
+			}
+			if keeping && m.Type == wire.TypeAck {
+				acks = append(acks, kept{m, readFrame(m)})
+			}
+			return raw(m)
+		})
+	}
+	chunk := make([]byte, 256<<10)
+	s.send(chunkTo(chunk, 2)) // a's fragments, b's acks
+	s.b.Send(chunkTo(chunk, 1))
+	s.eng.Run(s.eng.Now() + time.Hour) // b's fragments, a's acks
+	keeping = false
+	if n := len(acks); n != len(frags) || n <= 2*64 || s.a.Stats().Retransmissions+s.b.Stats().Retransmissions != 0 {
+		t.Fatalf("kept %d fragments and %d acks (%d, %d retransmissions): want every fragment acked once, over 64 acks from each link",
+			len(frags), len(acks), s.a.Stats().Retransmissions, s.b.Stats().Retransmissions)
+	}
+
+	s.send(chunkTo(chunk, 2))
+	s.b.Send(chunkTo(chunk, 1))
+	s.eng.Run(s.eng.Now() + 5*time.Millisecond)
+	if s.b.activeJob == nil {
+		t.Fatal("the second job finished before the reset")
+	}
+	s.a.Reset()
+	s.b.Reset()
+	s.eng.Run(s.eng.Now() + time.Hour)
+
+	for _, k := range append(frags, acks...) {
+		if got := readFrame(k.msg); got != k.was {
+			t.Fatalf("a kept frame changed: sent as %+v, now %+v", k.was, got)
+		}
 	}
 }
 

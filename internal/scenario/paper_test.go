@@ -387,7 +387,7 @@ var paperClaims = []claim{
 			}
 			return nil
 		},
-		gap: "Ours is ×3.7–×4.6: per-fragment acks are counted, and uniform placement on the 10×10 grid puts a chunk ~3.3 hops away."},
+		gap: "Ours is ×3.7–×4.8: per-fragment acks are counted, and uniform placement on the 10×10 grid puts a chunk ~3.3 hops away."},
 	{fig: "fig12", name: "recall-1",
 		paper: "PDR under mobility always reaches 100% recall.",
 		check: func(f []*metrics.Series) error {
