@@ -4,7 +4,7 @@ BENCH_SIZE ?= 2
 FUZZTIME ?= 30s
 LINT_REPLAY_DIR ?= lint-replay
 
-.PHONY: build test lint lint-replay verify loc golden fuzz bench benchdiff baseline compare
+.PHONY: build test lint lint-replay verify loc alloc-ledger golden fuzz bench benchdiff baseline compare
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,21 @@ loc:
 	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
 	while read pkg files; do echo "$$(cat $$files | wc -l) $$pkg"; done | \
 	awk '{printf "%7d  %s\n", $$1, $$2; total += $$1} END {printf "%7d  total\n", total}'
+
+# alloc-ledger prints, for each simulator workload of the repo
+# benchmark, the ten functions that allocate the most objects over a
+# one-second run at seed 1, from the benchmark's own -memprofile: the
+# sites an allocation optimisation starts from (ROADMAP item 1).
+# memprofilerate=1 records every allocation, not a sample, so a site's
+# share reads the same run to run. It takes under a minute and stays
+# out of CI.
+alloc-ledger:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for w in sim-pdd-flood sim-pdr-bulk sim-city-idle; do \
+		GODEBUG=memprofilerate=1 $(GO) run -C benchmarks pds/benchmarks -workload $$w -seconds 1 -memprofile $$tmp >/dev/null || exit 1; \
+		echo "== $$w"; \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=10 $$tmp/$$w.mem.pprof || exit 1; \
+	done
 
 # golden rewrites internal/scenario/testdata/figure_rows.golden from the
 # current runners. Re-pin protocol (DESIGN.md §11): the golden moves only
