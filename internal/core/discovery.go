@@ -168,7 +168,7 @@ func (s *session) startRound() {
 	s.arrivals = s.arrivals[:0]
 	s.roundNew = 0
 
-	q := &wire.Query{
+	q := wire.Query{
 		ID:     n.newID(),
 		Kind:   s.kind,
 		TTL:    n.cfg.QueryTTL,
@@ -212,10 +212,11 @@ func (s *session) startRound() {
 		}
 		q.Bloom = f
 	}
-	n.lqt.Insert(q, s.roundStart+q.TTL)
+	msg := wire.NewQuery(q)
+	n.lqt.Insert(msg.Query, s.roundStart+q.TTL)
 	n.arm(s.roundStart + q.TTL)
 	n.tr.QueryStart(q.ID, s.round, q.Kind.String())
-	n.transmit(&wire.Message{Type: wire.TypeQuery, Query: q})
+	n.transmit(msg)
 }
 
 func (s *session) scheduleCheck() {

@@ -144,24 +144,45 @@ func TestCrashVoidsJitteredSend(t *testing.T) {
 	t.Fatal("the voided message is still reachable from the idle node")
 }
 
-// BenchmarkHearQuery is a flooded query at a node with nothing to send:
-// the copy that is new — insert, flood on, an empty serve pass — then
-// the eight the other neighbours deliver.
+// hearNine delivers a flooded query with id to a node with nothing to
+// send: the copy that is new — insert, flood on, an empty serve pass —
+// then the eight the other neighbours deliver.
+func hearNine(p *passNode, msg *wire.Message, id uint64) {
+	q := *msg.Query // what a decoder would hand up: a query of its own, the filter shared
+	q.ID, q.TTL = id, 15*time.Second
+	msg.Query = &q
+	for copies := 0; copies < 9; copies++ {
+		p.n.HandleMessage(msg)
+	}
+	eng := p.n.clk.(*sim.Engine)
+	eng.Run(eng.Now() + 16*time.Second) // past the query's stay, so the table does not grow
+	p.sent = p.sent[:0]
+}
+
+// TestHeardQueryAllocations: hearNine costs at most four objects, among
+// them the query as received, its LQT record and the forwarded message,
+// which is one: envelope and body together.
+func TestHeardQueryAllocations(t *testing.T) {
+	p := newPassNode(DefaultConfig())
+	msg := &wire.Message{Type: wire.TypeQuery, Query: heardQuery(1, bloom.MaxBits)}
+	id := uint64(1)
+	got := testing.AllocsPerRun(100, func() {
+		id++
+		hearNine(p, msg, id)
+	})
+	if got > 4 {
+		t.Errorf("hearing a query costs %v objects, want <= 4", got)
+	}
+}
+
+// BenchmarkHearQuery is hearNine in a loop.
 func BenchmarkHearQuery(b *testing.B) {
 	p := newPassNode(DefaultConfig())
-	eng := p.n.clk.(*sim.Engine)
 	msg := &wire.Message{Type: wire.TypeQuery, Query: heardQuery(1, bloom.MaxBits)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := *msg.Query // what a decoder would hand up: a query of its own, the filter shared
-		q.ID, q.TTL = uint64(i+2), 15*time.Second
-		msg.Query = &q
-		for copies := 0; copies < 9; copies++ {
-			p.n.HandleMessage(msg)
-		}
-		eng.Run(eng.Now() + 16*time.Second) // past the query's stay, so the table does not grow
-		p.sent = p.sent[:0]
+		hearNine(p, msg, uint64(i+2))
 	}
 	if st := p.n.Stats(); st.QueriesDuplicate != 8*uint64(b.N) || st.QueriesForwarded != uint64(b.N) {
 		b.Fatalf("%d duplicates, %d forwarded over %d queries", st.QueriesDuplicate, st.QueriesForwarded, b.N)

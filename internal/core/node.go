@@ -661,7 +661,7 @@ func (n *Node) emit(r wire.Response, src *wire.Response, units int) {
 			n.tr.MixedcastMerge(r.ID, len(r.Serves), units)
 		}
 	}
-	msg := &wire.Message{Type: wire.TypeResponse, Response: &r}
+	msg := wire.NewResponse(r)
 	if src == nil {
 		n.sendJittered(msg, n.cfg.ResponseJitterMax)
 	} else {

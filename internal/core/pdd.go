@@ -89,7 +89,7 @@ func (n *Node) reflood(q *wire.Query) {
 	}
 	n.stats.QueriesForwarded++
 	n.tr.QueryForward(q.ID, q.Sender, int(fwd.HopsLeft))
-	n.sendJittered(&wire.Message{Type: wire.TypeQuery, Query: &fwd}, n.cfg.ForwardJitterMax)
+	n.sendJittered(wire.NewQuery(fwd), n.cfg.ForwardJitterMax)
 }
 
 // scheduleServe coalesces response generation for a query kind: the
@@ -238,8 +238,9 @@ type cast struct {
 // route still wants, one copy per unit, addressed to the union of those
 // routes' upstream senders with one Serves binding per (receiver,
 // query). The per-pair verdict, and the Bloom rewriting that goes with
-// it, is LingeringQuery.Offer.
-func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
+// it, is LingeringQuery.Offer. Kept units are copied out of units unless
+// frozen (a received list, DESIGN.md §8) and the pass keeps every one.
+func (n *Node) mixedcast(routes []*store.LingeringQuery, units content, frozen bool) cast {
 	var c cast
 	n.keep, n.receivers, n.serves = n.keep[:0], n.receivers[:0], n.serves[:0]
 	for i := 0; i < units.len(); i++ {
@@ -278,7 +279,10 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content) cast {
 			c.unwanted++
 		}
 	}
-	c.kept, c.receivers, c.serves = units.pick(n.keep), slices.Clone(n.receivers), slices.Clone(n.serves)
+	c.kept, c.receivers, c.serves = units, slices.Clone(n.receivers), slices.Clone(n.serves)
+	if !frozen || len(n.keep) < units.len() {
+		c.kept = units.pick(n.keep)
+	}
 	return c
 }
 
@@ -293,7 +297,7 @@ func (n *Node) answer(routes []*store.LingeringQuery, units content, src *wire.R
 		step = 1
 	}
 	for i := 0; i < len(routes); i += step {
-		c := n.mixedcast(routes[i:i+step], units)
+		c := n.mixedcast(routes[i:i+step], units, src != nil)
 		kind := routes[i].Query.Kind
 		if src != nil {
 			// The upstream node chose the units, so a prune is a unit

@@ -219,7 +219,7 @@ func (r *retrieval) startCDIRound() {
 	now := n.clk.Now()
 	r.lastCDIUpdate = now
 	r.lastRoundAt = now
-	q := &wire.Query{
+	msg := wire.NewQuery(wire.Query{
 		ID:     n.newID(),
 		Kind:   wire.KindCDI,
 		TTL:    n.cfg.QueryTTL,
@@ -227,11 +227,12 @@ func (r *retrieval) startCDIRound() {
 		Origin: n.id,
 		Round:  uint32(r.rounds),
 		Item:   r.item,
-	}
+	})
+	q := msg.Query
 	n.lqt.Insert(q, now+q.TTL)
 	n.arm(now + q.TTL)
 	n.tr.QueryStart(q.ID, r.rounds, q.Kind.String())
-	n.transmit(&wire.Message{Type: wire.TypeQuery, Query: q})
+	n.transmit(msg)
 }
 
 // scheduleCheck arms the session's one timer for the next RoundCheck
@@ -609,7 +610,7 @@ func (n *Node) sendChunkQueries(item attr.Descriptor, chunks []int, origin wire.
 	slices.Sort(neighbors)
 	var sent []int
 	for _, nb := range neighbors {
-		q := &wire.Query{
+		msg := wire.NewQuery(wire.Query{
 			ID:        n.newID(),
 			Kind:      wire.KindChunk,
 			TTL:       n.cfg.QueryTTL,
@@ -618,16 +619,16 @@ func (n *Node) sendChunkQueries(item attr.Descriptor, chunks []int, origin wire.
 			Origin:    origin,
 			Item:      item,
 			ChunkIDs:  res.ByNeighbor[nb],
-		}
+		})
 		n.stats.SubQueriesSent++
 		if parentQID == 0 {
 			// Consumer-originated chunk query: a root in the trace's
 			// message tree, like a discovery round.
-			n.tr.QueryStart(q.ID, 0, q.Kind.String())
+			n.tr.QueryStart(msg.Query.ID, 0, wire.KindChunk.String())
 		}
-		n.tr.SubQuery(q.ID, parentQID, nb, res.ByNeighbor[nb])
+		n.tr.SubQuery(msg.Query.ID, parentQID, nb, res.ByNeighbor[nb])
 		sent = append(sent, res.ByNeighbor[nb]...)
-		n.transmit(&wire.Message{Type: wire.TypeQuery, Query: q})
+		n.transmit(msg)
 	}
 	slices.Sort(sent)
 	return sent
@@ -701,20 +702,20 @@ func (n *Node) handleChunkQuery(q *wire.Query) {
 		if !ok {
 			continue
 		}
-		r := &wire.Response{
+		msg := wire.NewResponse(wire.Response{
 			ID:        n.newID(),
 			Kind:      wire.KindChunk,
 			Sender:    n.id,
 			Receivers: []wire.NodeID{q.Sender},
 			Item:      q.Item,
 			Blobs:     []wire.Blob{{Desc: q.Item.WithChunk(c), Payload: payload}},
-		}
+		})
 		n.stats.ResponsesSent++
 		// Chunk responses carry no Serves bindings (the chunk plane
 		// routes via lingering-query wanted sets), so the serve edge is
 		// recorded against the incoming query directly.
-		n.tr.RespServe(r.ID, q.ID, 1)
-		n.transmit(&wire.Message{Type: wire.TypeResponse, Response: r})
+		n.tr.RespServe(msg.Response.ID, q.ID, 1)
+		n.transmit(msg)
 	}
 }
 

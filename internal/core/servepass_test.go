@@ -233,12 +233,45 @@ func TestKeptIsSizedToWhatIsKept(t *testing.T) {
 	if units.len() != 5000 {
 		t.Fatalf("walk found %d entries", units.len())
 	}
-	c := p.n.mixedcast([]*store.LingeringQuery{lq}, units)
+	c := p.n.mixedcast([]*store.LingeringQuery{lq}, units, false)
 	if len(c.kept.entries) != 11 || cap(c.kept.entries) != 11 {
 		t.Fatalf("kept len %d cap %d, want 11/11", len(c.kept.entries), cap(c.kept.entries))
 	}
 	if &c.kept.entries[0] == &units.entries[123] {
 		t.Fatal("kept aliases the candidate scratch")
+	}
+}
+
+// TestRelayKeepingEveryUnitSharesIt: a relay whose route wants every
+// entry of a received response sends the received list on, shared; one
+// that drops an entry sends a list of its own.
+func TestRelayKeepingEveryUnitSharesIt(t *testing.T) {
+	p := newPassNode(DefaultConfig())
+	p.n.lqt.Insert(&wire.Query{ID: 1, Kind: wire.KindMetadata, TTL: time.Minute, Sender: 10, Origin: 10, Sel: testSel()}, time.Minute)
+	relay := func(id uint64, entries ...int) (in, out []attr.Descriptor) {
+		r := wire.Response{ID: id, Kind: wire.KindMetadata, Sender: 20, Receivers: []wire.NodeID{5},
+			Serves: []wire.Serve{{Node: 5, QueryID: 1}}}
+		for _, i := range entries {
+			r.Entries = append(r.Entries, testEntry(i))
+		}
+		p.sent = p.sent[:0]
+		p.n.HandleMessage(wire.NewResponse(r))
+		if len(p.sent) != 1 {
+			t.Fatalf("response %d: %d messages relayed, want 1", id, len(p.sent))
+		}
+		return r.Entries, p.sent[0].Response.Entries
+	}
+	if in, out := relay(100, 0, 1, 2); len(out) != 3 || &out[0] != &in[0] {
+		t.Fatalf("keeping every entry relayed %d entries at %p, want the received 3 at %p", len(out), &out[0], &in[0])
+	}
+	in, out := relay(101, 1, 3, 4) // entry 1 already went toward query 1
+	if len(out) != 2 || out[0].Key() != testEntry(3).Key() {
+		t.Fatalf("relayed %v, want entries 3 and 4", out)
+	}
+	for i := range in {
+		if &out[0] == &in[i] {
+			t.Fatal("the pruned list aliases the received one")
+		}
 	}
 }
 

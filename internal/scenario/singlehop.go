@@ -108,14 +108,13 @@ func SingleHopReception(cfg ReceptionConfig, seed int64) ReceptionResult {
 		for i := 0; i < cfg.Messages; i++ {
 			at := startAt + time.Duration(i)*interval
 			eng.Schedule(at, func() {
-				resp := &wire.Response{
+				sendLink.Send(wire.NewResponse(wire.Response{
 					ID:        rng.Uint64(),
 					Kind:      wire.KindData,
 					Sender:    id,
 					Receivers: []wire.NodeID{receiverID},
 					Blobs:     []wire.Blob{{Desc: desc, Payload: payload}},
-				}
-				sendLink.Send(&wire.Message{Type: wire.TypeResponse, Response: resp})
+				}))
 			})
 			totalSent++
 		}

@@ -165,21 +165,59 @@ func TestAppendEncodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShareAllocBudget pins the allocation cost of the sharing
-// primitives: ShallowShare is one Message copy; the CoW builders are a
-// Message plus one body struct.
+// sink keeps what the allocation tests build reachable, so the compiler
+// cannot inline a builder and keep its result on the stack.
+var sink *Message
+
+// TestShareAllocBudget pins the allocation cost of the builders and the
+// sharing primitives: each is one allocation, a Message and the body
+// after it.
 func TestShareAllocBudget(t *testing.T) {
-	m := sampleQuery()
-	if got := testing.AllocsPerRun(100, func() { _ = m.ShallowShare() }); got > 1 {
-		t.Errorf("ShallowShare: %v allocs/op, want <= 1", got)
-	}
+	q, r := sampleQuery(), sampleResponse()
 	rs := []NodeID{42}
-	if got := testing.AllocsPerRun(100, func() { _ = m.WithReceivers(rs) }); got > 2 {
-		t.Errorf("WithReceivers: %v allocs/op, want <= 2", got)
-	}
 	f := bloom.NewForCapacity(64, 0.01, 3)
-	if got := testing.AllocsPerRun(100, func() { _ = m.WithBloom(f) }); got > 2 {
-		t.Errorf("WithBloom: %v allocs/op, want <= 2", got)
+	for name, build := range map[string]func() *Message{
+		"ShallowShare":           q.ShallowShare,
+		"NewQuery":               func() *Message { return NewQuery(*q.Query) },
+		"NewResponse":            func() *Message { return NewResponse(*r.Response) },
+		"query WithReceivers":    func() *Message { return q.WithReceivers(rs) },
+		"response WithReceivers": func() *Message { return r.WithReceivers(rs) },
+		"query WithBloom":        func() *Message { return q.WithBloom(f) },
+		"response WithBloom":     func() *Message { return r.WithBloom(f) },
+		"query WithEntries":      func() *Message { return q.WithEntries(nil) },
+		"response WithEntries":   func() *Message { return r.WithEntries(nil) },
+	} {
+		if got := testing.AllocsPerRun(100, func() { sink = build() }); got > 1 {
+			t.Errorf("%s: %v allocs/op, want <= 1", name, got)
+		}
+	}
+}
+
+// TestDecodeAllocsPerKind: a decoded message is one allocation, the
+// envelope and its body together, plus what the body's sections need. A
+// bare ack needs nothing more; a bare query or response needs its empty
+// Item descriptor's attribute map.
+func TestDecodeAllocsPerKind(t *testing.T) {
+	for _, c := range []struct {
+		m    *Message
+		want float64
+	}{
+		{&Message{Type: TypeAck, TransmitID: 9, From: 3, NoAck: true, Ack: &Ack{MsgID: 8, From: 3}}, 1},
+		{NewQuery(Query{ID: 1, Kind: KindMetadata, Sender: 3}), 2},
+		{NewResponse(Response{ID: 2, Kind: KindMetadata, Sender: 3}), 2},
+	} {
+		buf, err := Encode(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if sink, err = Decode(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.want {
+			t.Errorf("Decode(%s): %v allocs/op, want <= %v", c.m.Type, got, c.want)
+		}
 	}
 }
 

@@ -239,8 +239,9 @@ func appendResponse(dst []byte, r *Response, s *split) []byte {
 	return dst
 }
 
-// Decode parses a message encoded by Encode. Blob payloads alias src, and
-// everything else is copied out: src is reusable iff PayloadBytes is 0.
+// Decode parses a message encoded by Encode, in one allocation like
+// NewQuery's. Blob payloads alias src, and everything else is copied
+// out: src is reusable iff PayloadBytes is 0.
 func Decode(src []byte) (*Message, error) {
 	if len(src) < 4 {
 		return nil, errTruncated
@@ -248,10 +249,10 @@ func Decode(src []byte) (*Message, error) {
 	if src[0] != frameMagic || src[1] != frameVersion {
 		return nil, fmt.Errorf("%w: bad magic/version %x %x", ErrBadMessage, src[0], src[1])
 	}
-	m := &Message{Type: MessageType(src[2])}
+	env := Message{Type: MessageType(src[2])}
 	src = src[3:]
 	var used int
-	m.TransmitID, used = binary.Uvarint(src)
+	env.TransmitID, used = binary.Uvarint(src)
 	if used <= 0 {
 		return nil, errTruncated
 	}
@@ -261,22 +262,25 @@ func Decode(src []byte) (*Message, error) {
 		return nil, errTruncated
 	}
 	src = src[used:]
-	m.From = NodeID(from)
+	env.From = NodeID(from)
 	if len(src) < 1 {
 		return nil, errTruncated
 	}
-	m.NoAck = src[0]&1 != 0
+	env.NoAck = src[0]&1 != 0
 	src = src[1:]
 
+	var m *Message
 	var err error
-	switch m.Type {
+	switch env.Type {
 	case TypeQuery:
-		m.Query, src, err = decodeQuery(src)
+		m = wrap(env, Query{})
+		src, err = decodeQuery(m.Query, src)
 	case TypeResponse:
-		m.Response, src, err = decodeResponse(src)
+		m = wrap(env, Response{})
+		src, err = decodeResponse(m.Response, src)
 	case TypeAck:
-		a := &Ack{}
-		a.MsgID, used = binary.Uvarint(src)
+		m = wrap(env, Ack{})
+		m.Ack.MsgID, used = binary.Uvarint(src)
 		if used <= 0 {
 			return nil, errTruncated
 		}
@@ -286,12 +290,12 @@ func Decode(src []byte) (*Message, error) {
 			return nil, errTruncated
 		}
 		src = src[used:]
-		a.From = NodeID(f)
-		m.Ack = a
+		m.Ack.From = NodeID(f)
 	case TypeFragment:
-		m.Fragment, src, err = decodeFragment(src)
+		m = wrap(env, Fragment{})
+		src, err = decodeFragment(m.Fragment, src)
 	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, m.Type)
+		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, env.Type)
 	}
 	if err != nil {
 		return nil, err
@@ -302,100 +306,98 @@ func Decode(src []byte) (*Message, error) {
 	return m, nil
 }
 
-func decodeQuery(src []byte) (*Query, []byte, error) {
-	q := &Query{}
+func decodeQuery(q *Query, src []byte) ([]byte, error) {
 	var used int
 	q.ID, used = binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	if len(src) < 1 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	q.Kind = QueryKind(src[0])
 	src = src[1:]
 	ttl, used := binary.Varint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	q.TTL = time.Duration(ttl)
 	sender, used := binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	q.Sender = NodeID(sender)
 	var err error
 	if q.Receivers, src, err = decodeNodeIDs(src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	origin, used := binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	q.Origin = NodeID(origin)
 	round, used := binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	q.Round = uint32(round)
 	if len(src) < 1 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	q.HopsLeft = src[0]
 	src = src[1:]
 	if q.Sel, src, err = attr.DecodeQuery(src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if q.Item, src, err = attr.DecodeDescriptor(src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if q.ChunkIDs, src, err = decodeInts(src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(src) < 1 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	hasBloom := src[0] == 1
 	src = src[1:]
 	if hasBloom {
 		if q.Bloom, src, err = bloom.Decode(src); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return q, src, nil
+	return src, nil
 }
 
-func decodeResponse(src []byte) (*Response, []byte, error) {
-	r := &Response{}
+func decodeResponse(r *Response, src []byte) ([]byte, error) {
 	var used int
 	r.ID, used = binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	if len(src) < 1 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	r.Kind = QueryKind(src[0])
 	src = src[1:]
 	sender, used := binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	r.Sender = NodeID(sender)
 	var err error
 	if r.Receivers, src, err = decodeNodeIDs(src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nServes, used := binary.Uvarint(src)
 	if used <= 0 || nServes > uint64(len(src)) {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	if nServes > 0 {
@@ -404,22 +406,22 @@ func decodeResponse(src []byte) (*Response, []byte, error) {
 	for i := uint64(0); i < nServes; i++ {
 		node, used := binary.Uvarint(src)
 		if used <= 0 {
-			return nil, nil, errTruncated
+			return nil, errTruncated
 		}
 		src = src[used:]
 		qid, used := binary.Uvarint(src)
 		if used <= 0 {
-			return nil, nil, errTruncated
+			return nil, errTruncated
 		}
 		src = src[used:]
 		r.Serves = append(r.Serves, Serve{Node: NodeID(node), QueryID: qid})
 	}
 	if r.Item, src, err = attr.DecodeDescriptor(src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nEntries, used := binary.Uvarint(src)
 	if used <= 0 || nEntries > uint64(len(src)) {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	if nEntries > 0 {
@@ -428,13 +430,13 @@ func decodeResponse(src []byte) (*Response, []byte, error) {
 	for i := uint64(0); i < nEntries; i++ {
 		var d attr.Descriptor
 		if d, src, err = attr.DecodeDescriptor(src); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		r.Entries = append(r.Entries, d)
 	}
 	nCDI, used := binary.Uvarint(src)
 	if used <= 0 || nCDI > uint64(len(src)) {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	if nCDI > 0 {
@@ -443,19 +445,19 @@ func decodeResponse(src []byte) (*Response, []byte, error) {
 	for i := uint64(0); i < nCDI; i++ {
 		cid, used := binary.Varint(src)
 		if used <= 0 {
-			return nil, nil, errTruncated
+			return nil, errTruncated
 		}
 		src = src[used:]
 		hc, used := binary.Varint(src)
 		if used <= 0 {
-			return nil, nil, errTruncated
+			return nil, errTruncated
 		}
 		src = src[used:]
 		r.CDI = append(r.CDI, CDIPair{ChunkID: int(cid), HopCount: int(hc)})
 	}
 	nBlobs, used := binary.Uvarint(src)
 	if used <= 0 || nBlobs > uint64(len(src))+1 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	if nBlobs > 0 {
@@ -464,11 +466,11 @@ func decodeResponse(src []byte) (*Response, []byte, error) {
 	for i := uint64(0); i < nBlobs; i++ {
 		var b Blob
 		if b.Desc, src, err = attr.DecodeDescriptor(src); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		plen, used := binary.Uvarint(src)
 		if used <= 0 || plen > uint64(len(src)-used) {
-			return nil, nil, errTruncated
+			return nil, errTruncated
 		}
 		src = src[used:]
 		if plen > 0 {
@@ -477,42 +479,41 @@ func decodeResponse(src []byte) (*Response, []byte, error) {
 		src = src[plen:]
 		r.Blobs = append(r.Blobs, b)
 	}
-	return r, src, nil
+	return src, nil
 }
 
-func decodeFragment(src []byte) (*Fragment, []byte, error) {
-	f := &Fragment{}
+func decodeFragment(f *Fragment, src []byte) ([]byte, error) {
 	var used int
 	f.OrigID, used = binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	idx, used := binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	f.Index = int(idx)
 	cnt, used := binary.Uvarint(src)
 	if used <= 0 {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	f.Count = int(cnt)
 	var err error
 	if f.Receivers, src, err = decodeNodeIDs(src); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dlen, used := binary.Uvarint(src)
 	if used <= 0 || dlen > uint64(len(src)-used) {
-		return nil, nil, errTruncated
+		return nil, errTruncated
 	}
 	src = src[used:]
 	f.Data = append([]byte{}, src[:dlen]...) // never nil: a decoded fragment has Data, even empty
 	f.Size = int(dlen)
 	src = src[dlen:]
-	return f, src, nil
+	return src, nil
 }
 
 // uvarintLen returns the encoded length of v as a uvarint.

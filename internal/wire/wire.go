@@ -265,9 +265,10 @@ type Ack struct {
 //
 // Messages are immutable-by-convention once published. The lifecycle is:
 //
-//  1. The builder (package core) constructs a fresh Message and hands it
-//     to the link layer via Send. Ownership transfers with the call: the
-//     link layer stamps the envelope (TransmitID, From, NoAck) before the
+//  1. The builder (package core) fills a Query or Response value, wraps
+//     it with NewQuery/NewResponse and hands the message to the link
+//     layer via Send. Ownership transfers with the call: the link
+//     layer stamps the envelope (TransmitID, From, NoAck) before the
 //     frame first leaves, and the builder must not touch the message
 //     again.
 //  2. From the first transmission on, the message — envelope and body —
@@ -374,6 +375,37 @@ func (m *Message) IsIntendedFor(id NodeID) bool {
 	return false
 }
 
+// NewQuery returns a query message carrying q, built as one allocation.
+// Builders fill the Query value first and wrap it last: after this
+// call the body belongs to the message (lifecycle step 1 above).
+func NewQuery(q Query) *Message { return wrap(Message{Type: TypeQuery}, q) }
+
+// NewResponse returns a response message carrying r, built as one
+// allocation, like NewQuery.
+func NewResponse(r Response) *Message { return wrap(Message{Type: TypeResponse}, r) }
+
+// wrap allocates env and body together and points env's body field at
+// the copy. The envelope is the first field, so the message pointer is
+// the start of the allocation (runtime.SetFinalizer accepts it) and
+// keeps the body alive with it.
+func wrap[B Query | Response | Ack | Fragment](env Message, body B) *Message {
+	x := &struct {
+		m Message
+		b B
+	}{env, body}
+	switch b := any(&x.b).(type) {
+	case *Query:
+		x.m.Query = b
+	case *Response:
+		x.m.Response = b
+	case *Ack:
+		x.m.Ack = b
+	case *Fragment:
+		x.m.Fragment = b
+	}
+	return &x.m
+}
+
 // ShallowShare returns a copy of the envelope sharing every body
 // pointer. It is the cheapest way to hand a published message to another
 // consumer that needs its own envelope (one small allocation, no body
@@ -391,35 +423,33 @@ func (m *Message) ShallowShare() *Message {
 // layer narrows a retransmission to the not-yet-acked subset without
 // duplicating a 256 KB chunk payload or encoding it a second time.
 func (m *Message) WithReceivers(rs []NodeID) *Message {
-	out := *m
 	switch {
 	case m.Query != nil:
 		q := *m.Query
 		q.Receivers = rs
-		out.Query = &q
+		return wrap(*m, q)
 	case m.Response != nil:
 		r := *m.Response
 		r.Receivers = rs
-		out.Response = &r
+		return wrap(*m, r)
 	case m.Fragment != nil:
 		f := *m.Fragment
 		f.Receivers = rs
-		out.Fragment = &f
+		return wrap(*m, f)
 	}
-	return &out
+	return m.ShallowShare()
 }
 
 // WithBloom returns a copy of a query message carrying the given Bloom
 // filter, sharing everything else. The caller transfers ownership of f
 // to the new message.
 func (m *Message) WithBloom(f *bloom.Filter) *Message {
-	out := *m
-	if m.Query != nil {
-		q := *m.Query
-		q.Bloom = f
-		out.Query = &q
+	if m.Query == nil {
+		return m.ShallowShare()
 	}
-	return &out
+	q := *m.Query
+	q.Bloom = f
+	return wrap(*m, q)
 }
 
 // WithEntries returns a copy of a response message carrying the given
@@ -427,13 +457,12 @@ func (m *Message) WithBloom(f *bloom.Filter) *Message {
 // entries to the new message; relays that prune a response down to the
 // still-wanted subset rebuild only this section.
 func (m *Message) WithEntries(entries []attr.Descriptor) *Message {
-	out := *m
-	if m.Response != nil {
-		r := *m.Response
-		r.Entries = entries
-		out.Response = &r
+	if m.Response == nil {
+		return m.ShallowShare()
 	}
-	return &out
+	r := *m.Response
+	r.Entries = entries
+	return wrap(*m, r)
 }
 
 // Clone returns a copy whose protocol-rewritable sections — receiver
@@ -441,8 +470,8 @@ func (m *Message) WithEntries(entries []attr.Descriptor) *Message {
 // callers outside the CoW discipline (tests, external tools). Immutable
 // sections are shared: payload bytes, descriptors, entry/CDI lists and
 // fragment contents never change after publication, so cloning a 256 KB
-// chunk message costs only header work. In-repo layers prefer
-// ShallowShare/WithReceivers/WithBloom, which copy even less.
+// chunk message costs only header work. In-repo code never clones: it
+// builds with NewQuery/NewResponse and narrows with WithReceivers.
 func (m *Message) Clone() *Message {
 	out := &Message{
 		Type:       m.Type,
