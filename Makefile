@@ -4,7 +4,7 @@ BENCH_SIZE ?= 2
 FUZZTIME ?= 30s
 LINT_REPLAY_DIR ?= lint-replay
 
-.PHONY: build test lint lint-replay verify loc alloc-ledger golden fuzz bench benchdiff baseline compare
+.PHONY: build test lint lint-replay verify loc alloc-ledger cpu-ledger ledger-seeds golden fuzz bench benchdiff baseline compare
 
 build:
 	$(GO) build ./...
@@ -92,7 +92,7 @@ loc:
 # alloc-ledger prints, for each simulator workload of the repo
 # benchmark, the ten functions that allocate the most objects over a
 # one-second run at seed 1, from the benchmark's own -memprofile: the
-# sites an allocation optimisation starts from (ROADMAP item 1).
+# sites an allocation optimisation starts from (ROADMAP item 12).
 # memprofilerate=1 records every allocation, not a sample, so a site's
 # share reads the same run to run. It takes under a minute and stays
 # out of CI.
@@ -103,6 +103,51 @@ alloc-ledger:
 		echo "== $$w"; \
 		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=10 $$tmp/$$w.mem.pprof || exit 1; \
 	done
+
+# cpu-ledger prints, for each simulator workload of the repo benchmark,
+# where a four-second run at seed 1 spends its CPU, from the benchmark's
+# own -cpuprofile: this module's top 25 functions by cumulative share,
+# the top 10 of all by flat share, and one "alloc + GC" line, the
+# cumulative shares of runtime.mallocgc and runtime.gcBgMarkWorker added
+# up (ROADMAP item 12). Shares are sampled and move a point or two run
+# to run: they locate a site and never prove a gain. It takes about a
+# minute and stays out of CI.
+cpu-ledger:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for w in sim-pdd-flood sim-pdr-bulk sim-city-idle; do \
+		$(GO) run -C benchmarks pds/benchmarks -workload $$w -seconds 4 -cpuprofile $$tmp >/dev/null || exit 1; \
+		p=$$tmp/$$w.cpu.pprof; \
+		echo "== $$w: by cumulative share"; \
+		$(GO) tool pprof -top -cum -nodefraction=0 $$p 2>/dev/null | sed -n '/flat%/p; / pds\//p' | head -n 26; \
+		echo "== $$w: by flat share"; \
+		$(GO) tool pprof -top -nodecount=10 $$p 2>/dev/null | sed -n '/flat%/,$$p'; \
+		$(GO) tool pprof -top -cum -nodefraction=0 $$p 2>/dev/null | \
+			awk '$$6 == "runtime.mallocgc" || $$6 == "runtime.gcBgMarkWorker" { s += $$5 } \
+				END { printf "== %s: alloc + GC %.1f%%\n", "'$$w'", s }'; \
+	done
+
+# ledger-seeds runs the paper ledger (TestPaperClaims) once per seed in
+# SEEDS, with every figure's CI rows built at that seed (-ledger-seed),
+# and prints for each claim at how many of the seeds its rows hold it,
+# gaps marked, and the seeds where the ledger's verdict is off: where a
+# claim fails or a gap holds (ROADMAP item 15). Tier-1 runs seed 1
+# only: a verdict that flips at another seed is printed, never failed
+# on. About 30 s a seed on 2 CPUs; it stays out of CI.
+SEEDS ?= 1 2 3 4 5 6 7 8
+ledger-seeds:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for s in $(SEEDS); do \
+		$(GO) test ./internal/scenario -run '^TestPaperClaims$$' -ledger-seed $$s -count 1 -v > $$tmp/$$s; \
+		grep -q 'ledger: holds=' $$tmp/$$s || { cat $$tmp/$$s; exit 1; }; \
+	done; \
+	cd $$tmp && awk -v n=$(words $(SEEDS)) ' \
+		$$1 == "===" && $$3 ~ /^TestPaperClaims\// { id = substr($$3, 17) } \
+		/ ledger: holds=/ { if (!(id in held)) { order[++k] = id; held[id] = 0 } \
+			holds = /holds=true/; gap[id] = /gap=true/; held[id] += holds; \
+			if (holds == gap[id]) off[id] = off[id] " " FILENAME } \
+		END { for (i = 1; i <= k; i++) { id = order[i]; \
+			printf "%-45s %-5s holds at %d/%d%s\n", id, gap[id] ? "gap" : "claim", held[id], n, \
+				off[id] == "" ? "" : "   off at" off[id] } }' $(SEEDS)
 
 # golden rewrites internal/scenario/testdata/figure_rows.golden from the
 # current runners. Re-pin protocol (DESIGN.md §11): the golden moves only

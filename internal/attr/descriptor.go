@@ -3,7 +3,7 @@ package attr
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -34,53 +34,97 @@ const (
 // store indicates the corresponding data item is (probably) available
 // somewhere in the network (§II-C).
 type Descriptor struct {
-	attrs map[string]Value
-	// key is the canonical form, computed eagerly at construction:
-	// descriptors are immutable, and Key() sits on every hot path
-	// (store indexing, Bloom tests, dedup), so it must be O(1).
+	// attrs is the name-sorted attribute list, no name twice, nil when
+	// empty. Every copy shares it and nothing writes to it after
+	// construction. It sits behind a pointer so a Descriptor stays three
+	// words: every message entry and store record holds one by value.
+	attrs *[]attribute
+	// key is the canonical form, built once at construction:
+	// Key() sits on every hot path (store indexing, Bloom tests,
+	// dedup), so it must be O(1).
 	key string
 }
 
+// attribute is one named value of a descriptor.
+type attribute struct {
+	name string
+	v    Value
+}
+
 // NewDescriptor returns an empty descriptor ready for Set calls.
-func NewDescriptor() Descriptor {
-	return Descriptor{attrs: make(map[string]Value)}
+func NewDescriptor() Descriptor { return Descriptor{} }
+
+// newDescriptor builds a descriptor around attrs, which must be sorted
+// by name with no name twice, and builds the canonical key once. A key
+// that fits the stack buffer costs one allocation, the string itself.
+func newDescriptor(attrs []attribute) Descriptor {
+	if len(attrs) == 0 {
+		return Descriptor{}
+	}
+	var buf [256]byte
+	b := buf[:0]
+	for _, a := range attrs {
+		b = binary.AppendUvarint(b, uint64(len(a.name)))
+		b = append(b, a.name...)
+		b = a.v.appendBinary(b)
+	}
+	// Made past the early return, so an empty descriptor allocates nothing.
+	shared := new([]attribute)
+	*shared = attrs
+	return Descriptor{attrs: shared, key: string(b)}
+}
+
+// list returns the attributes in name order.
+func (d Descriptor) list() []attribute {
+	if d.attrs == nil {
+		return nil
+	}
+	return *d.attrs
+}
+
+// search returns where name is, or would be inserted, in the sorted
+// list attrs, and whether it is there.
+func search(attrs []attribute, name string) (int, bool) {
+	return slices.BinarySearchFunc(attrs, name, func(a attribute, name string) int {
+		return strings.Compare(a.name, name)
+	})
 }
 
 // Set returns a copy of d with the named attribute set to v. The original
 // descriptor is not modified, so descriptors can be shared freely.
 func (d Descriptor) Set(name string, v Value) Descriptor {
-	out := make(map[string]Value, len(d.attrs)+1)
-	for k, val := range d.attrs {
-		out[k] = val
+	out := append(make([]attribute, 0, d.Len()+1), d.list()...)
+	if i, ok := search(out, name); ok {
+		out[i].v = v
+	} else {
+		out = slices.Insert(out, i, attribute{name, v})
 	}
-	out[name] = v
 	return newDescriptor(out)
 }
 
-// newDescriptor builds a descriptor around the attribute map, computing
-// the canonical key once.
-func newDescriptor(attrs map[string]Value) Descriptor {
-	d := Descriptor{attrs: attrs}
-	d.key = d.computeKey()
-	return d
-}
-
 // Get returns the named attribute value and whether it is present.
+//
+//pds:hotpath
 func (d Descriptor) Get(name string) (Value, bool) {
-	v, ok := d.attrs[name]
-	return v, ok
+	attrs := d.list()
+	for i := range attrs {
+		if attrs[i].name == name {
+			return attrs[i].v, true
+		}
+	}
+	return Value{}, false
 }
 
 // Len reports the number of attributes.
-func (d Descriptor) Len() int { return len(d.attrs) }
+func (d Descriptor) Len() int { return len(d.list()) }
 
 // Names returns the attribute names in sorted order.
 func (d Descriptor) Names() []string {
-	names := make([]string, 0, len(d.attrs))
-	for k := range d.attrs {
-		names = append(names, k)
+	attrs := d.list()
+	names := make([]string, len(attrs))
+	for i, a := range attrs {
+		names[i] = a.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -130,16 +174,13 @@ func (d Descriptor) WithChunk(id int) Descriptor {
 // ItemDescriptor returns the descriptor with any chunkid attribute
 // removed — i.e. the descriptor of the whole item a chunk belongs to.
 func (d Descriptor) ItemDescriptor() Descriptor {
-	if _, ok := d.attrs[AttrChunkID]; !ok {
+	attrs := d.list()
+	i, ok := search(attrs, AttrChunkID)
+	if !ok {
 		return d
 	}
-	out := make(map[string]Value, len(d.attrs)-1)
-	for k, v := range d.attrs {
-		if k != AttrChunkID {
-			out[k] = v
-		}
-	}
-	return newDescriptor(out)
+	out := make([]attribute, 0, len(attrs)-1)
+	return newDescriptor(append(append(out, attrs[:i]...), attrs[i+1:]...))
 }
 
 // ItemKey returns ItemDescriptor().Key(). chunkid sorts before every
@@ -149,105 +190,49 @@ func (d Descriptor) ItemDescriptor() Descriptor {
 //
 //pds:hotpath
 func (d Descriptor) ItemKey() string {
-	const name = "\x07" + AttrChunkID
-	v, ok := d.attrs[AttrChunkID]
-	switch {
-	case !ok:
-		return d.Key()
-	case strings.HasPrefix(d.key, name):
-		return d.key[len(name)+v.encodedSize():]
+	if attrs := d.list(); len(attrs) > 0 && attrs[0].name == AttrChunkID {
+		return d.key[1+len(AttrChunkID)+attrs[0].v.encodedSize():]
 	}
 	return d.ItemDescriptor().Key()
 }
 
 // Equal reports whether two descriptors have identical attribute sets.
-func (d Descriptor) Equal(o Descriptor) bool {
-	if d.key != "" && o.key != "" {
-		return d.key == o.key
-	}
-	if len(d.attrs) != len(o.attrs) {
-		return false
-	}
-	for k, v := range d.attrs {
-		ov, ok := o.attrs[k]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
-}
+func (d Descriptor) Equal(o Descriptor) bool { return d.key == o.key }
 
 // Key returns a canonical string key for the descriptor: attributes in
 // sorted name order with their binary-encoded values. Two descriptors
 // have equal keys iff they are Equal. Keys index data stores, Bloom
 // filters and response deduplication. The key is memoized at
-// construction; Key is O(1) on any descriptor built through the public
-// constructors.
-func (d Descriptor) Key() string {
-	if d.key != "" || len(d.attrs) == 0 {
-		return d.key
-	}
-	return d.computeKey()
-}
-
-func (d Descriptor) computeKey() string {
-	var b []byte
-	for _, name := range d.Names() {
-		b = binary.AppendUvarint(b, uint64(len(name)))
-		b = append(b, name...)
-		b = d.attrs[name].appendBinary(b)
-	}
-	return string(b)
-}
+// construction, so Key is O(1).
+func (d Descriptor) Key() string { return d.key }
 
 // String renders the descriptor for logs: {name=value, ...} sorted.
 func (d Descriptor) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, name := range d.Names() {
+	for i, a := range d.list() {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "%s=%s", name, d.attrs[name])
+		fmt.Fprintf(&sb, "%s=%s", a.name, a.v)
 	}
 	sb.WriteByte('}')
 	return sb.String()
 }
 
 // AppendBinary appends the canonical wire form: uvarint attribute count,
-// then sorted (name, value) pairs. The pairs are exactly the memoized
-// Key bytes, so for any descriptor built through the public
-// constructors this is a single copy with no allocation — descriptors
-// sit inside every response entry, so the encode path leans on this.
+// then the memoized Key bytes, which are the sorted (name, value) pairs.
 func (d Descriptor) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(d.attrs)))
-	if d.key != "" || len(d.attrs) == 0 {
-		return append(dst, d.key...)
-	}
-	for _, name := range d.Names() {
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		dst = d.attrs[name].appendBinary(dst)
-	}
-	return dst
+	dst = binary.AppendUvarint(dst, uint64(d.Len()))
+	return append(dst, d.key...)
 }
 
-// EncodedSize returns the number of bytes AppendBinary would write.
-// Like AppendBinary it reads the memoized key, so the simulator can
-// charge airtime per descriptor without serializing anything; the
-// no-key fallback sums sizes analytically rather than encoding.
+// EncodedSize returns the number of bytes AppendBinary would write,
+// without serializing: the simulator charges airtime per descriptor.
 //
 //pds:hotpath
 func (d Descriptor) EncodedSize() int {
-	n := uvarintLen(uint64(len(d.attrs)))
-	if d.key != "" || len(d.attrs) == 0 {
-		return n + len(d.key)
-	}
-	for _, name := range d.Names() {
-		n += uvarintLen(uint64(len(name))) + len(name)
-		n += d.attrs[name].encodedSize()
-	}
-	return n
+	return uvarintLen(uint64(d.Len())) + len(d.key)
 }
 
 // uvarintLen returns the encoded length of v as a uvarint.
@@ -270,7 +255,8 @@ func varintLen(v int64) int {
 }
 
 // DecodeDescriptor decodes a descriptor encoded by AppendBinary and
-// returns the remaining bytes.
+// returns the remaining bytes. It accepts only the canonical order:
+// names strictly increasing, so none appears twice.
 func DecodeDescriptor(src []byte) (Descriptor, []byte, error) {
 	n, used := binary.Uvarint(src)
 	if used <= 0 {
@@ -283,23 +269,23 @@ func DecodeDescriptor(src []byte) (Descriptor, []byte, error) {
 	if n > uint64(len(src))/2 {
 		return Descriptor{}, nil, errTruncated
 	}
-	attrs := make(map[string]Value, n)
+	attrs := make([]attribute, 0, n)
 	for i := uint64(0); i < n; i++ {
 		nameLen, used := binary.Uvarint(src)
 		if used <= 0 || uint64(len(src)-used) < nameLen {
 			return Descriptor{}, nil, errTruncated
 		}
-		name := string(src[used : used+int(nameLen)])
-		src = src[used+int(nameLen):]
-		var (
-			v   Value
-			err error
-		)
-		v, src, err = decodeValue(src)
-		if err != nil {
-			return Descriptor{}, nil, fmt.Errorf("descriptor attribute %q: %w", name, err)
+		name := src[used : used+int(nameLen)]
+		if i > 0 && string(name) <= attrs[i-1].name {
+			return Descriptor{}, nil, fmt.Errorf("descriptor attribute %q: names out of order or repeated", name)
 		}
-		attrs[name] = v
+		src = src[used+int(nameLen):]
+		a := attribute{name: string(name)}
+		var err error
+		if a.v, src, err = decodeValue(src); err != nil {
+			return Descriptor{}, nil, fmt.Errorf("descriptor attribute %q: %w", a.name, err)
+		}
+		attrs = append(attrs, a)
 	}
 	return newDescriptor(attrs), src, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleDescriptor() Descriptor {
@@ -163,6 +164,60 @@ func TestDecodeDescriptorTruncated(t *testing.T) {
 	for cut := 0; cut < len(buf); cut++ {
 		if _, _, err := DecodeDescriptor(buf[:cut]); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(buf))
+		}
+	}
+}
+
+// TestDecodeDescriptorNonCanonical: a descriptor arrives in canonical
+// order or not at all. Names out of order, or one name twice, must not
+// be re-sorted or collapsed into something the sender did not encode.
+func TestDecodeDescriptorNonCanonical(t *testing.T) {
+	pair := func(dst []byte, name string, v Value) []byte {
+		dst = append(dst, byte(len(name)))
+		return v.appendBinary(append(dst, name...))
+	}
+	for name, buf := range map[string][]byte{
+		"out of order":           pair(pair([]byte{2}, "b", Int(1)), "a", Int(2)),
+		"repeated":               pair(pair([]byte{2}, "a", Int(1)), "a", Int(2)),
+		"repeated after another": pair(pair(pair([]byte{3}, "a", Int(1)), "b", Int(2)), "b", Int(3)),
+	} {
+		if d, _, err := DecodeDescriptor(buf); err == nil {
+			t.Errorf("%s: decoded to %s", name, d)
+		}
+	}
+	ok := pair(pair([]byte{2}, "a", Int(1)), "b", Int(2))
+	if _, _, err := DecodeDescriptor(ok); err != nil {
+		t.Fatalf("canonical order refused: %v", err)
+	}
+}
+
+// descriptorSink keeps what TestDescriptorCost builds reachable, so the
+// compiler cannot keep a result on the stack.
+var descriptorSink Descriptor
+
+// TestDescriptorCost pins what a descriptor costs. Every message entry
+// and store record holds a descriptor by value, so it stays three words:
+// the shared attribute list's pointer and the key. Building one costs
+// the list, its header and the key; decoding adds each name and each
+// string value.
+func TestDescriptorCost(t *testing.T) {
+	if got := unsafe.Sizeof(Descriptor{}); got != 24 {
+		t.Errorf("Descriptor is %d bytes, want 24", got)
+	}
+	item := sampleDescriptor().Set(AttrTotalChunks, Int(10))
+	chunk := item.WithChunk(7)
+	buf := item.AppendBinary(nil)
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"WithChunk", 3, func() { descriptorSink = item.WithChunk(7) }},
+		{"ItemDescriptor", 3, func() { descriptorSink = chunk.ItemDescriptor() }},
+		{"DecodeDescriptor", 11, func() { descriptorSink, _, _ = DecodeDescriptor(buf) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.f); got > c.want {
+			t.Errorf("%s: %v allocs, want <= %v", c.name, got, c.want)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package attr
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -70,22 +72,24 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 
 // MarshalJSON encodes the descriptor as a flat attribute object.
 func (d Descriptor) MarshalJSON() ([]byte, error) {
-	out := make(map[string]Value, len(d.attrs))
-	for k, v := range d.attrs {
-		out[k] = v
+	out := make(map[string]Value, d.Len())
+	for _, a := range d.list() {
+		out[a.name] = a.v
 	}
 	return json.Marshal(out)
 }
 
 // UnmarshalJSON decodes a descriptor from a flat attribute object.
 func (d *Descriptor) UnmarshalJSON(data []byte) error {
-	var attrs map[string]Value
-	if err := json.Unmarshal(data, &attrs); err != nil {
+	var m map[string]Value
+	if err := json.Unmarshal(data, &m); err != nil {
 		return err
 	}
-	if attrs == nil {
-		attrs = make(map[string]Value)
+	attrs := make([]attribute, 0, len(m))
+	for name, v := range m {
+		attrs = append(attrs, attribute{name, v})
 	}
+	slices.SortFunc(attrs, func(a, b attribute) int { return strings.Compare(a.name, b.name) })
 	*d = newDescriptor(attrs)
 	return nil
 }

@@ -6,6 +6,7 @@ func TestFig8Stability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
+	seedOne(t)
 	s := ciFigures["fig8"]()[0]
 	t.Log("\n" + s.String())
 	for _, p := range s.Points {

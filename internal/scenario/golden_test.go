@@ -135,6 +135,7 @@ func TestFigureRowsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
+	seedOne(t)
 	if *updateGolden {
 		if failing := failingClaims(); len(failing) > 0 {
 			t.Fatalf("refusing to re-pin while paper claims fail (go test -run TestPaperClaims -v): %v", failing)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"flag"
 	"fmt"
 	"slices"
 	"strings"
@@ -11,28 +12,42 @@ import (
 	"pds/internal/mobility"
 )
 
+// ledgerSeed is the base seed ciFigures runs at. Tier-1 runs seed 1,
+// the only seed the figure golden and TestFig8Stability compare;
+// `make ledger-seeds` runs the ledger at others.
+var ledgerSeed = flag.Int64("ledger-seed", 1, "base seed of the paper figures' CI rows (ciFigures)")
+
 // ciFigures runs every paper figure `pds-bench` regenerates at the
-// figure golden's CI parameters: seed 1, one run, 1 MB items. Each
-// runner runs at most once per test binary; the golden, the ledger
-// and the claim tests all read its rows from here.
+// figure golden's CI parameters: seed -ledger-seed, one run, 1 MB
+// items. Each runner runs at most once per test binary; the golden,
+// the ledger and the claim tests all read its rows from here.
 var ciFigures = map[string]func() []*metrics.Series{
-	"fig3":       sync.OnceValue(func() []*metrics.Series { return Fig03SingleHopReception(1, 1) }),
-	"leaky":      once(func() *metrics.Series { return TabLeakyBucketSweep(1, 1) }),
-	"ack":        sync.OnceValue(func() []*metrics.Series { return TabAckSweep(1, 1) }),
-	"saturation": sync.OnceValue(func() []*metrics.Series { return SaturationSweep(1, 1) }),
-	"fig4":       once(func() *metrics.Series { return Fig04HopCount(1, 1) }),
-	"fig5":       sync.OnceValue(func() []*metrics.Series { return Fig05MultiRound(1, 1) }),
-	"fig6":       once(func() *metrics.Series { return Fig06MetadataAmount(1, 1) }),
-	"fig7":       once(func() *metrics.Series { return Fig07SequentialConsumers(1, 1) }),
-	"fig8":       once(func() *metrics.Series { return Fig08SimultaneousConsumers(1, 1) }),
-	"fig9":       once(func() *metrics.Series { return Fig0910MobilityPDD(mobility.StudentCenter(), 1, 1) }),
-	"fig11":      once(func() *metrics.Series { return Fig11DataItemSize(1, 1) }),
-	"fig12":      once(func() *metrics.Series { return Fig12MobilityPDR(mobility.StudentCenter(), 1, 1, 1) }),
-	"fig13":      sync.OnceValue(func() []*metrics.Series { return Fig1314Redundancy(1, 1, 1) }),
-	"fig15":      once(func() *metrics.Series { return Fig15PDRSequential(1, 1, 1) }),
-	"fig16":      once(func() *metrics.Series { return Fig16PDRSimultaneous(1, 1, 1) }),
-	"ablation":   sync.OnceValue(func() []*metrics.Series { return Ablation(1, 1) }),
-	"balance":    sync.OnceValue(func() []*metrics.Series { return AblationNearestOnly(1, 1, 1) }),
+	"fig3":       sync.OnceValue(func() []*metrics.Series { return Fig03SingleHopReception(*ledgerSeed, 1) }),
+	"leaky":      once(func() *metrics.Series { return TabLeakyBucketSweep(*ledgerSeed, 1) }),
+	"ack":        sync.OnceValue(func() []*metrics.Series { return TabAckSweep(*ledgerSeed, 1) }),
+	"saturation": sync.OnceValue(func() []*metrics.Series { return SaturationSweep(*ledgerSeed, 1) }),
+	"fig4":       once(func() *metrics.Series { return Fig04HopCount(*ledgerSeed, 1) }),
+	"fig5":       sync.OnceValue(func() []*metrics.Series { return Fig05MultiRound(*ledgerSeed, 1) }),
+	"fig6":       once(func() *metrics.Series { return Fig06MetadataAmount(*ledgerSeed, 1) }),
+	"fig7":       once(func() *metrics.Series { return Fig07SequentialConsumers(*ledgerSeed, 1) }),
+	"fig8":       once(func() *metrics.Series { return Fig08SimultaneousConsumers(*ledgerSeed, 1) }),
+	"fig9":       once(func() *metrics.Series { return Fig0910MobilityPDD(mobility.StudentCenter(), *ledgerSeed, 1) }),
+	"fig11":      once(func() *metrics.Series { return Fig11DataItemSize(*ledgerSeed, 1) }),
+	"fig12":      once(func() *metrics.Series { return Fig12MobilityPDR(mobility.StudentCenter(), 1, *ledgerSeed, 1) }),
+	"fig13":      sync.OnceValue(func() []*metrics.Series { return Fig1314Redundancy(1, *ledgerSeed, 1) }),
+	"fig15":      once(func() *metrics.Series { return Fig15PDRSequential(1, *ledgerSeed, 1) }),
+	"fig16":      once(func() *metrics.Series { return Fig16PDRSimultaneous(1, *ledgerSeed, 1) }),
+	"ablation":   sync.OnceValue(func() []*metrics.Series { return Ablation(*ledgerSeed, 1) }),
+	"balance":    sync.OnceValue(func() []*metrics.Series { return AblationNearestOnly(1, *ledgerSeed, 1) }),
+}
+
+// seedOne skips a test that compares rows pinned at seed 1 when the
+// ledger runs at another seed.
+func seedOne(t *testing.T) {
+	t.Helper()
+	if *ledgerSeed != 1 {
+		t.Skipf("compares seed-1 rows; -ledger-seed is %d", *ledgerSeed)
+	}
 }
 
 // once memoizes a runner that returns one series.
@@ -520,9 +535,14 @@ func (c claim) verdict() (ok bool, reading error) {
 }
 
 // report fails t when the ledger does not hold for c, and logs a gap.
+// Under -v it also logs whether the claim itself holds, which `make
+// ledger-seeds` counts.
 func (c claim) report(t *testing.T) {
 	t.Helper()
 	ok, reading := c.verdict()
+	if testing.Verbose() {
+		t.Logf("ledger: holds=%t gap=%t", reading == nil, c.gap != "")
+	}
 	switch {
 	case !ok && c.gap == "":
 		t.Errorf("paper: %s\nmeasured: %v", c.paper, reading)

@@ -195,16 +195,16 @@ func TestShareAllocBudget(t *testing.T) {
 
 // TestDecodeAllocsPerKind: a decoded message is one allocation, the
 // envelope and its body together, plus what the body's sections need. A
-// bare ack needs nothing more; a bare query or response needs its empty
-// Item descriptor's attribute map.
+// bare ack, query or response needs nothing more: an empty descriptor
+// is the zero Descriptor.
 func TestDecodeAllocsPerKind(t *testing.T) {
 	for _, c := range []struct {
 		m    *Message
 		want float64
 	}{
 		{&Message{Type: TypeAck, TransmitID: 9, From: 3, NoAck: true, Ack: &Ack{MsgID: 8, From: 3}}, 1},
-		{NewQuery(Query{ID: 1, Kind: KindMetadata, Sender: 3}), 2},
-		{NewResponse(Response{ID: 2, Kind: KindMetadata, Sender: 3}), 2},
+		{NewQuery(Query{ID: 1, Kind: KindMetadata, Sender: 3}), 1},
+		{NewResponse(Response{ID: 2, Kind: KindMetadata, Sender: 3}), 1},
 	} {
 		buf, err := Encode(c.m)
 		if err != nil {
@@ -236,7 +236,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 		}
 	})
 	// Sections of the sample: message, response, serves, entries (with
-	// attribute maps and strings), CDI, blobs (payloads not copied). The
+	// attribute lists and strings), CDI, blobs (payloads not copied). The
 	// exact figure depends on the sample's shape; the bound catches an
 	// accidental quadratic or per-byte regression.
 	if allocs > 60 {
