@@ -3,8 +3,11 @@ BENCH_RUNS ?= 3
 BENCH_SIZE ?= 2
 FUZZTIME ?= 30s
 LINT_REPLAY_DIR ?= lint-replay
+REV ?= HEAD
+FIG ?= fig11
+PAIRS ?= 10
 
-.PHONY: build test lint lint-replay verify loc alloc-ledger cpu-ledger ledger-seeds golden fuzz bench benchdiff baseline compare
+.PHONY: build test lint lint-replay verify loc alloc-ledger cpu-ledger ledger-seeds golden fuzz bench benchdiff baseline ab compare
 
 build:
 	$(GO) build ./...
@@ -203,6 +206,32 @@ benchdiff:
 baseline:
 	$(GO) run ./cmd/pds-bench -json -runs 1 -size 1 all
 	cp BENCH_PDS.json BENCH_BASELINE.json
+
+# ab measures the working tree against commit REV on this host: it
+# builds pds-bench from a `git archive` of REV and from the working tree,
+# runs figure FIG at `-runs 1 -size 1 -json` PAIRS times on each side,
+# alternating (odd pairs run REV first, even pairs the change), and hands
+# the reports to `pds-benchdiff -ab`, which prints each pair's wall time
+# and mallocs, the medians, how many pairs the change won on wall time,
+# and whether every series row is byte-identical. Host time is claimed
+# only from such pairs (ROADMAP item 2), and nothing here gates.
+# Example: `make ab REV=HEAD~1 FIG=fig11 PAIRS=10`.
+ab:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir $$tmp/src $$tmp/base $$tmp/change; \
+	git archive $(REV) | tar -x -C $$tmp/src || exit 1; \
+	$(GO) build -C $$tmp/src -o $$tmp/base/pds-bench ./cmd/pds-bench || exit 1; \
+	$(GO) build -o $$tmp/change/pds-bench ./cmd/pds-bench || exit 1; \
+	reports=; \
+	for i in $$(seq $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			(cd $$tmp/$$side && ./pds-bench -runs 1 -size 1 -json $(FIG) >/dev/null) || exit 1; \
+			mv $$tmp/$$side/BENCH_PDS.json $$tmp/$$side-$$i.json; \
+		done; \
+		reports="$$reports $$tmp/base-$$i.json $$tmp/change-$$i.json"; \
+	done; \
+	$(GO) run ./cmd/pds-benchdiff -ab $$reports
 
 # compare runs the routing × caching strategy matrix (see DESIGN.md
 # §16) over the default scenarios and prints one ranked table per

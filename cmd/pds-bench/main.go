@@ -121,8 +121,27 @@ type jsonReport struct {
 	SizeMB      int          `json:"size_mb"`
 	GoVersion   string       `json:"go_version"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
+	Host        jsonHost     `json:"host"`
 	WallSeconds float64      `json:"wall_seconds"`
 	Figures     []jsonFigure `json:"figures"`
+}
+
+// jsonHost names the machine a report was measured on: wall times
+// compare only between reports of one host.
+type jsonHost struct {
+	CPU   string `json:"cpu"`
+	NProc int    `json:"nproc"`
+}
+
+// host reads the CPU model from /proc/cpuinfo, where there is one.
+func host() jsonHost {
+	h := jsonHost{CPU: runtime.GOARCH, NProc: runtime.NumCPU()}
+	info, _ := os.ReadFile("/proc/cpuinfo")
+	if _, v, ok := strings.Cut(string(info), "\nmodel name"); ok {
+		v, _, _ = strings.Cut(v, "\n")
+		h.CPU = strings.TrimSpace(strings.TrimLeft(v, " \t:"))
+	}
+	return h
 }
 
 func toJSONSeries(series []*metrics.Series) []jsonSeries {
@@ -333,6 +352,7 @@ func run(args []string) error {
 		SizeMB:     *sizeMB,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Host:       host(),
 	}
 	start := time.Now()
 	ran := false

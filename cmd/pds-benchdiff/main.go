@@ -5,13 +5,21 @@
 // Usage:
 //
 //	pds-benchdiff [-threshold 0.10] BENCH_BASELINE.json BENCH_PDS.json
+//	pds-benchdiff -ab base-1.json change-1.json [base-2.json change-2.json ...]
 //
 // The gate is alloc/op: each figure's allocation count and allocated
 // bytes. Figure sweeps are seeded and deterministic, so these repeat
 // per seed on any machine and are compared directly. Wall time is
-// printed beside them and never decides anything: it does not transfer
-// between hosts, spreads by a fifth on one host, and as a share of the
-// suite it moves whenever some other figure gets faster.
+// printed beside them, only when both reports name the same host, and
+// never decides anything: it does not transfer between hosts, spreads
+// by a fifth on one host, and as a share of the suite it moves whenever
+// some other figure gets faster.
+//
+// -ab reads alternating parent/change runs of the same figures on one
+// host (`make ab`) and prints each pair's wall time and mallocs, their
+// medians, how many pairs the change won on wall time, and whether every
+// series row is byte-identical between the sides (the rows that differ
+// if not). It gates nothing either.
 //
 // Figures with too few allocations to compare are skipped, as are
 // figures present in only one report — a new figure has no baseline to
@@ -19,24 +27,41 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
-// report mirrors the BENCH_PDS.json fields the gate needs.
+// report mirrors the BENCH_PDS.json fields the gate and -ab need.
 type report struct {
+	Host    host     `json:"host"`
 	Figures []figure `json:"figures"`
 }
 
+// host is the machine a report was measured on; reports predating the
+// field read the zero host.
+type host struct {
+	CPU   string `json:"cpu"`
+	NProc int    `json:"nproc"`
+}
+
 type figure struct {
-	Name        string  `json:"name"`
-	WallSeconds float64 `json:"wall_seconds"`
-	AllocBytes  uint64  `json:"alloc_bytes"`
-	Allocs      uint64  `json:"allocs"`
+	Name        string   `json:"name"`
+	WallSeconds float64  `json:"wall_seconds"`
+	AllocBytes  uint64   `json:"alloc_bytes"`
+	Allocs      uint64   `json:"allocs"`
+	Series      []series `json:"series"`
+}
+
+// series keeps each metric row as the bytes it was written as.
+type series struct {
+	Name   string            `json:"name"`
+	Points []json.RawMessage `json:"points"`
 }
 
 // minAllocs is the noise floor: a figure whose baseline allocates less
@@ -68,23 +93,29 @@ func load(path string) (*report, error) {
 func run(args []string) error {
 	fs := flag.NewFlagSet("pds-benchdiff", flag.ContinueOnError)
 	threshold := fs.Float64("threshold", 0.10, "fail on regressions beyond this fraction")
+	abMode := fs.Bool("ab", false, "summarize alternating base/change report pairs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() != 2 {
+	reports := make([]*report, fs.NArg())
+	for i := range reports {
+		var err error
+		if reports[i], err = load(fs.Arg(i)); err != nil {
+			return err
+		}
+	}
+	if *abMode {
+		if len(reports) == 0 || len(reports)%2 != 0 {
+			return fmt.Errorf("-ab expects base/change report pairs, got %d files", len(reports))
+		}
+		ab(os.Stdout, reports)
+		return nil
+	}
+	if len(reports) != 2 {
 		fs.Usage()
-		return fmt.Errorf("expected <baseline.json> <current.json>, got %d args", fs.NArg())
+		return fmt.Errorf("expected <baseline.json> <current.json>, got %d args", len(reports))
 	}
-	base, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	cur, err := load(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-
-	if failed := diff(os.Stdout, base, cur, *threshold); failed > 0 {
+	if failed := diff(os.Stdout, reports[0], reports[1], *threshold); failed > 0 {
 		return fmt.Errorf("%d cost regression(s) beyond %.0f%%", failed, *threshold*100)
 	}
 	fmt.Printf("no regressions beyond %.0f%%\n", *threshold*100)
@@ -126,7 +157,10 @@ func diff(w io.Writer, base, cur *report, threshold float64) int {
 			continue
 		}
 		if b.Allocs >= minAllocs {
-			wall := fmt.Sprintf("  wall %.3gs -> %.3gs", b.WallSeconds, f.WallSeconds)
+			wall := ""
+			if base.Host == cur.Host {
+				wall = fmt.Sprintf("  wall %.3gs -> %.3gs", b.WallSeconds, f.WallSeconds)
+			}
 			check(f.Name, "allocs", float64(b.Allocs), float64(f.Allocs), wall)
 			check(f.Name, "alloc-bytes", float64(b.AllocBytes), float64(f.AllocBytes), "")
 		}
@@ -144,4 +178,74 @@ func diff(w io.Writer, base, cur *report, threshold float64) int {
 		fmt.Fprintf(w, "%-12s dropped from current report\n", f.Name)
 	}
 	return failed
+}
+
+// ab prints the -ab summary of reports, base and change runs of the
+// same figures alternating, and returns the number of rows that differ.
+func ab(w io.Writer, reports []*report) int {
+	var walls, mallocs [2][]float64
+	won, differ := 0, 0
+	fmt.Fprintf(w, "%-6s %10s %10s %14s %14s\n", "pair", "base wall", "wall", "base mallocs", "mallocs")
+	for i, r := range reports {
+		var wall, allocs float64
+		for _, f := range r.Figures {
+			wall += f.WallSeconds
+			allocs += float64(f.Allocs)
+		}
+		walls[i%2], mallocs[i%2] = append(walls[i%2], wall), append(mallocs[i%2], allocs)
+		if i%2 == 0 {
+			continue
+		}
+		p := i / 2
+		if walls[1][p] < walls[0][p] {
+			won++
+		}
+		fmt.Fprintf(w, "%-6d %9.3fs %9.3fs %14.0f %14.0f\n", p+1, walls[0][p], walls[1][p], mallocs[0][p], mallocs[1][p])
+		base, cur := rows(reports[i-1]), rows(r)
+		for j := range max(len(base), len(cur)) {
+			if b, c := at(base, j), at(cur, j); b != c {
+				differ++
+				fmt.Fprintf(w, "pair %d row %d differs:\n  - %s\n  + %s\n", p+1, j, b, c)
+			}
+		}
+	}
+	fmt.Fprintf(w, "%-6s %9.3fs %9.3fs %14.0f %14.0f\n", "median",
+		median(walls[0]), median(walls[1]), median(mallocs[0]), median(mallocs[1]))
+	fmt.Fprintf(w, "change won %d of %d pairs on wall time\n", won, len(walls[1]))
+	if differ == 0 {
+		fmt.Fprintln(w, "every series row identical")
+	} else {
+		fmt.Fprintf(w, "%d series rows differ\n", differ)
+	}
+	return differ
+}
+
+// rows lists a report's metric rows, each as figure/series and its
+// compacted JSON.
+func rows(r *report) []string {
+	var out []string
+	for _, f := range r.Figures {
+		for _, s := range f.Series {
+			for _, p := range s.Points {
+				var b bytes.Buffer
+				_ = json.Compact(&b, p) // p decoded, so it is valid JSON
+				out = append(out, f.Name+"/"+s.Name+" "+b.String())
+			}
+		}
+	}
+	return out
+}
+
+// at is rows[i], or "(none)" past the end.
+func at(rows []string, i int) string {
+	if i < len(rows) {
+		return rows[i]
+	}
+	return "(none)"
+}
+
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
 }

@@ -147,6 +147,7 @@ func run(args []string) error {
 	var (
 		d        *scenario.Deployment
 		consumer = scenario.CenterID(*rows, *cols)
+		initial  []wire.NodeID // a mobile area's initial population
 	)
 	if *mob != "" {
 		var p mobility.Profile
@@ -158,8 +159,7 @@ func run(args []string) error {
 		default:
 			return fmt.Errorf("unknown mobility profile %q", *mob)
 		}
-		dep, initial := scenario.MobileArea(p.Scale(*scale), 30*time.Minute, opts)
-		d = dep
+		d, initial = scenario.MobileArea(p.Scale(*scale), 30*time.Minute, opts)
 		consumer = initial[len(initial)/2]
 	} else {
 		d = scenario.Grid(*rows, *cols, scenario.GridSpacing, opts)
@@ -204,9 +204,8 @@ func run(args []string) error {
 	case "pdd":
 		if *mob != "" {
 			// Spread entries over the initially present nodes.
-			ids := d.Medium.NodeIDs()
 			for i := 0; i < *entries; i++ {
-				id := ids[i%len(ids)]
+				id := initial[i%len(initial)]
 				d.Peers[id].Node.PublishEntry(scenario.EntryDescriptor(i))
 			}
 		} else {

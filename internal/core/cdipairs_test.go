@@ -143,6 +143,22 @@ func TestCDIReadsAllocate(t *testing.T) {
 	}
 }
 
+// TestRouteCheckAllocatesNothing: phase 1's coverage checks ask the CDI
+// table whether each missing chunk has a route, and asking allocates
+// nothing.
+func TestRouteCheckAllocatesNothing(t *testing.T) {
+	_, r := newCDINode()
+	if !r.cdiCovers() || r.knownChunks() != 6 {
+		t.Fatalf("cdiCovers %v, knownChunks %d: want the 6 routed chunks covered", r.cdiCovers(), r.knownChunks())
+	}
+	if got := testing.AllocsPerRun(50, func() { r.cdiCovers() }); got != 0 {
+		t.Errorf("cdiCovers: %v allocs", got)
+	}
+	if got := testing.AllocsPerRun(50, func() { r.knownChunks() }); got != 0 {
+		t.Errorf("knownChunks: %v allocs", got)
+	}
+}
+
 // BenchmarkCDIPairs is one CDI response's contents at a node holding 4
 // of 10 chunks, with routes for the rest.
 func BenchmarkCDIPairs(b *testing.B) {

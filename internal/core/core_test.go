@@ -226,7 +226,7 @@ func TestCDIDistanceVector(t *testing.T) {
 	// node 1 hop-2 routes via node 2.
 	now := h.eng.Now()
 	e2 := h.nodes[2].CDI().Lookup(item.Key(), 0, now)
-	if len(e2) == 0 || e2[0].HopCount != 1 || e2[0].Neighbor != 3 {
+	if len(e2) == 0 || e2[0].Hop != 1 || e2[0].Neighbor != 3 {
 		t.Fatalf("node 2 CDI = %+v", e2)
 	}
 	// The relay also cached the chunks it carried (opportunistic

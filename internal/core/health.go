@@ -80,11 +80,11 @@ func (h *healthTracker) blocked(nb wire.NodeID, now time.Duration) bool {
 
 // strike records a delivery failure toward nb, from the link layer or a
 // face. The first backs nb off; at deadThreshold nb is dead, and every
-// route through it goes, from the CDI table and the routing strategy.
+// route through it goes, from the CDI table and the advert table.
 func (n *Node) strike(nb wire.NodeID, now time.Duration) {
 	if n.health.recordFailure(nb, now) == deadThreshold {
 		n.stats.NeighborsDead++
 		n.cdi.DropNeighborAll(nb)
-		n.routing.OnNeighborDown(nb)
+		n.adverts.OnNeighborDown(nb)
 	}
 }

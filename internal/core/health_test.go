@@ -246,15 +246,15 @@ func TestFacePeerDeathDropsAdvertRoutes(t *testing.T) {
 	f.Add(key)
 	n.HandleMessage(&wire.Message{Type: wire.TypeQuery, Query: &wire.Query{
 		ID: 1, Kind: wire.KindAdvert, TTL: time.Minute, Sender: 2, Origin: 3, Bloom: f}})
-	if !n.routing.HasRoute(key, 0, eng.Now()) {
+	if !n.hasRoute(key, 0, eng.Now()) {
 		t.Fatal("the advert heard via node 2 offers no route")
 	}
 	n.NotePeerFailure(2)
-	if !n.routing.HasRoute(key, 0, eng.Now()) {
+	if !n.hasRoute(key, 0, eng.Now()) {
 		t.Fatal("one strike dropped the route; only a dead neighbor loses its routes")
 	}
 	n.NotePeerFailure(2)
-	if n.routing.HasRoute(key, 0, eng.Now()) {
+	if n.hasRoute(key, 0, eng.Now()) {
 		t.Fatal("node 2 is dead, but its advert still offers a route")
 	}
 }

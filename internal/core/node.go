@@ -78,15 +78,14 @@ type Config struct {
 	// CacheCap bounds cached (non-owned) payload bytes per node;
 	// 0 = unlimited. Metadata entries are always cached (§VII).
 	CacheCap int
-	// Caching selects what the cache admits by registry name
-	// (internal/strategy: "fifo", "opportunistic"). Empty means "fifo":
-	// admit everything. Either way the cache evicts oldest first.
+	// Caching selects what the cache admits by name (internal/strategy:
+	// "fifo", "opportunistic"). Empty means "fifo": admit everything.
+	// Either way the cache evicts oldest first.
 	Caching string
 
-	// Routing, when non-empty, selects the routing strategy by registry
-	// name (internal/strategy: "cdi", "bfr"). Empty means "cdi", the
-	// paper's CDI distance-vector routing, which behaves
-	// byte-identically to the pre-strategy code.
+	// Routing selects chunk routing by name (internal/strategy: "cdi",
+	// "bfr"). Empty means "cdi", the paper's CDI distance-vector
+	// routing; "bfr" adds a content-advert table to fall back on.
 	Routing string
 
 	// LoadBalanceEnabled applies the min-max assignment heuristic of
@@ -204,9 +203,10 @@ type Node struct {
 	cdi store.CDITable
 	lqt store.LQT
 	rr  store.RecentResponses
-	// routing is the pluggable route-selection strategy (never nil);
-	// the default "cdi" strategy reads the CDI table verbatim.
-	routing strategy.RoutingStrategy
+	// adverts is the BFR content-advert table chunk queries fall back on
+	// when the CDI table has no route; nil (every hook a no-op) unless
+	// Config.Routing is "bfr".
+	adverts *strategy.BFR
 
 	// servePending coalesces response generation per query kind
 	// (metadata and data are the kinds served).
@@ -275,38 +275,23 @@ func NewNode(id wire.NodeID, clk clock.Clock, rng *rand.Rand, send Sender, cfg C
 		sweepAt: clock.Never,
 		grid:    clk.Now(),
 	}
-	cs, err := strategy.NewCaching(cfg.Caching, id)
-	if err != nil {
+	if err := strategy.Check(cfg.Routing, cfg.Caching); err != nil {
 		panic("core: " + err.Error()) // CLIs validate names up front
 	}
-	n.ds.SetCacheStrategy(cs)
-	rt, err := strategy.NewRouting(cfg.Routing, (*routingEnv)(n))
-	if err != nil {
-		panic("core: " + err.Error()) // CLIs validate names up front
+	if cfg.Routing == "bfr" {
+		n.adverts = strategy.NewBFR((*routingEnv)(n))
 	}
-	n.routing = rt
+	if cfg.Caching == "opportunistic" {
+		n.ds.Gate = strategy.NewOpportunistic(id)
+	}
 	return n
 }
 
-// routingEnv is the node as its routing strategy sees it: a pointer
+// routingEnv is the node as its advert table sees it: a pointer
 // conversion, so handing it over allocates nothing.
 type routingEnv Node
 
 func (e *routingEnv) Self() wire.NodeID { return e.id }
-
-// CDIRoutes adapts the CDI table's lookup rows to strategy routes; it
-// is the capability every routing strategy builds on.
-func (e *routingEnv) CDIRoutes(itemKey string, chunkID int, now time.Duration) []strategy.Route {
-	entries := e.cdi.Lookup(itemKey, chunkID, now)
-	if len(entries) == 0 {
-		return nil
-	}
-	routes := make([]strategy.Route, len(entries))
-	for i, r := range entries {
-		routes[i] = strategy.Route{Neighbor: r.Neighbor, Hop: r.HopCount}
-	}
-	return routes
-}
 
 func (e *routingEnv) OwnedItemKeys() []string { return e.ds.OwnedItemKeys() }
 
@@ -330,9 +315,10 @@ func (e *routingEnv) TickAt(at time.Duration) { (*Node)(e).arm(at) }
 // StrategyCounters returns the active routing/caching strategy names
 // and a snapshot of their bookkeeping.
 func (n *Node) StrategyCounters() metrics.StrategyCounters {
-	c := n.routing.Counters()
-	metrics.Add(&c, n.ds.CacheCounters())
-	c.Routing, c.Caching = n.routing.Name(), n.ds.CacheStrategyName()
+	c := n.adverts.Counters()
+	metrics.Add(&c, n.ds.Gate.Counters())
+	c.Routing = cmp.Or(n.cfg.Routing, strategy.DefaultRouting)
+	c.Caching = cmp.Or(n.cfg.Caching, strategy.DefaultCaching)
 	return c
 }
 
@@ -412,8 +398,8 @@ func (n *Node) Crash() {
 	n.lqt.SetTracer(n.tr)
 	n.rr = *store.NewRecentResponses(n.cfg.RecentRespRetention)
 	n.health = healthTracker{}
-	n.next = clock.Never // before Reset: a strategy may ask for its first Tick after Restart
-	n.routing.Reset()
+	n.next = clock.Never
+	n.adverts.Reset()
 	n.arm(clock.Never)
 }
 
@@ -472,7 +458,7 @@ func (n *Node) arm(at time.Duration) {
 	}
 }
 
-// sweep runs every expiry scan and the routing strategy's Tick; each
+// sweep runs every expiry scan and the advert table's Tick; each
 // returns the next instant it has work.
 func (n *Node) sweep() {
 	n.sweepAt = clock.Never
@@ -481,7 +467,7 @@ func (n *Node) sweep() {
 	}
 	now := n.clk.Now()
 	n.next = min(n.ds.Expire(now), n.cdi.Expire(now), n.lqt.Expire(now), n.rr.Prune(now))
-	n.arm(n.routing.Tick(now))
+	n.arm(n.adverts.Tick(now))
 }
 
 // PublishEntry registers a metadata-only fact this node produced (used
@@ -491,7 +477,7 @@ func (n *Node) PublishEntry(d attr.Descriptor) { n.ds.PutOwned(d) }
 // PublishSmall publishes a small data item: payload plus its entry.
 func (n *Node) PublishSmall(d attr.Descriptor, payload []byte) {
 	n.ds.PutPayloadOwned(d, payload)
-	n.routing.OnPublish(d.Key(), n.clk.Now())
+	n.adverts.OnPublish()
 }
 
 // PublishChunk publishes one chunk of a large item. The chunk descriptor
@@ -502,7 +488,7 @@ func (n *Node) PublishChunk(item attr.Descriptor, chunkID int, payload []byte) {
 	cd := item.WithChunk(chunkID)
 	n.ds.PutPayloadOwned(cd, payload)
 	n.ds.PutOwned(item)
-	n.routing.OnPublish(item.Key(), n.clk.Now())
+	n.adverts.OnPublish()
 }
 
 // PublishItem splits payload into chunkSize chunks, publishes all of

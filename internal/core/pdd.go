@@ -42,11 +42,11 @@ func (n *Node) handleQuery(q *wire.Query) {
 	case wire.KindCDI:
 		n.respondCDI(q)
 	case wire.KindAdvert:
-		// Nothing to answer: the frozen advert goes to the routing
-		// strategy. Nodes running a non-advertising strategy still relay
+		// Nothing to answer: the frozen advert goes to the advert
+		// table, if the node keeps one. Nodes that keep none still relay
 		// it below — strategies are per-node and a mixed network must
 		// stay connected.
-		n.routing.ObserveAdvert(q, now)
+		n.adverts.ObserveAdvert(q, now)
 	}
 	n.reflood(q)
 }

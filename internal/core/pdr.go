@@ -316,12 +316,18 @@ func (r *retrieval) settle(now time.Duration) {
 	}
 }
 
-// cdiCovers reports whether every missing chunk has a routing option
-// under the node's routing strategy.
+// hasRoute reports whether a chunk query for the chunk would be offered
+// any next hop — from the CDI table, or failing that the advert table —
+// counting nothing and allocating nothing.
+func (n *Node) hasRoute(itemKey string, chunkID int, now time.Duration) bool {
+	return n.cdi.Has(itemKey, chunkID, now) || n.adverts.Has(itemKey, now)
+}
+
+// cdiCovers reports whether every missing chunk has a routing option.
 func (r *retrieval) cdiCovers() bool {
 	now := r.n.clk.Now()
 	for _, c := range r.missing() {
-		if !r.n.routing.HasRoute(r.itemKey, c, now) {
+		if !r.n.hasRoute(r.itemKey, c, now) {
 			return false
 		}
 	}
@@ -334,7 +340,7 @@ func (r *retrieval) knownChunks() int {
 	now := r.n.clk.Now()
 	k := 0
 	for _, c := range r.missing() {
-		if r.n.routing.HasRoute(r.itemKey, c, now) {
+		if r.n.hasRoute(r.itemKey, c, now) {
 			k++
 		}
 	}
@@ -581,18 +587,20 @@ func (n *Node) sendChunkQueries(item attr.Descriptor, chunks []int, origin wire.
 	itemKey := item.Key()
 	req := assign.Request{Chunks: chunks, Options: make([][]assign.Option, len(chunks))}
 	for i, c := range chunks {
-		routes := n.routing.SelectRoutes(itemKey, c, now)
-		var usable []assign.Option
-		blocked := 0
-		for _, e := range routes {
-			if e.Neighbor == exclude || e.Neighbor == n.id {
+		routes := n.cdi.Lookup(itemKey, c, now)
+		if len(routes) == 0 {
+			routes = n.adverts.Routes(itemKey, now)
+		}
+		usable, blocked := routes[:0], 0
+		for _, o := range routes {
+			if o.Neighbor == exclude || o.Neighbor == n.id {
 				continue
 			}
-			if n.health.blocked(e.Neighbor, now) {
+			if n.health.blocked(o.Neighbor, now) {
 				blocked++
 				continue
 			}
-			usable = append(usable, assign.Option{Neighbor: e.Neighbor, Hop: e.Hop})
+			usable = append(usable, o)
 		}
 		n.stats.BlacklistSkips += uint64(blocked)
 		req.Options[i] = usable

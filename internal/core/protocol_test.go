@@ -145,7 +145,7 @@ func TestCDIHopCountsIncrement(t *testing.T) {
 	now := h.eng.Now()
 	// Node 3 is adjacent to the holder: hop 1 via node 4.
 	e3 := h.nodes[3].CDI().Lookup(item.Key(), 0, now)
-	if len(e3) == 0 || e3[0].HopCount != 1 || e3[0].Neighbor != 4 {
+	if len(e3) == 0 || e3[0].Hop != 1 || e3[0].Neighbor != 4 {
 		t.Fatalf("node 3 CDI = %+v", e3)
 	}
 	// Node 2 learned hop 2 via node 3 during phase 1 (before the chunk
@@ -154,8 +154,8 @@ func TestCDIHopCountsIncrement(t *testing.T) {
 	if len(e2) == 0 {
 		t.Fatal("node 2 has no CDI")
 	}
-	if e2[0].HopCount > 2 {
-		t.Fatalf("node 2 hop count %d, want <= 2", e2[0].HopCount)
+	if e2[0].Hop > 2 {
+		t.Fatalf("node 2 hop count %d, want <= 2", e2[0].Hop)
 	}
 }
 

@@ -31,7 +31,7 @@ func (n *Node) scheduleHousekeeping() {
 		n.cdi.Expire(now)
 		n.lqt.Expire(now)
 		n.rr.Prune(now)
-		n.routing.Tick(now)
+		n.adverts.Tick(now)
 		n.scheduleHousekeeping()
 	})
 }

@@ -135,11 +135,10 @@ func (c predicateCheck) run(frames []*txRecord, starting *Radio) {
 	t.Helper()
 	now := m.eng.Now()
 	ref := newRefMedium(m)
-	attached := make([]*Radio, 0, len(m.ids))
-	for _, id := range m.ids {
-		attached = append(attached, m.radios[m.index[id]])
-	}
-	for _, r := range attached {
+	for _, r := range m.radios {
+		if r == nil {
+			continue
+		}
 		if got, want := m.busyFor(r), ref.busyFor(r); got != want {
 			t.Fatalf("%v: busyFor(%d) = %v, reference %v", now, r.id, got, want)
 		}
@@ -159,8 +158,8 @@ func (c predicateCheck) run(frames []*txRecord, starting *Radio) {
 			continue // never delivered: finishTransmission asks nothing
 		}
 		m.collectOverlap(rec)
-		for _, rx := range attached {
-			if rx == sender {
+		for _, rx := range m.radios {
+			if rx == nil || rx == sender {
 				continue
 			}
 			if got, want := m.collided(rx, sender), ref.collided(rec, rx, sender); got != want {

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"pds/internal/clock"
@@ -240,7 +239,6 @@ type Medium struct {
 	index  map[wire.NodeID]int32
 	radios []*Radio      // dense slot -> radio, nil while slot is free
 	free   []int32       // recycled slots
-	ids    []wire.NodeID // attached ids, kept sorted
 	grid   *spatial.Grid // slot -> position, cell edge = senseRange
 
 	// txOrder holds live-or-recent transmission records in creation
@@ -314,10 +312,6 @@ func (m *Medium) Attach(id wire.NodeID, pos Pos, deliver func(*wire.Message)) *R
 	m.index[id] = slot
 	m.radios[slot] = r
 	m.grid.Insert(slot, pos.X, pos.Y)
-	i := sort.Search(len(m.ids), func(i int) bool { return m.ids[i] >= id })
-	m.ids = append(m.ids, 0)
-	copy(m.ids[i+1:], m.ids[i:])
-	m.ids[i] = id
 	return r
 }
 
@@ -339,8 +333,6 @@ func (m *Medium) Detach(id wire.NodeID) {
 	m.radios[slot] = nil
 	m.free = append(m.free, slot)
 	delete(m.index, id)
-	i := sort.Search(len(m.ids), func(i int) bool { return m.ids[i] >= id })
-	m.ids = append(m.ids[:i], m.ids[i+1:]...)
 }
 
 // SetPosition moves a node.
@@ -421,11 +413,6 @@ func (m *Medium) Neighbors(id wire.NodeID) []wire.NodeID {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// NodeIDs returns all attached node ids, sorted ascending.
-func (m *Medium) NodeIDs() []wire.NodeID {
-	return append([]wire.NodeID(nil), m.ids...)
 }
 
 // airtime returns how long a message of size bytes occupies the channel.

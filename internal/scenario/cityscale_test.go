@@ -52,7 +52,7 @@ func TestCityScaleSmoke10k(t *testing.T) {
 	}
 	side := cfg.withDefaults().Side()
 	d, _ := CityScale(CityConfig{Nodes: 100}, Options{Seed: 2})
-	for _, id := range d.Medium.NodeIDs() {
+	for _, id := range d.sortedPeerIDs() {
 		pos, ok := d.Medium.Position(id)
 		if !ok {
 			t.Fatalf("node %d missing from medium", id)

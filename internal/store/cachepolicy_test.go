@@ -9,16 +9,18 @@ import (
 	"pds/internal/strategy"
 )
 
-// withPolicy returns a store with the given cache budget admitting by
-// the named registry strategy.
+// withPolicy returns a store with the given cache budget admitting as a
+// node running the named caching does: through an opportunistic gate,
+// or with none.
 func withPolicy(t *testing.T, cacheCap int, policy string) *DataStore {
 	t.Helper()
-	cs, err := strategy.NewCaching(policy, 0)
-	if err != nil {
+	if err := strategy.Check("", policy); err != nil {
 		t.Fatal(err)
 	}
 	s := NewDataStore(cacheCap)
-	s.SetCacheStrategy(cs)
+	if policy == "opportunistic" {
+		s.Gate = strategy.NewOpportunistic(0)
+	}
 	return s
 }
 
@@ -49,14 +51,25 @@ func TestPolicyFIFO(t *testing.T) {
 	}
 }
 
+// TestPolicyString: a store asks its gate, and only its gate, what to
+// admit — a new store holds none — and the gate counts what it declines.
 func TestPolicyString(t *testing.T) {
-	if got := NewDataStore(0).CacheStrategyName(); got != strategy.DefaultCaching {
-		t.Fatalf("default store evicts by %q, want %q", got, strategy.DefaultCaching)
+	if NewDataStore(0).Gate != nil {
+		t.Fatal("a new store holds an admission gate")
 	}
-	for _, want := range strategy.CachingNames() {
-		if got := withPolicy(t, 0, want).CacheStrategyName(); got != want {
-			t.Fatalf("installed %q, store reports %q", want, got)
+	s, oracle := withPolicy(t, 0, "opportunistic"), strategy.NewOpportunistic(0)
+	declined := uint64(0)
+	for i := 0; i < 40; i++ {
+		want := oracle.Admit(entry(i).Key())
+		if got := s.PutPayloadCached(entry(i), []byte{1}, 0, time.Hour); got != want {
+			t.Fatalf("store admitted %s: %v, its gate says %v", entry(i).Key(), got, want)
 		}
+		if !want {
+			declined++
+		}
+	}
+	if got := s.Gate.Counters().CacheAdmitSkips; declined == 0 || got != declined {
+		t.Fatalf("gate counted %d skips, declined %d", got, declined)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"pds/internal/assign"
 	"pds/internal/clock"
 	"pds/internal/wire"
 )
@@ -63,23 +64,32 @@ func (t *CDITable) Update(itemKey string, e CDIEntry) bool {
 	return true
 }
 
-// Lookup returns the unexpired least-hop entries for one chunk, sorted
-// by neighbor id for determinism.
-func (t *CDITable) Lookup(itemKey string, chunkID int, now time.Duration) []CDIEntry {
-	chunks, ok := t.items[itemKey]
-	if !ok {
-		return nil
-	}
-	var out []CDIEntry
-	for _, e := range chunks[chunkID] {
+// Lookup returns the unexpired least-hop routes for one chunk, sorted
+// by neighbor id for determinism: the chunk's assignment options.
+func (t *CDITable) Lookup(itemKey string, chunkID int, now time.Duration) []assign.Option {
+	var out []assign.Option
+	for _, e := range t.items[itemKey][chunkID] {
 		if e.ExpireAt > now {
-			out = append(out, e)
+			out = append(out, assign.Option{Neighbor: e.Neighbor, Hop: e.HopCount})
 		}
 	}
 	// Update keeps one entry per neighbor and chunk, so no two keys tie
 	// and an unstable sort has one possible outcome.
-	slices.SortFunc(out, func(a, b CDIEntry) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
+	slices.SortFunc(out, func(a, b assign.Option) int { return cmp.Compare(a.Neighbor, b.Neighbor) })
 	return out
+}
+
+// Has reports whether Lookup would return any entry, allocating
+// nothing: PDR phase 1's coverage checks ask it.
+//
+//pds:hotpath
+func (t *CDITable) Has(itemKey string, chunkID int, now time.Duration) bool {
+	for _, e := range t.items[itemKey][chunkID] {
+		if e.ExpireAt > now {
+			return true
+		}
+	}
+	return false
 }
 
 // AppendPairs appends to dst one ChunkID-HopCount pair per chunk of the

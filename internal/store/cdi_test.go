@@ -23,7 +23,7 @@ func TestCDIKeepsMinimum(t *testing.T) {
 		t.Fatal("worse route accepted")
 	}
 	got := tbl.Lookup("item", 0, 0)
-	if len(got) != 1 || got[0].Neighbor != 2 || got[0].HopCount != 1 {
+	if len(got) != 1 || got[0].Neighbor != 2 || got[0].Hop != 1 {
 		t.Fatalf("Lookup = %+v", got)
 	}
 }
@@ -128,7 +128,7 @@ func TestQuickCDIMinimal(t *testing.T) {
 				return false
 			}
 			for _, e := range got {
-				if e.HopCount != want {
+				if e.Hop != want {
 					return false
 				}
 			}

@@ -74,9 +74,9 @@ type DataStore struct {
 	// chunk records that hold a payload (RAM or spilled). CDI responses
 	// are built from it.
 	chunkIndex map[string]map[int]*Entry
-	// cache is the admission strategy (see cachepolicy.go and
-	// internal/strategy); never nil — NewDataStore installs "fifo".
-	cache strategy.CacheStrategy
+	// Gate, when non-nil, decides what the cache admits (see
+	// cachepolicy.go); nil, the paper's cache, admits everything.
+	Gate *strategy.Opportunistic
 	// backend is the optional durable tier (see backend.go); nil keeps
 	// the store purely in-memory, byte-for-byte the seed's behavior.
 	backend PayloadBackend
@@ -102,7 +102,7 @@ func (s *DataStore) SetTracer(tr *trace.NodeTracer) {
 // NewDataStore returns an empty store. cacheCap bounds cached payload
 // bytes (0 = unlimited).
 func NewDataStore(cacheCap int) *DataStore {
-	return &DataStore{cacheCap: cacheCap, cache: defaultCacheStrategy()}
+	return &DataStore{cacheCap: cacheCap}
 }
 
 // PutOwned inserts an entry for data this node produced; it never
@@ -412,7 +412,7 @@ func (s *DataStore) PutPayloadCached(d attr.Descriptor, payload []byte, now, exp
 	if s.cacheCap > 0 && len(payload) > s.cacheCap {
 		return false
 	}
-	if !s.cache.Admit(key) {
+	if !s.Gate.Admit(key) {
 		// The admission gate declined the slot (e.g. opportunistic
 		// placement caching a per-node half of passing traffic); the
 		// payload is simply not cached here.

@@ -1,9 +1,11 @@
 package strategy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
+	"pds/internal/assign"
 	"pds/internal/bloom"
 	"pds/internal/clock"
 	"pds/internal/metrics"
@@ -42,11 +44,12 @@ type bfrAdvert struct {
 	filter *bloom.Filter
 }
 
-// bfrRouting keeps an advertisement table sorted by origin (binary
-// search, no map) and synthesizes fallback routes from it when the CDI
-// table is empty — e.g. before any CDI round has completed, or after a
-// crash wiped the distance vector.
-type bfrRouting struct {
+// BFR is a node's content-advertisement table, sorted by origin (binary
+// search, no map): the node asks it for routes when its CDI table has
+// none — e.g. before any CDI round has completed, or after a crash
+// wiped the distance vector. Every method is a no-op on nil, the table
+// of a node that does not run "bfr".
+type BFR struct {
 	env        RoutingEnv
 	adverts    []bfrAdvert   // sorted by origin
 	dirty      bool          // content changed since last advert
@@ -55,16 +58,25 @@ type bfrRouting struct {
 	fallbacks  uint64
 }
 
-func (r *bfrRouting) Name() string { return "bfr" }
+// NewBFR returns an empty advert table for the node env stands for.
+func NewBFR(env RoutingEnv) *BFR { return &BFR{env: env, nextAdvert: clock.Never} }
 
-func (r *bfrRouting) OnPublish(string, time.Duration) {
+// OnPublish notes that the node now holds payload it should advertise.
+func (r *BFR) OnPublish() {
+	if r == nil {
+		return
+	}
 	r.dirty = true
 	r.env.TickAt(0) // the advert goes out at the next housekeeping instant
 }
 
 // Tick expires stale advert rows and floods a fresh advertisement when
-// content changed or the re-advertisement period lapsed.
-func (r *bfrRouting) Tick(now time.Duration) time.Duration {
+// content changed or the re-advertisement period lapsed. It returns the
+// next instant it wants to run, clock.Never for none.
+func (r *BFR) Tick(now time.Duration) time.Duration {
+	if r == nil {
+		return clock.Never
+	}
 	next := clock.Never
 	kept := r.adverts[:0]
 	for _, a := range r.adverts {
@@ -82,7 +94,7 @@ func (r *bfrRouting) Tick(now time.Duration) time.Duration {
 }
 
 // advertise floods a filter of the item keys this node owns, if any.
-func (r *bfrRouting) advertise(now time.Duration) {
+func (r *BFR) advertise(now time.Duration) {
 	keys := r.env.OwnedItemKeys()
 	if len(keys) == 0 {
 		r.dirty = false
@@ -108,13 +120,9 @@ func (r *bfrRouting) advertise(now time.Duration) {
 	r.dirty, r.nextAdvert = false, now+bfrAdvertInterval
 }
 
-func (r *bfrRouting) findOrigin(origin wire.NodeID) (int, bool) {
-	i := sort.Search(len(r.adverts), func(i int) bool { return r.adverts[i].origin >= origin })
-	return i, i < len(r.adverts) && r.adverts[i].origin == origin
-}
-
-func (r *bfrRouting) ObserveAdvert(q *wire.Query, now time.Duration) {
-	if q.Origin == r.env.Self() || q.Bloom == nil {
+// ObserveAdvert tables a received advert; q is frozen and stays so.
+func (r *BFR) ObserveAdvert(q *wire.Query, now time.Duration) {
+	if r == nil || q.Origin == r.env.Self() || q.Bloom == nil {
 		return
 	}
 	row := bfrAdvert{
@@ -125,11 +133,10 @@ func (r *bfrRouting) ObserveAdvert(q *wire.Query, now time.Duration) {
 		filter:   q.Bloom,
 	}
 	r.env.TickAt(row.expireAt)
-	i, ok := r.findOrigin(q.Origin)
+	i, ok := slices.BinarySearchFunc(r.adverts, q.Origin,
+		func(a bfrAdvert, o wire.NodeID) int { return cmp.Compare(a.origin, o) })
 	if !ok {
-		r.adverts = append(r.adverts, bfrAdvert{})
-		copy(r.adverts[i+1:], r.adverts[i:])
-		r.adverts[i] = row
+		r.adverts = slices.Insert(r.adverts, i, row)
 		return
 	}
 	// Keep the nearest copy of each origin's advert; a same-or-closer
@@ -140,37 +147,31 @@ func (r *bfrRouting) ObserveAdvert(q *wire.Query, now time.Duration) {
 	}
 }
 
-func (r *bfrRouting) SelectRoutes(itemKey string, chunkID int, now time.Duration) []Route {
-	routes := r.env.CDIRoutes(itemKey, chunkID, now)
-	if len(routes) > 0 {
-		return routes
+// Routes returns the routes the unexpired adverts matching itemKey
+// offer, one per neighbor at its nearest distance, and counts them.
+func (r *BFR) Routes(itemKey string, now time.Duration) []assign.Option {
+	if r == nil {
+		return nil
 	}
-	var fallback []Route
+	var fallback []assign.Option
 	for _, a := range r.adverts {
 		if a.expireAt <= now || !a.filter.Contains(itemKey) {
 			continue
 		}
-		merged := false
-		for j := range fallback {
-			if fallback[j].Neighbor == a.via {
-				if a.dist < fallback[j].Hop {
-					fallback[j].Hop = a.dist
-				}
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			fallback = append(fallback, Route{Neighbor: a.via, Hop: a.dist})
+		if j := slices.IndexFunc(fallback, func(o assign.Option) bool { return o.Neighbor == a.via }); j >= 0 {
+			fallback[j].Hop = min(fallback[j].Hop, a.dist)
+		} else {
+			fallback = append(fallback, assign.Option{Neighbor: a.via, Hop: a.dist})
 		}
 	}
 	r.fallbacks += uint64(len(fallback))
 	return fallback
 }
 
-func (r *bfrRouting) HasRoute(itemKey string, chunkID int, now time.Duration) bool {
-	if len(r.env.CDIRoutes(itemKey, chunkID, now)) > 0 {
-		return true
+// Has reports whether Routes would offer any route, counting nothing.
+func (r *BFR) Has(itemKey string, now time.Duration) bool {
+	if r == nil {
+		return false
 	}
 	for _, a := range r.adverts {
 		if a.expireAt > now && a.filter.Contains(itemKey) {
@@ -180,22 +181,29 @@ func (r *bfrRouting) HasRoute(itemKey string, chunkID int, now time.Duration) bo
 	return false
 }
 
-func (r *bfrRouting) OnNeighborDown(nb wire.NodeID) {
-	kept := r.adverts[:0]
-	for _, a := range r.adverts {
-		if a.via != nb {
-			kept = append(kept, a)
-		}
+// OnNeighborDown drops the adverts learned via a neighbor the node has
+// declared dead.
+func (r *BFR) OnNeighborDown(nb wire.NodeID) {
+	if r == nil {
+		return
 	}
-	r.adverts = kept
+	r.adverts = slices.DeleteFunc(r.adverts, func(a bfrAdvert) bool { return a.via == nb })
 }
 
-func (r *bfrRouting) Reset() {
+// Reset drops all volatile state (node crash).
+func (r *BFR) Reset() {
+	if r == nil {
+		return
+	}
 	r.adverts = nil
 	r.dirty, r.nextAdvert = false, clock.Never
 }
 
-func (r *bfrRouting) Counters() metrics.StrategyCounters {
+// Counters returns the routing fields of the plane's counters.
+func (r *BFR) Counters() metrics.StrategyCounters {
+	if r == nil {
+		return metrics.StrategyCounters{}
+	}
 	return metrics.StrategyCounters{
 		AdvertFloods:   r.floods,
 		AdvertsHeld:    uint64(len(r.adverts)),
