@@ -7,7 +7,7 @@ REV ?= HEAD
 FIG ?= fig11
 PAIRS ?= 10
 
-.PHONY: build test lint lint-replay verify loc alloc-ledger cpu-ledger ledger-seeds golden fuzz bench benchdiff baseline ab compare
+.PHONY: build test lint lint-replay verify smoke loc alloc-ledger cpu-ledger ledger-seeds golden fuzz bench benchdiff baseline ab compare
 
 build:
 	$(GO) build ./...
@@ -58,30 +58,47 @@ lint-replay:
 # fast), then vet, a full build, the whole test suite, and the race
 # detector across every package — shared immutable messages and
 # parallel sweep runs mean concurrency is no longer confined to the
-# socket code — then the link layer's micro-benchmarks, receive for a
-# hundred frames per window size and a hundred acknowledged 256 KB
-# messages end to end, so they cannot rot (their guards are plain tests
-# and already ran), the serve pass's micro-benchmarks (index
-# walk, sorted insert, one pass, one Bloom test, one heard query, one
-# CDI response's pairs) and the simulator's (a
-# fired event by Schedule and by Timer, a frame through the medium) and
-# the face's (a window of eight frames and their acks over loopback TCP,
-# and one 896 KB retrieval between two nodes on a face mesh) and the
-# deployment's (a thousand peers attached to a hundred) likewise, and
+# socket code — then the micro-benchmark smoke runs (smoke, below), and
 # last the nested benchmarks/ module, which `./...` does not reach.
 verify: lint
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(GO) test ./internal/link -run '^$$' -bench 'HandleIncoming|AckedStream' -benchtime 100x -benchmem
-	$(GO) test ./internal/wire -run '^$$' -bench 'Encode|Decode' -benchtime 100x -benchmem
-	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains|HearQuery|CDIPairs' -benchtime 100x -benchmem
-	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
-	$(GO) test . ./internal/face -run '^$$' -bench 'FaceBurst|FaceMeshRetrieve' -benchtime 20x -benchmem
-	$(GO) test ./internal/scenario -run '^$$' -bench AddPeer -benchtime 20x -benchmem
+	$(MAKE) smoke
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
+
+# smoke runs every micro-benchmark for a handful of iterations, so they
+# keep compiling and running; the scaling and allocation guards they
+# illustrate are plain tests and already ran. `make verify` and CI both
+# call it.
+smoke:
+# A hundred frames per dedup-window size and a hundred acknowledged
+# 256 KB messages.
+	$(GO) test ./internal/link -run '^$$' -bench 'HandleIncoming|AckedStream' -benchtime 100x -benchmem
+# A hundred encodes (fresh and into a warm buffer) and decodes of one
+# response with every section set; the allocation bounds are
+# alloc_test.go.
+	$(GO) test ./internal/wire -run '^$$' -bench 'Encode|Decode' -benchtime 100x -benchmem
+# The store's index walk and sorted insert, one serve pass, one Bloom
+# test, one heard query and one CDI response's pairs, a hundred
+# iterations each.
+	$(GO) test ./internal/store ./internal/core ./internal/bloom -run '^$$' -bench 'Match|PutCached|ServePass|BloomContains|HearQuery|CDIPairs' -benchtime 100x -benchmem
+# A fired event through Schedule and through a reusable Timer, and one
+# frame through the medium with 1, 4 and 16 saturated senders, a
+# hundred each; the zero-alloc claims (Reset + Step, a steady-state
+# frame) are plain tests.
+	$(GO) test ./internal/sim ./internal/radio -run '^$$' -bench 'Engine|MediumFrame' -benchtime 100x -benchmem
+# Twenty ARQ windows — eight 1.4 KB frames out, eight acks back — over
+# one loopback TCP face, and twenty 896 KB retrievals between two
+# nodes on a face mesh (both skip when loopback TCP is unavailable);
+# how the writer batches, where acks go and when the link fragments
+# are plain tests.
+	$(GO) test . ./internal/face -run '^$$' -bench 'FaceBurst|FaceMeshRetrieve' -benchtime 20x -benchmem
+# Twenty times a thousand peers attached to a deployment of a
+# hundred; what an idle peer may cost is TestIdlePeerCost.
+	$(GO) test ./internal/scenario -run '^$$' -bench AddPeer -benchtime 20x -benchmem
 
 # loc prints the tracked size metric (ROADMAP: "non-test line count is a
 # tracked metric"): lines of non-test Go per package of this module, and

@@ -6,9 +6,10 @@
 //
 //	pds-bench [-seed N] [-runs N] [-size MB] [-json] <figure>
 //
-// where <figure> is one of: fig3, fig4, fig5, fig6, fig7, fig8, fig9,
-// fig9class, fig11, fig12, fig12class, fig13, fig15, fig16, saturation,
-// leaky, ack, ablation, balance, chaos, disk, scale, stream, crowd,
+// where <figure> is one of: fig3, leaky, ack, saturation, fig4, fig5,
+// fig6, fig7, fig8, fig9, fig9class, fig11, fig12, fig12class, fig13,
+// fig15, fig16, ablation, balance, chaos, disk, stream, crowd (the
+// scenario.Figures table, each point the mean of -runs runs), scale,
 // compare, all.
 //
 // `compare` is the strategy A/B harness: it runs a routing × caching
@@ -36,7 +37,6 @@ import (
 	"time"
 
 	"pds/internal/metrics"
-	"pds/internal/mobility"
 	"pds/internal/scenario"
 	"pds/internal/trace"
 )
@@ -69,7 +69,7 @@ const jsonFile = "BENCH_PDS.json"
 type figure struct {
 	name string
 	desc string
-	run  func() []*metrics.Series
+	run  func() ([]*metrics.Series, error)
 }
 
 // jsonPoint is one metric row of a series in machine-readable form.
@@ -176,12 +176,15 @@ func toJSONSeries(series []*metrics.Series) []jsonSeries {
 // runtime.MemStats deltas around the run (total allocated bytes and
 // mallocs, not live heap), which is what the allocation-reduction work
 // tracks.
-func runFigure(f figure) jsonFigure {
+func runFigure(f figure) (jsonFigure, error) {
 	fmt.Printf("==== %s ====\n", f.desc)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	series := f.run()
+	series, err := f.run()
+	if err != nil {
+		return jsonFigure{}, err
+	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	for _, s := range series {
@@ -194,7 +197,7 @@ func runFigure(f figure) jsonFigure {
 		AllocBytes:  after.TotalAlloc - before.TotalAlloc,
 		Allocs:      after.Mallocs - before.Mallocs,
 		Series:      toJSONSeries(series),
-	}
+	}, nil
 }
 
 func run(args []string) error {
@@ -222,97 +225,31 @@ func run(args []string) error {
 		return fmt.Errorf("expected one figure name, got %d args", fs.NArg())
 	}
 	name := fs.Arg(0)
+	if *runs < 1 {
+		return fmt.Errorf("-runs %d: every point needs at least one run", *runs)
+	}
 
 	// scaleResult is filled by the "scale" figure's run closure so its
 	// throughput numbers land in the JSON report alongside the series.
 	var scaleResult *scenario.CityResult
 
-	figures := []figure{
-		{name: "fig3", desc: "Figure 3: single-hop reception (raw / bucket / bucket+ack)", run: func() []*metrics.Series {
-			return scenario.Fig03SingleHopReception(*seed, *runs)
-		}},
-		{name: "leaky", desc: "§V-2: leaky bucket LeakingRate sweep", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.TabLeakyBucketSweep(*seed, *runs)}
-		}},
-		{name: "ack", desc: "§V-1: RetrTimeout / MaxRetrTime sweeps", run: func() []*metrics.Series {
-			return scenario.TabAckSweep(*seed, *runs)
-		}},
-		{name: "saturation", desc: "§VI-B: single-round no-ack recall vs metadata amount", run: func() []*metrics.Series {
-			return scenario.SaturationSweep(*seed, *runs)
-		}},
-		{name: "fig4", desc: "Figure 4: single-round PDD vs max hop count", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig04HopCount(*seed, *runs)}
-		}},
-		{name: "fig5", desc: "Figure 5: multi-round recall vs T and T_d", run: func() []*metrics.Series {
-			return scenario.Fig05MultiRound(*seed, *runs)
-		}},
-		{name: "fig6", desc: "Figure 6: multi-round PDD vs metadata amount", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig06MetadataAmount(*seed, *runs)}
-		}},
-		{name: "fig7", desc: "Figure 7: sequential consumers", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig07SequentialConsumers(*seed, *runs)}
-		}},
-		{name: "fig8", desc: "Figure 8: simultaneous consumers", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig08SimultaneousConsumers(*seed, *runs)}
-		}},
-		{name: "fig9", desc: "Figures 9/10: PDD under Student Center mobility", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig0910MobilityPDD(mobility.StudentCenter(), *seed, *runs)}
-		}},
-		{name: "fig9class", desc: "Figures 9/10 (classroom variant, §VI-B.2 'similar results')", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig0910MobilityPDD(mobility.Classroom(), *seed, *runs)}
-		}},
-		{name: "fig11", desc: "Figure 11: PDR vs item size", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig11DataItemSize(*seed, *runs)}
-		}},
-		{name: "fig12", desc: "Figure 12: PDR under Student Center mobility", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig12MobilityPDR(mobility.StudentCenter(), *sizeMB, *seed, *runs)}
-		}},
-		{name: "fig12class", desc: "Figure 12 (classroom variant)", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig12MobilityPDR(mobility.Classroom(), *sizeMB, *seed, *runs)}
-		}},
-		{name: "fig13", desc: "Figures 13/14: PDR vs MDR across chunk redundancy", run: func() []*metrics.Series {
-			return scenario.Fig1314Redundancy(*sizeMB, *seed, *runs)
-		}},
-		{name: "fig15", desc: "Figure 15: PDR sequential consumers", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig15PDRSequential(*sizeMB, *seed, *runs)}
-		}},
-		{name: "fig16", desc: "Figure 16: PDR simultaneous consumers", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.Fig16PDRSimultaneous(*sizeMB, *seed, *runs)}
-		}},
-		{name: "ablation", desc: "Ablations: one-shot interests / no mixedcast / no bloom", run: func() []*metrics.Series {
-			return scenario.Ablation(*seed, *runs)
-		}},
-		{name: "balance", desc: "Ablation: min-max balancing vs nearest-only", run: func() []*metrics.Series {
-			return scenario.AblationNearestOnly(*sizeMB, *seed, *runs)
-		}},
-		{name: "chaos", desc: "Chaos scenarios: crash-the-hub / flash-crowd-churn / corrupt-10pct", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.ChaosSeries(*seed, *runs)}
-		}},
-		{name: "disk", desc: "Disk-backed crash recovery (persistent chunk store)", run: func() []*metrics.Series {
-			root, err := os.MkdirTemp("", "pds-disk-bench-")
-			if err != nil {
-				panic(err)
-			}
-			defer os.RemoveAll(root)
-			return []*metrics.Series{scenario.DiskSeries(*seed, *runs, root)}
-		}},
-		{name: "stream", desc: "Workload: streaming QoE vs prefetch depth (clean / lossy)", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.StreamSeries(*seed, *runs)}
-		}},
-		{name: "crowd", desc: "Workload: flash-crowd artifact distribution QoE (poisson / step)", run: func() []*metrics.Series {
-			return []*metrics.Series{scenario.CrowdSeries(*seed, *runs)}
-		}},
-		{name: "scale", desc: "City scale: waypoint population, sim-hour throughput", run: func() []*metrics.Series {
-			res := scenario.CityRun(scenario.CityConfig{Nodes: *nodes}, *simHour, *seed)
-			scaleResult = &res
-			fmt.Printf("%d nodes, %v simulated in %v wall: %.0f node-s/s, %.0f events/s (%d events, %d/%d discoveries answered)\n",
-				res.Nodes, res.SimTime, res.Wall.Round(time.Millisecond),
-				res.NodeSecondsPerSec, res.EventsPerSec, res.Events, res.Answered, res.Queries)
-			s := &metrics.Series{Name: "city-scale"}
-			s.Add(float64(res.Nodes), fmt.Sprintf("%d nodes", res.Nodes), res.Sample)
-			return []*metrics.Series{s}
-		}},
+	p := scenario.Params{Seed: *seed, Runs: *runs, SizeMB: *sizeMB}
+	figures := make([]figure, 0, len(scenario.Figures)+1)
+	for _, f := range scenario.Figures {
+		figures = append(figures, figure{name: f.Name, desc: f.Desc, run: func() ([]*metrics.Series, error) {
+			return f.Run(p)
+		}})
 	}
+	figures = append(figures, figure{name: "scale", desc: "City scale: waypoint population, sim-hour throughput", run: func() ([]*metrics.Series, error) {
+		res := scenario.CityRun(scenario.CityConfig{Nodes: *nodes}, *simHour, *seed)
+		scaleResult = &res
+		fmt.Printf("%d nodes, %v simulated in %v wall: %.0f node-s/s, %.0f events/s (%d events, %d/%d discoveries answered)\n",
+			res.Nodes, res.SimTime, res.Wall.Round(time.Millisecond),
+			res.NodeSecondsPerSec, res.EventsPerSec, res.Events, res.Answered, res.Queries)
+		s := &metrics.Series{Name: "city-scale"}
+		s.Add(float64(res.Nodes), fmt.Sprintf("%d nodes", res.Nodes), res.Sample)
+		return []*metrics.Series{s}, nil
+	}})
 
 	// The compare matrix lands as one figure per scenario cell
 	// (`compare/<scenario>`), so pds-benchdiff tracks each cell's cost
@@ -336,12 +273,9 @@ func run(args []string) error {
 		figures = append(figures, figure{
 			name: "compare/" + scen,
 			desc: fmt.Sprintf("Compare: routing×caching strategy matrix, ranked, on %s", scen),
-			run: func() []*metrics.Series {
+			run: func() ([]*metrics.Series, error) {
 				s, err := scenario.CompareOne(scen, cmpCfg)
-				if err != nil {
-					panic(err)
-				}
-				return []*metrics.Series{s}
+				return []*metrics.Series{s}, err
 			},
 		})
 	}
@@ -360,7 +294,10 @@ func run(args []string) error {
 		// `compare` selects every compare/<scenario> cell figure.
 		if name == "all" || f.name == name ||
 			(name == "compare" && strings.HasPrefix(f.name, "compare/")) {
-			jf := runFigure(f)
+			jf, err := runFigure(f)
+			if err != nil {
+				return err
+			}
 			if f.name == "scale" && scaleResult != nil {
 				jf.Scale = &jsonScale{
 					Nodes:        scaleResult.Nodes,

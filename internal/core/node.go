@@ -491,11 +491,15 @@ func (n *Node) PublishChunk(item attr.Descriptor, chunkID int, payload []byte) {
 	n.adverts.OnPublish()
 }
 
+// DefaultChunkSize is the paper's 256 KB chunk size (§VI-A), the unit
+// PublishItem splits an item into when it is given none.
+const DefaultChunkSize = 256 << 10
+
 // PublishItem splits payload into chunkSize chunks, publishes all of
 // them and returns the item descriptor completed with totalchunks.
 func (n *Node) PublishItem(item attr.Descriptor, payload []byte, chunkSize int) attr.Descriptor {
 	if chunkSize <= 0 {
-		chunkSize = 256 << 10
+		chunkSize = DefaultChunkSize
 	}
 	total := (len(payload) + chunkSize - 1) / chunkSize
 	if total == 0 {

@@ -220,12 +220,9 @@ type Radio struct {
 	// layer arms its retransmission timer from here.
 	OnTransmitted func(*wire.Message)
 
-	// Per-node counters, used by the Figure 3 reception-rate bench.
-	SentOK    uint64 // frames accepted into the OS buffer
-	SentDrop  uint64 // frames dropped at the OS buffer
-	Received  uint64 // frames delivered to this node
-	TxCount   uint64 // frames actually transmitted by this node
-	LastTxEnd time.Duration
+	// Per-node counters, read by the MAC tests.
+	SentDrop uint64 // frames dropped at the OS buffer
+	TxCount  uint64 // frames actually transmitted by this node
 }
 
 // Medium is the shared broadcast channel.
@@ -525,7 +522,6 @@ func (r *Radio) Send(msg *wire.Message) bool {
 		r.queue.PushBack(fr)
 	}
 	r.queuedBytes += size
-	r.SentOK++
 	if r.mac == nil {
 		r.mac = r.m.eng.NewTimer(r.macStep)
 	}
@@ -632,7 +628,6 @@ func (r *Radio) endAirtime() {
 	m := r.m
 	msg, rec := r.airMsg, r.airRec
 	r.airMsg, r.airRec = nil, nil
-	r.LastTxEnd = m.eng.Now()
 	if r.OnTransmitted != nil {
 		r.OnTransmitted(msg)
 	}
@@ -700,7 +695,6 @@ func (m *Medium) finishTransmission(rec *txRecord, msg *wire.Message) {
 				continue
 			}
 			for c := 0; c < copies; c++ {
-				rx.Received++
 				m.stats.Delivered++
 				if m.OnDeliver != nil {
 					m.OnDeliver(sender.id, rx.id, msg)

@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"path/filepath"
+	"os"
 	"time"
 
 	"pds/internal/attr"
@@ -200,40 +200,31 @@ func FlashCrowdChurn(seed int64, entries int) ChaosReport {
 	return rep
 }
 
-// ChaosSeries reduces the three chaos scenarios to one metric row each
-// (averaged over runs), fault counters included, so pds-bench -json
-// rows record how much damage each run absorbed alongside what it still
-// delivered.
-func ChaosSeries(seed int64, runs int) *metrics.Series {
+// chaosSeries is the `pds-bench chaos` figure: the three chaos
+// scenarios, one metric row each with its fault counters, so pds-bench
+// -json rows record how much damage each run absorbed alongside what it
+// still delivered.
+func chaosSeries(p Params, r int) []*metrics.Series {
 	s := &metrics.Series{Name: "chaos scenarios"}
-	scenarios := []struct {
-		name string
-		run  func(seed int64) ChaosReport
-	}{
-		{"crash-the-hub", func(sd int64) ChaosReport { return CrashTheHub(sd, 2<<20) }},
-		{"flash-crowd-churn", func(sd int64) ChaosReport { return FlashCrowdChurn(sd, 2000) }},
-		{"corrupt-10pct", func(sd int64) ChaosReport { return CorruptTenPercent(sd, 2000) }},
-	}
-	for i, sc := range scenarios {
-		samples := parMap(runs, func(r int) metrics.Sample {
-			return sc.run(seed + int64(r)*101).Sample
-		})
-		s.Add(float64(i+1), sc.name, metrics.Mean(samples))
-	}
-	return s
+	seed := p.seed(r)
+	s.Add(1, "crash-the-hub", CrashTheHub(seed, 2<<20).Sample)
+	s.Add(2, "flash-crowd-churn", FlashCrowdChurn(seed, 2000).Sample)
+	s.Add(3, "corrupt-10pct", CorruptTenPercent(seed, 2000).Sample)
+	return []*metrics.Series{s}
 }
 
-// DiskSeries reduces the disk-backed crash/recovery scenario to one
-// metric row averaged over runs. Each run gets its own data directory
-// under dataRoot so concurrent runs never share a log.
-func DiskSeries(seed int64, runs int, dataRoot string) *metrics.Series {
+// diskSeries is the `pds-bench disk` figure: the disk-backed
+// crash/recovery scenario as one metric row. Each run keeps its logs in
+// a data directory of its own, removed when the run ends.
+func diskSeries(p Params, r int) []*metrics.Series {
+	dir, err := os.MkdirTemp("", "pds-disk-")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
 	s := &metrics.Series{Name: "disk crash recovery"}
-	samples := parMap(runs, func(r int) metrics.Sample {
-		dir := filepath.Join(dataRoot, fmt.Sprintf("run-%d", r))
-		return DiskCrashRecovery(seed+int64(r)*101, 2<<20, dir).Sample
-	})
-	s.Add(1, "disk-crash-recovery", metrics.Mean(samples))
-	return s
+	s.Add(1, "disk-crash-recovery", DiskCrashRecovery(p.seed(r), 2<<20, dir).Sample)
+	return []*metrics.Series{s}
 }
 
 // CorruptTenPercent runs a PDD discovery while 10% of all delivered

@@ -414,7 +414,7 @@ func ItemDescriptor(name string, sizeBytes, chunkSize int) attr.Descriptor {
 }
 
 // DefaultChunkSize is the paper's chunk size (§VI-A).
-const DefaultChunkSize = 256 << 10
+const DefaultChunkSize = core.DefaultChunkSize
 
 // DistributeChunks places every chunk of the item on `redundancy`
 // distinct random nodes, excluding the consumer. All copies of a chunk

@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/figure_rows.golden from the current implementation")
 
 // goldenFigureRows renders the pinned figures — Fig 8, Fig 11, chaos and
-// disk — as one deterministic text blob, the paper figures' rows read from
+// disk — as one deterministic text blob, every figure's rows read from
 // ciFigures. Single run per point, base seed 1: exactly the rows
 // `pds-bench -seed 1 -runs 1` prints for these figures. The rows after
 // the disk figure pin the PDD paths those four never run: the ablations
@@ -29,10 +29,7 @@ var updateGolden = flag.Bool("update-golden", false,
 func goldenFigureRows(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	writeFigures(&b, "fig8", "fig11")
-	b.WriteString(ChaosSeries(1, 1).String())
-	b.WriteString(DiskSeries(1, 1, t.TempDir()).String())
-	writeFigures(&b, "ablation", "fig13")
+	writeFigures(&b, "fig8", "fig11", "chaos", "disk", "ablation", "fig13")
 	b.WriteString(smallDataCollect(t, 1).String())
 	b.WriteString(trialGoldenRows(t))
 	writeFigures(&b, "fig3", "leaky", "ack")

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"pds/internal/metrics"
-	"pds/internal/mobility"
 )
 
 // ledgerSeed is the base seed ciFigures runs at. Tier-1 runs seed 1,
@@ -17,29 +16,28 @@ import (
 // `make ledger-seeds` runs the ledger at others.
 var ledgerSeed = flag.Int64("ledger-seed", 1, "base seed of the paper figures' CI rows (ciFigures)")
 
-// ciFigures runs every paper figure `pds-bench` regenerates at the
-// figure golden's CI parameters: seed -ledger-seed, one run, 1 MB
-// items. Each runner runs at most once per test binary; the golden,
-// the ledger and the claim tests all read its rows from here.
-var ciFigures = map[string]func() []*metrics.Series{
-	"fig3":       sync.OnceValue(func() []*metrics.Series { return Fig03SingleHopReception(*ledgerSeed, 1) }),
-	"leaky":      once(func() *metrics.Series { return TabLeakyBucketSweep(*ledgerSeed, 1) }),
-	"ack":        sync.OnceValue(func() []*metrics.Series { return TabAckSweep(*ledgerSeed, 1) }),
-	"saturation": sync.OnceValue(func() []*metrics.Series { return SaturationSweep(*ledgerSeed, 1) }),
-	"fig4":       once(func() *metrics.Series { return Fig04HopCount(*ledgerSeed, 1) }),
-	"fig5":       sync.OnceValue(func() []*metrics.Series { return Fig05MultiRound(*ledgerSeed, 1) }),
-	"fig6":       once(func() *metrics.Series { return Fig06MetadataAmount(*ledgerSeed, 1) }),
-	"fig7":       once(func() *metrics.Series { return Fig07SequentialConsumers(*ledgerSeed, 1) }),
-	"fig8":       once(func() *metrics.Series { return Fig08SimultaneousConsumers(*ledgerSeed, 1) }),
-	"fig9":       once(func() *metrics.Series { return Fig0910MobilityPDD(mobility.StudentCenter(), *ledgerSeed, 1) }),
-	"fig11":      once(func() *metrics.Series { return Fig11DataItemSize(*ledgerSeed, 1) }),
-	"fig12":      once(func() *metrics.Series { return Fig12MobilityPDR(mobility.StudentCenter(), 1, *ledgerSeed, 1) }),
-	"fig13":      sync.OnceValue(func() []*metrics.Series { return Fig1314Redundancy(1, *ledgerSeed, 1) }),
-	"fig15":      once(func() *metrics.Series { return Fig15PDRSequential(1, *ledgerSeed, 1) }),
-	"fig16":      once(func() *metrics.Series { return Fig16PDRSimultaneous(1, *ledgerSeed, 1) }),
-	"ablation":   sync.OnceValue(func() []*metrics.Series { return Ablation(*ledgerSeed, 1) }),
-	"balance":    sync.OnceValue(func() []*metrics.Series { return AblationNearestOnly(1, *ledgerSeed, 1) }),
-}
+// ciFigures runs every figure of Figures at the figure golden's CI
+// parameters: seed -ledger-seed, one run, 1 MB items. Each figure runs
+// at most once per test binary; the golden, the ledger and the claim
+// tests all read its rows from here.
+var ciFigures = func() map[string]func() []*metrics.Series {
+	m := make(map[string]func() []*metrics.Series, len(Figures))
+	for _, f := range Figures {
+		m[f.Name] = sync.OnceValue(func() []*metrics.Series {
+			s, err := f.Run(Params{Seed: *ledgerSeed, Runs: 1, SizeMB: 1})
+			if err != nil {
+				panic(err)
+			}
+			return s
+		})
+	}
+	return m
+}()
+
+// unclaimed are the figures the ledger holds no claim for: the classroom
+// variants repeat a claimed figure on another mobility profile, and the
+// rest are this repository's own scenarios, not the paper's.
+var unclaimed = []string{"fig9class", "fig12class", "chaos", "disk", "stream", "crowd"}
 
 // seedOne skips a test that compares rows pinned at seed 1 when the
 // ledger runs at another seed.
@@ -48,11 +46,6 @@ func seedOne(t *testing.T) {
 	if *ledgerSeed != 1 {
 		t.Skipf("compares seed-1 rows; -ledger-seed is %d", *ledgerSeed)
 	}
-}
-
-// once memoizes a runner that returns one series.
-func once(run func() *metrics.Series) func() []*metrics.Series {
-	return sync.OnceValue(func() []*metrics.Series { return []*metrics.Series{run()} })
 }
 
 // claim is one sentence of the paper's evaluation, checked on the rows
@@ -130,7 +123,8 @@ func want(ok bool, format string, args ...any) error {
 }
 
 // paperClaims is the ledger: each shape claim of the paper's evaluation
-// once, for every figure in ciFigures. EXPERIMENTS.md explains the gaps.
+// once, for every figure of Figures but the unclaimed. EXPERIMENTS.md
+// explains the gaps.
 var paperClaims = []claim{
 	{fig: "fig3", name: "raw-udp-collapses",
 		paper: "Raw UDP broadcast delivers ≈14% of packets, because the phone's send buffer overflows (1–4 senders).",
@@ -575,9 +569,9 @@ func TestPaperClaims(t *testing.T) {
 		claimed[c.fig] = true
 		t.Run(c.fig+"/"+c.name, c.report)
 	}
-	for fig := range ciFigures {
-		if !claimed[fig] {
-			t.Errorf("figure %s has no claim", fig)
+	for _, f := range Figures {
+		if !claimed[f.Name] && !slices.Contains(unclaimed, f.Name) {
+			t.Errorf("figure %s has no claim", f.Name)
 		}
 	}
 }

@@ -5,29 +5,20 @@ import (
 	"sync"
 )
 
-// Sweep runs are embarrassingly parallel: every (point, run) pair owns
-// a fresh Deployment — engine, medium, RNGs, stores — and seeds are a
-// pure function of the base seed and the run index. parMap exploits
-// that: it runs the bodies concurrently on a worker pool and slots each
-// result by index, so output order (and therefore every printed metric
-// row) is identical to the sequential loops it replaces. Determinism is
-// untouched because no simulation state crosses goroutines; only the
-// finished samples do.
+// Sweep runs are embarrassingly parallel: every run owns fresh
+// Deployments — engine, medium, RNGs, stores — and seeds are a pure
+// function of the base seed and the run index. parMap exploits that:
+// Figure.Run and the compare cells hand it their runs, and it runs the
+// bodies concurrently on a worker pool and slots each result by index,
+// so output order (and therefore every printed metric row) is identical
+// to a sequential loop. Determinism is untouched because no simulation
+// state crosses goroutines; only the finished samples do.
 
 // parTokens caps concurrently running simulation bodies across all
-// parMap calls at GOMAXPROCS, so nested sweeps (points × runs) do not
+// parMap calls at GOMAXPROCS, so concurrent or nested calls do not
 // oversubscribe the machine. Tokens are held only while a body runs,
 // never while waiting on other goroutines, so nesting cannot deadlock.
 var parTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// sumFloats adds up per-run rates collected by parMap.
-func sumFloats(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
 
 // parMap evaluates fn(0) … fn(n-1) concurrently and returns the results
 // ordered by index.

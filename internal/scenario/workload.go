@@ -226,41 +226,32 @@ func lossyStreamPlan(seed int64) fault.Plan {
 	}}
 }
 
-// StreamSeries is the `pds-bench stream` figure: streaming QoE versus
+// streamSeries is the `pds-bench stream` figure: streaming QoE versus
 // prefetch depth K ∈ {1, 2, 4}, on a clean channel and under the lossy
 // burst plan. X is the prefetch depth.
-func StreamSeries(seed int64, runs int) *metrics.Series {
+func streamSeries(p Params, r int) []*metrics.Series {
 	s := &metrics.Series{Name: "streaming QoE vs prefetch"}
-	variants := []struct {
-		label    string
-		prefetch int
-		lossy    bool
-	}{
-		{"clean-k1", 1, false},
-		{"clean-k2", 2, false},
-		{"clean-k4", 4, false},
-		{"lossy-k1", 1, true},
-		{"lossy-k2", 2, true},
-		{"lossy-k4", 4, true},
-	}
-	for _, v := range variants {
-		samples := parMap(runs, func(r int) metrics.Sample {
-			sd := seed + int64(r)*101
-			t := GridTopology(sd, "", "")
-			if v.lossy {
-				t.D.InstallFaults(lossyStreamPlan(sd))
+	seed := p.seed(r)
+	for _, lossy := range []bool{false, true} {
+		channel := "clean"
+		if lossy {
+			channel = "lossy"
+		}
+		for _, k := range []int{1, 2, 4} {
+			t := GridTopology(seed, "", "")
+			if lossy {
+				t.D.InstallFaults(lossyStreamPlan(seed))
 			}
-			return StreamingRun(t, workload.StreamSpec{Prefetch: v.prefetch}).Sample
-		})
-		s.Add(float64(v.prefetch), v.label, metrics.Mean(samples))
+			s.Add(float64(k), fmt.Sprintf("%s-k%d", channel, k), StreamingRun(t, workload.StreamSpec{Prefetch: k}).Sample)
+		}
 	}
-	return s
+	return []*metrics.Series{s}
 }
 
-// CrowdSeries is the `pds-bench crowd` figure: flash-crowd QoE under a
+// crowdSeries is the `pds-bench crowd` figure: flash-crowd QoE under a
 // Poisson trickle versus a step burst of 8 simultaneous clients. X is
 // the variant index.
-func CrowdSeries(seed int64, runs int) *metrics.Series {
+func crowdSeries(p Params, r int) []*metrics.Series {
 	s := &metrics.Series{Name: "flash crowd QoE"}
 	variants := []struct {
 		label   string
@@ -270,11 +261,8 @@ func CrowdSeries(seed int64, runs int) *metrics.Series {
 		{"step", workload.ArrivalSpec{Kind: workload.Step, At: 10 * time.Second, Count: 8}},
 	}
 	for i, v := range variants {
-		samples := parMap(runs, func(r int) metrics.Sample {
-			t := GridTopology(seed+int64(r)*101, "", "")
-			return FlashCrowdRun(t, workload.CrowdSpec{Arrival: v.arrival}).Sample
-		})
-		s.Add(float64(i+1), v.label, metrics.Mean(samples))
+		t := GridTopology(p.seed(r), "", "")
+		s.Add(float64(i+1), v.label, FlashCrowdRun(t, workload.CrowdSpec{Arrival: v.arrival}).Sample)
 	}
-	return s
+	return []*metrics.Series{s}
 }

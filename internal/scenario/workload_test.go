@@ -97,8 +97,8 @@ func TestStreamSeriesDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure; skipped in -short")
 	}
-	a := StreamSeries(11, 1).String()
-	b := StreamSeries(11, 1).String()
+	a := figureRows(t, "stream", Params{Seed: 11, Runs: 1})
+	b := figureRows(t, "stream", Params{Seed: 11, Runs: 1})
 	if a != b {
 		t.Fatalf("same-seed stream figure differs:\n%s\n---\n%s", a, b)
 	}
@@ -113,8 +113,8 @@ func TestCrowdSeriesDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure; skipped in -short")
 	}
-	a := CrowdSeries(11, 1).String()
-	b := CrowdSeries(11, 1).String()
+	a := figureRows(t, "crowd", Params{Seed: 11, Runs: 1})
+	b := figureRows(t, "crowd", Params{Seed: 11, Runs: 1})
 	if a != b {
 		t.Fatalf("same-seed crowd figure differs:\n%s\n---\n%s", a, b)
 	}

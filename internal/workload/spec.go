@@ -16,6 +16,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"pds/internal/core"
 )
 
 // Kind discriminates workload specs.
@@ -40,10 +42,6 @@ func (k Kind) String() string {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 }
-
-// DefaultChunkSize is the paper's 256 KB chunk size (§VI-A), the unit
-// workload items are split into.
-const DefaultChunkSize = 256 << 10
 
 // StreamSpec parametrizes a segmented streaming session.
 type StreamSpec struct {
@@ -78,7 +76,7 @@ func (s StreamSpec) withDefaults() StreamSpec {
 		s.Prefetch = 2
 	}
 	if s.ChunkBytes == 0 {
-		s.ChunkBytes = DefaultChunkSize
+		s.ChunkBytes = core.DefaultChunkSize
 	}
 	return s
 }
@@ -143,7 +141,7 @@ func (c CrowdSpec) withDefaults() CrowdSpec {
 		c.ZipfS = 1.2
 	}
 	if c.ChunkBytes == 0 {
-		c.ChunkBytes = DefaultChunkSize
+		c.ChunkBytes = core.DefaultChunkSize
 	}
 	if c.Arrival.Kind == 0 {
 		c.Arrival.Kind = Poisson

@@ -29,7 +29,7 @@ type PublishFunc func(item attr.Descriptor, chunkID int, payload []byte)
 // ChunkCount returns how many chunkBytes-sized chunks cover totalBytes.
 func ChunkCount(totalBytes, chunkBytes int) int {
 	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkSize
+		chunkBytes = core.DefaultChunkSize
 	}
 	n := (totalBytes + chunkBytes - 1) / chunkBytes
 	if n == 0 {
@@ -44,7 +44,7 @@ func ChunkCount(totalBytes, chunkBytes int) int {
 // exact size.
 func ChunkPayload(totalBytes, chunkBytes, c int) []byte {
 	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkSize
+		chunkBytes = core.DefaultChunkSize
 	}
 	size := chunkBytes
 	if rem := totalBytes - c*chunkBytes; rem < size {

@@ -96,7 +96,7 @@ const (
 )
 
 // DefaultChunkSize is the paper's 256 KB chunk size (§VI-A).
-const DefaultChunkSize = 256 << 10
+const DefaultChunkSize = core.DefaultChunkSize
 
 // NewDescriptor returns an empty descriptor; chain Set calls to build
 // it up.
