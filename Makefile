@@ -99,6 +99,9 @@ smoke:
 # Twenty times a thousand peers attached to a deployment of a
 # hundred; what an idle peer may cost is TestIdlePeerCost.
 	$(GO) test ./internal/scenario -run '^$$' -bench AddPeer -benchtime 20x -benchmem
+# Ten mobility steps of the 10 000-walker city, each walker moved
+# through its radio; TestCityWalkersKeepOnePosition pins where they end.
+	$(GO) test ./internal/scenario -run '^$$' -bench CityStep -benchtime 10x -benchmem
 
 # loc prints the tracked size metric (ROADMAP: "non-test line count is a
 # tracked metric"): lines of non-test Go per package of this module, and

@@ -11,7 +11,9 @@ import (
 
 // Waypoint is a random-waypoint mobility model for a fixed population,
 // advanced in bulk: one Step call moves every node and appends the
-// changed positions as a radio.Move batch for Medium.SetPositions. The
+// changed positions as a radio.Move batch, which a driver that holds
+// the radios applies with Radio.MoveTo (scenario.CityScale) and one
+// that holds ids with Medium.SetPositions. The
 // event-trace machinery (Profile/Generate) schedules one engine event
 // per node per step, which is fine for tens of nodes; at city scale one
 // batched event per step interval keeps the event queue proportional to

@@ -22,17 +22,19 @@
 // Positions, joins, leaves and moves may change at any time, driven by
 // package mobility.
 //
-// Scale: nodes live in a uniform-grid spatial index (package spatial)
-// whose cell edge equals the carrier-sense range, so a query for the
-// nodes around a point — neighbor lists, delivery fan-out — scans only
-// the 3×3 cell block around it instead of the whole population. Carrier
-// sensing and collision checks ask the other question, which
-// transmissions reach this node, and read it off the few live
-// transmission records. Per-node hot state is held in dense slices
-// indexed by a small int handle; the id → handle map is touched only on
-// attach/detach and API lookups, never in per-frame loops. A radio's
-// MAC is one reusable engine timer and a phase, its transmit queue a
-// ring: a frame in steady state allocates nothing here.
+// Scale: nodes live in cells of a uniform-grid spatial index (package
+// spatial) whose cell edge equals the carrier-sense range, so a query
+// for the nodes around a point — neighbor lists, delivery fan-out —
+// scans only the 3×3 cell block around it instead of the whole
+// population. The grid holds cell membership only; a node's position is
+// kept once, on its Radio. Carrier sensing and collision checks ask the
+// other question, which transmissions reach this node, and read it off
+// the few live transmission records. Per-node hot state is held in
+// dense slices indexed by a small int handle; the id → handle map is
+// touched only on attach/detach and API lookups, never in per-frame
+// loops nor when a mobility driver moves its radios (Radio.MoveTo). A
+// radio's MAC is one reusable engine timer and a phase, its transmit
+// queue a ring: a frame in steady state allocates nothing here.
 package radio
 
 import (
@@ -232,11 +234,12 @@ type Medium struct {
 
 	// index maps node id to dense slot. It is consulted on attach,
 	// detach and id-keyed API lookups only — per-frame paths work on
-	// slots and *Radio pointers.
+	// slots and *Radio pointers, and a mobility driver that holds the
+	// radios moves them with Radio.MoveTo, no lookup at all.
 	index  map[wire.NodeID]int32
 	radios []*Radio      // dense slot -> radio, nil while slot is free
 	free   []int32       // recycled slots
-	grid   *spatial.Grid // slot -> position, cell edge = senseRange
+	grid   *spatial.Grid // slot -> cell, cell edge = senseRange; positions live on the Radio
 
 	// txOrder holds live-or-recent transmission records in creation
 	// (= start-time) order.
@@ -332,14 +335,14 @@ func (m *Medium) Detach(id wire.NodeID) {
 	delete(m.index, id)
 }
 
-// SetPosition moves a node.
+// SetPosition moves a node. Moving an id that is not attached does
+// nothing.
 func (m *Medium) SetPosition(id wire.NodeID, pos Pos) {
 	slot, ok := m.index[id]
 	if !ok {
 		return
 	}
-	m.radios[slot].pos = pos
-	m.grid.Move(slot, pos.X, pos.Y)
+	m.radios[slot].MoveTo(pos)
 }
 
 // Move pairs a node id with a new position for SetPositions.
@@ -348,9 +351,10 @@ type Move struct {
 	Pos Pos
 }
 
-// SetPositions applies a batch of moves — the bulk entry point mobility
-// drivers use when advancing every node once per step. Moves for
-// detached ids are ignored, like SetPosition.
+// SetPositions applies a batch of moves by id, one SetPosition each.
+// Moves for detached ids are ignored, like SetPosition. A driver that
+// holds the radios moves them with Radio.MoveTo instead, with no id
+// lookup (scenario.CityScale does).
 func (m *Medium) SetPositions(moves []Move) {
 	for i := range moves {
 		m.SetPosition(moves[i].ID, moves[i].Pos)
@@ -538,6 +542,21 @@ func (r *Radio) ID() wire.NodeID { return r.id }
 
 // Pos returns the node's current position.
 func (r *Radio) Pos() Pos { return r.pos }
+
+// MoveTo moves the node to pos and reports whether the radio is still
+// attached. A detached radio stays where it left and the call does
+// nothing — its slot may already belong to another node. Mobility
+// drivers that hold their radios move them here, with no id lookup.
+//
+//pds:hotpath
+func (r *Radio) MoveTo(pos Pos) bool {
+	if r.gone {
+		return false
+	}
+	r.pos = pos
+	r.m.grid.Move(r.slot, pos.X, pos.Y)
+	return true
+}
 
 // macStep is the MAC timer's callback: it runs the step the phase names.
 // The phase is idle again before the step runs, as the timer is, so the

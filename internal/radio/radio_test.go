@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -269,6 +270,60 @@ func TestNeighborsAndPositions(t *testing.T) {
 	}
 	if p, ok := m.Position(3); !ok || p.X != 40 {
 		t.Fatalf("Position = %v %v", p, ok)
+	}
+}
+
+// TestMoveDetachedRadio holds Radio.MoveTo on a detached radio to what
+// SetPosition does for an unknown id: nothing, and no panic.
+func TestMoveDetachedRadio(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewMedium(eng, quietConfig())
+	r1 := m.Attach(1, Pos{}, nil)
+	m.Attach(2, Pos{X: 30}, nil)
+	if !r1.MoveTo(Pos{X: 5}) || r1.Pos() != (Pos{X: 5}) {
+		t.Fatalf("attached MoveTo: at %+v", r1.Pos())
+	}
+	m.Detach(1)
+	if r1.MoveTo(Pos{X: 10}) {
+		t.Fatal("MoveTo of a detached radio reported it attached")
+	}
+	m.SetPosition(1, Pos{X: 20})
+	if r1.Pos() != (Pos{X: 5}) {
+		t.Fatalf("detached radio moved to %+v", r1.Pos())
+	}
+	if _, ok := m.Position(1); ok {
+		t.Fatal("detached node has a position")
+	}
+	if nbs := m.Neighbors(2); len(nbs) != 0 {
+		t.Fatalf("Neighbors(2) = %v after node 1 left", nbs)
+	}
+}
+
+// TestStaleRadioMoveAfterSlotReuse moves a detached radio whose slot a
+// later Attach took: the slot's new occupant keeps its position and its
+// grid cell, so every neighbor list stays as it was.
+func TestStaleRadioMoveAfterSlotReuse(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewMedium(eng, quietConfig())
+	stale := m.Attach(1, Pos{}, nil)
+	m.Attach(2, Pos{X: 30}, nil)
+	m.Attach(4, Pos{X: 300}, nil)
+	m.Detach(1)
+	r3 := m.Attach(3, Pos{X: 20}, nil)
+	if r3.slot != stale.slot {
+		t.Fatalf("node 3 got slot %d, not the freed slot %d", r3.slot, stale.slot)
+	}
+	stale.MoveTo(Pos{X: 290})
+	if p, ok := m.Position(3); !ok || p != (Pos{X: 20}) || r3.Pos() != p {
+		t.Fatalf("node 3 at %+v (attached %v), radio at %+v", p, ok, r3.Pos())
+	}
+	for _, c := range []struct {
+		id   wire.NodeID
+		want []wire.NodeID
+	}{{2, []wire.NodeID{3}}, {3, []wire.NodeID{2}}, {4, nil}} {
+		if got := m.Neighbors(c.id); !slices.Equal(got, c.want) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", c.id, got, c.want)
+		}
 	}
 }
 

@@ -34,8 +34,8 @@ type CityConfig struct {
 	PauseMin time.Duration
 	PauseMax time.Duration
 	// StepInterval is the mobility batch period: every interval one
-	// engine event advances the whole population and feeds the radio
-	// index one SetPositions batch (default 1s).
+	// engine event advances the whole population and moves each walker
+	// that moved through its radio (default 1s).
 	StepInterval time.Duration
 	// Items is the distinct content catalog size (default Nodes/10).
 	Items int
@@ -108,12 +108,27 @@ func (c CityConfig) Side() float64 {
 // CityScale builds a city-scale deployment: cfg.Nodes peers placed by a
 // random-waypoint model over a square sized for cfg.AreaPerNode, a
 // Zipf-popular content catalog seeded across the population, and a
-// single repeating engine event that advances all mobility in one
-// SetPositions batch per StepInterval (the event queue stays
-// proportional to time, not population). It returns the deployment and
-// the waypoint model driving it.
+// single repeating engine event that advances all mobility once per
+// StepInterval (the event queue stays proportional to time, not
+// population). It returns the deployment and the waypoint model driving
+// it.
 func CityScale(cfg CityConfig, opts Options) (*Deployment, *mobility.Waypoint) {
 	cfg = cfg.withDefaults()
+	d, wp, walk := cityScale(cfg, opts)
+	var step func()
+	step = func() {
+		walk()
+		d.Eng.Schedule(cfg.StepInterval, step)
+	}
+	d.Eng.Schedule(cfg.StepInterval, step)
+	return d, wp
+}
+
+// cityScale builds CityScale's deployment from a defaulted cfg and
+// returns, instead of scheduling it, the body of one mobility step:
+// advance every walker by StepInterval and move each one that moved
+// through its radio.
+func cityScale(cfg CityConfig, opts Options) (*Deployment, *mobility.Waypoint, func()) {
 	d := New(opts)
 	side := cfg.Side()
 	wp := mobility.NewWaypointFromConfig(mobility.WaypointConfig{
@@ -121,8 +136,11 @@ func CityScale(cfg CityConfig, opts Options) (*Deployment, *mobility.Waypoint) {
 		SpeedMin: cfg.SpeedMin, SpeedMax: cfg.SpeedMax,
 		PauseMin: cfg.PauseMin, PauseMax: cfg.PauseMax, FirstID: 1,
 	}, rand.New(rand.NewSource(d.seed+21)))
+	// Walker i moves through radios[i], the radio AddPeer attached for
+	// it: no id is looked up while the city walks.
+	radios := make([]*radio.Radio, cfg.Nodes)
 	for i, pos := range wp.Positions() {
-		d.AddPeer(wp.ID(i), pos)
+		radios[i] = d.AddPeer(wp.ID(i), pos).Radio
 	}
 
 	// Zipf content popularity: each publish drops one catalog item on
@@ -136,15 +154,22 @@ func CityScale(cfg CityConfig, opts Options) (*Deployment, *mobility.Waypoint) {
 		d.Peers[id].Node.PublishEntry(EntryDescriptor(item))
 	}
 
-	var moves []radio.Move
-	var step func()
-	step = func() {
+	moves := make([]radio.Move, 0, cfg.Nodes)
+	walk := func() {
 		moves = wp.Step(cfg.StepInterval, moves[:0])
-		d.Medium.SetPositions(moves)
-		d.Eng.Schedule(cfg.StepInterval, step)
+		for _, mv := range moves {
+			i := mv.ID - wp.FirstID
+			if !radios[i].MoveTo(mv.Pos) {
+				// The walker's radio is detached: it crashed or left. A
+				// restarted peer walks on with the radio it came back with.
+				if p := d.Peers[mv.ID]; p != nil {
+					radios[i] = p.Radio
+					p.Radio.MoveTo(mv.Pos)
+				}
+			}
+		}
 	}
-	d.Eng.Schedule(cfg.StepInterval, step)
-	return d, wp
+	return d, wp, walk
 }
 
 // CityResult is one CityRun's outcome: protocol-level metrics plus the

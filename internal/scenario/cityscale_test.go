@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"pds/internal/wire"
 )
 
 // TestCityDeterministic pins that a city run is a pure function of its
@@ -60,5 +63,82 @@ func TestCityScaleSmoke10k(t *testing.T) {
 		if pos.X < 0 || pos.Y < 0 || pos.X > side || pos.Y > side {
 			t.Fatalf("node %d out of bounds: %+v", id, pos)
 		}
+	}
+}
+
+// TestCityWalkersKeepOnePosition pins the city step end to end: after a
+// minute of walking (60 steps) every radio sits where the waypoint
+// model put its walker, and the medium's neighbor lists, read through
+// the grid's cells, equal a brute-force scan of those positions.
+func TestCityWalkersKeepOnePosition(t *testing.T) {
+	d, wp := CityScale(CityConfig{Nodes: 300}, Options{Seed: 3})
+	start := slices.Clone(wp.Positions())
+	d.Eng.Run(time.Minute)
+	moved := 0
+	for i, want := range wp.Positions() {
+		got, ok := d.Medium.Position(wp.ID(i))
+		if !ok || got != want {
+			t.Fatalf("walker %d: medium has %+v (attached %v), waypoint %+v", i, got, ok, want)
+		}
+		if got != start[i] {
+			moved++
+		}
+	}
+	if moved < len(start)/2 {
+		t.Fatalf("%d of %d walkers moved in a minute", moved, len(start))
+	}
+	rng := d.Medium.Config().Range
+	for i := 0; i < len(wp.Positions()); i += 7 {
+		self := wp.Positions()[i]
+		var want []wire.NodeID
+		for j, p := range wp.Positions() {
+			if j != i && p.Dist(self) <= rng {
+				want = append(want, wp.ID(j))
+			}
+		}
+		if got := d.Medium.Neighbors(wp.ID(i)); !slices.Equal(got, want) {
+			t.Fatalf("walker %d: Neighbors = %v, brute force %v", i, got, want)
+		}
+	}
+}
+
+// TestCityRestartedWalkerWalksOn holds a crashed walker still while it
+// is down and moves it with the waypoint model again once it restarts
+// on a fresh radio.
+func TestCityRestartedWalkerWalksOn(t *testing.T) {
+	d, wp := CityScale(CityConfig{Nodes: 200, PauseMax: time.Millisecond}, Options{Seed: 4})
+	const i = 17
+	id := wp.ID(i)
+	d.Eng.Run(5 * time.Second)
+	d.Crash(id)
+	at := d.Peers[id].Radio.Pos()
+	d.Eng.Run(10 * time.Second)
+	if got := d.Peers[id].Radio.Pos(); got != at {
+		t.Fatalf("a crashed walker moved: %+v -> %+v", at, got)
+	}
+	d.Restart(id)
+	d.Eng.Run(15 * time.Second)
+	got, ok := d.Medium.Position(id)
+	if !ok || got != wp.Positions()[i] || got == at {
+		t.Fatalf("restarted walker at %+v (attached %v), waypoint %+v, crashed at %+v", got, ok, wp.Positions()[i], at)
+	}
+}
+
+// BenchmarkCityStep is one mobility step of the 10 000-walker city:
+// the waypoint model advances everyone and each walker that moved is
+// moved through its radio and, when it crosses a cell edge, re-homed in
+// the grid. It warms up over ten simulated minutes first — the walk of
+// a sim-city-idle pass — after which a step allocates nothing but, now
+// and then, a grid cell's bucket outgrowing the largest crowd it held
+// so far (well under one object a step: 0 allocs/op).
+func BenchmarkCityStep(b *testing.B) {
+	_, _, walk := cityScale(CityConfig{Nodes: 10000}.withDefaults(), Options{Seed: 1})
+	for i := 0; i < 600; i++ {
+		walk()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walk()
 	}
 }

@@ -38,14 +38,16 @@ type CompareConfig struct {
 	// SizeMB is the item size of the fig11, sparse and pressure cells
 	// (<= 0: 1 MB).
 	SizeMB int
-	// Seed and Runs follow pds-bench semantics.
+	// Seed and Runs follow pds-bench semantics: Runs must be at least
+	// 1, as for every figure.
 	Seed int64
 	Runs int
 	// Quick shrinks every cell's workload for CI smoke runs.
 	Quick bool
 }
 
-// WithDefaults fills the zero fields with the harness defaults.
+// WithDefaults fills the zero fields with the harness defaults. Runs
+// has none: CompareOne refuses fewer than one run, as Figure.Run does.
 func (c CompareConfig) WithDefaults() CompareConfig {
 	if len(c.Routings) == 0 {
 		c.Routings = strategy.RoutingNames()
@@ -58,9 +60,6 @@ func (c CompareConfig) WithDefaults() CompareConfig {
 	}
 	if c.SizeMB <= 0 {
 		c.SizeMB = 1
-	}
-	if c.Runs <= 0 {
-		c.Runs = 1
 	}
 	return c
 }
@@ -205,6 +204,9 @@ func betterSample(a, b metrics.Sample) (better, worse bool) {
 // ranked series `compare/<scenario>`: one point per routing×caching
 // pair, best first, X carrying the 1-based rank.
 func CompareOne(scen string, cfg CompareConfig) (*metrics.Series, error) {
+	if err := checkRuns("compare/"+scen, cfg.Runs); err != nil {
+		return nil, err
+	}
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err

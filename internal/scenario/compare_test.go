@@ -45,7 +45,7 @@ func TestCompareConfigDefaults(t *testing.T) {
 	if len(cfg.Cachings) != len(strategy.CachingNames()) {
 		t.Fatalf("default cachings = %v, want every registered strategy", cfg.Cachings)
 	}
-	if len(cfg.Scenarios) != len(CompareScenarios) || cfg.SizeMB != 1 || cfg.Runs != 1 {
+	if len(cfg.Scenarios) != len(CompareScenarios) || cfg.SizeMB != 1 || cfg.Runs != 0 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -69,8 +69,22 @@ func TestCompareConfigValidate(t *testing.T) {
 			t.Fatalf("Validate(%+v) = %v, want %s error naming alternatives", tc.cfg, err, tc.wantSub)
 		}
 	}
-	if _, err := CompareOne("bogus", CompareConfig{}); err == nil {
+	if _, err := CompareOne("bogus", CompareConfig{Runs: 1}); err == nil {
 		t.Fatal("CompareOne accepted an unknown scenario")
+	}
+}
+
+// TestCompareOneRefusesFewerThanOneRun holds a compare cell to the rule
+// every figure keeps: below one run there is nothing to average, and
+// the error is Figure.Run's.
+func TestCompareOneRefusesFewerThanOneRun(t *testing.T) {
+	for _, runs := range []int{0, -1} {
+		cfg := CompareConfig{Routings: []string{"cdi"}, Cachings: []string{"fifo"}, Seed: 1, Runs: runs, Quick: true}
+		s, err := CompareOne("repeat", cfg)
+		_, want := Figure{Name: "compare/repeat"}.Run(Params{Seed: 1, Runs: runs})
+		if err == nil || s != nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Runs %d: CompareOne = %v, %v; want Figure.Run's error %v", runs, s, err, want)
+		}
 	}
 }
 
@@ -122,7 +136,7 @@ func TestEveryStrategySeparates(t *testing.T) {
 		s.Strategy = nil // the counters name the strategy; the row is the rest
 		return s
 	}
-	cfg := CompareConfig{Quick: true}.WithDefaults()
+	cfg := CompareConfig{Runs: 1, Quick: true}.WithDefaults()
 	for _, scen := range cfg.Scenarios {
 		if len(todo) == 0 {
 			break

@@ -58,8 +58,8 @@ type Figure struct {
 // Run runs the figure p.Runs times, concurrently, and returns run 0's
 // series with each point's sample replaced by the mean over the runs.
 func (f Figure) Run(p Params) ([]*metrics.Series, error) {
-	if p.Runs < 1 {
-		return nil, fmt.Errorf("figure %s: %d runs, want at least 1", f.Name, p.Runs)
+	if err := checkRuns(f.Name, p.Runs); err != nil {
+		return nil, err
 	}
 	byRun := parMap(p.Runs, func(r int) []*metrics.Series { return f.run(p, r) })
 	samples := make([]metrics.Sample, p.Runs)
@@ -72,6 +72,15 @@ func (f Figure) Run(p Params) ([]*metrics.Series, error) {
 		}
 	}
 	return byRun[0], nil
+}
+
+// checkRuns refuses a figure fewer than one run: there is nothing to
+// average.
+func checkRuns(figure string, runs int) error {
+	if runs < 1 {
+		return fmt.Errorf("figure %s: %d runs, want at least 1", figure, runs)
+	}
+	return nil
 }
 
 // Figures is every figure `pds-bench` regenerates, in its `all` order.

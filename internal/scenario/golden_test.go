@@ -73,7 +73,7 @@ func trialGoldenRows(t *testing.T) string {
 
 	for _, scen := range []string{"fig11", "sparse", "repeat", "pressure"} {
 		s, err := CompareOne(scen, CompareConfig{
-			Routings: []string{"bfr"}, Cachings: []string{"opportunistic"}, Seed: 1, Quick: true,
+			Routings: []string{"bfr"}, Cachings: []string{"opportunistic"}, Seed: 1, Runs: 1, Quick: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,11 @@
 // Package spatial provides a uniform-grid spatial index for the radio
-// medium. Nodes are dense int32 ids with planar positions; the grid
-// buckets them into square cells so that "who is within radius r of
-// point p" scans only the 3×3 cell neighborhood around p instead of
-// every node — the change that takes city-scale neighbor queries from
-// O(nodes) to O(local density).
+// medium. Nodes are dense int32 ids; the grid buckets them into square
+// cells by the position they were inserted or moved to, so that "who
+// could be within radius r of point p" scans only the 3×3 cell
+// neighborhood around p instead of every node — the change that takes
+// city-scale neighbor queries from O(nodes) to O(local density). The
+// grid holds cell membership only, never positions: the caller keeps
+// each node's position and does the distance filtering.
 //
 // The cell edge must be at least the largest query radius: then every
 // point within that radius of p lies in one of the nine cells around
@@ -24,17 +26,17 @@ type Cell struct {
 	X, Y int32
 }
 
-// Grid is a uniform-grid index over dense int32 ids. The zero value is
-// not usable; construct with NewGrid. Not safe for concurrent use.
+// Grid is a uniform-grid index of dense int32 ids by cell. The zero
+// value is not usable; construct with NewGrid. Not safe for concurrent
+// use.
 type Grid struct {
 	inv   float64 // 1 / cell edge length
 	cells map[Cell][]int32
 
 	// Dense per-id state, indexed by id. A node's entry is live iff
 	// slot[id] >= 0.
-	px, py []float64
-	home   []Cell
-	slot   []int32 // index within cells[home[id]], or -1 when absent
+	home []Cell
+	slot []int32 // index within cells[home[id]], or -1 when absent
 }
 
 // NewGrid returns a grid with the given cell edge length, which must be
@@ -58,8 +60,6 @@ func (g *Grid) CellOf(x, y float64) Cell {
 // grow extends the dense arrays to cover id.
 func (g *Grid) grow(id int32) {
 	for int32(len(g.slot)) <= id {
-		g.px = append(g.px, 0)
-		g.py = append(g.py, 0)
 		g.home = append(g.home, Cell{})
 		g.slot = append(g.slot, -1)
 	}
@@ -70,13 +70,9 @@ func (g *Grid) Contains(id int32) bool {
 	return id >= 0 && id < int32(len(g.slot)) && g.slot[id] >= 0
 }
 
-// Position returns id's indexed position. id must be present.
-func (g *Grid) Position(id int32) (x, y float64) {
-	return g.px[id], g.py[id]
-}
-
-// Insert adds id at (x, y). It panics if id is negative or already
-// present — a double insert means the caller's id allocation is broken.
+// Insert adds id to the cell holding (x, y). It panics if id is
+// negative or already present — a double insert means the caller's id
+// allocation is broken.
 func (g *Grid) Insert(id int32, x, y float64) {
 	if id < 0 {
 		panic("spatial: negative id")
@@ -85,8 +81,11 @@ func (g *Grid) Insert(id int32, x, y float64) {
 	if g.slot[id] >= 0 {
 		panic("spatial: duplicate insert")
 	}
-	g.px[id], g.py[id] = x, y
-	c := g.CellOf(x, y)
+	g.put(id, g.CellOf(x, y))
+}
+
+// put appends the absent id to cell c's bucket.
+func (g *Grid) put(id int32, c Cell) {
 	g.home[id] = c
 	bucket := g.cells[c]
 	g.slot[id] = int32(len(bucket))
@@ -105,28 +104,27 @@ func (g *Grid) Remove(id int32) {
 	moved := bucket[last]
 	bucket[i] = moved
 	g.slot[moved] = i
-	bucket = bucket[:last]
-	if len(bucket) == 0 {
-		delete(g.cells, c)
-	} else {
-		g.cells[c] = bucket
-	}
+	// An emptied bucket stays, capacity and all: the next node to enter
+	// the cell reuses it instead of allocating a new one.
+	g.cells[c] = bucket[:last]
 	g.slot[id] = -1
 }
 
-// Move updates id's position, re-homing it to a new cell only when the
-// cell actually changes (the common same-cell case is two stores).
+// Move re-homes id to the cell holding (x, y) when that is not its
+// cell already; the common same-cell move writes nothing. It panics if
+// id is absent.
+//
+//pds:hotpath
 func (g *Grid) Move(id int32, x, y float64) {
 	if !g.Contains(id) {
 		panic("spatial: move of absent id")
 	}
-	g.px[id], g.py[id] = x, y
 	c := g.CellOf(x, y)
 	if c == g.home[id] {
 		return
 	}
 	g.Remove(id)
-	g.Insert(id, x, y)
+	g.put(id, c)
 }
 
 // VisitNeighborhood calls fn for every id in the 3×3 cell block

@@ -45,11 +45,13 @@ func (n *naive) inRange(x, y, r float64) []int32 {
 	return out
 }
 
-func sortedInRange(g *Grid, x, y, r float64) []int32 {
+// sortedInRange is the grid's query as its callers make it: the ids of
+// the 3×3 block, filtered by distance. The grid keeps no positions, so
+// they come from the reference model, which tracks the same moves.
+func sortedInRange(g *Grid, ref *naive, x, y, r float64) []int32 {
 	var out []int32
 	g.VisitNeighborhood(x, y, func(id int32) {
-		px, py := g.Position(id)
-		if math.Hypot(px-x, py-y) <= r {
+		if math.Hypot(ref.x[id]-x, ref.y[id]-y) <= r {
 			out = append(out, id)
 		}
 	})
@@ -103,7 +105,7 @@ func TestGridMatchesNaive(t *testing.T) {
 		default:
 			x, y := pos()
 			radius := rng.Float64() * cell
-			got := sortedInRange(g, x, y, radius)
+			got := sortedInRange(g, ref, x, y, radius)
 			want := ref.inRange(x, y, radius)
 			if len(got) != len(want) {
 				t.Fatalf("op %d: got %v, want %v", op, got, want)
@@ -149,8 +151,11 @@ func TestGridSameCellMoveKeepsSlot(t *testing.T) {
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("bucket order %v, want [0 1]", order)
 	}
-	x, y := g.Position(0)
-	if x != 30 || y != 30 {
-		t.Fatalf("Position = (%v, %v)", x, y)
+	if c := g.home[0]; c != g.CellOf(30, 30) || c != g.CellOf(10, 10) {
+		t.Fatalf("home cell %v, want %v", c, g.CellOf(30, 30))
+	}
+	g.Move(0, 150, 30) // the next cell over
+	if c := g.home[0]; c != g.CellOf(150, 30) {
+		t.Fatalf("home cell after a cross-cell move %v, want %v", c, g.CellOf(150, 30))
 	}
 }
