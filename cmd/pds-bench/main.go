@@ -13,7 +13,7 @@
 // compare, all.
 //
 // `compare` is the strategy A/B harness: it runs a routing × caching
-// matrix (-routings, -cachings; default: every registered strategy)
+// matrix (-routings, -cachings; default: every strategy of the plane)
 // over the -compare-scenarios cells (default: all of them) and prints
 // one ranked table per scenario, best strategy pair first. -quick shrinks
 // the cells to CI-smoke size. Each scenario lands in the JSON report as
@@ -211,9 +211,9 @@ func run(args []string) error {
 	traceOut := fs.String("trace-out", "",
 		"additionally run one traced Figure-8 discovery (5 consumers, 5000 entries) and write its JSONL here")
 	routings := fs.String("routings", "",
-		"comma-separated routing strategies for the compare matrix (default: every registered one)")
+		"comma-separated routing strategies for the compare matrix (default: all of them)")
 	cachings := fs.String("cachings", "",
-		"comma-separated caching strategies for the compare matrix (default: every registered one)")
+		"comma-separated caching strategies for the compare matrix (default: all of them)")
 	compareScens := fs.String("compare-scenarios", "",
 		"comma-separated compare scenario cells: "+strings.Join(scenario.CompareScenarios, ",")+" (default: all)")
 	quick := fs.Bool("quick", false, "shrink compare cells to CI-smoke size")

@@ -36,8 +36,10 @@ import (
 	"pds/internal/wire"
 )
 
-// Chaos injects deterministic face-level faults; implemented by
-// fault.FaceInjector. All methods must be safe for concurrent use.
+// Chaos injects face-level faults: it is the mesh's test seam, which
+// tests implement with small fakes to drive the supervisor's backoff,
+// write deadlines and circuit breaker. All methods must be safe for
+// concurrent use.
 type Chaos interface {
 	// DialFault reports whether this dial attempt should fail.
 	DialFault(addr string) bool
@@ -94,8 +96,8 @@ type Config struct {
 	// Seed drives the backoff jitter; identical seeds and failure
 	// sequences produce identical retry schedules.
 	Seed int64
-	// Chaos optionally injects face faults (dial-fail, conn-reset,
-	// stall); nil means none.
+	// Chaos optionally injects face faults (failed dials, reset or
+	// stalled writes) in tests; nil means none.
 	Chaos Chaos
 }
 

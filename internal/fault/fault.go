@@ -79,16 +79,6 @@ const (
 	Corrupt
 	// Duplicate opens a frame-duplication window with probability Rate.
 	Duplicate
-	// DialFail opens a window in which face dials fail with
-	// probability Rate (deployment plane; driven by FaceInjector).
-	DialFail
-	// ConnReset opens a window in which face writes are reset with
-	// probability Rate (deployment plane; driven by FaceInjector).
-	ConnReset
-	// Stall opens a window in which face writes hang past the write
-	// deadline with probability Rate (deployment plane; driven by
-	// FaceInjector).
-	Stall
 )
 
 // String returns the lowercase event-kind name.
@@ -104,12 +94,6 @@ func (k EventKind) String() string {
 		return "corrupt"
 	case Duplicate:
 		return "dup"
-	case DialFail:
-		return "dial-fail"
-	case ConnReset:
-		return "conn-reset"
-	case Stall:
-		return "stall"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -238,10 +222,6 @@ func (in *Injector) Install(p Plan) {
 func (in *Injector) fire(ev Event) {
 	now := in.clk.Now()
 	switch ev.Kind {
-	case DialFail, ConnReset, Stall:
-		// Face-level faults target the real-clock deployment plane, not
-		// the simulated channel; hand the same Plan to a FaceInjector.
-		return
 	case Crash:
 		if in.target == nil {
 			return
@@ -383,15 +363,11 @@ func (in *Injector) Fate(from, to wire.NodeID, now time.Duration) radio.FrameFat
 //	burst@<at>[+<dur>]:<lossBad>[,<meanBad>[,<meanGood>]]
 //	corrupt@<at>[+<dur>]:<rate>
 //	dup@<at>[+<dur>]:<rate>
-//	dial-fail@<at>[+<dur>]:<rate>    face dials fail (deployment plane)
-//	conn-reset@<at>[+<dur>]:<rate>   face writes reset (deployment plane)
-//	stall@<at>[+<dur>]:<rate>        face writes hang (deployment plane)
 //
 // Durations use Go syntax ("30s", "500ms"). Examples:
 //
 //	crash:45@30s+20s;burst@10s+60s:0.4
 //	corrupt@0s:0.1;dup@0s:0.05
-//	dial-fail@0s+10s:1.0;conn-reset@2s:0.5;stall@1s+3s:0.25
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
 	for _, part := range strings.Split(spec, ";") {
@@ -426,12 +402,6 @@ func parseEvent(s string) (Event, error) {
 		ev.Kind = Corrupt
 	case "dup":
 		ev.Kind = Duplicate
-	case "dial-fail":
-		ev.Kind = DialFail
-	case "conn-reset":
-		ev.Kind = ConnReset
-	case "stall":
-		ev.Kind = Stall
 	default:
 		return Event{}, fmt.Errorf("unknown kind %q", kind)
 	}
@@ -491,7 +461,7 @@ func parseEvent(s string) (Event, error) {
 		if len(fields) > 3 {
 			return Event{}, fmt.Errorf("too many burst parameters")
 		}
-	case Corrupt, Duplicate, DialFail, ConnReset, Stall:
+	case Corrupt, Duplicate:
 		if !hasParams {
 			return Event{}, fmt.Errorf("%s needs :<rate>", ev.Kind)
 		}

@@ -52,6 +52,9 @@ func TestParsePlan(t *testing.T) {
 		"explode:1@0s",       // unknown kind
 		"crash:1@ten",        // bad duration
 		"burst@0s:0.4,a,b,c", // too many params
+		"dial-fail@0s:1.0",   // face kinds are not plan kinds
+		"conn-reset@1s:0.5",
+		"stall@0s:1",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)

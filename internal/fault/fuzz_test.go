@@ -2,6 +2,7 @@ package fault
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -22,12 +23,18 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("burst@10s")
 	f.Add("crash:-1@30s")
 	f.Add("dup:7@1s:0.05")
+	// Face fault names are no plan kinds: these must be rejected.
 	f.Add("dial-fail@0s+10s:1.0;conn-reset@2s:0.5;stall@1s+3s:0.25")
 	f.Add("dial-fail@0s:1.0")
 	f.Add("conn-reset:3@1s:0.5")
 	f.Add("stall@1s")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)
+		for _, face := range []string{"dial-fail", "conn-reset", "stall"} {
+			if err == nil && strings.Contains(spec, face) {
+				t.Fatalf("spec %q: accepted the face fault name %q", spec, face)
+			}
+		}
 		if err != nil {
 			// A rejected spec must reject identically on re-parse.
 			if _, err2 := ParsePlan(spec); err2 == nil {
@@ -37,7 +44,7 @@ func FuzzParsePlan(f *testing.F) {
 		}
 		for i, ev := range p.Events {
 			switch ev.Kind {
-			case Crash, Depart, Burst, Corrupt, Duplicate, DialFail, ConnReset, Stall:
+			case Crash, Depart, Burst, Corrupt, Duplicate:
 			default:
 				t.Fatalf("spec %q: event %d has invalid kind %d", spec, i, ev.Kind)
 			}

@@ -35,18 +35,20 @@ type Sample struct {
 	// byte-identically to runs predating the workload engine.
 	QoE *QoECounters
 	// Strategy carries the routing/caching strategy-plane counters; nil
-	// unless a non-default strategy was selected explicitly, so default
-	// runs render byte-identically to runs predating the strategy plane.
+	// unless the run names a strategy (compare cells name even cdi and
+	// fifo), so runs that name none render byte-identically to runs
+	// predating the strategy plane.
 	Strategy *StrategyCounters
 }
 
 // StrategyCounters is the routing/caching strategy plane's bookkeeping
-// at every level: what one strategy reports (each fills its own
-// fields), a node's row (its two strategies folded) and a run's row
-// (every node folded). Rows are tagged with the strategy names so A/B
-// rows are self-describing.
+// at every level: what the bfr advert table or the opportunistic gate
+// counts (each fills its own fields), a node's row (both folded) and a
+// run's row (every node folded). Rows are tagged with the strategy
+// names so A/B rows are self-describing.
 type StrategyCounters struct {
-	// Routing / Caching are the registered strategy names in effect.
+	// Routing / Caching name the strategies in effect (the defaults
+	// included: cdi, fifo).
 	Routing string `json:"routing"`
 	Caching string `json:"caching"`
 	// AdvertFloods counts content-advertisement floods originated.
@@ -237,8 +239,8 @@ func (s *Series) String() string {
 			fmt.Fprintf(&b, "  %s", p.Sample.QoE)
 		}
 		if p.Sample.Strategy != nil {
-			// Strategy rows likewise carry the A/B suffix only when a
-			// non-default strategy pair was selected explicitly.
+			// Strategy rows likewise carry the A/B suffix only when the
+			// run names a strategy.
 			fmt.Fprintf(&b, "  %s", p.Sample.Strategy)
 		}
 		b.WriteByte('\n')

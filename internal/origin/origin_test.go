@@ -8,7 +8,12 @@ import (
 	"time"
 
 	"pds/internal/attr"
+	"pds/internal/diskstore"
 )
+
+// A node's diskstore backend is a Source: Handler turns it into an
+// origin server.
+var _ Source = (*diskstore.Backend)(nil)
 
 func chunkDesc(name string, chunk int) attr.Descriptor {
 	return attr.NewDescriptor().
@@ -40,29 +45,18 @@ func TestStaticBackend(t *testing.T) {
 	if s.Gets() != 3 {
 		t.Fatalf("Gets = %d, want 3", s.Gets())
 	}
-
-	n := 0
-	s.Restore(func(attr.Descriptor, []byte, bool, bool) { n++ })
-	if n != 1 {
-		t.Fatalf("Restore visited %d entries", n)
-	}
-	s.DeletePayload(d.Key())
-	if s.HasPayload(d.Key()) {
-		t.Fatal("payload survived delete")
-	}
 }
 
 // TestStaticKeepsWhatItIsGiven: Static stores the caller's bytes, not a
-// copy of them, so Restore hands back the very slice that was Put.
+// copy of them, so its map holds the very slice that was Put.
 func TestStaticKeepsWhatItIsGiven(t *testing.T) {
 	s := NewStatic()
 	d := chunkDesc("clip", 0)
 	payload := []byte("chunk-zero")
 	s.Put(d, payload)
-	var got []byte
-	s.Restore(func(_ attr.Descriptor, p []byte, _, _ bool) { got = p })
+	got := s.payloads[d.Key()]
 	if len(got) != len(payload) || &got[0] != &payload[0] {
-		t.Fatal("Restore handed back a copy of the payload, not the slice that was Put")
+		t.Fatal("Static keeps a copy of the payload, not the slice that was Put")
 	}
 }
 
@@ -88,11 +82,6 @@ func TestHTTPOriginAgainstHandler(t *testing.T) {
 	}
 	if h.HasPayload("missing/key") {
 		t.Fatal("phantom HEAD succeeded")
-	}
-
-	// Origin is read-only from the node's perspective.
-	if h.PutPayload(d, payload, false) {
-		t.Fatal("HTTP origin accepted a write")
 	}
 }
 

@@ -103,8 +103,8 @@ func TestCityWalkersKeepOnePosition(t *testing.T) {
 }
 
 // TestCityRestartedWalkerWalksOn holds a crashed walker still while it
-// is down and moves it with the waypoint model again once it restarts
-// on a fresh radio.
+// is down, restarts it attached where it crashed, and moves it with the
+// waypoint model again once it restarts on a fresh radio.
 func TestCityRestartedWalkerWalksOn(t *testing.T) {
 	d, wp := CityScale(CityConfig{Nodes: 200, PauseMax: time.Millisecond}, Options{Seed: 4})
 	const i = 17
@@ -117,6 +117,9 @@ func TestCityRestartedWalkerWalksOn(t *testing.T) {
 		t.Fatalf("a crashed walker moved: %+v -> %+v", at, got)
 	}
 	d.Restart(id)
+	if got, ok := d.Medium.Position(id); !ok || got != at {
+		t.Fatalf("restarted walker attached at %+v (attached %v), crashed at %+v", got, ok, at)
+	}
 	d.Eng.Run(15 * time.Second)
 	got, ok := d.Medium.Position(id)
 	if !ok || got != wp.Positions()[i] || got == at {

@@ -22,14 +22,15 @@ import (
 // same-seed matrices reproduce byte-identically.
 
 // CompareScenarios lists the scenario cells the harness runs, all of
-// them by default: each is a cell some registered strategy's row
-// separates on (TestEveryStrategySeparates).
+// them by default: each is a cell some strategy's row separates on
+// (TestEveryStrategySeparates).
 var CompareScenarios = []string{"fig11", "sparse", "repeat", "pressure", "chaos", "stream", "crowd"}
 
 // CompareConfig configures one strategy-matrix evaluation.
 type CompareConfig struct {
-	// Routings / Cachings are registered strategy names; the matrix is
-	// their cross product. Empty slices select every registered one.
+	// Routings / Cachings are strategy names (strategy.RoutingNames,
+	// strategy.CachingNames); the matrix is their cross product. Empty
+	// slices select every strategy of the plane.
 	Routings []string
 	Cachings []string
 	// Scenarios is the subset of CompareScenarios to run; empty selects
@@ -65,7 +66,7 @@ func (c CompareConfig) WithDefaults() CompareConfig {
 }
 
 // Validate rejects unknown strategy or scenario names, listing the
-// registered alternatives.
+// alternatives.
 func (c CompareConfig) Validate() error {
 	for _, r := range c.Routings {
 		if err := strategy.Check(r, ""); err != nil {

@@ -40,10 +40,10 @@ func TestExplicitDefaultStrategiesMatchImplicit(t *testing.T) {
 func TestCompareConfigDefaults(t *testing.T) {
 	cfg := CompareConfig{}.WithDefaults()
 	if len(cfg.Routings) != len(strategy.RoutingNames()) {
-		t.Fatalf("default routings = %v, want every registered strategy", cfg.Routings)
+		t.Fatalf("default routings = %v, want every strategy", cfg.Routings)
 	}
 	if len(cfg.Cachings) != len(strategy.CachingNames()) {
-		t.Fatalf("default cachings = %v, want every registered strategy", cfg.Cachings)
+		t.Fatalf("default cachings = %v, want every strategy", cfg.Cachings)
 	}
 	if len(cfg.Scenarios) != len(CompareScenarios) || cfg.SizeMB != 1 || cfg.Runs != 0 {
 		t.Fatalf("defaults = %+v", cfg)
@@ -113,8 +113,8 @@ func TestBetterSampleOrdering(t *testing.T) {
 	}
 }
 
-// TestEveryStrategySeparates holds the registry to the compare matrix's
-// verdict rule: a strategy stays registered only while its row differs
+// TestEveryStrategySeparates holds the strategy names to the compare
+// matrix's verdict rule: a strategy stays only while its row differs
 // from the default's, the other plane held at its default, on at least
 // one compare cell (quick size, seed 1). A new strategy arrives with the
 // cell it separates on.

@@ -1,7 +1,7 @@
 // Package scenario wires the substrates into runnable experiments: it
 // builds simulated deployments (grids, mobile areas), seeds data, runs
 // consumers and reports the §VI-A metrics. Every figure of the paper's
-// evaluation has a constructor here, used by cmd/pds-bench.
+// evaluation is an entry of the Figures table, which cmd/pds-bench runs.
 package scenario
 
 import (
@@ -61,9 +61,6 @@ type Peer struct {
 	Radio *radio.Radio
 	// Down marks a crashed (powered-off) peer awaiting restart.
 	Down bool
-	// lastPos remembers where the device was when it crashed, so a
-	// restart re-attaches it in place.
-	lastPos radio.Pos
 	// Disk is the peer's persistent backend, nil without Options.DataDir.
 	Disk *diskstore.Backend
 	// src is the source of the node's rng, held here rather than on its own.
@@ -235,9 +232,6 @@ func (d *Deployment) Crash(id wire.NodeID) {
 		return
 	}
 	p.Down = true
-	if pos, ok := d.Medium.Position(id); ok {
-		p.lastPos = pos
-	}
 	d.Medium.Detach(id)
 	p.Node.Crash()
 	p.Link.Reset()
@@ -249,8 +243,9 @@ func (d *Deployment) Crash(id wire.NodeID) {
 	}
 }
 
-// Restart powers a crashed peer back on at its crash position with a
-// fresh radio; only owned data survived in its store. With a data dir,
+// Restart powers a crashed peer back on at its crash position — where
+// its detached radio stayed — with a fresh radio; only owned data
+// survived in its store. With a data dir,
 // the peer's diskstore is reopened and its log replayed — the owned
 // data comes back from disk through the recovery scan, not from the
 // scenario's seeding config.
@@ -260,7 +255,7 @@ func (d *Deployment) Restart(id wire.NodeID) {
 		return
 	}
 	p.Down = false
-	d.attachRadio(p, p.lastPos)
+	d.attachRadio(p, p.Radio.Pos())
 	p.Radio.OnTransmitted = p.Link.NotifyTransmitted
 	p.Link.SetRawSender(p.Radio.Send)
 	if d.opts.DataDir != "" {

@@ -71,7 +71,7 @@ func PublishCatalog(cat []Artifact, spec CrowdSpec, pub PublishFunc) {
 // CrowdClient is one pulling node: its retrieval plane and optional
 // tracer.
 type CrowdClient struct {
-	R      Retriever
+	R      *core.Node
 	Tracer *trace.NodeTracer
 }
 

@@ -12,13 +12,6 @@ import (
 	"pds/internal/trace"
 )
 
-// Retriever is the slice of the retrieval plane a workload driver
-// needs. *core.Node implements it; wrappers (city-scale spatial nodes,
-// tests) can substitute their own.
-type Retriever interface {
-	RetrieveWithOptions(item attr.Descriptor, opts core.RetrieveOptions, cb func(core.RetrievalResult))
-}
-
 // PublishFunc publishes one chunk of an item somewhere in the
 // deployment. Drivers never talk to producer nodes directly — the
 // scenario decides where published data lands (one radio node, the k
@@ -98,7 +91,7 @@ type StreamSession struct {
 	clk  clock.Clock
 	spec StreamSpec
 	pub  PublishFunc
-	cons Retriever
+	cons *core.Node
 	tr   *trace.NodeTracer
 	name string
 
@@ -124,7 +117,7 @@ type StreamSession struct {
 // StartStream begins a streaming session on clk and returns it. budget
 // bounds the whole session (publish timeline plus retrieval tail);
 // drive the clock until Done() and then read Result(). tr may be nil.
-func StartStream(clk clock.Clock, spec StreamSpec, pub PublishFunc, cons Retriever,
+func StartStream(clk clock.Clock, spec StreamSpec, pub PublishFunc, cons *core.Node,
 	tr *trace.NodeTracer, name string, budget time.Duration) *StreamSession {
 	spec = spec.withDefaults()
 	s := &StreamSession{

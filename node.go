@@ -14,17 +14,20 @@ import (
 	"pds/internal/link"
 	"pds/internal/metrics"
 	"pds/internal/origin"
-	"pds/internal/store"
 	"pds/internal/strategy"
 	"pds/internal/trace"
 	"pds/internal/tracker"
 	"pds/internal/wire"
 )
 
-// PayloadBackend is the pluggable payload storage/fetch interface
-// (re-exported from internal/store): diskstore implements it, and so
-// do the origin backends used by the tiered retrieval path.
-type PayloadBackend = store.PayloadBackend
+// Origin is the retrieval tier of last resort: RetrieveTiered fetches
+// the chunks no peer produced by key from it, and never writes to it.
+// NewHTTPOrigin's HTTP origin, a diskstore backend and the in-memory
+// origin of internal/origin implement it.
+type Origin interface {
+	// GetPayload returns the payload stored under a descriptor key.
+	GetPayload(key string) ([]byte, bool)
+}
 
 // Transport carries frames between peers. Implementations must invoke
 // the receive callback (set via SetReceiver) for every incoming frame,
@@ -59,7 +62,7 @@ type Node struct {
 
 	// Deployment plane (all nil/zero without the matching options).
 	trk      *tracker.Client
-	origin   PayloadBackend
+	origin   Origin
 	hbStop   func()
 	p2pShare int // percent of the tiered budget given to the P2P tier
 }
@@ -81,7 +84,7 @@ type nodeOptions struct {
 	trackerTimeout time.Duration
 	announceTTL    time.Duration
 	announceEvery  time.Duration
-	origin         PayloadBackend
+	origin         Origin
 	p2pShare       int
 }
 
@@ -152,27 +155,27 @@ func WithAnnounce(ttl, every time.Duration) NodeOption {
 	return func(o *nodeOptions) { o.announceTTL = ttl; o.announceEvery = every }
 }
 
-// WithOrigin attaches an origin payload backend as the retrieval tier
-// of last resort: chunks the P2P swarm and the tracker-learned edge
-// peers cannot produce before the deadline are fetched from it
-// directly (origin.NewHTTP, a diskstore backend, or origin.NewStatic
-// in tests). Fetched chunks enter the cache, so the node then serves
-// them to peers like any cached copy.
-func WithOrigin(b PayloadBackend) NodeOption {
+// WithOrigin attaches an origin as the retrieval tier of last resort:
+// chunks the P2P swarm and the tracker-learned edge peers cannot
+// produce before the deadline are fetched from it directly
+// (NewHTTPOrigin, a diskstore backend, or origin.NewStatic in tests).
+// Fetched chunks enter the cache, so the node then serves them to
+// peers like any cached copy.
+func WithOrigin(b Origin) NodeOption {
 	return func(o *nodeOptions) { o.origin = b }
 }
 
-// NewHTTPOrigin returns a read-only origin backend fetching payloads
-// from an HTTP(S) base URL (e.g. "http://origin.example:8080"); pass
-// it to WithOrigin. timeout bounds one fetch, 0 selects 10s.
-func NewHTTPOrigin(baseURL string, timeout time.Duration) PayloadBackend {
+// NewHTTPOrigin returns an origin fetching payloads from an HTTP(S)
+// base URL (e.g. "http://origin.example:8080"); pass it to WithOrigin.
+// timeout bounds one fetch, 0 selects 10s.
+func NewHTTPOrigin(baseURL string, timeout time.Duration) Origin {
 	return origin.NewHTTP(baseURL, timeout)
 }
 
-// RoutingStrategies lists the registered routing strategy names.
+// RoutingStrategies lists the routing strategy names.
 func RoutingStrategies() []string { return strategy.RoutingNames() }
 
-// CachingStrategies lists the registered caching strategy names.
+// CachingStrategies lists the caching strategy names.
 func CachingStrategies() []string { return strategy.CachingNames() }
 
 // WithP2PShare sets the percentage (1..99) of a tiered retrieval's

@@ -2,12 +2,12 @@ package pds
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"pds/internal/fault"
 	"pds/internal/link"
 	"pds/internal/origin"
 	"pds/internal/trace"
@@ -369,14 +369,13 @@ func TestTieredChaosAcceptance(t *testing.T) {
 		off = end
 	}
 
-	// The consumer's faces run under an injected fault plan: connection
-	// resets at 40% for the first half second.
-	plan, err := fault.ParsePlan("conn-reset@0s+500ms:0.4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The consumer's faces reset 40% of their message writes for the
+	// first half second.
 	consCfg := DefaultFaceConfig("")
-	consCfg.Chaos = fault.NewFaceInjector(plan)
+	consCfg.Chaos = &earlyResets{
+		rng:   rand.New(rand.NewSource(0x0fa5e)),
+		until: time.Now().Add(500 * time.Millisecond),
+	}
 	consCfg.RetryBase = 20 * time.Millisecond
 	consCfg.RetryMax = 200 * time.Millisecond
 	consMesh, err := NewFaceTransport(consCfg, prodMesh.ListenAddr().String())
@@ -452,6 +451,57 @@ func TestTieredChaosAcceptance(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// earlyResets is a face.Chaos that resets 40% of the message writes
+// made before until, drawing from a seeded source. It never fails a
+// dial.
+type earlyResets struct {
+	mu    sync.Mutex
+	rng   *rand.Rand
+	until time.Time
+}
+
+func (c *earlyResets) DialFault(string) bool { return false }
+
+func (c *earlyResets) ConnFault(string) (reset, stall bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return time.Now().Before(c.until) && c.rng.Float64() < 0.4, false
+}
+
+// originFunc is an Origin that is a GetPayload and nothing else.
+type originFunc func(key string) ([]byte, bool)
+
+func (f originFunc) GetPayload(key string) ([]byte, bool) { return f(key) }
+
+// TestTieredReadOnlyOrigin: an origin needs no method but GetPayload,
+// the only one the ladder calls.
+func TestTieredReadOnlyOrigin(t *testing.T) {
+	item := NewDescriptor().Set(AttrName, String("ro")).Set(AttrTotalChunks, Int(2))
+	chunks := map[string][]byte{
+		item.WithChunk(0).Key(): []byte("first"),
+		item.WithChunk(1).Key(): []byte("second"),
+	}
+	src := originFunc(func(key string) ([]byte, bool) {
+		p, ok := chunks[key]
+		return p, ok
+	})
+	n, err := NewNode(NewChanHub().Attach(), WithNodeID(1), WithSeed(1), WithOrigin(src), WithP2PShare(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := n.RetrieveTiered(ctx, item)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := res.Assemble()
+	if !ok || string(got) != "firstsecond" || res.Counters.OriginChunks != 2 {
+		t.Fatalf("Assemble = %q, %v; counters %+v", got, ok, res.Counters)
 	}
 }
 
