@@ -112,27 +112,43 @@ loc:
 	while read pkg files; do echo "$$(cat $$files | wc -l) $$pkg"; done | \
 	awk '{printf "%7d  %s\n", $$1, $$2; total += $$1} END {printf "%7d  total\n", total}'
 
+# LAYERS folds the stacks `go tool pprof -traces` prints, their values
+# in one unit, into each layer's share: a stack goes to its innermost
+# pds/internal/<pkg> frame (pds.* frames are "pds"), else to "driver"
+# when it holds a main.* frame (the benchmark), else to "runtime".
+LAYERS = awk 'function flush() { if (v > 0) { l = layer != "" ? layer : drv ? "driver" : "runtime"; sum[l] += v; total += v } v = 0; layer = ""; drv = 0 } \
+	/^-+\+-+$$/ { flush(); next } $$1 ~ /:$$/ { next } { fn = $$1 } NF >= 2 && $$1 ~ /^[0-9]/ { v = $$1 + 0; fn = $$2 } \
+	layer == "" && match(fn, /^pds\/internal\/[a-z0-9_]+\./) { layer = substr(fn, 14, RLENGTH - 14) } \
+	layer == "" && fn ~ /^pds\./ { layer = "pds" } fn ~ /^main\./ { drv = 1 } \
+	END { flush(); for (l in sum) printf "%6.1f%%  %s\n", 100 * sum[l] / total, l | "sort -rn" }'
+
 # alloc-ledger prints, for each simulator workload of the repo
 # benchmark, the ten functions that allocate the most objects over a
 # one-second run at seed 1, from the benchmark's own -memprofile: the
-# sites an allocation optimisation starts from (ROADMAP item 12).
-# memprofilerate=1 records every allocation, not a sample, so a site's
-# share reads the same run to run. It takes under a minute and stays
-# out of CI.
+# sites an allocation optimisation starts from (ROADMAP item 12); then
+# the bytes and the objects folded by layer (LAYERS). memprofilerate=1
+# records every allocation, not a sample, so a share reads the same run
+# to run. It takes under a minute and stays out of CI.
 alloc-ledger:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for w in sim-pdd-flood sim-pdr-bulk sim-city-idle; do \
 		GODEBUG=memprofilerate=1 $(GO) run -C benchmarks pds/benchmarks -workload $$w -seconds 1 -memprofile $$tmp >/dev/null || exit 1; \
+		p=$$tmp/$$w.mem.pprof; \
 		echo "== $$w"; \
-		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=10 $$tmp/$$w.mem.pprof || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=10 $$p || exit 1; \
+		for i in alloc_space alloc_objects; do \
+			echo "== $$w: $$i by layer"; \
+			$(GO) tool pprof -sample_index=$$i -unit=B -traces $$p 2>/dev/null | $(LAYERS); \
+		done; \
 	done
 
 # cpu-ledger prints, for each simulator workload of the repo benchmark,
 # where a four-second run at seed 1 spends its CPU, from the benchmark's
 # own -cpuprofile: this module's top 25 functions by cumulative share,
-# the top 10 of all by flat share, and one "alloc + GC" line, the
-# cumulative shares of runtime.mallocgc and runtime.gcBgMarkWorker added
-# up (ROADMAP item 12). Shares are sampled and move a point or two run
+# the top 10 of all by flat share, the samples folded by layer (LAYERS)
+# and one "alloc + GC" line, the cumulative shares of runtime.mallocgc
+# and runtime.gcBgMarkWorker added up (ROADMAP item 12). Shares are
+# sampled (about 500 samples) and a layer's moves two to five points run
 # to run: they locate a site and never prove a gain. It takes about a
 # minute and stays out of CI.
 cpu-ledger:
@@ -144,6 +160,8 @@ cpu-ledger:
 		$(GO) tool pprof -top -cum -nodefraction=0 $$p 2>/dev/null | sed -n '/flat%/p; / pds\//p' | head -n 26; \
 		echo "== $$w: by flat share"; \
 		$(GO) tool pprof -top -nodecount=10 $$p 2>/dev/null | sed -n '/flat%/,$$p'; \
+		echo "== $$w: by layer"; \
+		$(GO) tool pprof -unit=ns -traces $$p 2>/dev/null | $(LAYERS); \
 		$(GO) tool pprof -top -cum -nodefraction=0 $$p 2>/dev/null | \
 			awk '$$6 == "runtime.mallocgc" || $$6 == "runtime.gcBgMarkWorker" { s += $$5 } \
 				END { printf "== %s: alloc + GC %.1f%%\n", "'$$w'", s }'; \

@@ -9,12 +9,13 @@ import (
 	"pds/internal/wire"
 )
 
-// seenOracle is the receive-side dedup the two-generation window
-// replaced, kept as the reference model: one map of TransmitID to
-// acceptance time, walked in full on every accepted frame once it holds
-// more than 8192 ids. The verdict rule is the one the window must
-// reproduce bit for bit: duplicate iff the same id was accepted less
-// than keep ago; the ack goes out before the check.
+// seenOracle is the receive-side dedup the per-sender windows (and the
+// two-generation maps before them) replaced, kept as the reference
+// model: one map of TransmitID to acceptance time, walked in full on
+// every accepted frame once it holds more than 8192 ids. The verdict
+// rule is the one the windows must reproduce bit for bit: duplicate iff
+// the same id was accepted less than keep ago; the ack goes out before
+// the check.
 //
 // One addition keeps the oracle usable at 100 000 ids per window, where
 // the walk it is here to retire would take minutes: floor is a lower
@@ -76,6 +77,7 @@ type dedupPair struct {
 	lk     *Link
 	or     *seenOracle
 	frames int
+	lastID uint64 // the last frame's TransmitID
 }
 
 func newDedupPair(t *testing.T, keep time.Duration) *dedupPair {
@@ -117,6 +119,7 @@ func dedupFrame(id uint64, kind int) *wire.Message {
 func (p *dedupPair) arrive(id uint64, kind int) (accepted bool) {
 	p.t.Helper()
 	p.frames++
+	p.lastID = id
 	msg := dedupFrame(id, kind)
 	want := p.or.handle(msg, p.clk.now)
 	got := p.lk.HandleIncoming(msg) != nil
@@ -133,19 +136,53 @@ func (p *dedupPair) reset() {
 	p.or.reset()
 }
 
-// held is how many ids the window holds, both generations.
-func (l *Link) held() int { return len(l.seen) + len(l.seenOld) }
+// held is how many ids the windows hold: the slots of accepted seqs.
+func (l *Link) held() int {
+	n := 0
+	for i := range l.windows() {
+		w := &l.rx.wins[i]
+		for j := range w.n {
+			if *w.slot(j) != notAccepted {
+				n++
+			}
+		}
+	}
+	return n
+}
 
-// checkAges, called right after an arrival (the window ages on nothing
-// else), fails when it still holds an id accepted two retentions ago or
-// more: that arrival's rotation must have dropped it.
+// windows is the link's receive windows, none before the first frame.
+func (l *Link) windows() []rxWindow {
+	if l.rx == nil {
+		return nil
+	}
+	return l.rx.wins
+}
+
+// checkAges, called right after an arrival (the windows age on nothing
+// else), fails unless the windows are sorted by sender, none spans more
+// than maxSpan seqs, and each starts at an accepted seq: accepted less
+// than a retention ago in the window the arrival went to, and less than
+// two retentions ago in the others, which a sweep trims once a
+// retention.
 func (p *dedupPair) checkAges() {
 	p.t.Helper()
-	for _, gen := range []map[uint64]time.Duration{p.lk.seen, p.lk.seenOld} {
-		for id, at := range gen {
-			if age := p.clk.now - at; age >= 2*p.lk.cfg.DedupRetention {
-				p.t.Fatalf("after frame %d at %v: window still holds id %d accepted %v ago", p.frames, p.clk.now, id, age)
-			}
+	keep := p.lk.cfg.DedupRetention
+	for i, w := range p.lk.windows() {
+		if i > 0 && p.lk.rx.wins[i-1].node >= w.node {
+			p.t.Fatalf("after frame %d: windows out of order at %d: sender %d after %d", p.frames, i, w.node, p.lk.rx.wins[i-1].node)
+		}
+		if w.n > maxSpan {
+			p.t.Fatalf("after frame %d: sender %d's window spans %d seqs", p.frames, w.node, w.n)
+		}
+		if w.n == 0 {
+			continue
+		}
+		limit := 2 * keep
+		if w.node == wire.TransmitNode(p.lastID) {
+			limit = keep
+		}
+		if at := *w.slot(0); at == notAccepted || p.clk.now-at >= limit {
+			p.t.Fatalf("after frame %d at %v: sender %d's window starts at seq %d, accepted at %v (want less than %v ago)", p.frames, p.clk.now, w.node, w.base, at, limit)
 		}
 	}
 }
@@ -297,5 +334,204 @@ func TestDedupWindowNoRetention(t *testing.T) {
 	}
 	if p.or.dups != 0 || p.lk.held() > 1 {
 		t.Fatalf("zero retention: %d duplicates, %d ids held", p.or.dups, p.lk.held())
+	}
+}
+
+// TestDedupWindowManySenders replays interleaved streams from 1 to 300
+// senders against the oracle: rising seqs with every other one missing
+// (the acks a sender sends elsewhere), re-arrivals of recent frames and
+// of frames at −1/0/+1 ns of their retention edge, senders heard once,
+// senders whose first frame is followed by one below it, senders that
+// rewind to seq 0 as a restarted process would, idle gaps and Reset
+// partway through.
+func TestDedupWindowManySenders(t *testing.T) {
+	const keep = 10 * time.Second
+	for _, senders := range []int{1, 2, 8, 300} {
+		t.Run(fmt.Sprintf("senders=%d", senders), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(senders)))
+			p := newDedupPair(t, keep)
+			type acc struct {
+				id uint64
+				at time.Duration
+			}
+			var accepted []acc
+			arrive := func(node wire.NodeID, seq uint64) {
+				id := wire.NewTransmitID(node, seq)
+				if p.arrive(id, rng.Intn(numKinds)) {
+					accepted = append(accepted, acc{id, p.clk.now})
+				}
+				p.checkAges()
+			}
+			again := func(id uint64) { arrive(wire.TransmitNode(id), id&0xffffffff) }
+			next := make([]uint64, senders) // each sender's last seq
+			node := func(i int) wire.NodeID { return wire.NodeID(1000 - 3*i) }
+			for step := 0; step < 6000; step++ {
+				i := rng.Intn(senders)
+				switch r := rng.Intn(100); {
+				case r < 50: // the sender's next frame; the seq before it was an ack
+					next[i] += 2
+					arrive(node(i), next[i])
+				case r < 65 && len(accepted) > 0: // a recent frame again
+					again(accepted[len(accepted)-1-rng.Intn(min(len(accepted), 64))].id)
+				case r < 75 && len(accepted) > 0: // one at its retention edge
+					a := accepted[rng.Intn(len(accepted))]
+					if edge := a.at + keep + time.Duration(rng.Intn(3)-1); edge > p.clk.now {
+						p.clk.now = edge
+					}
+					again(a.id)
+					again(a.id) // whatever the first verdict was, this one is a duplicate
+				case r < 79: // a sender heard once
+					arrive(wire.NodeID(5000+step), uint64(rng.Intn(1<<20)))
+				case r < 81: // a sender first heard at a seq, then below it
+					seq := uint64(10 + rng.Intn(100))
+					arrive(wire.NodeID(20000+step), seq)
+					arrive(wire.NodeID(20000+step), seq-uint64(1+rng.Intn(10)))
+				case r < 84 && next[i] > 0: // an earlier seq of a sender
+					arrive(node(i), uint64(rng.Int63n(int64(next[i]))))
+				case r < 85: // the sender rewinds
+					next[i] = 0
+					arrive(node(i), 0)
+				case r < 86:
+					p.reset()
+				case r < 89: // idle, up to two retentions
+					p.clk.now += time.Duration(rng.Int63n(int64(2 * keep)))
+				default:
+					p.clk.now += time.Duration(rng.Intn(50)) * time.Millisecond
+				}
+			}
+			if p.frames < 5000 || p.or.dups == 0 || p.or.acks == 0 {
+				t.Fatalf("stream too thin to mean anything: %d frames, %d duplicates, %d acks", p.frames, p.or.dups, p.or.acks)
+			}
+		})
+	}
+}
+
+// TestDedupWindowSpanCap holds one sender's window to maxSpan seqs,
+// whatever its frames carry, and what it forgets past that to the
+// documented rule: a seq that would stretch the window further starts it
+// over, and the ids it held are accepted again.
+func TestDedupWindowSpanCap(t *testing.T) {
+	clk := &manualClock{}
+	lk := New(clk, 1, func(*wire.Message) bool { return true }, testConfig())
+	accept := func(node wire.NodeID, seq uint64, want bool) {
+		t.Helper()
+		clk.now += time.Millisecond
+		if got := lk.HandleIncoming(dedupFrame(wire.NewTransmitID(node, seq), kindOverheard)) != nil; got != want {
+			t.Fatalf("sender %d seq %d: accepted=%v, want %v", node, seq, got, want)
+		}
+		for _, w := range lk.windows() {
+			if w.n > maxSpan || len(w.ring) > maxSpan {
+				t.Fatalf("sender %d's window spans %d seqs in a ring of %d", w.node, w.n, len(w.ring))
+			}
+		}
+	}
+	window := func(node wire.NodeID) (base, n uint32) {
+		for _, w := range lk.windows() {
+			if w.node == node {
+				return w.base, w.n
+			}
+		}
+		return 0, 0
+	}
+	expect := func(node wire.NodeID, base, n uint32) {
+		t.Helper()
+		if b, m := window(node); b != base || m != n {
+			t.Fatalf("sender %d's window holds seqs %d+%d, want %d+%d", node, b, m, base, n)
+		}
+	}
+
+	// Seq 0, then 2^32−1: the window starts over at the second, with
+	// nothing allocated for the gap, and so on back and forth.
+	accept(2, 0, true)
+	accept(2, 1<<32-1, true)
+	expect(2, 1<<32-1, 1)
+	accept(2, 1<<32-1, false)
+	accept(2, 0, true)
+	expect(2, 0, 1)
+	accept(2, 1<<32-1, true)
+
+	// Seqs 0–9, then maxSpan+9: the window starts over at the new seq,
+	// and 0–9 are new again.
+	for seq := range uint64(10) {
+		accept(3, seq, true)
+	}
+	accept(3, 9, false)
+	accept(3, maxSpan+9, true)
+	expect(3, maxSpan+9, 1)
+	// The ring still holds 0–9's instants where the window stretches
+	// next, above and below: those seqs are new.
+	for _, seq := range []uint64{maxSpan + 12, maxSpan + 10, maxSpan + 11, maxSpan + 6, maxSpan + 7} {
+		accept(3, seq, true)
+	}
+	for seq := range uint64(10) {
+		accept(3, seq, true)
+	}
+	// From 0, seq maxSpan−1 is the last the window stretches to.
+	accept(3, maxSpan-1, true)
+	expect(3, 0, maxSpan)
+	accept(3, 5, false)
+	accept(3, maxSpan, true)
+	expect(3, maxSpan, 1)
+
+	// A rewind of more than maxSpan starts the window over too.
+	accept(4, 3<<20, true)
+	accept(4, 3<<20+1, true)
+	accept(4, 1, true)
+	expect(4, 1, 1)
+	accept(4, 3<<20+1, true)
+	expect(4, 3<<20+1, 1)
+}
+
+// TestDedupWindowSlotBudget: senders a peer makes up, two frames each
+// maxSpan−1 seqs apart, would each cut an 8 MiB ring. A node's rings
+// hold at most maxSlots slots; a window that would pass that starts over,
+// and the id it forgets is new again.
+func TestDedupWindowSlotBudget(t *testing.T) {
+	clk := &manualClock{}
+	lk := New(clk, 1, func(*wire.Message) bool { return true }, testConfig())
+	accept := func(node wire.NodeID, seq uint64) {
+		t.Helper()
+		clk.now += time.Millisecond
+		if lk.HandleIncoming(dedupFrame(wire.NewTransmitID(node, seq), kindOverheard)) == nil {
+			t.Fatalf("sender %d seq %d: suppressed", node, seq)
+		}
+	}
+	for node := wire.NodeID(2); node < 6; node++ {
+		accept(node, 0)
+		accept(node, maxSpan-1)
+	}
+	held := 0
+	for _, w := range lk.windows() {
+		held += len(w.ring)
+		if full := w.node < 4; full != (w.n == maxSpan) || !full && (w.base != maxSpan-1 || w.n != 1) {
+			t.Fatalf("sender %d's window holds seqs %d+%d", w.node, w.base, w.n)
+		}
+	}
+	if held != maxSlots || lk.rx.slots != held {
+		t.Fatalf("rings hold %d slots, counted %d; want %d", held, lk.rx.slots, maxSlots)
+	}
+	accept(4, 0)
+}
+
+// TestIdleWindowGivesItsRing: a sender idle a retention leaves its window
+// at the next sweep, and the next new sender takes its ring, so a
+// stream of senders that follow one another allocates nothing.
+func TestIdleWindowGivesItsRing(t *testing.T) {
+	clk := &manualClock{}
+	lk := New(clk, 1, func(*wire.Message) bool { return true }, testConfig())
+	msg := dedupFrame(0, kindOverheard)
+	node := wire.NodeID(2)
+	if allocs := testing.AllocsPerRun(5, func() {
+		clk.now += lk.cfg.DedupRetention
+		node++
+		for seq := range uint64(100) {
+			clk.now += time.Millisecond
+			msg.TransmitID = wire.NewTransmitID(node, seq)
+			if lk.HandleIncoming(msg) == nil {
+				panic("fresh frame suppressed")
+			}
+		}
+	}); allocs != 0 || len(lk.windows()) != 1 {
+		t.Fatalf("a new sender after an idle one: %v allocations for 100 frames, %d windows; want 0 and 1", allocs, len(lk.windows()))
 	}
 }

@@ -173,10 +173,7 @@ type Link struct {
 
 	pend map[uint64]*pending // nil until the first acknowledged frame
 	free *pending            // idle records, linked by next
-	// seen and seenOld are the dedup window (see duplicate): TransmitIDs
-	// accepted since seenSince, and those of the generation before.
-	seen, seenOld map[uint64]time.Duration
-	seenSince     time.Duration
+	rx   *dedup              // nil until the first frame heard
 	// reasms tracks fragment reassemblies by OrigID, swept no sooner than
 	// reasmSweepAt; nil until the first fragment.
 	reasms       map[uint64]reasm
@@ -570,7 +567,10 @@ func (l *Link) HandleIncoming(msg *wire.Message) *wire.Message {
 		l.transmit(ack)
 	}
 
-	if l.duplicate(msg.TransmitID, now) {
+	if l.rx == nil {
+		l.rx = new(dedup)
+	}
+	if l.rx.duplicate(msg.TransmitID, now, l.cfg.DedupRetention) {
 		l.stats.DupDropped++
 		return nil
 	}
@@ -599,37 +599,6 @@ func (l *Link) absorbAck(ack *wire.Ack) {
 	if job != nil {
 		l.fragAcked(job, true, nil)
 	}
-}
-
-// duplicate reports whether id was accepted less than DedupRetention
-// ago, and records it as accepted now when it was not. The window ages
-// here, on arrival, and nowhere else (no timer): once the current
-// generation is a retention old, the one before it holds only ids
-// accepted more than a retention ago; it is emptied and the two swap.
-// A frame costs two lookups and an insert however many ids are held.
-// Lookups compare timestamps, so a generation's age decides no verdict.
-func (l *Link) duplicate(id uint64, now time.Duration) bool {
-	keep := l.cfg.DedupRetention
-	if age := now - l.seenSince; age >= keep {
-		clear(l.seenOld)
-		if age < 2*keep && len(l.seen) > 0 {
-			l.seen, l.seenOld = l.seenOld, l.seen
-		} else {
-			clear(l.seen) // two retentions on, this one is all stale too
-		}
-		l.seenSince = now
-	}
-	if at, ok := l.seen[id]; ok && now-at < keep {
-		return true
-	}
-	if at, ok := l.seenOld[id]; ok && now-at < keep {
-		return true
-	}
-	if l.seen == nil { // made on first use: an idle link holds no map
-		l.seen = make(map[uint64]time.Duration)
-	}
-	l.seen[id] = now
-	return false
 }
 
 // maxFragments bounds Count, which comes off the wire and sizes a reassembly's tables.
@@ -755,7 +724,7 @@ func (l *Link) Reset() {
 	l.queuedBytes = 0
 	l.fragJobs.Reset()
 	l.activeJob, l.frames = nil, nil
-	l.seen, l.seenOld, l.reasms = nil, nil, nil
+	l.rx, l.reasms = nil, nil
 	l.tokens = float64(l.cfg.BucketBytes)
 	l.lastRefill = l.clk.Now()
 	// drainArmed stays as-is: a pending drain callback finds an empty

@@ -616,7 +616,8 @@ func TestReassemblyRefusesAbsurdCounts(t *testing.T) {
 
 // FuzzHandleIncoming feeds a link whatever two frames decode to, in
 // order: it must never panic. The seeds are the pair that used to index
-// a two-slot table at 50, both ways round.
+// a two-slot table at 50, both ways round, and frames of one sender
+// whose seqs lie further apart than a dedup window may span.
 func FuzzHandleIncoming(f *testing.F) {
 	encode := func(m *wire.Message) []byte {
 		buf, err := wire.Encode(m)
@@ -629,6 +630,10 @@ func FuzzHandleIncoming(f *testing.F) {
 	f.Add(encode(legit), encode(rogueFragment(77)))
 	f.Add(encode(rogueFragment(77)), encode(legit))
 	f.Add(encode(smallResponse(1, 1)), []byte{})
+	seq := func(seq uint64) []byte { return encode(dedupFrame(wire.NewTransmitID(2, seq), kindOverheard)) }
+	f.Add(seq(0), seq(1<<32-1))
+	f.Add(seq(1<<32-1), seq(0))
+	f.Add(seq(3<<20), seq(1))
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		lk := New(&manualClock{}, 1, func(*wire.Message) bool { return true }, testConfig())
 		for _, data := range [][]byte{first, second} {
