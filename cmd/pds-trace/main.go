@@ -96,13 +96,13 @@ func run(args []string) error {
 	fmt.Println()
 	printTierSummary(a)
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "QUERY\tNODE\tKIND\tROUND\tSTART\tHOPS\tDEPTH\tRESPS\tENTRIES\tRELAYS\tMERGES\tSUPPR\tSUBQ\tFRAMES\tAIRTIME")
+	fmt.Fprintln(w, "QUERY\tNODE\tKIND\tROUND\tSTART\tHOPS\tDEPTH\tRESPS\tENTRIES\tRELAYS\tMERGES\tSUPPR\tSELF\tFAILOPEN\tSUBQ\tFRAMES\tAIRTIME")
 	for _, q := range a.Queries {
-		fmt.Fprintf(w, "%d\t%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(w, "%d\t%d\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			q.ID, q.Consumer, q.Kind, q.Round, fmtDur(q.Start),
 			len(q.Hops), q.MaxDepth, len(q.RespIDs), q.ServedEntries,
-			q.Relays, q.Merges, q.Suppressions, len(q.SubQueryIDs),
-			q.Frames, fmtDur(q.Airtime))
+			q.Relays, q.Merges, q.Suppressions, q.SelfInflicted, q.FailOpen,
+			len(q.SubQueryIDs), q.Frames, fmtDur(q.Airtime))
 	}
 	return w.Flush()
 }
@@ -205,8 +205,8 @@ func printDetail(q *trace.QuerySummary) {
 		q.ID, q.Kind, q.Round, q.Consumer, fmtDur(q.Start))
 	fmt.Printf("  flood: %d forwarders, max depth %d (%d forwards incl. sub-queries)\n",
 		len(q.Hops), q.MaxDepth, q.Forwards)
-	fmt.Printf("  responses: %d messages, %d entries served, %d relays, %d mixedcast merges, %d bloom-suppressed\n",
-		len(q.RespIDs), q.ServedEntries, q.Relays, q.Merges, q.Suppressions)
+	fmt.Printf("  responses: %d messages, %d entries served, %d relays, %d mixedcast merges, %d bloom-suppressed (%d self-inflicted), %d fail-open offers\n",
+		len(q.RespIDs), q.ServedEntries, q.Relays, q.Merges, q.Suppressions, q.SelfInflicted, q.FailOpen)
 	if len(q.SubQueryIDs) > 0 {
 		fmt.Printf("  chunk sub-queries: %d %v\n", len(q.SubQueryIDs), q.SubQueryIDs)
 	}

@@ -80,6 +80,7 @@ func TestMixedcastPass(t *testing.T) {
 		want       []string
 		pruned     uint64
 		suppressed int // BloomSuppress trace events
+		failOpen   int // BloomFailOpen trace events
 	}{
 		{
 			name:    "two queries want one entry: one copy, two serves",
@@ -103,10 +104,11 @@ func TestMixedcastPass(t *testing.T) {
 			suppressed: 1,
 		},
 		{
-			name:    "saturated filter fails open; the exact set stops the re-send",
-			queries: []castQuery{{id: 1, sender: 10, origin: 10, saturated: true}},
-			units:   2,
-			want:    []string{"to=[10] serves=[{10 1}] units=[u0 u1]"},
+			name:     "saturated filter fails open; the exact set stops the re-send",
+			queries:  []castQuery{{id: 1, sender: 10, origin: 10, saturated: true}},
+			units:    2,
+			want:     []string{"to=[10] serves=[{10 1}] units=[u0 u1]"},
+			failOpen: 2,
 		},
 		{
 			name:    "own query marks but does not forward",
@@ -205,14 +207,27 @@ func TestMixedcastPass(t *testing.T) {
 				if st.EntriesPruned != tc.pruned {
 					t.Fatalf("EntriesPruned = %d, want %d", st.EntriesPruned, tc.pruned)
 				}
-				suppressed := 0
+				suppressed, selfInflicted, failOpen := 0, 0, 0
 				for _, ev := range tr.Events() {
-					if ev.Kind == trace.BloomSuppress {
+					switch ev.Kind {
+					case trace.BloomSuppress:
 						suppressed++
+						if ev.Val != 0 {
+							selfInflicted++
+						}
+					case trace.BloomFailOpen:
+						failOpen++
 					}
 				}
 				if suppressed != tc.suppressed {
 					t.Fatalf("BloomSuppress events = %d, want %d", suppressed, tc.suppressed)
+				}
+				// Every key a case suppresses is in the delivered filter.
+				if selfInflicted != 0 {
+					t.Fatalf("%d suppressions flagged self-inflicted, want 0: the received filter held each key", selfInflicted)
+				}
+				if failOpen != tc.failOpen {
+					t.Fatalf("BloomFailOpen events = %d, want %d", failOpen, tc.failOpen)
 				}
 
 				// The same units arriving again (another branch of the

@@ -243,19 +243,30 @@ type cast struct {
 func (n *Node) mixedcast(routes []*store.LingeringQuery, units content, frozen bool) cast {
 	var c cast
 	n.keep, n.receivers, n.serves = n.keep[:0], n.receivers[:0], n.serves[:0]
+	traced := n.tr.Enabled()
 	for i := 0; i < units.len(); i++ {
 		d := units.desc(i)
 		key := d.Key()
 		forward, wanted := false, false
 		for _, lq := range routes {
+			// A traced pass notes which filter decided each verdict:
+			// whether the filter was overloaded before Offer's Add, and
+			// whether a suppressing key was in the received filter or
+			// only in this relay's private copy.
+			failOpen := traced && lq.Bloom != nil && lq.Bloom.Overloaded()
 			switch lq.Offer(d, key) {
 			case store.Suppressed:
 				c.suppressed++
-				n.tr.BloomSuppress(lq.Query.ID, key)
+				if traced {
+					n.tr.BloomSuppress(lq.Query.ID, key, !lq.Query.Bloom.Contains(key))
+				}
 			case store.AlreadySent:
 				wanted = true
 			case store.Fresh:
 				wanted = true
+				if failOpen {
+					n.tr.BloomFailOpen(lq.Query.ID, key)
+				}
 				// A query this node originated is a sink: the unit is
 				// recorded against it but travels no further.
 				if lq.Query.Origin != n.id {

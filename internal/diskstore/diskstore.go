@@ -158,9 +158,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // recover scans the segment files and rebuilds the index.
 func (s *Store) recover() error {
 	start := time.Now()

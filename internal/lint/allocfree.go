@@ -58,7 +58,6 @@ var hotpathSeeds = []hotSeed{
 	{"/internal/sim", "wheelQueue", "release"},
 	{"/internal/link", "Link", "putPending"},
 	{"/internal/link", "Link", "absorbAck"},
-	{"/internal/spatial", "Grid", "VisitNeighborhood"},
 	{"/internal/spatial", "Grid", "AppendNeighborhood"},
 	{"/internal/trace", "Tracer", "FrameTx"},
 	{"/internal/trace", "Tracer", "Frame"},

@@ -85,7 +85,7 @@ func checkFrozenFunc(p *Pass, locs *locals, body *ast.BlockStmt) {
 		switch l := lhs.(type) {
 		case *ast.SelectorExpr:
 			if name, ok := isPtrTo(p.Pkg.Info.TypeOf(l.X)); ok && !locs.owned(l.X) {
-				p.Reportf(l.Pos(), "write to frozen wire.%s field %s outside the wire builders: published messages are shared by every receiver (use ShallowShare/WithReceivers/WithBloom/WithEntries)",
+				p.Reportf(l.Pos(), "write to frozen wire.%s field %s outside the wire builders: published messages are shared by every receiver (use WithReceivers, or build a fresh NewQuery/NewResponse)",
 					name, l.Sel.Name)
 			}
 		case *ast.IndexExpr:

@@ -265,13 +265,6 @@ func (p *Pool) Add(v float64) { p.vals = append(p.vals, v) }
 //pds:hotpath
 func (p *Pool) AddDuration(d time.Duration) { p.Add(d.Seconds()) }
 
-// Merge appends every sample of the other pool.
-func (p *Pool) Merge(o *Pool) {
-	if o != nil {
-		p.vals = append(p.vals, o.vals...)
-	}
-}
-
 // Len returns the number of pooled samples.
 func (p *Pool) Len() int { return len(p.vals) }
 
@@ -295,11 +288,6 @@ func (p *Pool) Percentile(q float64) float64 { return Quantile(p.vals, q) }
 func (p *Pool) PercentileDuration(q float64) time.Duration {
 	return time.Duration(p.Percentile(q) * float64(time.Second))
 }
-
-// P50, P95 and P99 are the standard latency tail cuts.
-func (p *Pool) P50() float64 { return p.Percentile(0.50) }
-func (p *Pool) P95() float64 { return p.Percentile(0.95) }
-func (p *Pool) P99() float64 { return p.Percentile(0.99) }
 
 // Quantile returns the q-quantile (0..1) of the values, interpolating
 // linearly; it is used by prototype-style latency summaries.

@@ -88,13 +88,13 @@ func TestPoolPercentiles(t *testing.T) {
 	if p.Len() != 100 {
 		t.Fatalf("Len = %d", p.Len())
 	}
-	if got := p.P50(); math.Abs(got-50.5) > 1e-9 {
+	if got := p.Percentile(0.50); math.Abs(got-50.5) > 1e-9 {
 		t.Fatalf("P50 = %v", got)
 	}
-	if got := p.P95(); math.Abs(got-95.05) > 1e-9 {
+	if got := p.Percentile(0.95); math.Abs(got-95.05) > 1e-9 {
 		t.Fatalf("P95 = %v", got)
 	}
-	if got := p.P99(); math.Abs(got-99.01) > 1e-9 {
+	if got := p.Percentile(0.99); math.Abs(got-99.01) > 1e-9 {
 		t.Fatalf("P99 = %v", got)
 	}
 	if got := p.Mean(); math.Abs(got-50.5) > 1e-9 {
@@ -102,7 +102,9 @@ func TestPoolPercentiles(t *testing.T) {
 	}
 	var q Pool
 	q.AddDuration(2 * time.Second)
-	q.Merge(&p)
+	for i := 1; i <= 100; i++ {
+		q.Add(float64(i))
+	}
 	if q.Len() != 101 {
 		t.Fatalf("merged Len = %d", q.Len())
 	}
@@ -116,7 +118,7 @@ func TestPoolPercentileUnsorted(t *testing.T) {
 	for _, v := range []float64{9, 1, 5, 3, 7} {
 		p.Add(v)
 	}
-	if got := p.P50(); got != 5 {
+	if got := p.Percentile(0.50); got != 5 {
 		t.Fatalf("P50 = %v", got)
 	}
 	if got := p.Percentile(1); got != 9 {

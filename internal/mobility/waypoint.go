@@ -51,19 +51,10 @@ type WaypointConfig struct {
 	FirstID            wire.NodeID
 }
 
-// NewWaypoint places n nodes uniformly in the area and draws their
-// first legs from rng. rng is retained and must not be shared with
-// other consumers mid-run.
-func NewWaypoint(n int, width, height, speedMin, speedMax float64, pauseMax time.Duration, firstID wire.NodeID, rng *rand.Rand) *Waypoint {
-	return NewWaypointFromConfig(WaypointConfig{
-		N: n, Width: width, Height: height,
-		SpeedMin: speedMin, SpeedMax: speedMax,
-		PauseMax: pauseMax, FirstID: firstID,
-	}, rng)
-}
-
-// NewWaypointFromConfig is NewWaypoint with the full config surface
-// (notably PauseMin, which must be set before the first legs draw).
+// NewWaypointFromConfig places cfg.N nodes uniformly in the area and
+// draws their first legs from rng (PauseMin must be set before that
+// draw). rng is retained and must not be shared with other consumers
+// mid-run.
 func NewWaypointFromConfig(cfg WaypointConfig, rng *rand.Rand) *Waypoint {
 	w := &Waypoint{
 		Width: cfg.Width, Height: cfg.Height,

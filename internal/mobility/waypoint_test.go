@@ -16,32 +16,6 @@ func stepAll(w *Waypoint, steps int, dt time.Duration) []radio.Move {
 	return moves
 }
 
-// TestWaypointPauseMinZeroMatchesLegacy pins the PauseMin regression
-// contract: a zero PauseMin consumes the RNG exactly as the
-// pre-PauseMin model did, so seeded runs stay byte-identical whether
-// they go through NewWaypoint or a zero-PauseMin config.
-func TestWaypointPauseMinZeroMatchesLegacy(t *testing.T) {
-	old := NewWaypoint(40, 500, 500, 1, 3, 20*time.Second, 1, rand.New(rand.NewSource(7)))
-	cfg := NewWaypointFromConfig(WaypointConfig{
-		N: 40, Width: 500, Height: 500,
-		SpeedMin: 1, SpeedMax: 3,
-		PauseMax: 20 * time.Second, FirstID: 1,
-	}, rand.New(rand.NewSource(7)))
-
-	for s := 0; s < 200; s++ {
-		a := old.Step(time.Second, nil)
-		b := cfg.Step(time.Second, nil)
-		if len(a) != len(b) {
-			t.Fatalf("step %d: %d vs %d moves", s, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("step %d move %d: %+v vs %+v", s, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestWaypointPauseMinBounds checks that every drawn pause lands in
 // [PauseMin, PauseMax).
 func TestWaypointPauseMinBounds(t *testing.T) {

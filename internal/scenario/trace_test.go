@@ -80,3 +80,38 @@ func TestTraceReconstructsQueryTree(t *testing.T) {
 		t.Errorf("first response %v not after start %v", root.FirstResponse, root.Start)
 	}
 }
+
+// TestFig4BloomVerdictsSeed1 traces Figure 4's five cells at seed 1,
+// built as fig04HopCount builds them, and pins which filter decided
+// each suppression: every one is a false positive of a relay's private
+// copy of the query's filter, which no other node reads. It also pins
+// the offers that passed an overloaded filter, and holds the traced
+// rows to the untraced ones.
+func TestFig4BloomVerdictsSeed1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five traced Figure 4 cells")
+	}
+	var suppressed, selfInflicted, failOpen int
+	for _, rows := range []int{3, 5, 7, 9, 11} {
+		entries := 50 * rows * rows
+		d := Grid(rows, rows, GridSpacing, singleRoundOptions(1, true))
+		tr := d.EnableTracing(0)
+		d.DistributeEntries(entries, 1)
+		traced := d.pddTrial(entries, CenterID(rows, rows))
+		if plain := runPDD(rows, rows, entries, 1, singleRoundOptions(1, true)); traced != plain {
+			t.Errorf("%dx%d: traced row %+v, untraced %+v", rows, rows, traced, plain)
+		}
+		if n := tr.Dropped(); n != 0 {
+			t.Fatalf("%dx%d: ring dropped %d events", rows, rows, n)
+		}
+		for _, q := range trace.Analyze(tr.Events()).Queries {
+			suppressed += q.Suppressions
+			selfInflicted += q.SelfInflicted
+			failOpen += q.FailOpen
+		}
+	}
+	if suppressed != 1764 || selfInflicted != 1764 || failOpen != 16993 {
+		t.Errorf("suppressions/self-inflicted/fail-open = %d/%d/%d, want 1764/1764/16993",
+			suppressed, selfInflicted, failOpen)
+	}
+}

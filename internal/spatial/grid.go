@@ -41,7 +41,7 @@ type Grid struct {
 
 // NewGrid returns a grid with the given cell edge length, which must be
 // positive and at least the largest radius ever passed to in-range
-// queries built on VisitNeighborhood.
+// queries built on AppendNeighborhood.
 func NewGrid(cellSize float64) *Grid {
 	if !(cellSize > 0) {
 		panic("spatial: cell size must be positive")
@@ -127,28 +127,10 @@ func (g *Grid) Move(id int32, x, y float64) {
 	g.put(id, c)
 }
 
-// VisitNeighborhood calls fn for every id in the 3×3 cell block
-// centered on the cell containing (x, y). Cells are scanned in fixed
-// dx, dy order and each cell's bucket in slice order, so the sequence
-// of callbacks is fully determined by the operation history. fn must
-// not mutate the grid.
-//
-//pds:hotpath
-func (g *Grid) VisitNeighborhood(x, y float64, fn func(id int32)) {
-	c := g.CellOf(x, y)
-	for dy := int32(-1); dy <= 1; dy++ {
-		for dx := int32(-1); dx <= 1; dx++ {
-			bucket := g.cells[Cell{X: c.X + dx, Y: c.Y + dy}]
-			for _, id := range bucket {
-				fn(id)
-			}
-		}
-	}
-}
-
 // AppendNeighborhood appends the ids of the 3×3 cell block centered on
-// the cell containing (x, y) to dst and returns it — the allocation-free
-// form of VisitNeighborhood for hot query paths.
+// the cell containing (x, y) to dst and returns it. Cells are scanned in
+// fixed dx, dy order and each cell's bucket in slice order, so the
+// sequence is fully determined by the operation history.
 //
 //pds:hotpath
 func (g *Grid) AppendNeighborhood(x, y float64, dst []int32) []int32 {

@@ -50,11 +50,11 @@ func (n *naive) inRange(x, y, r float64) []int32 {
 // they come from the reference model, which tracks the same moves.
 func sortedInRange(g *Grid, ref *naive, x, y, r float64) []int32 {
 	var out []int32
-	g.VisitNeighborhood(x, y, func(id int32) {
+	for _, id := range g.AppendNeighborhood(x, y, nil) {
 		if math.Hypot(ref.x[id]-x, ref.y[id]-y) <= r {
 			out = append(out, id)
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -146,8 +146,7 @@ func TestGridSameCellMoveKeepsSlot(t *testing.T) {
 	g.Insert(0, 10, 10)
 	g.Insert(1, 20, 20)
 	g.Move(0, 30, 30) // same cell: must not reorder the bucket
-	var order []int32
-	g.VisitNeighborhood(15, 15, func(id int32) { order = append(order, id) })
+	order := g.AppendNeighborhood(15, 15, nil)
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("bucket order %v, want [0 1]", order)
 	}

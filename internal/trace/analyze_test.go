@@ -97,3 +97,37 @@ func TestAnalyzeUnrooted(t *testing.T) {
 		t.Errorf("roots=%d unrooted=%d, want 0/1", len(a.Queries), a.Unrooted)
 	}
 }
+
+// Each discovery round is its own root: a round's suppressions split
+// into those the received filter held and self-inflicted ones, and its
+// fail-open offers count apart, a chunk sub-query's charged to its root.
+func TestAnalyzeBloomVerdicts(t *testing.T) {
+	evs := []Event{
+		{Kind: QueryStart, Node: 1, Msg: 100, Val: 1, Note: "metadata"},
+		{Kind: BloomSuppress, Node: 2, Msg: 100, Note: "k1"},
+		{Kind: BloomSuppress, Node: 3, Msg: 100, Val: 1, Note: "k2"},
+		{Kind: BloomFailOpen, Node: 3, Msg: 100, Note: "k3"},
+		{Kind: QueryStart, Node: 1, Msg: 101, Val: 2, Note: "metadata"},
+		{Kind: BloomSuppress, Node: 2, Msg: 101, Val: 1, Note: "k4"},
+		{Kind: SubQuery, Node: 1, Msg: 400, Parent: 101, Peer: 2},
+		{Kind: BloomFailOpen, Node: 2, Msg: 400, Note: "k5"},
+		{Kind: BloomFailOpen, Node: 2, Msg: 999, Note: "k6"}, // no root
+	}
+	for i := range evs {
+		evs[i].Seq = uint64(i + 1)
+	}
+	a := Analyze(evs)
+	for _, c := range []struct {
+		root                         uint64
+		suppr, selfInflicted, failed int
+	}{{100, 2, 1, 1}, {101, 1, 1, 1}} {
+		q := a.Query(c.root)
+		if q == nil {
+			t.Fatalf("no summary for root %d", c.root)
+		}
+		if q.Suppressions != c.suppr || q.SelfInflicted != c.selfInflicted || q.FailOpen != c.failed {
+			t.Errorf("root %d: suppressions/self-inflicted/fail-open = %d/%d/%d, want %d/%d/%d",
+				c.root, q.Suppressions, q.SelfInflicted, q.FailOpen, c.suppr, c.selfInflicted, c.failed)
+		}
+	}
+}

@@ -11,7 +11,7 @@
 // strings/slices (no interface boxing, no variadics), and formats
 // nothing unless enabled, so the disabled fast path performs zero
 // allocations (pinned by an alloc regression test, like
-// wire/alloc_test.go pins the CoW builders).
+// wire/alloc_test.go pins the message builders).
 //
 // Events land in bounded per-node ring buffers (oldest overwritten) and
 // are exported as JSONL sorted by a global sequence number. The tracer
@@ -63,7 +63,8 @@ const (
 	QueryForward   // node re-flooded a query (Peer = upstream sender, Val = hops left)
 	LQMatch        // response matched a lingering query at a relay (Parent = query id)
 	MixedcastMerge // one response serves several queries (Val = queries, Size = entries)
-	BloomSuppress  // entry suppressed by a query's Bloom filter (Msg = query id, Note = entry key)
+	BloomSuppress  // entry suppressed by a query's Bloom filter (Msg = query id, Note = entry key, Val = 1 when the received filter did not hold it)
+	BloomFailOpen  // entry offered Fresh past an overloaded Bloom filter (Msg = query id, Note = entry key)
 	CDIUpdate      // CDI table updated from a response (Peer = neighbor, Size = chunk, Val = hop)
 	SubQuery       // recursive chunk sub-query sent (Peer = neighbor, Note = assignment vector)
 	RespServe      // response generated for a query (Parent = query id, Size = entries)
@@ -117,6 +118,7 @@ var kindNames = [...]string{
 	LQMatch:        "lq_match",
 	MixedcastMerge: "mixedcast_merge",
 	BloomSuppress:  "bloom_suppress",
+	BloomFailOpen:  "bloom_fail_open",
 	CDIUpdate:      "cdi_update",
 	SubQuery:       "sub_query",
 	RespServe:      "resp_serve",
@@ -263,10 +265,6 @@ func New(now func() time.Duration, perNodeCap int) *Tracer {
 	}
 	return &Tracer{now: now, perCap: perNodeCap, rings: make(map[wire.NodeID]*ring)}
 }
-
-// Enabled reports whether events will be recorded. Callers that must
-// format an argument (never required by the methods below) guard on it.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // ForNode returns a node-bound emitter. A nil tracer yields a nil
 // emitter, keeping the whole chain a no-op.
@@ -416,12 +414,29 @@ func (nt *NodeTracer) MixedcastMerge(respID uint64, queries, entries int) {
 }
 
 // BloomSuppress records an entry suppressed by a query's Bloom filter.
-// key must be the already-computed descriptor key.
-func (nt *NodeTracer) BloomSuppress(queryID uint64, key string) {
+// key must be the already-computed descriptor key. selfInflicted says
+// the filter the query arrived with did not hold the key: only this
+// relay's private copy of it did, so the suppression is a false
+// positive of a filter no other node reads.
+func (nt *NodeTracer) BloomSuppress(queryID uint64, key string, selfInflicted bool) {
 	if nt == nil {
 		return
 	}
-	nt.t.emit(nt.id, BloomSuppress, queryID, 0, 0, 0, 0, key)
+	v := int64(0)
+	if selfInflicted {
+		v = 1
+	}
+	nt.t.emit(nt.id, BloomSuppress, queryID, 0, 0, 0, v, key)
+}
+
+// BloomFailOpen records an entry offered Fresh to a query whose Bloom
+// filter was already overloaded, so the filter was not consulted. key
+// must be the already-computed descriptor key.
+func (nt *NodeTracer) BloomFailOpen(queryID uint64, key string) {
+	if nt == nil {
+		return
+	}
+	nt.t.emit(nt.id, BloomFailOpen, queryID, 0, 0, 0, 0, key)
 }
 
 // CDIUpdate records a CDI table update learned from response respID.

@@ -42,7 +42,8 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		nt.QueryForward(42, 3, 2)
 		nt.LQMatch(43, 42)
 		nt.MixedcastMerge(43, 2, 10)
-		nt.BloomSuppress(42, key)
+		nt.BloomSuppress(42, key, true)
+		nt.BloomFailOpen(42, key)
 		nt.CDIUpdate(43, 3, 1, 2)
 		nt.SubQuery(44, 42, 3, chunks)
 		nt.RespServe(43, 42, 10)
@@ -104,7 +105,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.FrameTx(1, &wire.Message{Query: &wire.Query{ID: 7}}, 96, 250*time.Microsecond)
 	nt := tr.ForNode(2)
 	nt.SubQuery(9, 7, 5, []int{0, 2, 4})
-	nt.BloomSuppress(7, "video/3")
+	nt.BloomSuppress(7, "video/3", true)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {

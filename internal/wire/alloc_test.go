@@ -3,12 +3,10 @@ package wire
 import (
 	"math/rand"
 	"testing"
-
-	"pds/internal/bloom"
 )
 
 // These tests pin the copy-on-write ownership contract: which sections
-// Clone and the With* builders share, and how many allocations the hot
+// Clone and WithReceivers share, and how many allocations the hot
 // encode/share paths are allowed. They are regression tests — a change
 // that silently reintroduces deep copies or per-call garbage fails here
 // before it shows up in the figure benchmarks.
@@ -60,23 +58,6 @@ func TestCloneSharesImmutableSections(t *testing.T) {
 	}
 }
 
-// TestShallowShare asserts ShallowShare aliases every section but is a
-// distinct Message value.
-func TestShallowShare(t *testing.T) {
-	m := sampleQuery()
-	s := m.ShallowShare()
-	if s == m {
-		t.Fatal("ShallowShare returned the same pointer")
-	}
-	if s.Query != m.Query {
-		t.Error("ShallowShare must alias the body")
-	}
-	s.TransmitID = 12345
-	if m.TransmitID == 12345 {
-		t.Error("envelope fields must be private to the share")
-	}
-}
-
 // TestWithReceiversCoW asserts WithReceivers rewrites only the receiver
 // list: the body struct is copied, everything inside it is shared.
 func TestWithReceiversCoW(t *testing.T) {
@@ -108,41 +89,6 @@ func TestWithReceiversCoW(t *testing.T) {
 	}
 }
 
-// TestWithBloomCoW asserts WithBloom swaps the filter without touching
-// the original message.
-func TestWithBloomCoW(t *testing.T) {
-	m := sampleQuery()
-	f := bloom.NewForCapacity(64, 0.01, 99)
-	f.Add("fresh")
-	v := m.WithBloom(f)
-	if v.Query.Bloom != f {
-		t.Fatal("WithBloom did not install the new filter")
-	}
-	if m.Query.Bloom == f {
-		t.Fatal("WithBloom rewrote the original")
-	}
-	if &v.Query.Receivers[0] != &m.Query.Receivers[0] {
-		t.Error("WithBloom must share the receiver list")
-	}
-}
-
-// TestWithEntriesCoW asserts WithEntries swaps the entry list and
-// shares the rest.
-func TestWithEntriesCoW(t *testing.T) {
-	m := sampleResponse()
-	orig := len(m.Response.Entries)
-	v := m.WithEntries(nil)
-	if len(v.Response.Entries) != 0 {
-		t.Fatalf("entries = %d, want 0", len(v.Response.Entries))
-	}
-	if len(m.Response.Entries) != orig {
-		t.Error("WithEntries rewrote the original entry list")
-	}
-	if &v.Response.Blobs[0].Payload[0] != &m.Response.Blobs[0].Payload[0] {
-		t.Error("WithEntries must share payload bytes")
-	}
-}
-
 // TestAppendEncodeZeroAlloc asserts the steady-state encode path — a
 // reused destination buffer, as the transports hold — performs no
 // allocation at all.
@@ -169,23 +115,17 @@ func TestAppendEncodeZeroAlloc(t *testing.T) {
 // cannot inline a builder and keep its result on the stack.
 var sink *Message
 
-// TestShareAllocBudget pins the allocation cost of the builders and the
-// sharing primitives: each is one allocation, a Message and the body
-// after it.
+// TestShareAllocBudget pins the allocation cost of the builders and of
+// WithReceivers: each is one allocation, a Message and the body after
+// it.
 func TestShareAllocBudget(t *testing.T) {
 	q, r := sampleQuery(), sampleResponse()
 	rs := []NodeID{42}
-	f := bloom.NewForCapacity(64, 0.01, 3)
 	for name, build := range map[string]func() *Message{
-		"ShallowShare":           q.ShallowShare,
 		"NewQuery":               func() *Message { return NewQuery(*q.Query) },
 		"NewResponse":            func() *Message { return NewResponse(*r.Response) },
 		"query WithReceivers":    func() *Message { return q.WithReceivers(rs) },
 		"response WithReceivers": func() *Message { return r.WithReceivers(rs) },
-		"query WithBloom":        func() *Message { return q.WithBloom(f) },
-		"response WithBloom":     func() *Message { return r.WithBloom(f) },
-		"query WithEntries":      func() *Message { return q.WithEntries(nil) },
-		"response WithEntries":   func() *Message { return r.WithEntries(nil) },
 	} {
 		if got := testing.AllocsPerRun(100, func() { sink = build() }); got > 1 {
 			t.Errorf("%s: %v allocs/op, want <= 1", name, got)

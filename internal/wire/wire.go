@@ -28,10 +28,6 @@ import (
 // within the network, as the paper assumes for its receiver lists.
 type NodeID uint32
 
-// Broadcast is the reserved "all neighbors" value: a receiver list that
-// is empty means every neighbor should process the message.
-const Broadcast NodeID = 0
-
 // MessageType discriminates the three wire messages.
 type MessageType uint8
 
@@ -275,11 +271,12 @@ type Ack struct {
 //     is frozen. The medium delivers the *same* pointer to every
 //     receiver (no per-receiver clone), so any in-place mutation would
 //     corrupt the frame for every other node that overheard it.
-//  3. A layer that needs a variant (retransmission with a narrowed
-//     receiver list, a forwarded query with a rewritten Bloom filter)
-//     builds one through the copy-on-write helpers — ShallowShare,
-//     WithReceivers, WithBloom, WithEntries — which copy only the
-//     rewritten section and share everything else.
+//  3. A layer that needs a variant builds a new message. A
+//     retransmission narrowed to the not-yet-acked receivers goes
+//     through WithReceivers, which copies the body struct and shares
+//     every section in it; anything else is a fresh NewQuery or
+//     NewResponse. A forwarded query carries the received Bloom
+//     filter, so no helper rewrites one.
 //
 // Section ownership after publication:
 //
@@ -289,7 +286,7 @@ type Ack struct {
 //     payload aliases the receive buffer, which then belongs to the
 //     message for good (PayloadBytes says when).
 //   - Receiver lists, ChunkIDs, Serves and CDI slices are frozen with
-//     the message; rewriting goes through a CoW helper.
+//     the message; a narrowed receiver list goes through WithReceivers.
 //   - Fragment.Enc is a pointer frozen with the message like any other
 //     field; what it points at is not part of any message. The cutter
 //     installs the pointer when it builds the fragment, and the first
@@ -297,10 +294,10 @@ type Ack struct {
 //     it, once, by an atomic swap — a memo of bytes that are a function
 //     of the frozen Whole, not a write to a frozen message.
 //   - Query.Bloom is frozen with the message. A node that rewrites the
-//     filter en route (§III-B.2) must work on its own copy — the LQT
-//     clones the filter at insert. The query it forwards carries the
-//     received filter, shared; a caller that needs a different filter
-//     on a copy attaches it via WithBloom.
+//     filter en route (§III-B.2) works on its own copy — the LQT clones
+//     the filter at its first Fresh verdict. The query it forwards
+//     carries the received filter, shared; the private copy never
+//     leaves the node.
 type Message struct {
 	// Type discriminates the body.
 	Type MessageType
@@ -406,16 +403,6 @@ func wrap[B Query | Response | Ack | Fragment](env Message, body B) *Message {
 	return &x.m
 }
 
-// ShallowShare returns a copy of the envelope sharing every body
-// pointer. It is the cheapest way to hand a published message to another
-// consumer that needs its own envelope (one small allocation, no body
-// work); the shared body sections stay read-only per the ownership
-// rules above.
-func (m *Message) ShallowShare() *Message {
-	out := *m
-	return &out
-}
-
 // WithReceivers returns a copy of the message whose body carries the
 // given receiver list, sharing every other section — payloads,
 // descriptor lists, Bloom filter, fragment data and memo. The caller
@@ -437,32 +424,8 @@ func (m *Message) WithReceivers(rs []NodeID) *Message {
 		f.Receivers = rs
 		return wrap(*m, f)
 	}
-	return m.ShallowShare()
-}
-
-// WithBloom returns a copy of a query message carrying the given Bloom
-// filter, sharing everything else. The caller transfers ownership of f
-// to the new message.
-func (m *Message) WithBloom(f *bloom.Filter) *Message {
-	if m.Query == nil {
-		return m.ShallowShare()
-	}
-	q := *m.Query
-	q.Bloom = f
-	return wrap(*m, q)
-}
-
-// WithEntries returns a copy of a response message carrying the given
-// entry list, sharing everything else. The caller transfers ownership of
-// entries to the new message; relays that prune a response down to the
-// still-wanted subset rebuild only this section.
-func (m *Message) WithEntries(entries []attr.Descriptor) *Message {
-	if m.Response == nil {
-		return m.ShallowShare()
-	}
-	r := *m.Response
-	r.Entries = entries
-	return wrap(*m, r)
+	out := *m
+	return &out
 }
 
 // Clone returns a copy whose protocol-rewritable sections — receiver
