@@ -146,25 +146,33 @@ alloc-ledger:
 # where a four-second run at seed 1 spends its CPU, from the benchmark's
 # own -cpuprofile: this module's top 25 functions by cumulative share,
 # the top 10 of all by flat share, the samples folded by layer (LAYERS)
-# and one "alloc + GC" line, the cumulative shares of runtime.mallocgc
-# and runtime.gcBgMarkWorker added up (ROADMAP item 12). Shares are
-# sampled (about 500 samples) and a layer's moves two to five points run
-# to run: they locate a site and never prove a gain. It takes about a
-# minute and stays out of CI.
+# and the "alloc + GC" share, the cumulative shares of runtime.mallocgc
+# and runtime.gcBgMarkWorker added up (ROADMAP item 12). RUNS=k profiles
+# each workload k times: it prints each run's alloc + GC line and reads
+# the tables off the k profiles merged (pprof merges several inputs),
+# so the three readings an allocation claim quotes come from one
+# command. Shares are sampled (about 500 samples a run) and a layer's
+# moves two to five points run to run: they locate a site and never
+# prove a gain. It takes about a minute a run and stays out of CI.
+RUNS ?= 1
+ALLOC_GC = awk '$$6 == "runtime.mallocgc" || $$6 == "runtime.gcBgMarkWorker" { s += $$5 } END { printf "%.1f%%\n", s }'
 cpu-ledger:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	for w in sim-pdd-flood sim-pdr-bulk sim-city-idle; do \
-		$(GO) run -C benchmarks pds/benchmarks -workload $$w -seconds 4 -cpuprofile $$tmp >/dev/null || exit 1; \
-		p=$$tmp/$$w.cpu.pprof; \
+		p=; \
+		for r in $$(seq $(RUNS)); do \
+			mkdir -p $$tmp/$$r; \
+			$(GO) run -C benchmarks pds/benchmarks -workload $$w -seconds 4 -cpuprofile $$tmp/$$r >/dev/null || exit 1; \
+			p="$$p $$tmp/$$r/$$w.cpu.pprof"; \
+			echo "== $$w: run $$r alloc + GC $$($(GO) tool pprof -top -cum -nodefraction=0 $$tmp/$$r/$$w.cpu.pprof 2>/dev/null | $(ALLOC_GC))"; \
+		done; \
 		echo "== $$w: by cumulative share"; \
 		$(GO) tool pprof -top -cum -nodefraction=0 $$p 2>/dev/null | sed -n '/flat%/p; / pds\//p' | head -n 26; \
 		echo "== $$w: by flat share"; \
 		$(GO) tool pprof -top -nodecount=10 $$p 2>/dev/null | sed -n '/flat%/,$$p'; \
 		echo "== $$w: by layer"; \
 		$(GO) tool pprof -unit=ns -traces $$p 2>/dev/null | $(LAYERS); \
-		$(GO) tool pprof -top -cum -nodefraction=0 $$p 2>/dev/null | \
-			awk '$$6 == "runtime.mallocgc" || $$6 == "runtime.gcBgMarkWorker" { s += $$5 } \
-				END { printf "== %s: alloc + GC %.1f%%\n", "'$$w'", s }'; \
+		echo "== $$w: alloc + GC $$($(GO) tool pprof -top -cum -nodefraction=0 $$p 2>/dev/null | $(ALLOC_GC))"; \
 	done
 
 # ledger-seeds runs the paper ledger (TestPaperClaims) once per seed in

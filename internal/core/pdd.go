@@ -228,7 +228,7 @@ type cast struct {
 	receivers []wire.NodeID
 	serves    []wire.Serve
 	// suppressed counts (unit, route) pairs a Bloom filter turned down;
-	// unwanted counts units that no route takes or has taken before.
+	// unwanted counts units that no route takes.
 	suppressed, unwanted uint64
 }
 
@@ -260,8 +260,6 @@ func (n *Node) mixedcast(routes []*store.LingeringQuery, units content, frozen b
 				if traced {
 					n.tr.BloomSuppress(lq.Query.ID, key, !lq.Query.Bloom.Contains(key))
 				}
-			case store.AlreadySent:
-				wanted = true
 			case store.Fresh:
 				wanted = true
 				if failOpen {

@@ -194,7 +194,7 @@ func TestServePassMatchesUnion(t *testing.T) {
 			t.Fatalf("%s: stats\n got %+v\nwant %+v", name, a, b)
 		}
 		// Every route was rewritten alike: same filter bits, same
-		// exhaustion, and — probing the exact forwarded set — the same
+		// exhaustion, and — probing each route once more — the same
 		// verdict for every unit of the universe.
 		routes := [2][]*store.LingeringQuery{sides[0].n.lqt.AllOfKind(nil, kind, 0), sides[1].n.lqt.AllOfKind(nil, kind, 0)}
 		if len(routes[0]) != len(routes[1]) {
@@ -247,7 +247,8 @@ func TestKeptIsSizedToWhatIsKept(t *testing.T) {
 // that drops an entry sends a list of its own.
 func TestRelayKeepingEveryUnitSharesIt(t *testing.T) {
 	p := newPassNode(DefaultConfig())
-	p.n.lqt.Insert(&wire.Query{ID: 1, Kind: wire.KindMetadata, TTL: time.Minute, Sender: 10, Origin: 10, Sel: testSel()}, time.Minute)
+	p.n.lqt.Insert(&wire.Query{ID: 1, Kind: wire.KindMetadata, TTL: time.Minute, Sender: 10, Origin: 10, Sel: testSel(),
+		Bloom: bloom.NewForCapacity(64, 0.01, 1)}, time.Minute)
 	relay := func(id uint64, entries ...int) (in, out []attr.Descriptor) {
 		r := wire.Response{ID: id, Kind: wire.KindMetadata, Sender: 20, Receivers: []wire.NodeID{5},
 			Serves: []wire.Serve{{Node: 5, QueryID: 1}}}
@@ -264,7 +265,7 @@ func TestRelayKeepingEveryUnitSharesIt(t *testing.T) {
 	if in, out := relay(100, 0, 1, 2); len(out) != 3 || &out[0] != &in[0] {
 		t.Fatalf("keeping every entry relayed %d entries at %p, want the received 3 at %p", len(out), &out[0], &in[0])
 	}
-	in, out := relay(101, 1, 3, 4) // entry 1 already went toward query 1
+	in, out := relay(101, 1, 3, 4) // entry 1 is in the relay's copy of query 1's filter
 	if len(out) != 2 || out[0].Key() != testEntry(3).Key() {
 		t.Fatalf("relayed %v, want entries 3 and 4", out)
 	}

@@ -134,7 +134,7 @@ func checkFrozenAppend(p *Pass, locs *locals, call *ast.CallExpr) {
 		return
 	}
 	if sel, fieldOf, ok := frozenFieldSel(p.Pkg.Info, call.Args[0]); ok && !locs.owned(sel.X) {
-		p.Reportf(call.Pos(), "append into frozen wire.%s.%s may write the shared backing array; copy first (append([]T(nil), s...)) or rebuild via a CoW helper",
+		p.Reportf(call.Pos(), "append into frozen wire.%s.%s may write the shared backing array; copy first (append([]T(nil), s...)) or build a fresh NewQuery/NewResponse (WithReceivers rebuilds receiver lists only)",
 			fieldOf, sel.Sel.Name)
 	}
 }

@@ -83,15 +83,16 @@ func TestTraceReconstructsQueryTree(t *testing.T) {
 
 // TestFig4BloomVerdictsSeed1 traces Figure 4's five cells at seed 1,
 // built as fig04HopCount builds them, and pins which filter decided
-// each suppression: every one is a false positive of a relay's private
-// copy of the query's filter, which no other node reads. It also pins
-// the offers that passed an overloaded filter, and holds the traced
-// rows to the untraced ones.
+// each suppression: every one is held only by a relay's private copy of
+// the query's filter, which no other node reads — a unit the relay
+// forwarded before, or a false positive of its copy. It also pins the
+// offers that passed an overloaded filter, and holds the traced rows to
+// the untraced ones.
 func TestFig4BloomVerdictsSeed1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five traced Figure 4 cells")
 	}
-	var suppressed, selfInflicted, failOpen int
+	var suppressed, copyOnly, failOpen int
 	for _, rows := range []int{3, 5, 7, 9, 11} {
 		entries := 50 * rows * rows
 		d := Grid(rows, rows, GridSpacing, singleRoundOptions(1, true))
@@ -106,12 +107,12 @@ func TestFig4BloomVerdictsSeed1(t *testing.T) {
 		}
 		for _, q := range trace.Analyze(tr.Events()).Queries {
 			suppressed += q.Suppressions
-			selfInflicted += q.SelfInflicted
+			copyOnly += q.SelfInflicted
 			failOpen += q.FailOpen
 		}
 	}
-	if suppressed != 1764 || selfInflicted != 1764 || failOpen != 16993 {
-		t.Errorf("suppressions/self-inflicted/fail-open = %d/%d/%d, want 1764/1764/16993",
-			suppressed, selfInflicted, failOpen)
+	if suppressed != 11597 || copyOnly != 11597 || failOpen != 24257 {
+		t.Errorf("suppressions/copy-only/fail-open = %d/%d/%d, want 11597/11597/24257",
+			suppressed, copyOnly, failOpen)
 	}
 }

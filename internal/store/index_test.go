@@ -327,7 +327,8 @@ func TestIndexInsertOrders(t *testing.T) {
 }
 
 // TestHotPathsDoNotAllocate: a warm walk of the index into a reused
-// buffer, and every Offer verdict short of Fresh, cost no allocation.
+// buffer, and every Offer verdict short of Fresh, cost no allocation;
+// TestOfferAllocatesOnlyTheClone covers Fresh.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	s := NewDataStore(0)
 	for i := 0; i < 320; i++ {
@@ -358,13 +359,18 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		t.Fatal("first offer not Fresh")
 	}
 	other := attr.NewDescriptor().Set(attr.AttrNamespace, attr.String("elsewhere"))
-	for want, d := range map[Verdict]attr.Descriptor{Unmatched: other, AlreadySent: sent, Suppressed: held} {
-		key := d.Key()
-		if got := lq.Offer(d, key); got != want {
-			t.Fatalf("verdict %d, want %d", got, want)
+	// sent is suppressed by the node's own copy, held by the received
+	// filter.
+	for _, c := range []struct {
+		d    attr.Descriptor
+		want Verdict
+	}{{other, Unmatched}, {sent, Suppressed}, {held, Suppressed}} {
+		key := c.d.Key()
+		if got := lq.Offer(c.d, key); got != c.want {
+			t.Fatalf("%s: verdict %d, want %d", c.d, got, c.want)
 		}
-		if got := testing.AllocsPerRun(100, func() { lq.Offer(d, key) }); got != 0 {
-			t.Errorf("Offer with verdict %d: %v allocs", want, got)
+		if got := testing.AllocsPerRun(100, func() { lq.Offer(c.d, key) }); got != 0 {
+			t.Errorf("Offer of %s with verdict %d: %v allocs", c.d, c.want, got)
 		}
 	}
 }

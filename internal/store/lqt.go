@@ -38,14 +38,6 @@ type LingeringQuery struct {
 	// chain); Query.ChunkIDs stays frozen with the shared message, like
 	// Bloom above.
 	Wanted []int
-	// forwarded records the entry keys this node has already sent
-	// toward the query (served or relayed). Unlike the query's Bloom
-	// filter — which is sized for the wire and can saturate under
-	// en-route insertion — this local set is exact, so a duplicate copy
-	// arriving via another branch is never re-forwarded. Without it a
-	// saturated wire filter fails open and overlapping reverse trees
-	// amplify every entry into a mesh-wide storm.
-	forwarded map[string]bool
 }
 
 // Verdict is the outcome of offering one unit (a metadata entry or a
@@ -55,55 +47,43 @@ type Verdict uint8
 const (
 	// Unmatched: the query's selector does not cover the unit.
 	Unmatched Verdict = iota
-	// AlreadySent: this node forwarded the unit toward the query before;
-	// the query wanted it, but nothing travels again.
-	AlreadySent
 	// Suppressed: the query's Bloom filter says downstream already holds
-	// the unit (§III-B.2).
+	// the unit (§III-B.2), or this node's copy of it says the unit went
+	// toward the query before.
 	Suppressed
-	// Fresh: the unit is new to the query and has just been recorded as
-	// sent toward it.
+	// Fresh: the unit is new to the query's filter and has just been
+	// added to this node's copy of it.
 	Fresh
 )
 
 // Offer is the per-(unit, lingering query) rule of mixedcast with
 // en-route rewriting (§III-B.1, §III-B.2), decided in this order:
-// selector match, the exact already-forwarded set, then the Bloom
-// filter. A Fresh verdict has rewritten the query's state — the key is
-// in a private Bloom clone the first Fresh makes (never in the frozen
-// Query.Bloom) and in the forwarded set — so a filter entry is only ever
-// added, never lost, and the same unit is never Fresh twice. A saturated
-// filter fails open (see forwarded above): it is then not consulted at
+// selector match, then the Bloom filter. The filter is the one redundancy
+// rule: a Fresh verdict adds the key to a private clone the route's first
+// Fresh makes (never to the frozen Query.Bloom), so a unit this node
+// forwarded reads Suppressed from its own copy when it is offered again.
+// A filter entry is only ever added, never lost. An overloaded filter
+// fails open: it is not consulted, and every matching unit is Fresh. A
+// query without a filter (Bloom rewriting off) has no redundancy rule at
 // all. key is d.Key(), passed in because callers offer one unit to many
-// queries. Every verdict but Fresh allocates nothing.
+// queries. Only a route's first Fresh allocates (the clone).
 //
 //pds:hotpath
 func (lq *LingeringQuery) Offer(d attr.Descriptor, key string) Verdict {
 	if !lq.Query.Sel.Match(d) {
 		return Unmatched
 	}
-	if lq.forwarded[key] {
-		return AlreadySent
+	if lq.Bloom == nil {
+		return Fresh
 	}
-	if lq.Bloom != nil {
-		if !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
-			return Suppressed
-		}
-		if lq.Bloom == lq.Query.Bloom {
-			lq.Bloom = lq.Bloom.Clone()
-		}
-		lq.Bloom.Add(key)
+	if !lq.Bloom.Overloaded() && lq.Bloom.Contains(key) {
+		return Suppressed
 	}
-	lq.markForwarded(key)
+	if lq.Bloom == lq.Query.Bloom {
+		lq.Bloom = lq.Bloom.Clone()
+	}
+	lq.Bloom.Add(key)
 	return Fresh
-}
-
-// markForwarded records key in the exact already-forwarded set.
-func (lq *LingeringQuery) markForwarded(key string) {
-	if lq.forwarded == nil {
-		lq.forwarded = make(map[string]bool)
-	}
-	lq.forwarded[key] = true
 }
 
 // LQT is the Lingering Query Table. Queries are keyed by their globally

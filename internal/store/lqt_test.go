@@ -72,9 +72,10 @@ func TestLQTOfferFilters(t *testing.T) {
 	if v := lqA.Offer(dA, dA.Key()); v != Fresh {
 		t.Fatalf("first offer: verdict %d", v)
 	}
-	// The exact forwarded set answers before the (absent) Bloom filter.
-	if v := lqA.Offer(dA, dA.Key()); v != AlreadySent {
-		t.Fatalf("second offer: verdict %d", v)
+	// The Bloom filter is the one redundancy rule: a query without one
+	// takes the same unit again.
+	if v := lqA.Offer(dA, dA.Key()); v != Fresh {
+		t.Fatalf("second offer without a filter: verdict %d", v)
 	}
 	// Kind filter: the data query with the same selector is a route
 	// only on its own plane.
@@ -102,6 +103,71 @@ func TestLQTOfferBloomPruning(t *testing.T) {
 	// the filter of the shared, frozen query.
 	if lq.Bloom == f || !lq.Bloom.Contains(other.Key()) || !lq.Bloom.Contains(d.Key()) || f.Contains(other.Key()) {
 		t.Fatal("Fresh verdict must rewrite the private filter only")
+	}
+}
+
+// TestOfferAllocatesOnlyTheClone: a route's first Fresh clones the
+// received filter, Offer's only allocation; after it every verdict —
+// Fresh into the copy, Suppressed by the copy or by the received filter,
+// Unmatched — allocates nothing.
+func TestOfferAllocatesOnlyTheClone(t *testing.T) {
+	const runs = 50
+	f := bloom.NewForCapacity(4*runs, 0.01, 1)
+	held := attr.NewDescriptor().Set("ns", attr.String("a")).Set("n", attr.String("held"))
+	f.Add(held.Key())
+	q := metaQuery(1, 10, attr.NewQuery(attr.Eq("ns", attr.String("a"))))
+	q.Bloom = f
+	units := make([]attr.Descriptor, 2*(runs+1))
+	keys := make([]string, len(units))
+	for i := range units {
+		units[i] = attr.NewDescriptor().Set("ns", attr.String("a")).Set("n", attr.Int(int64(i)))
+		keys[i] = units[i].Key()
+	}
+	var sink *bloom.Filter
+	clone := testing.AllocsPerRun(runs, func() { sink = f.Clone() })
+	_ = sink
+
+	// One route per run, each offered its first unit.
+	lqs := make([]*LingeringQuery, runs+1)
+	for i := range lqs {
+		lqs[i] = &LingeringQuery{Query: q, Bloom: f}
+	}
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		if lqs[i].Offer(units[i], keys[i]) != Fresh {
+			t.Fatal("a route's first unit is not Fresh")
+		}
+		i++
+	}); got != clone {
+		t.Errorf("first Fresh: %v allocs, want the clone's %v", got, clone)
+	}
+
+	lq := lqs[0]
+	i = runs + 1
+	if got := testing.AllocsPerRun(runs, func() {
+		if lq.Offer(units[i], keys[i]) != Fresh {
+			t.Fatal("a new unit into the copy is not Fresh")
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("later Fresh: %v allocs", got)
+	}
+	other := attr.NewDescriptor().Set("ns", attr.String("b"))
+	for _, c := range []struct {
+		d    attr.Descriptor
+		want Verdict
+	}{{units[0], Suppressed}, {held, Suppressed}, {other, Unmatched}} {
+		key := c.d.Key()
+		if got := testing.AllocsPerRun(runs, func() {
+			if v := lq.Offer(c.d, key); v != c.want {
+				t.Fatalf("%s: verdict %d, want %d", c.d, v, c.want)
+			}
+		}); got != 0 {
+			t.Errorf("%s, verdict %d: %v allocs", c.d, c.want, got)
+		}
+	}
+	if f.Contains(keys[0]) {
+		t.Fatal("Offer wrote the received filter")
 	}
 }
 

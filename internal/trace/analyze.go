@@ -39,7 +39,7 @@ type QuerySummary struct {
 	Relays        int           // RespRelay events in the tree
 	Merges        int           // mixedcast merges benefiting this tree
 	Suppressions  int           // Bloom suppressions charged to tree queries
-	SelfInflicted int           // of Suppressions, those the received filter did not hold
+	SelfInflicted int           // of Suppressions, those held only by the relay's copy of the filter
 	FailOpen      int           // entries offered Fresh past an overloaded filter
 	FirstResponse time.Duration // earliest serve/relay, 0 if none
 

@@ -99,8 +99,9 @@ func TestAnalyzeUnrooted(t *testing.T) {
 }
 
 // Each discovery round is its own root: a round's suppressions split
-// into those the received filter held and self-inflicted ones, and its
-// fail-open offers count apart, a chunk sub-query's charged to its root.
+// into those the received filter held and those only the relay's copy
+// held, and its fail-open offers count apart, a chunk sub-query's
+// charged to its root.
 func TestAnalyzeBloomVerdicts(t *testing.T) {
 	evs := []Event{
 		{Kind: QueryStart, Node: 1, Msg: 100, Val: 1, Note: "metadata"},
@@ -118,16 +119,16 @@ func TestAnalyzeBloomVerdicts(t *testing.T) {
 	}
 	a := Analyze(evs)
 	for _, c := range []struct {
-		root                         uint64
-		suppr, selfInflicted, failed int
+		root                    uint64
+		suppr, copyOnly, failed int
 	}{{100, 2, 1, 1}, {101, 1, 1, 1}} {
 		q := a.Query(c.root)
 		if q == nil {
 			t.Fatalf("no summary for root %d", c.root)
 		}
-		if q.Suppressions != c.suppr || q.SelfInflicted != c.selfInflicted || q.FailOpen != c.failed {
-			t.Errorf("root %d: suppressions/self-inflicted/fail-open = %d/%d/%d, want %d/%d/%d",
-				c.root, q.Suppressions, q.SelfInflicted, q.FailOpen, c.suppr, c.selfInflicted, c.failed)
+		if q.Suppressions != c.suppr || q.SelfInflicted != c.copyOnly || q.FailOpen != c.failed {
+			t.Errorf("root %d: suppressions/copy-only/fail-open = %d/%d/%d, want %d/%d/%d",
+				c.root, q.Suppressions, q.SelfInflicted, q.FailOpen, c.suppr, c.copyOnly, c.failed)
 		}
 	}
 }

@@ -63,7 +63,7 @@ const (
 	QueryForward   // node re-flooded a query (Peer = upstream sender, Val = hops left)
 	LQMatch        // response matched a lingering query at a relay (Parent = query id)
 	MixedcastMerge // one response serves several queries (Val = queries, Size = entries)
-	BloomSuppress  // entry suppressed by a query's Bloom filter (Msg = query id, Note = entry key, Val = 1 when the received filter did not hold it)
+	BloomSuppress  // entry suppressed by a query's Bloom filter (Msg = query id, Note = entry key, Val = 1 when only the relay's copy held it)
 	BloomFailOpen  // entry offered Fresh past an overloaded Bloom filter (Msg = query id, Note = entry key)
 	CDIUpdate      // CDI table updated from a response (Peer = neighbor, Size = chunk, Val = hop)
 	SubQuery       // recursive chunk sub-query sent (Peer = neighbor, Note = assignment vector)
@@ -414,16 +414,17 @@ func (nt *NodeTracer) MixedcastMerge(respID uint64, queries, entries int) {
 }
 
 // BloomSuppress records an entry suppressed by a query's Bloom filter.
-// key must be the already-computed descriptor key. selfInflicted says
-// the filter the query arrived with did not hold the key: only this
-// relay's private copy of it did, so the suppression is a false
-// positive of a filter no other node reads.
-func (nt *NodeTracer) BloomSuppress(queryID uint64, key string, selfInflicted bool) {
+// key must be the already-computed descriptor key. copyOnly says the
+// filter the query arrived with did not hold the key: only this relay's
+// private copy of it did. That is a unit the relay already forwarded
+// toward the query (a true positive of its copy) or a false positive of
+// a filter no other node reads.
+func (nt *NodeTracer) BloomSuppress(queryID uint64, key string, copyOnly bool) {
 	if nt == nil {
 		return
 	}
 	v := int64(0)
-	if selfInflicted {
+	if copyOnly {
 		v = 1
 	}
 	nt.t.emit(nt.id, BloomSuppress, queryID, 0, 0, 0, v, key)
