@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"pds/internal/attr"
-	"pds/internal/bloom"
-	"pds/internal/wire"
 )
 
 // matchByMapSort and matchPayloadsByMapSort are the Match and
@@ -327,8 +325,8 @@ func TestIndexInsertOrders(t *testing.T) {
 }
 
 // TestHotPathsDoNotAllocate: a warm walk of the index into a reused
-// buffer, and every Offer verdict short of Fresh, cost no allocation;
-// TestOfferAllocatesOnlyTheClone covers Fresh.
+// buffer costs no allocation. TestOfferAllocatesOnlyTheClone holds
+// Offer's verdicts to theirs.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	s := NewDataStore(0)
 	for i := 0; i < 320; i++ {
@@ -349,29 +347,6 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	}
 	if len(buf) != 80 {
 		t.Fatalf("payload walk found %d entries, want 80", len(buf))
-	}
-
-	q := &wire.Query{ID: 1, Kind: wire.KindMetadata, Sel: selAll(), Bloom: bloom.NewForCapacity(64, 0.01, 9)}
-	held, sent := entry(1), entry(2)
-	q.Bloom.Add(held.Key())
-	lq := new(LQT).Insert(q, time.Minute)
-	if lq.Offer(sent, sent.Key()) != Fresh {
-		t.Fatal("first offer not Fresh")
-	}
-	other := attr.NewDescriptor().Set(attr.AttrNamespace, attr.String("elsewhere"))
-	// sent is suppressed by the node's own copy, held by the received
-	// filter.
-	for _, c := range []struct {
-		d    attr.Descriptor
-		want Verdict
-	}{{other, Unmatched}, {sent, Suppressed}, {held, Suppressed}} {
-		key := c.d.Key()
-		if got := lq.Offer(c.d, key); got != c.want {
-			t.Fatalf("%s: verdict %d, want %d", c.d, got, c.want)
-		}
-		if got := testing.AllocsPerRun(100, func() { lq.Offer(c.d, key) }); got != 0 {
-			t.Errorf("Offer of %s with verdict %d: %v allocs", c.d, c.want, got)
-		}
 	}
 }
 

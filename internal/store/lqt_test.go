@@ -123,9 +123,6 @@ func TestOfferAllocatesOnlyTheClone(t *testing.T) {
 		units[i] = attr.NewDescriptor().Set("ns", attr.String("a")).Set("n", attr.Int(int64(i)))
 		keys[i] = units[i].Key()
 	}
-	var sink *bloom.Filter
-	clone := testing.AllocsPerRun(runs, func() { sink = f.Clone() })
-	_ = sink
 
 	// One route per run, each offered its first unit.
 	lqs := make([]*LingeringQuery, runs+1)
@@ -138,8 +135,8 @@ func TestOfferAllocatesOnlyTheClone(t *testing.T) {
 			t.Fatal("a route's first unit is not Fresh")
 		}
 		i++
-	}); got != clone {
-		t.Errorf("first Fresh: %v allocs, want the clone's %v", got, clone)
+	}); got != 2 {
+		t.Errorf("first Fresh: %v allocs, want 2 (the clone's header and bits)", got)
 	}
 
 	lq := lqs[0]
@@ -152,6 +149,7 @@ func TestOfferAllocatesOnlyTheClone(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("later Fresh: %v allocs", got)
 	}
+	// units[0] is held by lq's copy, held by the received filter.
 	other := attr.NewDescriptor().Set("ns", attr.String("b"))
 	for _, c := range []struct {
 		d    attr.Descriptor
