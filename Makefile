@@ -216,17 +216,15 @@ golden:
 # buffer, or segments around the payloads), the checksummed framing above it
 # that both socket carriers receive through (wire.DecodeChecked, driven
 # from udptransport's datagram corpus), the link's receive path fed
-# whatever two frames decode to, the tracker wire protocol, the
-# persistent store's record framing below it, and the two CLI spec
-# grammars (fault plans and workload specs). CI runs this list too, with
-# FUZZTIME=10s.
+# whatever two frames decode to, the persistent store's record framing,
+# and the two CLI spec grammars (fault plans and workload specs). CI runs
+# this list too, with FUZZTIME=10s.
 fuzz:
 	$(GO) test ./internal/bloom -fuzz FuzzHashPair -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -fuzz FuzzSplit -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/udptransport -fuzz FuzzDecodeDatagram -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/link -fuzz FuzzHandleIncoming -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/tracker -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diskstore -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -fuzz FuzzParsePlan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)

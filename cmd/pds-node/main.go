@@ -56,7 +56,6 @@ func run(args []string) error {
 	transport := fs.String("transport", "udp", "transport plane: udp (broadcast/loopback) or tcp (supervised unicast faces)")
 	tcpListen := fs.String("tcp-listen", ":9755", "TCP listen address for -transport tcp (empty = dial-only)")
 	tcpPeers := fs.String("tcp-peers", "", "comma-separated TCP peer addresses for -transport tcp, e.g. 127.0.0.1:9755,127.0.0.1:9756")
-	trackers := fs.String("trackers", "", "comma-separated pds-tracker addresses for edge-peer discovery, in priority order")
 	originURL := fs.String("origin", "", "HTTP origin base URL: the retrieval tier of last resort")
 	originListen := fs.String("origin-listen", "",
 		"with -share: also serve the shared chunks over HTTP (origin protocol) on this address, e.g. 127.0.0.1:8080")
@@ -132,15 +131,6 @@ func run(args []string) error {
 		}
 	} else if *persistCache {
 		return fmt.Errorf("-persist-cache requires -data-dir")
-	}
-	if *trackers != "" {
-		var addrs []string
-		for _, a := range strings.Split(*trackers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		opts = append(opts, pds.WithTrackers(addrs...))
 	}
 	if *originURL != "" {
 		opts = append(opts, pds.WithOrigin(pds.NewHTTPOrigin(*originURL, 0)))
@@ -253,9 +243,9 @@ func run(args []string) error {
 			return fmt.Errorf("no item named %q found nearby", *fetch)
 		}
 		var data []byte
-		if *trackers != "" || *originURL != "" {
-			// Deployment plane configured: run the tiered ladder —
-			// local → P2P → tracker-learned edge peers → origin.
+		if *originURL != "" {
+			// An origin configured: run the tiered ladder —
+			// local → P2P → origin.
 			res, terr := node.RetrieveTiered(ctx, entries[0])
 			if terr != nil {
 				return terr

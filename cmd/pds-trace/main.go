@@ -108,7 +108,7 @@ func run(args []string) error {
 }
 
 // tierOrder fixes the display order of tier attributions.
-var tierOrder = []string{"local", "p2p", "edge", "origin", "missing"}
+var tierOrder = []string{"local", "p2p", "origin", "missing"}
 
 // printTierSummary prints one aggregate line per serving tier when the
 // trace contains tiered-retrieval attributions.

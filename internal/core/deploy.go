@@ -11,12 +11,11 @@ import (
 )
 
 // InjectChunk stores a chunk payload obtained outside the P2P protocol
-// (an edge peer fetched over a unicast face, or the origin backend)
-// as a cached payload and drives any active retrieval session for the
-// item forward, exactly as if the chunk had arrived in a response.
-// The node then serves the chunk to peers like any cached copy — an
-// origin fetch turns the node into an edge cache. It reports false
-// when the node is down or the store rejected the payload.
+// (from the origin backend) as a cached payload and drives any active
+// retrieval session for the item forward, exactly as if the chunk had
+// arrived in a response. The node then serves the chunk to peers like
+// any cached copy. It reports false when the node is down or the store
+// rejected the payload.
 func (n *Node) InjectChunk(item attr.Descriptor, chunkID int, payload []byte) bool {
 	if n.crashed || n.stopped {
 		return false

@@ -192,8 +192,8 @@ func (f *Face) supervise() {
 		} else {
 			reason = f.runConn(conn)
 			if reason == reasonSelf {
-				// We dialed ourselves (e.g. a tracker echoing our own
-				// address back): stop for good, this is not a peer.
+				// We dialed ourselves (e.g. a static peer list naming
+				// our own address): stop for good, this is not a peer.
 				return
 			}
 			if f.stopped() {

@@ -119,31 +119,25 @@ func (q QoECounters) String() string {
 }
 
 // TierCounters attributes one run's retrieved chunks to the tiered
-// retrieval path's serving tiers, plus the tracker-plane degradations
-// observed on the way.
+// retrieval path's serving tiers: local → P2P → origin.
 type TierCounters struct {
 	// LocalChunks were already held when the retrieval started.
 	LocalChunks uint64 `json:"local_chunks"`
 	// P2PChunks arrived over the lingering-query P2P plane.
 	P2PChunks uint64 `json:"p2p_chunks"`
-	// EdgeChunks arrived over unicast faces to tracker-learned peers.
+	// EdgeChunks is always 0: no tier serves it. It stays while the
+	// live-swarm benchmark still reads it by name.
 	EdgeChunks uint64 `json:"edge_chunks"`
 	// OriginChunks were fetched from the origin backend.
 	OriginChunks uint64 `json:"origin_chunks"`
 	// MissingChunks were not served by any tier before the deadline.
 	MissingChunks uint64 `json:"missing_chunks"`
-	// TrackerFailovers counts requests served by a non-primary tracker.
-	TrackerFailovers uint64 `json:"tracker_failovers"`
-	// StaleTrackerServes counts lookups served from the stale cache
-	// because every tracker was down.
-	StaleTrackerServes uint64 `json:"stale_tracker_serves"`
 }
 
 // String renders the counters as a compact row suffix.
 func (t TierCounters) String() string {
-	return fmt.Sprintf("local=%d p2p=%d edge=%d origin=%d missing=%d failovers=%d stale=%d",
-		t.LocalChunks, t.P2PChunks, t.EdgeChunks, t.OriginChunks,
-		t.MissingChunks, t.TrackerFailovers, t.StaleTrackerServes)
+	return fmt.Sprintf("local=%d p2p=%d origin=%d missing=%d",
+		t.LocalChunks, t.P2PChunks, t.OriginChunks, t.MissingChunks)
 }
 
 // DiskCounters summarizes one run's persistent chunk-store activity

@@ -1,9 +1,9 @@
 // Package origin provides the origin tier of the tiered retrieval
-// path: when the P2P swarm and the tracker-learned edge peers cannot
-// produce a chunk before the deadline, the node falls back to a
-// publisher/origin copy (the graceful-degradation shape of
-// opportunistic ICN search — Domingues et al., arXiv:1310.8258). The
-// node only ever reads an origin, by key (pds.Origin).
+// path: when the P2P swarm cannot produce a chunk within its share of
+// the deadline, the node falls back to a publisher/origin copy (the
+// graceful-degradation shape of opportunistic ICN search — Domingues
+// et al., arXiv:1310.8258). The node only ever reads an origin, by key
+// (pds.Origin).
 //
 // Three pieces:
 //

@@ -54,8 +54,8 @@ type QuerySummary struct {
 }
 
 // ChunkServe is one tiered-retrieval attribution: Node obtained chunk
-// Chunk (Bytes long) from the named tier ("local", "p2p", "edge",
-// "origin" — or "missing" when no tier produced it) at T.
+// Chunk (Bytes long) from the named tier ("local", "p2p", "origin" —
+// or "missing" when no tier produced it) at T.
 type ChunkServe struct {
 	Node  wire.NodeID
 	Chunk int

@@ -82,16 +82,13 @@ const (
 	StoreCompact // segment log compacted (Val = segments before, Size = bytes reclaimed)
 	StoreRecover // recovery scan finished (Val = records replayed, Size = records skipped)
 
-	// Deployment plane (internal/face, internal/tracker, tiered
-	// retrieval).
-	FaceDial        // unicast face dial attempt (Peer = peer id if known, Val = attempt, Note = addr)
-	FaceUp          // face established and hello exchanged (Peer = peer id, Note = addr)
-	FaceDown        // face connection lost (Peer = peer id, Val = consecutive failures, Note = reason)
-	FaceBreaker     // face circuit breaker opened (Peer = peer id, Val = consecutive failures, Note = addr)
-	TransportDrop   // outbound frame dropped at a transport (Size = bytes, Note = error class)
-	TrackerLookup   // tracker peer lookup served (Val = peers, Size = 1 when stale cache, Note = tracker addr)
-	TrackerFailover // tracker client failed over to another tracker (Note = new tracker addr)
-	ChunkTier       // retrieval chunk attributed to its serving tier (Size = chunk id, Val = bytes, Note = tier)
+	// Deployment plane (internal/face, tiered retrieval).
+	FaceDial      // unicast face dial attempt (Peer = peer id if known, Val = attempt, Note = addr)
+	FaceUp        // face established and hello exchanged (Peer = peer id, Note = addr)
+	FaceDown      // face connection lost (Peer = peer id, Val = consecutive failures, Note = reason)
+	FaceBreaker   // face circuit breaker opened (Peer = peer id, Val = consecutive failures, Note = addr)
+	TransportDrop // outbound frame dropped at a transport (Size = bytes, Note = error class)
+	ChunkTier     // retrieval chunk attributed to its serving tier (Size = chunk id, Val = bytes, Note = tier)
 
 	// Workload plane (internal/workload streaming/bulk drivers).
 	PrefetchIssued      // prefetch request issued for a segment/layer (Size = index, Val = pipeline depth, Note = item name)
@@ -134,14 +131,12 @@ var kindNames = [...]string{
 	StoreCompact: "store_compact",
 	StoreRecover: "store_recover",
 
-	FaceDial:        "face_dial",
-	FaceUp:          "face_up",
-	FaceDown:        "face_down",
-	FaceBreaker:     "face_breaker",
-	TransportDrop:   "transport_drop",
-	TrackerLookup:   "tracker_lookup",
-	TrackerFailover: "tracker_failover",
-	ChunkTier:       "chunk_tier",
+	FaceDial:      "face_dial",
+	FaceUp:        "face_up",
+	FaceDown:      "face_down",
+	FaceBreaker:   "face_breaker",
+	TransportDrop: "transport_drop",
+	ChunkTier:     "chunk_tier",
 
 	PrefetchIssued:      "prefetch_issued",
 	SegmentDeadlineMiss: "segment_deadline_miss",
@@ -597,29 +592,6 @@ func (nt *NodeTracer) TransportDrop(m *wire.Message, size int, class string) {
 		return
 	}
 	nt.t.emit(nt.id, TransportDrop, MsgID(m), 0, 0, size, 0, class)
-}
-
-// TrackerLookup records a tracker peer lookup: how many peers it
-// returned, and whether it was served from the stale local cache
-// because every tracker was unreachable.
-func (nt *NodeTracer) TrackerLookup(peers int, stale bool, addr string) {
-	if nt == nil {
-		return
-	}
-	s := 0
-	if stale {
-		s = 1
-	}
-	nt.t.emit(nt.id, TrackerLookup, 0, 0, 0, s, int64(peers), addr)
-}
-
-// TrackerFailover records the tracker client rotating to another
-// tracker after the active one stopped answering.
-func (nt *NodeTracer) TrackerFailover(addr string) {
-	if nt == nil {
-		return
-	}
-	nt.t.emit(nt.id, TrackerFailover, 0, 0, 0, 0, 0, addr)
 }
 
 // ChunkTier attributes one retrieved chunk to the tier that served it.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
 	"pds/internal/clock"
@@ -16,7 +15,6 @@ import (
 	"pds/internal/origin"
 	"pds/internal/strategy"
 	"pds/internal/trace"
-	"pds/internal/tracker"
 	"pds/internal/wire"
 )
 
@@ -60,10 +58,8 @@ type Node struct {
 	// calling back: a Discover or Retrieve waiting on one returns.
 	closed chan struct{}
 
-	// Deployment plane (all nil/zero without the matching options).
-	trk      *tracker.Client
+	// Deployment plane (nil/zero without the matching options).
 	origin   Origin
-	hbStop   func()
 	p2pShare int // percent of the tiered budget given to the P2P tier
 }
 
@@ -79,13 +75,8 @@ type nodeOptions struct {
 	traceCap     int
 	dataDir      string
 	persistCache bool
-
-	trackers       []string
-	trackerTimeout time.Duration
-	announceTTL    time.Duration
-	announceEvery  time.Duration
-	origin         Origin
-	p2pShare       int
+	origin       Origin
+	p2pShare     int
 }
 
 // WithNodeID sets the node id; default is randomly drawn. IDs must be
@@ -134,30 +125,9 @@ func WithPersistentCache() NodeOption {
 	return func(o *nodeOptions) { o.persistCache = true }
 }
 
-// WithTrackers points the node at one or more tracker servers
-// (pds-tracker), in priority order. The node announces itself (when
-// the transport exposes a listen address) and the tiered retrieval
-// path consults the trackers for edge peers, failing over down the
-// list and falling back to the last good answer when every tracker is
-// unreachable.
-func WithTrackers(addrs ...string) NodeOption {
-	return func(o *nodeOptions) { o.trackers = append(o.trackers, addrs...) }
-}
-
-// WithTrackerTimeout bounds one tracker request (default 2s).
-func WithTrackerTimeout(d time.Duration) NodeOption {
-	return func(o *nodeOptions) { o.trackerTimeout = d }
-}
-
-// WithAnnounce overrides the tracker announce lease and refresh
-// interval (defaults 45s / 15s). Only meaningful with WithTrackers.
-func WithAnnounce(ttl, every time.Duration) NodeOption {
-	return func(o *nodeOptions) { o.announceTTL = ttl; o.announceEvery = every }
-}
-
 // WithOrigin attaches an origin as the retrieval tier of last resort:
-// chunks the P2P swarm and the tracker-learned edge peers cannot
-// produce before the deadline are fetched from it directly
+// chunks the P2P swarm cannot produce before its share of the deadline
+// are fetched from it directly
 // (NewHTTPOrigin, a diskstore backend, or origin.NewStatic in tests).
 // Fetched chunks enter the cache, so the node then serves them to
 // peers like any cached copy.
@@ -179,9 +149,9 @@ func RoutingStrategies() []string { return strategy.RoutingNames() }
 func CachingStrategies() []string { return strategy.CachingNames() }
 
 // WithP2PShare sets the percentage (1..99) of a tiered retrieval's
-// time budget spent in the P2P tier before escalating to edge peers
-// and the origin; default 50. Only meaningful when a later tier
-// exists — with nothing to escalate to, P2P gets the whole budget.
+// time budget spent in the P2P tier before escalating to the origin;
+// default 50. Only meaningful with WithOrigin — with nothing to
+// escalate to, P2P gets the whole budget.
 func WithP2PShare(percent int) NodeOption {
 	return func(o *nodeOptions) { o.p2pShare = percent }
 }
@@ -208,8 +178,8 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 	if o.id == 0 {
 		o.id = NodeID(rng.Uint32() | 1) // non-zero
 	}
-	// Everything that can fail comes before anything that starts,
-	// announces or hooks into the transport.
+	// Everything that can fail comes before anything that starts or
+	// hooks into the transport.
 	if err := strategy.Check(o.cfg.Routing, o.cfg.Caching); err != nil {
 		return nil, fmt.Errorf("pds: %w", err)
 	}
@@ -278,22 +248,6 @@ func newNode(clk *clock.Real, timers clock.Clock, trans Transport, opts ...NodeO
 	if n.p2pShare <= 0 || n.p2pShare >= 100 {
 		n.p2pShare = 50
 	}
-	if len(o.trackers) > 0 {
-		n.trk = tracker.NewClient(o.trackers, o.trackerTimeout)
-		n.trk.SetTracer(n.nt)
-		if la, ok := trans.(interface{ ListenAddr() net.Addr }); ok {
-			if addr := la.ListenAddr(); addr != nil {
-				ttl, every := o.announceTTL, o.announceEvery
-				if ttl <= 0 {
-					ttl = 45 * time.Second
-				}
-				if every <= 0 {
-					every = ttl / 3
-				}
-				n.hbStop = n.trk.StartHeartbeat(o.id, addr.String(), ttl, every)
-			}
-		}
-	}
 	if disk != nil {
 		clk.Locked(func() { n.core.AttachBackend(disk) })
 	}
@@ -318,9 +272,6 @@ func (n *Node) Tracer() *trace.Tracer { return n.tracer }
 // Close stops the node, its transport, and — when WithDataDir was
 // given — syncs and closes the persistent store.
 func (n *Node) Close() error {
-	if n.hbStop != nil {
-		n.hbStop()
-	}
 	n.clk.Locked(func() {
 		n.core.Stop()
 		select {
@@ -344,15 +295,6 @@ func (n *Node) Close() error {
 		}
 	}
 	return err
-}
-
-// TrackerStats returns a snapshot of the tracker client's counters;
-// ok is false when the node runs without WithTrackers.
-func (n *Node) TrackerStats() (tracker.ClientStats, bool) {
-	if n.trk == nil {
-		return tracker.ClientStats{}, false
-	}
-	return n.trk.Stats(), true
 }
 
 // DiskStats returns a snapshot of the persistent store's counters; ok

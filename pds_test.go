@@ -3,15 +3,12 @@ package pds
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pds/internal/clock"
-	"pds/internal/tracker"
 	"pds/internal/wire"
 )
 
@@ -309,35 +306,6 @@ func TestNewNodeRejectsConfiguredStrategy(t *testing.T) {
 			t.Fatalf("NewNode accepted %+v", cfg)
 		}
 		tr.Close()
-	}
-}
-
-// TestFailedNewNodeAnnouncesNothing: a NewNode that fails — here on a
-// data directory that is a regular file — leaves no heartbeat behind
-// announcing the node to its trackers.
-func TestFailedNewNodeAnnouncesNothing(t *testing.T) {
-	srv, err := tracker.NewServer("127.0.0.1:0", tracker.ServerOptions{})
-	if err != nil {
-		t.Skipf("cannot bind UDP: %v", err)
-	}
-	defer srv.Close()
-	file := filepath.Join(t.TempDir(), "file")
-	if err := os.WriteFile(file, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mesh, err := NewFaceTransport(DefaultFaceConfig("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	if n, err := NewNode(mesh, WithNodeID(1), WithSeed(1), WithDataDir(file),
-		WithTrackers(srv.Addr().String()), WithAnnounce(10*time.Second, 50*time.Millisecond)); err == nil {
-		n.Close()
-		t.Fatal("NewNode opened a data dir that is a regular file")
-	}
-	time.Sleep(300 * time.Millisecond)
-	if got := srv.Stats().Announces; got != 0 {
-		t.Fatalf("tracker heard %d announces from a node that failed to start", got)
 	}
 }
 

@@ -4,14 +4,14 @@ package pds
 // paper's two-phase PDR. A tiered retrieval tries the cheapest source
 // first and escalates only for the chunks still missing:
 //
-//	local cache → P2P swarm (PDR) → tracker-learned edge peers → origin
+//	local cache → P2P swarm (PDR) → origin
 //
-// Each network tier gets a slice of the caller's time budget, so a
-// dead swarm cannot eat the whole retrieval window before the origin
-// gets its turn. The result attributes every chunk to the tier that
-// served it — mirrored into the trace (ChunkTier events) and the
-// metrics plane (metrics.TierCounters) so pds-trace and pds-node
-// show where the bytes actually came from.
+// With an origin configured the P2P tier gets a slice of the caller's
+// time budget, so a dead swarm cannot eat the whole retrieval window
+// before the origin gets its turn. The result attributes every chunk
+// to the tier that served it — mirrored into the trace (ChunkTier
+// events) and the metrics plane (metrics.TierCounters) so pds-trace
+// and pds-node show where the bytes actually came from.
 
 import (
 	"context"
@@ -33,9 +33,6 @@ const (
 	TierLocal
 	// TierP2P: the chunk arrived through the P2P protocol (PDR).
 	TierP2P
-	// TierEdge: the chunk arrived after dialing tracker-learned edge
-	// peers (over unicast faces), during the edge pass.
-	TierEdge
 	// TierOrigin: the chunk was fetched from the origin backend.
 	TierOrigin
 )
@@ -45,7 +42,6 @@ const (
 	tierNoteMissing = "missing"
 	tierNoteLocal   = "local"
 	tierNoteP2P     = "p2p"
-	tierNoteEdge    = "edge"
 	tierNoteOrigin  = "origin"
 )
 
@@ -55,8 +51,6 @@ func (t Tier) String() string {
 		return tierNoteLocal
 	case TierP2P:
 		return tierNoteP2P
-	case TierEdge:
-		return tierNoteEdge
 	case TierOrigin:
 		return tierNoteOrigin
 	default:
@@ -76,12 +70,6 @@ type TieredResult struct {
 	Missing []int
 	// Complete reports whether every chunk was obtained.
 	Complete bool
-	// StaleTracker reports that the edge pass ran on a stale cached
-	// tracker answer because every tracker was unreachable.
-	StaleTracker bool
-	// EdgePeersDialed counts new faces opened toward tracker-learned
-	// peers during the edge pass.
-	EdgePeersDialed int
 	// Counters is the metrics-plane view of the same attribution.
 	Counters metrics.TierCounters
 	// Duration is the wall time of the whole tiered retrieval.
@@ -103,9 +91,8 @@ const minTierBudget = 50 * time.Millisecond
 
 // RetrieveTiered fetches a large item through the fallback ladder:
 // local cache, then the P2P swarm (standard PDR under a time budget),
-// then tracker-learned edge peers dialed over unicast faces, then the
-// origin backend — skipping tiers the node is not configured for
-// (WithTrackers, WithOrigin). The descriptor must carry totalchunks.
+// then the origin backend when WithOrigin configured one. The
+// descriptor must carry totalchunks.
 //
 // The ctx deadline (default 30s) is the overall budget; WithP2PShare
 // tunes how much of it the P2P tier may consume before escalation.
@@ -128,12 +115,6 @@ func (n *Node) RetrieveTiered(ctx context.Context, item Descriptor) (*TieredResu
 		return nil, fmt.Errorf("pds: retrieve tiered: %w", ctx.Err())
 	}
 
-	var trkBefore tracker0
-	if n.trk != nil {
-		s := n.trk.Stats()
-		trkBefore = tracker0{failovers: s.Failovers, stale: s.StaleServes}
-	}
-
 	res := &TieredResult{
 		Item:   item,
 		Chunks: make(map[int][]byte, total),
@@ -146,38 +127,21 @@ func (n *Node) RetrieveTiered(ctx context.Context, item Descriptor) (*TieredResu
 		res.TierOf[c] = TierLocal
 	}
 
-	_, edgeOK := n.trans.(EdgeDialer)
-	haveEdge := n.trk != nil && edgeOK
 	haveOrigin := n.origin != nil
 
-	// Tier 1: the P2P swarm. With a later tier configured the pass gets
+	// Tier 1: the P2P swarm. With an origin to escalate to the pass gets
 	// its share of the budget; otherwise the whole window.
 	if len(res.Chunks) < total {
 		p2pBudget := budget
-		if haveEdge || haveOrigin {
+		if haveOrigin {
 			p2pBudget = budget * time.Duration(n.p2pShare) / 100
 		}
-		n.runTierPass(ctx, item, res, p2pBudget, TierP2P)
+		n.runP2PPass(ctx, item, res, p2pBudget)
 	}
 
-	// Tier 2: dial tracker-learned edge peers and re-run PDR against
-	// the widened neighborhood.
-	if len(res.Chunks) < total && haveEdge && ctx.Err() == nil {
-		remaining := budget - time.Since(start)
-		edgeBudget := remaining
-		if haveOrigin {
-			edgeBudget = remaining / 2
-		}
-		if edgeBudget >= minTierBudget {
-			if n.dialEdgePeers(res, edgeBudget) {
-				n.runTierPass(ctx, item, res, edgeBudget, TierEdge)
-			}
-		}
-	}
-
-	// Tier 3: fetch the stragglers straight from the origin. Each
+	// Tier 2: fetch the stragglers straight from the origin. Each
 	// fetched chunk is injected into the node, completing any protocol
-	// bookkeeping and making this node an edge cache for its peers.
+	// bookkeeping and making this node a cache its peers can draw on.
 	if len(res.Chunks) < total && haveOrigin && ctx.Err() == nil {
 		for c := 0; c < total && ctx.Err() == nil; c++ {
 			if _, ok := res.Chunks[c]; ok {
@@ -207,8 +171,6 @@ func (n *Node) RetrieveTiered(ctx context.Context, item Descriptor) (*TieredResu
 			res.Counters.LocalChunks++
 		case TierP2P:
 			res.Counters.P2PChunks++
-		case TierEdge:
-			res.Counters.EdgeChunks++
 		case TierOrigin:
 			res.Counters.OriginChunks++
 		}
@@ -216,11 +178,6 @@ func (n *Node) RetrieveTiered(ctx context.Context, item Descriptor) (*TieredResu
 	}
 	sort.Ints(res.Missing)
 	res.Complete = len(res.Missing) == 0
-	if n.trk != nil {
-		s := n.trk.Stats()
-		res.Counters.TrackerFailovers = s.Failovers - trkBefore.failovers
-		res.Counters.StaleTrackerServes = s.StaleServes - trkBefore.stale
-	}
 	res.Duration = time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("pds: retrieve tiered %s: %w", item, err)
@@ -228,12 +185,9 @@ func (n *Node) RetrieveTiered(ctx context.Context, item Descriptor) (*TieredResu
 	return res, nil
 }
 
-// tracker0 snapshots the tracker counters a tiered run started from.
-type tracker0 struct{ failovers, stale uint64 }
-
-// runTierPass runs one PDR session under a time budget and attributes
-// every newly arrived chunk to the given tier.
-func (n *Node) runTierPass(ctx context.Context, item Descriptor, res *TieredResult, budget time.Duration, tier Tier) {
+// runP2PPass runs one PDR session under a time budget and attributes
+// every newly arrived chunk to the P2P tier.
+func (n *Node) runP2PPass(ctx context.Context, item Descriptor, res *TieredResult, budget time.Duration) {
 	if budget < minTierBudget {
 		budget = minTierBudget
 	}
@@ -265,43 +219,8 @@ func (n *Node) runTierPass(ctx context.Context, item Descriptor, res *TieredResu
 			continue
 		}
 		res.Chunks[c] = p
-		res.TierOf[c] = tier
+		res.TierOf[c] = TierP2P
 	}
-}
-
-// dialEdgePeers asks the trackers for peers and opens faces toward the
-// new ones, waiting (within the tier budget) for at least one to come
-// up. It reports whether an edge pass is worth running.
-func (n *Node) dialEdgePeers(res *TieredResult, budget time.Duration) bool {
-	peers, stale, err := n.trk.Lookup(n.id)
-	if err != nil {
-		return false
-	}
-	res.StaleTracker = res.StaleTracker || stale
-	dialer, _ := n.trans.(EdgeDialer)
-	dialed := 0
-	for _, p := range peers {
-		if dialer.AddPeer(p.Addr) {
-			dialed++
-		}
-	}
-	res.EdgePeersDialed += dialed
-	if dialed == 0 {
-		// No new adjacency: a pass is still worth it when some faces
-		// are already up (the peers may have new chunks by now).
-		if rw, ok := n.trans.(readyWaiter); ok {
-			return rw.UpCount() > 0
-		}
-		return len(peers) > 0
-	}
-	if rw, ok := n.trans.(readyWaiter); ok {
-		wait := budget / 4
-		if wait > 2*time.Second {
-			wait = 2 * time.Second
-		}
-		rw.WaitReady(1, wait)
-	}
-	return true
 }
 
 // heldPayloads snapshots the chunk payloads of item the node already

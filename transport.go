@@ -3,7 +3,6 @@ package pds
 import (
 	"slices"
 	"sync"
-	"time"
 
 	"pds/internal/face"
 	"pds/internal/udptransport"
@@ -31,22 +30,6 @@ func NewLoopbackTransport(ownPort int, peerPorts []int) (Transport, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// EdgeDialer is implemented by transports that can grow unicast
-// adjacencies at runtime (the face mesh). The tiered retrieval path
-// uses it to dial tracker-learned edge peers mid-retrieval.
-type EdgeDialer interface {
-	// AddPeer starts a supervised face to addr; false when already
-	// configured or the transport is closed.
-	AddPeer(addr string) bool
-}
-
-// readyWaiter is implemented by transports whose adjacencies take time
-// to come up (the face mesh dials and exchanges hellos).
-type readyWaiter interface {
-	WaitReady(n int, timeout time.Duration) bool
-	UpCount() int
 }
 
 // FaceMesh is the supervised unicast transport plane: TCP faces with
@@ -82,8 +65,6 @@ func NewFaceTransport(cfg FaceConfig, peerAddrs ...string) (*FaceMesh, error) {
 
 var _ Transport = (*FaceMesh)(nil)
 var _ Transport = (*udptransport.Transport)(nil)
-var _ EdgeDialer = (*FaceMesh)(nil)
-var _ readyWaiter = (*FaceMesh)(nil)
 
 // ChanHub is an in-process broadcast hub connecting nodes without
 // sockets; useful in tests and single-process demos. Create one hub
