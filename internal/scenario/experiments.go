@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pds/internal/attr"
@@ -18,10 +19,10 @@ import (
 // seeded run of its whole sweep, returning its series; Figure.Run owns
 // runs, seeds, concurrency and the mean (DESIGN.md §4). It runs
 // Params.Runs runs on parMap (see parallel.go), one fresh set of
-// deployments each, keeps run 0's series and replaces every point's
-// sample with metrics.Mean over the runs, as the paper averages over 5
-// runs. Runs share no state, so every row is the one a sequential sweep
-// gives for the same base seed.
+// deployments each, and returns new series shaped like run 0's with
+// every point's sample metrics.Mean over the runs, as the paper averages
+// over 5 runs. Runs share no state, so every row is the one a
+// sequential sweep gives for the same base seed.
 
 // Params are what a figure runs at.
 type Params struct {
@@ -55,23 +56,41 @@ type Figure struct {
 	run func(p Params, r int) []*metrics.Series
 }
 
-// Run runs the figure p.Runs times, concurrently, and returns run 0's
-// series with each point's sample replaced by the mean over the runs.
+// Run runs the figure p.Runs times, concurrently, and returns the mean
+// of the runs (meanOf).
 func (f Figure) Run(p Params) ([]*metrics.Series, error) {
+	runs, err := f.runSet(p)
+	if err != nil {
+		return nil, err
+	}
+	return meanOf(runs), nil
+}
+
+// runSet runs the figure p.Runs times, concurrently, and returns every
+// run's series, run r at index r.
+func (f Figure) runSet(p Params) ([][]*metrics.Series, error) {
 	if err := checkRuns(f.Name, p.Runs); err != nil {
 		return nil, err
 	}
-	byRun := parMap(p.Runs, func(r int) []*metrics.Series { return f.run(p, r) })
-	samples := make([]metrics.Sample, p.Runs)
-	for i, s := range byRun[0] {
-		for j := range s.Points {
-			for r, series := range byRun {
+	return parMap(p.Runs, func(r int) []*metrics.Series { return f.run(p, r) }), nil
+}
+
+// meanOf returns new series with run 0's names, labels and X, each
+// point's sample the mean over the runs. The runs keep their samples.
+func meanOf(runs [][]*metrics.Series) []*metrics.Series {
+	samples := make([]metrics.Sample, len(runs))
+	out := make([]*metrics.Series, len(runs[0]))
+	for i, s := range runs[0] {
+		m := &metrics.Series{Name: s.Name, Points: slices.Clone(s.Points)}
+		for j := range m.Points {
+			for r, series := range runs {
 				samples[r] = series[i].Points[j].Sample
 			}
-			s.Points[j].Sample = metrics.Mean(samples)
+			m.Points[j].Sample = metrics.Mean(samples)
 		}
+		out[i] = m
 	}
-	return byRun[0], nil
+	return out
 }
 
 // checkRuns refuses a figure fewer than one run: there is nothing to

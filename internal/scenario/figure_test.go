@@ -30,7 +30,8 @@ func figureRows(t *testing.T, name string, p Params) string {
 
 // TestFigureRunAverages drives Figure.Run with a synthetic figure whose
 // run r reads recall r: three runs average to recall 1, the series
-// name, labels and X are run 0's, and fewer than one run is an error.
+// name, labels and X are run 0's, the mean leaves every run's sample as
+// it was, and fewer than one run is an error.
 func TestFigureRunAverages(t *testing.T) {
 	f := Figure{Name: "synthetic", run: func(p Params, r int) []*metrics.Series {
 		s := &metrics.Series{Name: fmt.Sprintf("run %d", r)}
@@ -50,6 +51,16 @@ func TestFigureRunAverages(t *testing.T) {
 	}
 	if s.Name != "run 0" || pt.Label != "point of run 0" || pt.X != 0 {
 		t.Errorf("series %q, point %q at x=%v: want run 0's", s.Name, pt.Label, pt.X)
+	}
+	runs, err := f.runSet(Params{Seed: 1, Runs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meanOf(runs)
+	for r, series := range runs {
+		if got := series[0].Points[0].Sample.Recall; got != float64(r) {
+			t.Errorf("run %d reads recall %v after the mean, want %d", r, got, r)
+		}
 	}
 	for _, runs := range []int{0, -1} {
 		if _, err := f.Run(Params{Runs: runs}); err == nil {

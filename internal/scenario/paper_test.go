@@ -16,29 +16,47 @@ import (
 // `make ledger-seeds` runs the ledger at others.
 var ledgerSeed = flag.Int64("ledger-seed", 1, "base seed of the paper figures' CI rows (ciFigures)")
 
-// ciFigures runs every figure of Figures at the figure golden's CI
-// parameters: seed -ledger-seed, one run, 1 MB items. Each figure runs
-// at most once per test binary; the golden, the ledger and the claim
-// tests all read its rows from here.
+// ciFigures is every figure of Figures at the figure golden's CI
+// parameters: seed -ledger-seed, one run (run 0), 1 MB items. The
+// golden, the ledger and the claim tests all read its rows from here.
 var ciFigures = ledgerFigures(1)
 
 // paperRunFigures are the same figures averaged over the paper's five
 // runs, for the claims whose sentence is about that average
-// (claim.averaged). Only those figures ever run.
+// (claim.averaged). Only those figures have five runs.
 var paperRunFigures = ledgerFigures(5)
 
-// ledgerFigures returns, per figure of Figures, its rows at seed
-// -ledger-seed and 1 MB items averaged over runs runs, computed at most
-// once per test binary.
-func ledgerFigures(runs int) map[string]func() []*metrics.Series {
-	m := make(map[string]func() []*metrics.Series, len(Figures))
+// figureRuns holds, per figure of Figures, its runs at seed
+// -ledger-seed and 1 MB items, computed at most once per test binary:
+// five for a figure some averaged claim reads, one elsewhere. Run r is
+// at the same seed in either set, so run 0 is the golden's run.
+var figureRuns = func() map[string]func() [][]*metrics.Series {
+	m := make(map[string]func() [][]*metrics.Series, len(Figures))
 	for _, f := range Figures {
-		m[f.Name] = sync.OnceValue(func() []*metrics.Series {
-			s, err := f.Run(Params{Seed: *ledgerSeed, Runs: runs, SizeMB: 1})
+		runs := 1
+		if slices.ContainsFunc(paperClaims, func(c claim) bool { return c.fig == f.Name && c.averaged }) {
+			runs = 5
+		}
+		m[f.Name] = sync.OnceValue(func() [][]*metrics.Series {
+			s, err := f.runSet(Params{Seed: *ledgerSeed, Runs: runs, SizeMB: 1})
 			if err != nil {
 				panic(err)
 			}
 			return s
+		})
+	}
+	return m
+}()
+
+// ledgerFigures returns, per figure of Figures, the mean over the
+// first runs runs of its run set (all of them, if it has fewer),
+// computed at most once per test binary.
+func ledgerFigures(runs int) map[string]func() []*metrics.Series {
+	m := make(map[string]func() []*metrics.Series, len(Figures))
+	for _, f := range Figures {
+		m[f.Name] = sync.OnceValue(func() []*metrics.Series {
+			set := figureRuns[f.Name]()
+			return meanOf(set[:min(runs, len(set))])
 		})
 	}
 	return m
