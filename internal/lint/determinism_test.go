@@ -85,7 +85,7 @@ func TestDeterminismGraphScope(t *testing.T) {
 		}
 	}
 	out := []string{"pds"}
-	for _, name := range []string{"face", "udptransport", "tracker", "origin", "fault", "diskstore", "lint"} {
+	for _, name := range []string{"face", "udptransport", "origin", "fault", "diskstore", "lint"} {
 		out = append(out, "pds/internal/"+name)
 	}
 	for _, path := range out {
