@@ -364,7 +364,8 @@ func (in *Injector) Fate(from, to wire.NodeID, now time.Duration) radio.FrameFat
 //	corrupt@<at>[+<dur>]:<rate>
 //	dup@<at>[+<dur>]:<rate>
 //
-// Durations use Go syntax ("30s", "500ms"). Examples:
+// Durations use Go syntax ("30s", "500ms") and are not negative; a rate
+// or lossBad lies in [0,1], a burst mean above zero. Examples:
 //
 //	crash:45@30s+20s;burst@10s+60s:0.4
 //	corrupt@0s:0.1;dup@0s:0.05
@@ -468,13 +469,20 @@ func parseEvent(s string) (Event, error) {
 		if ev.Rate, err = strconv.ParseFloat(params, 64); err != nil {
 			return Event{}, fmt.Errorf("rate %q: %w", params, err)
 		}
-		if ev.Rate < 0 || ev.Rate > 1 {
-			return Event{}, fmt.Errorf("rate %v out of [0,1]", ev.Rate)
-		}
 	default:
 		if hasParams {
 			return Event{}, fmt.Errorf("%s takes no parameters", ev.Kind)
 		}
+	}
+	switch { // !(x >= 0 && x <= 1) rejects NaN too
+	case ev.At < 0 || ev.Duration < 0 || ev.Downtime < 0:
+		return Event{}, fmt.Errorf("negative @<at> or +<dur>")
+	case !(ev.Rate >= 0 && ev.Rate <= 1):
+		return Event{}, fmt.Errorf("rate %v out of [0,1]", ev.Rate)
+	case !(ev.GE.LossBad >= 0 && ev.GE.LossBad <= 1):
+		return Event{}, fmt.Errorf("lossBad %v out of [0,1]", ev.GE.LossBad)
+	case ev.Kind == Burst && (ev.GE.MeanBad <= 0 || ev.GE.MeanGood <= 0):
+		return Event{}, fmt.Errorf("burst means %v, %v must be positive", ev.GE.MeanBad, ev.GE.MeanGood)
 	}
 	return ev, nil
 }

@@ -55,6 +55,15 @@ func TestParsePlan(t *testing.T) {
 		"dial-fail@0s:1.0",   // face kinds are not plan kinds
 		"conn-reset@1s:0.5",
 		"stall@0s:1",
+		"burst@0s:1.5",        // lossBad out of range
+		"burst@0s:-0.1",       // lossBad out of range
+		"burst@0s:NaN",        // lossBad not a probability
+		"burst@0s:0.4,0s",     // meanBad not positive
+		"burst@0s:0.4,1s,-1s", // meanGood not positive
+		"crash:3@-1s",         // negative at
+		"crash:3@1s+-2s",      // negative downtime
+		"corrupt@0s+-1s:0.1",  // negative duration
+		"dup@0s:NaN",          // rate not a probability
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)

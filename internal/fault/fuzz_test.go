@@ -28,6 +28,11 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("dial-fail@0s:1.0")
 	f.Add("conn-reset:3@1s:0.5")
 	f.Add("stall@1s")
+	// Out-of-range values: these must be rejected.
+	f.Add("burst@0s:1.5")
+	f.Add("burst@0s:0.4,0s,-1s")
+	f.Add("crash:3@1s+-2s")
+	f.Add("dup@-1s:NaN")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)
 		for _, face := range []string{"dial-fail", "conn-reset", "stall"} {
@@ -54,10 +59,14 @@ func FuzzParsePlan(f *testing.F) {
 			if ev.Kind != Crash && ev.Downtime != 0 {
 				t.Fatalf("spec %q: event %d: %s carries a downtime", spec, i, ev.Kind)
 			}
-			if (ev.Kind == Corrupt || ev.Kind == Duplicate) && ev.Rate == 0 {
-				// The grammar requires :<rate>; zero can only appear if
-				// the user wrote 0, which ParseFloat accepts — allowed.
-				_ = ev
+			if ev.At < 0 || ev.Duration < 0 || ev.Downtime < 0 {
+				t.Fatalf("spec %q: event %d: negative time %+v", spec, i, ev)
+			}
+			if !(ev.Rate >= 0 && ev.Rate <= 1) {
+				t.Fatalf("spec %q: event %d: rate %v out of [0,1]", spec, i, ev.Rate)
+			}
+			if ev.Kind == Burst && (!(ev.GE.LossBad >= 0 && ev.GE.LossBad <= 1) || ev.GE.MeanBad <= 0 || ev.GE.MeanGood <= 0) {
+				t.Fatalf("spec %q: event %d: burst parameters %+v", spec, i, ev.GE)
 			}
 		}
 		p2, err := ParsePlan(spec)
