@@ -27,17 +27,15 @@ type Sample struct {
 	// fault-free experiments).
 	Faults FaultCounters
 	// Disk summarizes persistent-store activity; nil for in-memory
-	// runs, which therefore render byte-identically to runs predating
-	// the disk tier.
+	// runs, whose rows then carry no disk counters.
 	Disk *DiskCounters
 	// QoE carries the streaming/bulk workload quality measures; nil for
-	// one-shot discovery/retrieval runs, which therefore render
-	// byte-identically to runs predating the workload engine.
+	// one-shot discovery/retrieval runs, whose rows then carry no QoE
+	// suffix.
 	QoE *QoECounters
 	// Strategy carries the routing/caching strategy-plane counters; nil
-	// unless the run names a strategy (compare cells name even cdi and
-	// fifo), so runs that name none render byte-identically to runs
-	// predating the strategy plane.
+	// unless the run names a strategy (compare figures name even cdi
+	// and fifo), so a row carries a strategy suffix only when it did.
 	Strategy *StrategyCounters
 }
 
@@ -228,8 +226,8 @@ func (s *Series) String() string {
 		fmt.Fprintf(&b, "  %-14s %8.3f %10s %12s %7.1f",
 			label, p.Sample.Recall, Seconds(p.Sample.Latency), MB(p.Sample.OverheadBytes), p.Sample.Rounds)
 		if p.Sample.QoE != nil {
-			// QoE rows carry their workload suffix; pre-workload rows
-			// have a nil QoE and render exactly as they always did.
+			// QoE rows carry their workload suffix; a row with a nil
+			// QoE has none.
 			fmt.Fprintf(&b, "  %s", p.Sample.QoE)
 		}
 		if p.Sample.Strategy != nil {

@@ -35,8 +35,8 @@ type Options struct {
 	// DataDir/node-<id>: owned data survives crash/restart cycles on
 	// disk instead of being held in the crashed node's RAM, and a
 	// restart replays it through the real recovery path. Empty (the
-	// default) keeps peers purely in-memory, byte-identical to runs
-	// before this option existed.
+	// default) keeps peers purely in-memory: no file is written and
+	// rows carry no disk counters.
 	DataDir string
 }
 
@@ -265,8 +265,8 @@ func (d *Deployment) Restart(id wire.NodeID) {
 }
 
 // DiskCounters rolls up the persistent-store counters of every peer
-// that currently has an open diskstore; nil for in-memory deployments
-// (so metric rows stay identical to pre-disk builds).
+// that currently has an open diskstore; nil for in-memory deployments,
+// whose rows then carry no disk counters.
 func (d *Deployment) DiskCounters() *metrics.DiskCounters {
 	var out metrics.DiskCounters
 	found := false
@@ -298,8 +298,7 @@ func (d *Deployment) DiskCounters() *metrics.DiskCounters {
 // StrategyCounters rolls up the routing/caching strategy counters of
 // every live peer. It returns nil unless the deployment selected a
 // strategy explicitly (Options.Core.Routing or .Caching non-empty), so
-// default runs keep rendering byte-identical rows to builds predating
-// the strategy plane.
+// a row carries strategy counters only when it named a strategy.
 func (d *Deployment) StrategyCounters() *metrics.StrategyCounters {
 	if d.opts.Core.Routing == "" && d.opts.Core.Caching == "" {
 		return nil
