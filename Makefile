@@ -279,8 +279,6 @@ ab:
 	$(GO) run ./cmd/pds-benchdiff -ab $$reports
 
 # compare runs the routing × caching strategy matrix (see DESIGN.md
-# §16) over the default scenarios and prints one ranked table per
-# scenario. Narrow or widen the matrix with e.g.
-# `make compare COMPARE_FLAGS='-routings cdi,bfr -compare-scenarios fig11'`.
+# §16): the seven compare/<scenario> figures, one row per strategy pair.
 compare:
-	$(GO) run ./cmd/pds-bench -runs $(BENCH_RUNS) -size $(BENCH_SIZE) $(COMPARE_FLAGS) compare
+	$(GO) run ./cmd/pds-bench -runs $(BENCH_RUNS) -size $(BENCH_SIZE) compare

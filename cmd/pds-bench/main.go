@@ -8,16 +8,16 @@
 //
 // where <figure> is one of: fig3, leaky, ack, saturation, fig4, fig5,
 // fig6, fig7, fig8, fig9, fig9class, fig11, fig12, fig12class, fig13,
-// fig15, fig16, ablation, balance, chaos, disk, stream, crowd (the
-// scenario.Figures table, each point the mean of -runs runs), scale,
-// compare, all.
+// fig15, fig16, ablation, balance, chaos, disk, stream, crowd,
+// compare/fig11, compare/sparse, compare/repeat, compare/pressure,
+// compare/chaos, compare/stream, compare/crowd (the scenario.Figures
+// table, each point the mean of -runs runs), scale, all. A name also
+// selects every figure under `name/`, so `compare` runs all seven
+// compare figures.
 //
-// `compare` is the strategy A/B harness: it runs a routing × caching
-// matrix (-routings, -cachings; default: every strategy of the plane)
-// over the -compare-scenarios cells (default: all of them) and prints
-// one ranked table per scenario, best strategy pair first. -quick shrinks
-// the cells to CI-smoke size. Each scenario lands in the JSON report as
-// its own `compare/<scenario>` figure.
+// The compare figures are the strategy A/B matrix: each runs one
+// scenario under every routing × caching strategy pair, one row per
+// pair in a fixed order.
 //
 // With -json, machine-readable results — every metric row plus wall
 // time and allocation counters per figure — are also written to
@@ -46,20 +46,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pds-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// splitList parses a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	out := make([]string, 0, 4)
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // jsonFile is where -json results land.
@@ -156,14 +142,14 @@ func toJSONSeries(series []*metrics.Series) []jsonSeries {
 				LatencySec:    p.Sample.Latency.Seconds(),
 				OverheadBytes: p.Sample.OverheadBytes,
 				Rounds:        p.Sample.Rounds,
+				Disk:          p.Sample.Disk,
+				QoE:           p.Sample.QoE,
+				Strategy:      p.Sample.Strategy,
 			}
 			if metrics.Any(p.Sample.Faults) {
 				f := p.Sample.Faults
 				jp.Faults = &f
 			}
-			jp.Disk = p.Sample.Disk
-			jp.QoE = p.Sample.QoE
-			jp.Strategy = p.Sample.Strategy
 			js.Points = append(js.Points, jp)
 		}
 		out = append(out, js)
@@ -210,13 +196,6 @@ func run(args []string) error {
 	jsonOut := fs.Bool("json", false, "also write machine-readable results to "+jsonFile)
 	traceOut := fs.String("trace-out", "",
 		"additionally run one traced Figure-8 discovery (5 consumers, 5000 entries) and write its JSONL here")
-	routings := fs.String("routings", "",
-		"comma-separated routing strategies for the compare matrix (default: all of them)")
-	cachings := fs.String("cachings", "",
-		"comma-separated caching strategies for the compare matrix (default: all of them)")
-	compareScens := fs.String("compare-scenarios", "",
-		"comma-separated compare scenario cells: "+strings.Join(scenario.CompareScenarios, ",")+" (default: all)")
-	quick := fs.Bool("quick", false, "shrink compare cells to CI-smoke size")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -251,35 +230,6 @@ func run(args []string) error {
 		return []*metrics.Series{s}, nil
 	}})
 
-	// The compare matrix lands as one figure per scenario cell
-	// (`compare/<scenario>`), so pds-benchdiff tracks each cell's cost
-	// independently of which scenarios a given run selected.
-	cmpCfg := scenario.CompareConfig{
-		Routings:  splitList(*routings),
-		Cachings:  splitList(*cachings),
-		Scenarios: splitList(*compareScens),
-		SizeMB:    *sizeMB,
-		Seed:      *seed,
-		Runs:      *runs,
-		Quick:     *quick,
-	}.WithDefaults()
-	if name == "all" || name == "compare" || strings.HasPrefix(name, "compare/") {
-		if err := cmpCfg.Validate(); err != nil {
-			return err
-		}
-	}
-	for _, scen := range cmpCfg.Scenarios {
-		scen := scen
-		figures = append(figures, figure{
-			name: "compare/" + scen,
-			desc: fmt.Sprintf("Compare: routing×caching strategy matrix, ranked, on %s", scen),
-			run: func() ([]*metrics.Series, error) {
-				s, err := scenario.CompareOne(scen, cmpCfg)
-				return []*metrics.Series{s}, err
-			},
-		})
-	}
-
 	report := jsonReport{
 		Seed:       *seed,
 		Runs:       *runs,
@@ -291,9 +241,7 @@ func run(args []string) error {
 	start := time.Now()
 	ran := false
 	for _, f := range figures {
-		// `compare` selects every compare/<scenario> cell figure.
-		if name == "all" || f.name == name ||
-			(name == "compare" && strings.HasPrefix(f.name, "compare/")) {
+		if name == "all" || f.name == name || strings.HasPrefix(f.name, name+"/") {
 			jf, err := runFigure(f)
 			if err != nil {
 				return err

@@ -40,3 +40,12 @@ func TestDocListsEveryFigure(t *testing.T) {
 		t.Errorf("package comment lists %v, scenario.Figures holds %v", listed, want)
 	}
 }
+
+// TestRunRejectsUnknownFigure: a name that selects no figure, itself or
+// under it, is an error before anything runs.
+func TestRunRejectsUnknownFigure(t *testing.T) {
+	err := run([]string{"-runs", "1", "compare/bogus"})
+	if err == nil || !strings.Contains(err.Error(), `unknown figure "compare/bogus"`) {
+		t.Fatalf("compare/bogus: err = %v, want the unknown figure error", err)
+	}
+}

@@ -169,12 +169,6 @@ func diff(w io.Writer, base, cur *report, threshold float64) int {
 		if seen[f.Name] {
 			continue
 		}
-		// compare/<scenario> figures are the strategy matrix's rows:
-		// which cells a run selects is a harness choice (-compare-
-		// scenarios), not a regression, so their absence is no notice.
-		if strings.HasPrefix(f.Name, "compare/") {
-			continue
-		}
 		fmt.Fprintf(w, "%-12s dropped from current report\n", f.Name)
 	}
 	return failed

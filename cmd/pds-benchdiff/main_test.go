@@ -82,29 +82,6 @@ func TestDiffWallIsReportedNotGated(t *testing.T) {
 	}
 }
 
-// TestDiffSkipsAbsentCompareFigures: compare/<scenario> figures are the
-// optional strategy-matrix rows — which cells a run selects is a
-// harness choice, not a regression. A baseline regenerated with the
-// matrix must not notice their absence.
-func TestDiffSkipsAbsentCompareFigures(t *testing.T) {
-	base := &report{Figures: []figure{
-		fig("pdd", 10, 2_000_000),
-		fig("pdr", 10, 2_000_000),
-		fig("compare/fig8", 20, 2_000_000),
-	}}
-	cur := &report{Figures: []figure{
-		fig("pdd", 10, 2_000_000),
-		fig("pdr", 10, 2_000_000),
-	}}
-	var out strings.Builder
-	if failed := diff(&out, base, cur, 0.10); failed != 0 {
-		t.Fatalf("compare-less run flagged: failed = %d, want 0\n%s", failed, out.String())
-	}
-	if strings.Contains(out.String(), "dropped") {
-		t.Fatalf("absent compare figure reported as dropped:\n%s", out.String())
-	}
-}
-
 // TestDiffGatesCompareFigurePresentInBoth: when both reports carry a
 // compare cell it is gated like any other figure.
 func TestDiffGatesCompareFigurePresentInBoth(t *testing.T) {

@@ -15,9 +15,10 @@ import (
 
 // This file declares every figure `pds-bench` regenerates once, in
 // Figures: the paper's evaluation (§V-4, §VI-B) and this repository's
-// ablations, chaos, disk and workload scenarios. A figure's run is one
-// seeded run of its whole sweep, returning its series; Figure.Run owns
-// runs, seeds, concurrency and the mean (DESIGN.md §4). It runs
+// ablations, chaos, disk and workload scenarios and strategy matrix
+// (compare.go). A figure's run is one seeded run of its whole sweep,
+// returning its series; Figure.Run owns runs, seeds, concurrency and
+// the mean (DESIGN.md §4). It runs
 // Params.Runs runs on parMap (see parallel.go), one fresh set of
 // deployments each, and returns new series shaped like run 0's with
 // every point's sample metrics.Mean over the runs, as the paper averages
@@ -67,10 +68,11 @@ func (f Figure) Run(p Params) ([]*metrics.Series, error) {
 }
 
 // runSet runs the figure p.Runs times, concurrently, and returns every
-// run's series, run r at index r.
+// run's series, run r at index r. Below one run there is nothing to
+// average, so it refuses.
 func (f Figure) runSet(p Params) ([][]*metrics.Series, error) {
-	if err := checkRuns(f.Name, p.Runs); err != nil {
-		return nil, err
+	if p.Runs < 1 {
+		return nil, fmt.Errorf("figure %s: %d runs, want at least 1", f.Name, p.Runs)
 	}
 	return parMap(p.Runs, func(r int) []*metrics.Series { return f.run(p, r) }), nil
 }
@@ -91,15 +93,6 @@ func meanOf(runs [][]*metrics.Series) []*metrics.Series {
 		out[i] = m
 	}
 	return out
-}
-
-// checkRuns refuses a figure fewer than one run: there is nothing to
-// average.
-func checkRuns(figure string, runs int) error {
-	if runs < 1 {
-		return fmt.Errorf("figure %s: %d runs, want at least 1", figure, runs)
-	}
-	return nil
 }
 
 // Figures is every figure `pds-bench` regenerates, in its `all` order.
@@ -127,6 +120,13 @@ var Figures = []Figure{
 	{"disk", "Disk-backed crash recovery (persistent chunk store)", diskSeries},
 	{"stream", "Workload: streaming QoE vs prefetch depth (clean / lossy)", streamSeries},
 	{"crowd", "Workload: flash-crowd artifact distribution QoE (poisson / step)", crowdSeries},
+	compareFigure("fig11", fig11Matrix(2)),
+	compareFigure("sparse", fig11Matrix(1)),
+	compareFigure("repeat", repeatMatrix),
+	compareFigure("pressure", pressureMatrix),
+	compareFigure("chaos", chaosMatrix),
+	compareFigure("stream", streamMatrix),
+	compareFigure("crowd", crowdMatrix),
 }
 
 // runPDD runs one PDD experiment on a fresh grid and returns the sample.

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,8 +49,9 @@ func writeFigures(b *strings.Builder, figs ...string) {
 // trialGoldenRows pins the runners that drive and reduce a deployment
 // by themselves and that no row above covers: the sequential-consumer
 // figures, Fig 16, the balance ablation, one mobility point, the
-// workload runners on the grid and on a small city, the quick compare
-// cells built on the grid's retrieval, and the traced Fig 8 cell.
+// workload runners on the grid and on a small city, the
+// bfr+opportunistic rows of the compare figures built on the grid's
+// retrieval, and the traced Fig 8 cell.
 func trialGoldenRows(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -72,13 +74,9 @@ func trialGoldenRows(t *testing.T) string {
 	}
 
 	for _, scen := range []string{"fig11", "sparse", "repeat", "pressure"} {
-		s, err := CompareOne(scen, CompareConfig{
-			Routings: []string{"bfr"}, Cachings: []string{"opportunistic"}, Seed: 1, Runs: 1, Quick: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(s.String())
+		s := ciFigures["compare/"+scen]()[0]
+		i := slices.IndexFunc(s.Points, func(p metrics.Point) bool { return p.Label == "bfr+opportunistic" })
+		b.WriteString((&metrics.Series{Name: s.Name, Points: s.Points[i : i+1]}).String())
 	}
 
 	traced, _ := TracedFig08(1, 2, 500, true, 0)

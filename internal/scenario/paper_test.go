@@ -64,8 +64,11 @@ func ledgerFigures(runs int) map[string]func() []*metrics.Series {
 
 // unclaimed are the figures the ledger holds no claim for: the classroom
 // variants repeat a claimed figure on another mobility profile, and the
-// rest are this repository's own scenarios, not the paper's.
-var unclaimed = []string{"fig9class", "fig12class", "chaos", "disk", "stream", "crowd"}
+// rest are this repository's own scenarios and strategy matrix, not the
+// paper's.
+var unclaimed = []string{"fig9class", "fig12class", "chaos", "disk", "stream", "crowd",
+	"compare/fig11", "compare/sparse", "compare/repeat", "compare/pressure",
+	"compare/chaos", "compare/stream", "compare/crowd"}
 
 // seedOne skips a test that compares rows pinned at seed 1 when the
 // ledger runs at another seed.

@@ -8,10 +8,10 @@ import (
 // Sweep runs are embarrassingly parallel: every run owns fresh
 // Deployments — engine, medium, RNGs, stores — and seeds are a pure
 // function of the base seed and the run index. parMap exploits that:
-// Figure.Run and the compare cells hand it their runs, and it runs the
-// bodies concurrently on a worker pool and slots each result by index,
-// so output order (and therefore every printed metric row) is identical
-// to a sequential loop. Determinism is untouched because no simulation
+// Figure.Run hands it a figure's runs, and it runs the bodies
+// concurrently on a worker pool and slots each result by index, so
+// output order (and therefore every printed metric row) is identical to
+// a sequential loop. Determinism is untouched because no simulation
 // state crosses goroutines; only the finished samples do.
 
 // parTokens caps concurrently running simulation bodies across all
